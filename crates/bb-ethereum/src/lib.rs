@@ -11,12 +11,16 @@
 //!   (slow interpreter, heavy per-element memory overhead — Figure 11).
 //!
 //! The [`state`] module (accounts, buffered VM host, transaction
-//! application) is platform-generic over its storage backend and is reused
-//! by `bb-parity`, which swaps PoW for authority-round and the LSM trie
-//! backend for a capped in-memory store.
+//! application) and the [`node`] module (the fork-choice node: block tree,
+//! transaction pool, block sync, recovery window) are generic over the
+//! storage backend and the consensus plug-in, and are reused by
+//! `bb-parity`, which swaps PoW for authority-round and the LSM trie
+//! backend for a capped in-memory store. [`chain`] holds only what is
+//! proof-of-work.
 
 pub mod chain;
 pub mod config;
+pub mod node;
 pub mod state;
 
 pub use chain::EthereumChain;

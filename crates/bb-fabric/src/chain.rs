@@ -29,8 +29,8 @@ use bb_storage::FaultVfs;
 use bb_sim::{CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_types::{Address, Block, BlockHeader, BlockSummary, Encoder, NodeId, Transaction, TxId};
 use blockbench::connector::{
-    BlockchainConnector, ChainEntry, DirectExec, Fault, PlatformStats, Query, QueryError,
-    QueryResult,
+    BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
+    QueryError, QueryResult, RecoveryWindow,
 };
 use std::sync::{Arc, Mutex};
 use blockbench::contract::ContractBundle;
@@ -150,33 +150,36 @@ struct FabNode {
     pipeline_penalty: SimDuration,
     /// Confirmed-block log; only the observer (node 0) appends to it.
     confirmed: Vec<BlockSummary>,
-    /// Set while the peer is catching up after a durable-state restart.
-    restarted_at: Option<SimTime>,
-    /// The cluster's committed sequence at the restart instant; reaching
-    /// it ends the recovery window.
-    sync_target: Option<u64>,
-    /// Wall-clock (simulated) milliseconds from restart to caught-up.
-    recovery_ms: u64,
-    /// Blocks re-fetched from peers after restarts.
-    resync_blocks: u64,
-    /// Bytes of block data re-fetched after restarts.
-    resync_bytes: u64,
-    /// Set while a snapshot transfer replaces this peer's state; committed
-    /// batches are dropped until the transferred floor is adopted (the
-    /// trailing `SyncRequest` replays them).
-    snapshot_syncing: bool,
-    /// Snapshot chunks received.
-    snapshot_chunks: u64,
-    /// Payload bytes of those chunks.
-    snapshot_bytes: u64,
-    /// WAL records replayed across restarts.
-    wal_replayed: u64,
-    /// Torn WAL tails truncated across restarts.
-    wal_truncated: u64,
-    /// Optimistic-executor counters (see `PlatformStats`).
-    exec_conflicts: u64,
-    exec_serial_us: u64,
-    exec_modeled_us: u64,
+    /// Catch-up session after a durable-state restart; its target is the
+    /// cluster's committed sequence at the restart instant. While a snapshot
+    /// transfer replaces this peer's state, committed batches are dropped
+    /// (the trailing `SyncRequest` replays them).
+    recovery: RecoveryWindow,
+    /// Run counters; they survive a restart.
+    counters: NodeCounters,
+}
+
+impl FabNode {
+    /// Fold this peer into the run-wide stats: its counters and CPU series
+    /// (with `net`, its outbound network series) by the shared policy, plus
+    /// the store, bucket-tree and PBFT counters.
+    fn fold_into(&self, stats: &mut PlatformStats, config: &FabricConfig, net: &[f64]) {
+        stats.fold_node(config.nodes, &self.counters, &self.cpu.utilisation_series(), net);
+        stats.equivocations_detected += self.pbft.equivocations_detected();
+        let store = self.state.store_stats();
+        stats.disk_bytes += store.disk_bytes;
+        stats.batch_put_count += store.batch_writes;
+        stats.write_stall_ms += store.write_stall_ms;
+        stats.compaction_debt_bytes += store.compaction_debt_bytes;
+        stats.bytes_compacted += store.bytes_compacted;
+        stats.storage_bytes_written += store.bytes_written;
+        stats.storage_logical_bytes += store.logical_bytes;
+        let (flushed, superseded) = self.state.flush_stats();
+        stats.state_nodes_flushed += flushed;
+        stats.state_nodes_dropped += superseded;
+        let resident = config.mem_base + self.state.mem_peak();
+        stats.mem_peak_bytes = stats.mem_peak_bytes.max(resident);
+    }
 }
 
 /// Read-only context shared by every lane.
@@ -480,9 +483,9 @@ fn execute_batch_txs(
         receipts.push((tx.id(), ok));
     }
     let model = bb_exec::model_block(&spec_us, winner_us, &loser_us);
-    node.exec_conflicts += conflicts;
-    node.exec_serial_us += model.serial_us;
-    node.exec_modeled_us += model.modeled_us;
+    node.counters.exec_conflicts += conflicts;
+    node.counters.exec_serial_us += model.serial_us;
+    node.counters.exec_modeled_us += model.modeled_us;
     (receipts, SimDuration::from_micros(model.serial_us))
 }
 
@@ -495,7 +498,7 @@ fn commit_batch(
     seq: u64,
     batch: Vec<Vec<u8>>,
 ) {
-    if node.snapshot_syncing {
+    if node.recovery.snapshot_syncing {
         // The node's state is mid-transfer: executing against it would
         // diverge. The batch is not lost — the post-transfer `SyncRequest`
         // replays everything committed past the snapshot's floor.
@@ -538,17 +541,10 @@ fn commit_batch(
     node.state
         .commit_block_with_meta(vec![(block_meta_key(height), Some(record))])
         .expect("state store healthy");
-    if let Some(t0) = node.restarted_at {
-        node.resync_blocks += 1;
-        node.resync_bytes += block_bytes;
-        if node.sync_target.is_some_and(|t| seq >= t) {
-            // A completed recovery records at least 1 ms: `recovery_ms == 0`
-            // means "never caught up", and a sub-millisecond catch-up (no
-            // blocks mined during the outage) must not read as that.
-            node.recovery_ms = node.recovery_ms.max((now.since(t0).as_micros() / 1000).max(1));
-            node.restarted_at = None;
-            node.sync_target = None;
-        }
+    if node.recovery.restarted_at.is_some() {
+        node.counters.resync_blocks += 1;
+        node.counters.resync_bytes += block_bytes;
+        node.recovery.close_if_reached(seq, now, &mut node.counters);
     }
     if at.index() == 0 {
         // PBFT confirms immediately: "Hyperledger confirms a block as
@@ -649,11 +645,11 @@ fn on_snapshot_chunk(
     done: bool,
     fx: &mut Effects<FabEvent>,
 ) {
-    if node.crashed || !node.snapshot_syncing {
+    if node.crashed || !node.recovery.snapshot_syncing {
         return;
     }
-    node.snapshot_chunks += 1;
-    node.snapshot_bytes +=
+    node.counters.snapshot_chunks += 1;
+    node.counters.snapshot_bytes +=
         16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
     node.state.apply_snapshot_entries(&entries).expect("fresh store healthy");
     if !done {
@@ -672,45 +668,37 @@ fn on_snapshot_chunk(
     let mut state =
         state.rebuild_keeping_chaincodes(buckets, mem_cap).expect("transferred store healthy");
     let (floor, executed, blocks, receipts) = rebuild_chain_from_state(&mut state);
-    let pbft_config = PbftConfig {
-        n: ctx.config.nodes,
-        batch_size: ctx.config.batch_size,
-        batch_timeout: ctx.config.batch_timeout,
-        view_timeout: ctx.config.view_timeout,
-        recruit_quota: ctx.config.pbft_recruit_quota,
-        ..PbftConfig::default()
-    };
-    node.pbft = PbftNode::resume_at(me, pbft_config, floor);
+    node.pbft = PbftNode::resume_at(me, pbft_config(&ctx.config), floor);
     node.state = state;
     node.blocks = blocks;
     node.receipts = receipts;
     node.executed = executed;
-    node.snapshot_syncing = false;
-    if let (Some(t0), Some(target)) = (node.restarted_at, node.sync_target) {
-        if floor >= target {
-            node.recovery_ms = node.recovery_ms.max((now.since(t0).as_micros() / 1000).max(1));
-            node.restarted_at = None;
-            node.sync_target = None;
-        }
-    }
+    node.recovery.snapshot_syncing = false;
+    node.recovery.close_if_reached(floor, now, &mut node.counters);
     // Batches committed while the transfer ran replay through the normal
     // resync path.
     send_msg(from, PbftMsg::SyncRequest { from_seq: floor }, fx);
     schedule_wake(node, me, now, fx);
 }
 
+/// The PBFT parameters of a network configured by `config` — the same at
+/// construction, restart and snapshot-sync resume.
+fn pbft_config(config: &FabricConfig) -> PbftConfig {
+    PbftConfig {
+        n: config.nodes,
+        batch_size: config.batch_size,
+        batch_timeout: config.batch_timeout,
+        view_timeout: config.view_timeout,
+        recruit_quota: config.pbft_recruit_quota,
+        ..PbftConfig::default()
+    }
+}
+
 impl FabricChain {
     /// Build a PBFT network per `config`.
     pub fn new(config: FabricConfig) -> FabricChain {
         let mut rng = SimRng::seed_from_u64(config.seed);
-        let pbft_config = PbftConfig {
-            n: config.nodes,
-            batch_size: config.batch_size,
-            batch_timeout: config.batch_timeout,
-            view_timeout: config.view_timeout,
-            recruit_quota: config.pbft_recruit_quota,
-            ..PbftConfig::default()
-        };
+        let pbft_config = pbft_config(&config);
         let nodes = (0..config.nodes)
             .map(|i| FabNode {
                 pbft: PbftNode::new(NodeId(i), pbft_config.clone()),
@@ -732,19 +720,8 @@ impl FabricChain {
                 ingress_busy_until: SimTime::ZERO,
                 pipeline_penalty: SimDuration::ZERO,
                 confirmed: Vec::new(),
-                restarted_at: None,
-                sync_target: None,
-                recovery_ms: 0,
-                resync_blocks: 0,
-                resync_bytes: 0,
-                snapshot_syncing: false,
-                snapshot_chunks: 0,
-                snapshot_bytes: 0,
-                wal_replayed: 0,
-                wal_truncated: 0,
-                exec_conflicts: 0,
-                exec_serial_us: 0,
-                exec_modeled_us: 0,
+                recovery: RecoveryWindow::default(),
+                counters: NodeCounters::default(),
             })
             .collect();
         let network = Network::new(config.nodes, config.link.clone(), rng.fork());
@@ -763,18 +740,9 @@ impl FabricChain {
     /// committed batches past it.
     fn restart_node(&mut self, id: NodeId) {
         let now = self.engine.now();
-        let peer = (0..self.config.nodes)
-            .map(NodeId)
-            .find(|&p| p != id && !self.network.is_crashed(p));
+        let peer = self.network.first_live_peer(id);
         let peer_floor = peer.map(|p| self.engine.with_node(p.0, |n| n.pbft.last_committed()));
-        let pbft_config = PbftConfig {
-            n: self.config.nodes,
-            batch_size: self.config.batch_size,
-            batch_timeout: self.config.batch_timeout,
-            view_timeout: self.config.view_timeout,
-            recruit_quota: self.config.pbft_recruit_quota,
-            ..PbftConfig::default()
-        };
+        let pbft_config = pbft_config(&self.config);
         let buckets = self.config.state_buckets;
         let mem_cap = self.config.node_mem_bytes.saturating_sub(self.config.mem_base);
         let snapshot_sync_blocks = self.config.snapshot_sync_blocks;
@@ -785,8 +753,8 @@ impl FabricChain {
             let mut state = FabricState::reopen(n.state.vfs(), buckets, mem_cap)
                 .expect("durable store recoverable");
             let st = state.store_stats();
-            n.wal_replayed += st.wal_records_replayed;
-            n.wal_truncated += st.wal_tail_truncated;
+            n.counters.wal_replayed += st.wal_records_replayed;
+            n.counters.wal_truncated += st.wal_tail_truncated;
             // Chaincode binaries are redeployable artifacts, not state.
             for (addr, factory) in contracts {
                 state.install(*addr, *factory);
@@ -798,8 +766,12 @@ impl FabricChain {
             // The gap is known synchronously from the live peer's committed
             // floor: too deep to replay batch-by-batch → discard the durable
             // prefix and pull the peer's whole snapshot in bounded chunks.
-            let snapshot =
-                peer_floor.is_some_and(|t| t.saturating_sub(floor) > snapshot_sync_blocks);
+            // Likewise when a crash tore an earlier transfer: the store then
+            // holds block records whose state never fully arrived, so its
+            // floor says nothing about what can be replayed onto it.
+            let torn = n.recovery.transfer_torn;
+            let snapshot = peer_floor
+                .is_some_and(|t| torn || t.saturating_sub(floor) > snapshot_sync_blocks);
             if snapshot {
                 let mut fresh = FabricState::new(buckets, mem_cap);
                 for (addr, factory) in contracts {
@@ -815,7 +787,6 @@ impl FabricChain {
                 n.receipts = receipts;
                 n.executed = executed;
             }
-            n.snapshot_syncing = snapshot;
             n.pbft = PbftNode::resume_at(id, pbft_config, floor);
             n.inbox.clear();
             n.draining = false;
@@ -823,8 +794,13 @@ impl FabricChain {
             n.pipeline_penalty = SimDuration::ZERO;
             n.wake_scheduled = None;
             n.crashed = false;
-            n.sync_target = peer_floor.filter(|&t| t > floor);
-            n.restarted_at = n.sync_target.map(|_| now);
+            let sync_target = peer_floor.filter(|&t| t > floor);
+            n.recovery = RecoveryWindow {
+                restarted_at: sync_target.map(|_| now),
+                sync_target,
+                snapshot_syncing: snapshot,
+                transfer_torn: false,
+            };
             (floor, snapshot)
         });
         self.network.recover(id);
@@ -969,9 +945,15 @@ impl BlockchainConnector for FabricChain {
                     n.drain_generation += 1;
                     n.pipeline_penalty = SimDuration::ZERO;
                     n.wake_scheduled = None;
+                    n.recovery.crash();
                 });
             }
             Fault::Recover(node) => {
+                if self.engine.with_node(node.0, |n| n.recovery.transfer_torn) {
+                    // The crash tore a snapshot transfer that was replacing
+                    // this peer's state: there is no intact memory to revive.
+                    return self.restart_node(node);
+                }
                 // Legacy gentle revive (a long GC pause, not a process
                 // death): in-memory chain state is intact.
                 self.network.recover(node);
@@ -1005,105 +987,32 @@ impl BlockchainConnector for FabricChain {
     }
 
     fn stats(&self) -> PlatformStats {
-        let n = self.config.nodes as usize;
-        let mut disk = 0u64;
-        let mut mem_peak = self.mem_peak.max(self.config.mem_base);
-        let mut cpu: Vec<f64> = Vec::new();
-        let mut net: Vec<f64> = Vec::new();
-        let (mut flushed, mut superseded, mut batches) = (0u64, 0u64, 0u64);
-        let (mut wal_replayed, mut wal_truncated) = (0u64, 0u64);
-        let (mut recovery_ms, mut resync_blocks, mut resync_bytes) = (0u64, 0u64, 0u64);
-        let (mut stall_ms, mut debt, mut compacted) = (0u64, 0u64, 0u64);
-        let (mut store_written, mut store_logical) = (0u64, 0u64);
-        let (mut snap_chunks, mut snap_bytes) = (0u64, 0u64);
-        let (mut exec_conflicts, mut exec_serial_us, mut exec_modeled_us) = (0u64, 0u64, 0u64);
-        let (mut equivocations, mut disk_stall_us) = (0u64, 0u64);
-        for i in 0..self.config.nodes {
-            self.engine.with_node(i, |node| {
-                equivocations += node.pbft.equivocations_detected();
-                disk_stall_us += node.state.vfs().lock().unwrap().stall_us();
-                let store_stats = node.state.store_stats();
-                disk += store_stats.disk_bytes;
-                batches += store_stats.batch_writes;
-                stall_ms += store_stats.write_stall_ms;
-                debt += store_stats.compaction_debt_bytes;
-                compacted += store_stats.bytes_compacted;
-                store_written += store_stats.bytes_written;
-                store_logical += store_stats.logical_bytes;
-                snap_chunks += node.snapshot_chunks;
-                snap_bytes += node.snapshot_bytes;
-                wal_replayed += node.wal_replayed;
-                wal_truncated += node.wal_truncated;
-                recovery_ms = recovery_ms.max(node.recovery_ms);
-                resync_blocks += node.resync_blocks;
-                resync_bytes += node.resync_bytes;
-                exec_conflicts += node.exec_conflicts;
-                exec_serial_us += node.exec_serial_us;
-                exec_modeled_us += node.exec_modeled_us;
-                let (f, s) = node.state.flush_stats();
-                flushed += f;
-                superseded += s;
-                mem_peak = mem_peak.max(self.config.mem_base + node.state.mem_peak());
-                let series = node.cpu.utilisation_series();
-                if series.len() > cpu.len() {
-                    cpu.resize(series.len(), 0.0);
-                }
-                for (j, v) in series.iter().enumerate() {
-                    cpu[j] += v / n as f64;
-                }
-            });
-            let tx = self.network.tx_mbps_series(NodeId(i));
-            if tx.len() > net.len() {
-                net.resize(tx.len(), 0.0);
-            }
-            for (j, v) in tx.iter().enumerate() {
-                net[j] += v / n as f64;
-            }
-        }
         let (blocks, txs_committed) = self.engine.with_node(0, |node| {
-            (
-                node.blocks.len() as u64,
-                node.confirmed.iter().map(|b| b.txs.len() as u64).sum(),
-            )
+            (node.blocks.len() as u64, node.confirmed.iter().map(|b| b.txs.len() as u64).sum())
         });
-        PlatformStats {
+        // Fabric's Bucket-Merkle state has no Patricia node cache, and the
+        // platform cannot tell a byzantine submission apart (the chaos
+        // runner attributes those): both stay at their zero defaults.
+        let mut stats = PlatformStats {
             // PBFT never forks: every committed block is on the chain.
             blocks_total: blocks,
             blocks_main: blocks,
             txs_committed,
-            disk_bytes: disk,
-            mem_peak_bytes: mem_peak,
-            cpu_utilisation: cpu,
-            net_mbps: net,
+            mem_peak_bytes: self.mem_peak.max(self.config.mem_base),
             net_bytes: self.network.stats().bytes,
-            // Fabric's Bucket-Merkle state has no Patricia node cache.
-            trie_cache_hits: 0,
-            trie_cache_misses: 0,
-            state_nodes_flushed: flushed,
-            state_nodes_dropped: superseded,
-            batch_put_count: batches,
-            wal_records_replayed: wal_replayed,
-            wal_tail_truncated: wal_truncated,
-            recovery_ms,
-            resync_blocks,
-            resync_bytes,
-            write_stall_ms: stall_ms,
-            compaction_debt_bytes: debt,
-            bytes_compacted: compacted,
-            storage_bytes_written: store_written,
-            storage_logical_bytes: store_logical,
-            snapshot_chunks: snap_chunks,
-            snapshot_bytes: snap_bytes,
-            exec_conflicts,
-            exec_serial_us,
-            exec_modeled_us,
-            // Attribution of byzantine client traffic happens in the chaos
-            // runner: the platform cannot tell a byzantine submission apart.
-            byzantine_rejected: 0,
-            equivocations_detected: equivocations,
             partition_flaps: self.network.partition_flaps(),
-            disk_stall_ms: disk_stall_us / 1000,
+            ..Default::default()
+        };
+        let mut disk_stall_us = 0u64;
+        for i in 0..self.config.nodes {
+            let net = self.network.tx_mbps_series(NodeId(i));
+            self.engine.with_node(i, |node| {
+                node.fold_into(&mut stats, &self.config, &net);
+                disk_stall_us += node.state.vfs().lock().unwrap().stall_us();
+            });
         }
+        stats.disk_stall_ms = disk_stall_us / 1000;
+        stats
     }
 
     fn committed_chain(&self, node: NodeId) -> Vec<ChainEntry> {
@@ -1389,7 +1298,7 @@ mod tests {
         assert!(gap > 3, "cluster only moved {gap} batches during the outage");
         c.inject(Fault::Restart(NodeId(3)));
         // The durable prefix was discarded in favour of a full snapshot pull.
-        assert!(c.engine.with_node(3, |n| n.snapshot_syncing));
+        assert!(c.engine.with_node(3, |n| n.recovery.snapshot_syncing));
         c.advance_to(SimTime::from_secs(25));
         // Caught back up: chain and state byte-identical to the cluster.
         let reference: Vec<Hash256> =

@@ -208,6 +208,12 @@ impl Network {
         self.crashed[node.index()]
     }
 
+    /// The lowest-numbered live node other than `except` — the peer a
+    /// restarting node asks for its catch-up.
+    pub fn first_live_peer(&self, except: NodeId) -> Option<NodeId> {
+        (0..self.n).map(NodeId).find(|&p| p != except && !self.is_crashed(p))
+    }
+
     /// Nodes currently alive.
     pub fn alive_count(&self) -> u32 {
         self.crashed.iter().filter(|&&c| !c).count() as u32

@@ -141,6 +141,26 @@ impl<E> Effects<E> {
         }
     }
 
+    /// An outbox attached to no engine, for driving a node's handlers by
+    /// hand: unit tests of node logic need neither an engine nor a network.
+    pub fn detached(lane: u32, now: SimTime) -> Effects<E> {
+        Effects::new(EventKey { at: now, lane, seq: 0 }, lane, now)
+    }
+
+    /// Take every message sent so far as `(to, bytes, event)`, each event
+    /// built as if it arrived at `arrival` (the detached counterpart of the
+    /// window merge; cross-lane schedules stay queued).
+    pub fn take_sends(&mut self, arrival: SimTime) -> Vec<(u32, u64, E)> {
+        let mut sends = Vec::new();
+        for emit in std::mem::take(&mut self.emits) {
+            match emit.kind {
+                EmitKind::Send { to, bytes, build } => sends.push((to, bytes, build(arrival))),
+                kind => self.emits.push(Emit { kind, ..emit }),
+            }
+        }
+        sends
+    }
+
     /// Virtual time of the event being handled.
     pub fn now(&self) -> SimTime {
         self.now

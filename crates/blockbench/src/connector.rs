@@ -118,7 +118,108 @@ pub struct PlatformStats {
     pub disk_stall_ms: u64,
 }
 
+/// The counters every platform node keeps about itself. They describe the
+/// *run*, not the process: a restart moves the value into the rebuilt node
+/// (`std::mem::take`) instead of copying it field by field, and
+/// [`PlatformStats::fold_node`] is the one place that decides how each is
+/// combined across nodes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeCounters {
+    /// Longest completed restart→caught-up recovery on this node, virtual ms.
+    pub recovery_ms: u64,
+    /// Blocks received from peers while catching up after a restart.
+    pub resync_blocks: u64,
+    /// Bytes of those blocks.
+    pub resync_bytes: u64,
+    /// Snapshot chunks received across this node's resyncs.
+    pub snapshot_chunks: u64,
+    /// Payload bytes of those chunks.
+    pub snapshot_bytes: u64,
+    /// WAL records replayed across this node's restarts.
+    pub wal_replayed: u64,
+    /// Torn WAL tails truncated across this node's restarts.
+    pub wal_truncated: u64,
+    /// Transactions that speculated against stale state and re-executed
+    /// (optimistic block executor).
+    pub exec_conflicts: u64,
+    /// Serial execution charge accumulated by the block executor, µs.
+    pub exec_serial_us: u64,
+    /// Modeled parallel makespan of the same blocks, µs.
+    pub exec_modeled_us: u64,
+}
+
+/// A restarted node's catch-up session: opened by `Restart`, closed into
+/// [`NodeCounters::recovery_ms`] once the node's progress (head height, or
+/// PBFT sequence) reaches the target learned from a live peer.
+#[derive(Debug, Default)]
+pub struct RecoveryWindow {
+    /// Set while the node is catching up from peers.
+    pub restarted_at: Option<SimTime>,
+    /// The peers' progress this node must reach for the window to close.
+    pub sync_target: Option<u64>,
+    /// Set while a chunked snapshot transfer is closing the gap; live block
+    /// or batch adoption is suppressed until the transfer lands.
+    pub snapshot_syncing: bool,
+    /// A crash interrupted a snapshot transfer. The session that was
+    /// driving it is gone, so a platform whose transfer overwrites live
+    /// state must restart from scratch rather than resume on the remains.
+    pub transfer_torn: bool,
+}
+
+impl RecoveryWindow {
+    /// The process died: an in-flight snapshot transfer dies with it (its
+    /// remaining chunks are dropped by the crashed node), so the flag that
+    /// suppresses adoption must not stay latched across a revive.
+    pub fn crash(&mut self) {
+        self.transfer_torn |= std::mem::take(&mut self.snapshot_syncing);
+    }
+
+    /// Close the window once `progress` reaches the sync target. A completed
+    /// recovery records at least 1 ms: `recovery_ms == 0` means "never
+    /// caught up", and a sub-millisecond catch-up (nothing committed during
+    /// the outage) must not read as that.
+    pub fn close_if_reached(&mut self, progress: u64, now: SimTime, counters: &mut NodeCounters) {
+        if let (Some(t0), Some(target)) = (self.restarted_at, self.sync_target) {
+            if progress >= target {
+                let ms = (now.since(t0).as_micros() / 1000).max(1);
+                counters.recovery_ms = counters.recovery_ms.max(ms);
+                self.restarted_at = None;
+                self.sync_target = None;
+            }
+        }
+    }
+}
+
+/// Add one node's per-second series into the cross-node mean.
+fn average_into(mean: &mut Vec<f64>, series: &[f64], nodes: u32) {
+    if series.len() > mean.len() {
+        mean.resize(series.len(), 0.0);
+    }
+    for (m, v) in mean.iter_mut().zip(series) {
+        *m += v / nodes as f64;
+    }
+}
+
 impl PlatformStats {
+    /// Fold one of `nodes` nodes into the run-wide stats: `recovery_ms` is
+    /// the maximum over nodes, every other counter a sum, and the CPU and
+    /// network per-second series are averaged over `nodes` (a node whose
+    /// series is shorter contributes zeros for the missing seconds).
+    pub fn fold_node(&mut self, nodes: u32, counters: &NodeCounters, cpu: &[f64], net: &[f64]) {
+        self.recovery_ms = self.recovery_ms.max(counters.recovery_ms);
+        self.resync_blocks += counters.resync_blocks;
+        self.resync_bytes += counters.resync_bytes;
+        self.snapshot_chunks += counters.snapshot_chunks;
+        self.snapshot_bytes += counters.snapshot_bytes;
+        self.wal_records_replayed += counters.wal_replayed;
+        self.wal_tail_truncated += counters.wal_truncated;
+        self.exec_conflicts += counters.exec_conflicts;
+        self.exec_serial_us += counters.exec_serial_us;
+        self.exec_modeled_us += counters.exec_modeled_us;
+        average_into(&mut self.cpu_utilisation, cpu, nodes);
+        average_into(&mut self.net_mbps, net, nodes);
+    }
+
     /// Trie-cache hit rate in `[0, 1]`, or `None` when the platform made no
     /// cached trie reads.
     pub fn trie_cache_hit_rate(&self) -> Option<f64> {
@@ -364,6 +465,72 @@ mod tests {
         assert_eq!(QueryError::Unsupported.to_string(), "query unsupported on this platform");
         assert!(QueryError::Contract("boom".into()).to_string().contains("boom"));
         assert_eq!(QueryError::NotFound.to_string(), "not found");
+    }
+
+    /// Every counter lands in its `PlatformStats` field under its policy:
+    /// distinct primes make a crossed wire or a max/sum mix-up change a total.
+    #[test]
+    fn fold_node_sums_counters_maxes_recovery_and_averages_series() {
+        let a = NodeCounters {
+            recovery_ms: 2,
+            resync_blocks: 3,
+            resync_bytes: 5,
+            snapshot_chunks: 7,
+            snapshot_bytes: 11,
+            wal_replayed: 13,
+            wal_truncated: 17,
+            exec_conflicts: 19,
+            exec_serial_us: 23,
+            exec_modeled_us: 29,
+        };
+        let b = NodeCounters {
+            recovery_ms: 31,
+            resync_blocks: 37,
+            resync_bytes: 41,
+            snapshot_chunks: 43,
+            snapshot_bytes: 47,
+            wal_replayed: 53,
+            wal_truncated: 59,
+            exec_conflicts: 61,
+            exec_serial_us: 67,
+            exec_modeled_us: 71,
+        };
+        let mut s = PlatformStats::default();
+        s.fold_node(2, &a, &[1.0, 0.5, 0.25], &[8.0]);
+        s.fold_node(2, &b, &[0.5], &[2.0, 4.0]);
+        assert_eq!(s.recovery_ms, 31, "recovery is the slowest node's, not a sum");
+        assert_eq!(s.resync_blocks, 3 + 37);
+        assert_eq!(s.resync_bytes, 5 + 41);
+        assert_eq!(s.snapshot_chunks, 7 + 43);
+        assert_eq!(s.snapshot_bytes, 11 + 47);
+        assert_eq!(s.wal_records_replayed, 13 + 53);
+        assert_eq!(s.wal_tail_truncated, 17 + 59);
+        assert_eq!(s.exec_conflicts, 19 + 61);
+        assert_eq!(s.exec_serial_us, 23 + 67);
+        assert_eq!(s.exec_modeled_us, 29 + 71);
+        // Unequal lengths: the mean is over all nodes, a missing second is 0.
+        assert_eq!(s.cpu_utilisation, [0.75, 0.25, 0.125]);
+        assert_eq!(s.net_mbps, [5.0, 2.0]);
+        // Nothing else is touched.
+        assert_eq!((s.blocks_total, s.disk_bytes, s.byzantine_rejected), (0, 0, 0));
+    }
+
+    #[test]
+    fn recovery_window_closes_at_target_and_crash_tears_a_transfer() {
+        let mut counters = NodeCounters::default();
+        let mut w = RecoveryWindow {
+            restarted_at: Some(SimTime::from_secs(10)),
+            sync_target: Some(5),
+            snapshot_syncing: true,
+            transfer_torn: false,
+        };
+        w.close_if_reached(4, SimTime::from_secs(11), &mut counters);
+        assert!(w.restarted_at.is_some() && counters.recovery_ms == 0, "closed short of target");
+        w.crash();
+        assert!(!w.snapshot_syncing && w.transfer_torn);
+        // A sub-millisecond catch-up still reads as a completed recovery.
+        w.close_if_reached(5, SimTime::from_secs(10), &mut counters);
+        assert_eq!((w.restarted_at, w.sync_target, counters.recovery_ms), (None, None, 1));
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod stats;
 
 pub use chaos::{ByzActor, ByzBehavior, ByzClientSpec, ChaosPlan};
 pub use connector::{
-    BlockchainConnector, ChainEntry, DirectExec, Fault, PlatformStats, Query, QueryError,
-    QueryResult,
+    BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
+    QueryError, QueryResult, RecoveryWindow,
 };
 pub use contract::{Chaincode, ChaincodeContext, ContractBundle, SvmContract};
 pub use driver::{

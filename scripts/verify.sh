@@ -20,8 +20,27 @@
 # 15% against the most recent earlier run. Run it alongside this script
 # when a change touches a hot path; it is not part of tier-1 because perf
 # baselines are per-machine.
+#
+# Behaviour is gated separately too: `scripts/check_results.sh` regenerates
+# every figure (`figures all`) and fails unless each committed
+# `results/*.csv` comes out byte-identical. It is the refactor gate — run it
+# before and after any change that is meant to keep behaviour; it is not
+# part of tier-1 because it takes ~10-15 min on 2 cores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Run one named `cargo test` selection of a smoke section. A filter that
+# matches no test passes silently (tests move and get renamed with their
+# code), so a selection that runs zero tests is an error.
+smoke() {
+    local out
+    out=$(cargo test -q --offline "$@" 2>&1) || { echo "$out"; return 1; }
+    echo "$out"
+    if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "ERROR: smoke selection ran 0 tests: cargo test $*" >&2
+        return 1
+    fi
+}
 
 # ~3.6x the measured single-core baseline (~500 s); a blown budget means a
 # runaway test or a perf regression, not a slow afternoon.
@@ -48,9 +67,10 @@ echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 # replay, durable-state reopen, consensus resume, peer catch-up): run the
 # fault-focused tests by name so a regression here is called out as such
 # rather than drowned in the full suite's output.
-cargo test -q --offline -p bb-storage fault
-cargo test -q --offline -p bb-ethereum -p bb-parity -p bb-fabric restart
-cargo test -q --offline -p bb-bench --test cross_platform restart_recovers
+smoke -p bb-storage fault
+for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" restart; done
+smoke -p bb-bench --test cross_platform restart_recovers
+smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer
 
 echo "==> storage matrix: leveled compaction + chunked snapshot sync smoke"
 # The leveled compactor must keep its invariants (disjoint L1+, bounded
@@ -58,10 +78,10 @@ echo "==> storage matrix: leveled compaction + chunked snapshot sync smoke"
 # reference; the deep-gap restart path must close the block gap with a
 # chunked snapshot transfer on every platform. Named so regressions in the
 # storage write path or the sync protocol are reported as such.
-cargo test -q --offline -p bb-storage compact
-cargo test -q --offline -p bb-storage snapshot
-cargo test -q --offline -p bb-ethereum -p bb-parity -p bb-fabric deep_gap
-cargo test -q --offline -p bb-bench --lib fig9_snapshot
+smoke -p bb-storage compact
+smoke -p bb-storage snapshot
+for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" deep_gap; done
+smoke -p bb-bench --lib fig9_snapshot
 
 echo "==> load matrix: open-loop engine + saturation-ramp smoke"
 # The open-loop arrival engine (arrival processes, lazy million-account
@@ -69,10 +89,10 @@ echo "==> load matrix: open-loop engine + saturation-ramp smoke"
 # offered-load surface of the harness: run them by name so a load-engine
 # regression is reported as one. The saturation cell asserts the knee and
 # the CO-free tail dominance on all three platforms.
-cargo test -q --offline -p blockbench load
-cargo test -q --offline -p bb-bench --test open_loop
-cargo test -q --offline -p bb-bench --test parallel_determinism open_loop
-cargo test -q --offline -p bb-bench --lib saturation_curves
+smoke -p blockbench load
+smoke -p bb-bench --test open_loop
+smoke -p bb-bench --test parallel_determinism open_loop
+smoke -p bb-bench --lib saturation_curves
 
 echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # The chaos matrix (DESIGN.md §10) is the adversarial surface of the
@@ -82,11 +102,11 @@ echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # invariant unit tests, the matrix itself, the ChaosPlan determinism case
 # and the pool-pinning regression by name so a chaos regression is
 # reported as one.
-cargo test -q --offline -p blockbench chaos
-cargo test -q --offline -p blockbench invariant
-cargo test -q --offline -p bb-bench --lib exp_chaos
-cargo test -q --offline -p bb-bench --test parallel_determinism chaos
-cargo test -q --offline -p bb-bench --test pool_eviction
+smoke -p blockbench chaos
+smoke -p blockbench invariant
+smoke -p bb-bench --lib exp_chaos
+smoke -p bb-bench --test parallel_determinism chaos
+smoke -p bb-bench --test pool_eviction
 
 echo "==> executor matrix: serial/parallel determinism + conflict ablation smoke"
 # The optimistic block executor must be invisible to the simulation:
@@ -94,8 +114,8 @@ echo "==> executor matrix: serial/parallel determinism + conflict ablation smoke
 # the Zipfian conflict ablation must keep its speedup floors (>=1.5x at
 # theta<=0.5, graceful >=1.0x at 0.99). Named here so an executor
 # regression is reported as one rather than buried in the full suite.
-cargo test -q --offline -p bb-bench --test parallel_determinism executor
-cargo test -q --offline -p bb-bench --lib executor_speedup_degrades_gracefully
+smoke -p bb-bench --test parallel_determinism executor
+smoke -p bb-bench --lib executor_speedup_degrades_gracefully
 
 echo "==> feature matrix: property tests compile (offline)"
 cargo check -q --offline --workspace --all-targets --features proptest

@@ -164,3 +164,140 @@ fn restart_recovers_durable_prefix_on_every_platform() {
         }
     }
 }
+
+/// A 4-node chain of each platform tuned so a ten-second outage is a gap
+/// deeper than the replay threshold and a snapshot transfer spans hundreds
+/// of chunk round trips — long enough to inject a fault in the middle.
+fn deep_gap_chains() -> Vec<Box<dyn blockbench::BlockchainConnector>> {
+    let mut eth = bb_ethereum::EthConfig::with_nodes(4);
+    eth.pow.base_interval = SimDuration::from_millis(500);
+    let mut parity = bb_parity::ParityConfig::with_nodes(4);
+    let mut fabric = bb_fabric::FabricConfig::with_nodes(4);
+    (eth.snapshot_sync_blocks, eth.snapshot_chunk_bytes) = (4, 512);
+    (parity.snapshot_sync_blocks, parity.snapshot_chunk_bytes) = (4, 512);
+    (fabric.snapshot_sync_blocks, fabric.snapshot_chunk_bytes) = (4, 512);
+    vec![
+        Box::new(bb_ethereum::EthereumChain::new(eth)),
+        Box::new(bb_parity::ParityChain::new(parity)),
+        Box::new(bb_fabric::FabricChain::new(fabric)),
+    ]
+}
+
+/// Steady YCSB writes to the three servers that never crash, one every
+/// 50 ms, so every platform keeps sealing non-empty blocks.
+struct Pump {
+    contract: bb_types::Address,
+    next: u64,
+}
+
+impl Pump {
+    fn until(&mut self, chain: &mut dyn blockbench::BlockchainConnector, secs: u64) {
+        use bb_contracts::ycsb;
+        use bb_types::{NodeId, Transaction};
+        let end = bb_sim::SimTime::from_secs(secs);
+        while chain.now() < end {
+            // One client per server, each on its own nonce track.
+            let (client, nonce) = (self.next % 3, self.next / 3);
+            let key = bb_crypto::KeyPair::from_seed(1 + client);
+            let call = ycsb::write_call(self.next, b"v");
+            let tx = Transaction::signed(&key, nonce, self.contract, 0, call);
+            assert!(chain.submit(NodeId(client as u32), tx), "live server refused a submission");
+            self.next += 1;
+            chain.advance_to(chain.now() + SimDuration::from_millis(50));
+        }
+    }
+}
+
+/// Satellite regression: `Restart` with a deep gap opens a snapshot
+/// transfer, `Crash` lands in the middle of it (the in-flight chunks are
+/// dropped by the dead node), `Recover` revives the node. The transfer
+/// flag used to stay latched on Parity and Fabric, so the node ignored
+/// every block (or batch) forever.
+#[test]
+fn crash_during_snapshot_transfer_does_not_wedge_the_node() {
+    use blockbench::{check_chains, Fault};
+    use bb_types::NodeId;
+    let victim = NodeId(3);
+    for mut chain in deep_gap_chains() {
+        let name = chain.name();
+        let chain = chain.as_mut();
+        let mut pump = Pump { contract: chain.deploy(&bb_contracts::ycsb::bundle()), next: 0 };
+        pump.until(chain, 3);
+        chain.inject(Fault::Crash(victim));
+        pump.until(chain, 13);
+        chain.inject(Fault::Restart(victim));
+        // Step until the transfer is under way, then pull the plug.
+        let deadline = chain.now() + SimDuration::from_secs(1);
+        while chain.stats().snapshot_chunks < 3 {
+            assert!(chain.now() < deadline, "{name}: deep gap never opened a snapshot transfer");
+            chain.advance_to(chain.now() + SimDuration::from_micros(200));
+        }
+        assert_eq!(chain.stats().recovery_ms, 0, "{name}: transfer finished before the crash");
+        chain.inject(Fault::Crash(victim));
+        let torn_at = chain.stats().snapshot_chunks;
+        pump.until(chain, 16);
+        assert_eq!(chain.stats().snapshot_chunks, torn_at, "{name}: a dead node applied chunks");
+        chain.inject(Fault::Recover(victim));
+        pump.until(chain, 30);
+        // Let the tail confirm, then compare chains.
+        chain.advance_to(bb_sim::SimTime::from_secs(40));
+        let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
+        let (peer, mine) = (chains[0].len(), chains[3].len());
+        assert!(peer > 10, "{name}: the cluster stalled at {peer} blocks");
+        assert!(peer.abs_diff(mine) <= 3, "{name}: revived node wedged at {mine} of {peer} blocks");
+        let checked = check_chains(&chains, 3).unwrap_or_else(|v| panic!("{name}: {v}"));
+        assert!(checked > 0, "{name}: safety check was vacuous");
+    }
+}
+
+/// A restart replaces the node but not what the run has counted so far:
+/// every per-node counter that feeds `PlatformStats` is at least its
+/// pre-crash value right after the node is rebuilt.
+#[test]
+fn restart_preserves_every_node_counter() {
+    use blockbench::Fault;
+    use bb_types::NodeId;
+    let victim = NodeId(3);
+    for mut chain in deep_gap_chains() {
+        let name = chain.name();
+        let chain = chain.as_mut();
+        let mut pump = Pump { contract: chain.deploy(&bb_contracts::ycsb::bundle()), next: 0 };
+        // A short outage closed by block replay, then a deep one closed by
+        // a snapshot transfer, so every counter has something in it.
+        pump.until(chain, 3);
+        chain.inject(Fault::Crash(victim));
+        pump.until(chain, 4);
+        chain.inject(Fault::Restart(victim));
+        pump.until(chain, 8);
+        chain.inject(Fault::Crash(victim));
+        pump.until(chain, 18);
+        chain.inject(Fault::Restart(victim));
+        pump.until(chain, 30);
+        let before = chain.stats();
+        assert!(before.recovery_ms > 0, "{name}: recovery never completed");
+        assert!(before.resync_blocks > 0 && before.resync_bytes > 0, "{name}: no replay");
+        assert!(before.snapshot_chunks > 0 && before.snapshot_bytes > 0, "{name}: no transfer");
+        assert!(before.exec_serial_us > 0 && before.exec_modeled_us > 0, "{name}: no execution");
+        // One more restart: the rebuilt node must carry all of it over.
+        chain.inject(Fault::Crash(victim));
+        chain.inject(Fault::Restart(victim));
+        let after = chain.stats();
+        let counters = |s: &blockbench::PlatformStats| {
+            [
+                ("recovery_ms", s.recovery_ms),
+                ("resync_blocks", s.resync_blocks),
+                ("resync_bytes", s.resync_bytes),
+                ("snapshot_chunks", s.snapshot_chunks),
+                ("snapshot_bytes", s.snapshot_bytes),
+                ("wal_records_replayed", s.wal_records_replayed),
+                ("wal_tail_truncated", s.wal_tail_truncated),
+                ("exec_conflicts", s.exec_conflicts),
+                ("exec_serial_us", s.exec_serial_us),
+                ("exec_modeled_us", s.exec_modeled_us),
+            ]
+        };
+        for ((field, was), (_, now)) in counters(&before).into_iter().zip(counters(&after)) {
+            assert!(now >= was, "{name}: restart lost {field}: {was} -> {now}");
+        }
+    }
+}
