@@ -44,13 +44,54 @@
 //! which turns the ≥16-node collapse from "throughput degrades" into an
 //! event storm that grows without bound.
 
-use bb_crypto::Hash256;
+use bb_crypto::{DigestSet, Hash256};
 use bb_sim::{SimDuration, SimTime};
 use bb_types::NodeId;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
-/// An opaque client request (an encoded transaction).
-pub type Request = Vec<u8>;
+/// An opaque client request (an encoded transaction) and its digest.
+///
+/// The digest is computed once, where the request enters consensus
+/// ([`Request::from`]), and travels with the value: the `awaiting` and
+/// pending bookkeeping of every replica reads it instead of re-hashing the
+/// payload, and the payload is shared, so forwarding a request or carrying
+/// it in a batch clones a pointer.
+#[derive(Clone, Debug)]
+pub struct Request {
+    payload: Arc<[u8]>,
+    digest: Hash256,
+}
+
+impl Request {
+    /// The request's identity: `digest_parts(["pbft-req", payload])`.
+    pub fn digest(&self) -> Hash256 {
+        self.digest
+    }
+}
+
+impl From<Vec<u8>> for Request {
+    fn from(payload: Vec<u8>) -> Request {
+        let digest = Hash256::digest_parts(&[b"pbft-req", &payload]);
+        Request { payload: payload.into(), digest }
+    }
+}
+
+impl std::ops::Deref for Request {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.payload
+    }
+}
+
+impl PartialEq for Request {
+    fn eq(&self, other: &Request) -> bool {
+        self.digest == other.digest
+    }
+}
+
+impl Eq for Request {}
 
 /// Max committed batches per [`PbftMsg::SyncReply`]. A lagging replica
 /// catches up window by window, requesting the next chunk after applying
@@ -265,10 +306,6 @@ pub fn batch_digest(batch: &[Request]) -> Hash256 {
     Hash256::digest_parts(&parts)
 }
 
-fn request_digest(r: &Request) -> Hash256 {
-    Hash256::digest_parts(&[b"pbft-req", r])
-}
-
 /// One PBFT replica.
 pub struct PbftNode {
     id: NodeId,
@@ -293,7 +330,7 @@ pub struct PbftNode {
     awaiting: BTreeMap<Hash256, Request>,
     /// Primary-side queue of requests not yet batched.
     pending: VecDeque<Request>,
-    pending_digests: HashSet<Hash256>,
+    pending_digests: DigestSet<Hash256>,
     view_votes: HashMap<u64, HashMap<NodeId, u64>>,
     batch_deadline: Option<SimTime>,
     view_deadline: Option<SimTime>,
@@ -322,7 +359,7 @@ impl PbftNode {
             checkpoint_digest: Hash256::ZERO,
             awaiting: BTreeMap::new(),
             pending: VecDeque::new(),
-            pending_digests: HashSet::new(),
+            pending_digests: DigestSet::default(),
             view_votes: HashMap::new(),
             batch_deadline: None,
             view_deadline: None,
@@ -396,15 +433,15 @@ impl PbftNode {
     }
 
     /// A client request arrived at this replica.
-    pub fn on_request(&mut self, req: Request, now: SimTime) -> Vec<Action> {
-        let digest = request_digest(&req);
-        if self.committed_digest(&digest) {
+    pub fn on_request(&mut self, req: impl Into<Request>, now: SimTime) -> Vec<Action> {
+        let req = req.into();
+        if self.committed_digest(&req.digest()) {
             return Vec::new();
         }
-        self.awaiting.entry(digest).or_insert_with(|| req.clone());
+        self.awaiting.entry(req.digest()).or_insert_with(|| req.clone());
         self.arm_view_timer(now);
         if self.is_primary() {
-            self.enqueue_at_primary(req, digest, now)
+            self.enqueue_at_primary(req, now)
         } else {
             vec![Action::Send(self.config.primary_of(self.view), PbftMsg::Forward(req))]
         }
@@ -416,11 +453,10 @@ impl PbftNode {
         !self.awaiting.contains_key(digest) && self.pending_digests.contains(digest)
     }
 
-    fn enqueue_at_primary(&mut self, req: Request, digest: Hash256, now: SimTime) -> Vec<Action> {
-        if self.pending_digests.contains(&digest) {
+    fn enqueue_at_primary(&mut self, req: Request, now: SimTime) -> Vec<Action> {
+        if !self.pending_digests.insert(req.digest()) {
             return Vec::new();
         }
-        self.pending_digests.insert(digest);
         self.pending.push_back(req);
         let mut actions = Vec::new();
         while self.pending.len() >= self.config.batch_size {
@@ -439,7 +475,7 @@ impl PbftNode {
         }
         let batch: Vec<Request> = self.pending.drain(..take).collect();
         for r in &batch {
-            self.pending_digests.remove(&request_digest(r));
+            self.pending_digests.remove(&r.digest());
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -460,11 +496,10 @@ impl PbftNode {
     pub fn on_message(&mut self, from: NodeId, msg: PbftMsg, now: SimTime) -> Vec<Action> {
         match msg {
             PbftMsg::Forward(req) => {
-                let digest = request_digest(&req);
-                self.awaiting.entry(digest).or_insert_with(|| req.clone());
+                self.awaiting.entry(req.digest()).or_insert_with(|| req.clone());
                 self.arm_view_timer(now);
                 if self.is_primary() {
-                    self.enqueue_at_primary(req, digest, now)
+                    self.enqueue_at_primary(req, now)
                 } else {
                     Vec::new() // not the primary anymore; the sender will retry after a view change
                 }
@@ -634,7 +669,7 @@ impl PbftNode {
             slot.delivered = true;
             let batch = slot.batch.clone().expect("checked above");
             for r in &batch {
-                self.awaiting.remove(&request_digest(r));
+                self.awaiting.remove(&r.digest());
             }
             self.committed_log.insert(next, batch.clone());
             self.last_committed = next;
@@ -821,8 +856,7 @@ impl PbftNode {
             .collect();
         let mut actions = Vec::new();
         for req in reqs {
-            let digest = request_digest(&req);
-            actions.extend(self.enqueue_at_primary(req, digest, now));
+            actions.extend(self.enqueue_at_primary(req, now));
         }
         // Flush a partial batch immediately: the view change already cost
         // seconds; don't wait for the batch timer.
@@ -883,7 +917,7 @@ impl PbftNode {
                 continue; // only contiguous catch-up
             }
             for r in &batch {
-                self.awaiting.remove(&request_digest(r));
+                self.awaiting.remove(&r.digest());
             }
             self.committed_log.insert(seq, batch.clone());
             self.last_committed = seq;
@@ -971,6 +1005,41 @@ impl PbftNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn req(payload: &[u8]) -> Request {
+        payload.to_vec().into()
+    }
+
+    /// `awaiting` is ordered by request digest and slots are matched by
+    /// batch digest, so these values decide retransmission order and are
+    /// frozen by `results/` (literals from the hash-on-every-use code).
+    #[test]
+    fn request_and_batch_digests_known_answer() {
+        let alpha = req(b"alpha");
+        assert_eq!(alpha.digest(), Hash256::digest_parts(&[b"pbft-req", b"alpha"]));
+        assert_eq!(
+            alpha.digest().to_hex(),
+            "84dd272b6a089ee1cd479473965395c42d7f4551dcadf342ef0f0b5743688e9a"
+        );
+        assert_eq!(
+            batch_digest(&[alpha, req(b"beta"), req(b"gamma")]).to_hex(),
+            "ef528181ac2d5847e2e6bd84586573c764eab889da67cb88b6fed714c13e5d13"
+        );
+        assert_eq!(
+            batch_digest(&[]).to_hex(),
+            "61a70b8bb05fe6d08c05f27006024876523939a095fe1f58163a8528f1bf0e95"
+        );
+    }
+
+    #[test]
+    fn cloned_request_shares_its_payload() {
+        let a = req(&[7u8; 160]);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.payload, &b.payload));
+        assert_eq!(a, b);
+        assert_eq!(&*b, &[7u8; 160][..]);
+        assert_ne!(a, req(&[8u8; 160]));
+    }
 
     /// A zero-latency in-memory harness that delivers every action
     /// immediately — protocol logic without the network.
@@ -1061,7 +1130,7 @@ mod tests {
         for (i, log) in c.committed.iter().enumerate() {
             assert_eq!(log.len(), 1, "replica {i}");
             assert_eq!(log[0].0, 1);
-            assert_eq!(log[0].1, vec![b"tx-1".to_vec(), b"tx-2".to_vec(), b"tx-3".to_vec()]);
+            assert_eq!(log[0].1, vec![req(b"tx-1"), req(b"tx-2"), req(b"tx-3")]);
         }
         assert!(c.nodes.iter().all(|n| n.last_committed() == 1));
         assert!(c.nodes.iter().all(|n| n.awaiting_count() == 0));
@@ -1089,7 +1158,7 @@ mod tests {
         assert_eq!(wake, t0 + PbftConfig::default().batch_timeout);
         c.tick_all(wake);
         assert!(c.committed.iter().all(|log| log.len() == 1));
-        assert_eq!(c.committed[0][0].1, vec![b"lonely".to_vec()]);
+        assert_eq!(c.committed[0][0].1, vec![req(b"lonely")]);
     }
 
     #[test]
@@ -1115,7 +1184,7 @@ mod tests {
         c.request(NodeId(0), b"y", now);
         let all: Vec<&[u8]> = c.committed[0]
             .iter()
-            .flat_map(|(_, b)| b.iter().map(|r| r.as_slice()))
+            .flat_map(|(_, b)| b.iter().map(|r| &**r))
             .collect();
         assert_eq!(all.iter().filter(|r| **r == b"dup").count(), 1);
     }
@@ -1130,8 +1199,8 @@ mod tests {
         let mut nodes: Vec<PbftNode> =
             (0..4).map(|i| PbftNode::new(NodeId(i), config.clone())).collect();
         let now = SimTime::from_secs(1);
-        let batch_a: Vec<Request> = vec![b"proposal-a".to_vec()];
-        let batch_b: Vec<Request> = vec![b"proposal-b".to_vec()];
+        let batch_a: Vec<Request> = vec![req(b"proposal-a")];
+        let batch_b: Vec<Request> = vec![req(b"proposal-b")];
         let (da, db) = (batch_digest(&batch_a), batch_digest(&batch_b));
         let pp = |digest, batch: &Vec<Request>| PbftMsg::PrePrepare {
             view: 0,
@@ -1194,7 +1263,7 @@ mod tests {
         }
         for i in 1..4 {
             assert_eq!(c.committed[i].len(), 1, "replica {i} committed");
-            assert_eq!(c.committed[i][0].1, vec![b"orphaned".to_vec()]);
+            assert_eq!(c.committed[i][0].1, vec![req(b"orphaned")]);
         }
     }
 
@@ -1287,8 +1356,8 @@ mod tests {
             PbftMsg::PrePrepare {
                 view: 0,
                 seq: 1,
-                digest: batch_digest(&[b"x".to_vec()]),
-                batch: vec![b"x".to_vec()],
+                digest: batch_digest(&[req(b"x")]),
+                batch: vec![req(b"x")],
             },
             now,
         );
@@ -1305,8 +1374,8 @@ mod tests {
             PbftMsg::PrePrepare {
                 view: 0,
                 seq: 1,
-                digest: batch_digest(&[b"x".to_vec()]),
-                batch: vec![b"x".to_vec()],
+                digest: batch_digest(&[req(b"x")]),
+                batch: vec![req(b"x")],
             },
             SimTime::from_secs(1),
         );
@@ -1323,7 +1392,7 @@ mod tests {
                 view: 0,
                 seq: 1,
                 digest: Hash256::digest(b"lies"),
-                batch: vec![b"x".to_vec()],
+                batch: vec![req(b"x")],
             },
             SimTime::from_secs(1),
         );
@@ -1337,7 +1406,7 @@ mod tests {
             view: 0,
             seq: 1,
             digest: Hash256::ZERO,
-            batch: vec![vec![0u8; 200]; 10],
+            batch: vec![req(&[0u8; 200]); 10],
         };
         assert!(big.byte_size() > small.byte_size() + 2000);
         assert!(small.byte_size() >= 64);
@@ -1507,7 +1576,7 @@ mod tests {
             let now = SimTime::from_secs(1);
             for (k, body) in batches.iter().enumerate() {
                 let seq = k as u64 + 1;
-                let batch = vec![body.to_vec()];
+                let batch = vec![req(body)];
                 let digest = batch_digest(&batch);
                 node.on_message(
                     NodeId(0),

@@ -2,11 +2,46 @@
 //! transaction ids, Merkle roots and state keys.
 
 use crate::sha256::{sha256, Sha256};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A 256-bit hash value.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Hash256(pub [u8; 32]);
+
+impl Hash for Hash256 {
+    /// One write of the 32 bytes, no length prefix — what [`DigestHasher`]
+    /// expects.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
+
+/// Pass-through hasher for maps keyed by a [`Hash256`] or a newtype of one:
+/// a SHA-256 output is already uniformly distributed, so running SipHash
+/// over it buys nothing. The table hash is the digest's last eight bytes
+/// (the tail stays uniform even for ids ground down to leading zeros).
+/// Iteration order of such a map is unspecified, exactly as with the
+/// default hasher — sort before anything observable depends on it.
+#[derive(Clone, Copy, Default)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let word = bytes.last_chunk::<8>().expect("DigestHasher keys are whole digests");
+        self.0 = u64::from_le_bytes(*word);
+    }
+}
+
+/// A `HashMap` keyed by digests, hashed with [`DigestHasher`].
+pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
+/// A `HashSet` of digests, hashed with [`DigestHasher`].
+pub type DigestSet<K> = HashSet<K, BuildHasherDefault<DigestHasher>>;
 
 impl Hash256 {
     /// The all-zero hash, used as the parent of genesis blocks and as a
@@ -118,6 +153,24 @@ mod tests {
         assert_eq!(h.to_hex().len(), 64);
         assert_eq!(h.short().len(), 8);
         assert!(h.to_hex().starts_with(&h.short()));
+    }
+
+    #[test]
+    fn digest_map_behaves_like_a_map() {
+        let keys: Vec<Hash256> = (0u32..1000).map(|i| Hash256::digest(&i.to_be_bytes())).collect();
+        let mut map: DigestMap<Hash256, u32> = DigestMap::default();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(map.insert(*k, i as u32), None);
+        }
+        assert_eq!(map.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(map.get(k), Some(&(i as u32)));
+        }
+        assert!(!map.contains_key(&Hash256::ZERO));
+        // The table hash is the digest's tail, taken as is.
+        let mut h = DigestHasher::default();
+        keys[0].hash(&mut h);
+        assert_eq!(h.finish().to_le_bytes(), keys[0].0[24..]);
     }
 
     #[test]

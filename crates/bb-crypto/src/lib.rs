@@ -18,6 +18,6 @@ pub mod hash;
 pub mod keys;
 pub mod sha256;
 
-pub use hash::Hash256;
+pub use hash::{DigestHasher, DigestMap, DigestSet, Hash256};
 pub use keys::{KeyPair, KeyRegistry, PublicKey, SecretKey, Signature};
 pub use sha256::{sha256, Sha256};

@@ -18,7 +18,7 @@ use crate::config::EthConfig;
 use crate::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use crate::state::AccountState;
 use bb_consensus::pow::BlockTree;
-use bb_crypto::Hash256;
+use bb_crypto::{DigestMap, Hash256};
 use bb_net::Network;
 use bb_sim::{
     CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
@@ -30,7 +30,6 @@ use blockbench::connector::{
     QueryResult, RecoveryWindow,
 };
 use blockbench::contract::ContractBundle;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Events of the Ethereum world.
@@ -444,8 +443,8 @@ fn rebuild_node_from_store(n: &mut ChainNode<LsmStore>) {
         .id();
 
     let mut tree = BlockTree::new(genesis);
-    let mut bodies = HashMap::new();
-    let mut roots = HashMap::new();
+    let mut bodies = DigestMap::default();
+    let mut roots = DigestMap::default();
     for (root, block) in recovered {
         let bid = block.id();
         if block.header.height > 0 {

@@ -18,7 +18,7 @@
 use crate::config::EvmCosts;
 use crate::state::{AccountState, TxInvalid};
 use bb_consensus::pow::{BlockTree, InsertOutcome};
-use bb_crypto::Hash256;
+use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_merkle::merkle_root;
 use bb_sim::{CpuMeter, Effects, SimDuration, SimTime};
 use bb_storage::{KvError, KvStore};
@@ -31,7 +31,8 @@ use blockbench::connector::{
     RecoveryWindow,
 };
 use blockbench::contract::SvmContract;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The cost constants and limits the shared node reads, resolved once from a
@@ -158,25 +159,26 @@ pub struct ChainNode<S: KvStore> {
     /// Fork-choice tree.
     pub tree: BlockTree,
     /// Block bodies by id (genesis included).
-    pub bodies: HashMap<Hash256, Arc<Block>>,
+    pub bodies: DigestMap<Hash256, Arc<Block>>,
     /// Post-state root per block id.
-    pub roots: HashMap<Hash256, Hash256>,
+    pub roots: DigestMap<Hash256, Hash256>,
     /// Receipts (tx id, success) per block id.
-    pub receipts: HashMap<Hash256, Vec<(TxId, bool)>>,
-    /// Pending transactions in arrival order.
+    pub receipts: DigestMap<Hash256, Vec<(TxId, bool)>>,
+    /// Pending transactions in arrival order. Removal is lazy: an entry
+    /// counts only while `pool_admitted` still holds its id.
     pool: VecDeque<Arc<Transaction>>,
-    pool_ids: HashSet<TxId>,
-    /// Head height at admission, per pooled transaction — the age-out clock
-    /// for future-nonced entries (`ChainParams::pool_evict_blocks`).
-    pool_admitted: HashMap<TxId, u64>,
+    /// The pooled transaction ids, each with the head height at admission —
+    /// the age-out clock for future-nonced entries
+    /// (`ChainParams::pool_evict_blocks`).
+    pool_admitted: DigestMap<TxId, u64>,
     /// Everything ever seen (suppresses gossip loops).
-    pub seen: HashSet<TxId>,
+    pub seen: DigestSet<TxId>,
     /// Blocks whose transactions were pruned from the pool — only blocks
     /// that joined this node's main chain. A transaction in a side block
     /// that never wins stays in the pool; pruning on mere validation would
     /// lose it for good when the fork is abandoned without a reorg through
     /// our head.
-    pruned: HashSet<Hash256>,
+    pruned: DigestSet<Hash256>,
     /// CPU meter of the node process.
     pub cpu: CpuMeter,
     /// Post-restart catch-up session.
@@ -214,14 +216,13 @@ impl<S: KvStore + Send> ChainNode<S> {
         ChainNode {
             state,
             tree: BlockTree::new(id),
-            bodies: HashMap::from([(id, genesis)]),
-            roots: HashMap::from([(id, root)]),
-            receipts: HashMap::from([(id, Vec::new())]),
+            bodies: DigestMap::from_iter([(id, genesis)]),
+            roots: DigestMap::from_iter([(id, root)]),
+            receipts: DigestMap::from_iter([(id, Vec::new())]),
             pool: VecDeque::new(),
-            pool_ids: HashSet::new(),
-            pool_admitted: HashMap::new(),
-            seen: HashSet::new(),
-            pruned: HashSet::from([id]),
+            pool_admitted: DigestMap::default(),
+            seen: DigestSet::default(),
+            pruned: DigestSet::from_iter([id]),
             cpu,
             recovery: RecoveryWindow::default(),
             counters: NodeCounters::default(),
@@ -235,8 +236,8 @@ impl<S: KvStore + Send> ChainNode<S> {
     pub fn install_chain(
         &mut self,
         tree: BlockTree,
-        bodies: HashMap<Hash256, Arc<Block>>,
-        roots: HashMap<Hash256, Hash256>,
+        bodies: DigestMap<Hash256, Arc<Block>>,
+        roots: DigestMap<Hash256, Hash256>,
     ) {
         // Receipts are volatile; recovered blocks keep empty ones. (The
         // observer's confirmed log is kept separately.)
@@ -256,7 +257,6 @@ impl<S: KvStore + Send> ChainNode<S> {
         if !self.seen.insert(tx.id()) {
             return false;
         }
-        self.pool_ids.insert(tx.id());
         self.pool_admitted.insert(tx.id(), self.tree.head_height());
         self.pool.push_back(tx);
         true
@@ -264,17 +264,11 @@ impl<S: KvStore + Send> ChainNode<S> {
 
     /// Transactions awaiting inclusion.
     pub fn pool_len(&self) -> usize {
-        self.pool_ids.len()
-    }
-
-    fn unpool(&mut self, id: &TxId) {
-        self.pool_ids.remove(id);
-        self.pool_admitted.remove(id);
+        self.pool_admitted.len()
     }
 
     fn clear_pool(&mut self) {
         self.pool.clear();
-        self.pool_ids.clear();
         self.pool_admitted.clear();
     }
 
@@ -333,7 +327,7 @@ impl<S: KvStore + Send> ChainNode<S> {
             let Some(tx) = self.pool.pop_front() else {
                 break;
             };
-            if !self.pool_ids.contains(&tx.id()) {
+            if !self.pool_admitted.contains_key(&tx.id()) {
                 continue; // pruned
             }
             // Try this transaction, then any buffered successors it unblocks.
@@ -344,7 +338,7 @@ impl<S: KvStore + Send> ChainNode<S> {
                         gas_total += res.gas_used.max(1000);
                         cpu_time += params.costs.exec_time(res.gas_used.max(1000))
                             + params.build_tx_cost;
-                        self.unpool(&tx.id());
+                        self.pool_admitted.remove(&tx.id());
                         receipts.push((tx.id(), res.success));
                         let successor = (tx.from, tx.nonce + 1);
                         included.push(tx);
@@ -365,7 +359,9 @@ impl<S: KvStore + Send> ChainNode<S> {
                         future.entry(tx.from).or_default().insert(got, tx);
                     }
                     // Stale or broken: drop.
-                    Err(_) => self.unpool(&tx.id()),
+                    Err(_) => {
+                        self.pool_admitted.remove(&tx.id());
+                    }
                 }
             }
         }
@@ -375,9 +371,10 @@ impl<S: KvStore + Send> ChainNode<S> {
         // nonce-gap flood) and the entry ages out instead of re-queueing
         // (and, on a bounded pool, pinning it) forever.
         for tx in future.into_values().flat_map(BTreeMap::into_values) {
-            let admitted = *self.pool_admitted.entry(tx.id()).or_insert(height);
+            // Only pooled transactions were tried, and a held one stays pooled.
+            let admitted = self.pool_admitted[&tx.id()];
             if height.saturating_sub(admitted) > params.pool_evict_blocks {
-                self.unpool(&tx.id());
+                self.pool_admitted.remove(&tx.id());
             } else {
                 self.pool.push_front(tx);
             }
@@ -493,7 +490,6 @@ impl<S: KvStore + Send> ChainNode<S> {
                 break;
             };
             for tx in &body.txs {
-                self.pool_ids.remove(&tx.id());
                 self.pool_admitted.remove(&tx.id());
             }
             cursor = body.header.parent;
@@ -501,7 +497,8 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// After a block connects, orphan children stored in `bodies` may now be
-    /// on the tree without executed state; execute them in height order.
+    /// on the tree without executed state; execute them in height order,
+    /// siblings in id order (`bodies` iterates in no particular one).
     fn execute_connected_descendants<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -513,14 +510,14 @@ impl<S: KvStore + Send> ChainNode<S> {
             let Some(&parent_root) = self.roots.get(&parent_id) else {
                 continue;
             };
-            let children: Vec<Arc<Block>> = self
+            let mut children: Vec<(Hash256, Arc<Block>)> = self
                 .bodies
-                .values()
-                .filter(|b| b.header.parent == parent_id && !self.roots.contains_key(&b.id()))
-                .cloned()
+                .iter()
+                .filter(|(id, b)| b.header.parent == parent_id && !self.roots.contains_key(*id))
+                .map(|(id, b)| (*id, Arc::clone(b)))
                 .collect();
-            for child in children {
-                let id = child.id();
+            children.sort_unstable_by_key(|(id, _)| *id);
+            for (id, child) in children {
                 self.execute_and_seal(p, now, parent_root, id, &child, true);
                 frontier.push(id);
             }
@@ -539,8 +536,8 @@ impl<S: KvStore + Send> ChainNode<S> {
             // Bodies hold `Arc<Transaction>`: re-adopting bumps refcounts
             // instead of deep-cloning every transaction.
             for tx in &body.txs {
-                if self.pool_ids.insert(tx.id()) {
-                    self.pool_admitted.insert(tx.id(), height);
+                if let Entry::Vacant(slot) = self.pool_admitted.entry(tx.id()) {
+                    slot.insert(height);
                     self.pool.push_back(Arc::clone(tx));
                 }
             }
@@ -992,17 +989,17 @@ mod tests {
         // A1 becomes the head: its transaction leaves the pool.
         deliver(&p, &mut n, &a1);
         assert_eq!(n.tree.head(), a1.id());
-        assert!(!n.pool_ids.contains(&tx_a.id()));
+        assert!(!n.pool_admitted.contains_key(&tx_a.id()));
         // B1 ties and loses: a side block's transactions are never pruned.
         deliver(&p, &mut n, &b1);
         assert_eq!(n.tree.head(), a1.id());
-        assert!(n.pool_ids.contains(&tx_b.id()), "side-block transaction was pruned");
+        assert!(n.pool_admitted.contains_key(&tx_b.id()), "side-block transaction was pruned");
         // B2 makes the side branch heavier: reorg. The abandoned branch's
         // transaction returns to the pool, the new main chain's leave it.
         deliver(&p, &mut n, &b2);
         assert_eq!(n.tree.head(), b2.id());
-        assert!(n.pool_ids.contains(&tx_a.id()), "abandoned transaction not re-adopted");
-        assert!(!n.pool_ids.contains(&tx_b.id()) && !n.pool_ids.contains(&tx_c.id()));
+        assert!(n.pool_admitted.contains_key(&tx_a.id()), "abandoned transaction not re-adopted");
+        assert!(!n.pool_admitted.contains_key(&tx_b.id()) && !n.pool_admitted.contains_key(&tx_c.id()));
         // And it is minable again on the new head.
         let next = n.build_block(&p, SimTime::from_secs(101), ME, 0);
         assert_eq!(next.header.parent, b2.id());

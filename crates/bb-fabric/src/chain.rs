@@ -21,8 +21,8 @@
 
 use crate::config::FabricConfig;
 use crate::state::{FabricState, InvokeResult, SpecInvoke, STORE_PREFIX};
-use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode};
-use bb_crypto::Hash256;
+use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Request};
+use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::merkle_root;
 use bb_net::Network;
 use bb_storage::FaultVfs;
@@ -34,7 +34,7 @@ use blockbench::connector::{
 };
 use std::sync::{Arc, Mutex};
 use blockbench::contract::ContractBundle;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Events of the Fabric world.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub enum FabEvent {
         /// Receiving peer.
         to: NodeId,
         /// Encoded transaction.
-        req: Vec<u8>,
+        req: Request,
     },
     /// A consensus message arrived at a peer's channel.
     Consensus {
@@ -133,7 +133,7 @@ struct FabNode {
     draining: bool,
     drain_generation: u64,
     /// Executed transaction ids (dedupe across re-proposals).
-    executed: HashSet<TxId>,
+    executed: DigestSet<TxId>,
     /// Committed chain.
     blocks: Vec<Block>,
     receipts: Vec<Vec<(TxId, bool)>>,
@@ -249,7 +249,7 @@ fn on_ingress(
     node: &mut FabNode,
     to: NodeId,
     now: SimTime,
-    req: Vec<u8>,
+    req: Request,
     fx: &mut Effects<FabEvent>,
 ) {
     if node.crashed {
@@ -384,7 +384,7 @@ fn dispatch(
                 if node.equivocating {
                     if let PbftMsg::PrePrepare { view, seq, batch, .. } = &msg {
                         let mut forged = batch.clone();
-                        forged.push(b"equivocated-request".to_vec());
+                        forged.push(b"equivocated-request".to_vec().into());
                         let forged_digest = batch_digest(&forged);
                         let peers: Vec<NodeId> =
                             (0..ctx.config.nodes).map(NodeId).filter(|&t| t != from).collect();
@@ -496,7 +496,7 @@ fn commit_batch(
     at: NodeId,
     now: SimTime,
     seq: u64,
-    batch: Vec<Vec<u8>>,
+    batch: Vec<Request>,
 ) {
     if node.recovery.snapshot_syncing {
         // The node's state is mid-transfer: executing against it would
@@ -566,7 +566,7 @@ fn commit_batch(
 /// the restart path and the snapshot-sync finish.
 fn rebuild_chain_from_state(
     state: &mut FabricState,
-) -> (u64, HashSet<TxId>, Vec<Block>, Vec<Vec<(TxId, bool)>>) {
+) -> (u64, DigestSet<TxId>, Vec<Block>, Vec<Vec<(TxId, bool)>>) {
     let mut records: Vec<(u64, Block)> = state
         .scan_meta(BLOCK_META_PREFIX)
         .expect("durable store recoverable")
@@ -575,7 +575,7 @@ fn rebuild_chain_from_state(
         .collect();
     records.sort_by_key(|(_, b)| b.header.height);
     let mut floor = 0u64;
-    let mut executed = HashSet::new();
+    let mut executed = DigestSet::default();
     let mut blocks = Vec::with_capacity(records.len());
     let mut receipts = Vec::with_capacity(records.len());
     for (f, block) in records {
@@ -709,7 +709,7 @@ impl FabricChain {
                 inbox: VecDeque::new(),
                 draining: false,
                 drain_generation: 0,
-                executed: HashSet::new(),
+                executed: DigestSet::default(),
                 blocks: Vec::new(),
                 receipts: Vec::new(),
                 cpu: CpuMeter::new(config.cores),
@@ -780,7 +780,7 @@ impl FabricChain {
                 n.state = fresh;
                 n.blocks = Vec::new();
                 n.receipts = Vec::new();
-                n.executed = HashSet::new();
+                n.executed = DigestSet::default();
             } else {
                 n.state = state;
                 n.blocks = blocks;
@@ -870,7 +870,7 @@ impl BlockchainConnector for FabricChain {
             node.ingress_busy_until = at;
             at
         });
-        self.engine.schedule(at, FabEvent::Ingress { to: server, req: tx.encode() });
+        self.engine.schedule(at, FabEvent::Ingress { to: server, req: tx.encode().into() });
         true
     }
 

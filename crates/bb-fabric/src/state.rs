@@ -498,9 +498,7 @@ mod tests {
         let (mut s, addr) = state_with_ycsb();
         let r = s.invoke(&tx(1, 0, Address::from_index(999), ycsb::read_call(1)), 1, true);
         assert!(!r.success);
-        let mut bad = tx(1, 0, addr, vec![]);
-        bad.payload.clear();
-        let r = s.invoke(&bad, 1, true);
+        let r = s.invoke(&tx(1, 0, addr, vec![]), 1, true);
         assert!(!r.success);
     }
 

@@ -19,9 +19,8 @@
 //! insertion orders producing the same map produce the same root (verified
 //! by property test).
 
-use bb_crypto::Hash256;
+use bb_crypto::{DigestMap, Hash256};
 use bb_storage::{KvError, KvStore, WriteBatch};
-use std::collections::HashMap;
 
 /// Decoded-node cache capacity. Nodes are content-addressed and immutable,
 /// so the only cost of a stale-free cache is memory; when it fills we drop
@@ -38,7 +37,7 @@ pub struct PatriciaTrie<S: KvStore> {
     /// root and drops the rest. Because nodes are content-addressed, every
     /// ancestor of an overlay node is itself in the overlay, so reads that
     /// miss the overlay can fall through to the store unconditionally.
-    overlay: HashMap<Hash256, Vec<u8>>,
+    overlay: DigestMap<Hash256, Vec<u8>>,
     /// Nodes written (hashed) since construction — the write-amplification
     /// numerator an eager-write trie would have paid to storage.
     nodes_written: u64,
@@ -51,7 +50,7 @@ pub struct PatriciaTrie<S: KvStore> {
     /// so the cache can never go stale — it only skips store reads and
     /// re-decodes, never changes what a walk observes (determinism-safe:
     /// no simulated cost model consumes store read counters).
-    cache: HashMap<Hash256, Node>,
+    cache: DigestMap<Hash256, Node>,
     cache_hits: u64,
     cache_misses: u64,
     /// Scratch buffer reused across `put_node` encodings.
@@ -181,11 +180,11 @@ impl<S: KvStore> PatriciaTrie<S> {
         PatriciaTrie {
             store,
             root: Hash256::ZERO,
-            overlay: HashMap::new(),
+            overlay: DigestMap::default(),
             nodes_written: 0,
             nodes_flushed: 0,
             nodes_dropped: 0,
-            cache: HashMap::new(),
+            cache: DigestMap::default(),
             cache_hits: 0,
             cache_misses: 0,
             encode_buf: Vec::new(),

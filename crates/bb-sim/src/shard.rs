@@ -255,19 +255,44 @@ struct Slot<W: ShardedWorld> {
     counts: [u64; N_COUNTERS],
 }
 
+/// What the main thread publishes to launch a window. A helper reads the
+/// window end and takes its place in the window under the one lock that
+/// guards all three fields, so the two always belong to the same epoch: a
+/// helper can never drain a lane of window N+1 up to window N's end.
+struct Dispatch {
+    /// Window generation.
+    epoch: u64,
+    /// End of the window (exclusive).
+    wend: SimTime,
+    /// Helpers that may still join this window.
+    claims: usize,
+}
+
+impl Dispatch {
+    /// Join the published window if it is newer than `seen` and has a place
+    /// left; returns its end. Either way the window counts as seen.
+    fn claim(&mut self, seen: &mut u64) -> Option<SimTime> {
+        if self.epoch == *seen {
+            return None;
+        }
+        *seen = self.epoch;
+        self.claims = self.claims.checked_sub(1)?;
+        Some(self.wend)
+    }
+}
+
 struct Shared<W: ShardedWorld> {
     slots: Vec<Mutex<Slot<W>>>,
     ctx: RwLock<W::Ctx>,
-    /// Window generation; bumped (under `start`'s mutex) to launch a window.
+    /// Mirror of `start`'s epoch (stored under its mutex) that idle helpers
+    /// spin on without taking the lock.
     epoch: AtomicU64,
-    /// Window dispatch state: (epoch, window-end) published to helpers.
-    start: Mutex<(u64, SimTime)>,
+    /// Window dispatch state published to helpers.
+    start: Mutex<Dispatch>,
     start_cv: Condvar,
     /// Lanes active this window; claimed via `next_active`.
     active: Mutex<Vec<u32>>,
     next_active: AtomicUsize,
-    /// How many helpers may participate in this window.
-    claims: AtomicIsize,
     /// Helpers that finished their participation this window.
     done: AtomicUsize,
     done_mx: Mutex<()>,
@@ -378,11 +403,10 @@ impl<W: ShardedWorld> ShardedEngine<W> {
                 .collect(),
             ctx: RwLock::new(ctx),
             epoch: AtomicU64::new(0),
-            start: Mutex::new((0, SimTime::ZERO)),
+            start: Mutex::new(Dispatch { epoch: 0, wend: SimTime::ZERO, claims: 0 }),
             start_cv: Condvar::new(),
             active: Mutex::new(Vec::new()),
             next_active: AtomicUsize::new(0),
-            claims: AtomicIsize::new(0),
             done: AtomicUsize::new(0),
             done_mx: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -543,12 +567,13 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         let sh = &self.shared;
         *sh.active.lock().unwrap() = active.to_vec();
         sh.next_active.store(0, Ordering::Relaxed);
-        sh.claims.store(got as isize, Ordering::Relaxed);
         sh.done.store(0, Ordering::Relaxed);
         {
             let mut start = sh.start.lock().unwrap();
-            start.0 = sh.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            start.1 = wend;
+            start.epoch += 1;
+            start.wend = wend;
+            start.claims = got;
+            sh.epoch.store(start.epoch, Ordering::Release);
             sh.start_cv.notify_all();
         }
         // The main thread is a participant too.
@@ -680,45 +705,34 @@ fn participate<W: ShardedWorld>(sh: &Shared<W>, ctx: &W::Ctx, wend: SimTime) {
 fn helper_main<W: ShardedWorld>(sh: Arc<Shared<W>>) {
     let mut seen_epoch = 0u64;
     loop {
-        // Wait for the next window (spin briefly, then park).
+        // Wait for a window with a place for this helper (spin briefly,
+        // then park). Only `claims` helpers join a window; the rest keep
+        // waiting for the next one.
         let mut spins = 0u32;
         let wend = loop {
             if sh.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            let cur = sh.epoch.load(Ordering::Acquire);
-            if cur != seen_epoch {
-                let start = sh.start.lock().unwrap();
-                if start.0 != seen_epoch {
-                    seen_epoch = start.0;
-                    break start.1;
+            if sh.epoch.load(Ordering::Acquire) != seen_epoch {
+                if let Some(wend) = sh.start.lock().unwrap().claim(&mut seen_epoch) {
+                    break wend;
                 }
                 continue;
             }
             spins += 1;
             if spins < 4096 {
                 std::hint::spin_loop();
-            } else {
-                let start = sh.start.lock().unwrap();
-                if start.0 != seen_epoch {
-                    seen_epoch = start.0;
-                    break start.1;
-                }
-                let start = sh
-                    .start_cv
-                    .wait_timeout(start, std::time::Duration::from_millis(5))
-                    .unwrap()
-                    .0;
-                if start.0 != seen_epoch {
-                    seen_epoch = start.0;
-                    break start.1;
-                }
+                continue;
             }
+            // Check under the lock before parking, so a window published
+            // in between is not slept through; after waking, the top of the
+            // loop looks again.
+            let mut start = sh.start.lock().unwrap();
+            if let Some(wend) = start.claim(&mut seen_epoch) {
+                break wend;
+            }
+            drop(sh.start_cv.wait_timeout(start, std::time::Duration::from_millis(5)).unwrap());
         };
-        // Only `claims` helpers participate in a window; the rest re-park.
-        if sh.claims.fetch_sub(1, Ordering::AcqRel) <= 0 {
-            continue;
-        }
         {
             let ctx = sh.ctx.read().unwrap();
             participate::<W>(&sh, &ctx, wend);
@@ -855,6 +869,56 @@ mod tests {
             r
         };
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    }
+
+    /// Latency depends on how many sends the merge made before this one —
+    /// like the real network's shared RNG, it makes merge order observable.
+    struct OrderNet {
+        sends: u64,
+    }
+
+    impl Outboard for OrderNet {
+        fn send(&mut self, now: SimTime, _from: u32, _to: u32, _bytes: u64) -> Option<SimTime> {
+            self.sends += 1;
+            Some(now + SimDuration::from_micros(700 + self.sends * 37 % 101))
+        }
+    }
+
+    /// Driver pings on a 1 ms grid, alternately to lanes 0-1 only and to
+    /// every lane, each travelling two hops.
+    fn run_alternating(lanes: u32, slots: u64) -> Vec<Vec<(SimTime, u32)>> {
+        let nodes = (0..lanes)
+            .map(|_| RingNode { pings: 0, echoes: 0, log: Vec::new() })
+            .collect();
+        let mut engine: ShardedEngine<Ring> =
+            ShardedEngine::new(RingCtx { lanes }, nodes, SimDuration::from_micros(500));
+        for slot in 0..slots {
+            let hit = if slot % 2 == 0 { 2 } else { lanes };
+            for to in 0..hit {
+                engine.schedule(SimTime(10 + slot * 1000 + to as u64), Ping::Ping { to, hops: 2 });
+            }
+        }
+        engine.run_until(SimTime::from_secs(1), &mut OrderNet { sends: 0 });
+        (0..lanes).map(|l| engine.with_node(l, |n| n.log.clone())).collect()
+    }
+
+    /// A window with fewer places than helpers leaves helpers behind that
+    /// saw its end but did not join it. None of them may join the next
+    /// window with that stale end: the lane it took would go undrained, run
+    /// a window late and merge its sends out of order. Windows here
+    /// alternate between 2 active lanes (1 place, 7 helpers) and all 8; the
+    /// helpers contending for the dispatch lock are what makes one of them
+    /// slow enough to be overtaken (5-8 of 300 runs without the fix).
+    #[test]
+    fn helper_never_joins_a_window_with_a_stale_end() {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var("BB_SERIAL", "1");
+        let serial = run_alternating(8, 40);
+        std::env::remove_var("BB_SERIAL");
+        std::env::set_var("BB_SHARD_THREADS", "7");
+        let diverged = (0..300).filter(|_| run_alternating(8, 40) != serial).count();
+        std::env::remove_var("BB_SHARD_THREADS");
+        assert_eq!(diverged, 0, "of 300 sharded runs diverged from the serial log");
     }
 
     #[test]

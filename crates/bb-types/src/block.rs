@@ -35,9 +35,12 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
+    /// Size of the canonical encoding: every field is fixed-width.
+    const ENCODED_LEN: usize = 32 + 8 + 8 + 32 + 32 + 4 + 8 + 8;
+
     /// Canonical encoding (what gets hashed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(160);
+        let mut e = Encoder::with_capacity(Self::ENCODED_LEN);
         e.put_raw(&self.parent.0)
             .put_u64(self.height)
             .put_u64(self.timestamp_us)
@@ -72,7 +75,7 @@ impl BlockHeader {
 
     /// Serialized size in bytes.
     pub fn byte_size(&self) -> u64 {
-        self.encode().len() as u64
+        Self::ENCODED_LEN as u64
     }
 }
 
@@ -95,10 +98,11 @@ impl Block {
     /// transaction list. This is what a node persists per committed block
     /// and what peers ship during catch-up sync.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(160 + 160 * self.txs.len());
+        let mut e = Encoder::with_capacity(self.byte_size() as usize + 4 + 4 * self.txs.len());
         e.put_raw(&self.header.encode()).put_u32(self.txs.len() as u32);
         for tx in &self.txs {
-            e.put_bytes(&tx.encode());
+            e.put_u32(tx.byte_size() as u32);
+            tx.encode_into(&mut e);
         }
         e.finish()
     }
@@ -201,6 +205,25 @@ mod tests {
         assert_eq!(block.tx_count(), 3);
     }
 
+    /// `byte_size` is a sum of stored lengths; it must stay what re-encoding
+    /// every transaction used to yield (literals from the parent commit).
+    #[test]
+    fn block_size_matches_the_encoded_transactions() {
+        let kp = KeyPair::from_seed(2);
+        for (n, expected) in [(0u64, 132), (1, 260), (5, 872)] {
+            let txs: Vec<Arc<Transaction>> = (0..n)
+                .map(|i| {
+                    let payload = vec![9; 10 * i as usize];
+                    Arc::new(Transaction::signed(&kp, i, Address::from_index(3), 1, payload))
+                })
+                .collect();
+            let block = Block { header: header(1), txs };
+            let reencoded: u64 = block.txs.iter().map(|t| t.encode().len() as u64).sum();
+            assert_eq!(block.byte_size(), block.header.encode().len() as u64 + reencoded);
+            assert_eq!(block.byte_size(), expected);
+        }
+    }
+
     #[test]
     fn block_encoding_round_trips() {
         let kp = KeyPair::from_seed(9);
@@ -213,6 +236,10 @@ mod tests {
         let decoded = Block::decode(&block.encode()).unwrap();
         assert_eq!(decoded, block);
         assert_eq!(decoded.id(), block.id());
+        assert_eq!(decoded.byte_size(), block.byte_size());
+        for (d, t) in decoded.txs.iter().zip(&block.txs) {
+            assert_eq!(d.id(), t.id());
+        }
 
         let empty = Block { header: header(0), txs: Vec::new() };
         assert_eq!(Block::decode(&empty.encode()).unwrap(), empty);

@@ -18,4 +18,4 @@ pub use address::Address;
 pub use block::{Block, BlockHeader, BlockSummary};
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use ids::{AccountId, ClientId, NodeId};
-pub use tx::{Transaction, TxId};
+pub use tx::{Transaction, TxBody, TxId};
