@@ -15,8 +15,8 @@
 //!
 //! Everything stays inside the deterministic harness: actors use no RNG,
 //! flapping partitions expand at plan-build time, and gossip jitter draws
-//! flow through the seeded network stream — so every cell is byte-identical
-//! serial-vs-sharded (see `tests/parallel_determinism.rs`).
+//! flow through the seeded network stream — so every cell replays
+//! byte-identically (see `tests/parallel_determinism.rs`).
 
 use crate::exp_macro::Macro;
 use crate::parallel::map_cells;

@@ -3,7 +3,7 @@
 //! Every `(platform, workload, rate)` cell is an isolated simulated world, so
 //! the sweeps scatter their cells across threads via [`crate::parallel`] and
 //! rebuild the tables from the index-ordered results — output is
-//! byte-identical to the serial order (`BB_SERIAL=1`).
+//! byte-identical to the serial order (`BB_WORKERS=1`).
 
 use crate::parallel::{cost_hint, map_cells, map_cells_hinted};
 use crate::platforms::{Platform, Scale, ALL_PLATFORMS};

@@ -11,18 +11,19 @@
 //! node-count × duration cost hint) so one slow world never becomes the
 //! whole sweep's makespan by starting last.
 //!
-//! Hermetic by construction: `std::thread::scope` only, no rayon.
+//! This is the only code in `crates/` that starts a thread: a simulated
+//! world runs on the thread that drives it, so host parallelism exists only
+//! across worlds (DESIGN.md §5 has the measurements). Hermetic by
+//! construction: `std::thread::scope` only, no rayon.
 //!
-//! Environment knobs:
-//! - `BB_SERIAL=1` — force the serial path (the escape hatch; also the
-//!   reference order the parallel path must reproduce byte-for-byte).
-//! - `BB_WORKERS=N` — override the worker count (otherwise
-//!   `std::thread::available_parallelism()`); useful both to throttle and to
-//!   force multi-threading on single-core CI machines when exercising the
-//!   determinism tests.
+//! One knob: `BB_WORKERS=N` sets the worker count (default
+//! `std::thread::available_parallelism()`). `BB_WORKERS=1` is the serial
+//! path — a plain `map`, no thread spawned — and the reference order every
+//! other value must reproduce byte for byte.
 
 use bb_sim::SimDuration;
 use std::collections::VecDeque;
+use std::ffi::OsStr;
 use std::sync::Mutex;
 
 /// Standard cost hint for an experiment cell: node-count × duration.
@@ -36,35 +37,36 @@ pub fn cost_hint(nodes: u32, duration: SimDuration) -> u64 {
     (nodes as u64).saturating_mul(duration.as_micros() as u64)
 }
 
-/// Decide how many workers to use for `cells` independent cells.
+/// Decide how many workers to use for `cells` independent cells:
+/// `BB_WORKERS` if set, otherwise `available_parallelism()`, clamped to
+/// `cells`.
 ///
-/// Returns 1 (serial) when `BB_SERIAL=1`, otherwise `BB_WORKERS` if set,
-/// otherwise `available_parallelism()`, always clamped to `cells`.
+/// # Panics
+/// If `BB_WORKERS` is set to anything but an integer ≥ 1 — it is the one
+/// knob, so a mistyped "run serially" must not quietly become a parallel run.
 pub fn workers_for(cells: usize) -> usize {
-    if cells <= 1 {
-        return 1;
-    }
-    if std::env::var("BB_SERIAL").map(|v| v == "1").unwrap_or(false) {
-        return 1;
-    }
-    let requested = std::env::var("BB_WORKERS")
-        .ok()
+    let requested = match std::env::var_os("BB_WORKERS") {
+        Some(raw) => parse_workers(&raw),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    requested.min(cells).max(1)
+}
+
+/// The value of `BB_WORKERS` as a worker count (split from the environment
+/// read so the rejection is testable without a process-global mutation that
+/// concurrent tests would trip over).
+fn parse_workers(raw: &OsStr) -> usize {
+    raw.to_str()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    requested.min(cells)
+        .unwrap_or_else(|| panic!("BB_WORKERS must be an integer >= 1, got {raw:?}"))
 }
 
 /// Run `f` over every input cell, possibly on several threads, and return
 /// the results **in input order**.
 ///
-/// With one worker (single core, one cell, or `BB_SERIAL=1`) this is a plain
-/// serial `map` — no threads are spawned, so the serial escape hatch is
-/// exactly the pre-parallelism code path. With more workers, cells are pulled
+/// With one worker (single core, one cell, or `BB_WORKERS=1`) this is a plain
+/// serial `map` on the calling thread. With more workers, cells are pulled
 /// from a shared queue (so a slow cell does not block the others behind a
 /// static partition) and each result lands in its input-index slot; a worker
 /// panic propagates out of the enclosing `thread::scope`.
@@ -144,8 +146,9 @@ where
 mod tests {
     use super::*;
 
-    /// The worker-count knobs are process-global env vars; tests that
-    /// mutate them must not interleave.
+    /// `BB_WORKERS` is a process-global env var; tests that set it must not
+    /// interleave. They only ever set valid values: other tests in this
+    /// binary call `workers_for` concurrently.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -167,22 +170,39 @@ mod tests {
     }
 
     #[test]
-    fn serial_env_forces_one_worker() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("BB_SERIAL", "1");
-        assert_eq!(workers_for(128), 1);
-        std::env::remove_var("BB_SERIAL");
-    }
-
-    #[test]
     fn workers_env_overrides_detection() {
         let _guard = ENV_LOCK.lock().unwrap();
         std::env::set_var("BB_WORKERS", "3");
-        std::env::remove_var("BB_SERIAL");
         assert_eq!(workers_for(128), 3);
         // Clamped to the cell count.
         assert_eq!(workers_for(2), 2);
+        assert_eq!(workers_for(0), 1);
         std::env::remove_var("BB_WORKERS");
+    }
+
+    #[test]
+    fn one_worker_is_a_plain_map_on_the_calling_thread() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        std::env::set_var("BB_WORKERS", "1");
+        assert_eq!(workers_for(128), 1);
+        let ran_on = map_cells(vec![(); 8], |()| std::thread::current().id());
+        std::env::remove_var("BB_WORKERS");
+        assert_eq!(ran_on, vec![std::thread::current().id(); 8]);
+    }
+
+    #[test]
+    fn invalid_worker_counts_are_rejected_by_name() {
+        assert_eq!(parse_workers(OsStr::new("1")), 1);
+        assert_eq!(parse_workers(OsStr::new("3")), 3);
+        for bad in ["0", "one", "", "-2", "4 "] {
+            let panic = std::panic::catch_unwind(|| parse_workers(OsStr::new(bad)))
+                .expect_err("invalid BB_WORKERS accepted");
+            let message = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(
+                message.contains("BB_WORKERS") && message.contains(&format!("{bad:?}")),
+                "{bad:?}: {message}"
+            );
+        }
     }
 
     #[test]

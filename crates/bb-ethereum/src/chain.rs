@@ -475,9 +475,9 @@ impl EthereumChain {
             account_read_cost: SimDuration::from_micros(60),
         };
         let ctx = EthCtx { config: config.clone(), params };
-        // The network's stream forks off the root seed first (its draws sit
-        // on the serial/sharded boundary); each node then forks its own
-        // private stream for mining races and gossip flips.
+        // The network's stream forks off the root seed first (its draws
+        // happen at the window merge, in canonical order); each node then
+        // forks its own private stream for mining races and gossip flips.
         let network = Network::new(config.nodes, config.link.clone(), rng.fork());
         let nodes = (0..config.nodes)
             .map(|_| EthNode {
@@ -914,32 +914,5 @@ mod tests {
         // Storage cost-model observability threads through to PlatformStats.
         assert!(stats.storage_logical_bytes > 0);
         assert!(stats.write_amplification().expect("stores saw writes") > 1.0);
-    }
-
-    /// Same seed, serial vs forced-parallel: byte-identical results. Mining
-    /// races, gossip flips and LSM stores are all lane-local, so thread
-    /// scheduling must be invisible.
-    #[test]
-    fn serial_and_sharded_runs_are_byte_identical() {
-        fn run() -> String {
-            let mut chain = small_chain(4);
-            let contract = chain.deploy(&ycsb::bundle());
-            for nonce in 0..25 {
-                chain.submit(
-                    NodeId((nonce % 4) as u32),
-                    client_tx(3, nonce, contract, ycsb::write_call(nonce, b"w")),
-                );
-            }
-            chain.advance_to(SimTime::from_secs(20));
-            format!("{:?}\n{:?}", chain.confirmed_blocks_since(0), chain.stats())
-        }
-        // Only this test in the crate touches the process-global knobs.
-        std::env::set_var("BB_SERIAL", "1");
-        let serial = run();
-        std::env::remove_var("BB_SERIAL");
-        std::env::set_var("BB_SHARD_THREADS", "3");
-        let sharded = run();
-        std::env::remove_var("BB_SHARD_THREADS");
-        assert_eq!(serial, sharded);
     }
 }

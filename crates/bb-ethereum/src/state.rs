@@ -21,7 +21,7 @@ use bb_svm::{Host, Vm};
 use bb_types::{Address, Transaction, TxId};
 use blockbench::contract::{decode_call, SvmContract};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A non-contract or contract account.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -521,11 +521,11 @@ struct SpecOutcome {
 
 /// A buffered, read-logging view of the frozen pre-state used during
 /// speculation. All reads go through [`PatriciaTrie::get_frozen`] (no
-/// cache mutation, no counters) so speculating a block serially or in
-/// parallel leaves byte-identical trie state behind. Writes land in a
-/// private overlay; nothing touches the shared trie.
-struct SpecView<'a, 'b, S: KvStore> {
-    base: &'a Mutex<&'b mut PatriciaTrie<S>>,
+/// cache mutation, no counters) so speculating a block leaves the trie
+/// exactly as it found it. Writes land in a private overlay; nothing
+/// touches the shared trie.
+struct SpecView<'a, S: KvStore> {
+    base: &'a mut PatriciaTrie<S>,
     /// The 20-byte account key of the transaction's sender.
     sender_key: Vec<u8>,
     /// How many earlier in-block transactions of the same sender precede
@@ -534,14 +534,14 @@ struct SpecView<'a, 'b, S: KvStore> {
     nonce_delta: u64,
     /// Private write buffer (read-your-writes, committed only if clean).
     buf: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Cache of base reads — both to avoid re-locking and to classify
-    /// account writes as balance-changing vs. nonce-only at the end.
+    /// Cache of base reads — both to avoid re-walking the trie and to
+    /// classify account writes as balance-changing vs. nonce-only at the end.
     base_seen: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     /// Logical keys read from the pre-state (not from `buf`).
     reads: BTreeSet<Vec<u8>>,
 }
 
-impl<S: KvStore> TxBackend for SpecView<'_, '_, S> {
+impl<S: KvStore> TxBackend for SpecView<'_, S> {
     type Mark = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
 
     fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
@@ -552,7 +552,7 @@ impl<S: KvStore> TxBackend for SpecView<'_, '_, S> {
         if let Some(v) = self.base_seen.get(key) {
             return Ok(v.clone());
         }
-        let mut v = self.base.lock().expect("base trie lock").get_frozen(key)?;
+        let mut v = self.base.get_frozen(key)?;
         if self.nonce_delta > 0 && key == &self.sender_key[..] {
             let mut acct = v.as_deref().map(Account::decode).unwrap_or_default();
             acct.nonce += self.nonce_delta;
@@ -583,7 +583,7 @@ impl<S: KvStore> TxBackend for SpecView<'_, '_, S> {
     }
 }
 
-impl<S: KvStore> SpecView<'_, '_, S> {
+impl<S: KvStore> SpecView<'_, S> {
     /// Classify the buffered writes and package the speculation outcome.
     /// Account writes whose balance and contract flag match the base value
     /// are nonce-only: they produce **no** logical write, so later readers
@@ -673,14 +673,14 @@ pub struct BlockExecOutcome {
 }
 
 impl<S: KvStore> AccountState<S> {
-    /// Execute a sealed block's transactions with optimistic intra-block
-    /// parallelism: speculate every transaction against the frozen
-    /// pre-state on `bb_exec::resolved_threads()` workers, then commit in
-    /// canonical order with first-writer-wins conflict detection; losers
-    /// re-execute serially at their canonical slot. The committed state,
-    /// receipts, conflict count and trie counters are byte-identical
-    /// between `BB_SERIAL_EXEC=1` and any thread count, because
-    /// speculation is side-effect-free and the commit phase is canonical.
+    /// Execute a sealed block's transactions in the optimistic executor's
+    /// order: speculate every transaction against the frozen pre-state,
+    /// then commit in canonical order with first-writer-wins conflict
+    /// detection; losers re-execute serially at their canonical slot.
+    /// Speculation is side-effect-free and every phase runs in canonical
+    /// order, so the committed state, receipts, conflict count and trie
+    /// counters are a function of the block alone; what parallel hardware
+    /// would gain is modeled (`bb_exec::model_block`), not measured.
     ///
     /// `cost_us` converts a transaction's gas into the platform's modeled
     /// execution time in µs (callers pass their `EvmCosts` formula).
@@ -690,13 +690,8 @@ impl<S: KvStore> AccountState<S> {
         height: u64,
         vm: &Vm,
         tx_gas_limit: u64,
-        cost_us: impl Fn(u64) -> u64 + Sync,
-    ) -> BlockExecOutcome
-    where
-        S: Send,
-    {
-        let threads = bb_exec::resolved_threads();
-
+        cost_us: impl Fn(u64) -> u64,
+    ) -> BlockExecOutcome {
         // Nonce prepass: the serial schedule's nonce evolution is exactly
         // predictable from the pre-state (nonce-valid transactions bump by
         // one even when execution fails; invalid ones don't bump at all).
@@ -724,17 +719,15 @@ impl<S: KvStore> AccountState<S> {
             }
         }
 
-        // Phase 1 — speculate. The trie is behind a mutex only so worker
-        // threads can share it; `get_frozen` never mutates anything, so
-        // lock order cannot influence the outcome.
-        let outcomes: Vec<SpecOutcome> = {
-            let base = Mutex::new(&mut self.trie);
-            bb_exec::speculate(txs.len(), threads, |i| {
-                let tx = &txs[i];
+        // Phase 1 — speculate, each transaction against the same pre-state.
+        let outcomes: Vec<SpecOutcome> = txs
+            .iter()
+            .zip(deltas)
+            .map(|(tx, nonce_delta)| {
                 let mut view = SpecView {
-                    base: &base,
+                    base: &mut self.trie,
                     sender_key: tx.from.0.to_vec(),
-                    nonce_delta: deltas[i],
+                    nonce_delta,
                     buf: BTreeMap::new(),
                     base_seen: BTreeMap::new(),
                     reads: BTreeSet::new(),
@@ -742,7 +735,7 @@ impl<S: KvStore> AccountState<S> {
                 let result = apply_tx(&mut view, tx, height, vm, tx_gas_limit);
                 view.finish(result)
             })
-        };
+            .collect();
 
         // Phase 2 — canonical-order commit with first-writer-wins.
         let mut committed = bb_exec::KeySet::new();

@@ -1,91 +1,31 @@
-//! Optimistic intra-block parallel execution, shared by all three platforms.
+//! The optimistic block-execution *model*, shared by all three platforms.
 //!
 //! The paper's macro benchmarks saturate far below hardware limits partly
 //! because every platform executes a block's transactions serially on one
-//! core. This crate provides the platform-agnostic substrate for an
-//! optimistic (OCC-style) block executor:
+//! core. This crate is the platform-agnostic substrate for asking what an
+//! optimistic (OCC-style) block executor would buy:
 //!
 //! 1. **Speculate**: every transaction of a sealed block runs against the
 //!    immutable pre-state snapshot, recording its read set, write set and
-//!    result ([`speculate`] fans the work out over a thread pool).
+//!    result. The platforms do this in a plain canonical-order loop.
 //! 2. **Detect + commit** in canonical order: a transaction whose reads
 //!    don't intersect the writes committed before it ([`KeySet`]) is a
 //!    *winner* — its buffered writes apply verbatim. A *loser* re-executes
 //!    serially at its canonical slot, exactly as the classic serial loop
 //!    would have run it.
 //!
-//! Because speculation is deterministic given the pre-state and the
-//! conflict check runs in canonical order over per-transaction sets that
-//! don't depend on scheduling, the committed state, receipts and every
-//! platform counter are byte-identical between the serial and parallel
-//! schedules — the same contract `ShardedEngine` makes for cross-node
-//! parallelism (DESIGN.md §5 and §8).
-//!
-//! `BB_SERIAL_EXEC=1` forces inline speculation (one thread) and
-//! `BB_EXEC_THREADS=N` pins the pool size, mirroring the `BB_SERIAL` /
-//! `BB_SHARD_THREADS` contract of the sharded engine.
-//!
-//! Simulated time is *modeled*, not measured: [`model_block`] charges the
-//! serial sum (so existing figures are unchanged) and separately computes a
-//! deterministic parallel makespan over [`MODEL_LANES`] lanes, from which
-//! the `exec_parallel_speedup` statistic derives on any host, including a
-//! single-core CI container.
+//! Nothing here starts a thread. The executor's time is *modeled*, not
+//! measured: [`model_block`] charges the serial sum (so existing figures are
+//! unchanged) and separately computes a deterministic parallel makespan over
+//! [`MODEL_LANES`] lanes, from which the `exec_parallel_speedup` statistic
+//! derives identically on any host (DESIGN.md §8).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Lanes assumed by the deterministic execution-time model. Fixed (rather
 /// than `available_parallelism`) so the modeled speedup is a property of
 /// the workload, not of the machine the simulation happens to run on.
 pub const MODEL_LANES: usize = 4;
-
-/// Worker threads the speculative executor should use, resolved from the
-/// environment exactly like the sharded engine's helper count:
-/// `BB_SERIAL_EXEC=1` → 1 (inline), `BB_EXEC_THREADS=N` → N, otherwise
-/// every available core.
-pub fn resolved_threads() -> usize {
-    if std::env::var("BB_SERIAL_EXEC").ok().as_deref() == Some("1") {
-        return 1;
-    }
-    if let Some(n) = std::env::var("BB_EXEC_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Run `f(0..n)` on `threads` workers and return the results in index
-/// order. With `threads <= 1` the closure runs inline — the serial and
-/// parallel schedules call `f` the exact same number of times with the
-/// same arguments, so any side effects behind interior locks stay
-/// mode-identical in total.
-pub fn speculate<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned").expect("slot filled"))
-        .collect()
-}
 
 /// The set of (logical) keys written by transactions already committed in
 /// this block — the first-writer-wins conflict oracle.
@@ -163,26 +103,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn speculate_inline_matches_threaded() {
-        let inline = speculate(100, 1, |i| i * i);
-        let threaded = speculate(100, 4, |i| i * i);
-        assert_eq!(inline, threaded);
-        assert_eq!(inline[7], 49);
-        assert_eq!(speculate(0, 4, |i| i).len(), 0);
-    }
-
-    #[test]
-    fn speculate_runs_side_effects_once_per_index() {
-        let count = AtomicUsize::new(0);
-        let out = speculate(37, 3, |i| {
-            count.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 37);
-        assert_eq!(out, (0..37).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn keyset_detects_first_writer_wins() {
         let mut set = KeySet::new();
         assert!(!set.conflicts(&[b"a".to_vec()]));
@@ -215,13 +135,5 @@ mod tests {
         let all = model_block(&[10; 10], 0, &[10; 10]);
         assert_eq!(all.serial_us, 100);
         assert_eq!(all.modeled_us, 100);
-    }
-
-    #[test]
-    fn env_thread_resolution_contract() {
-        // Can't touch process env safely in parallel tests; just pin the
-        // no-env default to available parallelism.
-        let n = resolved_threads();
-        assert!(n >= 1);
     }
 }

@@ -14,10 +14,9 @@
 //!
 //! The world is *sharded*: each peer is a lane of a
 //! [`ShardedEngine`], every event routes to exactly one peer, and all
-//! cross-peer traffic goes through the network outbox, so one Fabric run can
-//! execute its per-node work (batch execution, message processing) on
-//! several cores while staying byte-identical to the serial path (see
-//! `bb_sim::shard` and DESIGN.md §5).
+//! cross-peer traffic goes through the network outbox, delivered at the
+//! window merge in one canonical order (see `bb_sim::shard` and DESIGN.md
+//! §5).
 
 use crate::config::FabricConfig;
 use crate::state::{FabricState, InvokeResult, SpecInvoke, STORE_PREFIX};
@@ -32,7 +31,7 @@ use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
     QueryError, QueryResult, RecoveryWindow,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use blockbench::contract::ContractBundle;
 use std::collections::VecDeque;
 
@@ -433,26 +432,20 @@ fn send_msg(to: NodeId, msg: PbftMsg, fx: &mut Effects<FabEvent>) {
     fx.send(to.0, bytes, move |_at| FabEvent::Consensus { to, from, msg });
 }
 
-/// Execute a deduplicated batch through the optimistic parallel executor:
-/// speculate every chaincode invocation against the pre-block state (the
-/// coarse state lock also keeps the shared chaincode memory meter
-/// deterministic), then commit in canonical order — clean winners apply
-/// their buffered writes, conflicted losers re-invoke serially at their
-/// slot. The simulation bills the serial execution time, so throughput
-/// figures are unchanged; parallelism lands in the modeled counters.
+/// Execute a deduplicated batch in the optimistic executor's order:
+/// speculate every chaincode invocation against the pre-block state, then
+/// commit in canonical order — clean winners apply their buffered writes,
+/// conflicted losers re-invoke serially at their slot. The simulation bills
+/// the serial execution time, so throughput figures are unchanged; what
+/// parallel hardware would gain lands in the modeled counters.
 fn execute_batch_txs(
     ctx: &FabCtx,
     node: &mut FabNode,
     height: u64,
     txs: &[Arc<Transaction>],
 ) -> (Vec<(TxId, bool)>, SimDuration) {
-    let threads = bb_exec::resolved_threads();
-    let specs: Vec<SpecInvoke> = {
-        let state = Mutex::new(&mut node.state);
-        bb_exec::speculate(txs.len(), threads, |i| {
-            state.lock().expect("state lock").speculate_invoke(&txs[i], height)
-        })
-    };
+    let specs: Vec<SpecInvoke> =
+        txs.iter().map(|tx| node.state.speculate_invoke(tx, height)).collect();
     let cost = |r: &InvokeResult| ctx.config.invoke_time(r.units, r.state_ops).as_micros();
     let mut committed = bb_exec::KeySet::new();
     let mut receipts = Vec::with_capacity(txs.len());
@@ -1424,33 +1417,5 @@ mod tests {
         let r = c.query(&Query::BlockTxs { height: 1 }).unwrap();
         let mut d = bb_types::Decoder::new(&r.data);
         assert_eq!(d.u32().unwrap(), 1);
-    }
-
-    /// The sharded engine must hide thread scheduling completely: same seed,
-    /// serial vs forced-parallel, byte-identical chain state.
-    #[test]
-    fn serial_and_sharded_runs_are_byte_identical() {
-        fn run() -> String {
-            let mut c = chain(4);
-            let addr = c.deploy(&ycsb::bundle());
-            for nonce in 0..40 {
-                c.submit(
-                    NodeId((nonce % 4) as u32),
-                    client_tx(5, nonce, addr, ycsb::write_call(nonce, b"y")),
-                );
-            }
-            c.advance_to(SimTime::from_secs(5));
-            format!("{:?}\n{:?}", c.confirmed_blocks_since(0), c.stats())
-        }
-        // Env knobs are process-global; fabric's tests otherwise leave them
-        // untouched, so only this test mutates them (no lock needed within
-        // this crate's suite).
-        std::env::set_var("BB_SERIAL", "1");
-        let serial = run();
-        std::env::remove_var("BB_SERIAL");
-        std::env::set_var("BB_SHARD_THREADS", "3");
-        let sharded = run();
-        std::env::remove_var("BB_SHARD_THREADS");
-        assert_eq!(serial, sharded);
     }
 }

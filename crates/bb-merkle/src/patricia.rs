@@ -65,8 +65,18 @@ enum Node {
     Leaf { path: Vec<u8>, value: Vec<u8> },
     /// Path compression: `path` nibbles leading to a single child.
     Ext { path: Vec<u8>, child: Hash256 },
-    /// 16-way fan-out with an optional value terminating exactly here.
-    Branch { children: [Hash256; 16], value: Option<Vec<u8>> },
+    /// 16-way fan-out with an optional value terminating exactly here. The
+    /// 512-byte child table sits behind a pointer: every slot of the
+    /// decoded-node cache holds a `Node`, filled or not, and with the table
+    /// inline each full cache was a 150 MB hash table — 1.2 GB across an
+    /// 8-node run, grown by doubling and page-faulted in while it ran.
+    Branch { children: Box<[Hash256; 16]>, value: Option<Vec<u8>> },
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() <= 64);
+
+fn no_children() -> Box<[Hash256; 16]> {
+    Box::new([Hash256::ZERO; 16])
 }
 
 const TAG_LEAF: u8 = 0;
@@ -149,7 +159,7 @@ impl Node {
             }
             TAG_BRANCH => {
                 let bitmap = u16::from_be_bytes(rest.get(0..2).ok_or_else(corrupt)?.try_into().expect("2"));
-                let mut children = [Hash256::ZERO; 16];
+                let mut children = no_children();
                 let mut at = 2;
                 for (i, slot) in children.iter_mut().enumerate() {
                     if bitmap & (1 << i) != 0 {
@@ -381,8 +391,8 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// Fetch `key` at the current root with *no observable side effects* on
     /// the trie: the decoded-node cache is consulted but never updated and
     /// the hit/miss counters stay untouched. Speculative executors read the
-    /// pre-state through this so a block's counters stay byte-identical
-    /// whether transactions were speculated serially or in parallel.
+    /// pre-state through this so the speculation phase, which is modeled
+    /// rather than billed, leaves no trace in a block's counters.
     pub fn get_frozen(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         if self.root.is_zero() {
             return Ok(None);
@@ -523,7 +533,7 @@ impl<S: KvStore> PatriciaTrie<S> {
                     Node::Ext { path: p, child: new_child }
                 } else {
                     // Split the extension at the divergence point.
-                    let mut children = [Hash256::ZERO; 16];
+                    let mut children = no_children();
                     let mut bvalue = None;
                     // Old side: remainder of the extension path.
                     let p_rest = &p[cp..];
@@ -577,7 +587,7 @@ impl<S: KvStore> PatriciaTrie<S> {
         new_value: &[u8],
     ) -> Result<Node, KvError> {
         debug_assert!(old_rest.first() != new_rest.first() || old_rest.is_empty() || new_rest.is_empty());
-        let mut children = [Hash256::ZERO; 16];
+        let mut children = no_children();
         let mut bvalue = None;
         if old_rest.is_empty() {
             bvalue = Some(old_value);
@@ -688,7 +698,7 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// After a removal, collapse a branch that no longer justifies fan-out.
     fn normalise_branch(
         &mut self,
-        children: [Hash256; 16],
+        children: Box<[Hash256; 16]>,
         value: Option<Vec<u8>>,
     ) -> Result<RemoveResult, KvError> {
         let present: Vec<usize> = (0..16).filter(|&i| !children[i].is_zero()).collect();

@@ -929,29 +929,4 @@ mod tests {
         assert_eq!(a0.balance, a3.balance);
         assert!(a0.nonce > 0, "client transactions never landed");
     }
-
-    /// Same seed, serial vs forced-parallel: byte-identical results.
-    #[test]
-    fn serial_and_sharded_runs_are_byte_identical() {
-        fn run() -> String {
-            let mut c = chain(4);
-            let contract = c.deploy(&ycsb::bundle());
-            for nonce in 0..30 {
-                c.submit(
-                    NodeId((nonce % 4) as u32),
-                    client_tx(2, nonce, contract, ycsb::write_call(nonce, b"z")),
-                );
-            }
-            c.advance_to(SimTime::from_secs(12));
-            format!("{:?}\n{:?}", c.confirmed_blocks_since(0), c.stats())
-        }
-        // Only this test in the crate touches the process-global knobs.
-        std::env::set_var("BB_SERIAL", "1");
-        let serial = run();
-        std::env::remove_var("BB_SERIAL");
-        std::env::set_var("BB_SHARD_THREADS", "3");
-        let sharded = run();
-        std::env::remove_var("BB_SHARD_THREADS");
-        assert_eq!(serial, sharded);
-    }
 }

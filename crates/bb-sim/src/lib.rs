@@ -10,7 +10,8 @@
 //!
 //! The kernel provides:
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution virtual time,
-//! - [`Scheduler`] / [`World`]: a generic event loop,
+//! - [`ShardedEngine`] / [`ShardedWorld`]: the event loop — one lane per
+//!   node, conservative windows, one canonical merge order,
 //! - [`SimRng`]: a seeded RNG with the distributions the protocols need
 //!   (exponential mining races, Zipfian key choice),
 //! - meters ([`CpuMeter`], [`ByteMeter`], [`MemMeter`], [`TimeSeries`]): the
@@ -18,14 +19,12 @@
 
 pub mod meter;
 pub mod rng;
-pub mod scheduler;
 pub mod series;
 pub mod shard;
 pub mod time;
 
 pub use meter::{ByteMeter, CpuMeter, MemMeter};
 pub use rng::SimRng;
-pub use scheduler::{Scheduler, World};
 pub use shard::{Effects, EventKey, Outboard, ShardedEngine, ShardedWorld, GLOBAL_LANE};
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};

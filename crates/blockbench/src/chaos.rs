@@ -12,8 +12,8 @@
 //! derived from plan data — flapping partitions expand into an explicit
 //! event sequence at build time, actors send on fixed intervals from fixed
 //! phase offsets, and actor keys come from fixed seeds. Nothing here reads
-//! an RNG, so a chaos run is byte-identical serial-vs-sharded for free as
-//! long as the platform faults themselves are.
+//! an RNG, so a chaos run replays byte-identically for free as long as the
+//! platform faults themselves do.
 
 use crate::connector::Fault;
 use crate::fault::{FaultEvent, FaultPlan};

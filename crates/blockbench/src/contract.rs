@@ -112,8 +112,8 @@ pub trait ChaincodeContext {
 
 /// Native chaincode: the Fabric-side build of a contract.
 ///
-/// `Send` so a node's installed chaincodes can migrate between the sharded
-/// engine's worker threads with the rest of the node state.
+/// `Send` so a node's installed chaincodes stay movable between threads
+/// with the rest of the node state (`ShardedWorld::Node: Send`).
 pub trait Chaincode: Send {
     /// Execute `method` with `args`. Errors abort the transaction (state
     /// changes are rolled back by the platform's write buffering).

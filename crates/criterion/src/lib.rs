@@ -8,8 +8,7 @@
 //! warmed up briefly, then timed as a series of equal batches filling a
 //! fixed measurement budget, and the per-iteration mean, median and MAD
 //! (median absolute deviation) are reported. The median is the robust
-//! headline number; the MAD is the noise floor `perfreport --compare` uses
-//! to avoid flagging jitter as regression.
+//! headline number; the MAD is its noise floor.
 //!
 //! It intentionally does **not** do Criterion's full statistical analysis,
 //! HTML reports or regression detection; numbers printed here are
@@ -17,8 +16,6 @@
 //! tier-1 test runs never build them.
 
 use std::time::{Duration, Instant};
-
-pub mod trajectory;
 
 /// Opaque value barrier: prevents the optimiser from deleting benchmark
 /// bodies.
@@ -201,12 +198,6 @@ fn run_one<F: FnMut(&mut Bencher)>(name: &str, sample_size: u64, tp: Option<Thro
         println!("{name:<40} (no measurement: closure never called iter)");
         return;
     };
-    // Feed the perf-trajectory file when one is explicitly configured (the
-    // default-path fallback is reserved for `perfreport`, so plain `cargo
-    // bench` runs don't silently drop files into the working directory).
-    if std::env::var("BB_BENCH_TRAJECTORY").map(|v| !v.is_empty() && v != "0").unwrap_or(false) {
-        trajectory::record_bench(name, &stats);
-    }
     let rate = tp.map(|t| match t {
         Throughput::Bytes(n) => {
             format!("  {:>10.1} MiB/s", n as f64 / stats.median_ns * 1e9 / (1 << 20) as f64)

@@ -10,16 +10,17 @@
 # A wall-clock budget guards the suite itself: the parallel experiment
 # runner (crates/bb-bench/src/parallel.rs) is what keeps the figure-driven
 # tests inside it, so the suite runs with the runner *enabled* (no
-# BB_SERIAL). Override the ceiling with BB_VERIFY_BUDGET_S if a slower
+# BB_WORKERS=1). Override the ceiling with BB_VERIFY_BUDGET_S if a slower
 # machine needs more headroom.
 #
-# Performance is gated separately: `scripts/bench.sh` records kernel and
-# figure timings to BENCH_harness.json and finishes with
-# `perfreport --compare`, which exits non-zero when any kernel ns/iter,
-# figure wall-clock (per runner mode) or macro tx/s regressed more than
-# 15% against the most recent earlier run. Run it alongside this script
-# when a change touches a hot path; it is not part of tier-1 because perf
-# baselines are per-machine.
+# Performance is gated separately: `benchmark/run.sh` (BENCHMARK.json) runs
+# five fixed-work workloads and the layer kernels, and `benchmark/run.sh
+# compare A.json B.json` compares two recorded runs, model counts for
+# equality. Run alternating parent/change pairs of the workloads a change
+# touches; that is not part of tier-1 because wall-clock baselines are
+# per-machine. What *is* a verify step is `benchmark/run.sh --smoke`: the
+# benchmark must keep building against the crates and passing its own
+# correctness checks.
 #
 # Behaviour is gated separately too: `scripts/check_results.sh` regenerates
 # every figure (`figures all`) and fails unless each committed
@@ -50,8 +51,8 @@ echo "==> tier-1: release build (offline)"
 cargo build --release --offline
 
 echo "==> tier-1: test suite (offline, parallel runner enabled, budget ${BB_VERIFY_BUDGET_S}s)"
-if [ "${BB_SERIAL:-}" = "1" ]; then
-    echo "NOTE: BB_SERIAL=1 set; the budget assumes the parallel runner" >&2
+if [ "${BB_WORKERS:-}" = "1" ]; then
+    echo "NOTE: BB_WORKERS=1 set; the budget assumes the parallel runner" >&2
 fi
 suite_start=$SECONDS
 cargo test -q --offline
@@ -108,30 +109,27 @@ echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # harness: byzantine clients, an equivocating PBFT replica, asymmetric and
 # flapping partitions, slow disks and gossip jitter, each cell gated on a
 # liveness floor and the cross-node safety checker. Run the plan/actor/
-# invariant unit tests, the matrix itself, the ChaosPlan determinism case
-# and the pool-pinning regression by name so a chaos regression is
-# reported as one.
+# invariant unit tests, the matrix itself and the pool-pinning regression
+# by name so a chaos regression is reported as one.
 smoke -p blockbench chaos
 smoke -p blockbench invariant
 smoke -p bb-bench --lib exp_chaos
-# Serial-vs-sharded identity is a property of thread interleavings, so one
-# pass proves little: a helper joining a window with the previous window's
-# end (DESIGN.md §5) diverged in ~1 of 40 sharded runs. Twelve fresh
-# processes, plus the engine-level stress test that provokes it directly.
-for _ in $(seq 12); do
-    smoke -p bb-bench --test parallel_determinism chaos
-done
-smoke -p bb-sim stale_end
 smoke -p bb-bench --test pool_eviction
 
-echo "==> executor matrix: serial/parallel determinism + conflict ablation smoke"
-# The optimistic block executor must be invisible to the simulation:
-# byte-identical RunStats under BB_SERIAL_EXEC=1 and any thread count, and
-# the Zipfian conflict ablation must keep its speedup floors (>=1.5x at
-# theta<=0.5, graceful >=1.0x at 0.99). Named here so an executor
-# regression is reported as one rather than buried in the full suite.
-smoke -p bb-bench --test parallel_determinism executor
+echo "==> replay: seeded runs repeat byte for byte, the merge order and the executor model are pinned"
+# Every world is single-threaded, so a seed is a complete description of a
+# run. The replay cases run each seeded experiment twice in one process
+# (driver, open loop, hot-key re-execution, restart, chaos, crash faults)
+# and catch what leaks in from outside the seed — `HashMap` order first;
+# the engine's canonical merge order is pinned by known answers; and the
+# Zipfian conflict ablation must keep the executor model's speedup floors
+# (>=1.5x at theta<=0.5, graceful >=1.0x at 0.99).
+smoke -p bb-bench --test parallel_determinism replay
+smoke -p bb-sim merge_order
 smoke -p bb-bench --lib executor_speedup_degrades_gracefully
+
+echo "==> benchmark: builds against the crates and passes its own checks (smoke scale)"
+bash benchmark/run.sh --smoke | tail -n 1
 
 echo "==> feature matrix: property tests compile (offline)"
 cargo check -q --offline --workspace --all-targets --features proptest

@@ -1,19 +1,16 @@
-//! Same-seed results must be byte-identical whether the simulation runs
-//! serially or parallel — at both levels of the stack:
+//! Same-seed results must be byte-identical however the host runs them:
 //!
-//! - the experiment runner (`BB_SERIAL=1` vs `BB_WORKERS=4`): each cell
-//!   builds its own simulated world on its own virtual clock, and
-//!   `map_cells` collects results in input order, so thread scheduling
-//!   must not be observable in any rendered table;
-//! - the sharded event engine inside one world (`BB_SERIAL=1` vs
-//!   `BB_SHARD_THREADS=4`): the conservative window scheduler commits
-//!   events in the canonical `(time, shard, seq)` order regardless of
-//!   which lane thread ran them, so full `RunStats` debug output must
-//!   match byte for byte across seeds, platforms and fault injections.
-//!
-//! Lives in its own integration-test binary because the worker knobs are
-//! process-global env vars: the `ENV_LOCK` below serialises the tests so
-//! nothing else can race the mutations.
+//! - across worker counts of the experiment runner (`BB_WORKERS=1` vs
+//!   `BB_WORKERS=4`): each cell builds its own simulated world on its own
+//!   virtual clock, and `map_cells` collects results in input order, so
+//!   thread scheduling must not be observable in any rendered table;
+//! - across repetitions (*replay*): a world runs on one thread and draws all
+//!   its randomness from its seed, so the same seeded run twice in one
+//!   process must render the same bytes — full `RunStats` debug output,
+//!   across seeds, platforms and fault injections. What this catches is
+//!   state leaking into results from outside the seed, `HashMap` iteration
+//!   order first of all: every map's `RandomState` is keyed differently, so
+//!   two runs in one process iterate in two orders.
 
 use bb_bench::exp_chaos::chaos_timeline;
 use bb_bench::exp_macro::{self, Macro};
@@ -26,13 +23,8 @@ use bb_types::{ClientId, NodeId};
 use bb_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 use blockbench::{
     run_open_loop, run_workload, ArrivalProcess, BlockchainConnector, ByzBehavior, ByzClientSpec,
-    ChaosPlan, DriverConfig, Fault, OpenLoopConfig,
+    ChaosPlan, DriverConfig, Fault, OpenLoopConfig, PlatformStats,
 };
-use std::sync::Mutex;
-
-/// Env vars are process-global; every test in this binary mutates them, so
-/// they all hold this lock for their full body.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -42,41 +34,12 @@ fn tiny_scale() -> Scale {
     }
 }
 
-/// Force the in-world engine serial (the runner knob `BB_WORKERS` is
-/// irrelevant to these direct-drive tests).
-fn engine_serial() {
-    std::env::set_var("BB_SERIAL", "1");
-    std::env::remove_var("BB_SHARD_THREADS");
-}
-
-/// Force the in-world engine onto 4 lane threads, even on single-core CI.
-fn engine_sharded() {
-    std::env::remove_var("BB_SERIAL");
-    std::env::set_var("BB_SHARD_THREADS", "4");
-}
-
-fn engine_env_reset() {
-    std::env::remove_var("BB_SERIAL");
-    std::env::remove_var("BB_SHARD_THREADS");
-}
-
-/// Force the intra-block transaction executor serial (one speculation
-/// lane), leaving the event engine alone.
-fn exec_serial() {
-    std::env::set_var("BB_SERIAL_EXEC", "1");
-    std::env::remove_var("BB_EXEC_THREADS");
-}
-
-/// Force the intra-block executor onto 4 speculation threads, even on
-/// single-core CI.
-fn exec_parallel() {
-    std::env::remove_var("BB_SERIAL_EXEC");
-    std::env::set_var("BB_EXEC_THREADS", "4");
-}
-
-fn exec_env_reset() {
-    std::env::remove_var("BB_SERIAL_EXEC");
-    std::env::remove_var("BB_EXEC_THREADS");
+/// Run the same seeded experiment twice and require identical bytes;
+/// returns them for the caller's non-vacuity checks.
+fn assert_replays(what: &str, run: impl Fn() -> String) -> String {
+    let first = run();
+    assert_eq!(first, run(), "{what}: the same seeded run rendered different bytes");
+    first
 }
 
 fn build_seeded(platform: Platform, nodes: u32, seed: u64) -> Box<dyn BlockchainConnector> {
@@ -99,31 +62,21 @@ fn build_seeded(platform: Platform, nodes: u32, seed: u64) -> Box<dyn Blockchain
     }
 }
 
+/// The only test in this binary that touches the (process-global) knob, and
+/// both values it sets are valid, so it needs no lock against the others.
 #[test]
 fn figure_tables_byte_identical_parallel_vs_serial() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let scale = tiny_scale();
-
-    std::env::remove_var("BB_WORKERS");
-    std::env::set_var("BB_SERIAL", "1");
-    let serial_13c = exp_macro::fig13c(&scale).render();
-    let serial_5 = {
+    let render = |workers: &str| {
+        std::env::set_var("BB_WORKERS", workers);
         let (performance, saturation) = exp_macro::fig5(&scale);
-        (performance.render(), saturation.render())
+        (exp_macro::fig13c(&scale).render(), performance.render(), saturation.render())
     };
-
-    // Force multi-threading even on single-core CI machines.
-    std::env::remove_var("BB_SERIAL");
-    std::env::set_var("BB_WORKERS", "4");
-    let parallel_13c = exp_macro::fig13c(&scale).render();
-    let parallel_5 = {
-        let (performance, saturation) = exp_macro::fig5(&scale);
-        (performance.render(), saturation.render())
-    };
+    let serial = render("1");
+    // Multi-threaded even on single-core CI machines.
+    let parallel = render("4");
     std::env::remove_var("BB_WORKERS");
-
-    assert_eq!(serial_13c, parallel_13c, "fig13c must not depend on thread scheduling");
-    assert_eq!(serial_5, parallel_5, "fig5 must not depend on thread scheduling");
+    assert_eq!(serial, parallel, "fig13c/fig5 must not depend on thread scheduling");
 }
 
 /// One full driver run (open-loop clients, polling, drain) with the full
@@ -158,30 +111,20 @@ fn driver_stats(platform: Platform, seed: u64) -> String {
 }
 
 #[test]
-fn run_stats_byte_identical_across_platforms_and_seeds() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
     for platform in ALL_PLATFORMS {
         for seed in [1u64, 7, 42] {
-            engine_serial();
-            let serial = driver_stats(platform, seed);
-            engine_sharded();
-            let sharded = driver_stats(platform, seed);
-            assert_eq!(
-                serial,
-                sharded,
-                "{} seed {seed}: sharded RunStats diverged from serial",
-                platform.name()
-            );
+            assert_replays(&format!("{} seed {seed}", platform.name()), || {
+                driver_stats(platform, seed)
+            });
         }
     }
-    engine_env_reset();
 }
 
 /// The open-loop driver adds two scheduling sources the closed-loop path
 /// does not have — the arrival-process generator and the retry queue — and
-/// both must be invisible to the sharded engine: full `RunStats` from a
-/// bursty open-loop run must match byte for byte between one lane thread
-/// and four.
+/// both must be functions of the seed alone: full `RunStats` from a bursty
+/// open-loop run must replay byte for byte.
 fn open_loop_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = Macro::Ycsb.build(1);
@@ -206,54 +149,22 @@ fn open_loop_stats(platform: Platform, seed: u64) -> String {
 }
 
 #[test]
-fn open_loop_run_stats_byte_identical_serial_vs_sharded() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn open_loop_run_stats_replay_byte_identical() {
     for platform in ALL_PLATFORMS {
         for seed in [1u64, 42] {
-            engine_serial();
-            let serial = open_loop_stats(platform, seed);
-            engine_sharded();
-            let sharded = open_loop_stats(platform, seed);
-            assert_eq!(
-                serial,
-                sharded,
-                "{} seed {seed}: open-loop RunStats diverged from serial",
-                platform.name()
-            );
+            assert_replays(&format!("{} open loop, seed {seed}", platform.name()), || {
+                open_loop_stats(platform, seed)
+            });
         }
     }
-    engine_env_reset();
 }
 
 /// The optimistic block executor speculates a sealed block's transactions
 /// against the frozen pre-state snapshot, so its read/write sets — and
 /// therefore conflict counts, receipts and roots — are decided by block
-/// content alone, never by thread scheduling. Full `RunStats` must be
-/// byte-identical between one speculation lane and four.
-#[test]
-fn executor_run_stats_byte_identical_serial_vs_parallel() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for platform in ALL_PLATFORMS {
-        for seed in [1u64, 7, 42] {
-            exec_serial();
-            let serial = driver_stats(platform, seed);
-            exec_parallel();
-            let parallel = driver_stats(platform, seed);
-            assert_eq!(
-                serial,
-                parallel,
-                "{} seed {seed}: parallel-executor RunStats diverged from serial",
-                platform.name()
-            );
-        }
-    }
-    exec_env_reset();
-}
-
-/// Same contract under maximum contention: a hot-key YCSB mix
-/// (`zipf_theta = 0.99` over few records) forces speculation conflicts
-/// and the deterministic serial re-execution of the losers, and the
-/// re-executed results must still be schedule-independent.
+/// content alone. Here under maximum contention: a hot-key YCSB mix
+/// (`zipf_theta = 0.99` over few records) forces speculation conflicts and
+/// the serial re-execution of the losers, whose results must replay too.
 fn high_conflict_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = YcsbWorkload::new(YcsbConfig {
@@ -281,51 +192,37 @@ fn high_conflict_stats(platform: Platform, seed: u64) -> String {
 }
 
 #[test]
-fn executor_conflict_reexecution_byte_identical_serial_vs_parallel() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn executor_conflict_reexecution_replays_byte_identical() {
     for platform in ALL_PLATFORMS {
-        exec_serial();
-        let serial = high_conflict_stats(platform, 42);
-        exec_parallel();
-        let parallel = high_conflict_stats(platform, 42);
-        assert_eq!(
-            serial,
-            parallel,
-            "{}: conflict re-execution diverged between serial and parallel executors",
-            platform.name()
-        );
+        assert_replays(&format!("{} conflict re-execution", platform.name()), || {
+            high_conflict_stats(platform, 42)
+        });
     }
-    exec_env_reset();
 }
 
-/// Figure-9-style fault drive: crash a third of the cluster mid-run after
-/// slowing one node down, then sample cumulative commits and block counters
-/// every simulated second. Faults land between conservative windows, so
-/// the sharded engine must replay them identically.
-fn fault_timeline(platform: Platform, seed: u64) -> String {
-    const NODES: u32 = 12;
+/// Drive `clients` fixed-interval YCSB clients against a fresh cluster for
+/// `secs` simulated seconds; at the top of each second `inject` may fire
+/// faults, at its end `row` renders the cumulative commit count and the
+/// platform stats into one timeline line.
+fn timeline(
+    platform: Platform,
+    nodes: u32,
+    secs: u64,
+    interval: SimDuration,
+    inject: impl Fn(u64, &mut dyn BlockchainConnector),
+    row: impl Fn(&PlatformStats) -> String,
+) -> String {
     const CLIENTS: u32 = 4;
-    const SECS: u64 = 15;
-    let mut chain = build_seeded(platform, NODES, seed);
+    let mut chain = build_seeded(platform, nodes, 42);
     let mut workload = Macro::Ycsb.build(CLIENTS);
     workload.setup(chain.as_mut());
     let t0 = chain.now();
-    let interval = SimDuration::from_millis(25);
     let mut next_send: Vec<SimTime> = (0..CLIENTS).map(|_| t0).collect();
     let mut seen_height = 0u64;
     let mut committed = 0u64;
     let mut out = String::new();
-    for sec in 0..SECS {
-        if sec == 2 {
-            // A straggler first: node 1 gains 40 ms of extra link latency.
-            chain.inject(Fault::Delay(NodeId(1), SimDuration::from_millis(40)));
-        }
-        if sec == 5 {
-            // Then a crash of the last four nodes (node 0 is the observer).
-            for i in NODES - 4..NODES {
-                chain.inject(Fault::Crash(NodeId(i)));
-            }
-        }
+    for sec in 0..secs {
+        inject(sec, chain.as_mut());
         let step_end = t0 + SimDuration::from_secs(sec + 1);
         loop {
             let Some((ci, t)) = next_send
@@ -339,7 +236,7 @@ fn fault_timeline(platform: Platform, seed: u64) -> String {
             };
             chain.advance_to(t);
             let tx = workload.next_transaction(ClientId(ci as u32));
-            if !chain.submit(NodeId(ci as u32 % NODES), tx) {
+            if !chain.submit(NodeId(ci as u32 % nodes), tx) {
                 workload.on_rejected(ClientId(ci as u32));
             }
             next_send[ci] = t + interval;
@@ -349,99 +246,80 @@ fn fault_timeline(platform: Platform, seed: u64) -> String {
             seen_height = seen_height.max(block.height);
             committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
         }
-        let stats = chain.stats();
-        out.push_str(&format!(
-            "t={} committed={committed} total={} main={}\n",
-            sec + 1,
-            stats.blocks_total,
-            stats.blocks_main
-        ));
+        out.push_str(&format!("t={} committed={committed} {}\n", sec + 1, row(&chain.stats())));
     }
     out
+}
+
+/// Figure-9-style fault drive: crash a third of a 12-node cluster mid-run
+/// after slowing one node down, sampling cumulative commits and block
+/// counters every simulated second. Faults land between engine windows.
+fn fault_timeline(platform: Platform) -> String {
+    const NODES: u32 = 12;
+    timeline(
+        platform,
+        NODES,
+        15,
+        SimDuration::from_millis(25),
+        |sec, chain| {
+            if sec == 2 {
+                // A straggler first: node 1 gains 40 ms of extra link latency.
+                chain.inject(Fault::Delay(NodeId(1), SimDuration::from_millis(40)));
+            }
+            if sec == 5 {
+                // Then a crash of the last four nodes (node 0 is the observer).
+                for i in NODES - 4..NODES {
+                    chain.inject(Fault::Crash(NodeId(i)));
+                }
+            }
+        },
+        |stats| format!("total={} main={}", stats.blocks_total, stats.blocks_main),
+    )
 }
 
 /// Crash→restart→catch-up drive: node 3 of 4 power-cuts at t=3 s (torn WAL
 /// tail included), restarts from its durable store at t=7 s and resyncs
-/// from the survivors. Restarts rebuild whole node worlds between
-/// conservative windows — the sharded engine must replay the rebuild, the
-/// WAL replay and the catch-up identically.
-fn restart_timeline(platform: Platform, seed: u64) -> String {
-    const NODES: u32 = 4;
-    const CLIENTS: u32 = 4;
-    const SECS: u64 = 20;
+/// from the survivors. Restarts rebuild whole node worlds between engine
+/// windows — the rebuild, the WAL replay and the catch-up must all replay.
+fn restart_timeline(platform: Platform) -> String {
     let victim = NodeId(3);
-    let mut chain = build_seeded(platform, NODES, seed);
-    let mut workload = Macro::Ycsb.build(CLIENTS);
-    workload.setup(chain.as_mut());
-    let t0 = chain.now();
-    let interval = SimDuration::from_millis(50);
-    let mut next_send: Vec<SimTime> = (0..CLIENTS).map(|_| t0).collect();
-    let mut seen_height = 0u64;
-    let mut committed = 0u64;
-    let mut out = String::new();
-    for sec in 0..SECS {
-        if sec == 3 {
-            chain.inject(Fault::Crash(victim));
-            chain.inject(Fault::TornTail(victim));
-        }
-        if sec == 7 {
-            chain.inject(Fault::Restart(victim));
-        }
-        let step_end = t0 + SimDuration::from_secs(sec + 1);
-        loop {
-            let Some((ci, t)) = next_send
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, t)| t < step_end)
-                .min_by_key(|&(_, t)| t)
-            else {
-                break;
-            };
-            chain.advance_to(t);
-            let tx = workload.next_transaction(ClientId(ci as u32));
-            if !chain.submit(NodeId(ci as u32 % NODES), tx) {
-                workload.on_rejected(ClientId(ci as u32));
+    timeline(
+        platform,
+        4,
+        20,
+        SimDuration::from_millis(50),
+        |sec, chain| {
+            if sec == 3 {
+                chain.inject(Fault::Crash(victim));
+                chain.inject(Fault::TornTail(victim));
             }
-            next_send[ci] = t + interval;
-        }
-        chain.advance_to(step_end);
-        for block in chain.confirmed_blocks_since(seen_height) {
-            seen_height = seen_height.max(block.height);
-            committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
-        }
-        let stats = chain.stats();
-        out.push_str(&format!(
-            "t={} committed={committed} main={} recovery_ms={} resync={} wal={}+{}\n",
-            sec + 1,
-            stats.blocks_main,
-            stats.recovery_ms,
-            stats.resync_blocks,
-            stats.wal_records_replayed,
-            stats.wal_tail_truncated,
-        ));
-    }
-    out
+            if sec == 7 {
+                chain.inject(Fault::Restart(victim));
+            }
+        },
+        |stats| {
+            format!(
+                "main={} recovery_ms={} resync={} wal={}+{}",
+                stats.blocks_main,
+                stats.recovery_ms,
+                stats.resync_blocks,
+                stats.wal_records_replayed,
+                stats.wal_tail_truncated,
+            )
+        },
+    )
 }
 
 #[test]
-fn restart_and_catchup_replay_identically_when_sharded() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn restart_and_catchup_replay_identically() {
     for platform in ALL_PLATFORMS {
-        engine_serial();
-        let serial = restart_timeline(platform, 42);
-        engine_sharded();
-        let sharded = restart_timeline(platform, 42);
-        assert_eq!(
-            serial,
-            sharded,
-            "{}: restart timeline diverged between serial and sharded engines",
-            platform.name()
-        );
+        let run = assert_replays(&format!("{} restart timeline", platform.name()), || {
+            restart_timeline(platform)
+        });
         // The timeline must actually contain a completed recovery — the
         // comparison is meaningless over a run where the victim never
         // caught back up.
-        let last = serial.lines().last().expect("timeline non-empty");
+        let last = run.lines().last().expect("timeline non-empty");
         let field = |name: &str| {
             last.split_whitespace()
                 .find_map(|kv| kv.strip_prefix(name))
@@ -456,7 +334,6 @@ fn restart_and_catchup_replay_identically_when_sharded() {
             platform.name()
         );
     }
-    engine_env_reset();
 }
 
 /// A composite [`ChaosPlan`] — flapping partition, gossip jitter, a
@@ -464,7 +341,7 @@ fn restart_and_catchup_replay_identically_when_sharded() {
 /// through the chaos runner. Byzantine actors are clock-driven (no RNG)
 /// and jitter flows through the seeded network stream, so the full
 /// per-second series, the honest-rejection counts and every node's
-/// committed chain must be byte-identical serial vs sharded.
+/// committed chain must replay byte for byte.
 fn chaos_run_fingerprint(platform: Platform, seed: u64) -> String {
     let plan = ChaosPlan::new()
         .flapping_partition(SimDuration::from_secs(4), SimDuration::from_millis(1000), 3, 3)
@@ -491,48 +368,31 @@ fn chaos_run_fingerprint(platform: Platform, seed: u64) -> String {
 }
 
 #[test]
-fn chaos_plan_runs_byte_identical_serial_vs_sharded() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn chaos_plan_runs_replay_byte_identical() {
     for platform in ALL_PLATFORMS {
-        engine_serial();
-        let serial = chaos_run_fingerprint(platform, 42);
-        engine_sharded();
-        let sharded = chaos_run_fingerprint(platform, 42);
-        assert_eq!(
-            serial,
-            sharded,
-            "{}: chaos run diverged between serial and sharded engines",
-            platform.name()
-        );
+        let run = assert_replays(&format!("{} chaos run", platform.name()), || {
+            chaos_run_fingerprint(platform, 42)
+        });
         // Non-vacuity: the partition really flapped — the fingerprint
         // embeds the stats, so pull the flap count back out of it.
         assert!(
-            serial.contains("partition_flaps: 3"),
+            run.contains("partition_flaps: 3"),
             "{}: expected 3 partition flaps in the run:\n{}",
             platform.name(),
-            serial.lines().next().unwrap_or("")
+            run.lines().next().unwrap_or("")
         );
     }
-    engine_env_reset();
 }
 
 #[test]
-fn crash_and_delay_faults_replay_identically_when_sharded() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn crash_and_delay_faults_replay_identically() {
     for platform in ALL_PLATFORMS {
-        engine_serial();
-        let serial = fault_timeline(platform, 42);
-        engine_sharded();
-        let sharded = fault_timeline(platform, 42);
-        assert_eq!(
-            serial,
-            sharded,
-            "{}: fault timeline diverged between serial and sharded engines",
-            platform.name()
-        );
+        let run = assert_replays(&format!("{} fault timeline", platform.name()), || {
+            fault_timeline(platform)
+        });
         // The timeline itself must show the fault bit: commits exist before
         // the crash, so the comparison is not over an all-zero string.
-        let pre_crash = serial
+        let pre_crash = run
             .lines()
             .nth(4)
             .and_then(|l| l.split_whitespace().nth(1))
@@ -541,6 +401,4 @@ fn crash_and_delay_faults_replay_identically_when_sharded() {
             .unwrap_or(0);
         assert!(pre_crash > 0, "{}: no commits before the crash", platform.name());
     }
-    engine_env_reset();
 }
-
