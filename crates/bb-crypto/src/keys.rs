@@ -14,7 +14,7 @@
 //! public key, this scheme leaks nothing *in-sim* but would be unsound in a
 //! deployed system. DESIGN.md documents the substitution.
 
-use crate::hash::Hash256;
+use crate::hash::{DigestMap, Hash256};
 use std::fmt;
 
 /// A secret signing key.
@@ -105,7 +105,7 @@ impl PublicKey {
 /// service (nodes are authenticated — Section 1 of the paper).
 #[derive(Default, Clone)]
 pub struct KeyRegistry {
-    entries: std::collections::HashMap<PublicKey, KeyPair>,
+    entries: DigestMap<PublicKey, KeyPair>,
 }
 
 impl KeyRegistry {

@@ -3,6 +3,11 @@
 //! The streaming [`Sha256`] hasher supports incremental `update` calls so the
 //! Merkle crates can hash node encodings without intermediate buffers. The
 //! one-shot [`sha256`] helper covers the common case.
+//!
+//! The compression function exists twice: portable scalar code, and the x86
+//! SHA extensions (`sha_ni`) where the CPU reports them. The choice is made
+//! from CPUID on every block and is not something a caller can set; both
+//! return the same words (the tests fold every message through each).
 
 /// First 32 bits of the fractional parts of the square roots of the first 8
 /// primes (the FIPS initial hash value).
@@ -99,6 +104,16 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::compress(&mut self.state, block) {
+            return;
+        }
+        self.compress_scalar(block);
+    }
+
+    /// The portable compression function: the only path on a CPU without the
+    /// SHA extensions, and the reference the hardware one is tested against.
+    fn compress_scalar(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
@@ -142,6 +157,91 @@ impl Sha256 {
         self.state[5] = self.state[5].wrapping_add(f);
         self.state[6] = self.state[6].wrapping_add(g);
         self.state[7] = self.state[7].wrapping_add(h);
+    }
+}
+
+/// The compression function on the x86 SHA extensions. The workspace's only
+/// `unsafe` is in this module (`scripts/verify.sh` checks that), behind the
+/// safe [`sha_ni::compress`].
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compress one block into `state` if this CPU has the SHA extensions;
+    /// `false` means it does not and `state` is untouched. std caches the
+    /// CPUID answer, so asking per block costs a load and a branch.
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        if !(is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1"))
+        {
+            return false;
+        }
+        // SAFETY: every feature `compress_block` is compiled with was
+        // detected on this CPU by the check above.
+        unsafe { compress_block(state, block) };
+        true
+    }
+
+    /// Four rounds per step: `sha256rnds2` does two rounds on the working
+    /// words held as `{a,b,e,f}` and `{c,d,g,h}` (high lane first), and
+    /// `sha256msg1`/`msg2` extend the message schedule four words at a time
+    /// in a ring of the last sixteen.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+        // SAFETY: two unaligned 16-byte loads that together cover exactly
+        // the 32 bytes of the `[u32; 8]`.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let abef_in = _mm_alignr_epi8(cdab, efgh, 8);
+        let cdgh_in = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        // The block is sixteen big-endian words; the lanes are little-endian.
+        let byte_swap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        let mut w = [_mm_setzero_si128(); 4];
+        for (four, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
+            // SAFETY: unaligned 16-byte load of the sixteen bytes
+            // `chunks_exact` guarantees the slice holds.
+            let bytes = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+            *four = _mm_shuffle_epi8(bytes, byte_swap);
+        }
+        let [mut w0, mut w1, mut w2, mut w3] = w;
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+        for k in K.chunks_exact(4) {
+            // SAFETY: unaligned 16-byte load of the four `u32`s `chunks_exact`
+            // guarantees the slice holds.
+            let k = unsafe { _mm_loadu_si128(k.as_ptr().cast()) };
+            let wk = _mm_add_epi32(w0, k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            // The four words sixteen ahead of `w0` take its place in the ring.
+            // Nothing reads what the last four steps compute here, and the
+            // unrolled loop drops it.
+            let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+            let plus_w7 = _mm_add_epi32(sigma0, _mm_alignr_epi8(w3, w2, 4));
+            (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(plus_w7, w3));
+        }
+
+        let feba = _mm_shuffle_epi32(_mm_add_epi32(abef, abef_in), 0x1B);
+        let dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh_in), 0xB1);
+        // SAFETY: two unaligned 16-byte stores that together cover exactly
+        // the 32 bytes of the `[u32; 8]`, which is borrowed mutably.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), _mm_alignr_epi8(dchg, feba, 8));
+        }
     }
 }
 
@@ -205,12 +305,23 @@ mod tests {
     }
 
     #[test]
-    fn fifty_five_and_fifty_six_bytes() {
-        // 55 bytes is the largest message padded within one block; 56 spills.
-        let d55 = [b'x'; 55];
-        let d56 = [b'x'; 56];
-        assert_ne!(sha256(&d55), sha256(&d56));
-        assert_eq!(sha256(&d55), sha256(&d55));
+    fn padding_edge_known_answers() {
+        // 55 bytes is the largest message padded within one block, 56 spills
+        // the length into a second, 63/64/65 straddle the block boundary and
+        // 119/120 are the first edge one block later. The messages are the
+        // bytes 0, 1, 2, …; the digests are python3 hashlib's.
+        for (len, digest) in [
+            (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"),
+            (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"),
+            (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"),
+            (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"),
+            (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781"),
+            (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"),
+            (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c"),
+        ] {
+            let message: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(hex(&sha256(&message)), digest, "{len} bytes");
+        }
     }
 
     #[test]
@@ -290,6 +401,101 @@ mod seeded_props {
             let mut ext = data.clone();
             ext.push(rng.below(256) as u8);
             assert_ne!(sha256(&data), sha256(&ext));
+        }
+    }
+}
+
+/// The two compression functions against each other and against the
+/// dispatching [`sha256`]. Nothing selects a path from outside, so the tests
+/// call each function directly; where the host lacks the SHA extensions the
+/// hardware half cannot run and says so.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use bb_sim::SimRng;
+    use std::io::Write;
+
+    /// Both take `(state, block)` and say whether they ran.
+    type Compress = fn(&mut [u32; 8], &[u8; 64]) -> bool;
+
+    fn scalar(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        let mut h = Sha256 { state: *state, ..Sha256::new() };
+        h.compress_scalar(block);
+        *state = h.state;
+        true
+    }
+
+    fn hardware(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return sha_ni::compress(state, block);
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    /// Written to the process's stderr in one piece, not through `eprintln!`:
+    /// libtest captures the macro's output of a passing test, and a skipped
+    /// half must not read as having run.
+    fn report_skipped(test: &str) {
+        let line = format!(
+            "\nsha256::differential::{test}: hardware half SKIPPED, no SHA extensions on this host\n"
+        );
+        std::io::stderr().write_all(line.as_bytes()).expect("stderr");
+    }
+
+    #[test]
+    fn hardware_matches_scalar_on_random_states_and_blocks() {
+        let mut rng = SimRng::seed_from_u64(0x5EED_0003);
+        for _ in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let (mut soft, mut hard) = (state, state);
+            scalar(&mut soft, &block);
+            if !hardware(&mut hard, &block) {
+                return report_skipped("hardware_matches_scalar_on_random_states_and_blocks");
+            }
+            assert_eq!(soft, hard, "state {state:08x?} block {block:02x?}");
+        }
+    }
+
+    /// FIPS 180-4 §5.1.1 padding written out the slow way and folded over
+    /// one compression function, sharing no arithmetic with `finalize`.
+    fn digest_with(compress: Compress, message: &[u8]) -> Option<[u8; 32]> {
+        let mut padded = message.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(message.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            if !compress(&mut state, block.try_into().expect("chunks_exact(64)")) {
+                return None;
+            }
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn every_length_to_300_through_each_compress() {
+        let mut data = [0u8; 300];
+        SimRng::seed_from_u64(0x5EED_0004).fill_bytes(&mut data);
+        let mut skipped = false;
+        for len in 0..=data.len() {
+            let message = &data[..len];
+            let dispatched = sha256(message);
+            assert_eq!(digest_with(scalar, message), Some(dispatched), "scalar, {len} bytes");
+            match digest_with(hardware, message) {
+                Some(digest) => assert_eq!(digest, dispatched, "hardware, {len} bytes"),
+                None => skipped = true,
+            }
+        }
+        if skipped {
+            report_skipped("every_length_to_300_through_each_compress");
         }
     }
 }

@@ -72,6 +72,24 @@ smoke -p bb-types id
 smoke -p bb-types --doc
 smoke -p bb-consensus request
 
+echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
+# Every layer's hashes bottom out in one `Sha256` with two compression
+# functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
+# tests call both directly; on a host without the SHA extensions their
+# hardware halves print SKIPPED. The release run is for the workspace's only
+# `unsafe` and its wrapping arithmetic with debug assertions off.
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+    echo "crypto: this host has sha_ni: sha256() takes the hardware path, the tests cover both"
+else
+    echo "crypto: this host has no sha_ni: sha256() takes the scalar path, the hardware halves are skipped"
+fi
+smoke -p bb-crypto sha256
+smoke --release -p bb-crypto sha256
+if grep -rnw --include='*.rs' unsafe crates | grep -v '^crates/bb-crypto/src/sha256\.rs:'; then
+    echo "ERROR: \`unsafe\` outside crates/bb-crypto/src/sha256.rs" >&2
+    exit 1
+fi
+
 echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 # The recovery path cuts across every layer (VFS fault injection, WAL
 # replay, durable-state reopen, consensus resume, peer catch-up): run the
