@@ -1221,3 +1221,327 @@ mod seeded_props {
         }
     }
 }
+
+/// Known answers: scripted sequences whose roots, cache counts, node counts
+/// and flushed bytes are literals. `merkle.cache_hits/misses`,
+/// `nodes_flushed/dropped` and `storage.bytes_written` are inside the
+/// benchmark's `result_digest` and every root is inside `results/`, so a
+/// change to this file that moves one of these numbers is a model change.
+#[cfg(test)]
+mod known_answers {
+    use super::*;
+    use bb_crypto::Sha256;
+    use bb_storage::{MemStore, StorageStats};
+
+    /// A `MemStore` that also keeps a running digest of every batch `commit`
+    /// hands it, in order — pins the flushed bytes *and* the DFS flush order —
+    /// and reports their volume as `bytes_written`.
+    struct TapeStore {
+        inner: MemStore,
+        tape: Sha256,
+        bytes_written: u64,
+    }
+
+    impl TapeStore {
+        fn over(inner: MemStore) -> Self {
+            TapeStore { inner, tape: Sha256::new(), bytes_written: 0 }
+        }
+    }
+
+    impl KvStore for TapeStore {
+        fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+            self.inner.put(key, value)
+        }
+        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
+            self.inner.delete(key)
+        }
+        fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
+            for (key, value) in batch.ops() {
+                let value = value.as_deref().unwrap_or(b"<deleted>");
+                self.tape.update(&(key.len() as u32).to_be_bytes()).update(key);
+                self.tape.update(&(value.len() as u32).to_be_bytes()).update(value);
+                self.bytes_written += (key.len() + value.len()) as u64;
+            }
+            self.inner.apply_batch(batch)
+        }
+        fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn stats(&self) -> StorageStats {
+            StorageStats { bytes_written: self.bytes_written, ..self.inner.stats() }
+        }
+    }
+
+    /// Everything a script pins at one point of its run.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Pin {
+        root: String,
+        cache: (u64, u64),
+        written: u64,
+        flushed: u64,
+        dropped: u64,
+        pending: usize,
+        bytes_written: u64,
+        store_writes: u64,
+        batches: u64,
+        tape: String,
+    }
+
+    /// A literal [`Pin`]: `nodes` is written/flushed/dropped, `store` is
+    /// bytes written/writes/batches.
+    fn expect(
+        root: &str,
+        cache: (u64, u64),
+        nodes: [u64; 3],
+        pending: usize,
+        store: [u64; 3],
+        tape: &str,
+    ) -> Pin {
+        Pin {
+            root: root.into(),
+            cache,
+            written: nodes[0],
+            flushed: nodes[1],
+            dropped: nodes[2],
+            pending,
+            bytes_written: store[0],
+            store_writes: store[1],
+            batches: store[2],
+            tape: tape.into(),
+        }
+    }
+
+    fn pin(t: &PatriciaTrie<TapeStore>) -> Pin {
+        let stats = t.store().stats();
+        Pin {
+            root: t.root().to_hex(),
+            cache: t.cache_stats(),
+            written: t.nodes_written(),
+            flushed: t.nodes_flushed(),
+            dropped: t.nodes_dropped(),
+            pending: t.pending_nodes(),
+            bytes_written: stats.bytes_written,
+            store_writes: stats.writes,
+            batches: stats.batch_writes,
+            tape: Hash256(t.store().tape.clone().finalize()).to_hex(),
+        }
+    }
+
+    /// Insert every key (a block seal after every 64th and at the end), read
+    /// everything ten times, overwrite everything in one block. Returns the
+    /// pins after the load, after the reads and at the end.
+    fn load_read_overwrite(keys: &[Vec<u8>]) -> [Pin; 3] {
+        let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
+        for (i, k) in keys.iter().enumerate() {
+            t.insert(k, b"value-bytes-here").unwrap();
+            if i % 64 == 63 {
+                t.commit().unwrap();
+            }
+        }
+        t.commit().unwrap();
+        let loaded = pin(&t);
+        for _ in 0..10 {
+            for k in keys {
+                assert_eq!(t.get(k).unwrap().as_deref(), Some(&b"value-bytes-here"[..]));
+            }
+        }
+        let read = pin(&t);
+        for k in keys {
+            t.insert(k, b"another-value-16").unwrap();
+        }
+        t.commit().unwrap();
+        [loaded, read, pin(&t)]
+    }
+
+    #[test]
+    fn sequential_keys_that_fit_the_cache() {
+        let keys: Vec<Vec<u8>> = (0..20_000u64).map(|i| i.to_be_bytes().to_vec()).collect();
+        let pins = load_read_overwrite(&keys);
+        let want = [
+            expect(
+                "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
+                (94_153, 0),
+                [115_489, 1_810, 79_079],
+                0,
+                [457_054, 1_810, 313],
+                "d7497ebec6d716fe48e2bdb7342ae82748684d4bbf6148efb966a5ea64771ea5",
+            ),
+            expect(
+                "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
+                (1_294_153, 0),
+                [115_489, 1_810, 79_079],
+                0,
+                [457_054, 1_810, 313],
+                "d7497ebec6d716fe48e2bdb7342ae82748684d4bbf6148efb966a5ea64771ea5",
+            ),
+            expect(
+                "e3eda1c1cc426ed20719892937b4918f52f047dca193d88c24d7a7113dbbae0c",
+                (1_414_153, 0),
+                [235_489, 1_818, 127_088],
+                0,
+                [459_648, 1_818, 314],
+                "dd4c076f1c92d918c080bcdb766f86496897d96f58c9ec27ad4bfbe9a0ed38b0",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
+
+    #[test]
+    fn hashed_keys_that_cross_the_cache_cap() {
+        let keys: Vec<Vec<u8>> =
+            (0..60_000u64).map(|i| bb_crypto::sha256(&i.to_be_bytes())[..20].to_vec()).collect();
+        let pins = load_read_overwrite(&keys);
+        let want = [
+            expect(
+                "cc90f69667245783cc1221184ee56b0eb5c5b738b603b129185f7471b1060ece",
+                (235_752, 21_073),
+                [338_283, 226_808, 111_475],
+                0,
+                [59_475_218, 226_808, 938],
+                "68c8da4e4c1063435360a0ec5cb8180aa5f62b23018ee7fdce9da71a08a34a03",
+            ),
+            expect(
+                "cc90f69667245783cc1221184ee56b0eb5c5b738b603b129185f7471b1060ece",
+                (3_516_334, 136_391),
+                [338_283, 226_808, 111_475],
+                0,
+                [59_475_218, 226_808, 938],
+                "68c8da4e4c1063435360a0ec5cb8180aa5f62b23018ee7fdce9da71a08a34a03",
+            ),
+            expect(
+                "020684445b18a1b83c023fdc90845ae6331c50e274b54192921bab3b463f33c8",
+                (3_764_617, 227_698),
+                [677_873, 308_266, 369_607],
+                0,
+                [68_396_288, 308_266, 939],
+                "334d315501adf94687fd906be259fdeaa9452819d0a73d2377e5cbf59f5cd36a",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
+
+    /// The rarer paths in one short life: removals that collapse branches, a
+    /// rewind to a sealed root after a crash, a historical read, and a commit
+    /// refused by a full store and retried once there is room.
+    #[test]
+    fn remove_rewind_crash_and_refused_commit() {
+        let key = |i: u32| format!("acct{i:03}").into_bytes();
+        let mut pins = Vec::new();
+        let mut t = PatriciaTrie::new(TapeStore::over(MemStore::with_capacity_cap(40_000)));
+        for i in 0..40 {
+            t.insert(&key(i), format!("balance-of-account-{i:03}").as_bytes()).unwrap();
+        }
+        t.insert(b"", b"empty key lands on a branch").unwrap();
+        t.insert(b"acct", b"prefix key lands on a branch").unwrap();
+        t.commit().unwrap();
+        let sealed = t.root();
+        pins.push(pin(&t));
+
+        // An unsealed block: removals, overwrites, new keys. Then power is cut.
+        for i in (0..40).step_by(4) {
+            t.remove(&key(i)).unwrap();
+        }
+        t.remove(b"acct").unwrap();
+        t.remove(b"absent").unwrap();
+        for i in 40..45 {
+            t.insert(&key(i), b"new").unwrap();
+        }
+        for i in 1..6 {
+            t.insert(&key(i), b"overwritten").unwrap();
+        }
+        assert_eq!(t.get(&key(0)).unwrap(), None);
+        assert_eq!(t.get(&key(1)).unwrap().as_deref(), Some(&b"overwritten"[..]));
+        pins.push(pin(&t));
+        t.drop_volatile();
+        t.set_root(sealed);
+        for i in 0..40 {
+            assert_eq!(t.get(&key(i)).unwrap(), Some(format!("balance-of-account-{i:03}").into_bytes()));
+        }
+        assert_eq!(t.get(&key(40)).unwrap(), None);
+        pins.push(pin(&t));
+
+        // A sealed block of removals; the older root stays readable.
+        for i in (0..40).step_by(3) {
+            t.remove(&key(i)).unwrap();
+        }
+        t.remove(b"").unwrap();
+        t.commit().unwrap();
+        let thinned = t.root();
+        assert_eq!(t.get_at(sealed, &key(3)).unwrap(), Some(b"balance-of-account-003".to_vec()));
+        assert_eq!(t.get_at(sealed, b"").unwrap().as_deref(), Some(&b"empty key lands on a branch"[..]));
+        assert_eq!(t.get(&key(3)).unwrap(), None);
+        assert_eq!(t.get_frozen(&key(4)).unwrap(), Some(b"balance-of-account-004".to_vec()));
+        assert_eq!(t.collect_all().unwrap().len(), 27);
+        pins.push(pin(&t));
+
+        // A block too big for the store: the commit is refused, the overlay
+        // keeps serving it, and the retry goes through once it has shrunk.
+        for i in 100..140 {
+            t.insert(&key(i), &[i as u8; 600]).unwrap();
+        }
+        assert!(matches!(t.commit().unwrap_err(), KvError::OutOfSpace { .. }));
+        t.cache.clear();
+        assert_eq!(t.get(&key(139)).unwrap(), Some(vec![139u8; 600]));
+        pins.push(pin(&t));
+        for i in 100..140 {
+            t.remove(&key(i)).unwrap();
+        }
+        assert_eq!(t.root(), thinned);
+        t.commit().unwrap();
+        pins.push(pin(&t));
+        let want = [
+            expect(
+                "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
+                (130, 0),
+                [183, 53, 130],
+                0,
+                [4_734, 53, 1],
+                "d563d0bc0cda0ba170f75bc252c7fd31a6574bd36ba6f92095300a468a041cad",
+            ),
+            expect(
+                "520a51ba843a31ba8bcae61a368ec14681c1f266272ea7a13f1ecabfeb447f8a",
+                (278, 0),
+                [314, 53, 130],
+                123,
+                [4_734, 53, 1],
+                "d563d0bc0cda0ba170f75bc252c7fd31a6574bd36ba6f92095300a468a041cad",
+            ),
+            expect(
+                "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
+                (550, 53),
+                [314, 53, 253],
+                0,
+                [4_734, 53, 1],
+                "d563d0bc0cda0ba170f75bc252c7fd31a6574bd36ba6f92095300a468a041cad",
+            ),
+            expect(
+                "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
+                (717, 53),
+                [413, 65, 340],
+                0,
+                [6_402, 65, 2],
+                "bb146de66f6eaf27fb5ca502ca5f6da58e4c0be2c4986c260c95bd6d22022426",
+            ),
+            expect(
+                "908ee5466b6493d0c690cf4e1aefff058b52bf9093222a4a8c8f4526c099423d",
+                (964, 61),
+                [711, 65, 340],
+                298,
+                [34_327, 116, 3],
+                "19f0b28b18f9aa195db50f7a9de79698c2b6223b0327afd07021900636af6aaf",
+            ),
+            expect(
+                "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
+                (1_216, 107),
+                [958, 68, 882],
+                0,
+                [34_575, 119, 4],
+                "79cdfbb7866ab9b569998f5a9685737ce6f23b5488b3e63e9acd155b77518637",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
+}
