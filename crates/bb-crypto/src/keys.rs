@@ -6,9 +6,10 @@
 //! unforgeable — a verifier holding the public key rejects any payload whose
 //! signature was not produced by the matching secret key — which is all the
 //! benchmark requires. The *cost* of real ECDSA is charged separately by each
-//! platform's CPU model (see `blockbench::calibration`), since that cost —
-//! not the algebra — is what shaped the paper's results (Parity's signing
-//! bottleneck).
+//! platform's CPU model (`bb_ethereum::config::EvmCosts::sig_verify`,
+//! `ParityConfig::produce_sign_cost`, `FabricConfig::msg_process_cost`),
+//! since that cost — not the algebra — is what shaped the paper's results
+//! (Parity's signing bottleneck).
 //!
 //! Note: because verification recomputes the tag from the secret-derived
 //! public key, this scheme leaks nothing *in-sim* but would be unsound in a

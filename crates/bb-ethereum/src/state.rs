@@ -197,14 +197,14 @@ impl<S: KvStore> AccountState<S> {
     }
 
     /// Drop everything volatile in the state trie — the uncommitted dirty
-    /// overlay and the decoded-node cache — keeping only what the backing
+    /// overlay and the node cache — keeping only what the backing
     /// store holds. Crash-injection calls this; the root is left for the
     /// caller to rewind to a durable one.
     pub fn drop_volatile(&mut self) {
         self.trie.drop_volatile();
     }
 
-    /// Decoded-node cache `(hits, misses)` of the state trie (stats).
+    /// Node cache `(hits, misses)` of the state trie (stats).
     pub fn trie_cache_stats(&self) -> (u64, u64) {
         self.trie.cache_stats()
     }

@@ -7,6 +7,14 @@
 //! exactly like geth v1.4 — this is the mechanism behind the
 //! order-of-magnitude disk-usage gap the paper measures in Figure 12(c).
 //!
+//! A node's **encoding is its only representation**. It is what gets
+//! hashed, what the store holds, and what the trie keeps in memory: one
+//! exact-size `Arc<[u8]>` per node, shared by the node cache and the
+//! dirty-node overlay. Walks read it in place through `View`, a borrowed,
+//! bounds-checked parse; new nodes are written straight into a reused
+//! buffer by the `write_*` functions. There is no decoded form to build,
+//! clone or re-encode.
+//!
 //! Writes are **block-scoped**: `insert`/`remove` park encoded nodes in an
 //! in-memory dirty-node overlay, and [`PatriciaTrie::commit`] at block-seal
 //! time flushes only the nodes reachable from the committed root as one
@@ -21,23 +29,27 @@
 
 use bb_crypto::{DigestMap, Hash256};
 use bb_storage::{KvError, KvStore, WriteBatch};
+use std::sync::Arc;
 
-/// Decoded-node cache capacity. Nodes are content-addressed and immutable,
-/// so the only cost of a stale-free cache is memory; when it fills we drop
-/// it wholesale (cheapest possible policy, and the working set of a macro
-/// run refills it within one block).
+/// Node cache capacity, in nodes. Nodes are content-addressed and
+/// immutable, so the only cost of a stale-free cache is memory — a 48-byte
+/// slot (hash + pointer) and the node's encoding, which an uncommitted
+/// node shares with the overlay; when it fills we drop it wholesale
+/// (cheapest possible policy, and the working set of a macro run refills
+/// it within one block).
 const NODE_CACHE_CAP: usize = 1 << 17;
 
 /// Merkle-Patricia trie handle owning its backing store.
 pub struct PatriciaTrie<S: KvStore> {
     store: S,
     root: Hash256,
-    /// Uncommitted encoded nodes by hash. `put_node` lands here instead of
-    /// the store; `commit` flushes the subset reachable from the committed
-    /// root and drops the rest. Because nodes are content-addressed, every
-    /// ancestor of an overlay node is itself in the overlay, so reads that
-    /// miss the overlay can fall through to the store unconditionally.
-    overlay: DigestMap<Hash256, Vec<u8>>,
+    /// Uncommitted nodes' encodings by hash. Every written node lands here
+    /// instead of the store; `commit` flushes the subset reachable from the
+    /// committed root and drops the rest. Because nodes are
+    /// content-addressed, every ancestor of an overlay node is itself in
+    /// the overlay, so reads that miss the overlay can fall through to the
+    /// store unconditionally.
+    overlay: DigestMap<Hash256, Arc<[u8]>>,
     /// Nodes written (hashed) since construction — the write-amplification
     /// numerator an eager-write trie would have paid to storage.
     nodes_written: u64,
@@ -46,142 +58,180 @@ pub struct PatriciaTrie<S: KvStore> {
     /// Overlay nodes discarded by `commit` calls (garbage interior roots
     /// from per-transaction application inside a block).
     nodes_dropped: u64,
-    /// Decoded nodes by hash. Content-addressing makes entries immutable,
-    /// so the cache can never go stale — it only skips store reads and
-    /// re-decodes, never changes what a walk observes (determinism-safe:
-    /// no simulated cost model consumes store read counters).
-    cache: DigestMap<Hash256, Node>,
+    /// Recently walked or written nodes' encodings by hash, each checked by
+    /// [`View::parse`] before it got here (`Arc`, not `Rc`: a simulated
+    /// world is `Send`). Content-addressing makes entries immutable, so the
+    /// cache can never go stale — it only skips overlay and store reads,
+    /// never changes what a walk observes (determinism-safe: no simulated
+    /// cost model consumes store read counters).
+    cache: DigestMap<Hash256, Arc<[u8]>>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Scratch buffer reused across `put_node` encodings.
+    /// Scratch buffer every new node is encoded into before it is hashed.
     encode_buf: Vec<u8>,
     /// Scratch buffer reused across key→nibble conversions.
     nibble_buf: Vec<u8>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Node {
-    /// Terminal node holding a value at the end of `path` nibbles.
-    Leaf { path: Vec<u8>, value: Vec<u8> },
-    /// Path compression: `path` nibbles leading to a single child.
-    Ext { path: Vec<u8>, child: Hash256 },
-    /// 16-way fan-out with an optional value terminating exactly here. The
-    /// 512-byte child table sits behind a pointer: every slot of the
-    /// decoded-node cache holds a `Node`, filled or not, and with the table
-    /// inline each full cache was a 150 MB hash table — 1.2 GB across an
-    /// 8-node run, grown by doubling and page-faulted in while it ran.
-    Branch { children: Box<[Hash256; 16]>, value: Option<Vec<u8>> },
-}
-
-const _: () = assert!(std::mem::size_of::<Node>() <= 64);
-
-fn no_children() -> Box<[Hash256; 16]> {
-    Box::new([Hash256::ZERO; 16])
 }
 
 const TAG_LEAF: u8 = 0;
 const TAG_EXT: u8 = 1;
 const TAG_BRANCH: u8 = 2;
 
+/// A node read in place: every slice borrows from the encoding, and
+/// [`View::parse`] has checked every length against it.
+enum View<'a> {
+    /// Terminal node holding a value at the end of `path` nibbles.
+    Leaf { path: &'a [u8], value: &'a [u8] },
+    /// Path compression: `path` nibbles leading to a single child.
+    Ext { path: &'a [u8], child: Hash256 },
+    /// 16-way fan-out with an optional value terminating exactly here.
+    Branch(Branch<'a>),
+}
+
+#[derive(Clone, Copy)]
+struct Branch<'a> {
+    /// Bit `i` set: slot `i` has a child.
+    bitmap: u16,
+    /// The present slots' hashes only, packed in slot order:
+    /// `32 * bitmap.count_ones()` bytes.
+    children: &'a [u8],
+    value: Option<&'a [u8]>,
+}
+
+impl Branch<'_> {
+    /// The child in slot `i` ([`Hash256::ZERO`] when there is none).
+    fn child(&self, i: usize) -> Hash256 {
+        if self.bitmap >> i & 1 == 0 {
+            return Hash256::ZERO;
+        }
+        hash_at(self.children, packed_offset(self.bitmap, i))
+    }
+}
+
+/// Where slot `i`'s hash sits (or would be inserted) in a packed child table.
+fn packed_offset(bitmap: u16, i: usize) -> usize {
+    32 * (bitmap & ((1 << i) - 1)).count_ones() as usize
+}
+
+fn hash_at(bytes: &[u8], at: usize) -> Hash256 {
+    Hash256(bytes[at..at + 32].try_into().expect("32-byte slice"))
+}
+
+/// Cursor over an encoding whose every read is checked against what is left.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn corrupt() -> KvError {
+        KvError::Corrupt("malformed trie node".into())
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], KvError> {
+        if n > self.0.len() {
+            return Err(Self::corrupt());
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// A `u32` length and that many bytes.
+    fn prefixed(&mut self) -> Result<&'a [u8], KvError> {
+        let len = u32::from_be_bytes(self.take(4)?.try_into().expect("took 4"));
+        self.take(len as usize)
+    }
+}
+
+impl<'a> View<'a> {
+    /// Check `bytes` once — every length prefix, and a branch's whole child
+    /// table against its bitmap before any slot is read — so a damaged
+    /// stored node is a [`KvError::Corrupt`], never an out-of-bounds index.
+    fn parse(bytes: &'a [u8]) -> Result<View<'a>, KvError> {
+        let mut r = Reader(bytes);
+        match r.take(1)?[0] {
+            TAG_LEAF => Ok(View::Leaf { path: r.prefixed()?, value: r.prefixed()? }),
+            TAG_EXT => Ok(View::Ext { path: r.prefixed()?, child: hash_at(r.take(32)?, 0) }),
+            TAG_BRANCH => {
+                let bitmap = u16::from_be_bytes(r.take(2)?.try_into().expect("took 2"));
+                let children = r.take(32 * bitmap.count_ones() as usize)?;
+                let value = match r.take(1)?[0] {
+                    0 => None,
+                    1 => Some(r.prefixed()?),
+                    _ => return Err(Reader::corrupt()),
+                };
+                Ok(View::Branch(Branch { bitmap, children, value }))
+            }
+            _ => Err(Reader::corrupt()),
+        }
+    }
+}
+
+fn write_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(bytes);
+}
+
+fn write_leaf(out: &mut Vec<u8>, path: &[u8], value: &[u8]) {
+    out.push(TAG_LEAF);
+    write_prefixed(out, path);
+    write_prefixed(out, value);
+}
+
+fn write_ext(out: &mut Vec<u8>, path: &[u8], child: &Hash256) {
+    out.push(TAG_EXT);
+    write_prefixed(out, path);
+    out.extend_from_slice(&child.0);
+}
+
+/// Write branch `b`, after setting slot `i` to `hash` if `set` is
+/// `Some((i, hash))`: the packed table is copied with that one 32-byte slot
+/// replaced, inserted, or — for [`Hash256::ZERO`] — left out.
+fn write_branch(out: &mut Vec<u8>, b: Branch<'_>, set: Option<(usize, Hash256)>) {
+    out.push(TAG_BRANCH);
+    match set {
+        None => {
+            out.extend_from_slice(&b.bitmap.to_be_bytes());
+            out.extend_from_slice(b.children);
+        }
+        Some((i, hash)) => {
+            let bit = 1u16 << i;
+            let at = packed_offset(b.bitmap, i);
+            let after = if b.bitmap & bit == 0 { at } else { at + 32 };
+            let bitmap = if hash.is_zero() { b.bitmap & !bit } else { b.bitmap | bit };
+            out.extend_from_slice(&bitmap.to_be_bytes());
+            out.extend_from_slice(&b.children[..at]);
+            if !hash.is_zero() {
+                out.extend_from_slice(&hash.0);
+            }
+            out.extend_from_slice(&b.children[after..]);
+        }
+    }
+    match b.value {
+        Some(v) => {
+            out.push(1);
+            write_prefixed(out, v);
+        }
+        None => out.push(0),
+    }
+}
+
+/// A node's encoding as an owned buffer (the rare `remove` paths, whose
+/// replacement nodes travel up the recursion before they are stored).
+fn encoded(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    write(&mut out);
+    out
+}
+
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-impl Node {
-    #[cfg(test)]
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Append this node's encoding to `out` (cleared first) — lets callers
-    /// reuse one allocation across many encodings.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            Node::Leaf { path, value } => {
-                out.push(TAG_LEAF);
-                out.extend_from_slice(&(path.len() as u32).to_be_bytes());
-                out.extend_from_slice(path);
-                out.extend_from_slice(&(value.len() as u32).to_be_bytes());
-                out.extend_from_slice(value);
-            }
-            Node::Ext { path, child } => {
-                out.push(TAG_EXT);
-                out.extend_from_slice(&(path.len() as u32).to_be_bytes());
-                out.extend_from_slice(path);
-                out.extend_from_slice(&child.0);
-            }
-            Node::Branch { children, value } => {
-                out.push(TAG_BRANCH);
-                let mut bitmap = 0u16;
-                for (i, c) in children.iter().enumerate() {
-                    if !c.is_zero() {
-                        bitmap |= 1 << i;
-                    }
-                }
-                out.extend_from_slice(&bitmap.to_be_bytes());
-                for c in children.iter().filter(|c| !c.is_zero()) {
-                    out.extend_from_slice(&c.0);
-                }
-                match value {
-                    Some(v) => {
-                        out.push(1);
-                        out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                        out.extend_from_slice(v);
-                    }
-                    None => out.push(0),
-                }
-            }
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Node, KvError> {
-        let corrupt = || KvError::Corrupt("malformed trie node".into());
-        let tag = *bytes.first().ok_or_else(corrupt)?;
-        let rest = &bytes[1..];
-        match tag {
-            TAG_LEAF => {
-                let plen = u32::from_be_bytes(rest.get(0..4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
-                let path = rest.get(4..4 + plen).ok_or_else(corrupt)?.to_vec();
-                let at = 4 + plen;
-                let vlen = u32::from_be_bytes(rest.get(at..at + 4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
-                let value = rest.get(at + 4..at + 4 + vlen).ok_or_else(corrupt)?.to_vec();
-                Ok(Node::Leaf { path, value })
-            }
-            TAG_EXT => {
-                let plen = u32::from_be_bytes(rest.get(0..4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
-                let path = rest.get(4..4 + plen).ok_or_else(corrupt)?.to_vec();
-                let at = 4 + plen;
-                let child = Hash256(rest.get(at..at + 32).ok_or_else(corrupt)?.try_into().expect("32"));
-                Ok(Node::Ext { path, child })
-            }
-            TAG_BRANCH => {
-                let bitmap = u16::from_be_bytes(rest.get(0..2).ok_or_else(corrupt)?.try_into().expect("2"));
-                let mut children = no_children();
-                let mut at = 2;
-                for (i, slot) in children.iter_mut().enumerate() {
-                    if bitmap & (1 << i) != 0 {
-                        *slot = Hash256(rest.get(at..at + 32).ok_or_else(corrupt)?.try_into().expect("32"));
-                        at += 32;
-                    }
-                }
-                let has_value = *rest.get(at).ok_or_else(corrupt)?;
-                at += 1;
-                let value = match has_value {
-                    0 => None,
-                    1 => {
-                        let vlen = u32::from_be_bytes(rest.get(at..at + 4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
-                        Some(rest.get(at + 4..at + 4 + vlen).ok_or_else(corrupt)?.to_vec())
-                    }
-                    _ => return Err(corrupt()),
-                };
-                Ok(Node::Branch { children, value })
-            }
-            _ => Err(corrupt()),
-        }
-    }
+/// What the old subtree contributes to the branch where a new key forks
+/// off it: a child in a slot, or — when the old key ends at the fork — the
+/// branch's own value.
+enum OldSide<'a> {
+    Child(u8, Hash256),
+    Value(&'a [u8]),
 }
 
 impl<S: KvStore> PatriciaTrie<S> {
@@ -244,62 +294,84 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.overlay.len()
     }
 
-    /// Decoded-node cache `(hits, misses)` since construction.
+    /// Node cache `(hits, misses)` since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
 
     /// Drop everything that would not survive a power cut: the uncommitted
-    /// dirty-node overlay and the decoded-node cache. The crash-fault path
-    /// calls this so a "crashed" node keeps only what its store persisted;
-    /// the root is NOT touched — callers rewind it to a durable root
-    /// themselves (the current one may reference overlay-only nodes).
+    /// dirty-node overlay and the node cache. The crash-fault path calls
+    /// this so a "crashed" node keeps only what its store persisted; the
+    /// root is NOT touched — callers rewind it to a durable root themselves
+    /// (the current one may reference overlay-only nodes).
     pub fn drop_volatile(&mut self) {
         self.nodes_dropped += self.overlay.len() as u64;
         self.overlay.clear();
         self.cache.clear();
     }
 
-    fn load(&mut self, hash: &Hash256) -> Result<Node, KvError> {
-        if let Some(node) = self.cache.get(hash) {
+    /// The node `hash` for an update walk, which goes on to write while it
+    /// reads: a hit costs a reference count, not a copy.
+    fn load(&mut self, hash: &Hash256) -> Result<Arc<[u8]>, KvError> {
+        if let Some(bytes) = self.cache.get(hash) {
             self.cache_hits += 1;
-            return Ok(node.clone());
+            return Ok(bytes.clone());
         }
-        self.cache_misses += 1;
+        self.load_uncached(hash, true)
+    }
+
+    /// The node `hash` after a cache miss, checked. `counted` walks record
+    /// the miss and leave the node in the cache; frozen ones leave no trace.
+    fn load_uncached(&mut self, hash: &Hash256, counted: bool) -> Result<Arc<[u8]>, KvError> {
+        if counted {
+            self.cache_misses += 1;
+        }
         // Overlay before store: uncommitted nodes exist nowhere else. The
         // reverse order would also be correct (hashes collide only for
         // identical bytes) but would charge the store a read per miss.
-        let node = if let Some(bytes) = self.overlay.get(hash) {
-            Node::decode(bytes)?
-        } else {
-            let bytes = self
+        let bytes = match self.overlay.get(hash) {
+            Some(bytes) => bytes.clone(),
+            None => self
                 .store
                 .get(&hash.0)?
-                .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?;
-            Node::decode(&bytes)?
+                .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?
+                .into(),
         };
-        self.cache_insert(*hash, node.clone());
-        Ok(node)
+        View::parse(&bytes)?;
+        if counted {
+            self.cache_insert(*hash, bytes.clone());
+        }
+        Ok(bytes)
     }
 
-    fn cache_insert(&mut self, hash: Hash256, node: Node) {
+    fn cache_insert(&mut self, hash: Hash256, bytes: Arc<[u8]>) {
         if self.cache.len() >= NODE_CACHE_CAP {
             self.cache.clear();
         }
-        self.cache.insert(hash, node);
+        self.cache.insert(hash, bytes);
     }
 
-    fn put_node(&mut self, node: Node) -> Result<Hash256, KvError> {
-        let mut bytes = std::mem::take(&mut self.encode_buf);
-        node.encode_into(&mut bytes);
-        let hash = Hash256::digest(&bytes);
+    /// Hash and park a new node: one allocation, shared by the overlay and
+    /// the cache.
+    fn put_bytes(&mut self, encoding: &[u8]) -> Hash256 {
+        let hash = Hash256::digest(encoding);
+        let bytes: Arc<[u8]> = encoding.into();
         self.overlay.insert(hash, bytes.clone());
-        self.encode_buf = bytes;
         self.nodes_written += 1;
         // A freshly written node is about to be walked again (it sits on
         // the path every subsequent update in this block re-traverses).
-        self.cache_insert(hash, node);
-        Ok(hash)
+        self.cache_insert(hash, bytes);
+        hash
+    }
+
+    /// [`Self::put_bytes`] of what `write` encodes into the scratch buffer.
+    fn put(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Hash256 {
+        let mut buf = std::mem::take(&mut self.encode_buf);
+        buf.clear();
+        write(&mut buf);
+        let hash = self.put_bytes(&buf);
+        self.encode_buf = buf;
+        hash
     }
 
     /// Flush the overlay at a block boundary: persist exactly the nodes
@@ -329,17 +401,17 @@ impl<S: KvStore> PatriciaTrie<S> {
         }
         // Deterministic DFS from the committed root; removal from the
         // overlay doubles as the visited set.
-        let mut staged: Vec<(Hash256, Vec<u8>)> = Vec::new();
+        let mut staged: Vec<(Hash256, Arc<[u8]>)> = Vec::new();
         let mut stack = vec![self.root];
         while let Some(h) = stack.pop() {
             let Some(bytes) = self.overlay.remove(&h) else {
                 continue; // already committed, or already staged
             };
-            match Node::decode(&bytes)? {
-                Node::Leaf { .. } => {}
-                Node::Ext { child, .. } => stack.push(child),
-                Node::Branch { children, .. } => {
-                    stack.extend(children.iter().rev().filter(|c| !c.is_zero()));
+            match View::parse(&bytes)? {
+                View::Leaf { .. } => {}
+                View::Ext { child, .. } => stack.push(child),
+                View::Branch(b) => {
+                    stack.extend(b.children.chunks_exact(32).rev().map(|c| hash_at(c, 0)));
                 }
             }
             staged.push((h, bytes));
@@ -389,108 +461,74 @@ impl<S: KvStore> PatriciaTrie<S> {
     }
 
     /// Fetch `key` at the current root with *no observable side effects* on
-    /// the trie: the decoded-node cache is consulted but never updated and
-    /// the hit/miss counters stay untouched. Speculative executors read the
+    /// the trie: the node cache is consulted but never updated and the
+    /// hit/miss counters stay untouched. Speculative executors read the
     /// pre-state through this so the speculation phase, which is modeled
     /// rather than billed, leaves no trace in a block's counters.
     pub fn get_frozen(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        if self.root.is_zero() {
-            return Ok(None);
-        }
-        let nibbles = self.take_nibbles(key);
-        let out = self.get_frozen_walk(&nibbles);
-        self.restore_nibbles(nibbles);
-        out
-    }
-
-    fn get_frozen_walk(&mut self, nibbles: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let mut path: &[u8] = nibbles;
-        let mut at = self.root;
-        loop {
-            match self.load_frozen(&at)? {
-                Node::Leaf { path: p, value } => {
-                    return Ok(if p == path { Some(value) } else { None });
-                }
-                Node::Ext { path: p, child } => {
-                    if path.starts_with(&p) {
-                        path = &path[p.len()..];
-                        at = child;
-                    } else {
-                        return Ok(None);
-                    }
-                }
-                Node::Branch { children, value } => {
-                    if path.is_empty() {
-                        return Ok(value);
-                    }
-                    let next = children[path[0] as usize];
-                    if next.is_zero() {
-                        return Ok(None);
-                    }
-                    path = &path[1..];
-                    at = next;
-                }
-            }
-        }
-    }
-
-    /// [`Self::load`] minus every side effect: cache read-only, counters
-    /// untouched, nothing inserted.
-    fn load_frozen(&mut self, hash: &Hash256) -> Result<Node, KvError> {
-        if let Some(node) = self.cache.get(hash) {
-            return Ok(node.clone());
-        }
-        let node = if let Some(bytes) = self.overlay.get(hash) {
-            Node::decode(bytes)?
-        } else {
-            let bytes = self
-                .store
-                .get(&hash.0)?
-                .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?;
-            Node::decode(&bytes)?
-        };
-        Ok(node)
+        self.read(self.root, key, false)
     }
 
     /// Fetch the value stored under `key` at a historical `root`.
     pub fn get_at(&mut self, root: Hash256, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
+        self.read(root, key, true)
+    }
+
+    fn read(&mut self, root: Hash256, key: &[u8], counted: bool) -> Result<Option<Vec<u8>>, KvError> {
         if root.is_zero() {
             return Ok(None);
         }
         let nibbles = self.take_nibbles(key);
-        let out = self.get_walk(root, &nibbles);
+        let out = self.read_walk(root, &nibbles, counted);
         self.restore_nibbles(nibbles);
         out
     }
 
-    fn get_walk(&mut self, root: Hash256, nibbles: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        // Narrow a slice over one nibble buffer instead of reallocating the
-        // remaining path at every step — this walk is the hottest loop in
-        // the Ethereum/Parity platforms.
+    /// The one read walk — the hottest loop in the Ethereum/Parity
+    /// platforms. It narrows a slice over one nibble buffer instead of
+    /// reallocating the remaining path at every step, and on a cache hit
+    /// reads the node where it lies: nothing is copied or reference-counted
+    /// but the value it returns.
+    fn read_walk(
+        &mut self,
+        root: Hash256,
+        nibbles: &[u8],
+        counted: bool,
+    ) -> Result<Option<Vec<u8>>, KvError> {
         let mut path: &[u8] = nibbles;
         let mut at = root;
         loop {
-            match self.load(&at)? {
-                Node::Leaf { path: p, value } => {
-                    return Ok(if p == path { Some(value) } else { None });
+            let fetched;
+            let bytes: &[u8] = match self.cache.get(&at) {
+                Some(bytes) => {
+                    self.cache_hits += counted as u64;
+                    bytes
                 }
-                Node::Ext { path: p, child } => {
-                    if path.starts_with(&p) {
-                        path = &path[p.len()..];
-                        at = child;
-                    } else {
+                None => {
+                    fetched = self.load_uncached(&at, counted)?;
+                    &fetched
+                }
+            };
+            match View::parse(bytes)? {
+                View::Leaf { path: p, value } => {
+                    return Ok((p == path).then(|| value.to_vec()));
+                }
+                View::Ext { path: p, child } => {
+                    if !path.starts_with(p) {
                         return Ok(None);
                     }
+                    path = &path[p.len()..];
+                    at = child;
                 }
-                Node::Branch { children, value } => {
-                    if path.is_empty() {
-                        return Ok(value);
-                    }
-                    let next = children[path[0] as usize];
+                View::Branch(b) => {
+                    let Some((&nibble, rest)) = path.split_first() else {
+                        return Ok(b.value.map(<[u8]>::to_vec));
+                    };
+                    let next = b.child(nibble as usize);
                     if next.is_zero() {
                         return Ok(None);
                     }
-                    path = &path[1..];
+                    path = rest;
                     at = next;
                 }
             }
@@ -508,103 +546,82 @@ impl<S: KvStore> PatriciaTrie<S> {
 
     fn insert_at(&mut self, at: Hash256, path: &[u8], value: &[u8]) -> Result<Hash256, KvError> {
         if at.is_zero() {
-            return self.put_node(Node::Leaf { path: path.to_vec(), value: value.to_vec() });
+            return Ok(self.put(|out| write_leaf(out, path, value)));
         }
         let node = self.load(&at)?;
-        let new_node = match node {
-            Node::Leaf { path: p, value: old } => {
+        Ok(match View::parse(&node)? {
+            View::Leaf { path: p, value: old } => {
                 if p == path {
-                    Node::Leaf { path: p, value: value.to_vec() }
-                } else {
-                    let cp = common_prefix_len(&p, path);
-                    let branch = self.split_into_branch(&p[cp..], old, &path[cp..], value)?;
-                    if cp > 0 {
-                        let child = self.put_node(branch)?;
-                        Node::Ext { path: path[..cp].to_vec(), child }
-                    } else {
-                        branch
+                    return Ok(self.put(|out| write_leaf(out, path, value)));
+                }
+                let cp = common_prefix_len(p, path);
+                let old_side = match p[cp..].split_first() {
+                    None => OldSide::Value(old),
+                    Some((&slot, rest)) => {
+                        OldSide::Child(slot, self.put(|out| write_leaf(out, rest, old)))
+                    }
+                };
+                self.put_fork(&path[..cp], old_side, &path[cp..], value)
+            }
+            View::Ext { path: p, child } => {
+                let cp = common_prefix_len(p, path);
+                match p[cp..].split_first() {
+                    None => {
+                        let new_child = self.insert_at(child, &path[cp..], value)?;
+                        self.put(|out| write_ext(out, p, &new_child))
+                    }
+                    // Split the extension at the divergence point; what is
+                    // left of its path stays above the old child.
+                    Some((&slot, rest)) => {
+                        let below = if rest.is_empty() {
+                            child
+                        } else {
+                            self.put(|out| write_ext(out, rest, &child))
+                        };
+                        self.put_fork(&path[..cp], OldSide::Child(slot, below), &path[cp..], value)
                     }
                 }
             }
-            Node::Ext { path: p, child } => {
-                let cp = common_prefix_len(&p, path);
-                if cp == p.len() {
-                    let new_child = self.insert_at(child, &path[cp..], value)?;
-                    Node::Ext { path: p, child: new_child }
-                } else {
-                    // Split the extension at the divergence point.
-                    let mut children = no_children();
-                    let mut bvalue = None;
-                    // Old side: remainder of the extension path.
-                    let p_rest = &p[cp..];
-                    let old_side = if p_rest.len() == 1 {
-                        child
-                    } else {
-                        self.put_node(Node::Ext { path: p_rest[1..].to_vec(), child })?
-                    };
-                    children[p_rest[0] as usize] = old_side;
-                    // New side: remainder of the inserted path.
-                    let q_rest = &path[cp..];
-                    if q_rest.is_empty() {
-                        bvalue = Some(value.to_vec());
-                    } else {
-                        let leaf = self.put_node(Node::Leaf {
-                            path: q_rest[1..].to_vec(),
-                            value: value.to_vec(),
-                        })?;
-                        children[q_rest[0] as usize] = leaf;
-                    }
-                    let branch = Node::Branch { children, value: bvalue };
-                    if cp > 0 {
-                        let bh = self.put_node(branch)?;
-                        Node::Ext { path: path[..cp].to_vec(), child: bh }
-                    } else {
-                        branch
-                    }
+            View::Branch(b) => match path.split_first() {
+                None => self.put(|out| write_branch(out, Branch { value: Some(value), ..b }, None)),
+                Some((&slot, rest)) => {
+                    let slot = slot as usize;
+                    let new_child = self.insert_at(b.child(slot), rest, value)?;
+                    self.put(|out| write_branch(out, b, Some((slot, new_child))))
                 }
-            }
-            Node::Branch { mut children, value: bvalue } => {
-                if path.is_empty() {
-                    Node::Branch { children, value: Some(value.to_vec()) }
-                } else {
-                    let idx = path[0] as usize;
-                    let new_child = self.insert_at(children[idx], &path[1..], value)?;
-                    children[idx] = new_child;
-                    Node::Branch { children, value: bvalue }
-                }
-            }
-        };
-        self.put_node(new_node)
+            },
+        })
     }
 
-    /// Build a branch separating two diverging suffixes (either may be
-    /// empty, landing its value on the branch itself).
-    fn split_into_branch(
+    /// Store the branch separating an old subtree — already stored, old
+    /// side before new side — from the new key's remainder `new_rest`
+    /// (empty: the value lands on the branch itself), under an extension
+    /// for their common `prefix` if they have one. Returns the top node.
+    fn put_fork(
         &mut self,
-        old_rest: &[u8],
-        old_value: Vec<u8>,
+        prefix: &[u8],
+        old: OldSide<'_>,
         new_rest: &[u8],
-        new_value: &[u8],
-    ) -> Result<Node, KvError> {
-        debug_assert!(old_rest.first() != new_rest.first() || old_rest.is_empty() || new_rest.is_empty());
-        let mut children = no_children();
-        let mut bvalue = None;
-        if old_rest.is_empty() {
-            bvalue = Some(old_value);
+        value: &[u8],
+    ) -> Hash256 {
+        let old = match &old {
+            OldSide::Child(slot, hash) => Branch { bitmap: 1 << slot, children: &hash.0, value: None },
+            OldSide::Value(v) => Branch { bitmap: 0, children: &[], value: Some(v) },
+        };
+        debug_assert!(old.value.is_none() || !new_rest.is_empty(), "two keys, one path");
+        let branch = match new_rest.split_first() {
+            None => self.put(|out| write_branch(out, Branch { value: Some(value), ..old }, None)),
+            Some((&slot, rest)) => {
+                debug_assert!(old.child(slot as usize).is_zero(), "fork sides share a slot");
+                let leaf = self.put(|out| write_leaf(out, rest, value));
+                self.put(|out| write_branch(out, old, Some((slot as usize, leaf))))
+            }
+        };
+        if prefix.is_empty() {
+            branch
         } else {
-            let h = self.put_node(Node::Leaf { path: old_rest[1..].to_vec(), value: old_value })?;
-            children[old_rest[0] as usize] = h;
+            self.put(|out| write_ext(out, prefix, &branch))
         }
-        if new_rest.is_empty() {
-            bvalue = Some(new_value.to_vec());
-        } else {
-            let h = self.put_node(Node::Leaf {
-                path: new_rest[1..].to_vec(),
-                value: new_value.to_vec(),
-            })?;
-            children[new_rest[0] as usize] = h;
-        }
-        Ok(Node::Branch { children, value: bvalue })
     }
 
     /// Remove `key` if present, producing a new root. Removing an absent
@@ -620,55 +637,45 @@ impl<S: KvStore> PatriciaTrie<S> {
         match result? {
             RemoveResult::Unchanged => {}
             RemoveResult::Gone => self.root = Hash256::ZERO,
-            RemoveResult::Replaced(node) => {
-                self.root = self.put_node(node)?;
-            }
+            RemoveResult::Replaced(node) => self.root = self.put_bytes(&node),
         }
         Ok(())
     }
 
     fn remove_at(&mut self, at: Hash256, path: &[u8]) -> Result<RemoveResult, KvError> {
         let node = self.load(&at)?;
-        match node {
-            Node::Leaf { path: p, .. } => {
-                if p == path {
-                    Ok(RemoveResult::Gone)
-                } else {
-                    Ok(RemoveResult::Unchanged)
-                }
+        match View::parse(&node)? {
+            View::Leaf { path: p, .. } => {
+                Ok(if p == path { RemoveResult::Gone } else { RemoveResult::Unchanged })
             }
-            Node::Ext { path: p, child } => {
-                if !path.starts_with(&p) {
+            View::Ext { path: p, child } => {
+                if !path.starts_with(p) {
                     return Ok(RemoveResult::Unchanged);
                 }
-                match self.remove_at(child, &path[p.len()..])? {
-                    RemoveResult::Unchanged => Ok(RemoveResult::Unchanged),
-                    RemoveResult::Gone => Ok(RemoveResult::Gone),
-                    RemoveResult::Replaced(child_node) => {
-                        Ok(RemoveResult::Replaced(self.graft_ext(p, child_node)?))
+                Ok(match self.remove_at(child, &path[p.len()..])? {
+                    RemoveResult::Replaced(below) => {
+                        RemoveResult::Replaced(self.graft_ext(p, &below)?)
                     }
-                }
+                    unchanged_or_gone => unchanged_or_gone,
+                })
             }
-            Node::Branch { mut children, value } => {
-                if path.is_empty() {
-                    if value.is_none() {
+            View::Branch(b) => {
+                let Some((&slot, rest)) = path.split_first() else {
+                    if b.value.is_none() {
                         return Ok(RemoveResult::Unchanged);
                     }
-                    return self.normalise_branch(children, None);
-                }
-                let idx = path[0] as usize;
-                if children[idx].is_zero() {
+                    return self.normalise_branch(b, None, None);
+                };
+                let slot = slot as usize;
+                if b.child(slot).is_zero() {
                     return Ok(RemoveResult::Unchanged);
                 }
-                match self.remove_at(children[idx], &path[1..])? {
+                match self.remove_at(b.child(slot), rest)? {
                     RemoveResult::Unchanged => Ok(RemoveResult::Unchanged),
-                    RemoveResult::Gone => {
-                        children[idx] = Hash256::ZERO;
-                        self.normalise_branch(children, value)
-                    }
-                    RemoveResult::Replaced(child_node) => {
-                        children[idx] = self.put_node(child_node)?;
-                        Ok(RemoveResult::Replaced(Node::Branch { children, value }))
+                    RemoveResult::Gone => self.normalise_branch(b, Some(slot), b.value),
+                    RemoveResult::Replaced(below) => {
+                        let set = Some((slot, self.put_bytes(&below)));
+                        Ok(RemoveResult::Replaced(encoded(|out| write_branch(out, b, set))))
                     }
                 }
             }
@@ -676,45 +683,44 @@ impl<S: KvStore> PatriciaTrie<S> {
     }
 
     /// Merge an extension's path onto its (possibly restructured) child.
-    fn graft_ext(&mut self, prefix: Vec<u8>, child: Node) -> Result<Node, KvError> {
-        Ok(match child {
-            Node::Leaf { path, value } => {
-                let mut p = prefix;
-                p.extend_from_slice(&path);
-                Node::Leaf { path: p, value }
+    fn graft_ext(&mut self, prefix: &[u8], child: &[u8]) -> Result<Vec<u8>, KvError> {
+        Ok(match View::parse(child)? {
+            View::Leaf { path, value } => {
+                encoded(|out| write_leaf(out, &[prefix, path].concat(), value))
             }
-            Node::Ext { path, child } => {
-                let mut p = prefix;
-                p.extend_from_slice(&path);
-                Node::Ext { path: p, child }
+            View::Ext { path, child } => {
+                encoded(|out| write_ext(out, &[prefix, path].concat(), &child))
             }
-            branch @ Node::Branch { .. } => {
-                let h = self.put_node(branch)?;
-                Node::Ext { path: prefix, child: h }
+            View::Branch(_) => {
+                let h = self.put_bytes(child);
+                encoded(|out| write_ext(out, prefix, &h))
             }
         })
     }
 
-    /// After a removal, collapse a branch that no longer justifies fan-out.
+    /// After a removal — of the child in slot `gone`, or of the branch's
+    /// own value — collapse a branch that no longer justifies fan-out.
+    /// `value` is the value it is left with.
     fn normalise_branch(
         &mut self,
-        children: Box<[Hash256; 16]>,
-        value: Option<Vec<u8>>,
+        b: Branch<'_>,
+        gone: Option<usize>,
+        value: Option<&[u8]>,
     ) -> Result<RemoveResult, KvError> {
-        let present: Vec<usize> = (0..16).filter(|&i| !children[i].is_zero()).collect();
-        match (present.len(), &value) {
-            (0, None) => Ok(RemoveResult::Gone),
-            (0, Some(_)) => Ok(RemoveResult::Replaced(Node::Leaf {
-                path: Vec::new(),
-                value: value.expect("matched Some"),
-            })),
+        let left = gone.map_or(b.bitmap, |slot| b.bitmap & !(1 << slot));
+        Ok(RemoveResult::Replaced(match (left.count_ones(), value) {
+            (0, None) => return Ok(RemoveResult::Gone),
+            (0, Some(v)) => encoded(|out| write_leaf(out, &[], v)),
             (1, None) => {
-                let idx = present[0];
-                let child = self.load(&children[idx])?;
-                Ok(RemoveResult::Replaced(self.graft_ext(vec![idx as u8], child)?))
+                let only = left.trailing_zeros() as usize;
+                let child = self.load(&b.child(only))?;
+                self.graft_ext(&[only as u8], &child)?
             }
-            _ => Ok(RemoveResult::Replaced(Node::Branch { children, value })),
-        }
+            _ => {
+                let set = gone.map(|slot| (slot, Hash256::ZERO));
+                encoded(|out| write_branch(out, Branch { value, ..b }, set))
+            }
+        }))
     }
 
     /// All `(key, value)` pairs reachable from the current root, in key
@@ -737,27 +743,22 @@ impl<S: KvStore> PatriciaTrie<S> {
         fn from_nibbles(nibbles: &[u8]) -> Vec<u8> {
             nibbles.chunks(2).map(|c| (c[0] << 4) | c.get(1).copied().unwrap_or(0)).collect()
         }
-        match self.load(&at)? {
-            Node::Leaf { path, value } => {
-                let mut full = prefix;
-                full.extend_from_slice(&path);
-                out.push((from_nibbles(&full), value));
+        let node = self.load(&at)?;
+        match View::parse(&node)? {
+            View::Leaf { path, value } => {
+                out.push((from_nibbles(&[&prefix[..], path].concat()), value.to_vec()));
             }
-            Node::Ext { path, child } => {
-                let mut full = prefix;
-                full.extend_from_slice(&path);
-                self.collect(child, full, out)?;
+            View::Ext { path, child } => {
+                self.collect(child, [&prefix[..], path].concat(), out)?;
             }
-            Node::Branch { children, value } => {
-                if let Some(v) = value {
-                    out.push((from_nibbles(&prefix), v));
+            View::Branch(b) => {
+                if let Some(v) = b.value {
+                    out.push((from_nibbles(&prefix), v.to_vec()));
                 }
-                for (i, c) in children.iter().enumerate() {
-                    if !c.is_zero() {
-                        let mut full = prefix.clone();
-                        full.push(i as u8);
-                        self.collect(*c, full, out)?;
-                    }
+                for slot in (0..16).filter(|slot| b.bitmap >> slot & 1 != 0) {
+                    let mut full = prefix.clone();
+                    full.push(slot as u8);
+                    self.collect(b.child(slot), full, out)?;
                 }
             }
         }
@@ -770,12 +771,150 @@ enum RemoveResult {
     Unchanged,
     /// The subtree vanished entirely.
     Gone,
-    /// The subtree was rebuilt as this node (not yet stored).
-    Replaced(Node),
+    /// The subtree was rebuilt as this node's encoding (not yet stored).
+    Replaced(Vec<u8>),
+}
+
+/// The codec this file used before nodes were read in place: a decoded
+/// `Node` with its own `encode`/`decode`, kept as the reference the in-place
+/// reader and the `write_*` functions are compared against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use bb_storage::MemStore;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(super) enum Node {
+        Leaf { path: Vec<u8>, value: Vec<u8> },
+        Ext { path: Vec<u8>, child: Hash256 },
+        Branch { children: Box<[Hash256; 16]>, value: Option<Vec<u8>> },
+    }
+
+    impl Node {
+        pub(super) fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            match self {
+                Node::Leaf { path, value } => {
+                    out.push(TAG_LEAF);
+                    out.extend_from_slice(&(path.len() as u32).to_be_bytes());
+                    out.extend_from_slice(path);
+                    out.extend_from_slice(&(value.len() as u32).to_be_bytes());
+                    out.extend_from_slice(value);
+                }
+                Node::Ext { path, child } => {
+                    out.push(TAG_EXT);
+                    out.extend_from_slice(&(path.len() as u32).to_be_bytes());
+                    out.extend_from_slice(path);
+                    out.extend_from_slice(&child.0);
+                }
+                Node::Branch { children, value } => {
+                    out.push(TAG_BRANCH);
+                    let mut bitmap = 0u16;
+                    for (i, c) in children.iter().enumerate() {
+                        if !c.is_zero() {
+                            bitmap |= 1 << i;
+                        }
+                    }
+                    out.extend_from_slice(&bitmap.to_be_bytes());
+                    for c in children.iter().filter(|c| !c.is_zero()) {
+                        out.extend_from_slice(&c.0);
+                    }
+                    match value {
+                        Some(v) => {
+                            out.push(1);
+                            out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+                            out.extend_from_slice(v);
+                        }
+                        None => out.push(0),
+                    }
+                }
+            }
+            out
+        }
+
+        pub(super) fn decode(bytes: &[u8]) -> Result<Node, KvError> {
+            let corrupt = || KvError::Corrupt("malformed trie node".into());
+            let tag = *bytes.first().ok_or_else(corrupt)?;
+            let rest = &bytes[1..];
+            match tag {
+                TAG_LEAF => {
+                    let plen = u32::from_be_bytes(rest.get(0..4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
+                    let path = rest.get(4..4 + plen).ok_or_else(corrupt)?.to_vec();
+                    let at = 4 + plen;
+                    let vlen = u32::from_be_bytes(rest.get(at..at + 4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
+                    let value = rest.get(at + 4..at + 4 + vlen).ok_or_else(corrupt)?.to_vec();
+                    Ok(Node::Leaf { path, value })
+                }
+                TAG_EXT => {
+                    let plen = u32::from_be_bytes(rest.get(0..4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
+                    let path = rest.get(4..4 + plen).ok_or_else(corrupt)?.to_vec();
+                    let at = 4 + plen;
+                    let child = Hash256(rest.get(at..at + 32).ok_or_else(corrupt)?.try_into().expect("32"));
+                    Ok(Node::Ext { path, child })
+                }
+                TAG_BRANCH => {
+                    let bitmap = u16::from_be_bytes(rest.get(0..2).ok_or_else(corrupt)?.try_into().expect("2"));
+                    let mut children = Box::new([Hash256::ZERO; 16]);
+                    let mut at = 2;
+                    for (i, slot) in children.iter_mut().enumerate() {
+                        if bitmap & (1 << i) != 0 {
+                            *slot = Hash256(rest.get(at..at + 32).ok_or_else(corrupt)?.try_into().expect("32"));
+                            at += 32;
+                        }
+                    }
+                    let has_value = *rest.get(at).ok_or_else(corrupt)?;
+                    at += 1;
+                    let value = match has_value {
+                        0 => None,
+                        1 => {
+                            let vlen = u32::from_be_bytes(rest.get(at..at + 4).ok_or_else(corrupt)?.try_into().expect("4")) as usize;
+                            Some(rest.get(at + 4..at + 4 + vlen).ok_or_else(corrupt)?.to_vec())
+                        }
+                        _ => return Err(corrupt()),
+                    };
+                    Ok(Node::Branch { children, value })
+                }
+                _ => Err(corrupt()),
+            }
+        }
+    }
+
+    /// `bytes` must be exactly what the reference codec would have written,
+    /// and the in-place view of it must show the same node field by field.
+    pub(super) fn check(bytes: &[u8]) {
+        let node = Node::decode(bytes).expect("reference codec decodes a written node");
+        assert_eq!(node.encode(), bytes, "written bytes differ from the reference encoding");
+        match (View::parse(bytes).expect("a written node parses"), &node) {
+            (View::Leaf { path, value }, Node::Leaf { path: p, value: v }) => {
+                assert_eq!((path, value), (&p[..], &v[..]));
+            }
+            (View::Ext { path, child }, Node::Ext { path: p, child: c }) => {
+                assert_eq!((path, child), (&p[..], *c));
+            }
+            (View::Branch(b), Node::Branch { children, value }) => {
+                for (slot, child) in children.iter().enumerate() {
+                    assert_eq!(b.child(slot), *child, "slot {slot}");
+                }
+                assert_eq!(b.value, value.as_deref());
+            }
+            _ => panic!("view and reference disagree on the kind of {node:?}"),
+        }
+    }
+
+    pub(super) fn check_overlay(t: &PatriciaTrie<MemStore>) {
+        t.overlay.values().for_each(|bytes| check(bytes));
+    }
+
+    pub(super) fn check_store(t: &mut PatriciaTrie<MemStore>) {
+        let stored = t.store_mut().scan_prefix(b"").unwrap();
+        assert!(!stored.is_empty());
+        stored.iter().for_each(|(_, bytes)| check(bytes));
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, Node};
     use super::*;
     use bb_storage::MemStore;
 
@@ -1043,14 +1182,142 @@ mod tests {
         assert!(t.commit().is_err(), "retry hits the same cap");
     }
 
+    /// A leaf, an extension, and 1-, 2- and 16-child branches with and
+    /// without a value, as the reference codec encodes them.
+    fn sample_nodes() -> Vec<Node> {
+        let hash = |i: usize| Hash256::digest(&[i as u8]);
+        let mut nodes = vec![
+            Node::Leaf { path: vec![1, 2], value: b"v".to_vec() },
+            Node::Leaf { path: vec![], value: vec![] },
+            Node::Ext { path: vec![3, 4, 5], child: hash(99) },
+        ];
+        for slots in [&[7usize][..], &[0, 15], &(0..16).collect::<Vec<_>>()] {
+            for value in [None, Some(b"on the branch".to_vec())] {
+                let mut children = Box::new([Hash256::ZERO; 16]);
+                slots.iter().for_each(|&slot| children[slot] = hash(slot));
+                nodes.push(Node::Branch { children, value });
+            }
+        }
+        nodes
+    }
+
     #[test]
-    fn node_decode_rejects_garbage() {
-        assert!(Node::decode(&[]).is_err());
-        assert!(Node::decode(&[99]).is_err());
-        assert!(Node::decode(&[TAG_LEAF, 0, 0]).is_err());
-        let good = Node::Leaf { path: vec![1, 2], value: b"v".to_vec() }.encode();
-        assert!(Node::decode(&good).is_ok());
-        assert!(Node::decode(&good[..good.len() - 1]).is_err());
+    fn damaged_encodings_are_corrupt_never_a_panic() {
+        let is_corrupt = |bytes: &[u8]| matches!(View::parse(bytes), Err(KvError::Corrupt(_)));
+        for node in sample_nodes() {
+            let good = node.encode();
+            reference::check(&good);
+            for cut in 0..good.len() {
+                assert!(is_corrupt(&good[..cut]), "{node:?} cut to {cut} of {} bytes", good.len());
+            }
+            let mut unknown_tag = good.clone();
+            unknown_tag[0] = 99;
+            assert!(is_corrupt(&unknown_tag));
+            if let Node::Branch { .. } = node {
+                // A bitmap naming one more child than the table holds.
+                let mut crowded = good.clone();
+                let bitmap = u16::from_be_bytes([good[1], good[2]]);
+                if bitmap != u16::MAX {
+                    crowded[1..3].copy_from_slice(&(bitmap | (bitmap + 1)).to_be_bytes());
+                    assert!(is_corrupt(&crowded[..3 + 32 * bitmap.count_ones() as usize]));
+                }
+                let flag = 3 + 32 * bitmap.count_ones() as usize;
+                let mut bad_flag = good.clone();
+                bad_flag[flag] = 2;
+                assert!(is_corrupt(&bad_flag));
+            }
+        }
+    }
+
+    /// `a1`/`a2` and `b1`/`b2` share only the top extension and branch, so
+    /// damage below the `a` slot must fail every walk through it and no
+    /// walk beside it.
+    #[test]
+    fn damaged_stored_node_is_an_error_on_every_walk() {
+        fn stored(t: &mut PatriciaTrie<MemStore>, hash: Hash256) -> Vec<u8> {
+            t.store_mut().get(&hash.0).unwrap().expect("committed node")
+        }
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [Damage; 3] = [
+            |bytes| bytes.truncate(bytes.len() - 1),
+            |bytes| bytes[0] = 99,
+            |bytes| bytes.truncate(bytes.len() / 2),
+        ];
+        // How far below the top branch's `a` slot the damaged node sits: the
+        // extension, the branch under it, one of its leaves.
+        for depth in 0..3 {
+            for damage in damages {
+                let mut t = trie();
+                for key in [b"a1", b"a2", b"b1", b"b2"] {
+                    t.insert(key, key).unwrap();
+                }
+                t.commit().unwrap();
+                // Root extension, top branch, then `depth` more steps down slot 1.
+                let mut victim = t.root();
+                for _ in 0..2 + depth {
+                    victim = match View::parse(&stored(&mut t, victim)).unwrap() {
+                        View::Ext { child, .. } => child,
+                        View::Branch(b) => b.child(1),
+                        View::Leaf { .. } => panic!("walked past the leaves"),
+                    };
+                }
+                let mut bytes = stored(&mut t, victim);
+                damage(&mut bytes);
+                t.store_mut().put(&victim.0, &bytes).unwrap();
+                t.cache.clear();
+
+                let root = t.root();
+                assert!(t.get(b"a1").is_err(), "depth {depth}");
+                assert!(t.get_frozen(b"a1").is_err(), "depth {depth}");
+                assert!(t.insert(b"a1", b"x").is_err(), "depth {depth}");
+                assert!(t.remove(b"a1").is_err(), "depth {depth}");
+                if depth == 2 {
+                    // `a2` itself avoids the damaged leaf, but removing it
+                    // collapses their branch onto it.
+                    assert_eq!(t.get(b"a2").unwrap(), Some(b"a2".to_vec()));
+                    assert!(t.remove(b"a2").is_err());
+                }
+                assert_eq!(t.root(), root, "a failed update must not move the root");
+                for key in [b"b1", b"b2"] {
+                    assert_eq!(t.get(key).unwrap(), Some(key.to_vec()));
+                    assert_eq!(t.get_frozen(key).unwrap(), Some(key.to_vec()));
+                }
+                assert_eq!(t.get(b"b3").unwrap(), None);
+                t.insert(b"b3", b"b3").unwrap();
+                assert_eq!(t.get(b"b3").unwrap(), Some(b"b3".to_vec()));
+            }
+        }
+    }
+
+    #[test]
+    fn get_frozen_leaves_no_trace_wherever_the_walk_is_served() {
+        let mut t = trie();
+        let key = |i: u32| format!("key{i:04}").into_bytes();
+        for i in 0..100 {
+            t.insert(&key(i), &i.to_be_bytes()).unwrap();
+        }
+        let mut probes: Vec<Vec<u8>> = (0..100).map(key).collect();
+        probes.extend([b"absent".to_vec(), b"key".to_vec(), b"key00000".to_vec(), vec![]]);
+        let expected: Vec<_> = probes.iter().map(|k| t.get(k).unwrap()).collect();
+        assert_eq!(expected.iter().flatten().count(), 100);
+
+        let frozen_pass = |t: &mut PatriciaTrie<MemStore>, served_by: &str| {
+            let before = (t.cache_stats(), t.cache.len(), t.nodes_written(), t.pending_nodes());
+            for (k, want) in probes.iter().zip(&expected) {
+                assert_eq!(&t.get_frozen(k).unwrap(), want, "{served_by}");
+            }
+            let after = (t.cache_stats(), t.cache.len(), t.nodes_written(), t.pending_nodes());
+            assert_eq!(before, after, "{served_by}");
+        };
+        frozen_pass(&mut t, "cache");
+        t.cache.clear();
+        frozen_pass(&mut t, "overlay");
+        assert_eq!(t.store().stats().reads, 0, "overlay before store");
+        t.commit().unwrap();
+        t.cache.clear();
+        frozen_pass(&mut t, "store");
+        assert!(t.store().stats().reads > 0);
+        assert!(t.cache.is_empty());
     }
 }
 
@@ -1118,6 +1385,7 @@ mod proptests {
 /// coverage survives the default (offline, `proptest`-feature-off) test run.
 #[cfg(test)]
 mod seeded_props {
+    use super::reference;
     use super::*;
     use bb_sim::SimRng;
     use bb_storage::MemStore;
@@ -1145,6 +1413,7 @@ mod seeded_props {
                     model.remove(&k);
                     t.remove(&k).unwrap();
                 }
+                reference::check_overlay(&t);
             }
             for (k, v) in &model {
                 assert_eq!(t.get(k).unwrap(), Some(v.clone()));
@@ -1195,11 +1464,15 @@ mod seeded_props {
                         sealed.push((batched.root(), model.clone()));
                     }
                 }
+                reference::check_overlay(&batched);
+                reference::check_overlay(&eager);
                 eager.commit().unwrap(); // every op "eagerly" persisted
                 assert_eq!(batched.root(), eager.root(), "roots diverged mid-block");
             }
             batched.commit().unwrap();
             sealed.push((batched.root(), model.clone()));
+            reference::check_store(&mut batched);
+            reference::check_store(&mut eager);
             // Live reads agree (cold, through the store).
             batched.cache.clear();
             eager.cache.clear();

@@ -90,6 +90,17 @@ if grep -rnw --include='*.rs' unsafe crates | grep -v '^crates/bb-crypto/src/sha
     exit 1
 fi
 
+echo "==> state tree: Patricia known answers, damaged-node sweep and reference-codec differential, test and release profiles"
+# A Patricia node's encoding is its only representation and walks read it in
+# place (DESIGN.md §6 "Nodes in place"). Roots are inside `results/`, the
+# cache and node counts inside the benchmark's `result_digest`: the
+# known-answer scripts pin them as literals, the sweep proves a truncated or
+# re-tagged stored node is an error and not an out-of-bounds index, and the
+# seeded runs compare every written node with the old decoded codec. The
+# release run is the packed-slot arithmetic with debug assertions off.
+smoke -p bb-merkle patricia
+smoke --release -p bb-merkle patricia
+
 echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 # The recovery path cuts across every layer (VFS fault injection, WAL
 # replay, durable-state reopen, consensus resume, peer catch-up): run the
