@@ -1412,6 +1412,39 @@ mod tests {
         assert!(small.byte_size() >= 64);
     }
 
+    /// `byte_size()` is what the network model bills, so it is inside
+    /// `net.bytes` and `results/`: literal sizes, payload lengths 0, 5, 160.
+    #[test]
+    fn message_sizes_known_answer() {
+        let (empty, five, full) = (req(b""), req(b"12345"), req(&[9u8; 160]));
+        let pre_prepare =
+            |batch| PbftMsg::PrePrepare { view: 2, seq: 7, digest: Hash256::ZERO, batch };
+        assert_eq!(PbftMsg::Forward(full.clone()).byte_size(), 224);
+        assert_eq!(PbftMsg::Forward(empty.clone()).byte_size(), 64);
+        assert_eq!(pre_prepare(vec![]).byte_size(), 112);
+        assert_eq!(pre_prepare(vec![five.clone()]).byte_size(), 121);
+        assert_eq!(pre_prepare(vec![empty.clone(), five.clone(), full.clone()]).byte_size(), 289);
+        let reply = PbftMsg::SyncReply {
+            batches: vec![(1, vec![empty, five.clone(), full]), (2, vec![five])],
+        };
+        assert_eq!(reply.byte_size(), 266);
+        assert_eq!(PbftMsg::SyncReply { batches: vec![] }.byte_size(), 64);
+        assert_eq!(PbftMsg::Commit { view: 2, seq: 7, digest: Hash256::ZERO }.byte_size(), 112);
+        assert_eq!(PbftMsg::SyncRequest { from_seq: 7 }.byte_size(), 72);
+    }
+
+    /// The request digest of one fixed encoded transaction — what Fabric's
+    /// `submit` hands to consensus for every client transaction.
+    #[test]
+    fn encoded_transaction_request_digest_known_answer() {
+        use bb_crypto::KeyPair;
+        use bb_types::{Address, Transaction};
+        let tx = Transaction::signed(&KeyPair::from_seed(1), 0, Address::ZERO, 0, vec![]);
+        let request = Request::from(tx.encode());
+        assert_eq!(request.len(), 128);
+        assert_eq!(request.digest().to_hex(), "73aaf1d539e12284df4be30f532c478284cb96f0d09d0dfc7f22dc78a8b19651");
+    }
+
     #[test]
     fn commits_survive_adversarial_delivery_order() {
         use bb_sim::SimRng;
