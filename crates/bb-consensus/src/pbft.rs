@@ -46,34 +46,59 @@
 
 use bb_crypto::{DigestSet, Hash256};
 use bb_sim::{SimDuration, SimTime};
-use bb_types::NodeId;
+use bb_types::{NodeId, Transaction};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// An opaque client request (an encoded transaction) and its digest.
+/// A client request: the payload PBFT orders, its digest, and the
+/// transaction the payload encodes — one immutable allocation behind one
+/// pointer.
 ///
-/// The digest is computed once, where the request enters consensus
-/// ([`Request::from`]), and travels with the value: the `awaiting` and
-/// pending bookkeeping of every replica reads it instead of re-hashing the
-/// payload, and the payload is shared, so forwarding a request or carrying
-/// it in a batch clones a pointer.
-#[derive(Clone, Debug)]
-pub struct Request {
-    payload: Arc<[u8]>,
+/// All three are filled once, by whoever makes the value: `From<Vec<u8>>`
+/// hashes the bytes and decodes them (bytes that are no transaction are
+/// still ordered, with none attached), `From<Transaction>` encodes a
+/// transaction the caller already holds. Every replica's `awaiting`, slot
+/// and committed-log entry, every forward and every batch copy is a
+/// reference-count bump on that allocation, so n replicas read the same
+/// digest and execute the same `Arc<Transaction>` instead of re-hashing and
+/// re-decoding the payload n times.
+#[derive(Clone)]
+pub struct Request(Arc<RequestInner>);
+
+struct RequestInner {
     digest: Hash256,
+    tx: Option<Arc<Transaction>>,
+    payload: Box<[u8]>,
 }
 
 impl Request {
+    fn new(payload: Vec<u8>, tx: Option<Transaction>) -> Request {
+        let digest = Hash256::digest_parts(&[b"pbft-req", &payload]);
+        Request(Arc::new(RequestInner { digest, tx: tx.map(Arc::new), payload: payload.into() }))
+    }
+
     /// The request's identity: `digest_parts(["pbft-req", payload])`.
     pub fn digest(&self) -> Hash256 {
-        self.digest
+        self.0.digest
+    }
+
+    /// The transaction the payload encodes, shared by every copy of the
+    /// request; `None` when the payload is not a transaction.
+    pub fn transaction(&self) -> Option<&Arc<Transaction>> {
+        self.0.tx.as_ref()
     }
 }
 
 impl From<Vec<u8>> for Request {
     fn from(payload: Vec<u8>) -> Request {
-        let digest = Hash256::digest_parts(&[b"pbft-req", &payload]);
-        Request { payload: payload.into(), digest }
+        let tx = Transaction::decode(&payload).ok();
+        Request::new(payload, tx)
+    }
+}
+
+impl From<Transaction> for Request {
+    fn from(tx: Transaction) -> Request {
+        Request::new(tx.encode(), Some(tx))
     }
 }
 
@@ -81,13 +106,22 @@ impl std::ops::Deref for Request {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.payload
+        &self.0.payload
     }
 }
 
 impl PartialEq for Request {
     fn eq(&self, other: &Request) -> bool {
-        self.digest == other.digest
+        self.digest() == other.digest()
+    }
+}
+
+/// Not derived: a batch in a failed assertion would print every payload
+/// byte and every decoded transaction.
+impl std::fmt::Debug for Request {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tx = if self.0.tx.is_some() { "tx" } else { "no tx" };
+        write!(f, "Request({}, {} B, {tx})", self.digest().short(), self.len())
     }
 }
 
@@ -1031,14 +1065,63 @@ mod tests {
         );
     }
 
+    fn sample_tx() -> Transaction {
+        use bb_crypto::KeyPair;
+        use bb_types::Address;
+        Transaction::signed(&KeyPair::from_seed(3), 5, Address::from_index(9), 42, vec![1, 2, 3])
+    }
+
     #[test]
     fn cloned_request_shares_its_payload() {
-        let a = req(&[7u8; 160]);
+        let a = Request::from(sample_tx());
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.payload, &b.payload));
+        assert!(Arc::ptr_eq(a.transaction().unwrap(), b.transaction().unwrap()));
+        assert!(std::ptr::eq(&*a, &*b), "one payload behind both handles");
         assert_eq!(a, b);
-        assert_eq!(&*b, &[7u8; 160][..]);
         assert_ne!(a, req(&[8u8; 160]));
+        assert_eq!(std::mem::size_of::<Request>(), std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn both_constructors_build_the_same_request() {
+        let tx = sample_tx();
+        let held = Request::from(tx.clone());
+        let decoded = Request::from(tx.encode());
+        assert_eq!(held.digest(), decoded.digest());
+        assert_eq!(&*held, &*decoded);
+        assert_eq!(&*held, &tx.encode()[..]);
+        for request in [&held, &decoded] {
+            let attached = request.transaction().expect("payload is a transaction");
+            assert_eq!(**attached, tx);
+            assert_eq!(attached.id(), tx.id());
+            assert_eq!(attached.byte_size(), tx.byte_size());
+        }
+    }
+
+    #[test]
+    fn undecodable_payload_carries_no_transaction_and_still_commits() {
+        assert!(req(b"not a transaction").transaction().is_none());
+        let mut truncated = sample_tx().encode();
+        truncated.pop();
+        assert!(Request::from(truncated).transaction().is_none());
+
+        let mut c = Cluster::new(4);
+        let now = SimTime::from_secs(1);
+        c.request(NodeId(1), b"garbage-1", now);
+        c.request(NodeId(2), b"garbage-2", now);
+        c.request(NodeId(0), b"garbage-3", now);
+        for log in &c.committed {
+            assert_eq!(log.len(), 1);
+            assert_eq!(log[0].1.len(), 3);
+            assert!(log[0].1.iter().all(|r| r.transaction().is_none()));
+        }
+    }
+
+    #[test]
+    fn debug_names_a_request_without_dumping_it() {
+        let tx = Request::from(sample_tx());
+        assert_eq!(format!("{tx:?}"), format!("Request({}, 131 B, tx)", tx.digest().short()));
+        assert_eq!(format!("{:?}", req(b"alpha")), "Request(84dd272b, 5 B, no tx)");
     }
 
     /// A zero-latency in-memory harness that delivers every action

@@ -499,14 +499,16 @@ fn commit_batch(
     }
     let height = node.blocks.len() as u64 + 1;
     let mut txs: Vec<Arc<Transaction>> = Vec::with_capacity(batch.len());
-    for raw in &batch {
-        let Ok(tx) = Transaction::decode(raw) else {
+    for req in &batch {
+        // Decoded once, where the request was made: every replica executes
+        // and stores the same `Arc<Transaction>`.
+        let Some(tx) = req.transaction() else {
             continue;
         };
         if !node.executed.insert(tx.id()) {
             continue; // re-proposed duplicate
         }
-        txs.push(Arc::new(tx));
+        txs.push(Arc::clone(tx));
     }
     let (receipts, exec_time) = execute_batch_txs(ctx, node, height, &txs);
     node.cpu.charge(now, exec_time);
@@ -863,7 +865,7 @@ impl BlockchainConnector for FabricChain {
             node.ingress_busy_until = at;
             at
         });
-        self.engine.schedule(at, FabEvent::Ingress { to: server, req: tx.encode().into() });
+        self.engine.schedule(at, FabEvent::Ingress { to: server, req: tx.into() });
         true
     }
 
@@ -1112,6 +1114,11 @@ mod tests {
         Transaction::signed(&KeyPair::from_seed(seed), nonce, to, 0, payload)
     }
 
+    /// The transactions of every block peer `i` holds, by height.
+    fn block_txs(c: &FabricChain, i: u32) -> Vec<Vec<Arc<Transaction>>> {
+        c.engine.with_node(i, |n| n.blocks.iter().map(|b| b.txs.clone()).collect())
+    }
+
     #[test]
     fn transactions_commit_within_a_batch_timeout() {
         let mut c = chain(4);
@@ -1147,6 +1154,19 @@ mod tests {
         let root = c.engine.with_node(0, |n| n.state.root());
         for i in 1..4 {
             assert_eq!(c.engine.with_node(i, |n| n.state.root()), root);
+        }
+        // And the chains are not four copies: every peer's block holds the
+        // one `Arc<Transaction>` its request carried through consensus.
+        let shared = block_txs(&c, 0);
+        assert_eq!(shared.iter().map(Vec::len).sum::<usize>(), 50);
+        for i in 1..4 {
+            let other = block_txs(&c, i);
+            for (h, (ours, theirs)) in shared.iter().zip(&other).enumerate() {
+                assert_eq!(ours.len(), theirs.len());
+                for (k, (a, b)) in ours.iter().zip(theirs).enumerate() {
+                    assert!(Arc::ptr_eq(a, b), "node {i} block {h} tx {k} is a private copy");
+                }
+            }
         }
     }
 
@@ -1254,6 +1274,18 @@ mod tests {
         assert!(s.recovery_ms > 0);
         let committed: usize = c.confirmed_blocks_since(0).iter().map(|b| b.txs.len()).sum();
         assert_eq!(committed, 60);
+        // Blocks the restarted peer rebuilt from its own `!b/` records hold
+        // transactions it decoded from its store — private copies, equal by
+        // value. Everything it committed after the restart, through
+        // consensus or a `SyncReply`, is the cluster's shared allocation.
+        let (ours, theirs) = (block_txs(&c, 3), block_txs(&c, 0));
+        assert!(0 < recovered_blocks && recovered_blocks < ours.len());
+        for (h, (mine, reference)) in ours.iter().zip(&theirs).enumerate() {
+            assert_eq!(mine, reference);
+            for (a, b) in mine.iter().zip(reference) {
+                assert_eq!(Arc::ptr_eq(a, b), h >= recovered_blocks, "block {h}");
+            }
+        }
     }
 
     #[test]

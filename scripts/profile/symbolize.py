@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Symbolize sigprof.<pid>.out files: leaf, inclusive and call-tree tables.
+"""Symbolize sigprof.<pid>.out files: leaf, inclusive, owner and call-tree tables.
 
 usage: symbolize.py [FILE_OR_DIR ...]   (default: the current directory)
 
@@ -7,10 +7,12 @@ Of the files given (or found), the one with the most samples is reported: for
 `bench --workload W --trace 0` that is the measured child, the set-up children
 being the small ones. Needs binutils' `addr2line`.
 """
-import bisect, collections, glob, os, subprocess, sys
+import bisect, collections, glob, os, re, subprocess, sys
 
 TOP = 40          # rows in the leaf and inclusive tables
 TREE_MIN = 0.02   # call-tree branches under this share of all samples are cut
+OURS = re.compile(r"[<&]*(mut )?(bb_|blockbench::|bench::)")  # a frame from this workspace
+IN_LIB = re.compile(r" \[[^\]]*\.so[^\]]*\]$")                 # the tag symbolize() puts on a library frame
 
 
 def read(path):
@@ -82,6 +84,16 @@ def main():
                       if n >= 0.99 * total}
     table("inclusive: samples with the function anywhere on the stack (those on every stack left out)",
           collections.Counter(fn for s in samples for fn in set(s) - on_every_stack))
+
+    # Stripped libc resolves memcpy, malloc and free alike to whatever exported
+    # symbol sits below them; the workspace frame that called in is the answer.
+    def owner(s):
+        return next((fn for fn in reversed(s) if OURS.match(fn)), "(no workspace frame)")
+
+    table("owner: innermost workspace frame (bb_*, blockbench::, bench::) of each sample",
+          collections.Counter(owner(s) for s in samples))
+    table("owner, only of samples whose leaf is in a shared library (libc's memcpy, malloc, ...)",
+          collections.Counter(owner(s) for s in samples if s and IN_LIB.search(s[-1])))
 
     print(f"\n== call tree (branches >= {100 * TREE_MIN:.0f}% of all samples)")
 

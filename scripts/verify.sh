@@ -71,6 +71,10 @@ echo "==> identity: transaction ids, request and batch digests are stored, immut
 smoke -p bb-types id
 smoke -p bb-types --doc
 smoke -p bb-consensus request
+smoke -p bb-consensus message_sizes
+# One request allocation per transaction: every Fabric peer's block holds the
+# same `Arc<Transaction>` (DESIGN.md §4 "Replicas may share any immutable value").
+smoke -p bb-fabric identical_chains
 
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
