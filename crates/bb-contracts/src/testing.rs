@@ -1,9 +1,13 @@
 //! Dual-backend test harness: run the SVM build and the native build of a
 //! contract side by side and compare behaviour. Also provides the simple
-//! in-memory [`NativeCtx`] used by unit tests across this crate.
+//! in-memory [`NativeCtx`] used by unit tests across this crate, and the
+//! miniature workload set-up the platform crates' twin tests share.
 
-use blockbench::contract::{decode_call, Chaincode, ChaincodeContext, ContractBundle};
+use bb_crypto::KeyPair;
 use bb_svm::{MockHost, Vm};
+use bb_types::{Address, Transaction};
+use blockbench::connector::BlockchainConnector;
+use blockbench::contract::{decode_call, Chaincode, ChaincodeContext, ContractBundle};
 use std::collections::BTreeMap;
 
 /// Plain in-memory chaincode context for tests.
@@ -170,6 +174,35 @@ pub fn args(chunks: &[&[u8]]) -> Vec<u8> {
         out.extend_from_slice(c);
     }
     out
+}
+
+/// The YCSB and Smallbank workloads' set-up in miniature, for platform
+/// tests: deploy each contract, then preload 120 records and 80 accounts in
+/// blocks of 25, each contract from its own funded key — two
+/// `preload_blocks` calls, the second over whatever the first left behind.
+/// Returns the two contract addresses.
+pub fn ycsb_and_smallbank_setup(chain: &mut dyn BlockchainConnector) -> (Address, Address) {
+    fn preload(
+        chain: &mut dyn BlockchainConnector,
+        seed: u64,
+        contract: Address,
+        payloads: Vec<Vec<u8>>,
+    ) {
+        let key = KeyPair::from_seed(seed);
+        let txs: Vec<Transaction> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(nonce, p)| Transaction::signed(&key, nonce as u64, contract, 0, p))
+            .collect();
+        chain.preload_blocks(txs.chunks(25).map(<[Transaction]>::to_vec).collect());
+    }
+    let kv = chain.deploy(&crate::ycsb::bundle());
+    let records = (0..120).map(|k| crate::ycsb::write_call(k, &[k as u8; 100])).collect();
+    preload(chain, 900, kv, records);
+    let bank = chain.deploy(&crate::smallbank::bundle());
+    let accounts = (0..80).map(|a| crate::smallbank::deposit_checking_call(a, 10_000)).collect();
+    preload(chain, 901, bank, accounts);
+    (kv, bank)
 }
 
 #[cfg(test)]

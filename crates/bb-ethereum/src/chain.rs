@@ -479,18 +479,16 @@ impl EthereumChain {
         // happen at the window merge, in canonical order); each node then
         // forks its own private stream for mining races and gossip flips.
         let network = Network::new(config.nodes, config.link.clone(), rng.fork());
-        let nodes = (0..config.nodes)
-            .map(|_| EthNode {
-                chain: ChainNode::at_genesis(
-                    &ctx,
-                    LsmStore::new_private(eth_store_config()),
-                    &[],
-                    CpuMeter::new(config.cores),
-                ),
-                rng: rng.fork(),
-                mine_generation: 0,
-                crashed: false,
-            })
+        // One genesis, built once: every node but the last is a copy of it
+        // (its own store on its own disk), the last is the original.
+        let genesis = ChainNode::at_genesis(
+            &ctx,
+            LsmStore::new_private(eth_store_config()),
+            &[],
+            CpuMeter::new(config.cores),
+        );
+        let nodes = std::iter::repeat_n(genesis, config.nodes as usize)
+            .map(|chain| EthNode { chain, rng: rng.fork(), mine_generation: 0, crashed: false })
             .collect();
         let engine = ShardedEngine::new(ctx, nodes, network.min_latency());
         EthereumChain { config, engine, network, started: false, mem_peak: 0 }
@@ -672,13 +670,18 @@ impl BlockchainConnector for EthereumChain {
     fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
         assert!(!self.started, "preload before the run starts");
         let now = self.engine.now();
+        let before = self.engine.with_node(0, |n| n.chain.tip());
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
-            for i in 0..self.config.nodes {
-                self.engine
-                    .with_ctx_node_mut(i, |ctx, n| n.chain.preload_block(ctx, now, &txs, i == 0));
-            }
+            self.engine.with_ctx_node_mut(0, |ctx, n| n.chain.preload_block(ctx, now, &txs));
             self.engine.bump_counter(BLOCKS_MINED, 1);
+        }
+        // Preloading is consensus-free and identical on every node: the
+        // others take node 0's result instead of recomputing it.
+        for i in 1..self.config.nodes {
+            self.engine.with_first_and_node_mut(i, |first, n| {
+                n.chain.copy_preload_from(&first.chain, before)
+            });
         }
     }
 
@@ -693,6 +696,7 @@ impl BlockchainConnector for EthereumChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_contracts::testing::ycsb_and_smallbank_setup;
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
 
@@ -813,6 +817,68 @@ mod tests {
         let q = chain.query(&Query::BlockTxs { height: 1 }).unwrap();
         let mut d = bb_types::Decoder::new(&q.data);
         assert_eq!(d.u32().unwrap(), 1);
+    }
+
+    /// Everything set-up leaves on a node that a run can later observe, bar
+    /// the observer's log: chain, tip, store and trie counters, and the disk
+    /// (files, I/O counters, fault settings).
+    fn footprint(chain: &EthereumChain, i: u32) -> impl PartialEq + std::fmt::Debug {
+        let entries = chain.committed_chain(NodeId(i));
+        chain.engine.with_node(i, |n| {
+            let disk = n.chain.state.store().vfs().lock().unwrap().clone();
+            let trie = (n.chain.state.trie_cache_stats(), n.chain.state.trie_flush_stats());
+            (entries, n.chain.tip(), n.chain.state.store().stats(), trie, disk)
+        })
+    }
+
+    #[test]
+    fn twin_nodes_after_setup_each_own_their_copied_disk() {
+        let mut chain = small_chain(4);
+        let (kv, _) = ycsb_and_smallbank_setup(&mut chain);
+        // 5 + 4 preloaded blocks, and every node is node 0's twin...
+        let want = footprint(&chain, 0);
+        assert_eq!(chain.committed_chain(NodeId(0)).len(), 9);
+        for i in 1..4 {
+            assert_eq!(footprint(&chain, i), want, "node {i} is no twin of node 0");
+            // ...on a disk of its own, without the observer's log.
+            let disks = |j| chain.engine.with_node(j, |n| n.chain.state.store().vfs());
+            assert!(!Arc::ptr_eq(&disks(0), &disks(i)), "node {i} writes to node 0's disk");
+            assert_eq!(chain.engine.with_node(i, |n| n.chain.observer_totals()), (9, 0));
+        }
+        assert_eq!(chain.engine.with_node(0, |n| n.chain.observer_totals()), (9, 200));
+
+        // The copied WAL, manifest and tables really are node 2's own: a
+        // power cut and a restart from them alone brings it back.
+        for nonce in 0..20 {
+            let tx = client_tx(1, nonce, kv, ycsb::write_call(nonce, b"v"));
+            chain.submit(NodeId((nonce % 4) as u32), tx);
+        }
+        chain.advance_to(SimTime::from_secs(8));
+        chain.inject(Fault::Crash(NodeId(2)));
+        chain.inject(Fault::TornTail(NodeId(2)));
+        chain.advance_to(SimTime::from_secs(16));
+        chain.inject(Fault::Restart(NodeId(2)));
+        let preloaded = &chain.committed_chain(NodeId(0))[..9];
+        assert_eq!(&chain.committed_chain(NodeId(2))[..9], preloaded, "copied prefix not durable");
+        chain.advance_to(SimTime::from_secs(40));
+        let heads = [0, 2].map(|i| chain.engine.with_node(i, |n| n.chain.tree.head_height()));
+        assert!(heads[0].abs_diff(heads[1]) <= 3, "restarted node lags: {heads:?}");
+        let stats = chain.stats();
+        assert!(stats.recovery_ms > 0, "recovery never completed");
+        assert!(stats.wal_records_replayed > 0, "nothing replayed from the copied WAL");
+        let committed: u64 = chain.engine.with_node(0, |n| n.chain.observer_totals().1);
+        assert_eq!(committed, 220);
+    }
+
+    #[test]
+    #[should_panic(expected = "preload after replicas diverged")]
+    fn preload_refuses_to_overwrite_a_diverged_node() {
+        let mut chain = small_chain(4);
+        let contract = chain.deploy(&ycsb::bundle());
+        // Node 2 alone moves ahead by a block.
+        let lone = Arc::new(client_tx(1, 0, contract, ycsb::write_call(1, b"v")));
+        chain.engine.with_ctx_node_mut(2, |ctx, n| n.chain.preload_block(ctx, SimTime::ZERO, &[lone]));
+        chain.preload_blocks(vec![vec![client_tx(2, 0, contract, ycsb::write_call(2, b"v"))]]);
     }
 
     #[test]

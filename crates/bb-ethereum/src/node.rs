@@ -153,6 +153,11 @@ pub enum SyncMsg {
 }
 
 /// One server of an account-model chain.
+///
+/// `Clone` is a twin: a second node over a second store, equal to the first
+/// in everything a run can observe. Set-up builds one node and copies it
+/// (DESIGN.md §4 "Replicas may start as copies").
+#[derive(Clone)]
 pub struct ChainNode<S: KvStore> {
     /// The account state trie.
     pub state: AccountState<S>,
@@ -743,14 +748,21 @@ impl<S: KvStore + Send> ChainNode<S> {
         out
     }
 
-    /// Setup-time fast path: append one block of already-signed
-    /// transactions to the head, bypassing consensus and the pool.
+    /// Where this node stands: its head and the state root sealed at it.
+    pub fn tip(&self) -> (Hash256, Hash256) {
+        let head = self.tree.head();
+        (head, self.roots[&head])
+    }
+
+    /// Setup-time fast path, run on the observer (node 0) only: append one
+    /// block of already-signed transactions to the head, bypassing consensus
+    /// and the pool. Every other node then takes the result through
+    /// [`Self::copy_preload_from`].
     pub fn preload_block<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
         now: SimTime,
         txs: &[Arc<Transaction>],
-        observer: bool,
     ) {
         let params = p.params();
         let parent = self.tree.head();
@@ -781,17 +793,38 @@ impl<S: KvStore + Send> ChainNode<S> {
         self.bodies.insert(id, block);
         self.tree.insert(id, parent, P::DIFFICULTY);
         self.pruned.insert(id);
-        if observer {
-            self.confirmed.push(BlockSummary {
-                id,
-                height,
-                proposer: NodeId(0),
-                confirmed_at_us: now.as_micros(),
-                txs: receipts.clone(),
-            });
-            self.confirmed_height = height;
-        }
+        self.confirmed.push(BlockSummary {
+            id,
+            height,
+            proposer: NodeId(0),
+            confirmed_at_us: now.as_micros(),
+            txs: receipts.clone(),
+        });
+        self.confirmed_height = height;
         self.receipts.insert(id, receipts);
+    }
+
+    /// Become `src` as far as its [`Self::preload_block`]s went: a copy of
+    /// exactly the fields they write, bar the observer's log. `before` is
+    /// `src`'s [`Self::tip`] from before its first preloaded block; a node
+    /// that is not still there is no twin of `src`, and overwriting it
+    /// would hide whatever moved it.
+    pub fn copy_preload_from(&mut self, src: &Self, before: (Hash256, Hash256))
+    where
+        S: Clone,
+    {
+        assert_eq!(
+            self.tip(),
+            before,
+            "preload after replicas diverged: this node's (head, state root) is not node 0's \
+             from before the preload"
+        );
+        self.state = src.state.clone();
+        self.tree = src.tree.clone();
+        self.bodies = src.bodies.clone();
+        self.roots = src.roots.clone();
+        self.receipts = src.receipts.clone();
+        self.pruned = src.pruned.clone();
     }
 
     /// Execute one transaction synchronously on the head state and commit it

@@ -112,6 +112,7 @@ pub struct ExecResult {
 }
 
 /// The account state machine over a trie backend.
+#[derive(Clone)]
 pub struct AccountState<S: KvStore> {
     trie: PatriciaTrie<S>,
 }

@@ -1025,51 +1025,66 @@ impl BlockchainConnector for FabricChain {
     }
 
     fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
+        let now = self.engine.now();
+        let before = self.engine.with_node(0, |n| (n.blocks.len(), n.state.root()));
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
-            let now = self.engine.now();
-            for i in 0..self.config.nodes {
-                self.engine.with_node_mut(i, |node| {
-                    let height = node.blocks.len() as u64 + 1;
-                    let mut receipts = Vec::with_capacity(txs.len());
-                    for tx in &txs {
-                        node.executed.insert(tx.id());
-                        let res = node.state.invoke(tx, height, true);
-                        receipts.push((tx.id(), res.success));
-                    }
-                    let parent = node.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO);
-                    let header = BlockHeader {
-                        parent,
-                        height,
-                        timestamp_us: now.as_micros(),
-                        tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
-                        state_root: node.state.root(),
-                        proposer: NodeId(0),
-                        difficulty: 0,
-                        round: height,
-                    };
-                    let block = Block { header, txs: txs.clone() };
-                    // Preloads bypass consensus: record a zero sequence
-                    // floor so a restart resumes PBFT from scratch.
-                    node.state
-                        .commit_block_with_meta(vec![(
-                            block_meta_key(height),
-                            Some(block_meta_record(0, &block)),
-                        )])
-                        .expect("setup store healthy");
-                    if i == 0 {
-                        node.confirmed.push(BlockSummary {
-                            id: block.id(),
-                            height,
-                            proposer: NodeId(0),
-                            confirmed_at_us: now.as_micros(),
-                            txs: receipts.clone(),
-                        });
-                    }
-                    node.receipts.push(receipts);
-                    node.blocks.push(block);
+            self.engine.with_node_mut(0, |node| {
+                let height = node.blocks.len() as u64 + 1;
+                let mut receipts = Vec::with_capacity(txs.len());
+                for tx in &txs {
+                    node.executed.insert(tx.id());
+                    let res = node.state.invoke(tx, height, true);
+                    receipts.push((tx.id(), res.success));
+                }
+                let parent = node.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO);
+                let header = BlockHeader {
+                    parent,
+                    height,
+                    timestamp_us: now.as_micros(),
+                    tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
+                    state_root: node.state.root(),
+                    proposer: NodeId(0),
+                    difficulty: 0,
+                    round: height,
+                };
+                let block = Block { header, txs };
+                // Preloads bypass consensus: record a zero sequence
+                // floor so a restart resumes PBFT from scratch.
+                node.state
+                    .commit_block_with_meta(vec![(
+                        block_meta_key(height),
+                        Some(block_meta_record(0, &block)),
+                    )])
+                    .expect("setup store healthy");
+                node.confirmed.push(BlockSummary {
+                    id: block.id(),
+                    height,
+                    proposer: NodeId(0),
+                    confirmed_at_us: now.as_micros(),
+                    txs: receipts.clone(),
                 });
-            }
+                node.receipts.push(receipts);
+                node.blocks.push(block);
+            });
+        }
+        // Preloading is consensus-free and identical on every peer: the
+        // others take node 0's result instead of recomputing it. A peer that
+        // is not still where node 0 started (the run began and they moved
+        // apart) is no twin of it, and overwriting it would hide that.
+        for i in 1..self.config.nodes {
+            self.engine.with_first_and_node_mut(i, |first, node| {
+                assert_eq!(
+                    (node.blocks.len(), node.state.root()),
+                    before,
+                    "preload after replicas diverged: peer {i}'s (block count, state root) is \
+                     not node 0's from before the preload"
+                );
+                node.state.copy_state_from(&first.state);
+                node.executed = first.executed.clone();
+                node.blocks = first.blocks.clone();
+                node.receipts = first.receipts.clone();
+            });
         }
     }
 
@@ -1103,6 +1118,7 @@ impl BlockchainConnector for FabricChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_contracts::testing::ycsb_and_smallbank_setup;
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
 
@@ -1168,6 +1184,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Everything set-up leaves on a peer that a run can later observe, bar
+    /// the observer's log: chain, receipts, executed ids, state root, store
+    /// and tree counters, the memory meter, and the disk (files, I/O counters,
+    /// fault settings).
+    fn footprint(c: &FabricChain, i: u32) -> impl PartialEq + std::fmt::Debug {
+        let entries = c.committed_chain(NodeId(i));
+        c.engine.with_node(i, |n| {
+            let disk = n.state.vfs().lock().unwrap().clone();
+            let mut executed: Vec<TxId> = n.executed.iter().copied().collect();
+            executed.sort_unstable();
+            let counts = (n.state.store_stats(), n.state.flush_stats(), n.state.mem_peak());
+            (entries, n.receipts.clone(), executed, n.state.root(), counts, disk)
+        })
+    }
+
+    #[test]
+    fn twin_peers_after_setup_each_own_their_copied_disk() {
+        let mut c = chain(4);
+        let (kv, _) = ycsb_and_smallbank_setup(&mut c);
+        // 5 + 4 preloaded blocks, and every peer is node 0's twin...
+        let want = footprint(&c, 0);
+        assert_eq!(c.committed_chain(NodeId(0)).len(), 9);
+        for i in 1..4 {
+            assert_eq!(footprint(&c, i), want, "peer {i} is no twin of node 0");
+            // ...on a disk of its own, without the observer's log, and with
+            // its own chaincodes still installed.
+            let disks = |j| c.engine.with_node(j, |n| n.state.vfs());
+            assert!(!Arc::ptr_eq(&disks(0), &disks(i)), "peer {i} writes to node 0's disk");
+            assert_eq!(c.engine.with_node(i, |n| n.confirmed.len()), 0);
+            assert!(c.engine.with_node(i, |n| n.state.has_chaincode(&kv)));
+        }
+        assert_eq!(c.confirmed_blocks_since(0).iter().map(|b| b.txs.len()).sum::<usize>(), 200);
+
+        // The copied WAL, manifest and tables really are peer 2's own: a
+        // power cut and a restart from them alone brings it back.
+        for nonce in 0..30 {
+            c.submit(NodeId((nonce % 4) as u32), client_tx(7, nonce, kv, ycsb::write_call(nonce, b"v")));
+        }
+        c.advance_to(SimTime::from_secs(5));
+        c.inject(Fault::Crash(NodeId(2)));
+        c.inject(Fault::TornTail(NodeId(2)));
+        for nonce in 30..60 {
+            c.submit(NodeId((nonce % 2) as u32), client_tx(7, nonce, kv, ycsb::write_call(nonce, b"w")));
+        }
+        c.advance_to(SimTime::from_secs(10));
+        c.inject(Fault::Restart(NodeId(2)));
+        let recovered = c.engine.with_node(2, |n| n.blocks.len());
+        assert!(recovered >= 9, "copied prefix not durable: {recovered} blocks recovered");
+        c.advance_to(SimTime::from_secs(25));
+        assert_eq!(c.committed_chain(NodeId(2)), c.committed_chain(NodeId(0)));
+        assert_eq!(
+            c.engine.with_node(2, |n| n.state.root()),
+            c.engine.with_node(0, |n| n.state.root())
+        );
+        let s = c.stats();
+        assert!(s.wal_records_replayed > 0, "nothing replayed from the copied WAL");
+        assert!(s.recovery_ms > 0, "recovery never completed");
+        assert_eq!(c.confirmed_blocks_since(0).iter().map(|b| b.txs.len()).sum::<usize>(), 260);
+    }
+
+    #[test]
+    #[should_panic(expected = "preload after replicas diverged")]
+    fn preload_refuses_once_the_run_has_moved_peers_apart() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        // Peer 2 sleeps through a committed batch.
+        c.inject(Fault::Crash(NodeId(2)));
+        for nonce in 0..10 {
+            c.submit(NodeId(0), client_tx(1, nonce, addr, ycsb::write_call(nonce, b"v")));
+        }
+        c.advance_to(SimTime::from_secs(3));
+        assert!(!c.confirmed_blocks_since(0).is_empty());
+        c.preload_blocks(vec![vec![client_tx(2, 0, addr, ycsb::write_call(99, b"late"))]]);
     }
 
     #[test]

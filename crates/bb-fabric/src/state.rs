@@ -163,6 +163,14 @@ impl FabricState {
         })
     }
 
+    /// Become `src` as far as its world state goes: a copy of its bucket
+    /// tree — over a copy of its store, on a second disk — and of its
+    /// memory meter. Chaincodes are installed per peer and stay.
+    pub fn copy_state_from(&mut self, src: &FabricState) {
+        self.tree = src.tree.clone();
+        self.mem = src.mem.clone();
+    }
+
     /// Install (deploy) a chaincode at `addr`.
     pub fn install(&mut self, addr: Address, factory: ChaincodeFactory) {
         self.chaincodes.insert(addr, factory());

@@ -36,6 +36,10 @@ fn xor_into(acc: &mut Hash256, h: &Hash256) {
 /// [`BucketTree::commit`] at block-seal time drains the overlay into one
 /// atomic [`WriteBatch`]. A key overwritten several times inside a block
 /// reaches storage once, with its final value.
+///
+/// `Clone` is a second tree over a second store: digests, entry count, the
+/// pending overlay and both flush counters travel.
+#[derive(Clone)]
 pub struct BucketTree<S: KvStore> {
     store: S,
     bucket_hashes: Vec<Hash256>,
@@ -540,6 +544,59 @@ mod seeded_props {
             assert_eq!(t.len(), model.len() as u64);
             for (k, v) in &model {
                 assert_eq!(t.get(k).unwrap(), Some(v.clone()));
+            }
+        }
+    }
+
+    /// A tree cloned mid-script — a sealed block behind it, pending values
+    /// in the overlay — is a twin: original and copy each finish the script
+    /// where the run that never forked does, counters and store included.
+    #[test]
+    fn fork_in_the_middle_lands_both_sides_on_the_unforked_run_seeded() {
+        type Op = (Vec<u8>, Option<Vec<u8>>);
+        /// Apply `ops[from..]`, sealing a block after every 16th op.
+        fn run(t: &mut BucketTree<MemStore>, ops: &[Op], from: usize) {
+            for (i, (k, v)) in ops.iter().enumerate().skip(from) {
+                match v {
+                    Some(v) => t.put(k, v).unwrap(),
+                    None => t.delete(k).unwrap(),
+                }
+                if i % 16 == 15 {
+                    t.commit().unwrap();
+                }
+            }
+        }
+        fn pin(mut t: BucketTree<MemStore>) -> impl PartialEq + std::fmt::Debug {
+            let pending = t.pending_values();
+            t.commit().unwrap();
+            let stored = t.store_mut().scan_prefix(b"").unwrap();
+            let counts = (t.len(), pending, t.values_flushed(), t.values_superseded());
+            (t.root(), counts, t.store().stats(), stored)
+        }
+        let mut rng = SimRng::seed_from_u64(0x5EED_0023);
+        for _ in 0..24 {
+            let ops: Vec<Op> = (0..rng.range(40, 120))
+                .map(|_| {
+                    let k = vec![rng.below(24) as u8];
+                    let v = rng.chance(0.7).then(|| {
+                        let mut v = vec![0u8; rng.below(4) as usize];
+                        rng.fill_bytes(&mut v);
+                        v
+                    });
+                    (k, v)
+                })
+                .collect();
+            let mut unforked = BucketTree::new(MemStore::new(), 16);
+            run(&mut unforked, &ops, 0);
+            let want = pin(unforked);
+            // Fork inside the second block.
+            let fork = rng.range(17, 32) as usize;
+            let mut original = BucketTree::new(MemStore::new(), 16);
+            run(&mut original, &ops[..fork], 0);
+            let copy = original.clone();
+            for mut t in [original, copy] {
+                run(&mut t, &ops, fork);
+                assert_eq!(pin(t), want);
             }
         }
     }

@@ -40,6 +40,13 @@ use std::sync::Arc;
 const NODE_CACHE_CAP: usize = 1 << 17;
 
 /// Merkle-Patricia trie handle owning its backing store.
+///
+/// `Clone` is a second trie over a second store, indistinguishable from the
+/// first by anything a walk or a counter can observe: root, overlay, cache
+/// (same entries in the same table layout, so the wholesale `clear()` falls
+/// on the same insert) and all five counters travel. Node encodings are
+/// immutable, so the two share them by reference count.
+#[derive(Clone)]
 pub struct PatriciaTrie<S: KvStore> {
     store: S,
     root: Hash256,
@@ -1509,6 +1516,7 @@ mod known_answers {
     /// A `MemStore` that also keeps a running digest of every batch `commit`
     /// hands it, in order — pins the flushed bytes *and* the DFS flush order —
     /// and reports their volume as `bytes_written`.
+    #[derive(Clone)]
     struct TapeStore {
         inner: MemStore,
         tape: Sha256,
@@ -1608,12 +1616,22 @@ mod known_answers {
     /// pins after the load, after the reads and at the end.
     fn load_read_overwrite(keys: &[Vec<u8>]) -> [Pin; 3] {
         let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
-        for (i, k) in keys.iter().enumerate() {
+        load(&mut t, keys, 0);
+        read_overwrite(t, keys)
+    }
+
+    /// The load phase of [`load_read_overwrite`] from key `from` on.
+    fn load(t: &mut PatriciaTrie<TapeStore>, keys: &[Vec<u8>], from: usize) {
+        for (i, k) in keys.iter().enumerate().skip(from) {
             t.insert(k, b"value-bytes-here").unwrap();
             if i % 64 == 63 {
                 t.commit().unwrap();
             }
         }
+    }
+
+    /// Everything in [`load_read_overwrite`] after the last inserted key.
+    fn read_overwrite(mut t: PatriciaTrie<TapeStore>, keys: &[Vec<u8>]) -> [Pin; 3] {
         t.commit().unwrap();
         let loaded = pin(&t);
         for _ in 0..10 {
@@ -1662,12 +1680,34 @@ mod known_answers {
         assert_eq!(pins, want);
     }
 
+    fn hashed_keys() -> Vec<Vec<u8>> {
+        (0..60_000u64).map(|i| bb_crypto::sha256(&i.to_be_bytes())[..20].to_vec()).collect()
+    }
+
     #[test]
     fn hashed_keys_that_cross_the_cache_cap() {
-        let keys: Vec<Vec<u8>> =
-            (0..60_000u64).map(|i| bb_crypto::sha256(&i.to_be_bytes())[..20].to_vec()).collect();
-        let pins = load_read_overwrite(&keys);
-        let want = [
+        assert_eq!(load_read_overwrite(&hashed_keys()), hashed_keys_pins());
+    }
+
+    /// A trie cloned mid-script — mid-block, overlay and cache populated, the
+    /// cache-cap crossings still ahead — is a twin: original and copy each
+    /// finish the script on the pins of the run that never forked.
+    #[test]
+    fn fork_in_the_middle_lands_both_sides_on_the_known_answers() {
+        let keys = hashed_keys();
+        let mut original = PatriciaTrie::new(TapeStore::over(MemStore::new()));
+        let half = keys.len() / 2;
+        load(&mut original, &keys[..half], 0);
+        assert!(original.pending_nodes() > 0 && original.cache_stats().1 > 0);
+        let copy = original.clone();
+        for mut t in [original, copy] {
+            load(&mut t, &keys, half);
+            assert_eq!(read_overwrite(t, &keys), hashed_keys_pins());
+        }
+    }
+
+    fn hashed_keys_pins() -> [Pin; 3] {
+        [
             expect(
                 "cc90f69667245783cc1221184ee56b0eb5c5b738b603b129185f7471b1060ece",
                 (235_752, 21_073),
@@ -1692,8 +1732,7 @@ mod known_answers {
                 [68_396_288, 308_266, 939],
                 "334d315501adf94687fd906be259fdeaa9452819d0a73d2377e5cbf59f5cd36a",
             ),
-        ];
-        assert_eq!(pins, want);
+        ]
     }
 
     /// The rarer paths in one short life: removals that collapse branches, a

@@ -473,14 +473,17 @@ impl ParityChain {
             ),
             crashed: vec![false; config.nodes as usize],
         };
-        let nodes = (0..config.nodes)
-            .map(|_| PoaNode {
-                chain: ChainNode::at_genesis(
-                    &ctx,
-                    MemStore::with_capacity_cap(state_cap(&config)),
-                    &[],
-                    CpuMeter::new(config.cores),
-                ),
+        // One genesis, built once: every node but the last is a copy of it,
+        // the last is the original.
+        let genesis = ChainNode::at_genesis(
+            &ctx,
+            MemStore::with_capacity_cap(state_cap(&config)),
+            &[],
+            CpuMeter::new(config.cores),
+        );
+        let nodes = std::iter::repeat_n(genesis, config.nodes as usize)
+            .map(|chain| PoaNode {
+                chain,
                 admission_busy_until: SimTime::ZERO,
                 admission_backlog: 0,
             })
@@ -689,13 +692,18 @@ impl BlockchainConnector for ParityChain {
     fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
         assert!(!self.started, "preload before the run starts");
         let now = self.engine.now();
+        let before = self.engine.with_node(0, |n| n.chain.tip());
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
-            for i in 0..self.config.nodes {
-                self.engine
-                    .with_ctx_node_mut(i, |ctx, n| n.chain.preload_block(ctx, now, &txs, i == 0));
-            }
+            self.engine.with_ctx_node_mut(0, |ctx, n| n.chain.preload_block(ctx, now, &txs));
             self.engine.bump_counter(BLOCKS_PRODUCED, 1);
+        }
+        // Preloading is consensus-free and identical on every node: the
+        // others take node 0's result instead of recomputing it.
+        for i in 1..self.config.nodes {
+            self.engine.with_first_and_node_mut(i, |first, n| {
+                n.chain.copy_preload_from(&first.chain, before)
+            });
         }
     }
 
@@ -710,6 +718,7 @@ impl BlockchainConnector for ParityChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_contracts::testing::ycsb_and_smallbank_setup;
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
 
@@ -852,6 +861,67 @@ mod tests {
         assert_eq!(i64::from_le_bytes(r.data.try_into().unwrap()), 11);
         let r = c.query(&Query::AccountAtBlock { account: bob, height: 2 }).unwrap();
         assert_eq!(i64::from_le_bytes(r.data.try_into().unwrap()), 33);
+    }
+
+    /// Everything set-up leaves on a node that a run can later observe, bar
+    /// the observer's log: chain, tip, store counters and contents, trie
+    /// counters.
+    fn footprint(c: &ParityChain, i: u32) -> impl PartialEq + std::fmt::Debug {
+        let entries = c.committed_chain(NodeId(i));
+        c.engine.with_node(i, |n| {
+            let store = n.chain.state.store();
+            let contents = store.clone().scan_prefix(b"").unwrap();
+            let trie = (n.chain.state.trie_cache_stats(), n.chain.state.trie_flush_stats());
+            (entries, n.chain.tip(), store.stats(), trie, contents)
+        })
+    }
+
+    #[test]
+    fn twin_nodes_after_setup_and_a_restarted_one_rejoins() {
+        let mut c = chain(4);
+        let (kv, _) = ycsb_and_smallbank_setup(&mut c);
+        // 5 + 4 preloaded blocks, and every node is node 0's twin, without
+        // the observer's log.
+        let want = footprint(&c, 0);
+        assert_eq!(c.committed_chain(NodeId(0)).len(), 9);
+        for i in 1..4 {
+            assert_eq!(footprint(&c, i), want, "node {i} is no twin of node 0");
+            assert_eq!(c.engine.with_node(i, |n| n.chain.observer_totals()), (9, 0));
+        }
+        assert_eq!(c.engine.with_node(0, |n| n.chain.observer_totals()), (9, 200));
+        // The stores are separate: a write on node 2 stays on node 2.
+        c.engine.with_node_mut(2, |n| n.chain.state.store_mut().put(b"!probe", b"x").unwrap());
+        assert_eq!(footprint(&c, 1), want);
+        assert_ne!(footprint(&c, 2), want);
+
+        // Parity keeps nothing durable: a restarted node 2 rebuilds genesis
+        // and fetches the preloaded blocks from its twins like any others.
+        for nonce in 0..12 {
+            c.submit(NodeId((nonce % 4) as u32), client_tx(1, nonce, kv, ycsb::write_call(nonce, b"v")));
+        }
+        c.advance_to(SimTime::from_secs(8));
+        c.inject(Fault::Crash(NodeId(2)));
+        c.advance_to(SimTime::from_secs(14));
+        c.inject(Fault::Restart(NodeId(2)));
+        c.advance_to(SimTime::from_secs(30));
+        let heads = [0, 2].map(|i| c.engine.with_node(i, |n| n.chain.tree.head_height()));
+        assert!(heads[0].abs_diff(heads[1]) <= 2, "restarted node lags: {heads:?}");
+        // Same blocks; the roots it re-executes them to sit on a genesis that
+        // already holds both contracts, so they are its own.
+        let ids = |i| c.committed_chain(NodeId(i))[..9].iter().map(|e| e.id).collect::<Vec<_>>();
+        assert_eq!(ids(2), ids(0));
+        assert!(c.stats().recovery_ms > 0, "recovery never completed");
+    }
+
+    #[test]
+    #[should_panic(expected = "preload after replicas diverged")]
+    fn preload_refuses_to_overwrite_a_diverged_node() {
+        let mut c = chain(4);
+        let contract = c.deploy(&ycsb::bundle());
+        // Node 2 alone moves ahead by a block.
+        let lone = Arc::new(client_tx(1, 0, contract, ycsb::write_call(1, b"v")));
+        c.engine.with_ctx_node_mut(2, |ctx, n| n.chain.preload_block(ctx, SimTime::ZERO, &[lone]));
+        c.preload_blocks(vec![vec![client_tx(2, 0, contract, ycsb::write_call(2, b"v"))]]);
     }
 
     #[test]

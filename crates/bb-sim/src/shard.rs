@@ -331,6 +331,18 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         f(&mut self.lanes[lane as usize].node)
     }
 
+    /// Read lane 0's node while mutating another lane's — for set-up paths
+    /// that do their work once on node 0 and hand every other node a copy.
+    pub fn with_first_and_node_mut<R>(
+        &mut self,
+        lane: u32,
+        f: impl FnOnce(&W::Node, &mut W::Node) -> R,
+    ) -> R {
+        assert!(lane > 0, "lane 0 cannot be lent shared and mutably at once");
+        let (first, rest) = self.lanes.split_first_mut().expect("lane > 0 exists");
+        f(&first.node, &mut rest[lane as usize - 1].node)
+    }
+
     /// Read the context and mutate a lane's node together — for connector
     /// paths like queries that execute against one node's state using shared
     /// read-only machinery (VM, cost model).
@@ -637,6 +649,22 @@ mod tests {
         engine.run_until(deadline, &mut net);
         assert_eq!(engine.now(), deadline);
         assert_eq!(engine.with_node(0, |n| n.pings), 1);
+    }
+
+    #[test]
+    fn first_lane_is_lent_shared_beside_another_lent_mutably() {
+        let mut engine = ring_engine(3);
+        engine.with_node_mut(0, |n| n.pings = 7);
+        for lane in 1..3 {
+            engine.with_first_and_node_mut(lane, |first, node| node.pings = first.pings + lane as u64);
+        }
+        assert_eq!(lanes_of(&engine).iter().map(|l| l.0).collect::<Vec<_>>(), [7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0 cannot be lent")]
+    fn first_lane_is_not_lent_twice() {
+        ring_engine(2).with_first_and_node_mut(0, |_, _| ());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 /// Sorted in-memory write buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MemTable {
     entries: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     approx_bytes: u64,

@@ -68,6 +68,7 @@ impl Default for LsmConfig {
 }
 
 /// A table plus the id its file is named after.
+#[derive(Clone)]
 struct Tbl {
     id: u64,
     table: SsTable,
@@ -76,6 +77,7 @@ struct Tbl {
 /// A pinned snapshot: the table set (newest-first read priority) frozen at
 /// `snapshot_open` time. Compaction defers deleting these files until the
 /// snapshot closes.
+#[derive(Clone)]
 struct SnapshotPin {
     id: u64,
     tables: Vec<SsTable>,
@@ -725,6 +727,32 @@ impl KvStore for LsmStore {
     }
 }
 
+/// A second disk, not a second handle: the copy owns a deep copy of the
+/// [`Vfs`] (file bytes, I/O counters, fault settings) behind a fresh
+/// `Arc<Mutex<_>>`, plus its own memtable, table handles, pins and counters.
+/// At the moment of the copy both stores read, count and recover alike;
+/// afterwards a write, fault or compaction on one never reaches the other.
+/// Written by hand because the derive would alias the one disk.
+impl Clone for LsmStore {
+    fn clone(&self) -> LsmStore {
+        let disk = self.vfs.lock().unwrap().clone();
+        LsmStore {
+            vfs: Arc::new(Mutex::new(disk)),
+            prefix: self.prefix.clone(),
+            config: self.config.clone(),
+            wal: self.wal.clone(),
+            memtable: self.memtable.clone(),
+            levels: self.levels.clone(),
+            next_table_id: self.next_table_id,
+            cursors: self.cursors.clone(),
+            snapshots: self.snapshots.clone(),
+            next_snapshot_id: self.next_snapshot_id,
+            deferred_deletes: self.deferred_deletes.clone(),
+            stats: self.stats,
+        }
+    }
+}
+
 impl std::fmt::Debug for LsmStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LsmStore")
@@ -1200,6 +1228,96 @@ mod leveled_tests {
         assert!(s.snapshot_chunk(snap, None, 1024).is_ok());
         s.snapshot_close(snap);
         assert!(s.snapshot_chunk(snap, None, 1024).is_err(), "closed snapshot");
+    }
+}
+
+/// `LsmStore::clone` is a second disk: equal to the first at the moment of
+/// the copy, and out of its reach ever after.
+#[cfg(test)]
+mod second_disk {
+    use super::*;
+    use crate::fault::FaultVfs;
+
+    fn config() -> LsmConfig {
+        LsmConfig { memtable_flush_bytes: 512, max_tables: 2, ..LsmConfig::default() }
+    }
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("k{i:02}").into_bytes()
+    }
+
+    /// A store with tables below L0, an unflushed tail in the WAL and a
+    /// tombstone: every tier a copy has to carry.
+    fn loaded() -> LsmStore {
+        let mut s = LsmStore::new_private(config());
+        for round in 0..6u32 {
+            for i in 0..40 {
+                s.put(&key(i), format!("round{round}").as_bytes()).unwrap();
+            }
+        }
+        s.delete(&key(7)).unwrap();
+        assert!(s.stats().compactions > 0 && s.level_table_counts().len() > 1);
+        assert!(s.stats().mem_bytes > 0, "nothing left in the memtable");
+        s
+    }
+
+    /// The disk as it is now: every file's bytes, the I/O and stall counters
+    /// and the fault settings.
+    fn disk(s: &LsmStore) -> Vfs {
+        s.vfs().lock().unwrap().clone()
+    }
+
+    #[test]
+    fn copy_reads_counts_and_recovers_like_the_original() {
+        let mut a = loaded();
+        let mut b = a.clone();
+        assert!(!Arc::ptr_eq(&a.vfs(), &b.vfs()), "the copy is a second handle on one disk");
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(disk(&a), disk(&b));
+        assert_eq!(a.level_table_counts(), b.level_table_counts());
+        for i in 0..41 {
+            assert_eq!(a.get(&key(i)).unwrap(), b.get(&key(i)).unwrap(), "key {i}");
+        }
+        let contents = a.scan_prefix(b"").unwrap();
+        assert_eq!(contents.len(), 39);
+        assert_eq!(b.scan_prefix(b"").unwrap(), contents);
+        assert_eq!(a.stats(), b.stats(), "equal reads were charged differently");
+        // The copied WAL and manifest are the copy's own: a restart from its
+        // disk alone finds everything.
+        let mut reopened = LsmStore::open(b.vfs(), "lsm", config()).unwrap();
+        assert!(reopened.stats().wal_records_replayed > 0);
+        assert_eq!(reopened.scan_prefix(b"").unwrap(), contents);
+        assert_eq!(reopened.get(&key(7)).unwrap(), None, "tombstone lost in the copy");
+    }
+
+    #[test]
+    fn writes_faults_and_latency_on_one_side_never_reach_the_other() {
+        let mut a = loaded();
+        let mut b = a.clone();
+        let (b_disk, b_stats) = (disk(&b), b.stats());
+        // A put, flushes and compactions...
+        for i in 0..40 {
+            a.put(&key(i), b"after-the-copy").unwrap();
+        }
+        a.flush();
+        assert!(a.stats().compactions > b_stats.compactions);
+        // ...a torn WAL tail...
+        a.put(b"tail", b"unflushed").unwrap();
+        assert!(FaultVfs::new(a.vfs(), 7).tear_tail("lsm/wal"));
+        // ...and a slow disk, all on the original.
+        a.vfs().lock().unwrap().set_op_latency_us(50);
+        assert_eq!(a.get(&key(1)).unwrap(), Some(b"after-the-copy".to_vec()));
+        assert!(a.vfs().lock().unwrap().stall_us() > 0);
+
+        assert_eq!(disk(&b), b_disk, "the copy's files or disk counters moved");
+        assert_eq!(b.stats(), b_stats);
+        assert_eq!(b.get(&key(1)).unwrap(), Some(b"round5".to_vec()));
+        // And the other way round.
+        let a_disk = disk(&a);
+        b.put(&key(1), b"on-the-copy").unwrap();
+        b.flush();
+        assert_eq!(disk(&a), a_disk);
+        assert_eq!(a.get(&key(1)).unwrap(), Some(b"after-the-copy".to_vec()));
     }
 }
 

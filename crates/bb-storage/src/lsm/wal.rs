@@ -47,7 +47,7 @@ fn checksum(parts: &[&[u8]]) -> u32 {
 }
 
 /// Append-only log over one VFS file.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Wal {
     file: String,
 }

@@ -15,7 +15,10 @@ use std::collections::BTreeMap;
 pub const ENTRY_OVERHEAD: u64 = 64;
 
 /// Ordered in-memory key-value store with an optional capacity cap.
-#[derive(Debug, Default)]
+///
+/// `Clone` is a second store: contents, the cap and every counter are
+/// copied, and nothing is shared afterwards.
+#[derive(Debug, Default, Clone)]
 pub struct MemStore {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
     mem_bytes: u64,
@@ -178,6 +181,29 @@ mod tests {
         // The prefix that fit stays applied, like per-put OOM.
         assert_eq!(s.len(), 2);
         assert_eq!(s.stats().batch_writes, 1);
+    }
+
+    #[test]
+    fn clone_is_a_second_disk() {
+        let mut a = MemStore::with_capacity_cap(450);
+        a.put(b"k1", b"one").unwrap();
+        a.put(b"k2", b"two").unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.scan_prefix(b"").unwrap(), b.scan_prefix(b"").unwrap());
+        assert_eq!(a.get(b"k1").unwrap(), b.get(b"k1").unwrap());
+        assert_eq!(a.stats(), b.stats());
+        // Writes stay on their side, and each side fills its own cap.
+        let b_stats = b.stats();
+        a.put(b"k1", b"changed").unwrap();
+        a.delete(b"k2").unwrap();
+        a.put(b"big", &[0u8; 200]).unwrap();
+        assert_eq!(b.stats(), b_stats);
+        assert_eq!(b.get(b"k1").unwrap(), Some(b"one".to_vec()));
+        assert_eq!(b.get(b"k2").unwrap(), Some(b"two".to_vec()));
+        assert_eq!(b.get(b"big").unwrap(), None);
+        b.put(b"big", &[1u8; 200]).unwrap();
+        assert!(matches!(b.put(b"more", &[1u8; 200]), Err(KvError::OutOfSpace { .. })));
     }
 
     #[test]

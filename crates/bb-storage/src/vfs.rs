@@ -24,8 +24,11 @@ impl std::error::Error for FileNotFound {}
 ///
 /// `Clone` deliberately copies file contents *and* the I/O counters: tests
 /// snapshot a node's durable state this way to compare pre-crash and
-/// post-recovery bytes, and benchmarks clone a prepared image per iteration.
-#[derive(Debug, Default, Clone)]
+/// post-recovery bytes, benchmarks clone a prepared image per iteration, and
+/// a store copied with its replica ([`crate::LsmStore`]'s `Clone`) gets its
+/// own disk this way. Two disks are equal when every file, counter and
+/// fault setting is.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Vfs {
     files: BTreeMap<String, Vec<u8>>,
     bytes_written: u64,

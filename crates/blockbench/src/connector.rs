@@ -151,7 +151,7 @@ pub struct NodeCounters {
 /// A restarted node's catch-up session: opened by `Restart`, closed into
 /// [`NodeCounters::recovery_ms`] once the node's progress (head height, or
 /// PBFT sequence) reaches the target learned from a live peer.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryWindow {
     /// Set while the node is catching up from peers.
     pub restarted_at: Option<SimTime>,
