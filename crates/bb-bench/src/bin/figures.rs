@@ -1,13 +1,17 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [all|fig5|fig6|fig7|fig8|fig9|fig9r|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig_saturation|fig_chaos] [--paper]
+//! figures [all|fig5|fig6|fig7|fig8|fig9|fig9r|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig_saturation|fig_chaos|ablations] [--paper]
 //! ```
 //!
 //! Each figure prints as an aligned table and is also written to
 //! `results/<figure>.csv`. `--paper` stretches windows and sweeps toward the
-//! original dimensions (slower); the default "quick" scale regenerates every
-//! figure in minutes. EXPERIMENTS.md records paper-vs-measured per figure.
+//! original dimensions (slower) and writes to `results/paper/<figure>.csv`,
+//! so it cannot overwrite the quick-scale CSVs `scripts/check_results.sh`
+//! gates; the default "quick" scale regenerates every figure in minutes.
+//! An unknown figure name or flag prints the usage line and exits 2; a CSV
+//! that cannot be written exits 1. EXPERIMENTS.md records paper-vs-measured
+//! per figure.
 
 use bb_bench::exp_ablation::{
     ablation_channel, ablation_conflict, ablation_difficulty, ablation_signing,
@@ -19,24 +23,46 @@ use bb_bench::exp_micro::{fig11, fig12, fig13ab};
 use bb_bench::exp_saturation::fig_saturation;
 use bb_bench::exp_scale::{fig7, fig8};
 use bb_bench::{Scale, Table};
-use std::path::PathBuf;
+use std::path::Path;
 
-fn emit(table: &Table, csv_name: &str) {
-    println!("{}", table.render());
-    let path = PathBuf::from("results").join(csv_name);
-    match table.write_csv(&path) {
-        Ok(()) => println!("   [written to {}]\n", path.display()),
-        Err(e) => eprintln!("   [csv write failed: {e}]\n"),
-    }
-}
+/// Every name `want` is asked about below, in the order the figures run
+/// (`want` panics on one that is missing here).
+const FIGURES: [&str; 19] = [
+    "fig5", "fig6", "fig7", "fig8", "fig9", "fig9r", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "fig15", "fig16", "fig17", "fig18", "fig19", "fig_saturation", "fig_chaos", "ablations",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper = args.iter().any(|a| a == "--paper");
-    let scale = if paper { Scale::paper() } else { Scale::quick() };
-    let wanted: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+    let mut paper = false;
+    let mut wanted = Vec::new();
+    for arg in &args {
+        match arg.as_str() {
+            "--paper" => paper = true,
+            name if name == "all" || FIGURES.contains(&name) => wanted.push(name),
+            bad => {
+                eprintln!("figures: unknown argument {bad}");
+                eprintln!("usage: figures [all|{}] [--paper]", FIGURES.join("|"));
+                std::process::exit(2);
+            }
+        }
+    }
     let run_all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |name: &str| run_all || wanted.contains(&name);
+    let want = |name: &str| {
+        assert!(FIGURES.contains(&name), "{name} is missing from FIGURES");
+        run_all || wanted.contains(&name)
+    };
+    let scale = if paper { Scale::paper() } else { Scale::quick() };
+    let dir = Path::new(if paper { "results/paper" } else { "results" });
+    let emit = |table: &Table, csv_name: &str| {
+        println!("{}", table.render());
+        let path = dir.join(csv_name);
+        if let Err(e) = table.write_csv(&path) {
+            eprintln!("figures: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        println!("   [written to {}]\n", path.display());
+    };
 
     println!(
         "BLOCKBENCH-RS figure harness — scale: {} (duration {}s)\n",

@@ -476,7 +476,7 @@ impl EthereumChain {
         };
         let ctx = EthCtx { config: config.clone(), params };
         // The network's stream forks off the root seed first (its draws
-        // happen at the window merge, in canonical order); each node then
+        // happen as each handler returns, in event-key order); each node then
         // forks its own private stream for mining races and gossip flips.
         let network = Network::new(config.nodes, config.link.clone(), rng.fork());
         // One genesis, built once: every node but the last is a copy of it

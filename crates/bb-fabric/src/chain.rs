@@ -14,9 +14,9 @@
 //!
 //! The world is *sharded*: each peer is a lane of a
 //! [`ShardedEngine`], every event routes to exactly one peer, and all
-//! cross-peer traffic goes through the network outbox, delivered at the
-//! window merge in one canonical order (see `bb_sim::shard` and DESIGN.md
-//! §5).
+//! cross-peer traffic goes through the network outbox, which the engine
+//! applies as each handler returns, in one canonical order (see
+//! `bb_sim::shard` and DESIGN.md §5).
 
 use crate::config::FabricConfig;
 use crate::state::{FabricState, InvokeResult, SpecInvoke, STORE_PREFIX};
@@ -423,7 +423,7 @@ fn dispatch(
 }
 
 /// Queue a consensus message into the network outbox. Delivery time (and
-/// loss under faults) is decided at the window merge; corrupted messages
+/// loss under faults) is decided when the handler returns; corrupted messages
 /// fail signature verification at the receiver and are discarded (the
 /// paper's "random response" fault, Section 3.3).
 fn send_msg(to: NodeId, msg: PbftMsg, fx: &mut Effects<FabEvent>) {

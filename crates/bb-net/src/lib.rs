@@ -134,8 +134,8 @@ impl Network {
     /// Minimum possible cross-node delivery latency: the base link delay.
     ///
     /// Jitter, serialization time and injected `Fault::Delay` extras only
-    /// *add* to it, so this is a sound lookahead bound for the conservative
-    /// sharded scheduler (`bb_sim::shard`) even while faults are active.
+    /// *add* to it, so it is the floor the engine (`bb_sim::shard`) asserts
+    /// under every delivery, and it holds while faults are active.
     pub fn min_latency(&self) -> SimDuration {
         self.link.base_delay
     }
@@ -251,8 +251,8 @@ impl Network {
     }
 
     /// Seeded per-message latency noise up to `amplitude` on every link
-    /// (`SimDuration::ZERO` disarms). Additive, so the scheduler's
-    /// [`Network::min_latency`] lookahead bound stays sound.
+    /// (`SimDuration::ZERO` disarms). Additive, so no delivery falls under
+    /// the [`Network::min_latency`] floor the engine asserts.
     pub fn set_gossip_jitter(&mut self, amplitude: SimDuration) {
         self.gossip_jitter = amplitude;
     }
@@ -321,7 +321,8 @@ impl Network {
     }
 }
 
-/// Window-merge adapter for the sharded scheduler: a send either yields a
+/// The engine's side of the network (`bb_sim::shard` applies each handler's
+/// sends through this as the handler returns): a send either yields a
 /// clean delivery time or nothing (dropped or corrupted — either way no
 /// event arrives; metering and stats are recorded exactly as in
 /// [`Network::send`]).

@@ -247,9 +247,9 @@ fn on_step(
     fx: &mut Effects<PoaEvent>,
 ) {
     // Schedule the next boundary first, so the round never stops. The step
-    // duration (~1s) dwarfs the conservative lookahead, so the cross-lane
-    // hop is always legal; its authority lane is resolved when the emit is
-    // merged.
+    // duration (~1s) dwarfs the engine's floor under cross-lane schedules
+    // (the minimum link latency), so the hop is always legal; its authority
+    // lane is resolved when this handler returns.
     let next = ctx.schedule.step_start(index + 1);
     fx.schedule_at(next, PoaEvent::Step { index: index + 1 });
 

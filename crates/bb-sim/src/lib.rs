@@ -11,7 +11,7 @@
 //! The kernel provides:
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution virtual time,
 //! - [`ShardedEngine`] / [`ShardedWorld`]: the event loop — one lane per
-//!   node, conservative windows, one canonical merge order,
+//!   node, one heap of keyed events, one canonical order,
 //! - [`SimRng`]: a seeded RNG with the distributions the protocols need
 //!   (exponential mining races, Zipfian key choice),
 //! - meters ([`CpuMeter`], [`ByteMeter`], [`MemMeter`], [`TimeSeries`]): the
@@ -25,6 +25,6 @@ pub mod time;
 
 pub use meter::{ByteMeter, CpuMeter, MemMeter};
 pub use rng::SimRng;
-pub use shard::{Effects, EventKey, Outboard, ShardedEngine, ShardedWorld, GLOBAL_LANE};
+pub use shard::{Effects, Outboard, ShardedEngine, ShardedWorld};
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};

@@ -1,63 +1,58 @@
-//! Conservative-window discrete-event engine: one lane per node.
+//! The discrete-event engine: one lane per node, one heap of keyed events.
 //!
 //! For the cluster-scale platforms (PBFT, PoW, PoA) almost all simulated
 //! *work* — transaction execution, block validation, trie hashing — happens
 //! inside a single node's state, and nodes only interact through the
-//! network, whose links have a non-zero minimum latency. That latency is
-//! *lookahead* in the Chandy–Misra sense: an event executing at virtual time
-//! `t` cannot affect another node before `t + lookahead`, so all events in
-//! the window `[t_min, t_min + lookahead)` are causally independent across
-//! nodes.
+//! network. [`ShardedEngine`] makes that the *model*:
 //!
-//! [`ShardedEngine`] makes that independence the *model*:
-//!
-//! - each node (*lane*) owns its event queue and its mutable state
-//!   ([`ShardedWorld::Node`]);
+//! - each node (*lane*) owns its mutable state ([`ShardedWorld::Node`]);
 //! - handlers get `&mut Node` plus a shared read-only [`ShardedWorld::Ctx`],
-//!   and record cross-lane interactions (network sends, cross-lane schedules,
-//!   counter bumps) in an [`Effects`] outbox instead of applying them;
-//! - after every window the engine merges the outbox in one canonical order
-//!   — the generating event's [`EventKey`] plus emission index — which is
-//!   the only place the shared network RNG is consumed.
+//!   and record everything that leaves the lane (network sends, cross-lane
+//!   schedules, counter bumps) in an [`Effects`] outbox — a handler cannot
+//!   reach the network or another lane;
+//! - the engine pops events in [`EventKey`] order and applies each handler's
+//!   outbox as the handler returns, in emission order — the only place the
+//!   shared network RNG is consumed.
 //!
-//! "Sharded" means lanes and windows, not threads: a world runs on the
-//! thread that calls [`ShardedEngine::run_until`], lane after lane, and no
-//! host property can reach a result. The canonical order is what every
-//! committed `results/*.csv` depends on, so it is pinned by value (the
-//! `merge_order` test below) and by replay (`tests/parallel_determinism.rs`).
-//! Host parallelism lives one level up, across independent worlds
+//! So the event order is one sentence: events run in `(time, lane-class,
+//! sequence)` order, and an event's sends are delivered, in the order it made
+//! them, before the next event runs. Every committed `results/*.csv` depends
+//! on that order, so it is pinned by value (the `merge_order` tests below)
+//! and by replay (`tests/parallel_determinism.rs`).
+//!
+//! "Sharded" means lanes, not threads: a world runs on the thread that calls
+//! [`ShardedEngine::run_until`] and no host property can reach a result. Host
+//! parallelism lives one level up, across independent worlds
 //! (`bb-bench::parallel`); DESIGN.md §5 has the measurements behind that.
 
 use crate::{SimDuration, SimTime};
 use std::collections::BinaryHeap;
 
-/// Key class for events scheduled by the driver (between runs) or created at
-/// a window merge: they sort *after* lane-local events at the same instant.
-pub const GLOBAL_LANE: u32 = u32::MAX;
+/// Key class for events scheduled by the driver (between runs) or created
+/// when an outbox is applied (network arrivals, cross-lane schedules): they
+/// sort *after* lane-local events at the same instant.
+const GLOBAL_LANE: u32 = u32::MAX;
 
 /// The canonical total order on events: `(time, lane-class, sequence)`.
 ///
-/// Handler-local schedules carry their lane id; driver schedules and merged
-/// network arrivals carry [`GLOBAL_LANE`]. Each lane executes its events in
-/// this order and the window merge delivers in this order, so a run is a
-/// function of its inputs alone.
+/// Handler-local schedules carry their lane id and draw `seq` from their
+/// lane's counter; driver schedules, network arrivals and cross-lane
+/// schedules carry [`GLOBAL_LANE`] and draw it from the engine's. Keys are
+/// unique, so a run is a function of its inputs alone.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct EventKey {
-    /// Virtual time of the event.
-    pub at: SimTime,
-    /// Lane class (the scheduling lane, or [`GLOBAL_LANE`]).
-    pub lane: u32,
-    /// Tie-break within `(at, lane)`: per-lane (or global) insertion counter.
-    pub seq: u64,
+struct EventKey {
+    at: SimTime,
+    lane: u32,
+    seq: u64,
 }
 
-/// A world that can be sharded one-lane-per-node.
+/// A world with one lane per node.
 ///
-/// The contract that makes windows safe:
+/// The contract that keeps lanes independent of each other:
 /// - `handle` may freely mutate its own `Node` and schedule same-lane events
 ///   at any `at >= now` via [`Effects::schedule`];
 /// - everything cross-lane goes through the outbox: [`Effects::send`] for
-///   network messages (delivery time is drawn at the merge) and
+///   network messages (delivery time is drawn when the handler returns) and
 ///   [`Effects::schedule_at`] for direct cross-lane schedules, which must be
 ///   at least one lookahead in the future;
 /// - `Ctx` is read-only while the engine runs; the driver may mutate it
@@ -87,9 +82,9 @@ pub trait ShardedWorld: 'static {
     );
 }
 
-/// Where deferred cross-lane interactions wait for the window merge.
-enum EmitKind<E> {
-    /// A network message: delivery (and its RNG draws) happens at the merge.
+/// A cross-lane interaction waiting in an outbox for its handler to return.
+enum Emit<E> {
+    /// A network message: delivery (and its RNG draws) happens on return.
     Send {
         to: u32,
         bytes: u64,
@@ -99,22 +94,10 @@ enum EmitKind<E> {
     At { at: SimTime, event: E },
 }
 
-struct Emit<E> {
-    /// Key of the generating event — the canonical merge sort key.
-    gen_key: EventKey,
-    /// Emission index within the generating event.
-    idx: u32,
-    /// Executing lane of the generating event (the network `from`).
-    from: u32,
-    kind: EmitKind<E>,
-}
-
 /// Outbox handed to [`ShardedWorld::handle`].
 pub struct Effects<E> {
-    key: EventKey,
     lane: u32,
     now: SimTime,
-    emit_idx: u32,
     emits: Vec<Emit<E>>,
     local: Vec<(SimTime, E)>,
     counts: [u64; N_COUNTERS],
@@ -124,33 +107,22 @@ pub struct Effects<E> {
 pub const N_COUNTERS: usize = 4;
 
 impl<E> Effects<E> {
-    fn new(key: EventKey, lane: u32, now: SimTime) -> Effects<E> {
-        Effects {
-            key,
-            lane,
-            now,
-            emit_idx: 0,
-            emits: Vec::new(),
-            local: Vec::new(),
-            counts: [0; N_COUNTERS],
-        }
-    }
-
-    /// An outbox attached to no engine, for driving a node's handlers by
-    /// hand: unit tests of node logic need neither an engine nor a network.
+    /// An empty outbox for an event on `lane` at `now`, attached to no
+    /// engine: unit tests of node logic make their own and drive a node's
+    /// handlers by hand, with neither an engine nor a network.
     pub fn detached(lane: u32, now: SimTime) -> Effects<E> {
-        Effects::new(EventKey { at: now, lane, seq: 0 }, lane, now)
+        Effects { lane, now, emits: Vec::new(), local: Vec::new(), counts: [0; N_COUNTERS] }
     }
 
     /// Take every message sent so far as `(to, bytes, event)`, each event
-    /// built as if it arrived at `arrival` (the detached counterpart of the
-    /// window merge; cross-lane schedules stay queued).
+    /// built as if it arrived at `arrival` (what the engine does with a
+    /// returned outbox, minus the network; cross-lane schedules stay queued).
     pub fn take_sends(&mut self, arrival: SimTime) -> Vec<(u32, u64, E)> {
         let mut sends = Vec::new();
         for emit in std::mem::take(&mut self.emits) {
-            match emit.kind {
-                EmitKind::Send { to, bytes, build } => sends.push((to, bytes, build(arrival))),
-                kind => self.emits.push(Emit { kind, ..emit }),
+            match emit {
+                Emit::Send { to, bytes, build } => sends.push((to, bytes, build(arrival))),
+                schedule => self.emits.push(schedule),
             }
         }
         sends
@@ -166,15 +138,14 @@ impl<E> Effects<E> {
         self.lane
     }
 
-    /// Schedule a follow-up event on the *same* lane (may be inside the
-    /// current window — the lane drains its queue in key order).
+    /// Schedule a follow-up event on the *same* lane, at `now` or later.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "schedule into the past: {at:?} < {:?}", self.now);
         self.local.push((at, event));
     }
 
     /// Send `bytes` to lane `to` over the network. Delivery time, loss and
-    /// corruption are decided at the window merge (in canonical order);
+    /// corruption are decided when the handler returns, in emission order;
     /// `build` turns the arrival time into the event to deliver.
     pub fn send(
         &mut self,
@@ -182,35 +153,23 @@ impl<E> Effects<E> {
         bytes: u64,
         build: impl FnOnce(SimTime) -> E + Send + 'static,
     ) {
-        self.emits.push(Emit {
-            gen_key: self.key,
-            idx: self.emit_idx,
-            from: self.lane,
-            kind: EmitKind::Send { to, bytes, build: Box::new(build) },
-        });
-        self.emit_idx += 1;
+        self.emits.push(Emit::Send { to, bytes, build: Box::new(build) });
     }
 
     /// Schedule an event that may land on *another* lane. Must be at least
-    /// one lookahead ahead of `now` (asserted at the merge); routed with the
-    /// then-current `Ctx`.
+    /// one lookahead ahead of `now` (asserted when the handler returns);
+    /// routed with the then-current `Ctx`.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.emits.push(Emit {
-            gen_key: self.key,
-            idx: self.emit_idx,
-            from: self.lane,
-            kind: EmitKind::At { at, event },
-        });
-        self.emit_idx += 1;
+        self.emits.push(Emit::At { at, event });
     }
 
-    /// Bump observer counter `i` (summed at the merge; order-free).
+    /// Bump observer counter `i` (summed on return; order-free).
     pub fn count(&mut self, i: usize, by: u64) {
         self.counts[i] += by;
     }
 }
 
-/// The merge-side network: turns a send into `Some(arrival)` or a drop.
+/// The engine-side network: turns a send into `Some(arrival)` or a drop.
 /// `bb-net`'s `Network` implements this (delivered and not corrupted).
 pub trait Outboard {
     /// Attempt delivery of `bytes` from `from` to `to` sent at `now`.
@@ -219,6 +178,8 @@ pub trait Outboard {
 
 struct Entry<E> {
     key: EventKey,
+    /// The lane the event executes on (routed when it was queued).
+    lane: u32,
     event: E,
 }
 
@@ -240,42 +201,42 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One node's event queue and state.
+/// One node's state.
 struct Lane<W: ShardedWorld> {
-    heap: BinaryHeap<Entry<W::Event>>,
     node: W::Node,
     /// Insertion counter for handler-local schedules.
     seq: u64,
 }
 
-/// The conservative-window scheduler. One instance per simulated world.
+/// The event loop. One instance per simulated world.
 pub struct ShardedEngine<W: ShardedWorld> {
     lanes: Vec<Lane<W>>,
+    heap: BinaryHeap<Entry<W::Event>>,
     ctx: W::Ctx,
+    /// Floor under the delay of every cross-lane effect.
     lookahead: SimDuration,
     now: SimTime,
-    /// Global insertion counter for driver- and merge-scheduled events.
+    /// Global insertion counter for driver schedules and applied outboxes.
     main_seq: u64,
-    /// Cross-lane effects of the current window, waiting for the merge.
-    emits: Vec<Emit<W::Event>>,
     counters: [u64; N_COUNTERS],
 }
 
 impl<W: ShardedWorld> ShardedEngine<W> {
-    /// Build an engine over per-lane nodes with the given lookahead (the
-    /// minimum cross-lane network latency; see `Network::min_latency`).
+    /// Build an engine over per-lane nodes. `lookahead` is the minimum
+    /// cross-lane latency (see `Network::min_latency`): a delivery or
+    /// cross-lane schedule that lands sooner is an assertion failure.
     pub fn new(ctx: W::Ctx, nodes: Vec<W::Node>, lookahead: SimDuration) -> ShardedEngine<W> {
-        assert!(lookahead > SimDuration::ZERO, "zero lookahead makes windows degenerate");
+        assert!(
+            lookahead > SimDuration::ZERO,
+            "zero lookahead: a cross-lane effect must land strictly after its cause"
+        );
         ShardedEngine {
-            lanes: nodes
-                .into_iter()
-                .map(|node| Lane { heap: BinaryHeap::new(), node, seq: 0 })
-                .collect(),
+            lanes: nodes.into_iter().map(|node| Lane { node, seq: 0 }).collect(),
+            heap: BinaryHeap::new(),
             ctx,
             lookahead,
             now: SimTime::ZERO,
             main_seq: 0,
-            emits: Vec::new(),
             counters: [0; N_COUNTERS],
         }
     }
@@ -283,11 +244,6 @@ impl<W: ShardedWorld> ShardedEngine<W> {
     /// Current virtual time (between `run_until` calls).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The engine's lookahead (minimum cross-lane latency).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Number of lanes.
@@ -302,12 +258,13 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         self.enqueue(at, event);
     }
 
-    /// Queue a driver- or merge-scheduled event on the lane it routes to.
+    /// Queue a driver schedule, arrival or cross-lane schedule for the lane
+    /// it routes to.
     fn enqueue(&mut self, at: SimTime, event: W::Event) {
         let lane = W::route(&self.ctx, &event);
         let key = EventKey { at, lane: GLOBAL_LANE, seq: self.main_seq };
         self.main_seq += 1;
-        self.lanes[lane as usize].heap.push(Entry { key, event });
+        self.heap.push(Entry { key, lane, event });
     }
 
     /// Read-only access to the shared context.
@@ -364,97 +321,58 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         self.counters[i] += by;
     }
 
-    /// Earliest queued event time over all lanes.
-    fn min_next(&self) -> Option<SimTime> {
-        self.lanes.iter().filter_map(|lane| lane.heap.peek()).map(|e| e.key.at).min()
-    }
-
-    /// Run the world up to and including `deadline`, then set `now` to it
-    /// (`SimTime::MAX` drains without advancing the clock past the last
-    /// event).
+    /// Run the world up to and including `deadline`, then set `now` to it.
+    ///
+    /// Events pop in [`EventKey`] order. Each handler's same-lane follow-ups
+    /// are queued first, then its emits are applied in emission order: a
+    /// send asks `out` for an arrival time and queues what `build` makes of
+    /// it, a cross-lane schedule is queued as given. Both land at least one
+    /// lookahead after the event that made them.
     pub fn run_until(&mut self, deadline: SimTime, out: &mut impl Outboard) {
-        while let Some(min_at) = self.min_next().filter(|&at| at <= deadline) {
-            // Half-open window [min_at, wend): any cross-lane effect of an
-            // event at t >= min_at lands at >= min_at + lookahead >= wend,
-            // so in-window events are causally independent across lanes and
-            // the order lanes are drained in is unobservable.
-            let wend = min_at
-                .saturating_add(self.lookahead)
-                .min(deadline.saturating_add(SimDuration::from_micros(1)));
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                lane.drain(&self.ctx, i as u32, wend, &mut self.emits, &mut self.counters);
-            }
-            self.now = wend.min(deadline);
-            self.merge(out);
-        }
-        if deadline != SimTime::MAX {
-            self.now = deadline;
-        }
-    }
-
-    /// Deliver the window's cross-lane effects.
-    fn merge(&mut self, out: &mut impl Outboard) {
-        let mut emits = std::mem::take(&mut self.emits);
-        // Canonical order: generating event key, then emission index. This
-        // is the only place the shared network RNG is consumed, so delivery
-        // randomness is a function of the event history alone.
-        emits.sort_by_key(|e| (e.gen_key, e.idx));
-        for emit in emits {
-            let sent_at = emit.gen_key.at;
-            match emit.kind {
-                EmitKind::Send { to, bytes, build } => {
-                    if let Some(at) = out.send(sent_at, emit.from, to, bytes) {
-                        assert!(
-                            at >= sent_at + self.lookahead,
-                            "network delivered under lookahead: {sent_at:?} -> {at:?}"
-                        );
-                        self.enqueue(at, build(at));
-                    }
-                }
-                EmitKind::At { at, event } => {
-                    assert!(
-                        at >= sent_at + self.lookahead,
-                        "cross-lane schedule under lookahead: {sent_at:?} -> {at:?}"
-                    );
-                    self.enqueue(at, event);
-                }
-            }
-        }
-    }
-}
-
-impl<W: ShardedWorld> Lane<W> {
-    /// Drain this lane's in-window events: pop in key order, run the
-    /// handler, apply same-lane schedules immediately, stash cross-lane
-    /// effects for the merge.
-    fn drain(
-        &mut self,
-        ctx: &W::Ctx,
-        lane: u32,
-        wend: SimTime,
-        emits: &mut Vec<Emit<W::Event>>,
-        counters: &mut [u64; N_COUNTERS],
-    ) {
-        while self.heap.peek().is_some_and(|head| head.key.at < wend) {
-            let entry = self.heap.pop().expect("peeked entry pops");
-            let now = entry.key.at;
-            let mut fx = Effects::new(entry.key, lane, now);
-            W::handle(ctx, lane, &mut self.node, now, entry.event, &mut fx);
-            for (at, event) in fx.local {
+        // One outbox for the whole run, emptied after every event: a
+        // broadcast's sends reuse its buffer instead of growing a fresh one.
+        let mut fx = Effects::detached(0, self.now);
+        while self.heap.peek().is_some_and(|head| head.key.at <= deadline) {
+            let Entry { key, lane, event } = self.heap.pop().expect("peeked entry pops");
+            let now = key.at;
+            (fx.lane, fx.now) = (lane, now);
+            let slot = &mut self.lanes[lane as usize];
+            W::handle(&self.ctx, lane, &mut slot.node, now, event, &mut fx);
+            for (at, event) in fx.local.drain(..) {
                 debug_assert_eq!(
-                    W::route(ctx, &event),
+                    W::route(&self.ctx, &event),
                     lane,
                     "Effects::schedule used for a cross-lane event"
                 );
-                let key = EventKey { at, lane, seq: self.seq };
-                self.seq += 1;
-                self.heap.push(Entry { key, event });
+                let key = EventKey { at, lane, seq: slot.seq };
+                slot.seq += 1;
+                self.heap.push(Entry { key, lane, event });
             }
-            emits.append(&mut fx.emits);
-            for (total, by) in counters.iter_mut().zip(fx.counts) {
-                *total += by;
+            for (total, by) in self.counters.iter_mut().zip(&mut fx.counts) {
+                *total += std::mem::take(by);
+            }
+            for emit in fx.emits.drain(..) {
+                match emit {
+                    Emit::Send { to, bytes, build } => {
+                        if let Some(at) = out.send(now, lane, to, bytes) {
+                            assert!(
+                                at >= now + self.lookahead,
+                                "network delivered under lookahead: {now:?} -> {at:?}"
+                            );
+                            self.enqueue(at, build(at));
+                        }
+                    }
+                    Emit::At { at, event } => {
+                        assert!(
+                            at >= now + self.lookahead,
+                            "cross-lane schedule under lookahead: {now:?} -> {at:?}"
+                        );
+                        self.enqueue(at, event);
+                    }
+                }
             }
         }
+        self.now = deadline;
     }
 }
 
@@ -520,7 +438,7 @@ mod tests {
         }
     }
 
-    /// Fixed-latency outboard: no RNG, but exercises the merge path.
+    /// Fixed-latency outboard: no RNG, but exercises the delivery path.
     struct FixedNet {
         latency: SimDuration,
         sends: u64,
@@ -571,8 +489,8 @@ mod tests {
         assert_eq!(echoes, pings);
     }
 
-    /// Latency depends on how many sends the merge made before this one —
-    /// like the real network's shared RNG, it makes merge order observable.
+    /// Latency depends on how many sends the engine made before this one —
+    /// like the real network's shared RNG, it makes their order observable.
     struct OrderNet {
         sends: u64,
     }
@@ -617,12 +535,13 @@ mod tests {
         nodes.iter().map(|n| (n.0, n.1)).collect()
     }
 
-    /// Known answers for the canonical `(gen_key, idx)` merge order. Under
-    /// `OrderNet` every arrival time depends on the order the merge made its
-    /// sends in, so the per-lane logs pin that order by value. The literals
-    /// were captured from the serial path of the last commit that also had a
-    /// threaded one to compare against; `results/*.csv` depend on this order
-    /// exactly as these numbers do.
+    /// Known answers for the canonical order: generating event's key, then
+    /// emission index. Under `OrderNet` every arrival time depends on the
+    /// order the engine made its sends in, so the per-lane logs pin that
+    /// order by value. The literals were captured from the serial path of the
+    /// last commit that also had a threaded one to compare against, and have
+    /// outlived the windowed scheduler that produced them; `results/*.csv`
+    /// depend on this order exactly as these numbers do.
     #[test]
     fn merge_order_matches_known_answers() {
         let (nodes, sends) = run_alternating(8, 40);
@@ -673,5 +592,114 @@ mod tests {
         let mut engine = ring_engine(1);
         engine.run_until(SimTime::from_secs(1), &mut OrderNet { sends: 0 });
         engine.schedule(SimTime(5), Ping::Echo { to: 0 });
+    }
+
+    /// A second toy world for the corners `Ring` never reaches: same-instant
+    /// follow-ups and direct cross-lane schedules. Lanes log the marks they
+    /// receive.
+    struct Corner;
+
+    enum Probe {
+        /// Send `Mark(1)` to the other lane and schedule `Again` here, now.
+        Fork { to: u32 },
+        /// Send `Mark(2)` to the other lane.
+        Again { to: u32 },
+        /// `schedule_at` a `Mark(3)` on the other lane, `after` from now.
+        Direct { to: u32, after: SimDuration },
+        Mark { to: u32, tag: u32 },
+    }
+
+    impl ShardedWorld for Corner {
+        type Event = Probe;
+        type Node = Vec<(SimTime, u32)>;
+        type Ctx = ();
+
+        fn route(_: &(), event: &Probe) -> u32 {
+            match event {
+                Probe::Fork { to }
+                | Probe::Again { to }
+                | Probe::Direct { to, .. }
+                | Probe::Mark { to, .. } => *to,
+            }
+        }
+
+        fn handle(
+            _: &(),
+            lane: u32,
+            node: &mut Vec<(SimTime, u32)>,
+            now: SimTime,
+            event: Probe,
+            fx: &mut Effects<Probe>,
+        ) {
+            let other = 1 - lane;
+            match event {
+                Probe::Fork { .. } => {
+                    fx.schedule(now, Probe::Again { to: lane });
+                    fx.send(other, 100, move |_| Probe::Mark { to: other, tag: 1 });
+                }
+                Probe::Again { .. } => {
+                    fx.send(other, 100, move |_| Probe::Mark { to: other, tag: 2 })
+                }
+                Probe::Direct { after, .. } => {
+                    fx.schedule_at(now + after, Probe::Mark { to: other, tag: 3 })
+                }
+                Probe::Mark { tag, .. } => node.push((now, tag)),
+            }
+        }
+    }
+
+    fn corner_engine() -> ShardedEngine<Corner> {
+        ShardedEngine::new((), vec![Vec::new(), Vec::new()], SimDuration::from_micros(500))
+    }
+
+    /// The one order the heap *defines* rather than inherits (DESIGN.md §5):
+    /// a driver event's same-instant follow-up has the lower key, yet the
+    /// driver event's own sends are made first, because they are made when
+    /// its handler returns. `OrderNet` gives the first send 737 µs and the
+    /// second 774 µs.
+    #[test]
+    fn merge_order_puts_an_events_sends_before_its_same_instant_follow_ups() {
+        let mut engine = corner_engine();
+        engine.schedule(SimTime(10), Probe::Fork { to: 0 });
+        engine.run_until(SimTime::from_secs(1), &mut OrderNet { sends: 0 });
+        assert_eq!(engine.with_node(1, |log| log.clone()), [(SimTime(747), 1), (SimTime(784), 2)]);
+    }
+
+    #[test]
+    fn event_at_the_deadline_runs_and_its_send_lands_in_the_next_run() {
+        let mut engine = ring_engine(2);
+        let mut net = FixedNet { latency: SimDuration::from_micros(700), sends: 0 };
+        let deadline = SimTime::from_secs(2);
+        engine.schedule(deadline, Ping::Ping { to: 0, hops: 1 });
+        engine.schedule(SimTime(deadline.0 + 1), Ping::Ping { to: 0, hops: 0 });
+        engine.run_until(deadline, &mut net);
+        // The send was made (its arrival time drawn) but not yet delivered.
+        assert_eq!((counts(&lanes_of(&engine)), net.sends), (vec![(1, 0), (0, 0)], 1));
+        engine.run_until(SimTime(deadline.0 + 699), &mut net);
+        assert_eq!(counts(&lanes_of(&engine)), [(2, 2), (0, 0)]);
+        engine.run_until(SimTime(deadline.0 + 700), &mut net);
+        assert_eq!(counts(&lanes_of(&engine)), [(2, 2), (1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "network delivered under lookahead")]
+    fn delivery_under_the_floor_panics() {
+        let mut engine = ring_engine(2);
+        engine.schedule(SimTime(10), Ping::Ping { to: 0, hops: 1 });
+        let mut net = FixedNet { latency: SimDuration::from_micros(499), sends: 0 };
+        engine.run_until(SimTime::from_secs(1), &mut net);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-lane schedule under lookahead")]
+    fn cross_lane_schedule_under_the_floor_panics() {
+        let mut engine = corner_engine();
+        let mut net = OrderNet { sends: 0 };
+        let direct = |us| Probe::Direct { to: 0, after: SimDuration::from_micros(us) };
+        engine.schedule(SimTime(10), direct(500));
+        engine.run_until(SimTime::from_secs(1), &mut net);
+        assert_eq!(engine.with_node(1, |log| log.clone()), [(SimTime(510), 3)], "at the floor");
+        engine.schedule(SimTime::from_secs(1), direct(499));
+        engine.run_until(SimTime::from_secs(2), &mut net);
     }
 }

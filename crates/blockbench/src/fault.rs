@@ -6,7 +6,8 @@
 //! workload clock passes each deadline, so experiments describe "crash node 3
 //! at t=5 s, restart it at t=10 s" as data instead of hand-rolled polling
 //! loops. Injection happens between driver steps — never mid-`advance_to` —
-//! so a fault lands between two engine windows, never inside one.
+//! so a fault lands between two `run_until` calls, never between two events
+//! of one.
 
 use crate::connector::{BlockchainConnector, Fault};
 use bb_sim::{SimDuration, SimTime};

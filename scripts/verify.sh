@@ -161,17 +161,30 @@ smoke -p blockbench invariant
 smoke -p bb-bench --lib exp_chaos
 smoke -p bb-bench --test pool_eviction
 
-echo "==> replay: seeded runs repeat byte for byte, the merge order and the executor model are pinned"
+echo "==> replay: seeded runs repeat byte for byte, the event order and the executor model are pinned"
 # Every world is single-threaded, so a seed is a complete description of a
 # run. The replay cases run each seeded experiment twice in one process
 # (driver, open loop, hot-key re-execution, restart, chaos, crash faults)
 # and catch what leaks in from outside the seed — `HashMap` order first;
-# the engine's canonical merge order is pinned by known answers; and the
+# the engine's event order (one heap on `EventKey`, each handler's sends made
+# as it returns — DESIGN.md §5) is pinned by known answers; and the
 # Zipfian conflict ablation must keep the executor model's speedup floors
 # (>=1.5x at theta<=0.5, graceful >=1.0x at 0.99).
 smoke -p bb-bench --test parallel_determinism replay
 smoke -p bb-sim merge_order
 smoke -p bb-bench --lib executor_speedup_degrades_gracefully
+# One loop, not two: nothing of the windowed scheduler is left in the crates.
+if git grep -nE 'min_next|gen_key|wend' crates/; then
+    echo "ERROR: the windowed scheduler's names are back in crates/" >&2
+    exit 1
+fi
+
+echo "==> figures: an unknown figure name is a usage error, not a silent no-op"
+status=0; ./target/release/figures nosuchfig 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ERROR: \`figures nosuchfig\` exited $status, expected 2" >&2
+    exit 1
+fi
 
 echo "==> benchmark: builds against the crates and passes its own checks (smoke scale)"
 bash benchmark/run.sh --smoke | tail -n 1

@@ -253,7 +253,7 @@ fn timeline(
 
 /// Figure-9-style fault drive: crash a third of a 12-node cluster mid-run
 /// after slowing one node down, sampling cumulative commits and block
-/// counters every simulated second. Faults land between engine windows.
+/// counters every simulated second. Faults land between `run_until` calls.
 fn fault_timeline(platform: Platform) -> String {
     const NODES: u32 = 12;
     timeline(
@@ -279,8 +279,9 @@ fn fault_timeline(platform: Platform) -> String {
 
 /// Crash→restart→catch-up drive: node 3 of 4 power-cuts at t=3 s (torn WAL
 /// tail included), restarts from its durable store at t=7 s and resyncs
-/// from the survivors. Restarts rebuild whole node worlds between engine
-/// windows — the rebuild, the WAL replay and the catch-up must all replay.
+/// from the survivors. Restarts rebuild whole node worlds between
+/// `run_until` calls — the rebuild, the WAL replay and the catch-up must all
+/// replay.
 fn restart_timeline(platform: Platform) -> String {
     let victim = NodeId(3);
     timeline(
