@@ -181,37 +181,8 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn every_proof_verifies(n in 1usize..64, pick in 0usize..64) {
-            let leaves: Vec<Hash256> =
-                (0..n).map(|i| Hash256::digest(&(i as u64).to_be_bytes())).collect();
-            let pick = pick % n;
-            let t = MerkleTree::build(&leaves);
-            let p = t.prove(pick).unwrap();
-            prop_assert!(verify_proof(&t.root(), &leaves[pick], &p));
-        }
-
-        #[test]
-        fn distinct_leaf_sets_distinct_roots(n in 1usize..32, flip in 0usize..32) {
-            let a: Vec<Hash256> =
-                (0..n).map(|i| Hash256::digest(&(i as u64).to_be_bytes())).collect();
-            let mut b = a.clone();
-            let flip = flip % n;
-            b[flip] = Hash256::digest(b"flip");
-            prop_assert_ne!(merkle_root(&a), merkle_root(&b));
-        }
-    }
-}
-
-/// Exhaustive re-expressions of the properties above — no randomness needed
-/// at these domain sizes, so the default (offline, `proptest`-feature-off)
-/// run keeps full coverage.
+/// Exhaustive over small trees: every leaf's proof verifies in a tree of up
+/// to 63 leaves, and replacing any one leaf of up to 31 changes the root.
 #[cfg(test)]
 mod seeded_props {
     use super::*;

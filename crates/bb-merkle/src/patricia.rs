@@ -1328,68 +1328,11 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use bb_storage::MemStore;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert(Vec<u8>, Vec<u8>),
-        Remove(Vec<u8>),
-    }
-
-    fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-        // Small alphabet + short keys force deep structural sharing.
-        proptest::collection::vec(0u8..4, 0..6)
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (key_strategy(), proptest::collection::vec(any::<u8>(), 0..8))
-                .prop_map(|(k, v)| Op::Insert(k, v)),
-            key_strategy().prop_map(Op::Remove),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The trie must agree with a BTreeMap model and its root must be a
-        /// pure function of the final map contents.
-        #[test]
-        fn agrees_with_model_and_root_is_canonical(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            let mut t = PatriciaTrie::new(MemStore::new());
-            for op in &ops {
-                match op {
-                    Op::Insert(k, v) => {
-                        model.insert(k.clone(), v.clone());
-                        t.insert(k, v).unwrap();
-                    }
-                    Op::Remove(k) => {
-                        model.remove(k);
-                        t.remove(k).unwrap();
-                    }
-                }
-            }
-            for (k, v) in &model {
-                prop_assert_eq!(t.get(k).unwrap(), Some(v.clone()));
-            }
-            // Rebuild from scratch in sorted order: roots must match.
-            let mut fresh = PatriciaTrie::new(MemStore::new());
-            for (k, v) in &model {
-                fresh.insert(k, v).unwrap();
-            }
-            prop_assert_eq!(t.root(), fresh.root());
-        }
-    }
-}
-
-/// Plain seeded re-expression of the model-agreement property above, so the
-/// coverage survives the default (offline, `proptest`-feature-off) test run.
+/// Seeded insert/remove scripts over a small key alphabet: the trie agrees
+/// with a `BTreeMap` model, its root is a pure function of the final map,
+/// and committing at random block boundaries is indistinguishable from
+/// committing after every operation. Every step is checked against the
+/// reference codec.
 #[cfg(test)]
 mod seeded_props {
     use super::reference;
@@ -1406,7 +1349,7 @@ mod seeded_props {
     #[test]
     fn agrees_with_model_and_root_is_canonical_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0008);
-        for _ in 0..96 {
+        for i in 0..96 {
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
             let mut t = PatriciaTrie::new(MemStore::new());
             for _ in 0..rng.range(1, 60) {
@@ -1423,13 +1366,13 @@ mod seeded_props {
                 reference::check_overlay(&t);
             }
             for (k, v) in &model {
-                assert_eq!(t.get(k).unwrap(), Some(v.clone()));
+                assert_eq!(t.get(k).unwrap(), Some(v.clone()), "case {i}");
             }
             let mut fresh = PatriciaTrie::new(MemStore::new());
             for (k, v) in &model {
                 fresh.insert(k, v).unwrap();
             }
-            assert_eq!(t.root(), fresh.root());
+            assert_eq!(t.root(), fresh.root(), "case {i}");
         }
     }
 

@@ -1064,7 +1064,7 @@ mod leveled_tests {
     fn bytes_compacted_per_trigger_stays_flat_as_data_grows() {
         let mut rng = SimRng::seed_from_u64(0xC0_FFEE);
         let mut s = LsmStore::new_private(leveled_config());
-        let mut write = |s: &mut LsmStore, n: usize, rng: &mut SimRng| {
+        let write = |s: &mut LsmStore, n: usize, rng: &mut SimRng| {
             for _ in 0..n {
                 let key = rng.below(u64::MAX).to_be_bytes();
                 s.put(&key, &[0xAB; 16]).unwrap();
@@ -1468,74 +1468,9 @@ mod fault_props {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Put(u8, Vec<u8>),
-        Delete(u8),
-        Flush,
-        Compact,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..32))
-                .prop_map(|(k, v)| Op::Put(k, v)),
-            any::<u8>().prop_map(Op::Delete),
-            Just(Op::Flush),
-            Just(Op::Compact),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The LSM store must behave exactly like a BTreeMap under any
-        /// sequence of puts, deletes, flushes and compaction steps.
-        #[test]
-        fn behaves_like_btreemap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-            let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
-            let mut store = LsmStore::new_private(LsmConfig {
-                memtable_flush_bytes: 512,
-                max_tables: 2,
-                level_base_bytes: 4096,
-                level_growth: 4,
-                ..LsmConfig::default()
-            });
-            for op in &ops {
-                match op {
-                    Op::Put(k, v) => {
-                        let key = vec![b'k', *k];
-                        model.insert(key.clone(), v.clone());
-                        store.put(&key, v).unwrap();
-                    }
-                    Op::Delete(k) => {
-                        let key = vec![b'k', *k];
-                        model.remove(&key);
-                        store.delete(&key).unwrap();
-                    }
-                    Op::Flush => store.flush(),
-                    Op::Compact => { store.compact_step(); }
-                }
-            }
-            for k in 0..=255u8 {
-                let key = vec![b'k', k];
-                prop_assert_eq!(store.get(&key).unwrap(), model.get(&key).cloned());
-            }
-            let scanned = store.scan_prefix(b"k").unwrap();
-            let expected: Vec<(Vec<u8>, Vec<u8>)> =
-                model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            prop_assert_eq!(scanned, expected);
-        }
-    }
-}
-
-/// Plain seeded re-expression of the model-equivalence property above, so the
-/// coverage survives the default (offline, `proptest`-feature-off) test run.
+/// Seeded put/delete/flush scripts: the store reads and scans exactly like a
+/// `BTreeMap` model, and leveled compaction answers every read as the
+/// full-compaction store it replaced does.
 #[cfg(test)]
 mod seeded_props {
     use super::*;
@@ -1544,7 +1479,7 @@ mod seeded_props {
     #[test]
     fn behaves_like_btreemap_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0007);
-        for _ in 0..48 {
+        for i in 0..48 {
             let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
             let mut store = LsmStore::new_private(LsmConfig {
                 memtable_flush_bytes: 512,
@@ -1571,12 +1506,12 @@ mod seeded_props {
             }
             for k in 0..=255u8 {
                 let key = vec![b'k', k];
-                assert_eq!(store.get(&key).unwrap(), model.get(&key).cloned());
+                assert_eq!(store.get(&key).unwrap(), model.get(&key).cloned(), "case {i}");
             }
             let scanned = store.scan_prefix(b"k").unwrap();
             let expected: Vec<(Vec<u8>, Vec<u8>)> =
                 model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            assert_eq!(scanned, expected);
+            assert_eq!(scanned, expected, "case {i}");
         }
     }
 

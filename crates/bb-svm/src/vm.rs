@@ -733,48 +733,9 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use crate::host::MockHost;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The interpreter must never panic on arbitrary bytecode — every
-        /// malformed program ends in a clean fault or a halt.
-        #[test]
-        fn arbitrary_bytecode_never_panics(
-            code in proptest::collection::vec(any::<u8>(), 0..256),
-            calldata in proptest::collection::vec(any::<u8>(), 0..64),
-        ) {
-            let vm = Vm::default();
-            let mut host = MockHost::new();
-            let out = vm.execute(&code, &calldata, 50_000, &mut host);
-            // Gas accounting never exceeds the limit.
-            prop_assert!(out.gas_used <= 50_000);
-        }
-
-        /// Gas use is deterministic: same code + calldata → same outcome.
-        #[test]
-        fn execution_is_deterministic(
-            code in proptest::collection::vec(any::<u8>(), 0..128),
-            calldata in proptest::collection::vec(any::<u8>(), 0..32),
-        ) {
-            let vm = Vm::default();
-            let mut h1 = MockHost::new();
-            let mut h2 = MockHost::new();
-            let a = vm.execute(&code, &calldata, 20_000, &mut h1);
-            let b = vm.execute(&code, &calldata, 20_000, &mut h2);
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(h1.storage, h2.storage);
-        }
-    }
-}
-
-/// Plain seeded re-expressions of the fuzz properties above, so the coverage
-/// survives the default (offline, `proptest`-feature-off) test run.
+/// Seeded fuzzing of the interpreter: arbitrary bytecode and calldata never
+/// panic or spend more gas than the limit, and the same input always gives
+/// the same outcome and the same storage.
 #[cfg(test)]
 mod seeded_props {
     use super::*;
@@ -790,20 +751,20 @@ mod seeded_props {
     #[test]
     fn arbitrary_bytecode_never_panics_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0005);
-        for _ in 0..256 {
+        for i in 0..256 {
             let code = random_bytes(&mut rng, 256);
             let calldata = random_bytes(&mut rng, 64);
             let vm = Vm::default();
             let mut host = MockHost::new();
             let out = vm.execute(&code, &calldata, 50_000, &mut host);
-            assert!(out.gas_used <= 50_000);
+            assert!(out.gas_used <= 50_000, "case {i}");
         }
     }
 
     #[test]
     fn execution_is_deterministic_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0006);
-        for _ in 0..256 {
+        for i in 0..256 {
             let code = random_bytes(&mut rng, 128);
             let calldata = random_bytes(&mut rng, 32);
             let vm = Vm::default();
@@ -811,8 +772,8 @@ mod seeded_props {
             let mut h2 = MockHost::new();
             let a = vm.execute(&code, &calldata, 20_000, &mut h1);
             let b = vm.execute(&code, &calldata, 20_000, &mut h2);
-            assert_eq!(a, b);
-            assert_eq!(h1.storage, h2.storage);
+            assert_eq!(a, b, "case {i}");
+            assert_eq!(h1.storage, h2.storage, "case {i}");
         }
     }
 }
