@@ -2,8 +2,8 @@
 //! machine-checkable liveness and safety contracts (DESIGN.md §10).
 //!
 //! Each cell drives one platform through a [`ChaosPlan`] — environmental
-//! faults fired by the ordinary [`FaultCursor`] plus byzantine client
-//! actors interleaved with honest traffic on the shared virtual clock —
+//! faults plus byzantine client actors interleaved with honest traffic on
+//! the shared virtual clock, run by [`blockbench::driver::run_timeline`] —
 //! and then gates on two contracts:
 //!
 //! - **liveness**: the post-chaos commit rate recovers to a per-scenario
@@ -23,116 +23,11 @@ use crate::parallel::map_cells;
 use crate::platforms::Platform;
 use crate::table::{num, Table};
 use bb_sim::SimDuration;
-use bb_types::{ClientId, NodeId};
-use blockbench::connector::{BlockchainConnector, ChainEntry, Fault, PlatformStats};
+use bb_types::NodeId;
+use blockbench::connector::{Fault, PlatformStats};
 use blockbench::{
-    check_chains, ByzActor, ByzBehavior, ByzClientSpec, ChaosPlan, FaultCursor, SafetyViolation,
+    check_chains, run_timeline, ByzBehavior, ByzClientSpec, ChaosPlan, SafetyViolation,
 };
-
-/// Everything a chaos run produces: the per-second commit/stats series,
-/// the byzantine traffic totals, and each node's committed chain for the
-/// safety checker.
-pub struct ChaosRun {
-    /// `(t, committed_cumulative, stats)` sampled once per virtual second;
-    /// `stats.byzantine_rejected` is overlaid by the runner (platforms
-    /// cannot attribute byzantine traffic).
-    pub series: Vec<(u64, u64, PlatformStats)>,
-    /// Byzantine submissions attempted across all actors.
-    pub byz_submitted: u64,
-    /// Byzantine submissions the platform refused at the RPC.
-    pub byz_rejected: u64,
-    /// Cumulative *honest* submissions refused at the RPC, one entry per
-    /// sampled second — the collateral-damage signal of a flood.
-    pub honest_rejected: Vec<u64>,
-    /// Committed chain per node, as reported at the end of the run.
-    pub chains: Vec<Vec<ChainEntry>>,
-}
-
-/// Drive `chain` for `total_secs` under `plan`, interleaving honest client
-/// sends with byzantine actor sends by instant (honest first on ties).
-/// Faults fire at second boundaries through the [`FaultCursor`], never
-/// mid-`advance_to`.
-pub fn chaos_timeline(
-    mut chain: Box<dyn BlockchainConnector>,
-    nodes: u32,
-    clients: u32,
-    rate_per_client: f64,
-    total_secs: u64,
-    plan: &ChaosPlan,
-) -> ChaosRun {
-    let mut wl = Macro::Ycsb.build(clients);
-    wl.setup(chain.as_mut());
-    let interval = SimDuration::from_secs_f64(1.0 / rate_per_client);
-    let t0 = chain.now();
-    let mut faults = FaultCursor::new(plan.faults(), t0);
-    let mut actors: Vec<ByzActor> = plan.actors().iter().map(|s| ByzActor::new(s, t0)).collect();
-    let mut next_send: Vec<_> = (0..clients).map(|_| t0).collect();
-    let mut seen_height = 0u64;
-    let mut committed = 0u64;
-    let mut series = Vec::new();
-    let mut honest_rejects = 0u64;
-    let mut honest_rejected = Vec::new();
-    for sec in 0..total_secs {
-        faults.fire_due(chain.as_mut(), t0 + SimDuration::from_secs(sec));
-        let step_end = t0 + SimDuration::from_secs(sec + 1);
-        loop {
-            let honest = next_send
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, t)| t < step_end)
-                .min_by_key(|&(_, t)| t);
-            let byz = actors
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.next_due().map(|t| (i, t)))
-                .filter(|&(_, t)| t < step_end)
-                .min_by_key(|&(_, t)| t);
-            // Honest clients win ties: a fixed rule, so interleaving is a
-            // pure function of the plan.
-            let pick_honest = match (honest, byz) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some((_, ht)), Some((_, bt))) => ht <= bt,
-            };
-            if pick_honest {
-                let (ci, t) = honest.expect("picked honest send");
-                chain.advance_to(t);
-                let tx = wl.next_transaction(ClientId(ci as u32));
-                if !chain.submit(NodeId(ci as u32 % nodes), tx) {
-                    wl.on_rejected(ClientId(ci as u32));
-                    honest_rejects += 1;
-                }
-                next_send[ci] = t + interval;
-            } else {
-                let (ai, t) = byz.expect("picked byzantine send");
-                chain.advance_to(t);
-                let server = actors[ai].server();
-                let tx = actors[ai].make_tx();
-                if !chain.submit(server, tx) {
-                    actors[ai].on_rejected();
-                }
-            }
-        }
-        chain.advance_to(step_end);
-        for block in chain.confirmed_blocks_since(seen_height) {
-            seen_height = seen_height.max(block.height);
-            committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
-        }
-        let mut stats = chain.stats();
-        stats.byzantine_rejected = actors.iter().map(|a| a.rejected).sum();
-        series.push((sec + 1, committed, stats));
-        honest_rejected.push(honest_rejects);
-    }
-    ChaosRun {
-        byz_submitted: actors.iter().map(|a| a.submitted).sum(),
-        byz_rejected: actors.iter().map(|a| a.rejected).sum(),
-        honest_rejected,
-        chains: (0..nodes).map(|i| chain.committed_chain(NodeId(i))).collect(),
-        series,
-    }
-}
 
 /// The six scenario classes of the chaos matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,7 +206,9 @@ pub fn run_matrix(window_secs: u64, rate: f64) -> Vec<CellResult> {
         .flat_map(|s| s.platforms().iter().map(move |&p| (s, p)))
         .collect();
     map_cells(grid, move |(scenario, platform)| {
-        let run = chaos_timeline(platform.build(8), 8, 8, rate, window_secs, &scenario.plan());
+        let mut chain = platform.build(8);
+        let mut wl = Macro::Ycsb.build(8);
+        let run = run_timeline(chain.as_mut(), wl.as_mut(), 8, rate, window_secs, &scenario.plan());
         let committed_at = |sec: u64| {
             run.series.iter().find(|&&(t, _, _)| t == sec).map(|&(_, c, _)| c).unwrap_or(0)
         };
@@ -480,14 +377,9 @@ mod tests {
     fn chaos_safety_checker_catches_seeded_violation() {
         let honest = &cell(Scenario::GossipJitter, Platform::Hyperledger);
         assert!(honest.safety.is_ok());
-        let run = chaos_timeline(
-            Platform::Hyperledger.build(4),
-            4,
-            4,
-            20.0,
-            12,
-            &ChaosPlan::new(),
-        );
+        let mut chain = Platform::Hyperledger.build(4);
+        let plan = ChaosPlan::new();
+        let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 20.0, 12, &plan);
         let mut chains = run.chains.clone();
         assert!(check_chains(&chains, 0).expect("honest run is safe") > 0);
         // Node 1 "commits" a different block at height 1 (re-linking its

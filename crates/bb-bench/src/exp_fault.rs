@@ -1,84 +1,16 @@
 //! Fault-tolerance and security experiments: Figures 9 and 10.
 //!
-//! These need mid-run fault injection, so they drive the chains directly
-//! (submit + advance + poll in 1-second steps) instead of through
-//! `run_workload`.
+//! Each cell is a [`ChaosPlan`] with no actors, run by
+//! [`blockbench::driver::run_timeline`] and sampled once per second.
 
 use crate::exp_macro::Macro;
 use crate::parallel::{cost_hint, map_cells, map_cells_hinted};
 use crate::platforms::{Platform, ALL_PLATFORMS};
 use crate::table::{num, Table};
-use bb_sim::{SimDuration, SimTime};
+use bb_sim::SimDuration;
 use bb_types::NodeId;
-use blockbench::connector::{Fault, PlatformStats};
-use blockbench::{FaultCursor, FaultPlan};
-
-/// Drive `platform` for `total_secs` under a declarative [`FaultPlan`]
-/// (deadlines measured from workload start), sampling cumulative
-/// committed transactions and platform stats once per second.
-fn timeline(
-    platform: Platform,
-    nodes: u32,
-    clients: u32,
-    rate_per_client: f64,
-    total_secs: u64,
-    plan: &FaultPlan,
-) -> Vec<(u64, u64, PlatformStats)> {
-    timeline_on(platform.build(nodes), nodes, clients, rate_per_client, total_secs, plan)
-}
-
-/// [`timeline`] over a caller-built chain (custom config overrides).
-fn timeline_on(
-    mut chain: Box<dyn blockbench::connector::BlockchainConnector>,
-    nodes: u32,
-    clients: u32,
-    rate_per_client: f64,
-    total_secs: u64,
-    plan: &FaultPlan,
-) -> Vec<(u64, u64, PlatformStats)> {
-    // (t, committed_cumulative, stats)
-    let mut wl = Macro::Ycsb.build(clients);
-    wl.setup(chain.as_mut());
-    let interval = SimDuration::from_secs_f64(1.0 / rate_per_client);
-    let t0 = chain.now();
-    let mut faults = FaultCursor::new(plan, t0);
-    let mut next_send: Vec<SimTime> = (0..clients).map(|_| t0).collect();
-    let mut seen_height = 0u64;
-    let mut committed = 0u64;
-    let mut out = Vec::new();
-    let mut nonce_guard = 0u64;
-    for sec in 0..total_secs {
-        faults.fire_due(chain.as_mut(), t0 + SimDuration::from_secs(sec));
-        let step_end = t0 + SimDuration::from_secs(sec + 1);
-        // Send this second's transactions, client by client.
-        loop {
-            let Some((ci, t)) = next_send
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, t)| t < step_end)
-                .min_by_key(|&(_, t)| t)
-            else {
-                break;
-            };
-            chain.advance_to(t);
-            let tx = wl.next_transaction(bb_types::ClientId(ci as u32));
-            if !chain.submit(NodeId(ci as u32 % nodes), tx) {
-                wl.on_rejected(bb_types::ClientId(ci as u32));
-            }
-            next_send[ci] = t + interval;
-            nonce_guard += 1;
-        }
-        chain.advance_to(step_end);
-        for block in chain.confirmed_blocks_since(seen_height) {
-            seen_height = seen_height.max(block.height);
-            committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
-        }
-        out.push((sec + 1, committed, chain.stats()));
-    }
-    let _ = nonce_guard;
-    out
-}
+use blockbench::connector::Fault;
+use blockbench::{run_timeline, ChaosPlan};
 
 /// Figure 9: crash 4 servers mid-run at 12 and 16 servers; per-second
 /// committed transactions before/after.
@@ -94,11 +26,13 @@ pub fn fig9(window_secs: u64, fail_at: u64, rate: f64) -> Table {
         .collect();
     let mut results = map_cells_hinted(grid, move |(platform, servers)| {
         // Kill the last four nodes (node 0 is the observer).
-        let mut plan = FaultPlan::new();
+        let mut plan = ChaosPlan::new();
         for i in servers - 4..servers {
             plan = plan.at(SimDuration::from_secs(fail_at), Fault::Crash(NodeId(i)));
         }
-        timeline(platform, servers, 8, rate, window_secs, &plan)
+        let mut chain = platform.build(servers);
+        run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, rate, window_secs, &plan)
+            .series
     })
     .into_iter();
     for platform in ALL_PLATFORMS {
@@ -142,12 +76,13 @@ pub fn fig9_restart(window_secs: u64, fail_at: u64, restart_at: u64, rate: f64) 
     );
     let victim = NodeId(7);
     let mut results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
-        let plan = FaultPlan::new()
+        let plan = ChaosPlan::new()
             .at(SimDuration::from_secs(fail_at), Fault::Crash(victim))
             .at(SimDuration::from_secs(fail_at), Fault::TornTail(victim))
             .at(SimDuration::from_secs(restart_at), Fault::Restart(victim));
-        let chain = platform.build_with_snapshot_threshold(8, u64::MAX);
-        timeline_on(chain, 8, 8, rate, window_secs, &plan)
+        let mut chain = platform.build_with_snapshot_threshold(8, u64::MAX);
+        run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, rate, window_secs, &plan)
+            .series
     })
     .into_iter();
     for platform in ALL_PLATFORMS {
@@ -196,12 +131,13 @@ pub fn fig9_snapshot(window_secs: u64, fail_at: u64, restart_at: u64, rate: f64)
     let grid: Vec<(Platform, u64)> =
         ALL_PLATFORMS.into_iter().flat_map(|p| modes.map(|(_, thr)| (p, thr))).collect();
     let mut results = map_cells(grid, move |(platform, threshold)| {
-        let plan = FaultPlan::new()
+        let plan = ChaosPlan::new()
             .at(SimDuration::from_secs(fail_at), Fault::Crash(victim))
             .at(SimDuration::from_secs(fail_at), Fault::TornTail(victim))
             .at(SimDuration::from_secs(restart_at), Fault::Restart(victim));
-        let chain = platform.build_with_snapshot_threshold(8, threshold);
-        timeline_on(chain, 8, 8, rate, window_secs, &plan)
+        let mut chain = platform.build_with_snapshot_threshold(8, threshold);
+        run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, rate, window_secs, &plan)
+            .series
     })
     .into_iter();
     for platform in ALL_PLATFORMS {
@@ -233,10 +169,12 @@ pub fn fig10(window_secs: u64, partition_at: u64, partition_secs: u64, rate: f64
         &["platform", "t (s)", "blocks total", "blocks main", "fork ratio"],
     );
     let mut results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
-        let plan = FaultPlan::new()
+        let plan = ChaosPlan::new()
             .at(SimDuration::from_secs(partition_at), Fault::PartitionHalf { left: 4 })
             .at(SimDuration::from_secs(partition_at + partition_secs), Fault::Heal);
-        timeline(platform, 8, 8, rate, window_secs, &plan)
+        let mut chain = platform.build(8);
+        run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, rate, window_secs, &plan)
+            .series
     })
     .into_iter();
     for platform in ALL_PLATFORMS {

@@ -2,11 +2,10 @@
 //!
 //! A [`ChaosPlan`] is a [`FaultPlan`] plus *adversarial actors*: byzantine
 //! clients that flood nonce gaps, replay signed transactions or push
-//! oversized payloads at a configured rate over a configured window. The
-//! fault half of the plan fires through the ordinary [`FaultCursor`]
-//! machinery (between driver steps, never mid-`advance_to`); the actor half
-//! is pumped by the chaos runner, which interleaves byzantine submissions
-//! with honest traffic on the shared virtual clock.
+//! oversized payloads at a configured rate over a configured window.
+//! [`crate::driver::run_timeline`] runs a plan: it fires the faults at
+//! second boundaries (never mid-`advance_to`) and interleaves the actors'
+//! submissions with honest traffic on the shared virtual clock.
 //!
 //! Determinism rules (DESIGN.md §10): every source of chaos timing is
 //! derived from plan data — flapping partitions expand into an explicit
@@ -16,7 +15,7 @@
 //! platform faults themselves do.
 
 use crate::connector::Fault;
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::FaultPlan;
 use bb_crypto::KeyPair;
 use bb_sim::{SimDuration, SimTime};
 use bb_types::{Address, NodeId, Transaction};
@@ -111,18 +110,13 @@ impl ChaosPlan {
     }
 
     /// The environmental half of the plan.
-    pub fn faults(&self) -> &FaultPlan {
+    pub(crate) fn faults(&self) -> &FaultPlan {
         &self.faults
     }
 
     /// The adversarial half of the plan.
-    pub fn actors(&self) -> &[ByzClientSpec] {
+    pub(crate) fn actors(&self) -> &[ByzClientSpec] {
         &self.actors
-    }
-
-    /// All fault events in firing order (see [`FaultPlan::events`]).
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.faults.events()
     }
 }
 
@@ -130,7 +124,7 @@ impl ChaosPlan {
 /// actor's transaction stream deterministically (fixed interval, fixed
 /// keys, counters instead of randomness).
 #[derive(Debug)]
-pub struct ByzActor {
+pub(crate) struct ByzActor {
     spec: ByzClientSpec,
     key: KeyPair,
     /// Next nonce for behaviors that advance one.
@@ -142,14 +136,14 @@ pub struct ByzActor {
     /// The frozen transaction a `Replay` actor re-submits.
     replayed: Option<Transaction>,
     /// Submissions attempted (accepted + rejected).
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Submissions the platform refused at the RPC.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
 }
 
 impl ByzActor {
     /// Instantiate `spec` against a run whose driven window starts at `t0`.
-    pub fn new(spec: &ByzClientSpec, t0: SimTime) -> Self {
+    pub(crate) fn new(spec: &ByzClientSpec, t0: SimTime) -> Self {
         assert!(spec.rate > 0.0, "byzantine actor needs a positive rate");
         assert!(spec.until > spec.from, "byzantine actor window is empty");
         let nonce = match spec.behavior {
@@ -169,18 +163,18 @@ impl ByzActor {
     }
 
     /// The server this actor targets.
-    pub fn server(&self) -> NodeId {
+    pub(crate) fn server(&self) -> NodeId {
         self.spec.server
     }
 
     /// Next send instant, or `None` once the window is over.
-    pub fn next_due(&self) -> Option<SimTime> {
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
         (self.next < self.until).then_some(self.next)
     }
 
     /// Produce the next transaction and advance the actor's clock. Only
     /// call after `next_due` returned `Some`.
-    pub fn make_tx(&mut self) -> Transaction {
+    pub(crate) fn make_tx(&mut self) -> Transaction {
         self.next = self.next + SimDuration::from_secs_f64(1.0 / self.spec.rate);
         self.submitted += 1;
         match self.spec.behavior {
@@ -207,7 +201,7 @@ impl ByzActor {
     }
 
     /// Record that the platform refused the last submission.
-    pub fn on_rejected(&mut self) {
+    pub(crate) fn on_rejected(&mut self) {
         self.rejected += 1;
     }
 }
@@ -224,7 +218,7 @@ mod tests {
             3,
             4,
         );
-        let evs = plan.events();
+        let evs = plan.faults().events();
         assert_eq!(evs.len(), 6);
         for (k, pair) in evs.chunks(2).enumerate() {
             let cut = SimDuration::from_secs(5 + 4 * k as u64);

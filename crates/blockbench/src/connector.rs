@@ -104,7 +104,7 @@ pub struct PlatformStats {
     pub exec_modeled_us: u64,
     /// Byzantine-client submissions refused at admission. Platforms cannot
     /// tell a byzantine submission from an honest one, so this is filled in
-    /// by the chaos runner, which knows which actor sent what.
+    /// by [`crate::driver::run_timeline`], which knows which actor sent what.
     pub byzantine_rejected: u64,
     /// Conflicting-digest consensus messages honest replicas observed for
     /// an occupied slot and refused (PBFT equivocation detection; zero on

@@ -24,8 +24,14 @@
 //!
 //! The outstanding queue's length over time is itself a reported metric
 //! (Figures 6 and 18).
+//!
+//! Fault and chaos experiments (Figures 9 and 10, the chaos matrix) run
+//! through [`run_timeline`] instead: the same closed-loop send schedule,
+//! interleaved with a [`ChaosPlan`]'s byzantine actors, sampled once per
+//! virtual second rather than matched per transaction.
 
-use crate::connector::BlockchainConnector;
+use crate::chaos::{ByzActor, ChaosPlan};
+use crate::connector::{BlockchainConnector, ChainEntry, PlatformStats};
 use crate::fault::{FaultCursor, FaultPlan};
 use crate::load::{ArrivalGen, OpenLoopConfig};
 use crate::stats::{LogHistogram, RunStats};
@@ -194,6 +200,113 @@ pub fn run_open_loop(
         config.drain,
         None,
     )
+}
+
+/// Everything a [`run_timeline`] run produces: the per-second commit/stats
+/// series, the byzantine traffic totals, and each node's committed chain for
+/// the safety checker.
+pub struct Timeline {
+    /// `(t, committed_cumulative, stats)` sampled once per virtual second;
+    /// `stats.byzantine_rejected` is overlaid by the runner (platforms
+    /// cannot attribute byzantine traffic).
+    pub series: Vec<(u64, u64, PlatformStats)>,
+    /// Byzantine submissions attempted across all actors.
+    pub byz_submitted: u64,
+    /// Byzantine submissions the platform refused at the RPC.
+    pub byz_rejected: u64,
+    /// Cumulative *honest* submissions refused at the RPC, one entry per
+    /// sampled second — the collateral-damage signal of a flood.
+    pub honest_rejected: Vec<u64>,
+    /// Committed chain per node, as reported at the end of the run.
+    pub chains: Vec<Vec<ChainEntry>>,
+}
+
+/// Drive `chain` for `total_secs` virtual seconds under `plan`. Workload
+/// setup runs first; then `clients` honest clients, all starting at the end
+/// of setup, each send one transaction every `1 / rate_per_client` seconds,
+/// client `i` to server `i mod n`, interleaved by instant with the plan's
+/// byzantine actors. Cumulative commits and platform stats are sampled at
+/// the end of every second.
+///
+/// Two fixed rules make the run a pure function of the plan:
+///
+/// - honest clients win ties: an honest send and an actor send due at the
+///   same instant go honest first;
+/// - faults fire at second boundaries only, never mid-`advance_to`: a fault
+///   due at 1.5 s is injected when the chain clock reads 2 s.
+pub fn run_timeline(
+    chain: &mut dyn BlockchainConnector,
+    workload: &mut dyn WorkloadConnector,
+    clients: u32,
+    rate_per_client: f64,
+    total_secs: u64,
+    plan: &ChaosPlan,
+) -> Timeline {
+    workload.setup(chain);
+    let n = chain.node_count();
+    let t0 = chain.now();
+    let mut honest = SendQueue::Closed {
+        heap: (0..clients).map(|i| Reverse((t0, i))).collect(),
+        interval: SimDuration::from_secs_f64(1.0 / rate_per_client),
+    };
+    let mut faults = FaultCursor::new(plan.faults(), t0);
+    let mut actors: Vec<ByzActor> = plan.actors().iter().map(|s| ByzActor::new(s, t0)).collect();
+    let mut seen_height = 0u64;
+    let mut committed = 0u64;
+    let mut series = Vec::new();
+    let mut honest_rejects = 0u64;
+    let mut honest_rejected = Vec::new();
+    for sec in 0..total_secs {
+        faults.fire_due(chain, t0 + SimDuration::from_secs(sec));
+        let step_end = t0 + SimDuration::from_secs(sec + 1);
+        loop {
+            let next_honest = honest.next_time();
+            let byz = actors
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| a.next_due().map(|t| (i, t)))
+                .filter(|&(_, t)| t < step_end)
+                .min_by_key(|&(_, t)| t);
+            match byz {
+                // Strictly earlier only: honest clients win ties.
+                Some((ai, t)) if t < next_honest => {
+                    chain.advance_to(t);
+                    let server = actors[ai].server();
+                    let tx = actors[ai].make_tx();
+                    if !chain.submit(server, tx) {
+                        actors[ai].on_rejected();
+                    }
+                }
+                _ if next_honest < step_end => {
+                    let item = honest.pop();
+                    let client = item.client.expect("closed-loop sends name a client");
+                    chain.advance_to(item.intended);
+                    let tx = workload.next_transaction(client);
+                    if !chain.submit(NodeId(client.0 % n), tx) {
+                        workload.on_rejected(client);
+                        honest_rejects += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        chain.advance_to(step_end);
+        for block in chain.confirmed_blocks_since(seen_height) {
+            seen_height = seen_height.max(block.height);
+            committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
+        }
+        let mut stats = chain.stats();
+        stats.byzantine_rejected = actors.iter().map(|a| a.rejected).sum();
+        series.push((sec + 1, committed, stats));
+        honest_rejected.push(honest_rejects);
+    }
+    Timeline {
+        byz_submitted: actors.iter().map(|a| a.submitted).sum(),
+        byz_rejected: actors.iter().map(|a| a.rejected).sum(),
+        honest_rejected,
+        chains: (0..n).map(|i| chain.committed_chain(NodeId(i))).collect(),
+        series,
+    }
 }
 
 /// The pending-send schedule: where the next `(time, identity)` event comes
@@ -441,6 +554,9 @@ mod tests {
         pipe: Vec<(SimTime, TxId, bool)>,
         blocks: Vec<BlockSummary>,
         submitted: u64,
+        /// `(now, what)` for every submission (`"submit <server>"`) and
+        /// every injected fault, in call order.
+        log: Vec<(SimTime, String)>,
     }
 
     impl MockChain {
@@ -455,6 +571,7 @@ mod tests {
                 pipe: Vec::new(),
                 blocks: Vec::new(),
                 submitted: 0,
+                log: Vec::new(),
             }
         }
 
@@ -488,7 +605,8 @@ mod tests {
         fn deploy(&mut self, _bundle: &ContractBundle) -> Address {
             Address::from_index(0)
         }
-        fn submit(&mut self, _server: NodeId, tx: Transaction) -> bool {
+        fn submit(&mut self, server: NodeId, tx: Transaction) -> bool {
+            self.log.push((self.now, format!("submit {}", server.0)));
             if let Some(cap) = self.admit_cap {
                 if self.pipe.len() >= cap {
                     return false;
@@ -507,7 +625,7 @@ mod tests {
             true
         }
         fn advance_to(&mut self, t: SimTime) {
-            self.now = t;
+            self.now = self.now.max(t);
             let mut ready: Vec<(SimTime, TxId, bool)> = {
                 let (done, rest): (Vec<_>, Vec<_>) =
                     self.pipe.drain(..).partition(|&(at, _, _)| at <= t);
@@ -541,7 +659,9 @@ mod tests {
         fn query(&mut self, _q: &Query) -> Result<QueryResult, QueryError> {
             Err(QueryError::Unsupported)
         }
-        fn inject(&mut self, _fault: Fault) {}
+        fn inject(&mut self, fault: Fault) {
+            self.log.push((self.now, format!("{fault:?}")));
+        }
         fn execute_direct(&mut self, _tx: Transaction) -> crate::connector::DirectExec {
             unimplemented!("mock chain has no direct-execution path")
         }
@@ -763,6 +883,33 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         let c = run(0xA2);
         assert_ne!(format!("{a:?}"), format!("{c:?}"));
+    }
+
+    /// `run_timeline`'s two ordering rules, read off the chain's call log: a
+    /// fault due at 1.5 s lands on the 2 s boundary, and an actor send due at
+    /// the same instant as an honest send goes second.
+    #[test]
+    fn timeline_fires_faults_on_second_boundaries_and_honest_sends_win_ties() {
+        let mut chain = MockChain::new(2);
+        let mut wl = TrivialWorkload { nonce: 0 };
+        let plan = ChaosPlan::new().at(SimDuration::from_millis(1500), Fault::Heal).actor(
+            crate::chaos::ByzClientSpec {
+                server: NodeId(1),
+                behavior: crate::chaos::ByzBehavior::Replay,
+                rate: 1.0,
+                from: SimDuration::ZERO,
+                until: SimDuration::from_secs(1),
+                key_seed: 7,
+            },
+        );
+        let run = run_timeline(&mut chain, &mut wl, 1, 1.0, 3, &plan);
+        let at = |secs: u64, what: &str| (SimTime::from_secs(secs), what.to_string());
+        let honest = "submit 0";
+        assert_eq!(
+            chain.log,
+            [at(0, honest), at(0, "submit 1"), at(1, honest), at(2, "Heal"), at(2, honest)]
+        );
+        assert_eq!((run.series.len(), run.byz_submitted), (3, 1));
     }
 
     #[test]

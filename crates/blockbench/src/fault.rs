@@ -16,7 +16,7 @@ use bb_sim::{SimDuration, SimTime};
 /// (measured from the start of the driven window, not absolute time —
 /// workload setup length must not shift the schedule).
 #[derive(Debug, Clone)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// Offset from the start of the measured window.
     pub at: SimDuration,
     /// The fault to inject.
@@ -46,21 +46,11 @@ impl FaultPlan {
     /// first — and the tiebreak is pinned explicitly by sorting on
     /// `(deadline, insertion index)` rather than leaning on the sort
     /// algorithm's stability.
-    pub fn events(&self) -> Vec<FaultEvent> {
+    pub(crate) fn events(&self) -> Vec<FaultEvent> {
         let mut sorted: Vec<(usize, FaultEvent)> =
             self.events.iter().cloned().enumerate().collect();
         sorted.sort_unstable_by_key(|&(idx, ref e)| (e.at, idx));
         sorted.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Is the plan empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -68,7 +58,7 @@ impl FaultPlan {
 /// whose deadline has passed. The driver calls [`FaultCursor::fire_due`]
 /// before each step it takes.
 #[derive(Debug)]
-pub struct FaultCursor {
+pub(crate) struct FaultCursor {
     events: Vec<FaultEvent>,
     next: usize,
     t0: SimTime,
@@ -76,13 +66,13 @@ pub struct FaultCursor {
 
 impl FaultCursor {
     /// Start walking `plan` with deadlines measured from `t0`.
-    pub fn new(plan: &FaultPlan, t0: SimTime) -> Self {
+    pub(crate) fn new(plan: &FaultPlan, t0: SimTime) -> Self {
         FaultCursor { events: plan.events(), next: 0, t0 }
     }
 
     /// Inject every not-yet-fired fault with `t0 + at <= now` into `chain`,
     /// in schedule order. Returns how many fired.
-    pub fn fire_due(&mut self, chain: &mut dyn BlockchainConnector, now: SimTime) -> usize {
+    pub(crate) fn fire_due(&mut self, chain: &mut dyn BlockchainConnector, now: SimTime) -> usize {
         let mut fired = 0;
         while let Some(ev) = self.events.get(self.next) {
             let deadline = self.t0 + ev.at;
@@ -98,11 +88,6 @@ impl FaultCursor {
             fired += 1;
         }
         fired
-    }
-
-    /// Faults not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
     }
 }
 
@@ -203,7 +188,7 @@ mod tests {
         // Already-fired events never refire.
         assert_eq!(cursor.fire_due(&mut chain, SimTime::from_millis(2500)), 0);
         assert_eq!(cursor.fire_due(&mut chain, SimTime::from_millis(4000)), 1);
-        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(chain.injected.len(), 2);
 
         // Injection happened at the scheduled instants, not the poll instants.
         assert_eq!(chain.injected[0].0, SimTime::from_millis(1000));

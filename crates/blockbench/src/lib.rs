@@ -15,9 +15,11 @@
 //!   ships an SVM bytecode build (Ethereum/Parity) and a native chaincode
 //!   build (Fabric), mirroring the paper's Solidity + Go twin
 //!   implementations;
-//! - [`driver`]: the asynchronous driver — closed-loop client pools and
-//!   open-loop arrival streams, an outstanding-transaction queue, and a
-//!   polling loop that matches confirmed blocks back to submissions;
+//! - [`driver`]: the crate's two run loops — the asynchronous driver
+//!   (closed-loop client pools and open-loop arrival streams, an
+//!   outstanding-transaction queue, and a polling loop that matches
+//!   confirmed blocks back to submissions) and [`driver::run_timeline`],
+//!   which drives fault and chaos plans and samples once per second;
 //! - [`load`]: the open-loop arrival engine — Poisson / bursty / ramp
 //!   arrival processes over compact million-account populations, sampled
 //!   exactly in O(1) per event;
@@ -25,9 +27,9 @@
 //!   histograms, naive and coordinated-omission-free), queue-length and
 //!   commit timelines (Section 3.3's metrics);
 //! - [`security`]: the fork-ratio security metric of Figure 10;
-//! - [`chaos`]: the adversarial scenario layer — [`chaos::ChaosPlan`]
-//!   extends the declarative fault schedule with byzantine client actors
-//!   and flapping-partition expansion;
+//! - [`chaos`]: the adversarial scenario layer — [`chaos::ChaosPlan`], the
+//!   one plan type `run_timeline` takes, extends the declarative fault
+//!   schedule with byzantine client actors and flapping-partition expansion;
 //! - [`invariant`]: the cross-node safety checker chaos contracts gate on
 //!   (prefix consistency, no conflicting commits, state-root agreement).
 
@@ -41,16 +43,17 @@ pub mod load;
 pub mod security;
 pub mod stats;
 
-pub use chaos::{ByzActor, ByzBehavior, ByzClientSpec, ChaosPlan};
+pub use chaos::{ByzBehavior, ByzClientSpec, ChaosPlan};
 pub use connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
     QueryError, QueryResult, RecoveryWindow,
 };
 pub use contract::{Chaincode, ChaincodeContext, ContractBundle, SvmContract};
 pub use driver::{
-    run_open_loop, run_workload, run_workload_with_faults, DriverConfig, WorkloadConnector,
+    run_open_loop, run_timeline, run_workload, run_workload_with_faults, DriverConfig, Timeline,
+    WorkloadConnector,
 };
-pub use fault::{FaultCursor, FaultEvent, FaultPlan};
+pub use fault::FaultPlan;
 pub use invariant::{check_chains, SafetyViolation};
 pub use load::{ArrivalGen, ArrivalProcess, OpenLoopConfig};
 pub use security::fork_ratio;

@@ -154,9 +154,10 @@ echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # harness: byzantine clients, an equivocating PBFT replica, asymmetric and
 # flapping partitions, slow disks and gossip jitter, each cell gated on a
 # liveness floor and the cross-node safety checker. Run the plan/actor/
-# invariant unit tests, the matrix itself and the pool-pinning regression
-# by name so a chaos regression is reported as one.
+# runner/invariant unit tests, the matrix itself and the pool-pinning
+# regression by name so a chaos regression is reported as one.
 smoke -p blockbench chaos
+smoke -p blockbench timeline
 smoke -p blockbench invariant
 smoke -p bb-bench --lib exp_chaos
 smoke -p bb-bench --test pool_eviction
@@ -176,6 +177,12 @@ smoke -p bb-bench --lib executor_speedup_degrades_gracefully
 # One loop, not two: nothing of the windowed scheduler is left in the crates.
 if git grep -nE 'min_next|gen_key|wend' crates/; then
     echo "ERROR: the windowed scheduler's names are back in crates/" >&2
+    exit 1
+fi
+# One per-second runner: fault and chaos experiments go through
+# `blockbench::driver::run_timeline` and none rebuilds its own run loop.
+if git grep -nE 'confirmed_blocks_since|FaultCursor|fn (timeline|timeline_on|chaos_timeline)\b' -- crates/bb-bench tests/parallel_determinism.rs; then
+    echo "ERROR: an experiment drives the chain with its own run loop; use run_timeline" >&2
     exit 1
 fi
 

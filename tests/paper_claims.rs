@@ -7,6 +7,7 @@ use bb_sim::{SimDuration, SimTime};
 use bb_types::NodeId;
 use blockbench::connector::Fault;
 use blockbench::security::fork_ratio;
+use blockbench::{run_timeline, ChaosPlan};
 
 /// "Hyperledger performs consistently better than Ethereum and Parity
 /// across the benchmarks."
@@ -70,41 +71,14 @@ fn smallbank_costs_blockchains_little_but_hstore_much() {
 #[test]
 fn crash_tolerance_split() {
     let run_with_crashes = |platform: Platform| -> (u64, u64) {
-        let mut chain = platform.build(12);
-        #[allow(unused_imports)]
-        use blockbench::driver::WorkloadConnector;
-        let mut wl = Macro::Ycsb.build(8);
-        wl.setup(chain.as_mut());
-        let mut nonce_sent = 0u64;
-        let mut seen = 0u64;
-        let mut committed_pre = 0u64;
-        let mut committed_post = 0u64;
-        for sec in 1..=90u64 {
-            if sec == 30 {
-                for i in 8..12 {
-                    chain.inject(Fault::Crash(NodeId(i)));
-                }
-            }
-            for c in 0..8u32 {
-                for _ in 0..5 {
-                    let tx = wl.next_transaction(bb_types::ClientId(c));
-                    chain.submit(NodeId(c % 12), tx);
-                    nonce_sent += 1;
-                }
-            }
-            chain.advance_to(SimTime::from_secs(sec));
-            for b in chain.confirmed_blocks_since(seen) {
-                seen = seen.max(b.height);
-                let n = b.txs.len() as u64;
-                if sec <= 30 {
-                    committed_pre += n;
-                } else {
-                    committed_post += n;
-                }
-            }
+        let mut plan = ChaosPlan::new();
+        for i in 8..12 {
+            plan = plan.at(SimDuration::from_secs(30), Fault::Crash(NodeId(i)));
         }
-        let _ = nonce_sent;
-        (committed_pre, committed_post)
+        let mut chain = platform.build(12);
+        let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, 5.0, 90, &plan);
+        let committed_at = |sec: usize| run.series[sec - 1].1;
+        (committed_at(30), committed_at(90) - committed_at(30))
     };
     // pre counts 30 s, post counts 60 s: "post rate > pre rate / 4" is
     // `post > pre / 2` in raw counts (and `<` for the PBFT stall).

@@ -12,18 +12,17 @@
 //!   order first of all: every map's `RandomState` is keyed differently, so
 //!   two runs in one process iterate in two orders.
 
-use bb_bench::exp_chaos::chaos_timeline;
 use bb_bench::exp_macro::{self, Macro};
 use bb_bench::{Platform, Scale, ALL_PLATFORMS};
 use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
 use bb_parity::{ParityChain, ParityConfig};
-use bb_sim::{SimDuration, SimTime};
-use bb_types::{ClientId, NodeId};
+use bb_sim::SimDuration;
+use bb_types::NodeId;
 use bb_workloads::ycsb::{YcsbConfig, YcsbWorkload};
 use blockbench::{
-    run_open_loop, run_workload, ArrivalProcess, BlockchainConnector, ByzBehavior, ByzClientSpec,
-    ChaosPlan, DriverConfig, Fault, OpenLoopConfig, PlatformStats,
+    run_open_loop, run_timeline, run_workload, ArrivalProcess, BlockchainConnector, ByzBehavior,
+    ByzClientSpec, ChaosPlan, DriverConfig, Fault, OpenLoopConfig,
 };
 
 fn tiny_scale() -> Scale {
@@ -200,81 +199,28 @@ fn executor_conflict_reexecution_replays_byte_identical() {
     }
 }
 
-/// Drive `clients` fixed-interval YCSB clients against a fresh cluster for
-/// `secs` simulated seconds; at the top of each second `inject` may fire
-/// faults, at its end `row` renders the cumulative commit count and the
-/// platform stats into one timeline line.
-fn timeline(
-    platform: Platform,
-    nodes: u32,
-    secs: u64,
-    interval: SimDuration,
-    inject: impl Fn(u64, &mut dyn BlockchainConnector),
-    row: impl Fn(&PlatformStats) -> String,
-) -> String {
-    const CLIENTS: u32 = 4;
-    let mut chain = build_seeded(platform, nodes, 42);
-    let mut workload = Macro::Ycsb.build(CLIENTS);
-    workload.setup(chain.as_mut());
-    let t0 = chain.now();
-    let mut next_send: Vec<SimTime> = (0..CLIENTS).map(|_| t0).collect();
-    let mut seen_height = 0u64;
-    let mut committed = 0u64;
-    let mut out = String::new();
-    for sec in 0..secs {
-        inject(sec, chain.as_mut());
-        let step_end = t0 + SimDuration::from_secs(sec + 1);
-        loop {
-            let Some((ci, t)) = next_send
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, t)| t < step_end)
-                .min_by_key(|&(_, t)| t)
-            else {
-                break;
-            };
-            chain.advance_to(t);
-            let tx = workload.next_transaction(ClientId(ci as u32));
-            if !chain.submit(NodeId(ci as u32 % nodes), tx) {
-                workload.on_rejected(ClientId(ci as u32));
-            }
-            next_send[ci] = t + interval;
-        }
-        chain.advance_to(step_end);
-        for block in chain.confirmed_blocks_since(seen_height) {
-            seen_height = seen_height.max(block.height);
-            committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
-        }
-        out.push_str(&format!("t={} committed={committed} {}\n", sec + 1, row(&chain.stats())));
-    }
-    out
-}
-
 /// Figure-9-style fault drive: crash a third of a 12-node cluster mid-run
 /// after slowing one node down, sampling cumulative commits and block
 /// counters every simulated second. Faults land between `run_until` calls.
 fn fault_timeline(platform: Platform) -> String {
-    const NODES: u32 = 12;
-    timeline(
-        platform,
-        NODES,
-        15,
-        SimDuration::from_millis(25),
-        |sec, chain| {
-            if sec == 2 {
-                // A straggler first: node 1 gains 40 ms of extra link latency.
-                chain.inject(Fault::Delay(NodeId(1), SimDuration::from_millis(40)));
-            }
-            if sec == 5 {
-                // Then a crash of the last four nodes (node 0 is the observer).
-                for i in NODES - 4..NODES {
-                    chain.inject(Fault::Crash(NodeId(i)));
-                }
-            }
-        },
-        |stats| format!("total={} main={}", stats.blocks_total, stats.blocks_main),
-    )
+    // A straggler first: node 1 gains 40 ms of extra link latency. Then a
+    // crash of the last four nodes (node 0 is the observer).
+    let mut plan = ChaosPlan::new()
+        .at(SimDuration::from_secs(2), Fault::Delay(NodeId(1), SimDuration::from_millis(40)));
+    for i in 8..12 {
+        plan = plan.at(SimDuration::from_secs(5), Fault::Crash(NodeId(i)));
+    }
+    let mut chain = build_seeded(platform, 12, 42);
+    let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 40.0, 15, &plan);
+    run.series
+        .iter()
+        .map(|(t, committed, stats)| {
+            format!(
+                "t={t} committed={committed} total={} main={}\n",
+                stats.blocks_total, stats.blocks_main
+            )
+        })
+        .collect()
 }
 
 /// Crash→restart→catch-up drive: node 3 of 4 power-cuts at t=3 s (torn WAL
@@ -284,31 +230,25 @@ fn fault_timeline(platform: Platform) -> String {
 /// replay.
 fn restart_timeline(platform: Platform) -> String {
     let victim = NodeId(3);
-    timeline(
-        platform,
-        4,
-        20,
-        SimDuration::from_millis(50),
-        |sec, chain| {
-            if sec == 3 {
-                chain.inject(Fault::Crash(victim));
-                chain.inject(Fault::TornTail(victim));
-            }
-            if sec == 7 {
-                chain.inject(Fault::Restart(victim));
-            }
-        },
-        |stats| {
+    let plan = ChaosPlan::new()
+        .at(SimDuration::from_secs(3), Fault::Crash(victim))
+        .at(SimDuration::from_secs(3), Fault::TornTail(victim))
+        .at(SimDuration::from_secs(7), Fault::Restart(victim));
+    let mut chain = build_seeded(platform, 4, 42);
+    let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 20.0, 20, &plan);
+    run.series
+        .iter()
+        .map(|(t, committed, stats)| {
             format!(
-                "main={} recovery_ms={} resync={} wal={}+{}",
+                "t={t} committed={committed} main={} recovery_ms={} resync={} wal={}+{}\n",
                 stats.blocks_main,
                 stats.recovery_ms,
                 stats.resync_blocks,
                 stats.wal_records_replayed,
                 stats.wal_tail_truncated,
             )
-        },
-    )
+        })
+        .collect()
 }
 
 #[test]
@@ -339,7 +279,7 @@ fn restart_and_catchup_replay_identically() {
 
 /// A composite [`ChaosPlan`] — flapping partition, gossip jitter, a
 /// nonce-gap flood and a slow disk all active in one window — driven
-/// through the chaos runner. Byzantine actors are clock-driven (no RNG)
+/// through `run_timeline`. Byzantine actors are clock-driven (no RNG)
 /// and jitter flows through the seeded network stream, so the full
 /// per-second series, the honest-rejection counts and every node's
 /// committed chain must replay byte for byte.
@@ -358,7 +298,8 @@ fn chaos_run_fingerprint(platform: Platform, seed: u64) -> String {
             until: SimDuration::from_secs(8),
             key_seed: 0xBAD_CAFE,
         });
-    let run = chaos_timeline(build_seeded(platform, 4, seed), 4, 4, 25.0, 14, &plan);
+    let mut chain = build_seeded(platform, 4, seed);
+    let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 25.0, 14, &plan);
     assert!(run.byz_submitted > 0, "{}: flood actor never fired", platform.name());
     let last = run.series.last().expect("non-empty series");
     assert!(last.1 > 0, "{}: chaos run committed nothing", platform.name());

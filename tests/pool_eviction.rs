@@ -11,12 +11,11 @@
 //! pin the recovery behaviour and the client-side nonce accounting that
 //! keeps honest senders healthy across "queue full" rejections.
 
-use bb_bench::exp_chaos::chaos_timeline;
 use bb_bench::exp_macro::Macro;
 use bb_parity::{ParityChain, ParityConfig};
 use bb_sim::SimDuration;
 use bb_types::NodeId;
-use blockbench::{run_workload, ByzBehavior, ByzClientSpec, ChaosPlan, DriverConfig};
+use blockbench::{run_timeline, run_workload, ByzBehavior, ByzClientSpec, ChaosPlan, DriverConfig};
 
 /// A byzantine client floods nonce-gapped transactions until the pool
 /// pins at `tx_pool_cap`; once the flood stops, occupancy must age out
@@ -26,7 +25,7 @@ use blockbench::{run_workload, ByzBehavior, ByzClientSpec, ChaosPlan, DriverConf
 /// This is the first cell of the chaos matrix, driven through the
 /// declarative [`ChaosPlan`] API: the flood is a [`ByzClientSpec`] actor
 /// and the honest traffic a single 20 tx/s workload client, interleaved
-/// by [`chaos_timeline`] on the shared virtual clock.
+/// by [`run_timeline`] on the shared virtual clock.
 #[test]
 fn nonce_gap_flood_recovers_on_parity() {
     const NODES: u32 = 4;
@@ -53,14 +52,8 @@ fn nonce_gap_flood_recovers_on_parity() {
     });
     // Honest traffic: one client at 20 tx/s to node 0, well under the
     // ~45 tx/s producer budget, for the whole run.
-    let run = chaos_timeline(
-        Box::new(ParityChain::new(config)),
-        NODES,
-        1,
-        20.0,
-        SECS,
-        &plan,
-    );
+    let mut chain = ParityChain::new(config);
+    let run = run_timeline(&mut chain, Macro::Ycsb.build(1).as_mut(), 1, 20.0, SECS, &plan);
 
     let window = |from: u64, to: u64| {
         run.series[to as usize - 1].1 - run.series[from as usize - 1].1
