@@ -7,9 +7,9 @@ use bb_workloads::{AnalyticsRunner, CpuHeavyRunner, IoHeavyRunner};
 
 /// Memory scale factor: workload sizes are paper ÷ 100 for CPUHeavy, so
 /// node RAM scales by the same factor to keep the OOM crossovers.
-pub const CPU_MEM_SCALE: u64 = 100;
+const CPU_MEM_SCALE: u64 = 100;
 /// IOHeavy sizes are paper ÷ 10.
-pub const IO_MEM_SCALE: u64 = 10;
+const IO_MEM_SCALE: u64 = 10;
 
 /// Figure 11: CPUHeavy execution time and peak memory per input size.
 /// 'X' marks out-of-memory, as in the paper.

@@ -1,6 +1,6 @@
 //! The evaluation harness: everything needed to regenerate the paper's
-//! tables and figures (Section 4 and Appendices B/C), shared between the
-//! `figures` binary and the Criterion benches.
+//! tables and figures (Section 4 and Appendices B/C), behind the `figures`
+//! binary.
 //!
 //! [`Scale`] collapses the paper's testbed dimensions to laptop scale
 //! (documented per experiment in EXPERIMENTS.md); [`Platform`] builds the

@@ -125,16 +125,6 @@ impl BlockTree {
         self.blocks[&self.head].height
     }
 
-    /// Height of an arbitrary known block.
-    pub fn height_of(&self, id: &Hash256) -> Option<u64> {
-        self.blocks.get(id).map(|e| e.height)
-    }
-
-    /// Parent of a known block.
-    pub fn parent_of(&self, id: &Hash256) -> Option<Hash256> {
-        self.blocks.get(id).map(|e| e.parent)
-    }
-
     /// Is the block known (connected, not orphaned)?
     pub fn contains(&self, id: &Hash256) -> bool {
         self.blocks.contains_key(id)

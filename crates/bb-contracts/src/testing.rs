@@ -93,11 +93,6 @@ impl DualRunner {
         self.native_ctx.caller = caller;
     }
 
-    /// Set the call value the SVM backend observes.
-    pub fn set_value(&mut self, value: i64) {
-        self.vm_host.call_value = value;
-    }
-
     /// Invoke the SVM build: `Ok(return_data)` on success, `Err` on revert
     /// or fault.
     pub fn invoke_svm(&mut self, payload: &[u8]) -> Result<Vec<u8>, String> {

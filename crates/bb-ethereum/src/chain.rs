@@ -616,12 +616,6 @@ impl BlockchainConnector for EthereumChain {
                     FaultVfs::new(vfs, self.config.seed ^ 0xF417_7A11 ^ node.0 as u64);
                 injector.tear_tail(&format!("{STORE_PREFIX}/wal"));
             }
-            Fault::BitRot(node, flips) => {
-                let vfs = self.engine.with_node(node.0, |n| n.chain.state.store().vfs());
-                let mut injector =
-                    FaultVfs::new(vfs, self.config.seed ^ 0xB17_0707 ^ node.0 as u64);
-                injector.bit_rot(&format!("{STORE_PREFIX}/wal"), flips);
-            }
             Fault::Delay(node, d) => self.network.set_extra_delay(node, d),
             Fault::Corrupt(node, p) => self.network.set_corrupt_prob(node, p),
             Fault::PartitionHalf { left } => self.network.partition_in_half(left),

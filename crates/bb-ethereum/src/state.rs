@@ -173,11 +173,6 @@ impl<S: KvStore> AccountState<S> {
         self.trie.insert(&code_key(addr), &code.encode())
     }
 
-    /// Fetch contract code.
-    pub fn contract_code(&mut self, addr: &Address) -> Result<Option<SvmContract>, KvError> {
-        Ok(self.trie.get(&code_key(addr))?.and_then(|b| SvmContract::decode(&b)))
-    }
-
     /// Read a raw contract-storage slot (tests / analytics).
     pub fn contract_storage(
         &mut self,

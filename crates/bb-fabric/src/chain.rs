@@ -960,11 +960,6 @@ impl BlockchainConnector for FabricChain {
                 FaultVfs::new(vfs, self.config.seed ^ 0xF417_7A11 ^ node.0 as u64)
                     .tear_tail(&format!("{STORE_PREFIX}/wal"));
             }
-            Fault::BitRot(node, flips) => {
-                let vfs = self.engine.with_node(node.0, |n| n.state.vfs());
-                FaultVfs::new(vfs, self.config.seed ^ 0x0B17_0707 ^ node.0 as u64)
-                    .bit_rot(&format!("{STORE_PREFIX}/wal"), flips);
-            }
             Fault::Delay(node, d) => self.network.set_extra_delay(node, d),
             Fault::Corrupt(node, p) => self.network.set_corrupt_prob(node, p),
             Fault::PartitionHalf { left } => self.network.partition_in_half(left),

@@ -102,7 +102,6 @@ pub struct Network {
     /// partition counts once, at the heal).
     partition_flaps: u64,
     tx_meters: Vec<ByteMeter>,
-    rx_meters: Vec<ByteMeter>,
     stats: NetStats,
 }
 
@@ -121,7 +120,6 @@ impl Network {
             gossip_jitter: SimDuration::ZERO,
             partition_flaps: 0,
             tx_meters: (0..n).map(|_| ByteMeter::new()).collect(),
-            rx_meters: (0..n).map(|_| ByteMeter::new()).collect(),
             stats: NetStats::default(),
         }
     }
@@ -184,7 +182,6 @@ impl Network {
         };
         self.tx_meters[from.index()].record(now, bytes);
         let at = now + delay;
-        self.rx_meters[to.index()].record(at, bytes);
         self.stats.delivered += 1;
         self.stats.bytes += bytes;
         if corrupted {
@@ -308,11 +305,6 @@ impl Network {
     /// Per-second outbound Mbps for `node` (Figure 16).
     pub fn tx_mbps_series(&self, node: NodeId) -> Vec<f64> {
         self.tx_meters[node.index()].mbps_series()
-    }
-
-    /// Per-second inbound Mbps for `node`.
-    pub fn rx_mbps_series(&self, node: NodeId) -> Vec<f64> {
-        self.rx_meters[node.index()].mbps_series()
     }
 
     /// Total bytes sent by `node`.

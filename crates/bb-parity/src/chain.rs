@@ -645,13 +645,12 @@ impl BlockchainConnector for ParityChain {
                 self.engine.with_ctx_mut(|ctx| ctx.crashed[node.index()] = false);
             }
             Fault::Restart(node) => self.restart_node(node),
-            // Parity holds no durable files: a power cut tears nothing, rot
-            // has nothing to rot, and a slow disk slows nothing (the whole
-            // state lives in memory). These faults are no-ops here. An
-            // equivocating Aura authority is just a forked slot, which the
-            // longest-chain rule already models.
-            Fault::TornTail(_) | Fault::BitRot(_, _) | Fault::SlowDisk(_, _)
-            | Fault::Equivocate(_) => {}
+            // Parity holds no durable files: a power cut tears nothing and a
+            // slow disk slows nothing (the whole state lives in memory).
+            // These faults are no-ops here. An equivocating Aura authority
+            // is just a forked slot, which the longest-chain rule already
+            // models.
+            Fault::TornTail(_) | Fault::SlowDisk(_, _) | Fault::Equivocate(_) => {}
             Fault::Delay(node, d) => self.network.set_extra_delay(node, d),
             Fault::Corrupt(node, p) => self.network.set_corrupt_prob(node, p),
             Fault::PartitionHalf { left } => self.network.partition_in_half(left),

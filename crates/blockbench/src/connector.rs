@@ -220,20 +220,6 @@ impl PlatformStats {
         average_into(&mut self.net_mbps, net, nodes);
     }
 
-    /// Trie-cache hit rate in `[0, 1]`, or `None` when the platform made no
-    /// cached trie reads.
-    pub fn trie_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.trie_cache_hits + self.trie_cache_misses;
-        (total > 0).then(|| self.trie_cache_hits as f64 / total as f64)
-    }
-
-    /// Fraction of state nodes that never reached storage thanks to
-    /// block-scoped write batching, or `None` before any block sealed.
-    pub fn write_savings_ratio(&self) -> Option<f64> {
-        let total = self.state_nodes_flushed + self.state_nodes_dropped;
-        (total > 0).then(|| self.state_nodes_dropped as f64 / total as f64)
-    }
-
     /// Write amplification across the platform's stores: physical bytes
     /// written per logical byte accepted, or `None` before any write.
     pub fn write_amplification(&self) -> Option<f64> {
@@ -336,9 +322,6 @@ pub enum Fault {
     /// Tear the un-fsynced tail of the node's WAL, as a power cut would.
     /// Inject alongside [`Fault::Crash`] to make the crash destructive.
     TornTail(NodeId),
-    /// Flip up to this many seeded bits in the node's WAL file. The frame
-    /// checksums turn rot into a clean loss of the corrupted suffix.
-    BitRot(NodeId, u32),
     /// Add fixed latency to all of a node's links.
     Delay(NodeId, SimDuration),
     /// Corrupt messages touching a node with this probability.
