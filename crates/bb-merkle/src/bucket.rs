@@ -556,3 +556,180 @@ mod seeded_props {
         }
     }
 }
+
+/// Known answers: scripted put / overwrite / delete-to-empty / commit
+/// sequences whose roots and counts are literals. Every Fabric block header
+/// carries this root and `results/` depends on it, so a change to this file
+/// that moves one of these literals is a model change.
+#[cfg(test)]
+mod known_answers {
+    use super::*;
+    use bb_storage::MemStore;
+
+    /// Root (hex), `len()`, `values_flushed()`, `values_superseded()`.
+    type Pin = (String, u64, u64, u64);
+
+    fn pin(t: &mut BucketTree<MemStore>) -> Pin {
+        (t.root().to_hex(), t.len(), t.values_flushed(), t.values_superseded())
+    }
+
+    fn expect<const N: usize>(rows: [(&str, u64, u64, u64); N]) -> [Pin; N] {
+        rows.map(|(root, len, flushed, superseded)| (root.into(), len, flushed, superseded))
+    }
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:03}").into_bytes()
+    }
+
+    const KEYS: u32 = 48;
+
+    /// Block 1: put every key, pinned before the seal.
+    fn load(t: &mut BucketTree<MemStore>) -> Pin {
+        for i in 0..KEYS {
+            t.put(&key(i), format!("v1-{i}").as_bytes()).unwrap();
+        }
+        let loaded = pin(t);
+        t.commit().unwrap();
+        loaded
+    }
+
+    /// Block 2's operations on keys `range`: every third key overwritten
+    /// twice, every fifth deleted.
+    fn churn(t: &mut BucketTree<MemStore>, range: std::ops::Range<u32>) {
+        for i in range {
+            if i % 3 == 0 {
+                t.put(&key(i), format!("v2-{i}").as_bytes()).unwrap();
+                t.put(&key(i), format!("v3-{i}").as_bytes()).unwrap();
+            }
+            if i % 5 == 0 {
+                t.delete(&key(i)).unwrap();
+            }
+        }
+    }
+
+    /// Block 3 deletes every key (the root falls to zero), block 4 puts
+    /// one back. Pins after each seal.
+    fn drain_and_refill(t: &mut BucketTree<MemStore>) -> [Pin; 2] {
+        for i in 0..KEYS {
+            t.delete(&key(i)).unwrap();
+        }
+        t.commit().unwrap();
+        let drained = pin(t);
+        t.put(b"phoenix", b"risen").unwrap();
+        t.commit().unwrap();
+        [drained, pin(t)]
+    }
+
+    /// The whole script on a fresh tree of `nbuckets`: load (mid-block),
+    /// churn (sealed), drain (sealed), refill (sealed).
+    fn script(nbuckets: usize) -> [Pin; 4] {
+        let mut t = BucketTree::new(MemStore::new(), nbuckets);
+        let loaded = load(&mut t);
+        churn(&mut t, 0..KEYS);
+        t.commit().unwrap();
+        let churned = pin(&mut t);
+        let [drained, refilled] = drain_and_refill(&mut t);
+        [loaded, churned, drained, refilled]
+    }
+
+    const ZERO: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+
+    #[test]
+    fn one_bucket() {
+        let want = expect([
+            ("62e6171cfcda996320a3c7cf4588ff78092aab66e7959094901b8ce8330106cc", 48, 0, 0),
+            ("44cc0ebc01832d9ccdc3e762f317cd827d6d4882717d90215af107640a9961d7", 38, 70, 20),
+            (ZERO, 0, 108, 20),
+            ("fa1a0e7992b6797f7075665cf5ba431879d287562d091030056ac8a5e46ad3f2", 1, 109, 20),
+        ]);
+        assert_eq!(script(1), want);
+    }
+
+    /// 5 → 3 → 2 → 1: odd tails duplicate their last node twice on the way up.
+    #[test]
+    fn five_buckets() {
+        let want = expect([
+            ("98d8a815d085573328eabe6c585f43cc15937298f27b2c477f82728a65b2391d", 48, 0, 0),
+            ("7dc6a0a369bbfeda352342c5a157fa476a82a9d853e710679cd017d7945a3b15", 38, 70, 20),
+            (ZERO, 0, 108, 20),
+            ("3e188d5eef8218b684e4aee99abc064751d78b8d74153ed9ddaf12ccc9aa80e4", 1, 109, 20),
+        ]);
+        assert_eq!(script(5), want);
+    }
+
+    #[test]
+    fn sixty_four_buckets() {
+        let want = expect([
+            ("8cfe081b2f0a4f1a29e54f7e62e564fd6a6de679f7ed6e4ce35c52500537fd03", 48, 0, 0),
+            ("3cf8817cb71ec71b126ae6f7fd79eb4fa3d2558a2ce5637dbf25edbc52f249cf", 38, 70, 20),
+            (ZERO, 0, 108, 20),
+            ("b8fd894f1bd4716e7f7a1ed5ccf832ff54ef71c0252eaac6414a3ce909c72cd3", 1, 109, 20),
+        ]);
+        assert_eq!(script(64), want);
+    }
+
+    /// Fabric's default `state_buckets`.
+    #[test]
+    fn thousand_twenty_four_buckets() {
+        let want = expect([
+            ("3b2ac35b5cfc3bc396295fcbc1f568c2d831f918a901eff628a417ae4a2de3df", 48, 0, 0),
+            ("e0443a37e033edd6ca71e4676c27b1d90c7079b0898e016b1d3487cd44037ea4", 38, 70, 20),
+            (ZERO, 0, 108, 20),
+            ("4b17be754e5e939d56db562032eecefb8c2e3cc6c84e5b5af2709259ba245c52", 1, 109, 20),
+        ]);
+        assert_eq!(script(1024), want);
+    }
+
+    /// A tree cloned inside block 2 — a root taken halfway, more writes
+    /// since, the overlay part-full — finishes the script on both sides
+    /// exactly where [`sixty_four_buckets`] does.
+    #[test]
+    fn clone_mid_block_lands_on_the_script() {
+        let mut original = BucketTree::new(MemStore::new(), 64);
+        load(&mut original);
+        churn(&mut original, 0..24);
+        let midway = pin(&mut original);
+        churn(&mut original, 24..32);
+        let copy = original.clone();
+        let mut sides = Vec::new();
+        for mut t in [original, copy] {
+            churn(&mut t, 32..KEYS);
+            t.commit().unwrap();
+            let churned = pin(&mut t);
+            let [drained, refilled] = drain_and_refill(&mut t);
+            sides.push([churned, drained, refilled]);
+        }
+        let want = expect([(
+            "02747cb14580f369d54e722275e421aff12865d7ebddf8317f7a4c203677dd05",
+            43,
+            48,
+            10,
+        )]);
+        assert_eq!([midway], want);
+        let [_, churned, drained, refilled] = script(64);
+        let unforked = [churned, drained, refilled];
+        assert_eq!(sides, [unforked.clone(), unforked]);
+    }
+
+    /// A tree rebuilt from the committed store (the restart path) has the
+    /// sealed root and count, fresh flush counters, and ignores whatever
+    /// was pending; the rest of the script lands on the same roots.
+    #[test]
+    fn rebuild_from_committed_store_lands_on_the_script() {
+        let mut t = BucketTree::new(MemStore::new(), 1024);
+        load(&mut t);
+        churn(&mut t, 0..KEYS);
+        t.commit().unwrap();
+        t.put(b"uncommitted", b"lost").unwrap();
+        let BucketTree { store, .. } = t;
+        let mut r = BucketTree::rebuild(store, 1024).unwrap();
+        let rebuilt = pin(&mut r);
+        let [drained, refilled] = drain_and_refill(&mut r);
+        let want = expect([
+            ("e0443a37e033edd6ca71e4676c27b1d90c7079b0898e016b1d3487cd44037ea4", 38, 0, 0),
+            (ZERO, 0, 38, 0),
+            ("4b17be754e5e939d56db562032eecefb8c2e3cc6c84e5b5af2709259ba245c52", 1, 39, 0),
+        ]);
+        assert_eq!([rebuilt, drained, refilled], want);
+    }
+}
