@@ -1021,7 +1021,7 @@ impl BlockchainConnector for FabricChain {
 
     fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
         let now = self.engine.now();
-        let before = self.engine.with_node(0, |n| (n.blocks.len(), n.state.root()));
+        let before = self.engine.with_node_mut(0, |n| (n.blocks.len(), n.state.root()));
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
             self.engine.with_node_mut(0, |node| {
@@ -1162,9 +1162,9 @@ mod tests {
             assert_eq!(other, reference, "node {i} diverged");
         }
         // State roots agree too.
-        let root = c.engine.with_node(0, |n| n.state.root());
+        let root = c.engine.with_node_mut(0, |n| n.state.root());
         for i in 1..4 {
-            assert_eq!(c.engine.with_node(i, |n| n.state.root()), root);
+            assert_eq!(c.engine.with_node_mut(i, |n| n.state.root()), root);
         }
         // And the chains are not four copies: every peer's block holds the
         // one `Arc<Transaction>` its request carried through consensus.
@@ -1185,9 +1185,9 @@ mod tests {
     /// the observer's log: chain, receipts, executed ids, state root, store
     /// and tree counters, the memory meter, and the disk (files, I/O counters,
     /// fault settings).
-    fn footprint(c: &FabricChain, i: u32) -> impl PartialEq + std::fmt::Debug {
+    fn footprint(c: &mut FabricChain, i: u32) -> impl PartialEq + std::fmt::Debug {
         let entries = c.committed_chain(NodeId(i));
-        c.engine.with_node(i, |n| {
+        c.engine.with_node_mut(i, |n| {
             let disk = n.state.vfs().lock().unwrap().clone();
             let mut executed: Vec<TxId> = n.executed.iter().copied().collect();
             executed.sort_unstable();
@@ -1201,10 +1201,10 @@ mod tests {
         let mut c = chain(4);
         let (kv, _) = ycsb_and_smallbank_setup(&mut c);
         // 5 + 4 preloaded blocks, and every peer is node 0's twin...
-        let want = footprint(&c, 0);
+        let want = footprint(&mut c, 0);
         assert_eq!(c.committed_chain(NodeId(0)).len(), 9);
         for i in 1..4 {
-            assert_eq!(footprint(&c, i), want, "peer {i} is no twin of node 0");
+            assert_eq!(footprint(&mut c, i), want, "peer {i} is no twin of node 0");
             // ...on a disk of its own, without the observer's log, and with
             // its own chaincodes still installed.
             let disks = |j| c.engine.with_node(j, |n| n.state.vfs());
@@ -1232,8 +1232,8 @@ mod tests {
         c.advance_to(SimTime::from_secs(25));
         assert_eq!(c.committed_chain(NodeId(2)), c.committed_chain(NodeId(0)));
         assert_eq!(
-            c.engine.with_node(2, |n| n.state.root()),
-            c.engine.with_node(0, |n| n.state.root())
+            c.engine.with_node_mut(2, |n| n.state.root()),
+            c.engine.with_node_mut(0, |n| n.state.root())
         );
         let s = c.stats();
         assert!(s.wal_records_replayed > 0, "nothing replayed from the copied WAL");
@@ -1350,8 +1350,8 @@ mod tests {
             c.engine.with_node(3, |n| n.blocks.iter().map(|b| b.id()).collect());
         assert_eq!(recovered, reference);
         assert_eq!(
-            c.engine.with_node(3, |n| n.state.root()),
-            c.engine.with_node(0, |n| n.state.root())
+            c.engine.with_node_mut(3, |n| n.state.root()),
+            c.engine.with_node_mut(0, |n| n.state.root())
         );
         let s = c.stats();
         assert!(s.wal_tail_truncated >= 1, "torn tail never hit the WAL");
@@ -1418,8 +1418,8 @@ mod tests {
             c.engine.with_node(3, |n| n.blocks.iter().map(|b| b.id()).collect());
         assert_eq!(recovered, reference);
         assert_eq!(
-            c.engine.with_node(3, |n| n.state.root()),
-            c.engine.with_node(0, |n| n.state.root())
+            c.engine.with_node_mut(3, |n| n.state.root()),
+            c.engine.with_node_mut(0, |n| n.state.root())
         );
         let s = c.stats();
         assert!(s.snapshot_chunks > 0, "snapshot path never engaged");

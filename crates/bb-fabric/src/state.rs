@@ -181,8 +181,10 @@ impl FabricState {
         self.chaincodes.contains_key(addr)
     }
 
-    /// State-tree root (goes into block headers).
-    pub fn root(&self) -> bb_crypto::Hash256 {
+    /// State-tree root (goes into block headers). `&mut`: the bucket tree
+    /// brings its Merkle levels up to date with the buckets written since
+    /// the last root.
+    pub fn root(&mut self) -> bb_crypto::Hash256 {
         self.tree.root()
     }
 

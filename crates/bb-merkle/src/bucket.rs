@@ -6,6 +6,12 @@
 //! carries a commutative fold (XOR of entry hashes) that updates in O(1) per
 //! write; the root is a binary Merkle tree over the bucket digests.
 //!
+//! The root is maintained incrementally, as v0.6's bucket tree does: the
+//! tree keeps its internal Merkle levels, and [`BucketTree::root`] re-hashes
+//! only the ancestors of the buckets written since the previous root — a
+//! block's delta — with [`merkle_root`]'s rule, so every root is
+//! bit-identical to a full rebuild over the bucket digests.
+//!
 //! The commutative fold is a simplification of Fabric's sorted-concatenation
 //! bucket hash: it keeps the crucial benchmark property — one flat KV write
 //! per state update, no per-update tree rebuild — which is why Fabric's
@@ -29,6 +35,27 @@ fn xor_into(acc: &mut Hash256, h: &Hash256) {
     }
 }
 
+/// Node `i` of the level above `below`, by [`merkle_root`]'s rule: children
+/// `2i` and `2i + 1`, an odd tail paired with itself.
+fn parent(below: &[Hash256], i: usize) -> Hash256 {
+    let left = &below[2 * i];
+    Hash256::combine(left, below.get(2 * i + 1).unwrap_or(left))
+}
+
+/// Every internal level over `buckets`, bottom-up; the last holds the root.
+/// Empty for a single bucket, which is its own root.
+fn build_levels(buckets: &[Hash256]) -> Vec<Vec<Hash256>> {
+    let mut levels: Vec<Vec<Hash256>> = Vec::new();
+    let mut width = buckets.len();
+    while width > 1 {
+        let below = levels.last().map_or(buckets, Vec::as_slice);
+        let level: Vec<Hash256> = (0..width.div_ceil(2)).map(|i| parent(below, i)).collect();
+        width = level.len();
+        levels.push(level);
+    }
+    levels
+}
+
 /// Authenticated state store: flat key-value data plus bucket digests.
 ///
 /// Writes are block-scoped: `put`/`delete` update the bucket digests (and
@@ -37,12 +64,21 @@ fn xor_into(acc: &mut Hash256, h: &Hash256) {
 /// atomic [`WriteBatch`]. A key overwritten several times inside a block
 /// reaches storage once, with its final value.
 ///
-/// `Clone` is a second tree over a second store: digests, entry count, the
+/// `Clone` is a second tree over a second store: digests, their Merkle
+/// levels, the buckets written since the last root, entry count, the
 /// pending overlay and both flush counters travel.
 #[derive(Clone)]
 pub struct BucketTree<S: KvStore> {
     store: S,
     bucket_hashes: Vec<Hash256>,
+    /// Internal Merkle levels over `bucket_hashes` (see [`build_levels`]),
+    /// current as of the last [`Self::root`] but for the buckets in
+    /// `dirty`. Empty until the next root builds them in full: after
+    /// `new`/`rebuild`, or once `dirty` fills (see [`Self::touch`]).
+    levels: Vec<Vec<Hash256>>,
+    /// Buckets `put`/`delete` changed since the last root, repeats allowed;
+    /// never more entries than buckets, and none while `levels` is empty.
+    dirty: Vec<usize>,
     entries: u64,
     /// Uncommitted state by full store key: `Some` = pending put, `None` =
     /// pending delete. BTreeMap so commit order is deterministic.
@@ -60,6 +96,8 @@ impl<S: KvStore> BucketTree<S> {
         BucketTree {
             store,
             bucket_hashes: vec![Hash256::ZERO; nbuckets],
+            levels: Vec::new(),
+            dirty: Vec::new(),
             entries: 0,
             pending: BTreeMap::new(),
             values_flushed: 0,
@@ -85,6 +123,8 @@ impl<S: KvStore> BucketTree<S> {
         Ok(BucketTree {
             store,
             bucket_hashes,
+            levels: Vec::new(),
+            dirty: Vec::new(),
             entries,
             pending: BTreeMap::new(),
             values_flushed: 0,
@@ -133,7 +173,23 @@ impl<S: KvStore> BucketTree<S> {
             self.entries += 1;
         }
         xor_into(&mut self.bucket_hashes[bucket], &entry_digest(key, value));
+        self.touch(bucket);
         Ok(())
+    }
+
+    /// Note that `bucket`'s digest changed. Once `dirty` holds as many
+    /// entries as there are buckets, a full rebuild costs no more than the
+    /// walk: the levels are dropped for the next root to rebuild, which also
+    /// bounds `dirty` on a tree whose root is never read (Fabric's
+    /// `execute_direct` seals without a header).
+    fn touch(&mut self, bucket: usize) {
+        if self.dirty.len() == self.bucket_hashes.len() {
+            self.levels.clear();
+            self.dirty.clear();
+        }
+        if !self.levels.is_empty() {
+            self.dirty.push(bucket);
+        }
     }
 
     /// Delete a state value.
@@ -142,6 +198,7 @@ impl<S: KvStore> BucketTree<S> {
         if let Some(old) = self.get_skey(&skey)? {
             let bucket = self.bucket_of(key);
             xor_into(&mut self.bucket_hashes[bucket], &entry_digest(key, &old));
+            self.touch(bucket);
             if self.pending.insert(skey, None).is_some() {
                 self.values_superseded += 1;
             }
@@ -227,12 +284,34 @@ impl<S: KvStore> BucketTree<S> {
             .collect())
     }
 
-    /// Root commitment over all buckets.
-    pub fn root(&self) -> Hash256 {
+    /// Root commitment over all buckets ([`Hash256::ZERO`] with no live
+    /// state, which hashes nothing). Re-hashes only the ancestors of the
+    /// buckets changed since the last root, one level at a time.
+    pub fn root(&mut self) -> Hash256 {
         if self.entries == 0 {
             return Hash256::ZERO;
         }
-        merkle_root(&self.bucket_hashes)
+        if self.levels.is_empty() {
+            self.levels = build_levels(&self.bucket_hashes);
+        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        for k in 0..self.levels.len() {
+            let (done, up) = self.levels.split_at_mut(k);
+            let below = done.last().map_or(&self.bucket_hashes[..], Vec::as_slice);
+            for i in &mut dirty {
+                *i /= 2;
+            }
+            dirty.dedup();
+            for &i in &dirty {
+                up[0][i] = parent(below, i);
+            }
+        }
+        dirty.clear();
+        self.dirty = dirty; // keep the allocation for the next block
+        let root = self.levels.last().map_or(self.bucket_hashes[0], |top| top[0]);
+        debug_assert_eq!(root, merkle_root(&self.bucket_hashes));
+        root
     }
 
     /// Live state count.
@@ -272,7 +351,7 @@ mod tests {
 
     #[test]
     fn empty_root_is_zero() {
-        let t = tree();
+        let mut t = tree();
         assert_eq!(t.root(), Hash256::ZERO);
         assert!(t.is_empty());
     }
@@ -441,7 +520,7 @@ mod tests {
 
     #[test]
     fn rebuild_of_empty_store_is_empty_tree() {
-        let r = BucketTree::rebuild(MemStore::new(), 16).unwrap();
+        let mut r = BucketTree::rebuild(MemStore::new(), 16).unwrap();
         assert_eq!(r.root(), Hash256::ZERO);
         assert!(r.is_empty());
     }
@@ -552,6 +631,54 @@ mod seeded_props {
             for mut t in [original, copy] {
                 run(&mut t, &ops, fork);
                 assert_eq!(pin(t), want);
+            }
+        }
+    }
+
+    /// The incremental root equals the full rebuild — `merkle_root` over
+    /// the bucket digests — after every operation of seeded scripts that
+    /// interleave puts, deletes, roots, clones, commits and rebuilds. The
+    /// check runs on a copy, so `t` piles up changed buckets between its own
+    /// (rare) roots as it does inside a block — at 16 buckets often enough
+    /// to drop its levels.
+    #[test]
+    fn incremental_root_matches_full_rebuild_seeded() {
+        fn full(t: &BucketTree<MemStore>) -> Hash256 {
+            if t.is_empty() {
+                Hash256::ZERO
+            } else {
+                merkle_root(&t.bucket_hashes)
+            }
+        }
+        let mut rng = SimRng::seed_from_u64(0x5EED_0029);
+        for nbuckets in [16, 1000] {
+            for case in 0..6 {
+                let mut t = BucketTree::new(MemStore::new(), nbuckets);
+                let mut sealed = Hash256::ZERO;
+                for step in 0..150 {
+                    let k = [rng.below(48) as u8];
+                    match rng.below(100) {
+                        0..50 => {
+                            let mut v = vec![0u8; rng.below(4) as usize];
+                            rng.fill_bytes(&mut v);
+                            t.put(&k, &v).unwrap();
+                        }
+                        50..80 => t.delete(&k).unwrap(),
+                        80..83 => assert_eq!(t.root(), full(&t)),
+                        83..93 => {
+                            t.commit().unwrap();
+                            sealed = full(&t);
+                        }
+                        93..98 => t = t.clone(),
+                        _ => {
+                            let BucketTree { store, .. } = t;
+                            t = BucketTree::rebuild(store, nbuckets).unwrap();
+                            assert_eq!(full(&t), sealed, "{nbuckets} buckets, case {case}");
+                        }
+                    }
+                    let root = t.clone().root();
+                    assert_eq!(root, full(&t), "{nbuckets} buckets, case {case}, step {step}");
+                }
             }
         }
     }

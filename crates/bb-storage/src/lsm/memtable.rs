@@ -20,8 +20,8 @@ impl MemTable {
         Self::default()
     }
 
-    fn cost(key: &[u8], value: &Option<Vec<u8>>) -> u64 {
-        key.len() as u64 + value.as_ref().map_or(0, |v| v.len() as u64) + NODE_OVERHEAD
+    fn cost(key_len: usize, value: &Option<Vec<u8>>) -> u64 {
+        key_len as u64 + value.as_ref().map_or(0, |v| v.len() as u64) + NODE_OVERHEAD
     }
 
     /// Insert a live value.
@@ -35,9 +35,10 @@ impl MemTable {
     }
 
     fn insert(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        let add = Self::cost(&key, &value);
-        if let Some(old) = self.entries.insert(key.clone(), value) {
-            self.approx_bytes -= Self::cost(&key, &old);
+        let key_len = key.len();
+        let add = Self::cost(key_len, &value);
+        if let Some(old) = self.entries.insert(key, value) {
+            self.approx_bytes -= Self::cost(key_len, &old);
         }
         self.approx_bytes += add;
     }

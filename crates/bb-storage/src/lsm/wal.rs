@@ -34,14 +34,27 @@ pub struct WalReplay {
     pub torn: bool,
 }
 
+/// Frame checksum over `[tag]`, key and value. Each part is folded as
+/// little-endian 8-byte words (its tail a byte at a time, then its length)
+/// through a multiply-xorshift step; every step is a bijection of the state
+/// for a fixed input word, so two inputs that differ in one word — a single
+/// flipped bit — leave different 64-bit states, folded to 32 bits.
 fn checksum(parts: &[&[u8]]) -> u32 {
-    // FNV-1a folded to 32 bits: cheap, catches truncation and bit flips.
-    let mut h = 0xcbf29ce484222325u64;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15; // odd: the multiply is invertible
+    fn mix(h: u64, w: u64) -> u64 {
+        let h = (h ^ w).wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
+        for &b in words.remainder() {
+            h = mix(h, b as u64);
+        }
+        h = mix(h, part.len() as u64);
     }
     (h ^ (h >> 32)) as u32
 }
@@ -323,6 +336,63 @@ mod tests {
         let wal = Wal::open(&mut vfs, "wal");
         wal.log_batch(&mut vfs, &[]);
         assert_eq!(wal.replay(&mut vfs), vec![WalRecord::Batch(Vec::new())]);
+    }
+
+    /// A put, then a 3-op batch frame, and the boundary between them.
+    fn put_then_batch(vfs: &mut Vfs) -> (Wal, u64) {
+        let wal = Wal::open(vfs, "wal");
+        wal.log_put(vfs, b"before", b"x");
+        let boundary = vfs.file_size("wal").unwrap();
+        let ops = vec![
+            (b"alpha".to_vec(), Some(b"one".to_vec())),
+            (b"beta".to_vec(), None),
+            (b"gamma-key-longer-than-a-word".to_vec(), Some(vec![7u8; 19])),
+        ];
+        wal.log_batch(vfs, &ops);
+        (wal, boundary)
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_batch_frame_is_rejected() {
+        let mut vfs = Vfs::new();
+        let (wal, boundary) = put_then_batch(&mut vfs);
+        let intact = vfs.read("wal").unwrap();
+        let before = vec![WalRecord::Put(b"before".to_vec(), b"x".to_vec())];
+        for byte in boundary as usize..intact.len() {
+            for bit in 0..8 {
+                let mut data = intact.clone();
+                data[byte] ^= 1 << bit;
+                vfs.write("wal", &data);
+                let replay = wal.replay_with_stats(&mut vfs);
+                assert_eq!(replay.records, before, "byte {byte} bit {bit}");
+                assert_eq!(replay.valid_len, boundary, "byte {byte} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_the_last_record_replays_as_torn() {
+        let mut vfs = Vfs::new();
+        let (wal, boundary) = put_then_batch(&mut vfs);
+        let intact = vfs.read("wal").unwrap();
+        for cut in boundary as usize + 1..intact.len() {
+            vfs.write("wal", &intact[..cut]);
+            let replay = wal.replay_with_stats(&mut vfs);
+            assert_eq!(replay.records.len(), 1, "cut {cut}");
+            assert!(replay.torn, "cut {cut}");
+            assert_eq!(replay.valid_len, boundary, "cut {cut}");
+        }
+    }
+
+    /// The checksum is part of every WAL file's bytes: pinned in a put
+    /// frame whose key and value end mid-word.
+    #[test]
+    fn checksum_known_answer() {
+        let mut vfs = Vfs::new();
+        let wal = Wal::open(&mut vfs, "wal");
+        wal.log_put(&mut vfs, b"blockbench-wal", b"frame-value");
+        let frame = vfs.read("wal").unwrap();
+        assert_eq!(frame[frame.len() - 4..], 0xa6cc_7e4cu32.to_be_bytes());
     }
 
     #[test]

@@ -106,16 +106,25 @@ if grep -rnw --include='*.rs' unsafe crates | grep -v '^crates/bb-crypto/src/sha
     exit 1
 fi
 
-echo "==> state tree: Patricia known answers, damaged-node sweep and reference-codec differential, test and release profiles"
+echo "==> state trees: Patricia and Bucket-Merkle known answers, differentials and the WAL frame checksum, test and release profiles"
 # A Patricia node's encoding is its only representation and walks read it in
 # place (DESIGN.md §6 "Nodes in place"). Roots are inside `results/`, the
 # cache and node counts inside the benchmark's `result_digest`: the
 # known-answer scripts pin them as literals, the sweep proves a truncated or
 # re-tagged stored node is an error and not an out-of-bounds index, and the
 # seeded runs compare every written node with the old decoded codec. The
-# release run is the packed-slot arithmetic with debug assertions off.
+# Bucket-Merkle root is maintained incrementally (DESIGN.md §6 "Incremental
+# bucket root"): its known answers pin roots and counts, and the seeded run
+# compares it with a full `merkle_root` rebuild after every operation. The
+# release runs are the packed-slot and level arithmetic with debug
+# assertions off. The WAL tests check that every single-bit flip of a 3-op
+# batch frame and every torn prefix of it stop replay at the previous
+# record, and pin the checksum's value.
 smoke -p bb-merkle patricia
 smoke --release -p bb-merkle patricia
+smoke -p bb-merkle bucket
+smoke --release -p bb-merkle bucket
+smoke -p bb-storage wal
 
 echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 # The recovery path cuts across every layer (VFS fault injection, WAL
