@@ -17,7 +17,10 @@ use bb_bench::exp_ablation::{
     ablation_channel, ablation_conflict, ablation_difficulty, ablation_signing,
 };
 use bb_bench::exp_chaos::fig_chaos;
-use bb_bench::exp_fault::{fig10, fig9, fig9_restart, fig9_snapshot};
+use bb_bench::exp_fault::{
+    fig10, fig10_args, fig9, fig9_args, fig9_restart, fig9_restart_args, fig9_snapshot,
+    fig9_snapshot_args,
+};
 use bb_bench::exp_macro::{fig13c, fig14, fig15, fig16, fig17, fig18, fig5, fig6, Macro};
 use bb_bench::exp_micro::{fig11, fig12, fig13ab};
 use bb_bench::exp_saturation::fig_saturation;
@@ -85,30 +88,18 @@ fn main() {
         emit(&fig8(&scale), "fig8_scalability_8clients.csv");
     }
     if want("fig9") {
-        let window = scale.duration.as_micros() / 1_000_000 * 2;
-        emit(&fig9(window.max(60), window.max(60) / 2, scale.base_rate), "fig9_crash.csv");
+        let (window, fail_at, rate) = fig9_args(&scale);
+        emit(&fig9(window, fail_at, rate), "fig9_crash.csv");
     }
     if want("fig9r") {
-        let window = (scale.duration.as_micros() / 1_000_000 * 2).max(80);
-        emit(
-            &fig9_restart(window, window / 5, window / 3, scale.base_rate / 2.0),
-            "fig9_restart.csv",
-        );
-        // Long outage, low rate: the block gap (outage time) clears the
-        // snapshot threshold everywhere while the state snapshot stays
-        // small relative to block-by-block replay of the gap.
-        let window = window.max(160);
-        emit(
-            &fig9_snapshot(window, window / 8, window - 50, scale.base_rate / 50.0),
-            "fig9_snapshot.csv",
-        );
+        let (window, fail_at, restart_at, rate) = fig9_restart_args(&scale);
+        emit(&fig9_restart(window, fail_at, restart_at, rate), "fig9_restart.csv");
+        let (window, fail_at, restart_at, rate) = fig9_snapshot_args(&scale);
+        emit(&fig9_snapshot(window, fail_at, restart_at, rate), "fig9_snapshot.csv");
     }
     if want("fig10") {
-        let window = (scale.duration.as_micros() / 1_000_000 * 2).max(100);
-        emit(
-            &fig10(window, window / 4, window / 3, scale.base_rate / 2.0),
-            "fig10_partition.csv",
-        );
+        let (window, partition_at, partition_secs, rate) = fig10_args(&scale);
+        emit(&fig10(window, partition_at, partition_secs, rate), "fig10_partition.csv");
     }
     if want("fig11") {
         emit(&fig11(&scale), "fig11_cpuheavy.csv");

@@ -10,27 +10,35 @@ use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
 use bb_parity::{ParityChain, ParityConfig};
 use bb_sim::SimDuration;
-use blockbench::driver::{run_workload, DriverConfig};
+use blockbench::driver::{run_workload, DriverConfig, WorkloadConnector};
+use blockbench::{BlockchainConnector, RunStats};
 
+/// Ablation A's channel capacities, v0.6's bounded channel first.
+pub(crate) const CHANNEL_CAPACITIES: [usize; 3] = [250, 1_000, 1_000_000];
+/// Ablation B's difficulty size exponents: flat, then the default rule.
+pub(crate) const SIZE_EXPONENTS: [f64; 2] = [0.0, 1.35];
+/// Ablation C's producer signing costs (ms/tx), the calibrated one first.
+pub(crate) const SIGN_COSTS_MS: [u64; 3] = [22, 11, 2];
+/// Ablation D's Zipfian skews, least contended first.
+pub(crate) const ZIPF_THETAS: [f64; 3] = [0.2, 0.5, 0.99];
+
+/// Drive `chain` with `workload` from `clients` clients at `rate` tx/s each.
 fn drive(
-    chain: &mut dyn blockbench::BlockchainConnector,
+    chain: &mut dyn BlockchainConnector,
+    workload: &mut dyn WorkloadConnector,
     clients: u32,
     rate: f64,
     duration: SimDuration,
-) -> f64 {
-    let mut wl = Macro::Ycsb.build(clients);
-    let stats = run_workload(
-        chain,
-        wl.as_mut(),
-        &DriverConfig {
-            clients,
-            rate_per_client: rate,
-            duration,
-            poll_interval: SimDuration::from_millis(500),
-            drain: SimDuration::from_secs(10),
-        },
-    );
-    stats.throughput_tps()
+) -> RunStats {
+    let poll_interval = SimDuration::from_millis(500);
+    let drain = SimDuration::from_secs(10);
+    let config = DriverConfig { clients, rate_per_client: rate, duration, poll_interval, drain };
+    run_workload(chain, workload, &config)
+}
+
+/// [`drive`] with the macro YCSB workload, for its committed tx/s.
+fn ycsb_tps(chain: &mut dyn BlockchainConnector, clients: u32, rate: f64, d: SimDuration) -> f64 {
+    drive(chain, Macro::Ycsb.build(clients).as_mut(), clients, rate, d).throughput_tps()
 }
 
 /// Ablation A — "the consensus messages are rejected ... on account of the
@@ -42,11 +50,11 @@ pub fn ablation_channel(duration: SimDuration) -> Table {
         "Ablation A: Fabric channel capacity at 20 servers x 20 clients",
         &["channel capacity", "tx/s", "dropped msgs"],
     );
-    for cap in [250usize, 1_000, 1_000_000] {
+    for cap in CHANNEL_CAPACITIES {
         let mut config = FabricConfig::with_nodes(20);
         config.channel_capacity = cap;
         let mut chain = FabricChain::new(config);
-        let tps = drive(&mut chain, 20, 150.0, duration);
+        let tps = ycsb_tps(&mut chain, 20, 150.0, duration);
         t.row(vec![format!("{cap}"), num(tps), format!("{}", chain.dropped_messages())]);
     }
     t
@@ -60,13 +68,13 @@ pub fn ablation_difficulty(duration: SimDuration) -> Table {
         "Ablation B: Ethereum difficulty scaling at 32 servers (8 clients)",
         &["size exponent", "tx/s @ 8 nodes", "tx/s @ 32 nodes"],
     );
-    for exponent in [0.0f64, 1.35] {
+    for exponent in SIZE_EXPONENTS {
         let mut row = vec![num(exponent)];
         for nodes in [8u32, 32] {
             let mut config = EthConfig::with_nodes(nodes);
             config.pow.size_exponent = exponent;
             let mut chain = EthereumChain::new(config);
-            row.push(num(drive(&mut chain, 8, 48.0, duration)));
+            row.push(num(ycsb_tps(&mut chain, 8, 48.0, duration)));
         }
         t.row(row);
     }
@@ -81,11 +89,11 @@ pub fn ablation_signing(duration: SimDuration) -> Table {
         "Ablation C: Parity producer signing cost (8 servers, 8 clients)",
         &["sign cost ms/tx", "tx/s"],
     );
-    for cost_ms in [22u64, 11, 2] {
+    for cost_ms in SIGN_COSTS_MS {
         let mut config = ParityConfig::with_nodes(8);
         config.produce_sign_cost = SimDuration::from_millis(cost_ms);
         let mut chain = ParityChain::new(config);
-        t.row(vec![format!("{cost_ms}"), num(drive(&mut chain, 8, 256.0, duration))]);
+        t.row(vec![format!("{cost_ms}"), num(ycsb_tps(&mut chain, 8, 256.0, duration))]);
     }
     t
 }
@@ -108,7 +116,7 @@ pub fn ablation_conflict(duration: SimDuration) -> Table {
         &["zipf theta", "tx/s", "exec conflicts", "exec speedup", "hstore tx/s"],
     );
     let hstore = bb_hstore::run_ycsb(HStoreConfig::default(), 20_000, 1_000, 42).tps;
-    for theta in [0.2f64, 0.5, 0.99] {
+    for theta in ZIPF_THETAS {
         let mut chain = EthereumChain::new(EthConfig::with_nodes(4));
         let mut wl = YcsbWorkload::new(YcsbConfig {
             record_count: 1_000,
@@ -118,17 +126,7 @@ pub fn ablation_conflict(duration: SimDuration) -> Table {
             seed: 42,
             ..YcsbConfig::default()
         });
-        let stats = run_workload(
-            &mut chain,
-            &mut wl,
-            &DriverConfig {
-                clients: 8,
-                rate_per_client: 50.0,
-                duration,
-                poll_interval: SimDuration::from_millis(500),
-                drain: SimDuration::from_secs(10),
-            },
-        );
+        let stats = drive(&mut chain, &mut wl, 8, 50.0, duration);
         t.row(vec![
             num(theta),
             num(stats.throughput_tps()),
@@ -141,97 +139,38 @@ pub fn ablation_conflict(duration: SimDuration) -> Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::claims;
+    use crate::table::Table;
+
+    /// Ablation B's table, shared with Figure 8's ethereum claim.
+    pub(crate) fn difficulty() -> &'static Table {
+        static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        TABLE.get_or_init(|| ablation_difficulty(SimDuration::from_secs(60)))
+    }
 
     #[test]
-    fn unbounding_the_channel_prevents_the_collapse() {
+    fn unbounding_the_channel_prevents_the_collapse() -> Result<(), String> {
         let t = ablation_channel(SimDuration::from_secs(15));
-        let text = t.render();
-        let tps = |cap: &str| -> f64 {
-            text.lines()
-                .find(|l| l.split_whitespace().next() == Some(cap))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(f64::NAN)
-        };
-        let bounded = tps("250");
-        let unbounded = tps("1000000");
-        assert!(
-            unbounded > 1.8 * bounded,
-            "channel bound is not the collapse mechanism: {bounded} vs {unbounded}"
-        );
+        claims::ablation_a_unbounded_channel_prevents_the_collapse(&t)
     }
 
     #[test]
-    fn flat_difficulty_removes_ethereum_decay() {
-        let t = ablation_difficulty(SimDuration::from_secs(60));
-        let text = t.render();
-        let row = |exp: &str| -> (f64, f64) {
-            let l = text
-                .lines()
-                .find(|l| l.split_whitespace().next() == Some(exp))
-                .expect("row exists");
-            let mut it = l.split_whitespace().skip(1);
-            (
-                it.next().unwrap().parse().unwrap(),
-                it.next().unwrap().parse().unwrap(),
-            )
-        };
-        let (flat8, flat32) = row("0");
-        let (_steep8, steep32) = row("1.35");
-        // With flat difficulty, 32 nodes keep most of the 8-node rate...
-        assert!(flat32 > 0.55 * flat8, "flat: {flat8} → {flat32}");
-        // ...with the paper's rule, they lose most of it.
-        assert!(steep32 < 0.55 * flat32, "steep 32-node rate {steep32} vs flat {flat32}");
+    fn flat_difficulty_removes_ethereum_decay() -> Result<(), String> {
+        claims::ablation_b_flat_difficulty_removes_ethereum_decay(difficulty())
     }
 
-    /// The acceptance contract of the intra-block parallelism work: ≥1.5×
-    /// modeled block-execution speedup at `zipf_theta ≤ 0.5` over 4 lanes,
-    /// degrading gracefully — never collapsing below 1.0× — at YCSB's
-    /// default 0.99, where contention rises and losers re-execute.
+    /// The acceptance contract of the intra-block parallelism work.
     #[test]
-    fn executor_speedup_degrades_gracefully_with_contention() {
+    fn executor_speedup_degrades_gracefully_with_contention() -> Result<(), String> {
         let t = ablation_conflict(SimDuration::from_secs(10));
-        let text = t.render();
-        let row = |theta: &str| -> (u64, f64) {
-            let l = text
-                .lines()
-                .find(|l| l.split_whitespace().next() == Some(theta))
-                .expect("row exists");
-            let mut it = l.split_whitespace().skip(2);
-            (
-                it.next().unwrap().parse().unwrap(),
-                it.next().unwrap().parse().unwrap(),
-            )
-        };
-        let (c_low, s_low) = row("0.2000");
-        let (c_mid, s_mid) = row("0.5000");
-        let (c_hot, s_hot) = row("0.9900");
-        assert!(s_low >= 1.5, "theta 0.2 speedup {s_low} < 1.5");
-        assert!(s_mid >= 1.5, "theta 0.5 speedup {s_mid} < 1.5");
-        assert!(s_hot >= 1.0, "theta 0.99 speedup collapsed below 1.0: {s_hot}");
-        assert!(s_hot <= s_mid, "contention should cost speedup: {s_hot} vs {s_mid}");
-        assert!(
-            c_hot > c_low.max(c_mid),
-            "hot-key contention must raise conflicts: {c_low}/{c_mid}/{c_hot}"
-        );
+        claims::ablation_d_executor_speedup_degrades_gracefully(&t)
     }
 
     #[test]
-    fn cheaper_signing_unlocks_parity() {
+    fn cheaper_signing_unlocks_parity() -> Result<(), String> {
         let t = ablation_signing(SimDuration::from_secs(20));
-        let text = t.render();
-        let tps = |cost: &str| -> f64 {
-            text.lines()
-                .find(|l| l.split_whitespace().next() == Some(cost))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(f64::NAN)
-        };
-        let slow = tps("22");
-        let fast = tps("2");
-        assert!(slow < 60.0, "baseline parity too fast: {slow}");
-        assert!(fast > 3.0 * slow, "signing cost is not the bottleneck: {slow} vs {fast}");
+        claims::ablation_c_cheaper_signing_unlocks_parity(&t)
     }
 }

@@ -24,10 +24,8 @@ use crate::platforms::Platform;
 use crate::table::{num, Table};
 use bb_sim::SimDuration;
 use bb_types::NodeId;
-use blockbench::connector::{Fault, PlatformStats};
-use blockbench::{
-    check_chains, run_timeline, ByzBehavior, ByzClientSpec, ChaosPlan, SafetyViolation,
-};
+use blockbench::connector::Fault;
+use blockbench::{check_chains, run_timeline, ByzBehavior, ByzClientSpec, ChaosPlan};
 
 /// The six scenario classes of the chaos matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,41 +169,16 @@ impl Scenario {
     }
 }
 
-/// One evaluated cell of the matrix.
-pub struct CellResult {
-    /// Scenario of this cell.
-    pub scenario: Scenario,
-    /// Platform of this cell.
-    pub platform: Platform,
-    /// Pre-chaos commit rate, tx/s.
-    pub pre_rate: f64,
-    /// Post-chaos commit rate, tx/s.
-    pub post_rate: f64,
-    /// Final platform stats (with `byzantine_rejected` overlaid).
-    pub stats: PlatformStats,
-    /// Byzantine submissions attempted / refused.
-    pub byz: (u64, u64),
-    /// Heights that passed every cross-node safety check, or the violation.
-    pub safety: Result<u64, SafetyViolation>,
-}
-
-impl CellResult {
-    /// Whether the liveness contract held.
-    pub fn live(&self) -> bool {
-        self.pre_rate > 0.0 && self.post_rate >= self.scenario.liveness_floor() * self.pre_rate
-    }
-}
-
-/// Run the full scenario × platform matrix: 8 servers, 8 clients,
-/// `rate` tx/s per client, `window_secs` per cell (must clear
-/// [`POST_FROM`]; 60 is the calibrated shape).
-pub fn run_matrix(window_secs: u64, rate: f64) -> Vec<CellResult> {
+/// The chaos degradation table: one row per scenario × platform cell, run
+/// with 8 servers, 8 clients, `rate` tx/s per client, `window_secs` per cell
+/// (must clear [`POST_FROM`]; 60 is the calibrated shape).
+pub fn fig_chaos(window_secs: u64, rate: f64) -> Table {
     assert!(window_secs > POST_FROM + 5, "window too short to measure recovery");
     let grid: Vec<(Scenario, Platform)> = Scenario::ALL
         .into_iter()
         .flat_map(|s| s.platforms().iter().map(move |&p| (s, p)))
         .collect();
-    map_cells(grid, move |(scenario, platform)| {
+    let rows = map_cells(grid, move |(scenario, platform)| {
         let mut chain = platform.build(8);
         let mut wl = Macro::Ycsb.build(8);
         let run = run_timeline(chain.as_mut(), wl.as_mut(), 8, rate, window_secs, &scenario.plan());
@@ -216,27 +189,26 @@ pub fn run_matrix(window_secs: u64, rate: f64) -> Vec<CellResult> {
             / (CHAOS_START - 5) as f64;
         let post_rate = (committed_at(window_secs) - committed_at(POST_FROM)) as f64
             / (window_secs - POST_FROM) as f64;
-        let stats = run.series.last().expect("non-empty window").2.clone();
-        let safety = check_chains(&run.chains, Scenario::tip_tolerance(platform));
-        CellResult {
-            scenario,
-            platform,
-            pre_rate,
-            post_rate,
-            stats,
-            byz: (run.byz_submitted, run.byz_rejected),
-            safety,
-        }
-    })
-}
-
-/// The chaos degradation table: one row per scenario × platform cell.
-pub fn fig_chaos(window_secs: u64, rate: f64) -> Table {
-    render_matrix(&run_matrix(window_secs, rate), window_secs)
-}
-
-/// Render already-evaluated cells (so callers can share one matrix run).
-pub fn render_matrix(cells: &[CellResult], window_secs: u64) -> Table {
+        // The liveness contract.
+        let live = pre_rate > 0.0 && post_rate >= scenario.liveness_floor() * pre_rate;
+        let stats = &run.series.last().expect("non-empty window").2;
+        vec![
+            scenario.name().into(),
+            platform.name().into(),
+            num(pre_rate),
+            num(post_rate),
+            if live { "yes".into() } else { "NO".into() },
+            format!("{}", run.byz_submitted),
+            format!("{}", run.byz_rejected),
+            format!("{}", stats.equivocations_detected),
+            format!("{}", stats.partition_flaps),
+            format!("{}", stats.disk_stall_ms),
+            match check_chains(&run.chains, Scenario::tip_tolerance(platform)) {
+                Ok(n) => format!("ok({n})"),
+                Err(v) => format!("VIOLATION: {v}"),
+            },
+        ]
+    });
     let mut t = Table::new(
         format!(
             "Chaos matrix: scenarios at t={CHAOS_START}..{CHAOS_END}s, \
@@ -256,127 +228,55 @@ pub fn render_matrix(cells: &[CellResult], window_secs: u64) -> Table {
             "safety",
         ],
     );
-    for cell in cells {
-        t.row(vec![
-            cell.scenario.name().into(),
-            cell.platform.name().into(),
-            num(cell.pre_rate),
-            num(cell.post_rate),
-            if cell.live() { "yes".into() } else { "NO".into() },
-            format!("{}", cell.byz.0),
-            format!("{}", cell.byz.1),
-            format!("{}", cell.stats.equivocations_detected),
-            format!("{}", cell.stats.partition_flaps),
-            format!("{}", cell.stats.disk_stall_ms),
-            match &cell.safety {
-                Ok(n) => format!("ok({n})"),
-                Err(v) => format!("VIOLATION: {v}"),
-            },
-        ]);
-    }
+    rows.into_iter().for_each(|row| t.row(row));
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
+    use blockbench::SafetyViolation;
 
-    /// The whole matrix, shared by every contract test (cells are driven
-    /// in parallel by `map_cells`; one run keeps the suite affordable).
-    fn matrix() -> &'static [CellResult] {
-        use std::sync::OnceLock;
-        static MATRIX: OnceLock<Vec<CellResult>> = OnceLock::new();
-        MATRIX.get_or_init(|| run_matrix(60, 20.0))
-    }
-
-    fn cell(scenario: Scenario, platform: Platform) -> &'static CellResult {
-        matrix()
-            .iter()
-            .find(|c| c.scenario == scenario && c.platform == platform)
-            .expect("cell in matrix")
+    /// The whole matrix's table, shared by every contract test (cells are
+    /// driven in parallel by `map_cells`; one run keeps the suite affordable).
+    fn matrix() -> &'static Table {
+        static MATRIX: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+        MATRIX.get_or_init(|| fig_chaos(60, 20.0))
     }
 
     #[test]
-    fn chaos_matrix_covers_all_scenarios() {
-        let cells = matrix();
-        assert!(cells.len() >= 6, "matrix has {} cells", cells.len());
-        for s in Scenario::ALL {
-            assert!(cells.iter().any(|c| c.scenario == s), "{} missing", s.name());
-        }
+    fn chaos_matrix_covers_all_scenarios() -> Result<(), String> {
+        claims::fig_chaos_covers_every_cell(matrix())
     }
 
     #[test]
-    fn chaos_liveness_contract_holds_on_every_cell() {
-        for c in matrix() {
-            assert!(c.pre_rate > 0.0, "{}/{}: no pre-chaos commits", c.scenario.name(),
-                c.platform.name());
-            assert!(
-                c.live(),
-                "{}/{}: post rate {:.1} below {:.0}% of pre rate {:.1}",
-                c.scenario.name(),
-                c.platform.name(),
-                c.post_rate,
-                c.scenario.liveness_floor() * 100.0,
-                c.pre_rate,
-            );
-        }
+    fn chaos_liveness_contract_holds_on_every_cell() -> Result<(), String> {
+        claims::fig_chaos_every_cell_is_live(matrix())
     }
 
     #[test]
-    fn chaos_safety_contract_holds_and_is_not_vacuous() {
-        for c in matrix() {
-            match &c.safety {
-                Ok(checked) => assert!(
-                    *checked > 0,
-                    "{}/{}: safety check was vacuous",
-                    c.scenario.name(),
-                    c.platform.name()
-                ),
-                Err(v) => panic!(
-                    "{}/{}: safety violation: {v}",
-                    c.scenario.name(),
-                    c.platform.name()
-                ),
-            }
-        }
+    fn chaos_safety_contract_holds_and_is_not_vacuous() -> Result<(), String> {
+        claims::fig_chaos_every_cell_is_safe(matrix())
     }
 
     #[test]
-    fn chaos_mechanisms_actually_fired() {
-        // Byzantine actors really sent their windows' worth of traffic.
-        for p in [Platform::Ethereum, Platform::Parity] {
-            let c = cell(Scenario::ByzFlood, p);
-            // 60+40+20 tx/s over a 15-second window.
-            assert_eq!(c.byz.0, 1800, "{}: flood volume", p.name());
-        }
-        // Honest replicas saw the conflicting proposals.
-        let eq = cell(Scenario::Equivocate, Platform::Hyperledger);
-        assert!(eq.stats.equivocations_detected > 0, "no equivocations detected");
-        // Every heal of an active partition counted as a flap.
-        for &p in Scenario::PartitionFlap.platforms() {
-            assert_eq!(cell(Scenario::PartitionFlap, p).stats.partition_flaps, 5, "{}",
-                p.name());
-        }
-        for &p in Scenario::PartitionAsym.platforms() {
-            assert_eq!(cell(Scenario::PartitionAsym, p).stats.partition_flaps, 1, "{}",
-                p.name());
-        }
-        // The slow disk charged stall time on the durable platforms.
-        for &p in Scenario::SlowDisk.platforms() {
-            assert!(
-                cell(Scenario::SlowDisk, p).stats.disk_stall_ms > 0,
-                "{}: no disk stall recorded",
-                p.name()
-            );
-        }
+    fn chaos_mechanisms_actually_fired() -> Result<(), String> {
+        claims::fig_chaos_mechanisms_fired(matrix())
+    }
+
+    /// The figure's table as a whole: every cell present, live and safe.
+    #[test]
+    fn fig_chaos_renders_every_cell() -> Result<(), String> {
+        claims::fig_chaos_covers_every_cell(matrix())?;
+        claims::fig_chaos_every_cell_is_live(matrix())?;
+        claims::fig_chaos_every_cell_is_safe(matrix())
     }
 
     /// Negative test: the safety oracle must catch a seeded conflicting
     /// commit inside otherwise-honest chains taken from a real run.
     #[test]
     fn chaos_safety_checker_catches_seeded_violation() {
-        let honest = &cell(Scenario::GossipJitter, Platform::Hyperledger);
-        assert!(honest.safety.is_ok());
         let mut chain = Platform::Hyperledger.build(4);
         let plan = ChaosPlan::new();
         let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 20.0, 12, &plan);
@@ -394,16 +294,5 @@ mod tests {
             matches!(err, SafetyViolation::ConflictingCommit { height: 1, .. }),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn fig_chaos_renders_every_cell() {
-        let t = render_matrix(matrix(), 60);
-        let text = t.render();
-        for s in Scenario::ALL {
-            assert!(text.contains(s.name()), "{} missing from table", s.name());
-        }
-        assert!(!text.contains("VIOLATION"), "table reports a safety violation:\n{text}");
-        assert!(!text.contains(" NO "), "table reports a liveness failure:\n{text}");
     }
 }

@@ -13,7 +13,7 @@ use bb_fabric::{FabricChain, FabricConfig};
 use bb_parity::{ParityChain, ParityConfig};
 use bb_sim::SimDuration;
 use blockbench::driver::{run_workload, DriverConfig, WorkloadConnector};
-use blockbench::RunStats;
+use blockbench::{BlockchainConnector, RunStats};
 use bb_workloads::smallbank::SmallbankConfig;
 use bb_workloads::ycsb::YcsbConfig;
 use bb_workloads::{DoNothingWorkload, SmallbankWorkload, YcsbWorkload};
@@ -84,9 +84,60 @@ pub fn run_macro(
     )
 }
 
+/// 8-server × 8-client macro cells, each `(platform, workload, rate/client)`
+/// run once over one window, in grid order. Figures 5, 6, 13c, 14, 16 and 17
+/// are views of such a set.
+pub struct MacroCells(Vec<((Platform, Macro, f64), RunStats)>);
+
+impl MacroCells {
+    /// Run every cell of `grid` (no two alike) for `dur`.
+    pub fn run(grid: impl IntoIterator<Item = (Platform, Macro, f64)>, dur: SimDuration) -> Self {
+        let keys: Vec<_> = grid.into_iter().collect();
+        // The cells share 8 nodes × one duration; the request rate is what
+        // separates a 5-second world from a 50-second one, so it goes into
+        // the hint.
+        let hint = |rate: f64| cost_hint(8, dur).saturating_mul(rate as u64 + 1);
+        let cells = keys.iter().map(|&(p, w, rate)| (hint(rate), (p, w, rate))).collect();
+        let stats = map_cells_hinted(cells, move |(platform, workload, rate)| {
+            run_macro(platform, workload, 8, 8, rate, dur)
+        });
+        MacroCells(keys.into_iter().zip(stats).collect())
+    }
+
+    /// Every platform × `workloads` × `rates`, run for `duration`.
+    fn grid(workloads: &[Macro], rates: &[f64], duration: SimDuration) -> Self {
+        let grid = ALL_PLATFORMS.into_iter().flat_map(|p| {
+            workloads.iter().flat_map(move |&w| rates.iter().map(move |&r| (p, w, r)))
+        });
+        MacroCells::run(grid, duration)
+    }
+
+    /// The rates `platform` ran `workload` at, with their stats, in grid order.
+    fn rates(&self, platform: Platform, workload: Macro) -> impl Iterator<Item = (f64, &RunStats)> {
+        let cells = self.0.iter().filter(move |((p, w, _), _)| (*p, *w) == (platform, workload));
+        cells.map(|((_, _, rate), stats)| (*rate, stats))
+    }
+
+    /// The stats of one cell.
+    fn get(&self, platform: Platform, workload: Macro, rate: f64) -> &RunStats {
+        let mut cell = self.rates(platform, workload).filter(|&(r, _)| r == rate);
+        cell.next().expect("cell in the set").1
+    }
+}
+
+/// The last (saturating) rate of `scale`'s sweep.
+fn top_rate(scale: &Scale) -> f64 {
+    *scale.rates.last().expect("rates nonempty")
+}
+
 /// Figure 5: throughput and latency at 8 servers × 8 clients, with the
 /// request-rate sweep. Returns (peak table, sweep table).
 pub fn fig5(scale: &Scale) -> (Table, Table) {
+    fig5_tables(&MacroCells::grid(&[Macro::Ycsb, Macro::Smallbank], &scale.rates, scale.duration))
+}
+
+/// Figure 5's (peak, sweep) tables over the YCSB and Smallbank rows of `cells`.
+pub fn fig5_tables(cells: &MacroCells) -> (Table, Table) {
     let mut peak = Table::new(
         "Figure 5a: peak performance (8 servers, 8 clients)",
         &["platform", "workload", "peak tx/s", "latency s (mean)", "p99 s"],
@@ -95,28 +146,10 @@ pub fn fig5(scale: &Scale) -> (Table, Table) {
         "Figure 5b/c: performance vs request rate (per client)",
         &["platform", "workload", "rate/client", "tx/s", "latency s"],
     );
-    let duration = scale.duration;
-    let mut cells = Vec::new();
     for platform in ALL_PLATFORMS {
         for workload in [Macro::Ycsb, Macro::Smallbank] {
-            for &rate in &scale.rates {
-                // All fig5 cells share 8 nodes × one duration; the request
-                // rate is what separates a 5-second world from a 50-second
-                // one, so fold it into the hint.
-                let hint = cost_hint(8, duration).saturating_mul(rate as u64 + 1);
-                cells.push((hint, (platform, workload, rate)));
-            }
-        }
-    }
-    let mut results = map_cells_hinted(cells, move |(platform, workload, rate)| {
-        run_macro(platform, workload, 8, 8, rate, duration)
-    })
-    .into_iter();
-    for platform in ALL_PLATFORMS {
-        for workload in [Macro::Ycsb, Macro::Smallbank] {
-            let mut best: Option<RunStats> = None;
-            for &rate in &scale.rates {
-                let stats = results.next().expect("one result per cell");
+            let mut best: Option<&RunStats> = None;
+            for (rate, stats) in cells.rates(platform, workload) {
                 sweep.row(vec![
                     platform.name().into(),
                     workload.name().into(),
@@ -124,11 +157,7 @@ pub fn fig5(scale: &Scale) -> (Table, Table) {
                     num(stats.throughput_tps()),
                     num(stats.mean_latency().unwrap_or(f64::NAN)),
                 ]);
-                if best
-                    .as_ref()
-                    .map(|b| stats.throughput_tps() > b.throughput_tps())
-                    .unwrap_or(true)
-                {
+                if best.map(|b| stats.throughput_tps() > b.throughput_tps()).unwrap_or(true) {
                     best = Some(stats);
                 }
             }
@@ -152,87 +181,64 @@ pub fn fig6(scale: &Scale) -> Table {
         "Figure 6: outstanding-queue length over time (8 servers, 8 clients)",
         &["platform", "rate/client", "t (s)", "queue"],
     );
-    let duration = scale.duration;
-    let cells: Vec<(Platform, f64)> = ALL_PLATFORMS
-        .into_iter()
-        .flat_map(|p| [8.0, 512.0].map(|r| (p, r)))
-        .collect();
-    let mut results = map_cells(cells, move |(platform, rate)| {
-        run_macro(platform, Macro::Ycsb, 8, 8, rate, duration)
-    })
-    .into_iter();
+    let cells = MacroCells::grid(&[Macro::Ycsb], &[8.0, 512.0], scale.duration);
     for platform in ALL_PLATFORMS {
-        for rate in [8.0, 512.0] {
-            let stats = results.next().expect("one result per cell");
+        for (rate, stats) in cells.rates(platform, Macro::Ycsb) {
             for &(at, q) in stats.queue_timeline.points().iter().step_by(10) {
-                t.row(vec![
-                    platform.name().into(),
-                    num(rate),
-                    num(at.as_secs_f64()),
-                    num(q),
-                ]);
+                t.row(vec![platform.name().into(), num(rate), num(at.as_secs_f64()), num(q)]);
             }
         }
     }
     t
 }
 
+/// The three macro workloads in Figure 13c's column order.
+const FIG13C_WORKLOADS: [Macro; 3] = [Macro::Smallbank, Macro::Ycsb, Macro::DoNothing];
+
 /// Figure 13c: DoNothing vs YCSB vs Smallbank throughput — the consensus
 /// layer's share of the stack cost.
 pub fn fig13c(scale: &Scale) -> Table {
+    let rate = top_rate(scale);
+    fig13c_table(&MacroCells::grid(&FIG13C_WORKLOADS, &[rate], scale.duration), rate)
+}
+
+/// Figure 13c's table over the `rate` cells of `cells`.
+pub fn fig13c_table(cells: &MacroCells, rate: f64) -> Table {
     let mut t = Table::new(
         "Figure 13c: transaction throughput by workload (8x8, saturating rate)",
         &["platform", "Smallbank", "YCSB", "DoNothing"],
     );
-    let rate = *scale.rates.last().expect("rates nonempty");
-    let duration = scale.duration;
-    let grid: Vec<(Platform, Macro)> = ALL_PLATFORMS
-        .into_iter()
-        .flat_map(|p| [Macro::Smallbank, Macro::Ycsb, Macro::DoNothing].map(|w| (p, w)))
-        .collect();
-    let mut results = map_cells(grid, move |(platform, workload)| {
-        run_macro(platform, workload, 8, 8, rate, duration)
-    })
-    .into_iter();
     for platform in ALL_PLATFORMS {
-        let mut cells = vec![platform.name().to_string()];
-        for _workload in [Macro::Smallbank, Macro::Ycsb, Macro::DoNothing] {
-            let stats = results.next().expect("one result per cell");
-            cells.push(num(stats.throughput_tps()));
-        }
-        t.row(cells);
+        let mut row = vec![platform.name().to_string()];
+        row.extend(FIG13C_WORKLOADS.map(|w| num(cells.get(platform, w, rate).throughput_tps())));
+        t.row(row);
     }
     t
 }
 
+/// Figure 14's row label for the H-Store baseline.
+pub(crate) const HSTORE: &str = "h-store";
+
 /// Figure 14 (Appendix B): blockchains vs H-Store.
 pub fn fig14(scale: &Scale) -> Table {
+    let rate = top_rate(scale);
+    let workloads = [Macro::Ycsb, Macro::Smallbank];
+    fig14_table(&MacroCells::grid(&workloads, &[rate], scale.duration), rate)
+}
+
+/// Figure 14's table over the `rate` cells of `cells`, plus the H-Store runs.
+pub fn fig14_table(cells: &MacroCells, rate: f64) -> Table {
     let mut t = Table::new(
         "Figure 14: throughput vs H-Store (tx/s)",
         &["system", "YCSB", "Smallbank"],
     );
-    let rate = *scale.rates.last().expect("rates nonempty");
-    let duration = scale.duration;
-    let grid: Vec<(Platform, Macro)> = ALL_PLATFORMS
-        .into_iter()
-        .flat_map(|p| [Macro::Ycsb, Macro::Smallbank].map(|w| (p, w)))
-        .collect();
-    let mut results = map_cells(grid, move |(platform, workload)| {
-        run_macro(platform, workload, 8, 8, rate, duration)
-    })
-    .into_iter();
     for platform in ALL_PLATFORMS {
-        let y = results.next().expect("one result per cell");
-        let s = results.next().expect("one result per cell");
-        t.row(vec![
-            platform.name().into(),
-            num(y.throughput_tps()),
-            num(s.throughput_tps()),
-        ]);
+        let tps = |w| num(cells.get(platform, w, rate).throughput_tps());
+        t.row(vec![platform.name().into(), tps(Macro::Ycsb), tps(Macro::Smallbank)]);
     }
     let hy = bb_hstore::run_ycsb(bb_hstore::HStoreConfig::default(), 200_000, 100_000, 1);
     let hs = bb_hstore::run_smallbank(bb_hstore::HStoreConfig::default(), 200_000, 100_000, 1);
-    t.row(vec!["h-store".into(), num(hy.tps), num(hs.tps)]);
+    t.row(vec![HSTORE.into(), num(hy.tps), num(hs.tps)]);
     t
 }
 
@@ -244,85 +250,51 @@ pub fn fig15(scale: &Scale) -> Table {
         "Figure 15: block generation rate vs block size (blocks/s)",
         &["platform", "small (0.5x)", "medium (1x)", "large (2x)"],
     );
-    let duration = scale.duration;
-    let rate = *scale.rates.last().expect("rates nonempty");
-
-    let run_eth = |factor: f64| {
-        let mut c = EthConfig::with_nodes(8);
-        c.block_gas_limit = (c.block_gas_limit as f64 * factor) as u64;
-        c.max_txs_per_block = (c.max_txs_per_block as f64 * factor) as usize;
-        // Bigger blocks take proportionally longer to mine (the difficulty
-        // retune the authors applied when varying gasLimit).
-        c.pow.base_interval = SimDuration::from_secs_f64(
-            c.pow.base_interval.as_secs_f64() * factor,
-        );
-        let mut chain = EthereumChain::new(c);
-        let mut wl = Macro::Ycsb.build(8);
-        let stats = run_workload(
-            &mut chain,
-            wl.as_mut(),
-            &DriverConfig {
-                clients: 8,
-                rate_per_client: rate,
-                duration,
-                poll_interval: SimDuration::from_millis(500),
-                drain: SimDuration::ZERO,
-            },
-        );
-        stats.platform.blocks_main as f64 / duration.as_secs_f64()
+    let (duration, rate) = (scale.duration, top_rate(scale));
+    let build = |platform, factor: f64| -> Box<dyn BlockchainConnector> {
+        match platform {
+            Platform::Ethereum => {
+                let mut c = EthConfig::with_nodes(8);
+                c.block_gas_limit = (c.block_gas_limit as f64 * factor) as u64;
+                c.max_txs_per_block = (c.max_txs_per_block as f64 * factor) as usize;
+                // Bigger blocks take proportionally longer to mine (the
+                // difficulty retune the authors applied when varying gasLimit).
+                c.pow.base_interval =
+                    SimDuration::from_secs_f64(c.pow.base_interval.as_secs_f64() * factor);
+                Box::new(EthereumChain::new(c))
+            }
+            Platform::Parity => {
+                let mut c = ParityConfig::with_nodes(8);
+                c.step_duration = SimDuration::from_secs_f64(factor); // medium = 1 s
+                Box::new(ParityChain::new(c))
+            }
+            Platform::Hyperledger => {
+                let mut c = FabricConfig::with_nodes(8);
+                c.batch_size = (c.batch_size as f64 * factor) as usize;
+                c.batch_timeout = SimDuration::from_secs_f64(0.3 * factor);
+                Box::new(FabricChain::new(c))
+            }
+        }
     };
-    let run_parity = |factor: f64| {
-        let mut c = ParityConfig::with_nodes(8);
-        c.step_duration = SimDuration::from_secs_f64(factor); // medium = 1 s
-        let mut chain = ParityChain::new(c);
-        let mut wl = Macro::Ycsb.build(8);
-        let stats = run_workload(
-            &mut chain,
-            wl.as_mut(),
-            &DriverConfig {
-                clients: 8,
-                rate_per_client: rate,
-                duration,
-                poll_interval: SimDuration::from_millis(500),
-                drain: SimDuration::ZERO,
-            },
-        );
-        stats.platform.blocks_main as f64 / duration.as_secs_f64()
-    };
-    let run_fabric = |factor: f64| {
-        let mut c = FabricConfig::with_nodes(8);
-        c.batch_size = (c.batch_size as f64 * factor) as usize;
-        c.batch_timeout = SimDuration::from_secs_f64(0.3 * factor);
-        let mut chain = FabricChain::new(c);
-        let mut wl = Macro::Ycsb.build(8);
-        let stats = run_workload(
-            &mut chain,
-            wl.as_mut(),
-            &DriverConfig {
-                clients: 8,
-                rate_per_client: rate,
-                duration,
-                poll_interval: SimDuration::from_millis(500),
-                drain: SimDuration::ZERO,
-            },
-        );
-        stats.platform.blocks_main as f64 / duration.as_secs_f64()
-    };
-
     let factors = [0.5, 1.0, 2.0];
-    let grid: Vec<(usize, f64)> = (0..3).flat_map(|p| factors.map(|f| (p, f))).collect();
-    let rates: Vec<f64> = map_cells(grid, |(which, factor)| match which {
-        0 => run_eth(factor),
-        1 => run_parity(factor),
-        _ => run_fabric(factor),
+    let grid: Vec<(Platform, f64)> =
+        ALL_PLATFORMS.into_iter().flat_map(|p| factors.map(|f| (p, f))).collect();
+    let rates: Vec<f64> = map_cells(grid, |(platform, factor)| {
+        let config = DriverConfig {
+            clients: 8,
+            rate_per_client: rate,
+            duration,
+            poll_interval: SimDuration::from_millis(500),
+            drain: SimDuration::ZERO,
+        };
+        let mut workload = Macro::Ycsb.build(8);
+        let stats = run_workload(build(platform, factor).as_mut(), workload.as_mut(), &config);
+        stats.platform.blocks_main as f64 / duration.as_secs_f64()
     });
-    for (which, name) in ["ethereum", "parity", "hyperledger"].into_iter().enumerate() {
-        t.row(vec![
-            name.into(),
-            num(rates[which * 3]),
-            num(rates[which * 3 + 1]),
-            num(rates[which * 3 + 2]),
-        ]);
+    for (platform, rates) in ALL_PLATFORMS.into_iter().zip(rates.chunks(factors.len())) {
+        let mut row = vec![platform.name().to_string()];
+        row.extend(rates.iter().copied().map(num));
+        t.row(row);
     }
     t
 }
@@ -334,14 +306,11 @@ pub fn fig16(scale: &Scale) -> Table {
         "Figure 16: resource utilisation over time (8x8, saturating rate)",
         &["platform", "t (s)", "cpu %", "net Mbps"],
     );
-    let rate = *scale.rates.last().expect("rates nonempty");
+    let rate = top_rate(scale);
     let duration = scale.duration.min(SimDuration::from_secs(100));
-    let mut results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
-        run_macro(platform, Macro::Ycsb, 8, 8, rate, duration)
-    })
-    .into_iter();
+    let cells = MacroCells::grid(&[Macro::Ycsb], &[rate], duration);
     for platform in ALL_PLATFORMS {
-        let stats = results.next().expect("one result per cell");
+        let stats = cells.get(platform, Macro::Ycsb, rate);
         let cpu = &stats.platform.cpu_utilisation;
         let net = &stats.platform.net_mbps;
         for s in (0..duration.as_micros() / 1_000_000).step_by(5) {
@@ -363,26 +332,13 @@ pub fn fig17(scale: &Scale) -> Table {
         "Figure 17: latency distribution (CDF), 8x8 at saturating rate",
         &["platform", "workload", "latency s", "cdf"],
     );
-    let rate = *scale.rates.last().expect("rates nonempty");
-    let duration = scale.duration;
-    let grid: Vec<(Platform, Macro)> = ALL_PLATFORMS
-        .into_iter()
-        .flat_map(|p| [Macro::Ycsb, Macro::Smallbank].map(|w| (p, w)))
-        .collect();
-    let mut results = map_cells(grid, move |(platform, workload)| {
-        run_macro(platform, workload, 8, 8, rate, duration)
-    })
-    .into_iter();
+    let rate = top_rate(scale);
+    let workloads = [Macro::Ycsb, Macro::Smallbank];
+    let cells = MacroCells::grid(&workloads, &[rate], scale.duration);
     for platform in ALL_PLATFORMS {
-        for workload in [Macro::Ycsb, Macro::Smallbank] {
-            let stats = results.next().expect("one result per cell");
-            for (value, p) in stats.latencies.cdf(20) {
-                t.row(vec![
-                    platform.name().into(),
-                    workload.name().into(),
-                    num(value),
-                    num(p),
-                ]);
+        for workload in workloads {
+            for (value, p) in cells.get(platform, workload, rate).latencies.cdf(20) {
+                t.row(vec![platform.name().into(), workload.name().into(), num(value), num(p)]);
             }
         }
     }
@@ -397,12 +353,10 @@ pub fn fig18(scale: &Scale) -> Table {
         &["platform", "t (s)", "queue"],
     );
     let (base_rate, duration) = (scale.base_rate, scale.duration);
-    let mut results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
+    let results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
         run_macro(platform, Macro::Ycsb, 20, 20, base_rate, duration)
-    })
-    .into_iter();
-    for platform in ALL_PLATFORMS {
-        let stats = results.next().expect("one result per cell");
+    });
+    for (platform, stats) in ALL_PLATFORMS.into_iter().zip(results) {
         for &(at, q) in stats.queue_timeline.points().iter().step_by(10) {
             t.row(vec![platform.name().into(), num(at.as_secs_f64()), num(q)]);
         }
@@ -410,42 +364,28 @@ pub fn fig18(scale: &Scale) -> Table {
     t
 }
 
+/// The macro cells run live once, in `tests/paper_claims.rs`; these check the
+/// tables `figures all` wrote from them at quick scale.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
 
-    fn tiny() -> Scale {
-        Scale {
-            duration: SimDuration::from_secs(10),
-            rates: vec![32.0, 256.0],
-            ..Scale::quick()
-        }
+    fn committed(name: &str) -> Result<Table, String> {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        Table::read_csv(&results.join(name))
     }
 
     #[test]
-    fn fig5_ordering_matches_paper() {
-        let (peak, sweep) = fig5(&tiny());
-        assert_eq!(peak.len(), 6);
-        assert!(!sweep.is_empty());
-        // Extract the YCSB peaks per platform from the rendered rows.
-        let text = peak.render();
-        let tps = |platform: &str| -> f64 {
-            text.lines()
-                .find(|l| l.contains(platform) && l.contains("YCSB"))
-                .and_then(|l| l.split_whitespace().nth(2))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0)
-        };
-        let (e, p, h) = (tps("ethereum"), tps("parity"), tps("hyperledger"));
-        assert!(h > e, "hyperledger {h} vs ethereum {e}");
-        assert!(e > p, "ethereum {e} vs parity {p}");
-        assert!(h > 600.0, "hyperledger peak too low: {h}");
-        assert!(p < 70.0, "parity peak too high: {p}");
+    fn fig5_ordering_matches_paper() -> Result<(), String> {
+        let peak = committed("fig5_peak.csv")?;
+        assert_eq!(peak.len(), 2 * ALL_PLATFORMS.len());
+        assert!(!committed("fig5_sweep.csv")?.is_empty());
+        claims::fig5_fabric_beats_ethereum_beats_parity(&peak)
     }
 
     #[test]
-    fn fig13c_has_three_rows() {
-        let t = fig13c(&tiny());
-        assert_eq!(t.len(), 3);
+    fn fig13c_has_three_rows() -> Result<(), String> {
+        claims::fig13c_donothing_isolates_the_bottleneck(&committed("fig13c_donothing.csv")?)
     }
 }

@@ -34,20 +34,11 @@ pub fn fig11(scale: &Scale) -> Table {
     });
     for (platform, rows) in ALL_PLATFORMS.into_iter().zip(results) {
         for (n, exec_time, peak_mem) in rows {
-            match exec_time {
-                Some(d) => t.row(vec![
-                    platform.name().into(),
-                    format!("{n}"),
-                    num(d.as_secs_f64()),
-                    mb(peak_mem),
-                ]),
-                None => t.row(vec![
-                    platform.name().into(),
-                    format!("{n}"),
-                    "X".into(),
-                    "X".into(),
-                ]),
-            }
+            let (time, mem) = match exec_time {
+                Some(d) => (num(d.as_secs_f64()), mb(peak_mem)),
+                None => ("X".into(), "X".into()),
+            };
+            t.row(vec![platform.name().into(), format!("{n}"), time, mem]);
         }
     }
     t
@@ -148,37 +139,15 @@ mod tests {
     }
 
     #[test]
-    fn fig11_shape_ethereum_slowest_and_ooms() {
-        let t = fig11(&tiny());
-        let text = t.render();
-        // Ethereum OOMs at the scaled-up size, like the paper's 100M 'X'.
-        let eth_big = text
-            .lines()
-            .find(|l| l.contains("ethereum") && l.contains("1000000"))
-            .unwrap();
-        assert!(eth_big.contains('X'), "{eth_big}");
-        // Hyperledger finishes everything.
-        assert!(
-            !text
-                .lines()
-                .filter(|l| l.contains("hyperledger"))
-                .any(|l| l.contains('X')),
-            "{text}"
-        );
+    fn fig11_shape_ethereum_slowest_and_ooms() -> Result<(), String> {
+        let scale = tiny();
+        crate::claims::fig11_ethereum_ooms_hyperledger_finishes(&fig11(&scale), &scale.cpu_sizes)
     }
 
     #[test]
-    fn fig13_q2_fabric_needs_one_round_trip() {
-        let (_, q2) = fig13ab(&tiny());
-        let text = q2.render();
-        for line in text.lines().filter(|l| l.contains("hyperledger")) {
-            assert!(line.trim().ends_with(" 1"), "{line}");
-        }
-        // EVM platforms pay one RPC per block.
-        let eth_200 = text
-            .lines()
-            .find(|l| l.contains("ethereum") && l.split_whitespace().nth(1) == Some("200"))
-            .unwrap();
-        assert!(eth_200.trim().ends_with("200"), "{eth_200}");
+    fn fig13_q2_fabric_needs_one_round_trip() -> Result<(), String> {
+        let scale = tiny();
+        let (_, q2) = fig13ab(&scale);
+        crate::claims::fig13b_fabric_q2_needs_one_round_trip(&q2, &scale.analytics_spans)
     }
 }

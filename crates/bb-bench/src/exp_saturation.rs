@@ -88,19 +88,17 @@ pub fn fig_saturation(scale: &Scale) -> Table {
             cells.push((hint, (platform, offered)));
         }
     }
-    let mut results = map_cells_hinted(cells, move |(platform, offered)| {
+    let results = map_cells_hinted(cells, move |(platform, offered)| {
         run_saturation_cell(platform, 8, population, offered, duration)
-    })
-    .into_iter();
-    for platform in ALL_PLATFORMS {
-        for &offered in &ladder {
-            let stats = results.next().expect("one result per cell");
+    });
+    for (platform, rungs) in ALL_PLATFORMS.into_iter().zip(results.chunks(ladder.len())) {
+        for (&offered, stats) in ladder.iter().zip(rungs) {
             t.row(vec![
                 platform.name().into(),
                 num(offered),
                 num(stats.throughput_tps()),
                 format!("{}", stats.rejected),
-                num(queue_peak(&stats)),
+                num(queue_peak(stats)),
                 num(stats.latency_quantile(0.99).unwrap_or(f64::NAN)),
                 num(stats.co_latency_quantile(0.99).unwrap_or(f64::NAN)),
             ]);
@@ -112,33 +110,6 @@ pub fn fig_saturation(scale: &Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Diagnostic, not a gate: prints the smoke-sized ladder for all three
-    /// platforms so the thresholds in the acceptance test below can be
-    /// recalibrated against real curves when the platforms change. Run with
-    /// `cargo test -p bb-bench probe_saturation -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn probe_saturation_curves() {
-        let ladder = [50.0, 400.0, 3200.0];
-        let duration = SimDuration::from_secs(6);
-        for platform in ALL_PLATFORMS {
-            for &offered in &ladder {
-                let s = run_saturation_cell(platform, 4, 10_000, offered, duration);
-                println!(
-                    "{} offered {offered}: window tps {:.1} submitted {} rejected {} samples {} qpeak {:.0} p99 {:.2} co {:.2}",
-                    platform.name(),
-                    s.throughput_tps(),
-                    s.submitted,
-                    s.rejected,
-                    s.latencies.count(),
-                    queue_peak(&s),
-                    s.latency_quantile(0.99).unwrap_or(f64::NAN),
-                    s.co_latency_quantile(0.99).unwrap_or(f64::NAN),
-                );
-            }
-        }
-    }
 
     /// The acceptance contract, smoke-sized: a monotone offered ramp whose
     /// committed curve tracks offered load below the knee and flattens or

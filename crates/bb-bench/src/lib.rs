@@ -5,8 +5,11 @@
 //! [`Scale`] collapses the paper's testbed dimensions to laptop scale
 //! (documented per experiment in EXPERIMENTS.md); [`Platform`] builds the
 //! three chains with consistent per-experiment configs; the `exp_*` modules
-//! each regenerate one group of figures and return printable tables.
+//! each regenerate one group of figures and return printable tables; and
+//! [`claims`] checks the paper's findings over those tables, freshly built
+//! or read back from the committed CSVs.
 
+pub mod claims;
 pub mod exp_ablation;
 pub mod exp_chaos;
 pub mod exp_fault;

@@ -1,4 +1,5 @@
-//! Minimal aligned-table and CSV emission for the figure harness.
+//! Minimal aligned-table and CSV emission for the figure harness, and the
+//! one reader the claims use: a cell looked up by named key columns.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -84,6 +85,71 @@ impl Table {
         }
         std::fs::write(path, out)
     }
+
+    /// Read a CSV that [`Table::write_csv`] wrote; the title is the path.
+    pub fn read_csv(path: &Path) -> Result<Table, String> {
+        let title = path.display().to_string();
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{title}: {e}"))?;
+        let mut lines = text.lines().map(split_csv_line);
+        let header = lines.next().ok_or_else(|| format!("{title}: empty file"))?;
+        let rows: Vec<Vec<String>> = lines.collect();
+        if let Some(bad) = rows.iter().find(|r| r.len() != header.len()) {
+            return Err(format!("{title}: row {bad:?} does not match header {header:?}"));
+        }
+        Ok(Table { title, header, rows })
+    }
+
+    /// The one cell in `column` of the row whose `key` columns hold the given
+    /// values. Unless exactly one row matches, the error names the table, the
+    /// key and the column.
+    pub fn cell(&self, key: &[(&str, &str)], column: &str) -> Result<&str, String> {
+        let fail = |problem: String| format!("{}: {problem}", self.lookup(key, column));
+        let index = |name: &str| {
+            let at = self.header.iter().position(|h| h == name);
+            at.ok_or_else(|| fail(format!("no column {name:?}")))
+        };
+        let col = index(column)?;
+        let key_at = key.iter().map(|&(name, value)| Ok((index(name)?, value)));
+        let key_at = key_at.collect::<Result<Vec<_>, String>>()?;
+        let mut found = self.rows.iter().filter(|r| key_at.iter().all(|&(i, v)| r[i] == v));
+        match (found.next(), found.count()) {
+            (Some(row), 0) => Ok(&row[col]),
+            (None, _) => Err(fail("no such row".into())),
+            (Some(_), more) => Err(fail(format!("{} rows", more + 1))),
+        }
+    }
+
+    /// [`Table::cell`] parsed as a number.
+    pub fn value(&self, key: &[(&str, &str)], column: &str) -> Result<f64, String> {
+        let cell = self.cell(key, column)?;
+        cell.parse().map_err(|_| format!("{}: {cell:?} is not a number", self.lookup(key, column)))
+    }
+
+    /// How an error names a lookup: `title [k=v, ...] "column"`.
+    fn lookup(&self, key: &[(&str, &str)], column: &str) -> String {
+        let key: Vec<String> = key.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!("{} [{}] {column:?}", self.title, key.join(", "))
+    }
+}
+
+/// One CSV line as `write_csv` quotes it: a field holding `,` or `"` is
+/// wrapped in quotes with each `"` doubled.
+fn split_csv_line(line: &str) -> Vec<String> {
+    let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (c, quoted) {
+            ('"', true) if chars.peek() == Some(&'"') => {
+                chars.next();
+                field.push('"');
+            }
+            ('"', _) => quoted = !quoted,
+            (',', false) => fields.push(std::mem::take(&mut field)),
+            _ => field.push(c),
+        }
+    }
+    fields.push(field);
+    fields
 }
 
 /// Format a float compactly (3 significant-ish decimals).
@@ -130,13 +196,40 @@ mod tests {
 
     #[test]
     fn csv_round_trips_through_disk() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", &["a", "say \"hi\""]);
         t.row(vec!["1,5".into(), "plain".into()]);
-        let path = std::env::temp_dir().join("bb_bench_table_test.csv");
+        t.row(vec!["".into(), "a \"quoted\", b".into()]);
+        let path = std::env::temp_dir().join(format!("bb_bench_table_{}.csv", std::process::id()));
         t.write_csv(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("\"1,5\",plain"));
-        let _ = std::fs::remove_file(path);
+        let back = Table::read_csv(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!((back.header, back.rows), (t.header, t.rows));
+    }
+
+    #[test]
+    fn cell_errors_name_the_table_the_key_and_the_column() {
+        let mut t = Table::new("Demo", &["platform", "rate", "tx/s"]);
+        t.row(vec!["parity".into(), "8".into(), "38".into()]);
+        t.row(vec!["parity".into(), "8".into(), "39".into()]);
+        t.row(vec!["ethereum".into(), "8".into(), "X".into()]);
+        assert_eq!(t.value(&[("platform", "ethereum")], "rate"), Ok(8.0));
+        let err = |key: &[(&str, &str)], column| t.cell(key, column).unwrap_err();
+        let no_row = "Demo [platform=fabric] \"tx/s\": no such row";
+        assert_eq!(err(&[("platform", "fabric")], "tx/s"), no_row);
+        assert_eq!(
+            err(&[("platform", "parity"), ("rate", "8")], "tx/s"),
+            "Demo [platform=parity, rate=8] \"tx/s\": 2 rows"
+        );
+        assert_eq!(
+            err(&[("platform", "parity")], "latency"),
+            "Demo [platform=parity] \"latency\": no column \"latency\""
+        );
+        let no_key_column = "Demo [servers=8] \"tx/s\": no column \"servers\"";
+        assert_eq!(err(&[("servers", "8")], "tx/s"), no_key_column);
+        let not_a_number = t.value(&[("platform", "ethereum")], "tx/s").unwrap_err();
+        assert_eq!(not_a_number, "Demo [platform=ethereum] \"tx/s\": \"X\" is not a number");
     }
 
     #[test]

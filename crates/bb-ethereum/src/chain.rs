@@ -606,8 +606,11 @@ impl BlockchainConnector for EthereumChain {
             Fault::Recover(node) => {
                 self.network.recover(node);
                 self.engine.with_node_mut(node.0, |n| n.crashed = false);
-                self.started = false;
-                self.start_mining();
+                // Only the revived node re-enters the race; before the run
+                // starts, `start_mining` will enter every node anyway.
+                if self.started {
+                    self.enter_mining_race(node);
+                }
             }
             Fault::Restart(node) => self.restart_node(node),
             Fault::TornTail(node) => {
@@ -785,6 +788,24 @@ mod tests {
         chain.advance_to(SimTime::from_secs(60));
         let after = chain.stats().blocks_main;
         assert!(after > before + 10, "chain stalled after crashes: {before} → {after}");
+    }
+
+    #[test]
+    fn recover_reenters_only_the_recovered_node() {
+        let mut chain = small_chain(4);
+        chain.advance_to(SimTime::from_secs(5));
+        let generations = |chain: &EthereumChain| -> Vec<u64> {
+            (0..4).map(|i| chain.engine.with_node(i, |n| n.mine_generation)).collect()
+        };
+        let before = generations(&chain);
+        chain.inject(Fault::Crash(NodeId(3)));
+        chain.inject(Fault::Recover(NodeId(3)));
+        let after = generations(&chain);
+        assert_eq!(after[..3], before[..3], "recovering node 3 redrew other races");
+        assert!(after[3] > before[3], "node 3 did not re-enter the race: {before:?} → {after:?}");
+        chain.advance_to(SimTime::from_secs(60));
+        let moved = chain.engine.with_node(3, |n| n.mine_generation) > after[3];
+        assert!(moved, "node 3's race never moved");
     }
 
     #[test]

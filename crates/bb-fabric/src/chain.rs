@@ -94,10 +94,6 @@ pub enum FabEvent {
     },
 }
 
-enum InboxItem {
-    Message(NodeId, PbftMsg),
-}
-
 /// Key prefix of durable per-block records in each peer's LSM store.
 /// Outside the `s:` state namespace, so the bucket digests never see it.
 const BLOCK_META_PREFIX: &[u8] = b"!b/";
@@ -128,7 +124,8 @@ fn decode_block_meta(value: &[u8]) -> Option<(u64, Block)> {
 struct FabNode {
     pbft: PbftNode,
     state: FabricState,
-    inbox: VecDeque<InboxItem>,
+    /// Bounded consensus channel: `(sender, message)` in arrival order.
+    inbox: VecDeque<(NodeId, PbftMsg)>,
     draining: bool,
     drain_generation: u64,
     /// Executed transaction ids (dedupe across re-proposals).
@@ -225,7 +222,7 @@ impl ShardedWorld for FabWorld {
         match event {
             FabEvent::Ingress { req, .. } => on_ingress(ctx, node, id, now, req, fx),
             FabEvent::Consensus { from, msg, .. } => {
-                enqueue(ctx, node, id, now, InboxItem::Message(from, msg), fx)
+                enqueue(ctx, node, id, now, (from, msg), fx)
             }
             FabEvent::Drain { generation, .. } => on_drain(ctx, node, id, now, generation, fx),
             FabEvent::Wake { .. } => on_wake(ctx, node, id, now, fx),
@@ -283,7 +280,7 @@ fn enqueue(
     node: &mut FabNode,
     to: NodeId,
     now: SimTime,
-    item: InboxItem,
+    item: (NodeId, PbftMsg),
     fx: &mut Effects<FabEvent>,
 ) {
     let cap = ctx.config.channel_capacity;
@@ -318,11 +315,10 @@ fn on_drain(
         return;
     }
     node.cpu.charge(now, cost);
-    let Some(item) = node.inbox.pop_front() else {
+    let Some((from, msg)) = node.inbox.pop_front() else {
         node.draining = false;
         return;
     };
-    let InboxItem::Message(from, msg) = item;
     let actions = node.pbft.on_message(from, msg, now);
     if node.inbox.is_empty() {
         node.draining = false;

@@ -7,7 +7,9 @@
 # leave every byte of them alone. This regenerates all of them with
 # `figures all` and fails if any tracked CSV changed or a CSV appeared
 # that is not tracked. A change that is *meant* to move a figure commits
-# the new CSV and says which and why in CHANGES.md. `figures --paper` writes
+# the new CSV and says which and why in CHANGES.md; the paper's claims
+# (`bb_bench::claims`) must still hold over whatever it commits, so they run
+# over the regenerated CSVs before the comparison. `figures --paper` writes
 # to results/paper/, which is outside this gate (`:(glob)` keeps `*` from
 # crossing a `/`).
 #
@@ -21,6 +23,9 @@ cargo build --release --offline
 
 echo "==> check_results: figures all"
 ./target/release/figures all > /dev/null
+
+echo "==> check_results: the paper's claims hold over the CSVs"
+cargo test -q --offline -p bb-bench --test paper_claims claims_hold_over_committed_csvs
 
 echo "==> check_results: committed CSVs unchanged"
 if ! git diff --exit-code --stat -- ':(glob)results/*.csv'; then

@@ -195,6 +195,19 @@ if git grep -nE 'confirmed_blocks_since|FaultCursor|fn (timeline|timeline_on|cha
     exit 1
 fi
 
+echo "==> claims: the paper's findings are named checks over tables, and hold over the committed CSVs"
+# EXPERIMENTS.md's "Shape: holds" verdicts are `bb_bench::claims` functions
+# over `Table`s. The tests build each table once and call its claims; this
+# test runs the same claims over `results/*.csv` with no simulation, and the
+# doctored-copy test shows a claim can fail. Tables are read through
+# `Table::cell`/`Table::value`, never by re-parsing rendered text.
+smoke -p bb-bench --test paper_claims claims_hold_over_committed_csvs
+smoke -p bb-bench --test paper_claims a_doctored_csv_fails_its_claim
+if git grep -n split_whitespace -- crates/bb-bench/src; then
+    echo "ERROR: crates/bb-bench/src parses text; read tables with Table::cell" >&2
+    exit 1
+fi
+
 echo "==> figures: an unknown figure name is a usage error, not a silent no-op"
 status=0; ./target/release/figures nosuchfig 2>/dev/null || status=$?
 if [ "$status" -ne 2 ]; then

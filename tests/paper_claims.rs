@@ -1,136 +1,132 @@
-//! The paper's headline findings, asserted end-to-end at reduced scale.
-//! Each test names the claim (Section 4's bullet list) it reproduces.
+//! The paper's headline findings, as `bb_bench::claims` checks.
+//!
+//! The live tests run Figures 5, 13c and 14 once, over one shared set of
+//! 8×8 cells, and check their claims. The rest run no simulation:
+//! `claims_hold_over_committed_csvs` checks every figure's claims over the
+//! committed `results/*.csv`, so EXPERIMENTS.md's verdicts are checked
+//! against the bytes `scripts/check_results.sh` pins; Figures 9 and 10,
+//! which run live in `bb-bench`'s lib tests, also have a test each here.
 
-use bb_bench::exp_macro::{run_macro, Macro};
-use bb_bench::Platform;
-use bb_sim::{SimDuration, SimTime};
-use bb_types::NodeId;
-use blockbench::connector::Fault;
-use blockbench::security::fork_ratio;
-use blockbench::{run_timeline, ChaosPlan};
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-/// "Hyperledger performs consistently better than Ethereum and Parity
-/// across the benchmarks."
-#[test]
-fn hyperledger_wins_both_macro_benchmarks() {
-    for workload in [Macro::Ycsb, Macro::Smallbank] {
-        let h = run_macro(Platform::Hyperledger, workload, 8, 8, 256.0, SimDuration::from_secs(20));
-        let e = run_macro(Platform::Ethereum, workload, 8, 8, 256.0, SimDuration::from_secs(20));
-        let p = run_macro(Platform::Parity, workload, 8, 8, 256.0, SimDuration::from_secs(20));
-        let (ht, et, pt) = (h.throughput_tps(), e.throughput_tps(), p.throughput_tps());
-        assert!(ht > 2.0 * et, "{workload:?}: hyperledger {ht} vs ethereum {et}");
-        assert!(et > 2.0 * pt, "{workload:?}: ethereum {et} vs parity {pt}");
-        // Latency ordering: parity lowest, ethereum highest (Figure 5a).
-        let (hl, el, pl) = (
-            h.mean_latency().unwrap(),
-            e.mean_latency().unwrap(),
-            p.mean_latency().unwrap(),
-        );
-        assert!(pl < hl, "{workload:?}: parity lat {pl} vs hyperledger {hl}");
-        assert!(el > hl, "{workload:?}: ethereum lat {el} vs hyperledger {hl}");
-    }
+use bb_bench::claims;
+use bb_bench::exp_fault::{fig10_args, fig9_args, fig9_restart_args, fig9_snapshot_args};
+use bb_bench::exp_macro::{fig13c_table, fig14_table, fig5_tables, Macro, MacroCells};
+use bb_bench::{Platform, Scale, Table, ALL_PLATFORMS};
+use bb_sim::SimDuration;
+
+/// Per-client rate of the shared cells.
+const RATE: f64 = 256.0;
+
+struct Tables {
+    peak: Table,
+    sweep: Table,
+    fig13c: Table,
+    fig14: Table,
 }
 
-/// "Parity processes transactions at a constant rate": throughput is flat
-/// across offered loads once past its cap (Figure 5b).
-#[test]
-fn parity_throughput_is_flat_in_offered_load() {
-    let lo = run_macro(Platform::Parity, Macro::Ycsb, 8, 8, 64.0, SimDuration::from_secs(20));
-    let hi = run_macro(Platform::Parity, Macro::Ycsb, 8, 8, 512.0, SimDuration::from_secs(20));
-    let (a, b) = (lo.throughput_tps(), hi.throughput_tps());
-    assert!((a - b).abs() < 0.35 * a.max(b), "parity throughput moved: {a} vs {b}");
-    assert!(a < 70.0, "parity above its signing cap: {a}");
+/// Figures 5 (peak, sweep), 13c and 14 over one cell set: every platform ×
+/// workload at [`RATE`] for 20 s, plus Parity's YCSB at two more offered
+/// rates for the sweep.
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let workloads = [Macro::Ycsb, Macro::Smallbank, Macro::DoNothing];
+        let grid = ALL_PLATFORMS.into_iter().flat_map(|p| workloads.map(|w| (p, w, RATE)));
+        let parity = [64.0, 512.0].map(|rate| (Platform::Parity, Macro::Ycsb, rate));
+        let cells = MacroCells::run(grid.chain(parity), SimDuration::from_secs(20));
+        let (peak, sweep) = fig5_tables(&cells);
+        Tables { peak, sweep, fig13c: fig13c_table(&cells, RATE), fig14: fig14_table(&cells, RATE) }
+    })
 }
 
-/// The Smallbank-vs-YCSB overhead: "a drop of ~10% in throughput and ~20%
-/// increase in latency" on the execution-bound platforms — versus H-Store's
-/// 6.6× collapse (Appendix B).
 #[test]
-fn smallbank_costs_blockchains_little_but_hstore_much() {
-    let y = run_macro(Platform::Hyperledger, Macro::Ycsb, 8, 8, 256.0, SimDuration::from_secs(20));
-    let s =
-        run_macro(Platform::Hyperledger, Macro::Smallbank, 8, 8, 256.0, SimDuration::from_secs(20));
-    let drop = 1.0 - s.throughput_tps() / y.throughput_tps();
-    assert!(drop < 0.35, "blockchain smallbank penalty too large: {drop:.2}");
-
-    let hy = bb_hstore::run_ycsb(bb_hstore::HStoreConfig::default(), 50_000, 100_000, 1);
-    let hs = bb_hstore::run_smallbank(bb_hstore::HStoreConfig::default(), 50_000, 100_000, 1);
-    let ratio = hy.tps / hs.tps;
-    assert!((4.0..10.0).contains(&ratio), "h-store penalty: {ratio:.1}x");
-    // And the database is still more than an order of magnitude faster.
-    assert!(hs.tps > 10.0 * y.throughput_tps(), "h-store {} vs fabric {}", hs.tps, y.throughput_tps());
+fn hyperledger_wins_both_macro_benchmarks() -> Result<(), String> {
+    claims::fig5_fabric_beats_ethereum_beats_parity(&tables().peak)
 }
 
-/// "Ethereum and Parity are more resilient to node failures" — and PBFT at
-/// n=12 cannot survive 4 crashes (Figure 9).
-///
-/// The post-crash window is 60 s (vs 30 s pre-crash) and the assertions
-/// compare *rates*: PoW block arrivals are exponential with a ~6.5 s
-/// network mean after the crash, so a 30 s window can legitimately catch
-/// a double-length gap and read as a stall on an unlucky seed.
 #[test]
-fn crash_tolerance_split() {
-    let run_with_crashes = |platform: Platform| -> (u64, u64) {
-        let mut plan = ChaosPlan::new();
-        for i in 8..12 {
-            plan = plan.at(SimDuration::from_secs(30), Fault::Crash(NodeId(i)));
-        }
-        let mut chain = platform.build(12);
-        let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(8).as_mut(), 8, 5.0, 90, &plan);
-        let committed_at = |sec: usize| run.series[sec - 1].1;
-        (committed_at(30), committed_at(90) - committed_at(30))
-    };
-    // pre counts 30 s, post counts 60 s: "post rate > pre rate / 4" is
-    // `post > pre / 2` in raw counts (and `<` for the PBFT stall).
-    let (eth_pre, eth_post) = run_with_crashes(Platform::Ethereum);
-    assert!(eth_pre > 0 && eth_post > eth_pre / 2, "ethereum stalled: {eth_pre}/{eth_post}");
-    let (par_pre, par_post) = run_with_crashes(Platform::Parity);
-    assert!(par_pre > 0 && par_post > par_pre / 2, "parity stalled: {par_pre}/{par_post}");
-    let (fab_pre, fab_post) = run_with_crashes(Platform::Hyperledger);
-    assert!(fab_pre > 0, "fabric never started");
-    assert!(
-        fab_post < fab_pre / 2,
-        "12-node fabric survived 4 crashes: {fab_pre}/{fab_post}"
-    );
+fn parity_throughput_is_flat_in_offered_load() -> Result<(), String> {
+    claims::fig5_parity_flat_in_offered_load(&tables().sweep, &[64.0, RATE, 512.0])
 }
 
-/// "...but they are vulnerable to security attacks that fork the
-/// blockchain" (Figure 10): partitions fork PoW/PoA, never PBFT.
 #[test]
-fn partition_forks_pow_and_poa_only() {
-    let attack = |platform: Platform| -> f64 {
-        let mut chain = platform.build(8);
-        chain.advance_to(SimTime::from_secs(10));
-        chain.inject(Fault::PartitionHalf { left: 4 });
-        chain.advance_to(SimTime::from_secs(60));
-        chain.inject(Fault::Heal);
-        chain.advance_to(SimTime::from_secs(100));
-        fork_ratio(&chain.stats())
-    };
-    let eth = attack(Platform::Ethereum);
-    let par = attack(Platform::Parity);
-    let fab = attack(Platform::Hyperledger);
-    assert!(eth < 0.9, "ethereum barely forked: {eth}");
-    assert!(par < 0.9, "parity barely forked: {par}");
-    assert!((fab - 1.0).abs() < 1e-9, "hyperledger forked: {fab}");
+fn donothing_isolates_the_bottleneck() -> Result<(), String> {
+    claims::fig13c_donothing_isolates_the_bottleneck(&tables().fig13c)
 }
 
-/// Consensus is the gap for Ethereum/Hyperledger; signing for Parity
-/// (Figure 13c): DoNothing ≈ YCSB on Parity; DoNothing > YCSB on Ethereum.
 #[test]
-fn donothing_isolates_the_bottleneck() {
-    let p_do = run_macro(Platform::Parity, Macro::DoNothing, 8, 8, 256.0, SimDuration::from_secs(20));
-    let p_y = run_macro(Platform::Parity, Macro::Ycsb, 8, 8, 256.0, SimDuration::from_secs(20));
-    let rel = (p_do.throughput_tps() - p_y.throughput_tps()).abs() / p_y.throughput_tps();
-    assert!(rel < 0.15, "parity workloads differ: {rel:.2}");
+fn smallbank_costs_blockchains_little_but_hstore_much() -> Result<(), String> {
+    claims::fig14_smallbank_costs_blockchains_little_but_hstore_much(&tables().fig14)
+}
 
-    let e_do =
-        run_macro(Platform::Ethereum, Macro::DoNothing, 8, 8, 256.0, SimDuration::from_secs(20));
-    let e_y = run_macro(Platform::Ethereum, Macro::Ycsb, 8, 8, 256.0, SimDuration::from_secs(20));
-    assert!(
-        e_do.throughput_tps() > e_y.throughput_tps() * 1.02,
-        "ethereum DoNothing not cheaper: {} vs {}",
-        e_do.throughput_tps(),
-        e_y.throughput_tps()
-    );
+fn results(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name)
+}
+
+fn csv(name: &str) -> Result<Table, String> {
+    Table::read_csv(&results(name))
+}
+
+/// Figure 9 over its committed CSV (it runs live in `exp_fault`): PoW and
+/// PoA survive 4 crashes, PBFT stalls at 12 servers.
+#[test]
+fn crash_tolerance_split() -> Result<(), String> {
+    let (window, fail_at, _) = fig9_args(&Scale::quick());
+    claims::fig9_pbft12_stalls_pbft16_and_pow_survive(&csv("fig9_crash.csv")?, window, fail_at)
+}
+
+/// Figure 10 over its committed CSV (it runs live in `exp_fault`).
+#[test]
+fn partition_forks_pow_and_poa_only() -> Result<(), String> {
+    let (window, ..) = fig10_args(&Scale::quick());
+    claims::fig10_partition_forks_pow_and_poa_never_pbft(&csv("fig10_partition.csv")?, window)
+}
+
+/// Every claim over the CSVs `figures all` wrote at quick scale, with the
+/// arguments `figures` ran each figure at.
+#[test]
+fn claims_hold_over_committed_csvs() -> Result<(), String> {
+    use claims::*;
+    let quick = Scale::quick();
+    fig5_fabric_beats_ethereum_beats_parity(&csv("fig5_peak.csv")?)?;
+    fig5_parity_flat_in_offered_load(&csv("fig5_sweep.csv")?, &quick.rates)?;
+    crash_tolerance_split()?;
+    let (window, fail_at, restart_at, _) = fig9_restart_args(&quick);
+    fig9_restart_rejoins_and_recovers(&csv("fig9_restart.csv")?, window, fail_at, restart_at)?;
+    let (window, fail_at, restart_at, _) = fig9_snapshot_args(&quick);
+    let t = csv("fig9_snapshot.csv")?;
+    fig9_snapshot_recovers_at_least_as_fast_as_replay(&t, window, fail_at, restart_at)?;
+    partition_forks_pow_and_poa_only()?;
+    fig11_ethereum_ooms_hyperledger_finishes(&csv("fig11_cpuheavy.csv")?, &quick.cpu_sizes)?;
+    fig13b_fabric_q2_needs_one_round_trip(&csv("fig13b_q2.csv")?, &quick.analytics_spans)?;
+    fig13c_donothing_isolates_the_bottleneck(&csv("fig13c_donothing.csv")?)?;
+    fig14_smallbank_costs_blockchains_little_but_hstore_much(&csv("fig14_hstore.csv")?)?;
+    let difficulty = csv("ablation_difficulty.csv")?;
+    fig8_ethereum_degrades_with_size_but_survives(&difficulty)?;
+    ablation_a_unbounded_channel_prevents_the_collapse(&csv("ablation_channel.csv")?)?;
+    ablation_b_flat_difficulty_removes_ethereum_decay(&difficulty)?;
+    ablation_c_cheaper_signing_unlocks_parity(&csv("ablation_signing.csv")?)?;
+    ablation_d_executor_speedup_degrades_gracefully(&csv("ablation_conflict.csv")?)?;
+    let chaos = csv("fig_chaos.csv")?;
+    fig_chaos_covers_every_cell(&chaos)?;
+    fig_chaos_every_cell_is_live(&chaos)?;
+    fig_chaos_every_cell_is_safe(&chaos)?;
+    fig_chaos_mechanisms_fired(&chaos)
+}
+
+/// A claim is not vacuous over the CSVs: Figure 5's peak table with the
+/// Hyperledger and Parity rows swapped fails it.
+#[test]
+fn a_doctored_csv_fails_its_claim() {
+    let text = std::fs::read_to_string(results("fig5_peak.csv")).unwrap();
+    let swapped = text.replace("parity", "@").replace("hyperledger", "parity");
+    let swapped = swapped.replace('@', "hyperledger");
+    let path = std::env::temp_dir().join(format!("bb_doctored_fig5_{}.csv", std::process::id()));
+    std::fs::write(&path, swapped).unwrap();
+    let doctored = Table::read_csv(&path);
+    let _ = std::fs::remove_file(&path);
+    let err = claims::fig5_fabric_beats_ethereum_beats_parity(&doctored.unwrap()).unwrap_err();
+    assert!(err.contains("hyperledger"), "{err}");
 }
