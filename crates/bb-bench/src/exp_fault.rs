@@ -11,7 +11,7 @@ use crate::table::{num, Table};
 use bb_sim::SimDuration;
 use bb_types::NodeId;
 use blockbench::connector::{Fault, PlatformStats};
-use blockbench::{run_timeline, ChaosPlan};
+use blockbench::{fork_ratio, run_timeline, ChaosPlan};
 
 /// The tables' sampling period in seconds: rows at t = 1, 1 + 5, ...
 pub(crate) const SAMPLE_EVERY: usize = 5;
@@ -220,14 +220,12 @@ pub fn fig10(window_secs: u64, partition_at: u64, partition_secs: u64, rate: f64
     });
     for (platform, series) in ALL_PLATFORMS.into_iter().zip(results) {
         for (sec, _, stats) in series.iter().step_by(SAMPLE_EVERY) {
-            let (total, main) = (stats.blocks_total, stats.blocks_main);
-            let ratio = if total == 0 { 1.0 } else { main as f64 / total as f64 };
             t.row(vec![
                 platform.name().into(),
                 format!("{sec}"),
-                format!("{total}"),
-                format!("{main}"),
-                num(ratio),
+                format!("{}", stats.blocks_total),
+                format!("{}", stats.blocks_main),
+                num(fork_ratio(stats)),
             ]);
         }
     }

@@ -10,7 +10,9 @@
 use crate::asm::{
     load_word_or_zero, make_key_from_arg, push_arg_word, return_word, revert_empty, store_word,
 };
-use blockbench::contract::{encode_call, Chaincode, ChaincodeContext, ContractBundle, SvmContract};
+use blockbench::contract::{
+    decode_call, encode_call, Chaincode, ChaincodeContext, ContractBundle, SvmContract,
+};
 
 /// `send_payment(from, to, amount)`: move checking funds; reverts when the
 /// sender's checking balance is insufficient.
@@ -110,15 +112,19 @@ fn svm_write_check() -> String {
     )
 }
 
+/// The destination is read only after `a` is zeroed, so `amalgamate(a, a)`
+/// leaves `a` with exactly its own funds; the sum rides on the stack.
 fn svm_amalgamate() -> String {
     format!(
         "{k_sav}{load_sav}\
          {k_chk}{load_chk}\
-         {k_dst}{load_dst}\
-         push {B3}\nmload\npush {B1}\nmload\nadd\npush {B2}\nmload\nadd\npush {B3}\nmstore\n\
+         push {B1}\nmload\npush {B2}\nmload\nadd\n\
          push 0\npush {B1}\nmstore\n\
          push 0\npush {B2}\nmstore\n\
-         {store_sav}{store_chk}{store_dst}\
+         {store_sav}{store_chk}\
+         {k_dst}{load_dst}\
+         push {B3}\nmload\nadd\npush {B3}\nmstore\n\
+         {store_dst}\
          stop\n",
         k_sav = make_key_from_arg(NS_SAVINGS, 0, K1, SCR),
         load_sav = load_word_or_zero(K1, B1, "sav"),
@@ -215,9 +221,9 @@ impl Chaincode for SmallbankNative {
                 let a = arg_word(args, 0)? as u64;
                 let b = arg_word(args, 1)? as u64;
                 let total = Self::read(ctx, NS_SAVINGS, a) + Self::read(ctx, NS_CHECKING, a);
-                let dst = Self::read(ctx, NS_CHECKING, b);
                 Self::write(ctx, NS_SAVINGS, a, 0);
                 Self::write(ctx, NS_CHECKING, a, 0);
+                let dst = Self::read(ctx, NS_CHECKING, b);
                 Self::write(ctx, NS_CHECKING, b, dst + total);
                 Ok(Vec::new())
             }
@@ -284,6 +290,20 @@ pub fn amalgamate_call(a: u64, b: u64) -> Vec<u8> {
 /// `query` payload.
 pub fn query_call(acct: u64) -> Vec<u8> {
     encode_call(M_QUERY, &(acct as i64).to_le_bytes())
+}
+
+/// What `payload` adds to the bank's total, savings plus checking over every
+/// account, when it commits: `deposit_checking` and `transact_savings` add
+/// their amount, `write_check` takes its amount out, and every other
+/// procedure only moves money or reads it.
+pub fn net_deposit(payload: &[u8]) -> i64 {
+    let Some((method, args)) = decode_call(payload) else { return 0 };
+    let amount = || arg_word(args, 1).unwrap_or(0);
+    match method {
+        M_DEPOSIT_CHECKING | M_TRANSACT_SAVINGS => amount(),
+        M_WRITE_CHECK => -amount(),
+        _ => 0,
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +387,28 @@ mod tests {
     }
 
     #[test]
+    fn self_amalgamate_conserves_funds() {
+        let b = bundle();
+        let mut r = DualRunner::new(&b);
+        r.invoke_both(&transact_savings_call(8, 60)).unwrap();
+        r.invoke_both(&deposit_checking_call(8, 40)).unwrap();
+        r.invoke_both(&amalgamate_call(8, 8)).unwrap();
+        assert_eq!(total(&mut r, 8), 100);
+        r.assert_states_match();
+    }
+
+    #[test]
+    fn net_deposit_counts_only_what_enters_or_leaves_the_bank() {
+        assert_eq!(net_deposit(&deposit_checking_call(1, 30)), 30);
+        assert_eq!(net_deposit(&transact_savings_call(1, -15)), -15);
+        assert_eq!(net_deposit(&write_check_call(1, 25)), -25);
+        assert_eq!(net_deposit(&send_payment_call(1, 2, 30)), 0);
+        assert_eq!(net_deposit(&amalgamate_call(1, 2)), 0);
+        assert_eq!(net_deposit(&query_call(1)), 0);
+        assert_eq!(net_deposit(&[]), 0);
+    }
+
+    #[test]
     fn self_payment_is_neutral() {
         let b = bundle();
         let mut r = DualRunner::new(&b);
@@ -378,7 +420,8 @@ mod tests {
 }
 
 /// Seeded procedure mixes, reverts included: the SVM and native backends end
-/// with identical state and answer every balance query alike.
+/// with identical state, answer every balance query alike, and hold exactly
+/// the `net_deposit` of the calls that committed.
 #[cfg(test)]
 mod seeded_props {
     use super::*;
@@ -388,9 +431,10 @@ mod seeded_props {
     #[test]
     fn backends_stay_equivalent_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_000B);
-        for i in 0..20 {
+        for i in 0..60 {
             let b = bundle();
             let mut r = DualRunner::new(&b);
+            let mut deposited = 0;
             for _ in 0..rng.range(1, 40) {
                 let a = rng.below(6);
                 let bacct = rng.below(6);
@@ -402,13 +446,19 @@ mod seeded_props {
                     3 => write_check_call(a, amt),
                     _ => amalgamate_call(a, bacct),
                 };
-                let _ = r.invoke_both(&payload); // reverts must match too
+                // Reverts must match too, and move nothing.
+                if r.invoke_both(&payload).is_ok() {
+                    deposited += net_deposit(&payload);
+                }
             }
             r.assert_states_match();
+            let mut held = 0;
             for a in 0..6u64 {
                 let (svm, native) = r.invoke_both(&query_call(a)).unwrap();
                 assert_eq!(svm, native, "case {i}");
+                held += i64::from_le_bytes(svm.try_into().unwrap());
             }
+            assert_eq!(held, deposited, "case {i}: the bank's total drifted");
         }
     }
 }

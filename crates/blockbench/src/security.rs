@@ -18,11 +18,6 @@ pub fn fork_ratio(stats: &PlatformStats) -> f64 {
     stats.blocks_main as f64 / stats.blocks_total as f64
 }
 
-/// Blocks stranded off the main chain — the attacker's window.
-pub fn stale_blocks(stats: &PlatformStats) -> u64 {
-    stats.blocks_total.saturating_sub(stats.blocks_main)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,14 +25,12 @@ mod tests {
     #[test]
     fn no_blocks_is_safe() {
         assert_eq!(fork_ratio(&PlatformStats::default()), 1.0);
-        assert_eq!(stale_blocks(&PlatformStats::default()), 0);
     }
 
     #[test]
     fn fork_ratio_counts_stale_blocks() {
         let s = PlatformStats { blocks_total: 100, blocks_main: 70, ..Default::default() };
         assert!((fork_ratio(&s) - 0.7).abs() < 1e-9);
-        assert_eq!(stale_blocks(&s), 30);
     }
 
     #[test]

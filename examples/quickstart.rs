@@ -14,6 +14,7 @@ use bb_sim::SimDuration;
 use bb_workloads::ycsb::YcsbConfig;
 use bb_workloads::YcsbWorkload;
 use blockbench::driver::{run_workload, DriverConfig};
+use blockbench::BlockchainConnector;
 
 fn main() {
     // 1. Pick a platform (any `BlockchainConnector` works here).
@@ -41,7 +42,7 @@ fn main() {
     );
 
     // 4. Read the results.
-    println!("platform:   {}", "hyperledger");
+    println!("platform:   {}", chain.name());
     println!("{}", stats.summary_line());
     println!(
         "blocks:     {} on the main chain, {} transactions committed",

@@ -208,6 +208,28 @@ if git grep -n split_whitespace -- crates/bb-bench/src; then
     exit 1
 fi
 
+echo "==> books: Smallbank conserves money on both backends and every platform"
+# A Smallbank procedure changes the bank's total only by its
+# `smallbank::net_deposit`. The contract tests check that on the SVM and
+# native builds side by side; the platform test runs the workload on all
+# three platforms and checks that the accounts on every replica hold the
+# opening float plus the net of every committed transaction.
+smoke -p bb-contracts smallbank
+smoke -p bb-bench --test cross_platform smallbank_books
+
+echo "==> quickstart: README's first command runs, and it is the only example"
+# Experiments run through `figures`; `examples/` holds the one program
+# README starts with, and nothing else.
+cargo run -q --release --offline -p bb-bench --example quickstart
+if [ "$(ls examples)" != "quickstart.rs" ]; then
+    echo "ERROR: examples/ holds more than quickstart.rs: $(ls examples | tr '\n' ' ')" >&2
+    exit 1
+fi
+if [ "$(grep -c '^\[\[example\]\]' crates/bb-bench/Cargo.toml)" != 1 ]; then
+    echo "ERROR: crates/bb-bench/Cargo.toml declares more than one [[example]]" >&2
+    exit 1
+fi
+
 echo "==> figures: an unknown figure name is a usage error, not a silent no-op"
 status=0; ./target/release/figures nosuchfig 2>/dev/null || status=$?
 if [ "$status" -ne 2 ]; then

@@ -301,3 +301,126 @@ fn restart_preserves_every_node_counter() {
         }
     }
 }
+
+/// Smallbank with a ledger of its own: the height its set-up left the
+/// chain at, and what each transaction it signs adds to the bank's total if
+/// it commits. A transaction the platform refused leaves the ledger.
+struct Ledger {
+    workload: bb_workloads::SmallbankWorkload,
+    preload_height: u64,
+    signed: std::collections::HashMap<bb_types::TxId, i64>,
+    last: Option<bb_types::Transaction>,
+}
+
+impl blockbench::WorkloadConnector for Ledger {
+    fn name(&self) -> &'static str {
+        self.workload.name()
+    }
+    fn setup(&mut self, chain: &mut dyn blockbench::BlockchainConnector) {
+        self.workload.setup(chain);
+        self.preload_height = chain.committed_chain(bb_types::NodeId(0)).len() as u64;
+    }
+    fn next_transaction(&mut self, client: bb_types::ClientId) -> bb_types::Transaction {
+        let tx = self.workload.next_transaction(client);
+        let net = bb_contracts::smallbank::net_deposit(&tx.payload);
+        assert!(self.signed.insert(tx.id(), net).is_none(), "{:?} signed twice", tx.id());
+        self.last = Some(tx.clone());
+        tx
+    }
+    fn on_rejected(&mut self, client: bb_types::ClientId) {
+        self.signed.remove(&self.last.as_ref().expect("a submission was refused").id());
+        self.workload.on_rejected(client)
+    }
+}
+
+/// Smallbank's books balance on every replica of every platform. Set-up
+/// preloads 200 accounts with 100 000 each; the workload runs; then the
+/// chain advances with no new load until every accepted transaction is
+/// confirmed and the cross-node check covers the last block holding one.
+/// Then (a) the accounts hold exactly the opening float plus the
+/// `net_deposit` of every transaction that committed successfully; (b) no
+/// id is confirmed twice; (c) every confirmed id is a preload deposit or was
+/// signed by the workload; (d) all four replicas agree on every block and
+/// state root up to there, so (a) holds on each of them.
+#[test]
+fn smallbank_books_balance_on_every_platform() {
+    use bb_bench::exp_chaos::Scenario;
+    use bb_contracts::smallbank;
+    use bb_types::NodeId;
+    use bb_workloads::smallbank::{SmallbankConfig, SmallbankWorkload};
+    use blockbench::driver::{run_workload, DriverConfig};
+    use blockbench::{check_chains, Query};
+    use std::collections::HashSet;
+
+    const ACCOUNTS: u64 = 200;
+    const OPENING: i64 = 100_000;
+    let config = DriverConfig {
+        clients: 4,
+        rate_per_client: 100.0,
+        duration: SimDuration::from_secs(20),
+        poll_interval: SimDuration::from_millis(500),
+        drain: SimDuration::from_secs(10),
+    };
+    for platform in ALL_PLATFORMS {
+        let name = platform.name();
+        let mut chain = platform.build(4);
+        let workload = SmallbankWorkload::new(SmallbankConfig {
+            accounts: ACCOUNTS,
+            preload_accounts: ACCOUNTS,
+            opening_balance: OPENING,
+            ..SmallbankConfig::default()
+        });
+        let mut ledger =
+            Ledger { workload, preload_height: 0, signed: Default::default(), last: None };
+        run_workload(chain.as_mut(), &mut ledger, &config);
+
+        let deadline = chain.now() + SimDuration::from_secs(120);
+        let (confirmed, checked) = loop {
+            let blocks = chain.confirmed_blocks_since(0);
+            let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
+            let checked = check_chains(&chains, Scenario::tip_tolerance(platform))
+                .unwrap_or_else(|v| panic!("(d) {name}: {v}"));
+            let count: usize = blocks.iter().map(|b| b.txs.len()).sum();
+            let last = blocks.iter().rev().find(|b| !b.txs.is_empty()).map_or(0, |b| b.height);
+            if count as u64 >= ACCOUNTS + ledger.signed.len() as u64 && checked >= last {
+                break (blocks, checked);
+            }
+            assert!(
+                chain.now() < deadline,
+                "{name}: {count} transactions confirmed, {checked} of {last} heights checked"
+            );
+            chain.advance_to(chain.now() + SimDuration::from_secs(1));
+        };
+        assert!(checked > ledger.preload_height, "(d) {name}: the cross-node check was vacuous");
+
+        let mut seen = HashSet::new();
+        let (mut preloaded, mut expected) = (0, ACCOUNTS as i64 * OPENING);
+        for block in &confirmed {
+            for &(id, ok) in &block.txs {
+                assert!(seen.insert(id), "(b) {name}: {id:?} confirmed twice");
+                if block.height <= ledger.preload_height {
+                    assert!(ok, "{name}: a preload deposit failed");
+                    preloaded += 1;
+                } else {
+                    let net = ledger.signed.get(&id);
+                    let net = net.unwrap_or_else(|| panic!("(c) {name}: {id:?} was never signed"));
+                    if ok {
+                        expected += net;
+                    }
+                }
+            }
+        }
+        assert_eq!(preloaded, ACCOUNTS, "{name}: the preload is not the opening float");
+        assert_eq!(seen.len() as u64, ACCOUNTS + ledger.signed.len() as u64, "{name}: lost a tx");
+
+        let bank = ledger.last.expect("the workload signed a transaction").to;
+        let held: i64 = (0..ACCOUNTS)
+            .map(|a| {
+                let q = Query::Contract { address: bank, payload: smallbank::query_call(a) };
+                let r = chain.query(&q).unwrap_or_else(|e| panic!("{name}: account {a}: {e}"));
+                i64::from_le_bytes(r.data.try_into().expect("an 8-byte balance"))
+            })
+            .sum();
+        assert_eq!(held, expected, "(a) {name}: the books do not balance");
+    }
+}
