@@ -21,7 +21,10 @@ use bb_bench::exp_fault::{
     fig10, fig10_args, fig9, fig9_args, fig9_restart, fig9_restart_args, fig9_snapshot,
     fig9_snapshot_args,
 };
-use bb_bench::exp_macro::{fig13c, fig14, fig15, fig16, fig17, fig18, fig5, fig6, Macro};
+use bb_bench::exp_macro::{
+    fig13c, fig13c_grid, fig14, fig14_grid, fig15, fig16, fig16_grid, fig17, fig17_grid, fig18,
+    fig5, fig5_grid, fig6, fig6_grid, Macro, MacroCells, MacroKey,
+};
 use bb_bench::exp_micro::{fig11, fig12, fig13ab};
 use bb_bench::exp_saturation::fig_saturation;
 use bb_bench::exp_scale::{fig7, fig8};
@@ -34,6 +37,9 @@ const FIGURES: [&str; 19] = [
     "fig5", "fig6", "fig7", "fig8", "fig9", "fig9r", "fig10", "fig11", "fig12", "fig13", "fig14",
     "fig15", "fig16", "fig17", "fig18", "fig19", "fig_saturation", "fig_chaos", "ablations",
 ];
+
+/// The cells an 8×8 figure reads at a scale.
+type Grid = fn(&Scale) -> Vec<MacroKey>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,13 +79,26 @@ fn main() {
         scale.duration.as_secs_f64()
     );
 
+    // The 8×8 figures are views of one cell set: the union of the wanted
+    // figures' grids, each distinct cell run once.
+    let grids: [(&str, Grid); 6] = [
+        ("fig5", fig5_grid),
+        ("fig6", fig6_grid),
+        ("fig13", fig13c_grid),
+        ("fig14", fig14_grid),
+        ("fig16", fig16_grid),
+        ("fig17", fig17_grid),
+    ];
+    let wanted_grids = grids.into_iter().filter(|&(name, _)| want(name));
+    let cells = MacroCells::run(wanted_grids.flat_map(|(_, grid)| grid(&scale)));
+
     if want("fig5") {
-        let (peak, sweep) = fig5(&scale);
+        let (peak, sweep) = fig5(&cells, &scale);
         emit(&peak, "fig5_peak.csv");
         emit(&sweep, "fig5_sweep.csv");
     }
     if want("fig6") {
-        emit(&fig6(&scale), "fig6_queues.csv");
+        emit(&fig6(&cells, &scale), "fig6_queues.csv");
     }
     if want("fig7") {
         emit(&fig7(&scale, Macro::Ycsb), "fig7_scalability_ycsb.csv");
@@ -111,19 +130,19 @@ fn main() {
         let (q1, q2) = fig13ab(&scale);
         emit(&q1, "fig13a_q1.csv");
         emit(&q2, "fig13b_q2.csv");
-        emit(&fig13c(&scale), "fig13c_donothing.csv");
+        emit(&fig13c(&cells, &scale), "fig13c_donothing.csv");
     }
     if want("fig14") {
-        emit(&fig14(&scale), "fig14_hstore.csv");
+        emit(&fig14(&cells, &scale), "fig14_hstore.csv");
     }
     if want("fig15") {
         emit(&fig15(&scale), "fig15_blocksize.csv");
     }
     if want("fig16") {
-        emit(&fig16(&scale), "fig16_utilisation.csv");
+        emit(&fig16(&cells, &scale), "fig16_utilisation.csv");
     }
     if want("fig17") {
-        emit(&fig17(&scale), "fig17_latency_cdf.csv");
+        emit(&fig17(&cells, &scale), "fig17_latency_cdf.csv");
     }
     if want("fig18") {
         emit(&fig18(&scale), "fig18_queue_20x20.csv");

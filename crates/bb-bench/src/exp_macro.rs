@@ -84,45 +84,71 @@ pub fn run_macro(
     )
 }
 
-/// 8-server × 8-client macro cells, each `(platform, workload, rate/client)`
-/// run once over one window, in grid order. Figures 5, 6, 13c, 14, 16 and 17
-/// are views of such a set.
-pub struct MacroCells(Vec<((Platform, Macro, f64), RunStats)>);
+/// One 8-server × 8-client macro cell: everything [`run_macro`] is given
+/// besides the 8 × 8 — platform, workload, rate per client and window.
+pub type MacroKey = (Platform, Macro, f64, SimDuration);
+
+/// 8-server × 8-client macro cells, each key run once, in the order the keys
+/// first appear. Figures 5, 6, 13c, 14, 16 and 17 are views of one such set:
+/// each has a grid function listing the keys it reads and a table function
+/// over the set, so a run of several figures runs the union of their grids.
+pub struct MacroCells(Vec<(MacroKey, RunStats)>);
 
 impl MacroCells {
-    /// Run every cell of `grid` (no two alike) for `dur`.
-    pub fn run(grid: impl IntoIterator<Item = (Platform, Macro, f64)>, dur: SimDuration) -> Self {
-        let keys: Vec<_> = grid.into_iter().collect();
-        // The cells share 8 nodes × one duration; the request rate is what
-        // separates a 5-second world from a 50-second one, so it goes into
+    /// Run every distinct key of `keys` once, in one scatter. Repeats are
+    /// run once, so a union of grids may be passed as it is.
+    pub fn run(keys: impl IntoIterator<Item = MacroKey>) -> Self {
+        let keys = distinct(keys);
+        // The cells share 8 nodes; the window and the request rate are what
+        // separate a 5-second world from a 50-second one, so both go into
         // the hint.
-        let hint = |rate: f64| cost_hint(8, dur).saturating_mul(rate as u64 + 1);
-        let cells = keys.iter().map(|&(p, w, rate)| (hint(rate), (p, w, rate))).collect();
-        let stats = map_cells_hinted(cells, move |(platform, workload, rate)| {
-            run_macro(platform, workload, 8, 8, rate, dur)
+        let hint = |(_, _, rate, window): MacroKey| {
+            cost_hint(8, window).saturating_mul(rate as u64 + 1)
+        };
+        let cells = keys.iter().map(|&key| (hint(key), key)).collect();
+        let stats = map_cells_hinted(cells, |(platform, workload, rate, window)| {
+            run_macro(platform, workload, 8, 8, rate, window)
         });
         MacroCells(keys.into_iter().zip(stats).collect())
     }
 
-    /// Every platform × `workloads` × `rates`, run for `duration`.
-    fn grid(workloads: &[Macro], rates: &[f64], duration: SimDuration) -> Self {
-        let grid = ALL_PLATFORMS.into_iter().flat_map(|p| {
-            workloads.iter().flat_map(move |&w| rates.iter().map(move |&r| (p, w, r)))
+    /// The rates `platform` ran `workload` at over `window`, with their
+    /// stats, in set order.
+    fn rates(
+        &self,
+        platform: Platform,
+        workload: Macro,
+        window: SimDuration,
+    ) -> impl Iterator<Item = (f64, &RunStats)> {
+        let cells = self.0.iter().filter(move |((p, w, _, win), _)| {
+            (*p, *w, *win) == (platform, workload, window)
         });
-        MacroCells::run(grid, duration)
-    }
-
-    /// The rates `platform` ran `workload` at, with their stats, in grid order.
-    fn rates(&self, platform: Platform, workload: Macro) -> impl Iterator<Item = (f64, &RunStats)> {
-        let cells = self.0.iter().filter(move |((p, w, _), _)| (*p, *w) == (platform, workload));
-        cells.map(|((_, _, rate), stats)| (*rate, stats))
+        cells.map(|((_, _, rate, _), stats)| (*rate, stats))
     }
 
     /// The stats of one cell.
-    fn get(&self, platform: Platform, workload: Macro, rate: f64) -> &RunStats {
-        let mut cell = self.rates(platform, workload).filter(|&(r, _)| r == rate);
-        cell.next().expect("cell in the set").1
+    fn get(&self, key: MacroKey) -> &RunStats {
+        &self.0.iter().find(|(k, _)| *k == key).expect("cell in the set").1
     }
+}
+
+/// `keys` without repeats, each where it first appears.
+fn distinct(keys: impl IntoIterator<Item = MacroKey>) -> Vec<MacroKey> {
+    let mut out: Vec<MacroKey> = Vec::new();
+    for key in keys {
+        if !out.contains(&key) {
+            out.push(key);
+        }
+    }
+    out
+}
+
+/// Every platform × `workloads` × `rates` over `window`, in that nesting.
+fn grid(workloads: &[Macro], rates: &[f64], window: SimDuration) -> Vec<MacroKey> {
+    let keys = ALL_PLATFORMS.into_iter().flat_map(|p| {
+        workloads.iter().flat_map(move |&w| rates.iter().map(move |&r| (p, w, r, window)))
+    });
+    keys.collect()
 }
 
 /// The last (saturating) rate of `scale`'s sweep.
@@ -130,14 +156,19 @@ fn top_rate(scale: &Scale) -> f64 {
     *scale.rates.last().expect("rates nonempty")
 }
 
-/// Figure 5: throughput and latency at 8 servers × 8 clients, with the
-/// request-rate sweep. Returns (peak table, sweep table).
-pub fn fig5(scale: &Scale) -> (Table, Table) {
-    fig5_tables(&MacroCells::grid(&[Macro::Ycsb, Macro::Smallbank], &scale.rates, scale.duration))
+/// The two workloads of Figures 5, 14 and 17.
+const YCSB_SMALLBANK: [Macro; 2] = [Macro::Ycsb, Macro::Smallbank];
+
+/// Figure 5's cells: YCSB and Smallbank at every rate of `scale`'s sweep.
+pub fn fig5_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&YCSB_SMALLBANK, &scale.rates, scale.duration)
 }
 
-/// Figure 5's (peak, sweep) tables over the YCSB and Smallbank rows of `cells`.
-pub fn fig5_tables(cells: &MacroCells) -> (Table, Table) {
+/// Figure 5: throughput and latency at 8 servers × 8 clients, with the
+/// request-rate sweep. Reads every YCSB and Smallbank cell of `cells` at
+/// `scale`'s window: [`fig5_grid`]'s, and any other rate the set holds
+/// there. Returns (peak table, sweep table).
+pub fn fig5(cells: &MacroCells, scale: &Scale) -> (Table, Table) {
     let mut peak = Table::new(
         "Figure 5a: peak performance (8 servers, 8 clients)",
         &["platform", "workload", "peak tx/s", "latency s (mean)", "p99 s"],
@@ -147,9 +178,9 @@ pub fn fig5_tables(cells: &MacroCells) -> (Table, Table) {
         &["platform", "workload", "rate/client", "tx/s", "latency s"],
     );
     for platform in ALL_PLATFORMS {
-        for workload in [Macro::Ycsb, Macro::Smallbank] {
+        for workload in YCSB_SMALLBANK {
             let mut best: Option<&RunStats> = None;
-            for (rate, stats) in cells.rates(platform, workload) {
+            for (rate, stats) in cells.rates(platform, workload, scale.duration) {
                 sweep.row(vec![
                     platform.name().into(),
                     workload.name().into(),
@@ -174,19 +205,21 @@ pub fn fig5_tables(cells: &MacroCells) -> (Table, Table) {
     (peak, sweep)
 }
 
+/// Figure 6's cells: YCSB at 8 tx/s and 512 tx/s per client.
+pub fn fig6_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&[Macro::Ycsb], &[8.0, 512.0], scale.duration)
+}
+
 /// Figure 6: client request-queue length over time at 8 tx/s and 512 tx/s
 /// per client.
-pub fn fig6(scale: &Scale) -> Table {
+pub fn fig6(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 6: outstanding-queue length over time (8 servers, 8 clients)",
         &["platform", "rate/client", "t (s)", "queue"],
     );
-    let cells = MacroCells::grid(&[Macro::Ycsb], &[8.0, 512.0], scale.duration);
-    for platform in ALL_PLATFORMS {
-        for (rate, stats) in cells.rates(platform, Macro::Ycsb) {
-            for &(at, q) in stats.queue_timeline.points().iter().step_by(10) {
-                t.row(vec![platform.name().into(), num(rate), num(at.as_secs_f64()), num(q)]);
-            }
+    for key @ (platform, _, rate, _) in fig6_grid(scale) {
+        for &(at, q) in cells.get(key).queue_timeline.points().iter().step_by(10) {
+            t.row(vec![platform.name().into(), num(rate), num(at.as_secs_f64()), num(q)]);
         }
     }
     t
@@ -195,22 +228,23 @@ pub fn fig6(scale: &Scale) -> Table {
 /// The three macro workloads in Figure 13c's column order.
 const FIG13C_WORKLOADS: [Macro; 3] = [Macro::Smallbank, Macro::Ycsb, Macro::DoNothing];
 
-/// Figure 13c: DoNothing vs YCSB vs Smallbank throughput — the consensus
-/// layer's share of the stack cost.
-pub fn fig13c(scale: &Scale) -> Table {
-    let rate = top_rate(scale);
-    fig13c_table(&MacroCells::grid(&FIG13C_WORKLOADS, &[rate], scale.duration), rate)
+/// Figure 13c's cells: its three workloads at `scale`'s saturating rate.
+pub fn fig13c_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&FIG13C_WORKLOADS, &[top_rate(scale)], scale.duration)
 }
 
-/// Figure 13c's table over the `rate` cells of `cells`.
-pub fn fig13c_table(cells: &MacroCells, rate: f64) -> Table {
+/// Figure 13c: DoNothing vs YCSB vs Smallbank throughput — the consensus
+/// layer's share of the stack cost.
+pub fn fig13c(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 13c: transaction throughput by workload (8x8, saturating rate)",
         &["platform", "Smallbank", "YCSB", "DoNothing"],
     );
+    let (rate, window) = (top_rate(scale), scale.duration);
     for platform in ALL_PLATFORMS {
+        let tps = |w| num(cells.get((platform, w, rate, window)).throughput_tps());
         let mut row = vec![platform.name().to_string()];
-        row.extend(FIG13C_WORKLOADS.map(|w| num(cells.get(platform, w, rate).throughput_tps())));
+        row.extend(FIG13C_WORKLOADS.map(tps));
         t.row(row);
     }
     t
@@ -219,21 +253,20 @@ pub fn fig13c_table(cells: &MacroCells, rate: f64) -> Table {
 /// Figure 14's row label for the H-Store baseline.
 pub(crate) const HSTORE: &str = "h-store";
 
-/// Figure 14 (Appendix B): blockchains vs H-Store.
-pub fn fig14(scale: &Scale) -> Table {
-    let rate = top_rate(scale);
-    let workloads = [Macro::Ycsb, Macro::Smallbank];
-    fig14_table(&MacroCells::grid(&workloads, &[rate], scale.duration), rate)
+/// Figure 14's cells: YCSB and Smallbank at `scale`'s saturating rate.
+pub fn fig14_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&YCSB_SMALLBANK, &[top_rate(scale)], scale.duration)
 }
 
-/// Figure 14's table over the `rate` cells of `cells`, plus the H-Store runs.
-pub fn fig14_table(cells: &MacroCells, rate: f64) -> Table {
+/// Figure 14 (Appendix B): blockchains vs H-Store.
+pub fn fig14(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 14: throughput vs H-Store (tx/s)",
         &["system", "YCSB", "Smallbank"],
     );
+    let (rate, window) = (top_rate(scale), scale.duration);
     for platform in ALL_PLATFORMS {
-        let tps = |w| num(cells.get(platform, w, rate).throughput_tps());
+        let tps = |w| num(cells.get((platform, w, rate, window)).throughput_tps());
         t.row(vec![platform.name().into(), tps(Macro::Ycsb), tps(Macro::Smallbank)]);
     }
     let hy = bb_hstore::run_ycsb(bb_hstore::HStoreConfig::default(), 200_000, 100_000, 1);
@@ -299,21 +332,26 @@ pub fn fig15(scale: &Scale) -> Table {
     t
 }
 
+/// Figure 16's cells: YCSB at `scale`'s saturating rate over at most the
+/// first 100 virtual seconds — at quick scale the same cells as Figure 14's
+/// YCSB column, at `--paper` cells of their own.
+pub fn fig16_grid(scale: &Scale) -> Vec<MacroKey> {
+    let window = scale.duration.min(SimDuration::from_secs(100));
+    grid(&[Macro::Ycsb], &[top_rate(scale)], window)
+}
+
 /// Figure 16 (Appendix B): CPU and network utilisation over the first 100
 /// virtual seconds of a loaded run.
-pub fn fig16(scale: &Scale) -> Table {
+pub fn fig16(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 16: resource utilisation over time (8x8, saturating rate)",
         &["platform", "t (s)", "cpu %", "net Mbps"],
     );
-    let rate = top_rate(scale);
-    let duration = scale.duration.min(SimDuration::from_secs(100));
-    let cells = MacroCells::grid(&[Macro::Ycsb], &[rate], duration);
-    for platform in ALL_PLATFORMS {
-        let stats = cells.get(platform, Macro::Ycsb, rate);
+    for key @ (platform, _, _, window) in fig16_grid(scale) {
+        let stats = cells.get(key);
         let cpu = &stats.platform.cpu_utilisation;
         let net = &stats.platform.net_mbps;
-        for s in (0..duration.as_micros() / 1_000_000).step_by(5) {
+        for s in (0..window.as_micros() / 1_000_000).step_by(5) {
             let s = s as usize;
             t.row(vec![
                 platform.name().into(),
@@ -326,20 +364,20 @@ pub fn fig16(scale: &Scale) -> Table {
     t
 }
 
+/// Figure 17's cells: YCSB and Smallbank at `scale`'s saturating rate.
+pub fn fig17_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&YCSB_SMALLBANK, &[top_rate(scale)], scale.duration)
+}
+
 /// Figure 17 (Appendix B): latency CDFs for YCSB and Smallbank.
-pub fn fig17(scale: &Scale) -> Table {
+pub fn fig17(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 17: latency distribution (CDF), 8x8 at saturating rate",
         &["platform", "workload", "latency s", "cdf"],
     );
-    let rate = top_rate(scale);
-    let workloads = [Macro::Ycsb, Macro::Smallbank];
-    let cells = MacroCells::grid(&workloads, &[rate], scale.duration);
-    for platform in ALL_PLATFORMS {
-        for workload in workloads {
-            for (value, p) in cells.get(platform, workload, rate).latencies.cdf(20) {
-                t.row(vec![platform.name().into(), workload.name().into(), num(value), num(p)]);
-            }
+    for key @ (platform, workload, ..) in fig17_grid(scale) {
+        for (value, p) in cells.get(key).latencies.cdf(20) {
+            t.row(vec![platform.name().into(), workload.name().into(), num(value), num(p)]);
         }
     }
     t
@@ -387,5 +425,17 @@ mod tests {
     #[test]
     fn fig13c_has_three_rows() -> Result<(), String> {
         claims::fig13c_donothing_isolates_the_bottleneck(&committed("fig13c_donothing.csv")?)
+    }
+
+    /// At quick scale the six 8×8 figures read 48 cells, 21 of them
+    /// distinct, so `figures all` runs 21; Figure 6 alone runs its own 6.
+    #[test]
+    fn macro_figures_share_their_cells() {
+        let scale = Scale::quick();
+        let grids = [fig5_grid, fig6_grid, fig13c_grid, fig14_grid, fig16_grid, fig17_grid];
+        let keys: Vec<MacroKey> = grids.iter().flat_map(|grid| grid(&scale)).collect();
+        assert_eq!(keys.len(), 48);
+        assert_eq!(distinct(keys).len(), 21);
+        assert_eq!(distinct(fig6_grid(&scale)).len(), 6);
     }
 }

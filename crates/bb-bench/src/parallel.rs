@@ -34,7 +34,7 @@ use std::sync::Mutex;
 /// Call sites whose cost is dominated by another knob (e.g. the request rate)
 /// can scale the hint further; only the *ordering* of hints matters.
 pub fn cost_hint(nodes: u32, duration: SimDuration) -> u64 {
-    (nodes as u64).saturating_mul(duration.as_micros() as u64)
+    (nodes as u64).saturating_mul(duration.as_micros())
 }
 
 /// Decide how many workers to use for `cells` independent cells:
@@ -163,7 +163,8 @@ mod tests {
             for k in 0..spin {
                 acc = acc.wrapping_mul(31).wrapping_add(k);
             }
-            i * 2 + (acc & 0) // acc forced to 0: keep the spin, not the value
+            std::hint::black_box(acc); // keep the spin, not the value
+            i * 2
         });
         std::env::remove_var("BB_WORKERS");
         assert_eq!(out, inputs.iter().map(|i| i * 2).collect::<Vec<_>>());

@@ -1364,7 +1364,7 @@ mod tests {
         // Even after repeated view-change attempts.
         let mut t = t0;
         for _ in 0..6 {
-            t = t + PbftConfig::default().view_timeout * 3;
+            t += PbftConfig::default().view_timeout * 3;
             c.tick_all(t);
         }
         assert!(c.committed.iter().all(|log| log.is_empty()));
@@ -1575,8 +1575,8 @@ mod tests {
             // All replicas committed identical sequences.
             let reference = &committed[0];
             assert!(!reference.is_empty(), "seed {seed}: nothing committed");
-            for i in 1..4 {
-                assert_eq!(&committed[i], reference, "seed {seed}, replica {i}");
+            for (i, log) in committed.iter().enumerate().skip(1) {
+                assert_eq!(log, reference, "seed {seed}, replica {i}");
             }
         }
     }
@@ -1629,7 +1629,7 @@ mod tests {
         // 75 requests at batch_size 3 = 25 committed batches — more than
         // one SYNC_WINDOW. The laggard must request chunk after chunk until
         // it has the full log.
-        assert!(25 > SYNC_WINDOW);
+        const _: () = assert!(25 > SYNC_WINDOW);
         let mut c = Cluster::new(4);
         let t0 = SimTime::from_secs(1);
         c.down[3] = true;

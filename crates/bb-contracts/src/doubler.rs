@@ -297,7 +297,7 @@ mod tests {
         let (count, idx, bal) = stats(&mut r);
         assert_eq!(count, 4);
         assert_eq!(idx, 3);
-        assert_eq!(bal, 80 - 60 + 0); // 80 in, 3×20 out
+        assert_eq!(bal, 80 - 60); // 80 in, 3×20 out
         assert_eq!(
             r.svm_transfers(),
             &[([1u8; 20], 20), ([2u8; 20], 20), ([3u8; 20], 20)]

@@ -697,11 +697,11 @@ impl<S: KvStore> AccountState<S> {
         let mut nonces: BTreeMap<[u8; 20], (u64, u64)> = BTreeMap::new();
         let mut deltas = Vec::with_capacity(txs.len());
         for tx in txs {
-            if !nonces.contains_key(&tx.from.0) {
+            if let std::collections::btree_map::Entry::Vacant(slot) = nonces.entry(tx.from.0) {
                 match self.trie.get_frozen(&tx.from.0) {
                     Ok(v) => {
                         let n = v.map(|b| Account::decode(&b)).unwrap_or_default().nonce;
-                        nonces.insert(tx.from.0, (n, n));
+                        slot.insert((n, n));
                     }
                     // Storage failure before anything ran: fall back to the
                     // plain serial schedule (still deterministic).
@@ -748,23 +748,19 @@ impl<S: KvStore> AccountState<S> {
             // Speculated storage errors always take the serial path: the
             // live trie, not the snapshot, owns error semantics.
             let forced = matches!(spec.result, Err(TxInvalid::Storage(_)));
-            if !forced && !committed.conflicts(&spec.reads) {
-                match self.commit_winner(tx, &spec) {
-                    Ok(()) => {
-                        committed.record(spec.logical_writes);
-                        match &spec.result {
-                            Ok(r) => {
-                                winner_us += cost_us(r.gas_used);
-                                receipts.push((tx.id(), r.success));
-                            }
-                            Err(_) => receipts.push((tx.id(), false)),
-                        }
-                        continue;
+            // A mid-commit storage failure demotes the winner to the loser
+            // path, whose re-execution defines the outcome.
+            if !forced && !committed.conflicts(&spec.reads) && self.commit_winner(tx, &spec).is_ok()
+            {
+                committed.record(spec.logical_writes);
+                match &spec.result {
+                    Ok(r) => {
+                        winner_us += cost_us(r.gas_used);
+                        receipts.push((tx.id(), r.success));
                     }
-                    // Mid-commit storage failure: demote to the loser path,
-                    // whose re-execution defines the outcome.
-                    Err(_) => {}
+                    Err(_) => receipts.push((tx.id(), false)),
                 }
+                continue;
             }
             conflicts += 1;
             let mut rec = RecordingState { inner: self, writes: BTreeSet::new() };

@@ -552,12 +552,14 @@ fn commit_batch(
     node.blocks.push(block);
 }
 
+/// A node's volatile chain bookkeeping: PBFT sequence floor, executed ids,
+/// blocks and per-block receipts.
+type ChainBook = (u64, DigestSet<TxId>, Vec<Block>, Vec<Vec<(TxId, bool)>>);
+
 /// Rebuild the volatile chain bookkeeping (blocks, receipts, executed ids,
 /// PBFT sequence floor) from a state's durable `!b/` records — shared by
 /// the restart path and the snapshot-sync finish.
-fn rebuild_chain_from_state(
-    state: &mut FabricState,
-) -> (u64, DigestSet<TxId>, Vec<Block>, Vec<Vec<(TxId, bool)>>) {
+fn rebuild_chain_from_state(state: &mut FabricState) -> ChainBook {
     let mut records: Vec<(u64, Block)> = state
         .scan_meta(BLOCK_META_PREFIX)
         .expect("durable store recoverable")
@@ -1462,7 +1464,7 @@ mod tests {
         // node failure mode.
         let mut c = chain(20);
         let addr = c.deploy(&ycsb::bundle());
-        let mut nonce = vec![0u64; 20];
+        let mut nonce = [0u64; 20];
         for tick in 0..120u64 {
             c.advance_to(SimTime::from_millis(tick * 50));
             for seed in 0..20u64 {
@@ -1486,7 +1488,7 @@ mod tests {
         let mut c = chain(8);
         let addr = c.deploy(&donothing::bundle());
         // Offer ~3200 tx/s over 8 servers, paced like the driver.
-        let mut nonce = vec![0u64; 8];
+        let mut nonce = [0u64; 8];
         for tick in 0..400u64 {
             c.advance_to(SimTime::from_millis(tick * 25));
             for seed in 0..8u64 {

@@ -8,7 +8,7 @@
 
 use bb_merkle::BucketTree;
 use bb_sim::MemMeter;
-use bb_storage::{KvStore, LsmConfig, LsmStore, Vfs};
+use bb_storage::{KvError, KvOps, KvPairs, KvStore, LsmConfig, LsmStore, Vfs};
 use bb_types::{Address, Transaction};
 use blockbench::contract::{decode_call, Chaincode, ChaincodeContext, ChaincodeFactory};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -95,10 +95,7 @@ impl FabricState {
 
     /// Raw `(key, value)` pairs under `prefix` in the backing store
     /// (durable block metadata lives outside the `s:` state namespace).
-    pub fn scan_meta(
-        &mut self,
-        prefix: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, bb_storage::KvError> {
+    pub fn scan_meta(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
         self.tree.store_mut().scan_prefix(prefix)
     }
 
@@ -113,13 +110,12 @@ impl FabricState {
 
     /// One bounded chunk of pinned snapshot `snap`: live `(key, value)`
     /// pairs strictly after `after`, up to `max_bytes` of payload.
-    #[allow(clippy::type_complexity)]
     pub fn snapshot_chunk(
         &mut self,
         snap: u64,
         after: Option<&[u8]>,
         max_bytes: usize,
-    ) -> Result<(Vec<(Vec<u8>, Vec<u8>)>, bool), bb_storage::KvError> {
+    ) -> Result<(KvPairs, bool), KvError> {
         self.tree.store_mut().snapshot_chunk(snap, after, max_bytes)
     }
 
@@ -280,7 +276,7 @@ impl FabricState {
         &mut self,
         tx: &Transaction,
         height: u64,
-    ) -> (InvokeResult, Vec<(Vec<u8>, Option<Vec<u8>>)>, Vec<Vec<u8>>) {
+    ) -> (InvokeResult, KvOps, Vec<Vec<u8>>) {
         let fail = |err: &str| InvokeResult {
             success: false,
             units: 1,

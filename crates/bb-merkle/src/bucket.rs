@@ -20,7 +20,7 @@
 
 use crate::merkle::merkle_root;
 use bb_crypto::Hash256;
-use bb_storage::{KvError, KvStore, WriteBatch};
+use bb_storage::{KvError, KvPairs, KvStore, WriteBatch};
 use std::collections::BTreeMap;
 
 const STATE_PREFIX: &[u8] = b"s:";
@@ -264,7 +264,7 @@ impl<S: KvStore> BucketTree<S> {
 
     /// All live states under `prefix`, in key order (overlay merged over
     /// the store, pending deletes filtered out).
-    pub fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    pub fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
         let sprefix = Self::state_key(prefix);
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = self
             .store

@@ -5,8 +5,8 @@
 //! state tree. Ethereum and Parity employ \[a\] Patricia-Merkle tree...
 //! Hyperledger implements \[a\] Bucket-Merkle tree."
 //!
-//! - [`merkle`]: the classic binary Merkle tree with inclusion proofs
-//!   (transaction roots in block headers);
+//! - [`merkle`]: the classic binary Merkle tree (transaction roots in block
+//!   headers);
 //! - [`patricia`]: a persistent Merkle-Patricia trie over any
 //!   [`bb_storage::KvStore`] — every update writes fresh interior nodes,
 //!   which is exactly the write/space amplification Figure 12 shows for
@@ -19,5 +19,5 @@ pub mod merkle;
 pub mod patricia;
 
 pub use bucket::BucketTree;
-pub use merkle::{merkle_root, MerkleProof, MerkleTree};
+pub use merkle::{merkle_root, MerkleTree};
 pub use patricia::PatriciaTrie;

@@ -1,7 +1,6 @@
 //! The classic binary Merkle tree used for transaction roots.
 //!
-//! Odd levels duplicate the last node (the Bitcoin convention). Proofs are
-//! audit paths of sibling hashes plus left/right direction bits.
+//! Odd levels duplicate the last node (the Bitcoin convention).
 
 use bb_crypto::Hash256;
 
@@ -10,15 +9,6 @@ use bb_crypto::Hash256;
 pub struct MerkleTree {
     /// `levels[0]` = leaves, last level = `[root]`.
     levels: Vec<Vec<Hash256>>,
-}
-
-/// An inclusion proof: the leaf index and the sibling hashes bottom-up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// Index of the proven leaf.
-    pub index: usize,
-    /// Sibling hash at each level, bottom-up.
-    pub siblings: Vec<Hash256>,
 }
 
 impl MerkleTree {
@@ -46,45 +36,6 @@ impl MerkleTree {
     pub fn root(&self) -> Hash256 {
         self.levels.last().and_then(|l| l.first()).copied().unwrap_or(Hash256::ZERO)
     }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
-    }
-
-    /// Inclusion proof for leaf `index`; `None` if out of range.
-    pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.leaf_count() {
-            return None;
-        }
-        let mut siblings = Vec::new();
-        let mut i = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sibling = if i.is_multiple_of(2) {
-                *level.get(i + 1).unwrap_or(&level[i]) // duplicated odd tail
-            } else {
-                level[i - 1]
-            };
-            siblings.push(sibling);
-            i /= 2;
-        }
-        Some(MerkleProof { index, siblings })
-    }
-}
-
-/// Verify that `leaf` is included under `root` via `proof`.
-pub fn verify_proof(root: &Hash256, leaf: &Hash256, proof: &MerkleProof) -> bool {
-    let mut acc = *leaf;
-    let mut i = proof.index;
-    for sibling in &proof.siblings {
-        acc = if i.is_multiple_of(2) {
-            Hash256::combine(&acc, sibling)
-        } else {
-            Hash256::combine(sibling, &acc)
-        };
-        i /= 2;
-    }
-    acc == *root
 }
 
 /// Compute just the root without materialising levels — the hot path when
@@ -145,60 +96,13 @@ mod tests {
         altered[3] = Hash256::digest(b"tampered");
         assert_ne!(merkle_root(&l), merkle_root(&altered));
     }
-
-    #[test]
-    fn proofs_verify_for_every_leaf() {
-        for n in [1, 2, 3, 5, 8, 13, 21] {
-            let l = leaves(n);
-            let t = MerkleTree::build(&l);
-            for (i, leaf) in l.iter().enumerate() {
-                let p = t.prove(i).unwrap();
-                assert!(verify_proof(&t.root(), leaf, &p), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_leaf_or_index_fails_verification() {
-        let l = leaves(9);
-        let t = MerkleTree::build(&l);
-        let p = t.prove(4).unwrap();
-        assert!(!verify_proof(&t.root(), &l[5], &p));
-        let mut wrong_index = p.clone();
-        wrong_index.index = 5;
-        assert!(!verify_proof(&t.root(), &l[4], &wrong_index));
-        let mut bad_sibling = p;
-        bad_sibling.siblings[0] = Hash256::digest(b"evil");
-        assert!(!verify_proof(&t.root(), &l[4], &bad_sibling));
-    }
-
-    #[test]
-    fn out_of_range_proof_is_none() {
-        let t = MerkleTree::build(&leaves(4));
-        assert!(t.prove(4).is_none());
-        assert!(MerkleTree::build(&[]).prove(0).is_none());
-        assert_eq!(t.leaf_count(), 4);
-    }
 }
 
-/// Exhaustive over small trees: every leaf's proof verifies in a tree of up
-/// to 63 leaves, and replacing any one leaf of up to 31 changes the root.
+/// Exhaustive over small trees: replacing any one leaf of a tree of up to 31
+/// leaves changes the root.
 #[cfg(test)]
 mod seeded_props {
     use super::*;
-
-    #[test]
-    fn every_proof_verifies_exhaustive() {
-        for n in 1usize..64 {
-            let leaves: Vec<Hash256> =
-                (0..n).map(|i| Hash256::digest(&(i as u64).to_be_bytes())).collect();
-            let t = MerkleTree::build(&leaves);
-            for pick in 0..n {
-                let p = t.prove(pick).unwrap();
-                assert!(verify_proof(&t.root(), &leaves[pick], &p), "n={n} pick={pick}");
-            }
-        }
-    }
 
     #[test]
     fn distinct_leaf_sets_distinct_roots_exhaustive() {

@@ -28,7 +28,7 @@
 //! by property test).
 
 use bb_crypto::{DigestMap, Hash256};
-use bb_storage::{KvError, KvStore, WriteBatch};
+use bb_storage::{KvError, KvPairs, KvStore, WriteBatch};
 use std::sync::Arc;
 
 /// Node cache capacity, in nodes. Nodes are content-addressed and
@@ -732,7 +732,7 @@ impl<S: KvStore> PatriciaTrie<S> {
 
     /// All `(key, value)` pairs reachable from the current root, in key
     /// order (test/diagnostic path; keys must have come from whole bytes).
-    pub fn collect_all(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    pub fn collect_all(&mut self) -> Result<KvPairs, KvError> {
         let mut out = Vec::new();
         let root = self.root;
         if !root.is_zero() {
@@ -1388,8 +1388,7 @@ mod seeded_props {
             let mut batched = PatriciaTrie::new(MemStore::new());
             let mut eager = PatriciaTrie::new(MemStore::new());
             // Roots recorded at batched-commit points (block boundaries).
-            let mut sealed: Vec<(Hash256, std::collections::BTreeMap<Vec<u8>, Vec<u8>>)> =
-                Vec::new();
+            let mut sealed = Vec::new();
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
             for _ in 0..rng.range(2, 80) {
                 let k = random_key(&mut rng);

@@ -169,7 +169,7 @@ impl Network {
         if self.gossip_jitter > SimDuration::ZERO {
             // Drawn only while the fault is armed, so runs without gossip
             // jitter consume exactly the RNG stream they always did.
-            jitter = jitter + self.rng.jitter(SimDuration::ZERO, self.gossip_jitter);
+            jitter += self.rng.jitter(SimDuration::ZERO, self.gossip_jitter);
         }
         let delay = self.link.base_delay
             + jitter

@@ -951,7 +951,8 @@ mod tests {
         let stats = c.stats();
         assert!(stats.recovery_ms > 0, "recovery never completed");
         // A full resync: at least the whole pre-crash chain was re-fetched.
-        assert!(stats.resync_blocks as u64 >= cluster_head, "resynced only {} blocks", stats.resync_blocks);
+        let resynced = stats.resync_blocks;
+        assert!(resynced >= cluster_head, "resynced only {resynced} blocks");
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl CpuMeter {
     pub fn total_busy(&self) -> SimDuration {
         self.total_busy
     }
-
-    /// Configured core count.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
 }
 
 /// Counts bytes per virtual second (network send/receive, disk writes...).

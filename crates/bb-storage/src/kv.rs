@@ -29,6 +29,13 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// Live `(key, value)` pairs in key order, as scans return them.
+pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Write operations in order: `(key, Some(value))` puts, `(key, None)`
+/// deletes.
+pub type KvOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
 /// A buffered set of writes applied atomically by [`KvStore::apply_batch`].
 ///
 /// Engines that implement batching natively (the LSM store) turn one batch
@@ -37,7 +44,7 @@ impl std::error::Error for KvError {}
 /// op on the same key wins.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
-    ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    ops: KvOps,
 }
 
 impl WriteBatch {
@@ -73,7 +80,7 @@ impl WriteBatch {
     }
 
     /// Consume the batch, yielding the operations.
-    pub fn into_ops(self) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+    pub fn into_ops(self) -> KvOps {
         self.ops
     }
 }
@@ -104,7 +111,7 @@ pub trait KvStore {
 
     /// All live `(key, value)` pairs whose key starts with `prefix`, in key
     /// order. Used by analytics scans and the bucket tree rebuild.
-    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError>;
+    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError>;
 
     /// A bounded run of live pairs with key strictly greater than `after`,
     /// in key order, stopping once `max_bytes` of key+value payload have
@@ -112,12 +119,11 @@ pub trait KvStore {
     /// is exhausted. Snapshot state sync serves its chunks through this.
     /// The default scans everything and slices — engines with real cursors
     /// (the LSM store's pinned snapshots) do better.
-    #[allow(clippy::type_complexity)]
     fn scan_range_chunk(
         &mut self,
         after: Option<&[u8]>,
         max_bytes: usize,
-    ) -> Result<(Vec<(Vec<u8>, Vec<u8>)>, bool), KvError> {
+    ) -> Result<(KvPairs, bool), KvError> {
         let mut out = Vec::new();
         let mut bytes = 0usize;
         for (k, v) in self.scan_prefix(b"")? {

@@ -24,7 +24,7 @@ pub mod stats;
 pub mod vfs;
 
 pub use fault::{FaultCounters, FaultVfs};
-pub use kv::{KvError, KvStore, WriteBatch};
+pub use kv::{KvError, KvOps, KvPairs, KvStore, WriteBatch};
 pub use lsm::merge::KWayMerge;
 pub use lsm::sstable::{SsTable, TableBuilder};
 pub use lsm::store::{LsmConfig, LsmStore};

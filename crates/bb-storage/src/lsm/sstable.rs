@@ -14,7 +14,7 @@
 //! at most one index interval — the LevelDB recipe at laptop scale.
 
 use super::bloom::Bloom;
-use crate::kv::KvError;
+use crate::kv::{KvError, KvOps};
 use crate::vfs::Vfs;
 
 const MAGIC: u32 = 0x5354_424c; // "STBL"
@@ -75,7 +75,7 @@ impl TableBuilder {
             self.entry_count == 0 || self.last_key.as_slice() < key,
             "SSTable entries must be strictly sorted"
         );
-        if self.entry_count as usize % self.index_interval == 0 {
+        if (self.entry_count as usize).is_multiple_of(self.index_interval) {
             self.index.push((key.to_vec(), self.body.len() as u64));
         }
         self.bloom.insert(key);
@@ -236,8 +236,7 @@ impl SsTable {
 
     /// All entries (including tombstones) in key order — compaction and
     /// prefix scans read whole tables.
-    #[allow(clippy::type_complexity)]
-    pub fn all_entries(&self, vfs: &mut Vfs) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>, KvError> {
+    pub fn all_entries(&self, vfs: &mut Vfs) -> Result<KvOps, KvError> {
         let data = vfs
             .read_at(&self.file, 0, self.data_end as usize)
             .map_err(|e| KvError::Corrupt(e.to_string()))?;

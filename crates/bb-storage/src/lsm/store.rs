@@ -18,7 +18,7 @@ use super::memtable::MemTable;
 use super::merge::KWayMerge;
 use super::sstable::{SsTable, TableBuilder};
 use super::wal::{Wal, WalRecord};
-use crate::kv::{KvError, KvStore, WriteBatch};
+use crate::kv::{KvError, KvPairs, KvStore, WriteBatch};
 use crate::stats::StorageStats;
 use crate::vfs::Vfs;
 use std::collections::HashSet;
@@ -477,13 +477,12 @@ impl LsmStore {
     /// `(entries, done)`; `done` means the key space is exhausted. Each
     /// call seeks via the sparse indexes, so a full transfer reads each
     /// table roughly once.
-    #[allow(clippy::type_complexity)]
     pub fn snapshot_chunk(
         &mut self,
         snap: u64,
         after: Option<&[u8]>,
         max_bytes: usize,
-    ) -> Result<(Vec<(Vec<u8>, Vec<u8>)>, bool), KvError> {
+    ) -> Result<(KvPairs, bool), KvError> {
         let pin = self
             .snapshots
             .iter()

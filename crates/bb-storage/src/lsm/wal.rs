@@ -2,6 +2,7 @@
 //! touches the memtable, so a reopened store recovers exactly the
 //! un-flushed tail.
 
+use crate::kv::KvOps;
 use crate::vfs::Vfs;
 
 const TAG_PUT: u8 = 1;
@@ -184,7 +185,7 @@ impl Wal {
         Some((record, vend + 4))
     }
 
-    fn parse_batch_blob(blob: &[u8]) -> Option<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
+    fn parse_batch_blob(blob: &[u8]) -> Option<KvOps> {
         let count = u32::from_be_bytes(blob.get(..4)?.try_into().ok()?) as usize;
         let mut ops = Vec::with_capacity(count);
         let mut pos = 4usize;

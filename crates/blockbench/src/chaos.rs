@@ -175,7 +175,7 @@ impl ByzActor {
     /// Produce the next transaction and advance the actor's clock. Only
     /// call after `next_due` returned `Some`.
     pub(crate) fn make_tx(&mut self) -> Transaction {
-        self.next = self.next + SimDuration::from_secs_f64(1.0 / self.spec.rate);
+        self.next += SimDuration::from_secs_f64(1.0 / self.spec.rate);
         self.submitted += 1;
         match self.spec.behavior {
             ByzBehavior::NonceGapFlood { .. } => {

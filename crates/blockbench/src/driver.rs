@@ -614,12 +614,12 @@ mod tests {
             }
             self.submitted += 1;
             let success = match self.abort_every {
-                Some(k) => self.submitted % k != 0,
+                Some(k) => !self.submitted.is_multiple_of(k),
                 None => true,
             };
             let mut delay = self.confirm_delay;
             if let Some(rng) = &mut self.jitter {
-                delay = delay + rng.jitter(SimDuration::ZERO, SimDuration::from_millis(400));
+                delay += rng.jitter(SimDuration::ZERO, SimDuration::from_millis(400));
             }
             self.pipe.push((self.now + delay, tx.id(), success));
             true

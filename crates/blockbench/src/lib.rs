@@ -20,9 +20,9 @@
 //!   outstanding-transaction queue, and a polling loop that matches
 //!   confirmed blocks back to submissions) and [`driver::run_timeline`],
 //!   which drives fault and chaos plans and samples once per second;
-//! - [`load`]: the open-loop arrival engine — Poisson / bursty / ramp
-//!   arrival processes over compact million-account populations, sampled
-//!   exactly in O(1) per event;
+//! - [`load`]: the open-loop arrival engine — a Poisson arrival process
+//!   over compact million-account populations, sampled exactly in O(1) per
+//!   event;
 //! - [`stats`]: throughput, latency percentiles/CDF (log-bucketed streaming
 //!   histograms, naive and coordinated-omission-free), queue-length and
 //!   commit timelines (Section 3.3's metrics);

@@ -5,30 +5,17 @@
 //! own timer (8–1024 tx/s sweeps, Figures 5–6). Production traffic is
 //! open-loop: requests arrive from a huge population on a schedule that does
 //! not care whether earlier requests finished. This module models that as a
-//! single time-varying arrival process emitting `(send_time, account_id)`
-//! events in O(1) per event, independent of population size:
-//!
-//! - [`ArrivalProcess::Poisson`] — memoryless constant-rate traffic
-//!   (exponential inter-arrivals);
-//! - [`ArrivalProcess::Bursty`] — an on–off modulated Poisson process
-//!   (flash crowds: `burst` tx/s for `on`, `base` tx/s for `off`);
-//! - [`ArrivalProcess::Ramp`] — a linear rate ramp `from → to` over a span,
-//!   then holding at `to` (diurnal climbs and saturation-ramp runs that
-//!   search for a platform's collapse point, Gromit-style).
-//!
-//! All three are sampled *exactly* (no thinning, no per-tick loops): a unit
-//! exponential quantum `E = -ln(U)` is pushed through the inverse of the
-//! integrated rate function `Λ(t)`. For the piecewise-constant processes the
-//! inversion walks at most a phase boundary per cycle; for the linear ramp it
-//! is a closed-form quadratic root. Cost per event is O(1) amortised no
-//! matter whether the population is eight accounts or eight million.
+//! single Poisson arrival process — constant-rate, memoryless traffic —
+//! emitting `(send_time, account_id)` events in O(1) per event, independent
+//! of population size: each gap is a unit exponential quantum `E = -ln(U)`
+//! divided by the rate, with no thinning and no per-tick loop.
 
 use bb_sim::rng::Zipfian;
 use bb_sim::{SimDuration, SimRng, SimTime};
 use bb_types::AccountId;
 
-/// A time-varying arrival-rate schedule, in aggregate transactions/second.
-/// Times are measured from the start of the measured window.
+/// The offered-load schedule, in aggregate transactions/second. Times are
+/// measured from the start of the measured window.
 #[derive(Debug, Clone)]
 pub enum ArrivalProcess {
     /// Constant-rate Poisson traffic: independent exponential inter-arrivals
@@ -37,157 +24,20 @@ pub enum ArrivalProcess {
         /// Aggregate arrival rate, tx/s. Must be positive.
         rate: f64,
     },
-    /// On–off modulated Poisson (flash crowd): `burst` tx/s for `on`, then
-    /// `base` tx/s for `off`, repeating. `base` may be zero (pure bursts).
-    Bursty {
-        /// Rate outside bursts, tx/s (≥ 0).
-        base: f64,
-        /// Rate inside bursts, tx/s (> 0).
-        burst: f64,
-        /// Burst phase length (> 0).
-        on: SimDuration,
-        /// Quiet phase length (> 0).
-        off: SimDuration,
-    },
-    /// Linear rate ramp `from → to` over `over`, then holding at `to`.
-    /// `from` may be zero; `to` must be positive.
-    Ramp {
-        /// Starting rate, tx/s (≥ 0).
-        from: f64,
-        /// Final (held) rate, tx/s (> 0).
-        to: f64,
-        /// Ramp span (> 0).
-        over: SimDuration,
-    },
 }
 
 impl ArrivalProcess {
     /// Panic with a clear message on nonsensical parameters.
     pub fn validate(&self) {
-        match *self {
-            ArrivalProcess::Poisson { rate } => {
-                assert!(rate > 0.0 && rate.is_finite(), "Poisson rate must be positive");
-            }
-            ArrivalProcess::Bursty { base, burst, on, off } => {
-                assert!(base >= 0.0 && base.is_finite(), "bursty base rate must be ≥ 0");
-                assert!(burst > 0.0 && burst.is_finite(), "bursty burst rate must be positive");
-                assert!(on > SimDuration::ZERO, "burst phase must be non-empty");
-                assert!(off > SimDuration::ZERO, "quiet phase must be non-empty");
-            }
-            ArrivalProcess::Ramp { from, to, over } => {
-                assert!(from >= 0.0 && from.is_finite(), "ramp start rate must be ≥ 0");
-                assert!(to > 0.0 && to.is_finite(), "ramp end rate must be positive");
-                assert!(over > SimDuration::ZERO, "ramp span must be non-empty");
-            }
-        }
-    }
-
-    /// Instantaneous rate at `elapsed` seconds past the window start.
-    pub fn rate_at(&self, elapsed: f64) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty { base, burst, on, off } => {
-                let cycle = on.as_secs_f64() + off.as_secs_f64();
-                let pos = elapsed.rem_euclid(cycle);
-                if pos < on.as_secs_f64() {
-                    burst
-                } else {
-                    base
-                }
-            }
-            ArrivalProcess::Ramp { from, to, over } => {
-                let over_s = over.as_secs_f64();
-                if elapsed >= over_s {
-                    to
-                } else {
-                    from + (to - from) * (elapsed / over_s)
-                }
-            }
-        }
-    }
-
-    /// Mean offered rate over a window starting at t=0 (for report tables).
-    pub fn mean_rate(&self, window: SimDuration) -> f64 {
-        let w = window.as_secs_f64();
-        if w <= 0.0 {
-            return 0.0;
-        }
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty { base, burst, on, off } => {
-                // Integrate whole cycles exactly, then the trailing partial.
-                let on_s = on.as_secs_f64();
-                let cycle = on_s + off.as_secs_f64();
-                let whole = (w / cycle).floor();
-                let rest = w - whole * cycle;
-                let mut mass = whole * (burst * on_s + base * (cycle - on_s));
-                mass += burst * rest.min(on_s) + base * (rest - on_s).max(0.0);
-                mass / w
-            }
-            ArrivalProcess::Ramp { from, to, over } => {
-                let over_s = over.as_secs_f64();
-                let ramp = w.min(over_s);
-                let end_rate = from + (to - from) * (ramp / over_s);
-                let mut mass = (from + end_rate) / 2.0 * ramp;
-                mass += to * (w - over_s).max(0.0);
-                mass / w
-            }
-        }
+        let ArrivalProcess::Poisson { rate } = *self;
+        assert!(rate > 0.0 && rate.is_finite(), "Poisson rate must be positive");
     }
 
     /// Advance `elapsed` (seconds) by one arrival: consume the unit
-    /// exponential quantum `e` through the inverse integrated rate. This is
-    /// the O(1) heart of the generator.
-    fn advance(&self, mut elapsed: f64, mut e: f64) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => elapsed + e / rate,
-            ArrivalProcess::Bursty { base, burst, on, off } => {
-                let on_s = on.as_secs_f64();
-                let cycle = on_s + off.as_secs_f64();
-                loop {
-                    let pos = elapsed.rem_euclid(cycle);
-                    let (rate, boundary) = if pos < on_s {
-                        (burst, on_s - pos)
-                    } else {
-                        (base, cycle - pos)
-                    };
-                    // Integrated rate available before the next phase switch.
-                    let capacity = rate * boundary;
-                    if rate > 0.0 && e <= capacity {
-                        return elapsed + e / rate;
-                    }
-                    e -= capacity;
-                    // Hop to the phase switch with *strict* progress: when a
-                    // boundary lands within rounding error of `elapsed` the
-                    // addition can round to `elapsed` itself, and recomputing
-                    // the same sub-ulp hop forever would spin. One ulp is
-                    // enough to cross such a boundary.
-                    let hop = elapsed + boundary;
-                    elapsed = if hop > elapsed { hop } else { elapsed.next_up() };
-                }
-            }
-            ArrivalProcess::Ramp { from, to, over } => {
-                let over_s = over.as_secs_f64();
-                if elapsed < over_s {
-                    let slope = (to - from) / over_s;
-                    let r0 = from + slope * elapsed;
-                    // Integrated rate left in the ramp segment (trapezoid).
-                    let capacity = (r0 + to) / 2.0 * (over_s - elapsed);
-                    if e <= capacity {
-                        // Solve r0·δ + slope·δ²/2 = e for δ ≥ 0.
-                        let delta = if slope.abs() < 1e-12 {
-                            e / r0
-                        } else {
-                            (-r0 + (r0 * r0 + 2.0 * slope * e).sqrt()) / slope
-                        };
-                        return elapsed + delta;
-                    }
-                    e -= capacity;
-                    elapsed = over_s;
-                }
-                elapsed + e / to
-            }
-        }
+    /// exponential quantum `e` at the process's rate.
+    fn advance(&self, elapsed: f64, e: f64) -> f64 {
+        let ArrivalProcess::Poisson { rate } = *self;
+        elapsed + e / rate
     }
 }
 
@@ -240,7 +90,7 @@ impl ArrivalGen {
         }
     }
 
-    /// Draw the next arrival. O(1) amortised; never exhausts.
+    /// Draw the next arrival. O(1); never exhausts.
     pub fn next_event(&mut self) -> (SimTime, AccountId) {
         // Unit exponential quantum; u ∈ (0, 1] keeps ln finite.
         let e = -(1.0 - self.rng.unit()).ln();
@@ -250,11 +100,6 @@ impl ArrivalGen {
             None => self.rng.below(self.population),
         };
         (self.t0 + SimDuration::from_secs_f64(self.elapsed), AccountId(account))
-    }
-
-    /// The arrival schedule.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
     }
 
     /// Number of distinct accounts in the population.
@@ -320,7 +165,7 @@ mod tests {
     }
 
     /// Seeded KAT: Poisson inter-arrivals have mean 1/λ and coefficient of
-    /// variation 1 (the memoryless signature a constant-rate ramp would not
+    /// variation 1 (the memoryless signature evenly spaced sends would not
     /// have).
     #[test]
     fn poisson_mean_and_variance_kat() {
@@ -334,104 +179,11 @@ mod tests {
         assert!((cv2 - 1.0).abs() < 0.05, "squared CV {cv2}");
     }
 
-    /// Seeded KAT: the ramp's arrival counts grow linearly — quarter-window
-    /// counts match the integrated rate within a few percent — and the rate
-    /// holds at `to` past the ramp end.
-    #[test]
-    fn ramp_shape_kat() {
-        let over = SimDuration::from_secs(40);
-        let process = ArrivalProcess::Ramp { from: 100.0, to: 900.0, over };
-        let mut gen = ArrivalGen::new(process.clone(), 1000, 0.0, SimTime::ZERO, 7);
-        let mut counts = [0u64; 4]; // 10-s quarters of the ramp
-        let mut held = 0u64; // 40..50 s, past the ramp
-        loop {
-            let (at, _) = gen.next_event();
-            let s = at.as_secs_f64();
-            if s >= 50.0 {
-                break;
-            }
-            if s >= 40.0 {
-                held += 1;
-            } else {
-                counts[(s / 10.0) as usize] += 1;
-            }
-        }
-        // Expected per-quarter mass: trapezoids of 100→900 over 40 s, i.e.
-        // ∫(100 + 20t) over each 10-s quarter = 2000, 4000, 6000, 8000.
-        for (i, expect) in [2000.0, 4000.0, 6000.0, 8000.0].iter().enumerate() {
-            let got = counts[i] as f64;
-            assert!(
-                (got - expect).abs() < 0.08 * expect,
-                "quarter {i}: {got} arrivals, expected ≈{expect}"
-            );
-        }
-        assert!((held as f64 - 9000.0).abs() < 0.05 * 9000.0, "held-phase arrivals {held}");
-        assert_eq!(process.rate_at(45.0), 900.0);
-        assert!((process.mean_rate(SimDuration::from_secs(40)) - 500.0).abs() < 1e-9);
-    }
-
-    /// Seeded KAT: the on–off process concentrates arrivals in bursts.
-    #[test]
-    fn bursty_concentrates_mass_in_on_phases() {
-        let process = ArrivalProcess::Bursty {
-            base: 50.0,
-            burst: 2000.0,
-            on: SimDuration::from_secs(1),
-            off: SimDuration::from_secs(4),
-        };
-        let mut gen = ArrivalGen::new(process.clone(), 1000, 0.0, SimTime::ZERO, 13);
-        let (mut on_events, mut off_events) = (0u64, 0u64);
-        loop {
-            let (at, _) = gen.next_event();
-            let s = at.as_secs_f64();
-            if s >= 50.0 {
-                break;
-            }
-            if s.rem_euclid(5.0) < 1.0 {
-                on_events += 1;
-            } else {
-                off_events += 1;
-            }
-        }
-        // 10 cycles: expect ≈20000 on-phase and ≈2000 off-phase arrivals.
-        assert!((on_events as f64 - 20_000.0).abs() < 0.05 * 20_000.0, "on {on_events}");
-        assert!((off_events as f64 - 2_000.0).abs() < 0.15 * 2_000.0, "off {off_events}");
-        let expect_mean = (2000.0 + 4.0 * 50.0) / 5.0;
-        assert!((process.mean_rate(SimDuration::from_secs(50)) - expect_mean).abs() < 1e-9);
-    }
-
-    /// A zero-base bursty process emits nothing between bursts and the
-    /// inversion still terminates (it must hop the quiet phases).
-    #[test]
-    fn bursty_zero_base_skips_quiet_phases() {
-        let mut gen = ArrivalGen::new(
-            ArrivalProcess::Bursty {
-                base: 0.0,
-                burst: 100.0,
-                on: SimDuration::from_secs(1),
-                off: SimDuration::from_secs(9),
-            },
-            10,
-            0.0,
-            SimTime::ZERO,
-            3,
-        );
-        for _ in 0..500 {
-            let (at, _) = gen.next_event();
-            assert!(at.as_secs_f64().rem_euclid(10.0) <= 1.0 + 1e-9, "arrival outside burst at {at}");
-        }
-    }
-
     #[test]
     fn streams_are_deterministic_across_reruns() {
         let mk = |seed| {
             ArrivalGen::new(
-                ArrivalProcess::Bursty {
-                    base: 10.0,
-                    burst: 500.0,
-                    on: SimDuration::from_millis(200),
-                    off: SimDuration::from_millis(800),
-                },
+                ArrivalProcess::Poisson { rate: 500.0 },
                 1 << 20,
                 0.99,
                 SimTime::from_secs(5),

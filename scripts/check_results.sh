@@ -13,8 +13,9 @@
 # to results/paper/, which is outside this gate (`:(glob)` keeps `*` from
 # crossing a `/`).
 #
-# Not part of tier-1: ~5 min on 2 cores (`figures all` 4m19-5m56 over eight
-# runs at PR 23, plus a warm release build).
+# Not part of tier-1: ~4 min on a 2-core host (`figures all` 202-212 s over
+# three runs, against 224-263 s before the six 8x8 macro figures shared one
+# cell set, plus a warm release build).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -26,7 +26,7 @@
 # every figure (`figures all`) and fails unless each committed
 # `results/*.csv` comes out byte-identical. It is the refactor gate — run it
 # before and after any change that is meant to keep behaviour; it is not
-# part of tier-1 because it takes ~5 min on 2 cores (measured at PR 23).
+# part of tier-1 because it takes ~4 min on 2 cores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,7 +148,7 @@ for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" deep_ga
 smoke -p bb-bench --lib fig9_snapshot
 
 echo "==> load matrix: open-loop engine + saturation-ramp smoke"
-# The open-loop arrival engine (arrival processes, lazy million-account
+# The open-loop arrival engine (Poisson arrivals, lazy million-account
 # population, CO-free latency, retry queue) and the saturation ramp are the
 # offered-load surface of the harness: run them by name so a load-engine
 # regression is reported as one. The saturation cell asserts the knee and
@@ -248,6 +248,9 @@ if grep -q '^warning' <<<"$warnings"; then
     echo "ERROR: \`cargo check --workspace --all-targets\` printed warnings" >&2
     exit 1
 fi
+
+echo "==> clippy: every target of the workspace lints clean (offline)"
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "==> one performance ruler: the benchmark's layer kernels, no second bench harness"
 # Component-wise numbers come from `benchmark/src/adapter.rs` alone, and

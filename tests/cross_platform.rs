@@ -37,28 +37,6 @@ fn every_platform_commits_every_workload() {
 }
 
 #[test]
-fn runs_are_deterministic() {
-    for platform in ALL_PLATFORMS {
-        let a = run_macro(platform, Macro::Ycsb, 4, 4, 20.0, SimDuration::from_secs(10));
-        let b = run_macro(platform, Macro::Ycsb, 4, 4, 20.0, SimDuration::from_secs(10));
-        assert_eq!(a.submitted, b.submitted, "{}", platform.name());
-        assert_eq!(a.committed, b.committed, "{}", platform.name());
-        assert_eq!(a.aborted, b.aborted, "{}", platform.name());
-        assert_eq!(
-            a.platform.blocks_main, b.platform.blocks_main,
-            "{}",
-            platform.name()
-        );
-        assert_eq!(
-            a.latencies.quantile(0.5),
-            b.latencies.quantile(0.5),
-            "{}",
-            platform.name()
-        );
-    }
-}
-
-#[test]
 fn realistic_contract_workloads_run_everywhere() {
     use bb_workloads::{DoublerWorkload, EtherIdWorkload, WavesWorkload};
     use blockbench::driver::{run_workload, DriverConfig, WorkloadConnector};

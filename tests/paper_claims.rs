@@ -12,9 +12,10 @@ use std::sync::OnceLock;
 
 use bb_bench::claims;
 use bb_bench::exp_fault::{fig10_args, fig9_args, fig9_restart_args, fig9_snapshot_args};
-use bb_bench::exp_macro::{fig13c_table, fig14_table, fig5_tables, Macro, MacroCells};
-use bb_bench::{Platform, Scale, Table, ALL_PLATFORMS};
-use bb_sim::SimDuration;
+use bb_bench::exp_macro::{
+    fig13c, fig13c_grid, fig14, fig14_grid, fig5, fig5_grid, Macro, MacroCells,
+};
+use bb_bench::{Platform, Scale, Table};
 
 /// Per-client rate of the shared cells.
 const RATE: f64 = 256.0;
@@ -27,17 +28,18 @@ struct Tables {
 }
 
 /// Figures 5 (peak, sweep), 13c and 14 over one cell set: every platform ×
-/// workload at [`RATE`] for 20 s, plus Parity's YCSB at two more offered
-/// rates for the sweep.
+/// workload at [`RATE`] over the quick-scale 20 s window, plus Parity's YCSB
+/// at two more offered rates for the sweep.
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let workloads = [Macro::Ycsb, Macro::Smallbank, Macro::DoNothing];
-        let grid = ALL_PLATFORMS.into_iter().flat_map(|p| workloads.map(|w| (p, w, RATE)));
-        let parity = [64.0, 512.0].map(|rate| (Platform::Parity, Macro::Ycsb, rate));
-        let cells = MacroCells::run(grid.chain(parity), SimDuration::from_secs(20));
-        let (peak, sweep) = fig5_tables(&cells);
-        Tables { peak, sweep, fig13c: fig13c_table(&cells, RATE), fig14: fig14_table(&cells, RATE) }
+        let scale = Scale { rates: vec![RATE], ..Scale::quick() };
+        let grids = [fig5_grid, fig13c_grid, fig14_grid].map(|grid| grid(&scale));
+        let window = scale.duration;
+        let parity = [64.0, 512.0].map(|rate| (Platform::Parity, Macro::Ycsb, rate, window));
+        let cells = MacroCells::run(grids.into_iter().flatten().chain(parity));
+        let (peak, sweep) = fig5(&cells, &scale);
+        Tables { peak, sweep, fig13c: fig13c(&cells, &scale), fig14: fig14(&cells, &scale) }
     })
 }
 

@@ -12,7 +12,7 @@
 //!   order first of all: every map's `RandomState` is keyed differently, so
 //!   two runs in one process iterate in two orders.
 
-use bb_bench::exp_macro::{self, Macro};
+use bb_bench::exp_macro::{self, fig13c_grid, fig5_grid, Macro, MacroCells};
 use bb_bench::{Platform, Scale, ALL_PLATFORMS};
 use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
@@ -68,8 +68,9 @@ fn figure_tables_byte_identical_parallel_vs_serial() {
     let scale = tiny_scale();
     let render = |workers: &str| {
         std::env::set_var("BB_WORKERS", workers);
-        let (performance, saturation) = exp_macro::fig5(&scale);
-        (exp_macro::fig13c(&scale).render(), performance.render(), saturation.render())
+        let cells = MacroCells::run(fig5_grid(&scale).into_iter().chain(fig13c_grid(&scale)));
+        let (performance, saturation) = exp_macro::fig5(&cells, &scale);
+        (exp_macro::fig13c(&cells, &scale).render(), performance.render(), saturation.render())
     };
     let serial = render("1");
     // Multi-threaded even on single-core CI machines.
@@ -122,19 +123,15 @@ fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
 
 /// The open-loop driver adds two scheduling sources the closed-loop path
 /// does not have — the arrival-process generator and the retry queue — and
-/// both must be functions of the seed alone: full `RunStats` from a bursty
-/// open-loop run must replay byte for byte.
+/// both must be functions of the seed alone: full `RunStats` from an
+/// open-loop run must replay byte for byte. 200 tx/s is past Parity's ~45
+/// tx/s, so Parity refuses part of it and its retries go through the queue.
 fn open_loop_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = Macro::Ycsb.build(1);
     let config = OpenLoopConfig {
         population: 50_000,
-        process: ArrivalProcess::Bursty {
-            base: 20.0,
-            burst: 400.0,
-            on: SimDuration::from_millis(500),
-            off: SimDuration::from_millis(1500),
-        },
+        process: ArrivalProcess::Poisson { rate: 200.0 },
         zipf_theta: 0.0,
         duration: SimDuration::from_secs(3),
         poll_interval: SimDuration::from_millis(500),
@@ -144,6 +141,9 @@ fn open_loop_stats(platform: Platform, seed: u64) -> String {
     };
     let stats = run_open_loop(chain.as_mut(), workload.as_mut(), &config);
     assert!(stats.submitted > 0, "{}: open-loop run sent nothing", platform.name());
+    if platform == Platform::Parity {
+        assert!(stats.rejected > 0, "parity refused nothing: the retry queue went unexercised");
+    }
     format!("{stats:?}")
 }
 
