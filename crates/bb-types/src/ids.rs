@@ -51,6 +51,14 @@ impl AccountId {
     }
 }
 
+/// A closed-loop client signs as the account of the same index in its
+/// family.
+impl From<ClientId> for AccountId {
+    fn from(client: ClientId) -> AccountId {
+        AccountId(client.0.into())
+    }
+}
+
 impl fmt::Display for AccountId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "acct{}", self.0)

@@ -8,10 +8,10 @@
 //! APIs to query historical states" — Q2 then needs only **one** RPC round
 //! trip, the paper's 10× win.
 
+use crate::common::{preload, Population};
 use bb_contracts::version_kv;
-use bb_crypto::KeyPair;
 use bb_sim::{SimDuration, SimRng};
-use bb_types::{Address, Decoder, Transaction};
+use bb_types::{AccountId, Address, Decoder};
 use blockbench::connector::{BlockchainConnector, Query};
 
 /// Client-observed RPC round-trip cost per request (the Figure 13
@@ -26,6 +26,8 @@ pub struct AnalyticsRunner {
     pub blocks: u64,
     /// Transfers per block (the paper used 3 on average).
     pub txs_per_block: u64,
+    /// The accounts' signers: the genesis-funded family at seed 0.
+    signers: Population,
     rng: SimRng,
     /// Fabric's VersionKVStore address, when applicable.
     kv_contract: Option<Address>,
@@ -51,6 +53,7 @@ impl AnalyticsRunner {
             accounts,
             blocks,
             txs_per_block,
+            signers: Population::clients(accounts),
             rng: SimRng::seed_from_u64(seed),
             kv_contract: None,
             preloaded: false,
@@ -58,56 +61,34 @@ impl AnalyticsRunner {
         }
     }
 
-    fn is_fabric(chain: &dyn BlockchainConnector) -> bool {
-        chain.name() == "hyperledger"
-    }
-
     /// Preload the chain with the transfer history.
     pub fn preload(&mut self, chain: &mut dyn BlockchainConnector) {
         assert!(!self.preloaded, "preload once");
         self.preloaded = true;
-        let fabric = Self::is_fabric(chain);
-        if fabric {
+        if chain.name() == "hyperledger" {
             self.kv_contract = Some(chain.deploy(&version_kv::bundle()));
         }
-        // One signing key per account lane so nonces stay per-sender.
-        let keys: Vec<KeyPair> = (0..self.accounts).map(KeyPair::from_seed).collect();
-        let mut nonces = vec![0u64; self.accounts as usize];
-        let mut blocks = Vec::with_capacity(self.blocks as usize);
-        for _ in 0..self.blocks {
-            let mut txs = Vec::with_capacity(self.txs_per_block as usize);
-            for _ in 0..self.txs_per_block {
-                let from = self.rng.below(self.accounts);
+        let txs = (0..self.blocks * self.txs_per_block)
+            .map(|_| {
+                let from = AccountId(self.rng.below(self.accounts));
                 let to = self.rng.below(self.accounts);
                 let value = 1 + self.rng.below(1000);
-                let tx = if let Some(kv) = self.kv_contract {
-                    let t = Transaction::signed(
-                        &keys[from as usize],
-                        nonces[from as usize],
+                match self.kv_contract {
+                    Some(kv) => self.signers.sign(
+                        from,
                         kv,
                         0,
-                        version_kv::send_value_call(from, to, value as i64),
-                    );
-                    nonces[from as usize] += 1;
-                    t
-                } else {
-                    let to_addr = Address::from_public_key(&keys[to as usize].public());
-                    let t = Transaction::signed(
-                        &keys[from as usize],
-                        nonces[from as usize],
-                        to_addr,
-                        value,
-                        Vec::new(),
-                    );
-                    nonces[from as usize] += 1;
-                    t
-                };
-                txs.push(tx);
-            }
-            blocks.push(txs);
-        }
+                        version_kv::send_value_call(from.0, to, value as i64),
+                    ),
+                    None => {
+                        let to = self.signers.address(AccountId(to));
+                        self.signers.sign(from, to, value, Vec::new())
+                    }
+                }
+            })
+            .collect();
         self.first_block = chain.stats().blocks_main + 1;
-        chain.preload_blocks(blocks);
+        preload(chain, txs, self.txs_per_block as usize);
     }
 
     /// Q1: "Compute the total transaction values committed between block i
@@ -167,25 +148,19 @@ impl AnalyticsRunner {
                     payload: version_kv::account_range_call(account, 0, to),
                 })
                 .expect("chaincode installed");
+            // Versions come newest first: walk them oldest first and skip
+            // any with a later version in the same commit block.
             let pairs = version_kv::decode_account_range(&r.data);
-            let mut per_block: Vec<(u64, i64)> = Vec::new();
-            for &(balance, commit) in pairs.iter().rev() {
-                match per_block.last_mut() {
-                    Some((c, b)) if *c == commit => *b = balance,
-                    _ => per_block.push((commit, balance)),
+            let mut versions = pairs.iter().rev().peekable();
+            let (mut largest, mut prev_balance) = (0i64, 0i64);
+            while let Some(&(balance, commit)) = versions.next() {
+                if versions.peek().is_some_and(|&&(_, next)| next == commit) {
+                    continue;
                 }
-            }
-            let mut largest = 0i64;
-            let mut prev_balance = per_block
-                .iter()
-                .take_while(|&&(c, _)| c <= from)
-                .last()
-                .map(|&(_, b)| b)
-                .unwrap_or(0);
-            for &(commit, balance) in per_block.iter().filter(|&&(c, _)| c > from) {
-                largest = largest.max((balance - prev_balance).abs());
+                if commit > from {
+                    largest = largest.max((balance - prev_balance).abs());
+                }
                 prev_balance = balance;
-                let _ = commit;
             }
             return QueryOutcome {
                 latency: RPC_ROUND_TRIP + r.server_cost,
@@ -194,7 +169,7 @@ impl AnalyticsRunner {
             };
         }
         // EVM-likes: walk the range, one balance RPC per block.
-        let addr = Address::from_public_key(&KeyPair::from_seed(account).public());
+        let addr = self.signers.address(AccountId(account));
         let mut latency = SimDuration::ZERO;
         let mut round_trips = 0u64;
         let mut largest = 0i64;

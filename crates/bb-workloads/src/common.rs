@@ -1,12 +1,12 @@
-//! Client bookkeeping shared by all workload connectors: per-client
-//! keypairs (funded at genesis by every platform), nonce counters with
-//! rollback on RPC rejection, the lazy open-loop account [`Population`],
-//! and the setup-time preloader.
+//! The one signer shared by all workload connectors, [`Population`], and
+//! the setup-time chunker `preload`. Closed-loop clients (funded at
+//! genesis by every platform), open-loop accounts, preload lanes and the
+//! analytics history all sign through a `Population`.
 
 use bb_crypto::KeyPair;
-use bb_types::{AccountId, Address, ClientId, Transaction};
+use bb_types::{AccountId, Address, Transaction};
 use blockbench::connector::BlockchainConnector;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Seed base for preload (non-client) keypairs; platforms fund seeds
 /// 0..1024 at genesis, clients use 0..#clients, preloaders use 900+.
@@ -20,307 +20,160 @@ pub const PRELOAD_SEED: u64 = 900;
 /// balances on value transfers.
 pub const POPULATION_SEED_BASE: u64 = 1 << 40;
 
-/// Default derived-key LRU capacity ([`Population::new`]).
-pub const POPULATION_KEY_CACHE: usize = 4096;
-
-/// Per-client signing state.
-pub struct ClientBank {
-    keypairs: Vec<KeyPair>,
-    nonces: Vec<u64>,
-}
-
-impl ClientBank {
-    /// Bank for up to `clients` clients (keyed by seed = client id).
-    pub fn new(clients: u32) -> ClientBank {
-        ClientBank {
-            keypairs: (0..clients as u64).map(KeyPair::from_seed).collect(),
-            nonces: vec![0; clients as usize],
-        }
-    }
-
-    /// Sign the next transaction for `client`.
-    pub fn sign(&mut self, client: ClientId, to: Address, value: u64, payload: Vec<u8>) -> Transaction {
-        let nonce = self.nonces[client.index()];
-        self.nonces[client.index()] += 1;
-        Transaction::signed(&self.keypairs[client.index()], nonce, to, value, payload)
-    }
-
-    /// Roll back the latest nonce after an RPC rejection.
-    pub fn rollback(&mut self, client: ClientId) {
-        self.nonces[client.index()] = self.nonces[client.index()].saturating_sub(1);
-    }
-
-    /// The client's account address.
-    pub fn address(&self, client: ClientId) -> Address {
-        Address::from_public_key(&self.keypairs[client.index()].public())
-    }
-}
-
-/// A deterministic LRU of seed-derived keypairs: the signing hot path for
-/// million-account populations. Derivation is two SHA-256 compressions, so
-/// the cache exists to keep the *hot* accounts free even of that; eviction
-/// order depends only on the access sequence (monotone logical clock, no
-/// wall time), preserving run-to-run byte identity.
-struct KeyLru {
-    capacity: usize,
-    clock: u64,
-    /// account → (keypair, last-use stamp).
-    map: HashMap<u64, (KeyPair, u64)>,
-    /// last-use stamp → account (stamps are unique: one per access).
-    order: BTreeMap<u64, u64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl KeyLru {
-    fn new(capacity: usize) -> KeyLru {
-        assert!(capacity > 0, "key cache needs room for at least one key");
-        KeyLru {
-            capacity,
-            clock: 0,
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn get(&mut self, account: u64) -> KeyPair {
-        self.clock += 1;
-        if let Some((kp, stamp)) = self.map.get_mut(&account) {
-            self.hits += 1;
-            self.order.remove(stamp);
-            *stamp = self.clock;
-            self.order.insert(self.clock, account);
-            return *kp;
-        }
-        self.misses += 1;
-        if self.map.len() >= self.capacity {
-            let (&oldest, &victim) = self.order.iter().next().expect("cache full but order empty");
-            self.order.remove(&oldest);
-            self.map.remove(&victim);
-        }
-        let kp = KeyPair::from_seed(POPULATION_SEED_BASE + account);
-        self.map.insert(account, (kp, self.clock));
-        self.order.insert(self.clock, account);
-        kp
-    }
-}
-
-/// Signing state for an open-loop account population: keypairs derived on
-/// demand from the account id (through a bounded LRU) and nonces in a sparse
-/// touched-accounts-only map. Memory is O(active set) — a million-account
-/// population that sends ten thousand transactions holds ten thousand nonce
-/// slots and at most [`POPULATION_KEY_CACHE`] keys, never a million of
-/// either.
-pub struct Population {
-    keys: KeyLru,
-    nonces: HashMap<u64, u64>,
-}
-
-impl Default for Population {
-    fn default() -> Self {
-        Population::new(POPULATION_KEY_CACHE)
-    }
-}
-
-impl Population {
-    /// Population signer with a `key_cache` -entry derived-key LRU.
-    pub fn new(key_cache: usize) -> Population {
-        Population { keys: KeyLru::new(key_cache), nonces: HashMap::new() }
-    }
-
-    /// Sign the next transaction for `account`.
-    pub fn sign(
-        &mut self,
-        account: AccountId,
-        to: Address,
-        value: u64,
-        payload: Vec<u8>,
-    ) -> Transaction {
-        let nonce = self.nonces.entry(account.0).or_insert(0);
-        let used = *nonce;
-        *nonce += 1;
-        let kp = self.keys.get(account.0);
-        Transaction::signed(&kp, used, to, value, payload)
-    }
-
-    /// Roll back the latest nonce after an RPC rejection.
-    pub fn rollback(&mut self, account: AccountId) {
-        if let Some(nonce) = self.nonces.get_mut(&account.0) {
-            *nonce = nonce.saturating_sub(1);
-        }
-    }
-
-    /// The account's address (derives the key if not cached).
-    pub fn address(&mut self, account: AccountId) -> Address {
-        Address::from_public_key(&self.keys.get(account.0).public())
-    }
-
-    /// Number of distinct accounts touched so far — the RSS proxy the
-    /// memory-proportionality tests assert on.
-    pub fn touched(&self) -> usize {
-        self.nonces.len()
-    }
-
-    /// Derived-key cache residency and `(hits, misses)` counters.
-    pub fn key_cache_stats(&self) -> (usize, u64, u64) {
-        (self.keys.map.len(), self.keys.hits, self.keys.misses)
-    }
-}
-
-/// Preload state by pushing transactions in blocks of `per_block` through
-/// the platform's setup fast path. Transactions are signed by the dedicated
-/// preload key (`PRELOAD_SEED + lane`).
-pub struct Preloader {
+/// One identity that has signed: its keypair and next nonce.
+struct Signer {
     keypair: KeyPair,
     nonce: u64,
 }
 
-impl Preloader {
-    /// Preloader on lane `lane` (use distinct lanes per workload).
-    pub fn new(lane: u64) -> Preloader {
-        Preloader { keypair: KeyPair::from_seed(PRELOAD_SEED + lane), nonce: 0 }
+/// A family of signing identities: identity `i` signs with
+/// `KeyPair::from_seed(base + i)` and its own next nonce, rolled back on RPC
+/// rejection. The first signature derives the key; the identity then holds
+/// its keypair and nonce in a sparse map. Memory is O(active set) — a
+/// million-account population that sends ten thousand transactions holds
+/// ten thousand keypairs and nonces, never a million of either.
+pub struct Population {
+    base: u64,
+    /// Identities `0..size` exist; any other panics.
+    size: u64,
+    signers: HashMap<u64, Signer>,
+}
+
+/// The open-loop account family at [`POPULATION_SEED_BASE`].
+impl Default for Population {
+    fn default() -> Self {
+        Population::family(POPULATION_SEED_BASE, u64::MAX)
+    }
+}
+
+impl Population {
+    fn family(base: u64, size: u64) -> Population {
+        Population { base, size, signers: HashMap::new() }
     }
 
-    /// Sign one preload transaction.
-    pub fn sign(&mut self, to: Address, value: u64, payload: Vec<u8>) -> Transaction {
-        let tx = Transaction::signed(&self.keypair, self.nonce, to, value, payload);
-        self.nonce += 1;
+    /// `clients` closed-loop clients: the genesis-funded family at seed 0.
+    pub(crate) fn clients(clients: u64) -> Population {
+        Population::family(0, clients)
+    }
+
+    /// Preload lane `lane` (distinct lanes per workload): the one-identity
+    /// family at `PRELOAD_SEED + lane`, signing as `AccountId(0)`.
+    pub(crate) fn lane(lane: u64) -> Population {
+        Population::family(PRELOAD_SEED + lane, 1)
+    }
+
+    fn seed(&self, id: AccountId) -> u64 {
+        assert!(id.0 < self.size, "identity {} outside a family of {}", id.0, self.size);
+        self.base + id.0
+    }
+
+    /// Sign the next transaction for `id`.
+    pub fn sign(
+        &mut self,
+        id: impl Into<AccountId>,
+        to: Address,
+        value: u64,
+        payload: Vec<u8>,
+    ) -> Transaction {
+        let id = id.into();
+        let seed = self.seed(id);
+        let signer = self
+            .signers
+            .entry(id.0)
+            .or_insert_with(|| Signer { keypair: KeyPair::from_seed(seed), nonce: 0 });
+        let tx = Transaction::signed(&signer.keypair, signer.nonce, to, value, payload);
+        signer.nonce += 1;
         tx
     }
 
-    /// Push `payloads` as contract calls in blocks of `per_block`.
-    pub fn preload_calls(
-        &mut self,
-        chain: &mut dyn BlockchainConnector,
-        contract: Address,
-        payloads: Vec<Vec<u8>>,
-        per_block: usize,
-    ) {
-        let mut blocks = Vec::new();
-        let mut block = Vec::new();
-        for p in payloads {
-            block.push(self.sign(contract, 0, p));
-            if block.len() >= per_block {
-                blocks.push(std::mem::take(&mut block));
-            }
+    /// Roll back `id`'s latest nonce after an RPC rejection.
+    pub fn rollback(&mut self, id: impl Into<AccountId>) {
+        if let Some(signer) = self.signers.get_mut(&id.into().0) {
+            signer.nonce = signer.nonce.saturating_sub(1);
         }
-        if !block.is_empty() {
-            blocks.push(block);
-        }
-        if !blocks.is_empty() {
-            chain.preload_blocks(blocks);
-        }
+    }
+
+    /// `id`'s account address. Derives the key without marking `id` touched.
+    pub fn address(&self, id: impl Into<AccountId>) -> Address {
+        Address::from_public_key(&KeyPair::from_seed(self.seed(id.into())).public())
+    }
+
+    /// Number of distinct identities that have signed — the RSS proxy the
+    /// memory-proportionality tests assert on.
+    pub fn touched(&self) -> usize {
+        self.signers.len()
+    }
+}
+
+/// Push already-signed `txs` through the platform's setup fast path in
+/// blocks of `per_block` (the last block holds the rest). Nothing is pushed
+/// when `txs` is empty.
+pub(crate) fn preload(
+    chain: &mut dyn BlockchainConnector,
+    txs: Vec<Transaction>,
+    per_block: usize,
+) {
+    let mut txs = txs.into_iter().peekable();
+    let mut blocks = Vec::new();
+    while txs.peek().is_some() {
+        blocks.push(txs.by_ref().take(per_block).collect());
+    }
+    if !blocks.is_empty() {
+        chain.preload_blocks(blocks);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bb_types::ClientId;
 
-    #[test]
-    fn nonces_advance_and_roll_back() {
-        let mut bank = ClientBank::new(2);
-        let to = Address::from_index(1);
-        let t0 = bank.sign(ClientId(0), to, 0, vec![]);
-        let t1 = bank.sign(ClientId(0), to, 0, vec![]);
-        assert_eq!(t0.nonce, 0);
-        assert_eq!(t1.nonce, 1);
-        bank.rollback(ClientId(0));
-        let t2 = bank.sign(ClientId(0), to, 0, vec![]);
-        assert_eq!(t2.nonce, 1, "rolled-back nonce is reused");
-        // Other clients unaffected.
-        assert_eq!(bank.sign(ClientId(1), to, 0, vec![]).nonce, 0);
+    fn sign(family: &mut Population, id: impl Into<AccountId>) -> Transaction {
+        family.sign(id, Address::from_index(1), 0, vec![])
     }
 
     #[test]
-    fn preloader_nonces_are_sequential() {
-        let mut p = Preloader::new(0);
-        let a = p.sign(Address::from_index(1), 0, vec![]);
-        let b = p.sign(Address::from_index(1), 0, vec![]);
-        assert_eq!(a.nonce, 0);
-        assert_eq!(b.nonce, 1);
-        assert_eq!(a.from, b.from);
-    }
-
-    #[test]
-    fn distinct_lanes_use_distinct_accounts() {
-        let a = Preloader::new(0).sign(Address::from_index(1), 0, vec![]);
-        let b = Preloader::new(1).sign(Address::from_index(1), 0, vec![]);
-        assert_ne!(a.from, b.from);
+    #[should_panic(expected = "identity 2 outside a family of 2")]
+    fn a_client_beyond_the_family_panics() {
+        sign(&mut Population::clients(2), ClientId(2));
     }
 
     #[test]
     fn population_nonces_advance_and_roll_back_sparsely() {
-        let mut pop = Population::new(8);
-        let to = Address::from_index(1);
+        let mut pop = Population::default();
         let acct = AccountId(123_456_789);
-        let t0 = pop.sign(acct, to, 0, vec![]);
-        let t1 = pop.sign(acct, to, 0, vec![]);
+        let (t0, t1) = (sign(&mut pop, acct), sign(&mut pop, acct));
         assert_eq!((t0.nonce, t1.nonce), (0, 1));
-        assert_eq!(t0.from, t1.from);
+        assert_eq!([t0.from, t1.from], [pop.address(acct); 2]);
         pop.rollback(acct);
-        assert_eq!(pop.sign(acct, to, 0, vec![]).nonce, 1, "rolled-back nonce is reused");
-        // Rolling back an untouched account allocates nothing.
+        assert_eq!(sign(&mut pop, acct).nonce, 1, "rolled-back nonce is reused");
+        // Rolling back or addressing an untouched account allocates nothing.
         pop.rollback(AccountId(42));
+        pop.address(AccountId(43));
         assert_eq!(pop.touched(), 1);
     }
 
     #[test]
     fn population_accounts_are_disjoint_from_clients_and_preloaders() {
-        let mut pop = Population::default();
         // Population account 0 must not alias client seed 0 or any preload
-        // lane — its seed lives above POPULATION_SEED_BASE.
-        let client0 = Address::from_public_key(&KeyPair::from_seed(0).public());
-        let preload0 = Address::from_public_key(&KeyPair::from_seed(PRELOAD_SEED).public());
-        let a = pop.address(AccountId(0));
-        assert_ne!(a, client0);
-        assert_ne!(a, preload0);
-        assert_eq!(
-            a,
-            Address::from_public_key(&KeyPair::from_seed(POPULATION_SEED_BASE).public())
-        );
-    }
-
-    #[test]
-    fn population_key_cache_is_bounded_and_deterministic() {
-        let run = || {
-            let mut pop = Population::new(16);
-            let to = Address::from_index(1);
-            // 64 distinct accounts cycled twice through a 16-entry cache.
-            let mut ids = Vec::new();
-            for _round in 0..2 {
-                for a in 0..64u64 {
-                    let tx = pop.sign(AccountId(a * 1000), to, 0, vec![]);
-                    ids.push(tx.id());
-                }
-            }
-            let (resident, hits, misses) = pop.key_cache_stats();
-            assert!(resident <= 16, "cache grew to {resident}");
-            assert!(misses >= 64, "every cold account must miss once");
-            (ids, hits, misses, pop.touched())
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "LRU behaviour must be run-to-run deterministic");
-        assert_eq!(a.3, 64);
+        // lane — its seed lives above POPULATION_SEED_BASE — and no two
+        // lanes share an account.
+        let a = Population::default().address(AccountId(0));
+        let lane = |l| Population::lane(l).address(AccountId(0));
+        assert_ne!(a, Population::clients(1).address(ClientId(0)));
+        assert_ne!(a, lane(0));
+        assert_ne!(lane(0), lane(1));
+        assert_eq!(a, Address::from_public_key(&KeyPair::from_seed(POPULATION_SEED_BASE).public()));
     }
 
     #[test]
     fn population_memory_tracks_active_set_not_population() {
         // A "million-account" population that only ever touches 100 accounts
-        // holds 100 nonce slots. The population size appears nowhere in the
-        // struct — that's the point.
+        // holds 100 signers: the open-loop family has no size to allocate.
         let mut pop = Population::default();
-        let to = Address::from_index(1);
         for i in 0..1000u64 {
-            pop.sign(AccountId((i % 100) * 9973), to, 0, vec![]);
+            sign(&mut pop, AccountId((i % 100) * 9973));
         }
         assert_eq!(pop.touched(), 100);
-        let (resident, hits, misses) = pop.key_cache_stats();
-        assert_eq!(resident, 100);
-        assert_eq!(misses, 100);
-        assert_eq!(hits, 900);
     }
 }

@@ -3,9 +3,10 @@
 //! transaction per input size, and report execution time and peak memory —
 //! or the out-of-memory failure.
 
-use crate::common::Preloader;
+use crate::common::Population;
 use bb_contracts::cpuheavy;
 use bb_sim::SimDuration;
+use bb_types::AccountId;
 use blockbench::connector::BlockchainConnector;
 
 /// One CPUHeavy measurement.
@@ -23,7 +24,7 @@ pub struct CpuHeavyResult {
 
 /// Runs CPUHeavy sorts against any platform.
 pub struct CpuHeavyRunner {
-    preloader: Preloader,
+    lane: Population,
     contract: Option<bb_types::Address>,
 }
 
@@ -36,7 +37,7 @@ impl Default for CpuHeavyRunner {
 impl CpuHeavyRunner {
     /// Fresh runner.
     pub fn new() -> CpuHeavyRunner {
-        CpuHeavyRunner { preloader: Preloader::new(4), contract: None }
+        CpuHeavyRunner { lane: Population::lane(4), contract: None }
     }
 
     /// Sort `n` elements on `chain` and measure.
@@ -44,7 +45,7 @@ impl CpuHeavyRunner {
         let contract = *self
             .contract
             .get_or_insert_with(|| chain.deploy(&cpuheavy::bundle()));
-        let tx = self.preloader.sign(contract, 0, cpuheavy::sort_call(n));
+        let tx = self.lane.sign(AccountId(0), contract, 0, cpuheavy::sort_call(n));
         let res = chain.execute_direct(tx);
         CpuHeavyResult {
             n,
@@ -52,15 +53,6 @@ impl CpuHeavyRunner {
             peak_mem: res.modeled_mem,
             error: res.error,
         }
-    }
-
-    /// Sweep several input sizes (Figure 11's x-axis).
-    pub fn sweep(
-        &mut self,
-        chain: &mut dyn BlockchainConnector,
-        sizes: &[u64],
-    ) -> Vec<CpuHeavyResult> {
-        sizes.iter().map(|&n| self.run(chain, n)).collect()
     }
 }
 
@@ -112,9 +104,7 @@ mod tests {
     fn sweep_is_monotone_in_time() {
         let mut fab = FabricChain::new(FabricConfig::with_nodes(4));
         let mut runner = CpuHeavyRunner::new();
-        let results = runner.sweep(&mut fab, &[1_000, 10_000, 100_000]);
-        let times: Vec<f64> =
-            results.iter().map(|r| r.exec_time.unwrap().as_secs_f64()).collect();
+        let times = [1_000, 10_000, 100_000].map(|n| runner.run(&mut fab, n).exec_time.unwrap());
         assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
     }
 }

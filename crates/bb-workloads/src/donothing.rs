@@ -3,7 +3,7 @@
 //! the cost of \[the\] consensus protocol versus the rest of the software
 //! stack" (Figure 13c).
 
-use crate::common::{ClientBank, Population};
+use crate::common::Population;
 use bb_contracts::donothing;
 use bb_types::{AccountId, Address, ClientId, Transaction};
 use blockbench::connector::BlockchainConnector;
@@ -11,7 +11,7 @@ use blockbench::driver::WorkloadConnector;
 
 /// The DoNothing workload connector.
 pub struct DoNothingWorkload {
-    bank: ClientBank,
+    clients: Population,
     population: Population,
     contract: Option<Address>,
 }
@@ -20,21 +20,10 @@ impl DoNothingWorkload {
     /// Provision for up to `clients` clients.
     pub fn new(clients: u32) -> DoNothingWorkload {
         DoNothingWorkload {
-            bank: ClientBank::new(clients),
+            clients: Population::clients(clients.into()),
             population: Population::default(),
             contract: None,
         }
-    }
-
-    /// Open-loop population state (active set size, key-cache counters).
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
-}
-
-impl Default for DoNothingWorkload {
-    fn default() -> Self {
-        DoNothingWorkload::new(32)
     }
 }
 
@@ -49,11 +38,11 @@ impl WorkloadConnector for DoNothingWorkload {
 
     fn next_transaction(&mut self, client: ClientId) -> Transaction {
         let contract = self.contract.expect("setup ran");
-        self.bank.sign(client, contract, 0, donothing::call())
+        self.clients.sign(client, contract, 0, donothing::call())
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 
     fn next_transaction_keyed(&mut self, account: AccountId) -> Transaction {

@@ -3,8 +3,9 @@
 //! one-server deployment, reporting operation throughput and disk usage —
 //! or the out-of-memory failure (Parity's in-memory state cap).
 
-use crate::common::Preloader;
+use crate::common::Population;
 use bb_contracts::ioheavy;
+use bb_types::{AccountId, Address};
 use blockbench::connector::BlockchainConnector;
 
 /// One IOHeavy measurement.
@@ -24,21 +25,15 @@ pub struct IoHeavyResult {
 
 /// Runs IOHeavy sweeps against any platform.
 pub struct IoHeavyRunner {
-    preloader: Preloader,
-    contract: Option<bb_types::Address>,
+    lane: Population,
+    contract: Option<Address>,
     batch: u64,
-}
-
-impl Default for IoHeavyRunner {
-    fn default() -> Self {
-        Self::new(10_000)
-    }
 }
 
 impl IoHeavyRunner {
     /// Runner issuing `batch` tuples per transaction.
     pub fn new(batch: u64) -> IoHeavyRunner {
-        IoHeavyRunner { preloader: Preloader::new(5), contract: None, batch }
+        IoHeavyRunner { lane: Population::lane(5), contract: None, batch }
     }
 
     /// Write then read `tuples` tuples; report throughputs and disk usage.
@@ -46,53 +41,48 @@ impl IoHeavyRunner {
         let contract = *self
             .contract
             .get_or_insert_with(|| chain.deploy(&ioheavy::bundle()));
-        let mut write_time = 0.0;
-        let mut start = 0u64;
+        let mut result =
+            IoHeavyResult { tuples, write_tps: None, read_tps: None, disk_bytes: 0, error: None };
+        let writes = self.batches(chain, contract, tuples, false);
+        result.disk_bytes = chain.stats().disk_bytes;
+        let reads = writes.and_then(|tps| {
+            result.write_tps = Some(tps);
+            self.batches(chain, contract, tuples, true)
+        });
+        match reads {
+            Ok(tps) => result.read_tps = Some(tps),
+            Err(error) => result.error = error,
+        }
+        result
+    }
+
+    /// Write (or read back) `tuples` tuples, `batch` per transaction: tuples
+    /// per simulated second, or the first failed transaction's error.
+    fn batches(
+        &mut self,
+        chain: &mut dyn BlockchainConnector,
+        contract: Address,
+        tuples: u64,
+        read: bool,
+    ) -> Result<f64, Option<String>> {
+        let (mut time, mut start) = (0.0, 0u64);
         while start < tuples {
             let count = self.batch.min(tuples - start);
-            let tx = self.preloader.sign(contract, 0, ioheavy::write_call(start, count));
+            let call = if read { ioheavy::read_call } else { ioheavy::write_call };
+            let tx = self.lane.sign(AccountId(0), contract, 0, call(start, count));
             let res = chain.execute_direct(tx);
             if !res.success {
-                return IoHeavyResult {
-                    tuples,
-                    write_tps: None,
-                    read_tps: None,
-                    disk_bytes: chain.stats().disk_bytes,
-                    error: res.error,
-                };
+                return Err(res.error);
             }
-            write_time += res.duration.as_secs_f64();
+            if read {
+                // All tuples must be found.
+                let found = i64::from_le_bytes(res.output.try_into().unwrap_or([0; 8]));
+                assert_eq!(found as u64, count, "read-back miss at offset {start}");
+            }
+            time += res.duration.as_secs_f64();
             start += count;
         }
-        let disk_bytes = chain.stats().disk_bytes;
-        let mut read_time = 0.0;
-        let mut start = 0u64;
-        while start < tuples {
-            let count = self.batch.min(tuples - start);
-            let tx = self.preloader.sign(contract, 0, ioheavy::read_call(start, count));
-            let res = chain.execute_direct(tx);
-            if !res.success {
-                return IoHeavyResult {
-                    tuples,
-                    write_tps: Some(tuples as f64 / write_time),
-                    read_tps: None,
-                    disk_bytes,
-                    error: res.error,
-                };
-            }
-            // All tuples must be found.
-            let found = i64::from_le_bytes(res.output.try_into().unwrap_or([0; 8]));
-            assert_eq!(found as u64, count, "read-back miss at offset {start}");
-            read_time += res.duration.as_secs_f64();
-            start += count;
-        }
-        IoHeavyResult {
-            tuples,
-            write_tps: Some(tuples as f64 / write_time),
-            read_tps: Some(tuples as f64 / read_time),
-            disk_bytes,
-            error: None,
-        }
+        Ok(tuples as f64 / time)
     }
 }
 

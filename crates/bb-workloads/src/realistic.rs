@@ -2,10 +2,10 @@
 //! (Section 3.4.1): the EtherId name registrar, the Doubler pyramid scheme
 //! and the WavesPresale crowd sale.
 
-use crate::common::ClientBank;
+use crate::common::{preload, Population};
 use bb_contracts::{doubler, etherid, wavespresale};
 use bb_sim::SimRng;
-use bb_types::{Address, ClientId, Transaction};
+use bb_types::{AccountId, Address, ClientId, Transaction};
 use blockbench::connector::BlockchainConnector;
 use blockbench::driver::WorkloadConnector;
 
@@ -13,24 +13,24 @@ use blockbench::driver::WorkloadConnector;
 /// contains a function to pre-allocate user accounts with certain balances"
 /// — the preload funds each client's in-contract balance.
 pub struct EtherIdWorkload {
-    bank: ClientBank,
+    clients: Population,
     rng: SimRng,
     contract: Option<Address>,
     next_domain: u64,
     registered: Vec<u64>,
-    clients: u32,
+    client_count: u32,
 }
 
 impl EtherIdWorkload {
     /// Provision for up to `clients` clients.
     pub fn new(clients: u32, seed: u64) -> EtherIdWorkload {
         EtherIdWorkload {
-            bank: ClientBank::new(clients),
+            clients: Population::clients(clients.into()),
             rng: SimRng::seed_from_u64(seed),
             contract: None,
             next_domain: 0,
             registered: Vec::new(),
-            clients,
+            client_count: clients,
         }
     }
 }
@@ -45,18 +45,10 @@ impl WorkloadConnector for EtherIdWorkload {
         self.contract = Some(contract);
         // Fund each client's registrar balance; clients must deposit from
         // their own accounts, so sign with the client keys directly.
-        let mut blocks = Vec::new();
-        let mut block = Vec::new();
-        for c in 0..self.clients {
-            block.push(self.bank.sign(ClientId(c), contract, 0, etherid::deposit_call(1_000_000)));
-            if block.len() == 200 {
-                blocks.push(std::mem::take(&mut block));
-            }
-        }
-        if !block.is_empty() {
-            blocks.push(block);
-        }
-        chain.preload_blocks(blocks);
+        let txs = (0..self.client_count)
+            .map(|c| self.clients.sign(ClientId(c), contract, 0, etherid::deposit_call(1_000_000)))
+            .collect();
+        preload(chain, txs, 200);
     }
 
     fn next_transaction(&mut self, client: ClientId) -> Transaction {
@@ -72,22 +64,22 @@ impl WorkloadConnector for EtherIdWorkload {
             etherid::buy_call(d)
         } else if roll < 85 {
             let d = self.registered[self.rng.below(self.registered.len() as u64) as usize];
-            let heir = self.bank.address(ClientId(self.rng.below(self.clients as u64) as u32));
+            let heir = self.clients.address(AccountId(self.rng.below(self.client_count.into())));
             etherid::transfer_call(d, heir.as_bytes())
         } else {
             etherid::deposit_call(1000)
         };
-        self.bank.sign(client, contract, 0, payload)
+        self.clients.sign(client, contract, 0, payload)
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 }
 
 /// Doubler: everyone keeps calling `enter` (Figure 2's pyramid scheme).
 pub struct DoublerWorkload {
-    bank: ClientBank,
+    clients: Population,
     rng: SimRng,
     contract: Option<Address>,
 }
@@ -96,7 +88,7 @@ impl DoublerWorkload {
     /// Provision for up to `clients` clients.
     pub fn new(clients: u32, seed: u64) -> DoublerWorkload {
         DoublerWorkload {
-            bank: ClientBank::new(clients),
+            clients: Population::clients(clients.into()),
             rng: SimRng::seed_from_u64(seed),
             contract: None,
         }
@@ -117,32 +109,32 @@ impl WorkloadConnector for DoublerWorkload {
         let amount = 10 + self.rng.below(90) as i64;
         // The EVM build pays out of the contract's pot: send the stake
         // along as value so the pot stays solvent.
-        self.bank.sign(client, contract, amount as u64, doubler::enter_call(amount))
+        self.clients.sign(client, contract, amount as u64, doubler::enter_call(amount))
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 }
 
 /// WavesPresale: add token sales, transfer and query them.
 pub struct WavesWorkload {
-    bank: ClientBank,
+    clients: Population,
     rng: SimRng,
     contract: Option<Address>,
     next_sale: u64,
-    clients: u32,
+    client_count: u32,
 }
 
 impl WavesWorkload {
     /// Provision for up to `clients` clients.
     pub fn new(clients: u32, seed: u64) -> WavesWorkload {
         WavesWorkload {
-            bank: ClientBank::new(clients),
+            clients: Population::clients(clients.into()),
             rng: SimRng::seed_from_u64(seed),
             contract: None,
             next_sale: 0,
-            clients,
+            client_count: clients,
         }
     }
 }
@@ -165,16 +157,16 @@ impl WorkloadConnector for WavesWorkload {
             wavespresale::add_sale_call(id, 100 + self.rng.below(1000) as i64)
         } else if roll < 75 {
             let id = self.rng.below(self.next_sale);
-            let heir = self.bank.address(ClientId(self.rng.below(self.clients as u64) as u32));
+            let heir = self.clients.address(AccountId(self.rng.below(self.client_count.into())));
             wavespresale::transfer_sale_call(id, heir.as_bytes())
         } else {
             wavespresale::query_sale_call(self.rng.below(self.next_sale))
         };
-        self.bank.sign(client, contract, 0, payload)
+        self.clients.sign(client, contract, 0, payload)
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 }
 

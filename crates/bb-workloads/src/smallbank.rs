@@ -2,7 +2,7 @@
 //! procedures over bank accounts — "more complex... than YCSB, in which
 //! multiple keys are updated in a single transaction" (Appendix B).
 
-use crate::common::{ClientBank, Population, Preloader};
+use crate::common::{preload, Population};
 use bb_contracts::smallbank;
 use bb_sim::SimRng;
 use bb_types::{AccountId, Address, ClientId, Transaction};
@@ -39,7 +39,7 @@ impl Default for SmallbankConfig {
 /// The Smallbank workload connector.
 pub struct SmallbankWorkload {
     config: SmallbankConfig,
-    bank: ClientBank,
+    clients: Population,
     population: Population,
     rng: SimRng,
     contract: Option<Address>,
@@ -50,7 +50,7 @@ impl SmallbankWorkload {
     pub fn new(config: SmallbankConfig) -> SmallbankWorkload {
         let rng = SimRng::seed_from_u64(config.seed);
         SmallbankWorkload {
-            bank: ClientBank::new(config.clients),
+            clients: Population::clients(config.clients.into()),
             population: Population::default(),
             rng,
             contract: None,
@@ -77,11 +77,6 @@ impl SmallbankWorkload {
             _ => smallbank::query_call(a),
         }
     }
-
-    /// Open-loop population state (active set size, key-cache counters).
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
 }
 
 impl WorkloadConnector for SmallbankWorkload {
@@ -93,21 +88,25 @@ impl WorkloadConnector for SmallbankWorkload {
         let contract = chain.deploy(&smallbank::bundle());
         self.contract = Some(contract);
         if self.config.preload_accounts > 0 {
-            let payloads: Vec<Vec<u8>> = (0..self.config.preload_accounts)
-                .map(|a| smallbank::deposit_checking_call(a, self.config.opening_balance))
+            let mut lane = Population::lane(1);
+            let txs = (0..self.config.preload_accounts)
+                .map(|a| {
+                    let call = smallbank::deposit_checking_call(a, self.config.opening_balance);
+                    lane.sign(AccountId(0), contract, 0, call)
+                })
                 .collect();
-            Preloader::new(1).preload_calls(chain, contract, payloads, 500);
+            preload(chain, txs, 500);
         }
     }
 
     fn next_transaction(&mut self, client: ClientId) -> Transaction {
         let contract = self.contract.expect("setup ran");
         let payload = self.payload();
-        self.bank.sign(client, contract, 0, payload)
+        self.clients.sign(client, contract, 0, payload)
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 
     fn next_transaction_keyed(&mut self, account: AccountId) -> Transaction {

@@ -2,7 +2,7 @@
 //! with a number of records, and supports requests with different ratios of
 //! read and write operations."
 
-use crate::common::{ClientBank, Population, Preloader};
+use crate::common::{preload, Population};
 use bb_contracts::ycsb;
 use bb_sim::rng::Zipfian;
 use bb_sim::SimRng;
@@ -46,7 +46,7 @@ impl Default for YcsbConfig {
 /// The YCSB workload connector.
 pub struct YcsbWorkload {
     config: YcsbConfig,
-    bank: ClientBank,
+    clients: Population,
     population: Population,
     rng: SimRng,
     zipf: Zipfian,
@@ -59,7 +59,7 @@ impl YcsbWorkload {
         let rng = SimRng::seed_from_u64(config.seed);
         let zipf = Zipfian::new(config.record_count, config.zipf_theta);
         YcsbWorkload {
-            bank: ClientBank::new(config.clients),
+            clients: Population::clients(config.clients.into()),
             population: Population::default(),
             rng,
             zipf,
@@ -85,7 +85,7 @@ impl YcsbWorkload {
         }
     }
 
-    /// Open-loop population state (active set size, key-cache counters).
+    /// Open-loop population state (active set size).
     pub fn population(&self) -> &Population {
         &self.population
     }
@@ -100,25 +100,25 @@ impl WorkloadConnector for YcsbWorkload {
         let contract = chain.deploy(&ycsb::bundle());
         self.contract = Some(contract);
         if self.config.preload_records > 0 {
-            let payloads: Vec<Vec<u8>> = (0..self.config.preload_records)
+            let mut lane = Population::lane(0);
+            let txs = (0..self.config.preload_records)
                 .map(|k| {
-                    let mut v = vec![0u8; self.config.value_size];
-                    self.rng.fill_bytes(&mut v);
-                    ycsb::write_call(k, &v)
+                    let v = self.value();
+                    lane.sign(AccountId(0), contract, 0, ycsb::write_call(k, &v))
                 })
                 .collect();
-            Preloader::new(0).preload_calls(chain, contract, payloads, 500);
+            preload(chain, txs, 500);
         }
     }
 
     fn next_transaction(&mut self, client: ClientId) -> Transaction {
         let contract = self.contract.expect("setup ran");
         let payload = self.payload();
-        self.bank.sign(client, contract, 0, payload)
+        self.clients.sign(client, contract, 0, payload)
     }
 
     fn on_rejected(&mut self, client: ClientId) {
-        self.bank.rollback(client);
+        self.clients.rollback(client);
     }
 
     fn next_transaction_keyed(&mut self, account: AccountId) -> Transaction {

@@ -3,10 +3,10 @@
 //! The tentpole contract (ROADMAP "millions of users"): an open-loop Poisson
 //! run over 1,000,000 distinct sending accounts completes with memory
 //! proportional to the *active set* — the accounts that actually sent — not
-//! the population. `Population` materialises keys through a bounded LRU and
-//! nonces in a sparse map, so the run below touches a few thousand entries
-//! where an eager setup would allocate a million keypairs before the first
-//! send.
+//! the population. `Population` derives an account's key on its first send
+//! and keeps that keypair and its nonce in a sparse map, so the run below
+//! touches a few thousand entries where an eager setup would allocate a
+//! million keypairs before the first send.
 
 use bb_fabric::{FabricChain, FabricConfig};
 use bb_parity::{ParityChain, ParityConfig};
@@ -52,7 +52,7 @@ fn million_account_run_memory_tracks_active_set_not_population() {
         stats.summary_line()
     );
 
-    // The memory contract: nonce state exists only for accounts that sent.
+    // The memory contract: keys and nonces exist only for accounts that sent.
     // With ~5k uniform draws from 1M ids, the active set is ≈ submitted
     // (birthday collisions are rare) and *far* below the population.
     let touched = workload.population().touched();
@@ -65,15 +65,6 @@ fn million_account_run_memory_tracks_active_set_not_population() {
         touched < 20_000,
         "active set {touched} is not ≪ the 1,000,000-account population"
     );
-
-    // Key material is bounded by the LRU capacity regardless of how many
-    // distinct accounts sent.
-    let (resident, hits, misses) = workload.population().key_cache_stats();
-    assert!(resident <= 4096, "key cache resident {resident} exceeded its capacity");
-    assert!(misses > 0, "lazy derivation never ran");
-    // Uniform draws over a huge id space rarely repeat inside the window, so
-    // most lookups derive; the test only pins that the counters move.
-    assert!(hits + misses >= stats.submitted, "every send consults the key cache");
 }
 
 #[test]
