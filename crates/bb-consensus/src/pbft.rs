@@ -1125,21 +1125,28 @@ mod tests {
     }
 
     /// A zero-latency in-memory harness that delivers every action
-    /// immediately — protocol logic without the network.
+    /// immediately, in FIFO order — protocol logic without the network.
     struct Cluster {
         nodes: Vec<PbftNode>,
         committed: Vec<Vec<(u64, Vec<Request>)>>,
         /// Crashed replicas drop everything.
         down: Vec<bool>,
+        /// Messages handed to a live replica, by variant name.
+        delivered: BTreeMap<String, u64>,
     }
 
     impl Cluster {
         fn new(n: u32) -> Cluster {
-            let config = PbftConfig { n, batch_size: 3, ..PbftConfig::default() };
+            Cluster::with_config(PbftConfig { n, batch_size: 3, ..PbftConfig::default() })
+        }
+
+        fn with_config(config: PbftConfig) -> Cluster {
+            let n = config.n;
             Cluster {
                 nodes: (0..n).map(|i| PbftNode::new(NodeId(i), config.clone())).collect(),
                 committed: vec![Vec::new(); n as usize],
                 down: vec![false; n as usize],
+                delivered: BTreeMap::new(),
             }
         }
 
@@ -1172,6 +1179,9 @@ mod tests {
                 if self.down[src.index()] || self.down[to.index()] {
                     continue;
                 }
+                let kind = format!("{msg:?}");
+                let kind = kind.chars().take_while(char::is_ascii_alphanumeric).collect();
+                *self.delivered.entry(kind).or_default() += 1;
                 let acts = self.nodes[to.index()].on_message(src, msg, now);
                 absorb(&mut self.committed, &mut queue, to, acts);
             }
@@ -1217,6 +1227,29 @@ mod tests {
         }
         assert!(c.nodes.iter().all(|n| n.last_committed() == 1));
         assert!(c.nodes.iter().all(|n| n.awaiting_count() == 0));
+    }
+
+    #[test]
+    fn normal_case_message_counts_are_quadratic() {
+        // One full batch at the primary: n-1 pre-prepares, a prepare from
+        // each backup and a commit from each replica to every other
+        // replica — 2n(n-1) in all, and nothing else. FIFO delivery puts
+        // every prepare before any commit. Any excess elsewhere is
+        // retransmission.
+        for n in [4u32, 7, 10, 16] {
+            let mut c = Cluster::new(n);
+            let now = SimTime::from_secs(1);
+            for i in 0..3 {
+                c.request(NodeId(0), format!("tx-{i}").as_bytes(), now);
+            }
+            assert!(c.committed.iter().all(|log| log.len() == 1), "n={n}");
+            let n = u64::from(n);
+            let delivered: Vec<_> = c.delivered.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+            let prepares = (n - 1) * (n - 1);
+            let expected = [("Commit", n * (n - 1)), ("PrePrepare", n - 1), ("Prepare", prepares)];
+            assert_eq!(delivered, expected, "n={n}");
+            assert_eq!(c.delivered.values().sum::<u64>(), 2 * n * (n - 1), "n={n}");
+        }
     }
 
     #[test]
@@ -1652,11 +1685,7 @@ mod tests {
         // laggard asking for history from 0 must jump via the checkpoint,
         // then batch-sync the retained window.
         let config = PbftConfig { n: 4, batch_size: 3, checkpoint_horizon: 5, ..PbftConfig::default() };
-        let mut c = Cluster {
-            nodes: (0..4).map(|i| PbftNode::new(NodeId(i), config.clone())).collect(),
-            committed: vec![Vec::new(); 4],
-            down: vec![false; 4],
-        };
+        let mut c = Cluster::with_config(config);
         let t0 = SimTime::from_secs(1);
         c.down[3] = true;
         for i in 0..75 {
