@@ -8,6 +8,9 @@
 //! window ends, sweep points) are arguments; rows are found by the names and
 //! constants that built them, never by a label written out here.
 
+use bb_parity::ParityConfig;
+use bb_sim::SimDuration;
+
 use crate::exp_ablation::{CHANNEL_CAPACITIES, SIGN_COSTS_MS, SIZE_EXPONENTS, ZIPF_THETAS};
 use crate::exp_chaos::Scenario;
 use crate::exp_fault::{FIG9_SERVERS, SAMPLE_EVERY, SYNC_MODES};
@@ -84,6 +87,49 @@ pub fn fig14_smallbank_costs_blockchains_little_but_hstore_much(t: &Table) -> Re
     ensure!(1.0 - fs / fy < 0.35, "blockchain smallbank penalty too large: {fs} vs YCSB {fy}");
     ensure!((4.0..10.0).contains(&(hy / hs)), "h-store penalty: {hy} / {hs}");
     ensure!(hs > 10.0 * fy, "h-store smallbank {hs} vs hyperledger YCSB {fy}");
+    Ok(())
+}
+
+/// Section 4.1.1's Parity bottleneck, in blocks: a Parity block holds at
+/// most `ParityConfig::with_nodes(8).max_txs_per_block()` transactions, one
+/// block per `step_duration`, and every Parity cell of the 8×8 figures offers
+/// more than that (8 clients × at least 8 tx/s). So over the `window`, each
+/// YCSB and DoNothing cell commits a whole number k ≤ window ÷ step of full
+/// blocks, and each Smallbank cell, whose aborted transactions take block
+/// slots without committing, at most that many blocks' worth — both within
+/// the printed precision of the tx/s cell.
+pub fn parity_blocks_are_full(
+    sweep: &Table,
+    rates: &[f64],
+    fig13c: &Table,
+    fig14: &Table,
+    window: SimDuration,
+) -> Result<(), String> {
+    let parity = Parity.name();
+    let mut cells = Vec::new();
+    for w in [Macro::Ycsb, Macro::Smallbank] {
+        for rate in rates.iter().map(|&r| num(r)) {
+            let key = [("platform", parity), ("workload", w.name()), ("rate/client", &rate)];
+            cells.push((&sweep.title, w, sweep.cell(&key, "tx/s")?));
+        }
+        cells.push((&fig14.title, w, fig14.cell(&[("system", parity)], w.name())?));
+    }
+    for w in [Macro::Ycsb, Macro::Smallbank, Macro::DoNothing] {
+        cells.push((&fig13c.title, w, fig13c.cell(&[("platform", parity)], w.name())?));
+    }
+    let config = ParityConfig::with_nodes(8);
+    let per_block = config.max_txs_per_block() as f64;
+    let max_blocks = (window.as_micros() / config.step_duration.as_micros()) as f64;
+    for (title, workload, printed) in cells {
+        let tps: f64 = printed.parse().map_err(|_| format!("{title}: parity {printed:?}"))?;
+        let decimals = printed.split_once('.').map_or(0, |(_, frac)| frac.len() as i32);
+        let slack = 0.5 * 10f64.powi(-decimals) * window.as_secs_f64() / per_block;
+        let blocks = tps * window.as_secs_f64() / per_block;
+        let cell = format!("{title}: parity {} at {printed} tx/s", workload.name());
+        ensure!(blocks <= max_blocks + slack, "{cell} overfills {max_blocks} blocks");
+        let whole = blocks >= 1.0 && (blocks - blocks.round()).abs() <= slack;
+        ensure!(whole || workload == Macro::Smallbank, "{cell} is {blocks} blocks of {per_block}");
+    }
     Ok(())
 }
 

@@ -63,6 +63,13 @@ fn smallbank_costs_blockchains_little_but_hstore_much() -> Result<(), String> {
     claims::fig14_smallbank_costs_blockchains_little_but_hstore_much(&tables().fig14)
 }
 
+/// The sweep holds both workloads only at [`RATE`].
+#[test]
+fn parity_blocks_are_full() -> Result<(), String> {
+    let t = tables();
+    claims::parity_blocks_are_full(&t.sweep, &[RATE], &t.fig13c, &t.fig14, Scale::quick().duration)
+}
+
 fn results(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name)
 }
@@ -93,7 +100,8 @@ fn claims_hold_over_committed_csvs() -> Result<(), String> {
     use claims::*;
     let quick = Scale::quick();
     fig5_fabric_beats_ethereum_beats_parity(&csv("fig5_peak.csv")?)?;
-    fig5_parity_flat_in_offered_load(&csv("fig5_sweep.csv")?, &quick.rates)?;
+    let sweep = csv("fig5_sweep.csv")?;
+    fig5_parity_flat_in_offered_load(&sweep, &quick.rates)?;
     crash_tolerance_split()?;
     let (window, fail_at, restart_at, _) = fig9_restart_args(&quick);
     fig9_restart_rejoins_and_recovers(&csv("fig9_restart.csv")?, window, fail_at, restart_at)?;
@@ -103,8 +111,10 @@ fn claims_hold_over_committed_csvs() -> Result<(), String> {
     partition_forks_pow_and_poa_only()?;
     fig11_ethereum_ooms_hyperledger_finishes(&csv("fig11_cpuheavy.csv")?, &quick.cpu_sizes)?;
     fig13b_fabric_q2_needs_one_round_trip(&csv("fig13b_q2.csv")?, &quick.analytics_spans)?;
-    fig13c_donothing_isolates_the_bottleneck(&csv("fig13c_donothing.csv")?)?;
-    fig14_smallbank_costs_blockchains_little_but_hstore_much(&csv("fig14_hstore.csv")?)?;
+    let (fig13c, fig14) = (csv("fig13c_donothing.csv")?, csv("fig14_hstore.csv")?);
+    fig13c_donothing_isolates_the_bottleneck(&fig13c)?;
+    fig14_smallbank_costs_blockchains_little_but_hstore_much(&fig14)?;
+    parity_blocks_are_full(&sweep, &quick.rates, &fig13c, &fig14, quick.duration)?;
     let difficulty = csv("ablation_difficulty.csv")?;
     fig8_ethereum_degrades_with_size_but_survives(&difficulty)?;
     ablation_a_unbounded_channel_prevents_the_collapse(&csv("ablation_channel.csv")?)?;
