@@ -107,11 +107,11 @@ pub struct LsmStore {
 
 impl LsmStore {
     /// Open a store rooted at `prefix` on `vfs`, replaying any WAL tail and
-    /// re-attaching existing SSTables (restart path). With a manifest the
-    /// level structure is restored exactly and unlisted orphan files (a
-    /// crash between writing a merge output and committing the manifest)
-    /// are deleted; without one — a store written before leveling — every
-    /// table becomes L0 in id order, which preserves newest-wins.
+    /// re-attaching existing SSTables (restart path). The manifest restores
+    /// the level structure exactly, and unlisted orphan files (a crash
+    /// between writing a table and committing the manifest) are deleted. A
+    /// missing manifest is an empty one: every table file is then an orphan
+    /// of the first flush, whose entries the WAL still holds.
     pub fn open(vfs: Arc<Mutex<Vfs>>, prefix: &str, config: LsmConfig) -> Result<LsmStore, KvError> {
         let wal_file = format!("{prefix}/wal");
         let manifest_file = format!("{prefix}/manifest");
@@ -123,51 +123,29 @@ impl LsmStore {
                 if v.exists(&manifest_file) { Some(v.read(&manifest_file).unwrap()) } else { None };
             (wal, files, manifest)
         };
+        let (mut next_table_id, level_ids) = match manifest_bytes {
+            Some(bytes) => parse_manifest(&bytes, prefix)?,
+            None => (0, Vec::new()),
+        };
         let mut levels: Vec<Vec<Tbl>> = vec![Vec::new()];
-        let mut next_table_id = 0;
-        match manifest_bytes {
-            Some(bytes) => {
-                let (next, level_ids) = parse_manifest(&bytes, prefix)?;
-                next_table_id = next;
-                let mut listed = HashSet::new();
-                for (n, ids) in level_ids.iter().enumerate() {
-                    while levels.len() <= n {
-                        levels.push(Vec::new());
-                    }
-                    for &id in ids {
-                        let file = format!("{prefix}/sst/{id:012}");
-                        let table = SsTable::open(&mut vfs.lock().unwrap(), &file)?;
-                        next_table_id = next_table_id.max(id + 1);
-                        listed.insert(file);
-                        levels[n].push(Tbl { id, table });
-                    }
-                }
-                // Orphans: merge outputs whose manifest commit never
-                // happened, or inputs whose deletion didn't. Either way the
-                // manifest is the truth; drop them before they can shadow
-                // or resurrect anything.
-                let mut v = vfs.lock().unwrap();
-                for file in &table_files {
-                    if !listed.contains(file) {
-                        v.delete(file);
-                    }
-                }
+        let mut listed = HashSet::new();
+        for (n, ids) in level_ids.iter().enumerate() {
+            while levels.len() <= n {
+                levels.push(Vec::new());
             }
-            None => {
-                // Pre-manifest layout: a flat stack of flushes/compactions
-                // where higher ids are newer — exactly L0's contract.
-                for file in &table_files {
-                    let table = SsTable::open(&mut vfs.lock().unwrap(), file)?;
-                    let id = file
-                        .rsplit('/')
-                        .next()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or(next_table_id);
-                    next_table_id = next_table_id.max(id + 1);
-                    levels[0].push(Tbl { id, table });
-                }
-                levels[0].sort_by_key(|t| t.id);
+            for &id in ids {
+                let file = format!("{prefix}/sst/{id:012}");
+                let table = SsTable::open(&mut vfs.lock().unwrap(), &file)?;
+                next_table_id = next_table_id.max(id + 1);
+                listed.insert(file);
+                levels[n].push(Tbl { id, table });
             }
+        }
+        // Orphans: tables whose manifest commit never happened, or merge
+        // inputs whose deletion didn't. Either way the manifest is the
+        // truth; drop them before they can shadow or resurrect anything.
+        for file in table_files.iter().filter(|file| !listed.contains(*file)) {
+            vfs.lock().unwrap().delete(file);
         }
         let mut store = LsmStore {
             vfs,
@@ -873,36 +851,36 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_without_manifest_opens_as_l0() {
-        // A store written before the manifest existed: a flat stack of
-        // flush tables where a higher id is strictly newer. Opening it
-        // re-attaches every table as L0 in id order, preserving
-        // newest-wins reads.
+    fn crash_before_the_first_manifest_commit_replays_the_wal() {
+        // The first flush writes its table, commits the first manifest and
+        // only then resets the WAL. A crash between the table and the
+        // manifest leaves a table file, no manifest and the whole WAL: the
+        // table is an orphan, and replaying the WAL recovers its entries.
         let vfs = Arc::new(Mutex::new(Vfs::new()));
-        for round in 0..3u32 {
-            let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..50u32)
-                .map(|i| (format!("k{i:03}").into_bytes(), Some(format!("r{round}").into_bytes())))
-                .collect();
-            SsTable::build(
-                &mut vfs.lock().unwrap(),
-                &format!("db/sst/{round:012}"),
-                &entries,
-                10,
-                16,
-            );
+        let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..50u32)
+            .map(|i| (format!("k{i:03}").into_bytes(), Some(format!("v{i}").into_bytes())))
+            .collect();
+        {
+            let mut s = LsmStore::open(Arc::clone(&vfs), "db", LsmConfig::default()).unwrap();
+            for (k, v) in &entries {
+                s.put(k, v.as_deref().unwrap()).unwrap();
+            }
+            assert_eq!(s.table_count(), 0, "the entries must still be in the memtable");
+            SsTable::build(&mut vfs.lock().unwrap(), "db/sst/000000000000", &entries, 10, 16);
         }
-        let mut s = LsmStore::open(Arc::clone(&vfs), "db", small_config()).unwrap();
-        assert_eq!(s.level_table_counts().len(), 1, "legacy tables all land in L0");
+        assert!(!vfs.lock().unwrap().exists("db/manifest"));
+        let mut s = LsmStore::open(Arc::clone(&vfs), "db", LsmConfig::default()).unwrap();
+        assert!(vfs.lock().unwrap().list("db/sst/").is_empty(), "orphan table kept");
+        assert_eq!(s.stats().wal_records_replayed, 50);
         for i in 0..50u32 {
-            assert_eq!(s.get(format!("k{i:03}").as_bytes()).unwrap(), Some(b"r2".to_vec()));
+            let value = s.get(format!("k{i:03}").as_bytes()).unwrap();
+            assert_eq!(value, Some(format!("v{i}").into_bytes()));
         }
-        // And the store keeps working (flush + compact) from there.
-        for i in 0..200u32 {
-            s.put(format!("n{i:04}").as_bytes(), b"x").unwrap();
-        }
+        // And the store keeps working: the next flush commits a manifest.
         s.flush();
-        assert_eq!(s.get(b"n0000").unwrap(), Some(b"x".to_vec()));
-        assert_eq!(s.get(b"k000").unwrap(), Some(b"r2".to_vec()));
+        assert!(vfs.lock().unwrap().exists("db/manifest"));
+        assert_eq!(s.table_count(), 1);
+        assert_eq!(s.get(b"k049").unwrap(), Some(b"v49".to_vec()));
     }
 
     #[test]
