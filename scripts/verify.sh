@@ -157,6 +157,14 @@ smoke -p blockbench load
 smoke -p bb-bench --test open_loop
 smoke -p bb-bench --test parallel_determinism open_loop
 smoke -p bb-bench --lib saturation_curves
+# One signer: closed-loop clients, open-loop accounts, preload lanes and the
+# analytics history all sign through `bb_workloads::Population`, whose known
+# answers pin the first transaction ids of every signing path.
+smoke -p bb-workloads
+if git grep -n 'KeyPair::from_seed' -- crates/bb-workloads/src | grep -v '^crates/bb-workloads/src/common\.rs:'; then
+    echo "ERROR: a workload derives keys outside bb-workloads' Population (common.rs)" >&2
+    exit 1
+fi
 
 echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # The chaos matrix (DESIGN.md §10) is the adversarial surface of the
