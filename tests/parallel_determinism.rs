@@ -41,6 +41,14 @@ fn assert_replays(what: &str, run: impl Fn() -> String) -> String {
     first
 }
 
+/// Require `text`'s SHA-256 to be `want`, a known answer: a replay only says
+/// a run repeats, this says it is the run the literal was taken from, so a
+/// refactor that moves one scheduled event or one RNG draw fails here.
+fn assert_known_answer(what: &str, text: &str, want: &str) {
+    let got = bb_crypto::Hash256(bb_crypto::sha256(text.as_bytes())).to_hex();
+    assert_eq!(got, want, "{what}: the run's text is not the known answer");
+}
+
 fn build_seeded(platform: Platform, nodes: u32, seed: u64) -> Box<dyn BlockchainConnector> {
     match platform {
         Platform::Ethereum => {
@@ -112,12 +120,21 @@ fn driver_stats(platform: Platform, seed: u64) -> String {
 
 #[test]
 fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
-    for platform in ALL_PLATFORMS {
-        for seed in [1u64, 7, 42] {
-            assert_replays(&format!("{} seed {seed}", platform.name()), || {
-                driver_stats(platform, seed)
-            });
-        }
+    let known = [
+        (Platform::Ethereum, "ebdb988dd050d7753b04bda97a5c1de760981bdfe6fa7f8f5bb89e592abf0bd0"),
+        (Platform::Parity, "ad5232d7daf3f248dfe193da45486854ad678f6256f5df595a115c6ab7e70881"),
+        (Platform::Hyperledger, "ef5c94898df58b7a3104500c891addf374f98607095c358f18ca6143efbe6473"),
+    ];
+    for (platform, want) in known {
+        let texts: String = [1u64, 7, 42]
+            .into_iter()
+            .map(|seed| {
+                assert_replays(&format!("{} seed {seed}", platform.name()), || {
+                    driver_stats(platform, seed)
+                })
+            })
+            .collect();
+        assert_known_answer(&format!("{} run stats", platform.name()), &texts, want);
     }
 }
 
@@ -261,10 +278,15 @@ fn restart_timeline(platform: Platform) -> String {
 
 #[test]
 fn restart_and_catchup_replay_identically() {
-    for platform in ALL_PLATFORMS {
-        assert_replays(&format!("{} restart timeline", platform.name()), || {
-            restart_timeline(platform)
-        });
+    let known = [
+        (Platform::Ethereum, "7fe4034ab4d58276c41eacd472dcabc4792ccd85812a946e1af3334cc9588384"),
+        (Platform::Parity, "a22c16d6ad8577f1f346cf0779c99a679388b7bd79c3bbde1765930bdb0ff594"),
+        (Platform::Hyperledger, "94bc3ac41cf0303062c36924b403ae145841c90a6a7567a2b525b17ed6d9b85e"),
+    ];
+    for (platform, want) in known {
+        let what = format!("{} restart timeline", platform.name());
+        let text = assert_replays(&what, || restart_timeline(platform));
+        assert_known_answer(&what, &text, want);
     }
 }
 
