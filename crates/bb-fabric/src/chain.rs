@@ -156,6 +156,59 @@ struct FabNode {
 }
 
 impl FabNode {
+    /// Append a block of executed `txs` on this peer's tip: assemble its
+    /// header, seal the state writes and its `!b/` record as one atomic LSM
+    /// batch (a crash keeps both or neither), and log its receipts — and,
+    /// on the observer (node 0), its summary: PBFT confirms a block as soon
+    /// as it appears on the chain (Section 3.2). `pbft` is the sequence and
+    /// proposer of a committed batch: its header carries the sequence, not
+    /// local delivery time, so replicas' headers are byte-identical. A
+    /// preload (`None`) bypasses consensus: the set-up clock, node 0, and a
+    /// zero sequence floor so a restart resumes PBFT from scratch. Returns
+    /// the block's encoded size.
+    fn append_block(
+        &mut self,
+        me: NodeId,
+        now: SimTime,
+        txs: Vec<Arc<Transaction>>,
+        receipts: Vec<(TxId, bool)>,
+        pbft: Option<(u64, NodeId)>,
+    ) -> u64 {
+        let height = self.blocks.len() as u64 + 1;
+        let (timestamp_us, proposer, round, floor) = match pbft {
+            Some((seq, proposer)) => (seq, proposer, seq, seq),
+            None => (now.as_micros(), NodeId(0), height, 0),
+        };
+        let header = BlockHeader {
+            parent: self.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO),
+            height,
+            timestamp_us,
+            tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
+            state_root: self.state.root(),
+            proposer,
+            difficulty: 0,
+            round,
+        };
+        let block = Block { header, txs };
+        let record = block_meta_record(floor, &block);
+        let block_bytes = (record.len() - 8) as u64;
+        self.state
+            .commit_block_with_meta(vec![(block_meta_key(height), Some(record))])
+            .expect("state store healthy");
+        if me.index() == 0 {
+            self.confirmed.push(BlockSummary {
+                id: block.id(),
+                height,
+                proposer,
+                confirmed_at_us: now.as_micros(),
+                txs: receipts.clone(),
+            });
+        }
+        self.receipts.push(receipts);
+        self.blocks.push(block);
+        block_bytes
+    }
+
     /// Fold this peer into the run-wide stats: its counters and CPU series
     /// (with `net`, its outbound network series) by the shared policy, plus
     /// the store, bucket-tree and PBFT counters.
@@ -511,45 +564,13 @@ fn commit_batch(
     // Execution occupies the same event loop as message processing:
     // the next drain waits for it.
     node.pipeline_penalty += exec_time;
-    let parent = node.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO);
-    // Headers must be byte-identical across replicas: the timestamp is
-    // the deterministic sequence number, not local delivery time.
-    let header = BlockHeader {
-        parent,
-        height,
-        timestamp_us: seq,
-        tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
-        state_root: node.state.root(),
-        proposer: NodeId((seq % ctx.config.nodes as u64) as u32),
-        difficulty: 0,
-        round: seq,
-    };
-    let block = Block { header, txs };
-    let record = block_meta_record(seq, &block);
-    let block_bytes = (record.len() - 8) as u64;
-    // Seal the batch: state writes and the durable block record flush as
-    // one atomic LSM batch — a crash keeps both or neither.
-    node.state
-        .commit_block_with_meta(vec![(block_meta_key(height), Some(record))])
-        .expect("state store healthy");
+    let proposer = NodeId((seq % ctx.config.nodes as u64) as u32);
+    let block_bytes = node.append_block(at, now, txs, receipts, Some((seq, proposer)));
     if node.recovery.restarted_at.is_some() {
         node.counters.resync_blocks += 1;
         node.counters.resync_bytes += block_bytes;
         node.recovery.close_if_reached(seq, now, &mut node.counters);
     }
-    if at.index() == 0 {
-        // PBFT confirms immediately: "Hyperledger confirms a block as
-        // soon as it appears on the blockchain" (Section 3.2).
-        node.confirmed.push(BlockSummary {
-            id: block.id(),
-            height,
-            proposer: block.header.proposer,
-            confirmed_at_us: now.as_micros(),
-            txs: receipts.clone(),
-        });
-    }
-    node.receipts.push(receipts);
-    node.blocks.push(block);
 }
 
 /// A node's volatile chain bookkeeping: PBFT sequence floor, executed ids,
@@ -748,10 +769,6 @@ impl FabricChain {
             let st = state.store_stats();
             n.counters.wal_replayed += st.wal_records_replayed;
             n.counters.wal_truncated += st.wal_tail_truncated;
-            // Chaincode binaries are redeployable artifacts, not state.
-            for (addr, factory) in contracts {
-                state.install(*addr, *factory);
-            }
             // Rebuild the chain from the durable block records. Each
             // record rode the same atomic batch as its state flush, so
             // this list is exactly the blocks whose effects survive.
@@ -766,11 +783,7 @@ impl FabricChain {
             let snapshot = peer_floor
                 .is_some_and(|t| torn || t.saturating_sub(floor) > snapshot_sync_blocks);
             if snapshot {
-                let mut fresh = FabricState::new(buckets, mem_cap);
-                for (addr, factory) in contracts {
-                    fresh.install(*addr, *factory);
-                }
-                n.state = fresh;
+                n.state = FabricState::new(buckets, mem_cap);
                 n.blocks = Vec::new();
                 n.receipts = Vec::new();
                 n.executed = DigestSet::default();
@@ -779,6 +792,10 @@ impl FabricChain {
                 n.blocks = blocks;
                 n.receipts = receipts;
                 n.executed = executed;
+            }
+            // Chaincode binaries are redeployable artifacts, not state.
+            for (addr, factory) in contracts {
+                n.state.install(*addr, *factory);
             }
             n.pbft = PbftNode::resume_at(id, pbft_config, floor);
             n.inbox.clear();
@@ -1030,35 +1047,7 @@ impl BlockchainConnector for FabricChain {
                     let res = node.state.invoke(tx, height, true);
                     receipts.push((tx.id(), res.success));
                 }
-                let parent = node.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO);
-                let header = BlockHeader {
-                    parent,
-                    height,
-                    timestamp_us: now.as_micros(),
-                    tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
-                    state_root: node.state.root(),
-                    proposer: NodeId(0),
-                    difficulty: 0,
-                    round: height,
-                };
-                let block = Block { header, txs };
-                // Preloads bypass consensus: record a zero sequence
-                // floor so a restart resumes PBFT from scratch.
-                node.state
-                    .commit_block_with_meta(vec![(
-                        block_meta_key(height),
-                        Some(block_meta_record(0, &block)),
-                    )])
-                    .expect("setup store healthy");
-                node.confirmed.push(BlockSummary {
-                    id: block.id(),
-                    height,
-                    proposer: NodeId(0),
-                    confirmed_at_us: now.as_micros(),
-                    txs: receipts.clone(),
-                });
-                node.receipts.push(receipts);
-                node.blocks.push(block);
+                node.append_block(NodeId(0), now, txs, receipts, None);
             });
         }
         // Preloading is consensus-free and identical on every peer: the
