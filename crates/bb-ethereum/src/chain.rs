@@ -1,4 +1,4 @@
-//! The Ethereum-like network world and its `BlockchainConnector`.
+//! The Ethereum-like network world: proof of work under [`AccountChain`].
 //!
 //! Every server node runs the full stack: a transaction pool fed by client
 //! RPC and probabilistic gossip, an exponential-race miner, full block
@@ -9,27 +9,20 @@
 //! the confirmed chain (head minus `confirm_depth`), block/state queries,
 //! and the read-only contract path.
 //!
-//! Sharded: each server is a lane of a [`ShardedEngine`] and owns its own
-//! RNG stream (mining races, gossip coin flips), LSM store and trie, so
-//! block validation on different nodes runs on different cores while the
-//! run stays byte-identical to the serial path (DESIGN.md §5).
+//! What is proof-of-work here: the mining race (each server draws it, and
+//! its gossip coin flips, from a stream of its own), admission after
+//! `rpc_delay`, and a durable node's crash, restart, torn tail and slow disk.
 
+use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
 use crate::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use crate::state::AccountState;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
-use bb_net::Network;
-use bb_sim::{
-    CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
-};
+use bb_sim::{Effects, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_storage::{FaultVfs, KvError, KvStore, LsmConfig, LsmStore};
-use bb_types::{Address, Block, BlockSummary, NodeId, Transaction};
-use blockbench::connector::{
-    BlockchainConnector, ChainEntry, DirectExec, Fault, PlatformStats, Query, QueryError,
-    QueryResult, RecoveryWindow,
-};
-use blockbench::contract::ContractBundle;
+use bb_types::{Block, NodeId, Transaction};
+use blockbench::connector::{Fault, RecoveryWindow};
 use std::sync::Arc;
 
 /// Events of the Ethereum world.
@@ -84,7 +77,8 @@ pub enum EthEvent {
     },
 }
 
-struct EthNode {
+/// One Ethereum server.
+pub struct EthNode {
     chain: ChainNode<LsmStore>,
     /// This node's private randomness: mining race draws and gossip coin
     /// flips. Lane-local so parallel nodes never contend on one stream.
@@ -94,7 +88,7 @@ struct EthNode {
 }
 
 /// Read-only context shared by every lane.
-struct EthCtx {
+pub struct EthCtx {
     config: EthConfig,
     params: ChainParams,
 }
@@ -107,6 +101,9 @@ impl ChainPlatform for EthCtx {
 
     fn params(&self) -> &ChainParams {
         &self.params
+    }
+    fn params_mut(&mut self) -> &mut ChainParams {
+        &mut self.params
     }
 
     /// The durable `!b/` record rides the same atomic batch as the state
@@ -143,21 +140,11 @@ impl ChainPlatform for EthCtx {
     }
 }
 
-/// The sharded-world marker type for Ethereum.
-struct EthWorld;
+/// Proof of work: the sharded world of Ethereum servers.
+pub struct EthWorld;
 
 /// The Ethereum-like platform.
-pub struct EthereumChain {
-    config: EthConfig,
-    engine: ShardedEngine<EthWorld>,
-    network: Network,
-    started: bool,
-    mem_peak: u64,
-}
-
-/// Observer counter: network-wide count of blocks ever mined (forks
-/// included).
-const BLOCKS_MINED: usize = 0;
+pub type EthereumChain = AccountChain<EthWorld>;
 
 impl ShardedWorld for EthWorld {
     type Event = EthEvent;
@@ -205,8 +192,8 @@ impl ShardedWorld for EthWorld {
 fn eth_store_config() -> LsmConfig {
     LsmConfig {
         // Chain workloads write heavily and never delete: flush less often
-        // and let more tables accumulate before the (full) compaction
-        // rewrites the store.
+        // and let more tables accumulate before a level is compacted into
+        // the next.
         memtable_flush_bytes: 4 << 20,
         max_tables: 48,
         ..LsmConfig::default()
@@ -244,18 +231,14 @@ fn decode_block_meta(value: &[u8]) -> Option<(Hash256, Block)> {
     Some((root, block))
 }
 
-fn reschedule_mine(
-    ctx: &EthCtx,
-    node: &mut EthNode,
-    miner: NodeId,
-    now: SimTime,
-    fx: &mut Effects<EthEvent>,
-) {
-    node.mine_generation += 1;
-    let generation = node.mine_generation;
-    let mean = ctx.config.pow.miner_interval(ctx.config.nodes);
-    let delay = node.rng.exp_duration(mean);
-    fx.schedule(now + delay, EthEvent::Mine { miner, generation });
+impl EthNode {
+    /// Enter a fresh mining race, cancelling any in flight: when it ends,
+    /// and the event that ends it.
+    fn next_race(&mut self, config: &EthConfig, me: NodeId, now: SimTime) -> (SimTime, EthEvent) {
+        self.mine_generation += 1;
+        let delay = self.rng.exp_duration(config.pow.miner_interval(config.nodes));
+        (now + delay, EthEvent::Mine { miner: me, generation: self.mine_generation })
+    }
 }
 
 fn on_mine(
@@ -273,22 +256,9 @@ fn on_mine(
     let interval = ctx.config.pow.miner_interval(ctx.config.nodes);
     let from = SimTime(now.as_micros().saturating_sub(interval.as_micros().min(now.as_micros())));
     node.chain.cpu.saturate(from, now);
-    let block = Arc::new(node.chain.build_block(ctx, now, miner, 0));
-    fx.count(BLOCKS_MINED, 1);
-    // Adopt locally.
-    node.chain.adopt_block(ctx, now, miner, Arc::clone(&block), None, fx);
-    // Broadcast to every peer.
-    for peer in (0..ctx.config.nodes).map(NodeId) {
-        if peer == miner {
-            continue;
-        }
-        let msg = SyncMsg::Block { block: Arc::clone(&block), from: miner };
-        fx.send(peer.0, block.byte_size(), move |_at| EthEvent::Sync { to: peer, msg });
-    }
-    reschedule_mine(ctx, node, miner, now, fx);
-    if miner.index() == 0 {
-        node.chain.refresh_confirmed(ctx, now);
-    }
+    node.chain.produce(ctx, now, miner, 0, fx);
+    let (at, race) = node.next_race(&ctx.config, miner, now);
+    fx.schedule(at, race);
 }
 
 fn on_tx(
@@ -331,7 +301,8 @@ fn on_sync(
     }
     if node.chain.tree.head() != had_head {
         // Head moved: restart the mining race on the new head.
-        reschedule_mine(ctx, node, me, now, fx);
+        let (at, race) = node.next_race(&ctx.config, me, now);
+        fx.schedule(at, race);
     }
 }
 
@@ -406,7 +377,8 @@ fn on_snapshot_chunk(
     node.chain.recovery.snapshot_syncing = false;
     let ask = SyncMsg::HeadRequest { from: me };
     fx.send(from.0, 64, move |_at| EthEvent::Sync { to: from, msg: ask });
-    reschedule_mine(ctx, node, me, now, fx);
+    let (at, race) = node.next_race(&ctx.config, me, now);
+    fx.schedule(at, race);
 }
 
 /// Rebuild a node's in-memory chain (tree, bodies, roots, head state) from
@@ -456,12 +428,13 @@ fn rebuild_node_from_store(n: &mut ChainNode<LsmStore>) {
     n.install_chain(tree, bodies, roots);
 }
 
-impl EthereumChain {
-    /// Build a network per `config`: funded client accounts, genesis block,
-    /// mining not yet started (starts on the first `advance_to`/`submit`).
-    pub fn new(config: EthConfig) -> EthereumChain {
-        let mut rng = SimRng::seed_from_u64(config.seed);
+impl Consensus for EthWorld {
+    type Config = EthConfig;
+    const NAME: &'static str = "ethereum";
+
+    fn setup(config: &EthConfig) -> Setup<EthWorld> {
         let params = ChainParams {
+            nodes: config.nodes,
             vm: vm_for(&config.costs, config.node_mem_bytes),
             costs: config.costs.clone(),
             max_txs_per_block: config.max_txs_per_block,
@@ -473,128 +446,45 @@ impl EthereumChain {
             build_tx_cost: config.costs.sig_verify,
             block_scan_cost_us: (20, 4),
             account_read_cost: SimDuration::from_micros(60),
+            deploys: Vec::new(),
         };
-        let ctx = EthCtx { config: config.clone(), params };
-        // The network's stream forks off the root seed first (its draws
-        // happen as each handler returns, in event-key order); each node then
-        // forks its own private stream for mining races and gossip flips.
-        let network = Network::new(config.nodes, config.link.clone(), rng.fork());
-        // One genesis, built once: every node but the last is a copy of it
-        // (its own store on its own disk), the last is the original.
-        let genesis = ChainNode::at_genesis(
-            &ctx,
-            LsmStore::new_private(eth_store_config()),
-            &[],
-            CpuMeter::new(config.cores),
-        );
-        let nodes = std::iter::repeat_n(genesis, config.nodes as usize)
-            .map(|chain| EthNode { chain, rng: rng.fork(), mine_generation: 0, crashed: false })
-            .collect();
-        let engine = ShardedEngine::new(ctx, nodes, network.min_latency());
-        EthereumChain { config, engine, network, started: false, mem_peak: 0 }
-    }
-
-    /// Restart a crashed node from its durable store alone: reopen the LSM
-    /// (WAL replay, torn-tail truncation), rebuild the chain from persisted
-    /// block records, then ask a live peer for its head to download the gap.
-    fn restart_node(&mut self, id: NodeId) {
-        let now = self.engine.now();
-        let peer = self.network.first_live_peer(id);
-        self.engine.with_node_mut(id.0, |n| {
-            rebuild_node_from_store(&mut n.chain);
-            n.crashed = false;
-            n.mine_generation += 1;
-            // Catch-up bookkeeping: recovery completes when the head reaches
-            // the first live peer's announced height. With no live peer the
-            // node is trivially caught up.
-            n.chain.recovery =
-                RecoveryWindow { restarted_at: peer.map(|_| now), ..Default::default() };
-        });
-        self.network.recover(id);
-        if let Some(peer) = peer {
-            let msg = SyncMsg::HeadRequest { from: id };
-            self.engine.schedule(now, EthEvent::Sync { to: peer, msg });
-        }
-        self.enter_mining_race(id);
-    }
-
-    /// Draw `miner`'s next race and schedule it, cancelling any in flight.
-    fn enter_mining_race(&mut self, miner: NodeId) {
-        let mean = self.config.pow.miner_interval(self.config.nodes);
-        let (generation, delay) = self.engine.with_node_mut(miner.0, |n| {
-            n.mine_generation += 1;
-            (n.mine_generation, n.rng.exp_duration(mean))
-        });
-        self.engine.schedule(self.engine.now() + delay, EthEvent::Mine { miner, generation });
-    }
-
-    fn start_mining(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.config.nodes {
-            self.enter_mining_race(NodeId(i));
+        Setup {
+            ctx: EthCtx { config: config.clone(), params },
+            store: LsmStore::new_private(eth_store_config()),
+            link: config.link.clone(),
+            cores: config.cores,
+            seed: config.seed,
         }
     }
-}
 
-impl BlockchainConnector for EthereumChain {
-    fn name(&self) -> &'static str {
-        "ethereum"
+    /// Each miner forks its own stream for mining races and gossip flips.
+    fn lane(chain: ChainNode<LsmStore>, rng: &mut SimRng) -> EthNode {
+        EthNode { chain, rng: rng.fork(), mine_generation: 0, crashed: false }
+    }
+    fn chain(node: &EthNode) -> &ChainNode<LsmStore> {
+        &node.chain
+    }
+    fn chain_mut(node: &mut EthNode) -> &mut ChainNode<LsmStore> {
+        &mut node.chain
     }
 
-    fn node_count(&self) -> u32 {
-        self.config.nodes
-    }
-
-    fn deploy(&mut self, bundle: &ContractBundle) -> Address {
-        assert!(!self.started, "deploy contracts before the run starts");
-        let deployed = self.engine.with_node(0, |n| n.chain.seen.len()) as u64;
-        let addr = Address::contract(&Address::ZERO, deployed);
-        for i in 0..self.config.nodes {
-            self.engine
-                .with_ctx_node_mut(i, |ctx, n| n.chain.install_contract(ctx, &addr, &bundle.svm));
+    fn start(chain: &mut EthereumChain) {
+        for i in 0..chain.config.nodes {
+            enter_mining_race(chain, NodeId(i));
         }
-        addr
     }
 
-    fn submit(&mut self, server: NodeId, tx: Transaction) -> bool {
-        self.start_mining();
-        if self.network.is_crashed(server) {
-            // A crashed node's RPC endpoint refuses connections; the client
-            // sees the failure and does not burn a nonce on it.
-            return false;
-        }
-        let now = self.engine.now();
-        let at = now + self.config.rpc_delay;
-        self.engine
-            .schedule(at, EthEvent::TxArrive { to: server, tx: Arc::new(tx), gossiped: false });
+    fn admit(chain: &mut EthereumChain, server: NodeId, tx: Transaction) -> bool {
+        let arrive = EthEvent::TxArrive { to: server, tx: Arc::new(tx), gossiped: false };
+        chain.engine.schedule(chain.engine.now() + chain.config.rpc_delay, arrive);
         true
     }
 
-    fn advance_to(&mut self, t: SimTime) {
-        self.start_mining();
-        self.engine.run_until(t, &mut self.network);
-    }
-
-    fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    fn confirmed_blocks_since(&mut self, height: u64) -> Vec<BlockSummary> {
-        self.engine.with_node(0, |n| n.chain.confirmed_blocks_since(height))
-    }
-
-    fn query(&mut self, q: &Query) -> Result<QueryResult, QueryError> {
-        self.engine.with_ctx_node_mut(0, |ctx, n| n.chain.query(ctx, q))
-    }
-
-    fn inject(&mut self, fault: Fault) {
+    fn inject(chain: &mut EthereumChain, fault: Fault) {
         match fault {
             Fault::Crash(node) => {
-                self.network.crash(node);
-                self.engine.with_node_mut(node.0, |n| {
+                chain.network.crash(node);
+                chain.engine.with_node_mut(node.0, |n| {
                     n.crashed = true;
                     n.mine_generation += 1; // cancel races
                     n.chain.crash();
@@ -604,96 +494,72 @@ impl BlockchainConnector for EthereumChain {
             // its chunks are content-addressed trie nodes and block records,
             // harmless to the live store, and the replay path closes the gap.
             Fault::Recover(node) => {
-                self.network.recover(node);
-                self.engine.with_node_mut(node.0, |n| n.crashed = false);
+                chain.network.recover(node);
+                chain.engine.with_node_mut(node.0, |n| n.crashed = false);
                 // Only the revived node re-enters the race; before the run
-                // starts, `start_mining` will enter every node anyway.
-                if self.started {
-                    self.enter_mining_race(node);
+                // starts, `start` will enter every node anyway.
+                if chain.started() {
+                    enter_mining_race(chain, node);
                 }
             }
-            Fault::Restart(node) => self.restart_node(node),
+            Fault::Restart(node) => restart_node(chain, node),
             Fault::TornTail(node) => {
-                let vfs = self.engine.with_node(node.0, |n| n.chain.state.store().vfs());
-                let mut injector =
-                    FaultVfs::new(vfs, self.config.seed ^ 0xF417_7A11 ^ node.0 as u64);
-                injector.tear_tail(&format!("{STORE_PREFIX}/wal"));
+                let vfs = chain.engine.with_node(node.0, |n| n.chain.state.store().vfs());
+                FaultVfs::new(vfs, chain.config.seed ^ 0xF417_7A11 ^ node.0 as u64)
+                    .tear_tail(&format!("{STORE_PREFIX}/wal"));
             }
-            Fault::Delay(node, d) => self.network.set_extra_delay(node, d),
-            Fault::Corrupt(node, p) => self.network.set_corrupt_prob(node, p),
-            Fault::PartitionHalf { left } => self.network.partition_in_half(left),
-            Fault::PartitionAsymmetric { left } => self.network.partition_asymmetric(left),
-            Fault::GossipJitter(amplitude) => self.network.set_gossip_jitter(amplitude),
             Fault::SlowDisk(node, per_op) => {
-                let vfs = self.engine.with_node(node.0, |n| n.chain.state.store().vfs());
+                let vfs = chain.engine.with_node(node.0, |n| n.chain.state.store().vfs());
                 vfs.lock().unwrap().set_op_latency_us(per_op.as_micros());
             }
             // PoW has no leader proposal to fork: an equivocating miner is
             // just a fork, which the heaviest-chain rule already models.
             Fault::Equivocate(_) => {}
-            Fault::Heal => self.network.heal(),
+            _ => unreachable!("the connector injects the network faults"),
         }
     }
 
-    fn stats(&self) -> PlatformStats {
-        let (blocks_main, txs_committed) = self.engine.with_node(0, |n| n.chain.observer_totals());
-        // Byzantine submissions are attributed by the chaos runner; the
-        // node sees them as ordinary (rejected or evicted) traffic.
-        let mut stats = PlatformStats {
-            blocks_total: self.engine.counter(BLOCKS_MINED),
-            blocks_main,
-            txs_committed,
-            mem_peak_bytes: self.mem_peak.max(self.config.costs.mem_base),
-            net_bytes: self.network.stats().bytes,
-            partition_flaps: self.network.partition_flaps(),
-            ..Default::default()
-        };
-        let mut disk_stall_us = 0u64;
-        for i in 0..self.config.nodes {
-            let net = self.network.tx_mbps_series(NodeId(i));
-            self.engine.with_node(i, |n| {
-                n.chain.fold_into(&mut stats, self.config.nodes, &net);
-                disk_stall_us += n.chain.state.store().vfs().lock().unwrap().stall_us();
-            });
-        }
-        stats.disk_stall_ms = disk_stall_us / 1000;
-        stats
+    fn disk_stall_us(node: &EthNode) -> u64 {
+        node.chain.state.store().vfs().lock().unwrap().stall_us()
     }
+}
 
-    fn committed_chain(&self, node: NodeId) -> Vec<ChainEntry> {
-        self.engine.with_node(node.0, |n| n.chain.committed_chain())
+/// Restart a crashed node from its durable store alone: reopen the LSM (WAL
+/// replay, torn-tail truncation), rebuild the chain from persisted block
+/// records, then ask a live peer for its head to download the gap.
+fn restart_node(chain: &mut EthereumChain, id: NodeId) {
+    let now = chain.engine.now();
+    let peer = chain.network.first_live_peer(id);
+    chain.engine.with_node_mut(id.0, |n| {
+        rebuild_node_from_store(&mut n.chain);
+        n.crashed = false;
+        n.mine_generation += 1;
+        // Catch-up bookkeeping: recovery completes when the head reaches
+        // the first live peer's announced height. With no live peer the
+        // node is trivially caught up.
+        n.chain.recovery = RecoveryWindow { restarted_at: peer.map(|_| now), ..Default::default() };
+    });
+    chain.network.recover(id);
+    if let Some(peer) = peer {
+        let msg = SyncMsg::HeadRequest { from: id };
+        chain.engine.schedule(now, EthEvent::Sync { to: peer, msg });
     }
+    enter_mining_race(chain, id);
+}
 
-    fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
-        assert!(!self.started, "preload before the run starts");
-        let now = self.engine.now();
-        let before = self.engine.with_node(0, |n| n.chain.tip());
-        for txs in blocks {
-            let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
-            self.engine.with_ctx_node_mut(0, |ctx, n| n.chain.preload_block(ctx, now, &txs));
-            self.engine.bump_counter(BLOCKS_MINED, 1);
-        }
-        // Preloading is consensus-free and identical on every node: the
-        // others take node 0's result instead of recomputing it.
-        for i in 1..self.config.nodes {
-            self.engine.with_first_and_node_mut(i, |first, n| {
-                n.chain.copy_preload_from(&first.chain, before)
-            });
-        }
-    }
-
-    fn execute_direct(&mut self, tx: Transaction) -> DirectExec {
-        let (exec, modeled) =
-            self.engine.with_ctx_node_mut(0, |ctx, n| n.chain.execute_direct(ctx, &tx));
-        self.mem_peak = self.mem_peak.max(modeled);
-        exec
-    }
+/// Draw `miner`'s next race and schedule it, cancelling any in flight.
+fn enter_mining_race(chain: &mut EthereumChain, miner: NodeId) {
+    let (now, config) = (chain.engine.now(), &chain.config);
+    let (at, race) = chain.engine.with_node_mut(miner.0, |n| n.next_race(config, miner, now));
+    chain.engine.schedule(at, race);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bb_contracts::testing::ycsb_and_smallbank_setup;
+    use bb_types::Address;
+    use blockbench::connector::{BlockchainConnector, Query};
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
 

@@ -10,14 +10,15 @@
 //! - **execution**: the gas-metered SVM with Ethereum-grade cost constants
 //!   (slow interpreter, heavy per-element memory overhead — Figure 11).
 //!
-//! The [`state`] module (accounts, buffered VM host, transaction
-//! application) and the [`node`] module (the fork-choice node: block tree,
-//! transaction pool, block sync, recovery window) are generic over the
-//! storage backend and the consensus plug-in, and are reused by
+//! [`state`] (accounts, buffered VM host, transaction application),
+//! [`node`] (the fork-choice node: block tree, pool, sync, recovery) and
+//! [`account_chain`] (the one connector over those nodes) are generic over
+//! the storage backend and the consensus plug-in, and are reused by
 //! `bb-parity`, which swaps PoW for authority-round and the LSM trie
 //! backend for a capped in-memory store. [`chain`] holds only what is
 //! proof-of-work.
 
+pub mod account_chain;
 pub mod chain;
 pub mod config;
 pub mod node;

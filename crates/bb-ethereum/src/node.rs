@@ -10,7 +10,7 @@
 //! behavioural quirks that byte-identity pins, and the constructors of the
 //! four sync messages the node sends. Who proposes a block and when (PoW
 //! race, PoA step), transaction admission, and the snapshot wire protocol
-//! stay in the platform crates.
+//! stay with the consensus, plugged into [`crate::account_chain`].
 //!
 //! Everything here is generic and statically dispatched: these handlers are
 //! the hot loop of every Ethereum and Parity run.
@@ -36,8 +36,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The cost constants and limits the shared node reads, resolved once from a
-/// platform's config at construction.
+/// platform's config at construction, and the contracts set-up deployed.
 pub struct ChainParams {
+    /// Server count.
+    pub nodes: u32,
     /// The contract VM (memory-capped per the platform's memory model).
     pub vm: Vm,
     /// Execution-engine cost constants.
@@ -61,7 +63,13 @@ pub struct ChainParams {
     pub block_scan_cost_us: (u64, u64),
     /// `Query::AccountAtBlock` server cost.
     pub account_read_cost: SimDuration,
+    /// The deploy log, `(height, address, contract)`: each contract sits on
+    /// the state after the block at `height`. Only `deploy` appends.
+    pub deploys: Vec<(u64, Address, SvmContract)>,
 }
+
+/// Observer counter: blocks ever produced, forks and preloads included.
+pub const BLOCKS: usize = 0;
 
 /// The contract VM for a node with `node_mem_bytes` of RAM under `costs`'
 /// memory model.
@@ -99,6 +107,8 @@ pub trait ChainPlatform {
 
     /// Cost constants and limits.
     fn params(&self) -> &ChainParams;
+    /// The same, for the connector's set-up paths.
+    fn params_mut(&mut self) -> &mut ChainParams;
 
     /// Seal `block`'s post-state (the state sits at it) into the store. A
     /// durable platform writes its block record in the same atomic batch and
@@ -197,13 +207,9 @@ pub struct ChainNode<S: KvStore> {
 
 impl<S: KvStore + Send> ChainNode<S> {
     /// A node at genesis over `store`: the benchmark's client accounts
-    /// funded, `contracts` installed, and the genesis state sealed.
-    pub fn at_genesis<P: ChainPlatform<Store = S>>(
-        p: &P,
-        store: S,
-        contracts: &[(Address, SvmContract)],
-        cpu: CpuMeter,
-    ) -> Self {
+    /// funded, the contracts deployed at height 0 installed, and the
+    /// genesis state sealed.
+    pub fn at_genesis<P: ChainPlatform<Store = S>>(p: &P, store: S, cpu: CpuMeter) -> Self {
         let mut state = AccountState::new(store);
         for seed in 0..1024 {
             let kp = bb_crypto::KeyPair::from_seed(seed);
@@ -211,8 +217,8 @@ impl<S: KvStore + Send> ChainNode<S> {
                 .credit(&Address::from_public_key(&kp.public()), i64::MAX / 4)
                 .expect("genesis fits a fresh store");
         }
-        for (addr, code) in contracts {
-            state.install_contract(addr, code).expect("genesis fits a fresh store");
+        for (_, address, code) in p.params().deploys.iter().filter(|d| d.0 == 0) {
+            state.install_contract(address, code).expect("genesis fits a fresh store");
         }
         let genesis = genesis_block();
         let id = genesis.id();
@@ -408,7 +414,9 @@ impl<S: KvStore + Send> ChainNode<S> {
     /// parallel executor and seal the result. The simulation bills serial
     /// execution time — the executor's parallelism shows up in the
     /// modeled-speedup counters, not in simulated latency — except that a
-    /// stored orphan catching up is billed per the platform.
+    /// stored orphan catching up is billed per the platform. A block at a
+    /// deploy height gets its contracts on top, as set-up gave them to node
+    /// 0, so re-executing the set-up chain (a Parity restart) agrees.
     fn execute_and_seal<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -438,8 +446,37 @@ impl<S: KvStore + Send> ChainNode<S> {
         };
         self.cpu.charge(now, charge);
         let _ = p.seal(&mut self.state, &id, block);
+        for (_, address, code) in params.deploys.iter().filter(|d| d.0 == block.header.height) {
+            self.state.install_contract(address, code).expect("set-up contracts fit");
+            let _ = p.seal(&mut self.state, &id, block);
+        }
         self.roots.insert(id, self.state.root());
         self.receipts.insert(id, outcome.receipts);
+    }
+
+    /// Produce a block on this node's head: build it, count it, adopt it
+    /// locally, send it to every peer, and refresh the observer on node 0.
+    pub fn produce<P: ChainPlatform<Store = S>>(
+        &mut self,
+        p: &P,
+        now: SimTime,
+        me: NodeId,
+        round: u64,
+        fx: &mut Effects<P::Event>,
+    ) {
+        let block = Arc::new(self.build_block(p, now, me, round));
+        fx.count(BLOCKS, 1);
+        self.adopt_block(p, now, me, Arc::clone(&block), None, fx);
+        for peer in (0..p.params().nodes).map(NodeId) {
+            if peer == me {
+                continue;
+            }
+            let msg = P::sync(peer, SyncMsg::Block { block: Arc::clone(&block), from: me });
+            fx.send(peer.0, block.byte_size(), move |_at| msg);
+        }
+        if me.index() == 0 {
+            self.refresh_confirmed(p, now);
+        }
     }
 
     /// Validate (re-execute) and adopt a block into the tree. An orphan is
@@ -928,6 +965,9 @@ mod tests {
         fn params(&self) -> &ChainParams {
             &self.0
         }
+        fn params_mut(&mut self) -> &mut ChainParams {
+            &mut self.0
+        }
         fn seal(
             &self,
             state: &mut AccountState<MemStore>,
@@ -953,6 +993,7 @@ mod tests {
     fn ctx() -> TestCtx {
         let costs = EvmCosts::ethereum();
         TestCtx(ChainParams {
+            nodes: 2,
             vm: vm_for(&costs, 32 << 30),
             costs,
             max_txs_per_block: 100,
@@ -964,11 +1005,12 @@ mod tests {
             build_tx_cost: SimDuration::ZERO,
             block_scan_cost_us: (20, 4),
             account_read_cost: SimDuration::from_micros(60),
+            deploys: Vec::new(),
         })
     }
 
     fn node(p: &TestCtx) -> ChainNode<MemStore> {
-        ChainNode::at_genesis(p, MemStore::new(), &[], CpuMeter::new(8))
+        ChainNode::at_genesis(p, MemStore::new(), CpuMeter::new(8))
     }
 
     /// A value transfer from funded client `seed`.

@@ -402,3 +402,52 @@ fn smallbank_books_balance_on_every_platform() {
         assert_eq!(held, expected, "(a) {name}: the books do not balance");
     }
 }
+
+/// Two deploys, two addresses: the YCSB and Smallbank contracts of the
+/// platform tests' miniature set-up never share one, on any platform.
+#[test]
+fn two_deploys_get_two_addresses_on_every_platform() {
+    for platform in ALL_PLATFORMS {
+        let mut chain = platform.build(4);
+        let (kv, bank) = bb_contracts::testing::ycsb_and_smallbank_setup(chain.as_mut());
+        assert_ne!(kv, bank, "{}: Smallbank was deployed on YCSB's address", platform.name());
+    }
+}
+
+/// A metamorphic relation: how the driver slices time is not part of the
+/// run. The same set-up and the same 160 submissions at t0, advanced to
+/// t0 + 15 s in one step, in two or in six, leave the same stats, the same
+/// chain on every node and the same confirmed log.
+#[test]
+fn advancing_in_more_steps_changes_nothing() {
+    use bb_types::{ClientId, NodeId};
+    let run = |platform: Platform, steps_ms: &[u64]| {
+        let mut chain = platform.build(4);
+        let mut workload = Macro::Ycsb.build(4);
+        workload.setup(chain.as_mut());
+        let t0 = chain.now();
+        for i in 0..160u32 {
+            let client = ClientId(i % 4);
+            if !chain.submit(NodeId(i % 4), workload.next_transaction(client)) {
+                workload.on_rejected(client);
+            }
+        }
+        for &ms in steps_ms {
+            chain.advance_to(t0 + SimDuration::from_millis(ms));
+        }
+        let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
+        let confirmed = chain.confirmed_blocks_since(0);
+        assert!(
+            confirmed.iter().any(|b| !b.txs.is_empty()),
+            "{}: nothing confirmed, the relation would be vacuous",
+            platform.name()
+        );
+        format!("{:?}\n{chains:?}\n{confirmed:?}", chain.stats())
+    };
+    for platform in ALL_PLATFORMS {
+        let one = run(platform, &[15_000]);
+        assert_eq!(run(platform, &[7_300, 15_000]), one, "{}: two steps", platform.name());
+        let six = [1, 999, 2_500, 7_300, 7_301, 15_000];
+        assert_eq!(run(platform, &six), one, "{}: six steps", platform.name());
+    }
+}
