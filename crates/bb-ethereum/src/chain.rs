@@ -9,9 +9,9 @@
 //! the confirmed chain (head minus `confirm_depth`), block/state queries,
 //! and the read-only contract path.
 //!
-//! What is proof-of-work here: the mining race (each server draws it, and
-//! its gossip coin flips, from a stream of its own), admission after
-//! `rpc_delay`, and a durable node's crash, restart, torn tail and slow disk.
+//! What is proof-of-work here: the mining race and gossip coin flips, drawn
+//! from each server's own RNG stream; admission after `rpc_delay`; and a
+//! durable node's crash, restart, torn WAL tail and slow disk.
 
 use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
@@ -81,7 +81,7 @@ pub enum EthEvent {
 pub struct EthNode {
     chain: ChainNode<LsmStore>,
     /// This node's private randomness: mining race draws and gossip coin
-    /// flips. Lane-local so parallel nodes never contend on one stream.
+    /// flips, in this lane's own event order.
     rng: SimRng,
     mine_generation: u64,
     crashed: bool,

@@ -191,6 +191,26 @@ echo "==> replay: seeded runs repeat byte for byte, the event order and the exec
 smoke -p bb-bench --test parallel_determinism replay
 smoke -p bb-sim merge_order
 smoke -p bb-bench --lib executor_speedup_degrades_gracefully
+# Known answers: two replay cases also pin the SHA-256 of their run text on
+# every platform, so a refactor that moves one event or one RNG draw fails
+# here by name. And a metamorphic relation: advancing to the same instant in
+# one, two or six steps must leave the same stats, chains and confirmed log.
+smoke -p bb-bench --test parallel_determinism run_stats_replay_byte_identical_across_platforms_and_seeds
+smoke -p bb-bench --test parallel_determinism restart_and_catchup_replay_identically
+smoke -p bb-bench --test cross_platform advancing_in_more_steps_changes_nothing
+# One account-chain connector: Ethereum and Parity are two `Consensus` impls
+# of `bb_ethereum::account_chain::AccountChain`, whose one `impl
+# BlockchainConnector` serves both.
+connector_impl='impl(<[^>]*>)? +BlockchainConnector +for'
+if git grep -nE "$connector_impl" -- crates/bb-parity/src; then
+    echo "ERROR: bb-parity has a connector of its own; plug into AccountChain" >&2
+    exit 1
+fi
+if [ "$(git grep -hE "$connector_impl" -- crates/bb-ethereum/src | wc -l)" -gt 1 ]; then
+    git grep -nE "$connector_impl" -- crates/bb-ethereum/src
+    echo "ERROR: bb-ethereum has more than one BlockchainConnector impl" >&2
+    exit 1
+fi
 # One loop, not two: nothing of the windowed scheduler is left in the crates.
 if git grep -nE 'min_next|gen_key|wend' crates/; then
     echo "ERROR: the windowed scheduler's names are back in crates/" >&2
