@@ -70,7 +70,7 @@ pub struct Setup<C: Consensus> {
 
 /// An account-model chain under consensus `C`.
 pub struct AccountChain<C: Consensus> {
-    /// The platform's configuration.
+    /// The platform's configuration (the lanes read their own copy).
     pub config: C::Config,
     /// The world: one lane per server.
     pub engine: ShardedEngine<C>,
