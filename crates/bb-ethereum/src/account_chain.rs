@@ -48,10 +48,6 @@ pub trait Consensus:
     fn disk_stall_us(_node: &Self::Node) -> u64 {
         0
     }
-    /// Bytes of state this node holds resident beyond its runtime base.
-    fn resident_bytes(_node: &Self::Node) -> u64 {
-        0
-    }
 }
 
 /// What the shared constructor reads from a platform's configuration.
@@ -78,7 +74,6 @@ pub struct AccountChain<C: Consensus> {
     pub network: Network,
     nodes: u32,
     started: bool,
-    mem_peak: u64,
 }
 
 impl<C: Consensus> AccountChain<C> {
@@ -99,7 +94,7 @@ impl<C: Consensus> AccountChain<C> {
             .map(|chain| C::lane(chain, &mut rng))
             .collect();
         let engine = ShardedEngine::new(ctx, lanes, network.min_latency());
-        AccountChain { config, engine, network, nodes, started: false, mem_peak: 0 }
+        AccountChain { config, engine, network, nodes, started: false }
     }
 
     /// Has block production started?
@@ -180,7 +175,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
     }
 
     fn stats(&self) -> PlatformStats {
-        let mem_base = self.engine.with_ctx(|ctx| ctx.params().costs.mem_base);
         let (blocks_main, txs_committed) =
             self.engine.with_node(0, |n| C::chain(n).observer_totals());
         // Byzantine submissions are attributed by the chaos runner; the
@@ -189,7 +183,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
             blocks_total: self.engine.counter(BLOCKS),
             blocks_main,
             txs_committed,
-            mem_peak_bytes: self.mem_peak.max(mem_base),
             net_bytes: self.network.stats().bytes,
             partition_flaps: self.network.partition_flaps(),
             ..Default::default()
@@ -200,8 +193,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
             self.engine.with_node(i, |n| {
                 C::chain(n).fold_into(&mut stats, self.nodes, &net);
                 disk_stall_us += C::disk_stall_us(n);
-                let resident = mem_base + C::resident_bytes(n);
-                stats.mem_peak_bytes = stats.mem_peak_bytes.max(resident);
             });
         }
         stats.disk_stall_ms = disk_stall_us / 1000;
@@ -232,9 +223,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
     }
 
     fn execute_direct(&mut self, tx: Transaction) -> DirectExec {
-        let (exec, modeled) =
-            self.engine.with_ctx_node_mut(0, |ctx, n| C::chain_mut(n).execute_direct(ctx, &tx));
-        self.mem_peak = self.mem_peak.max(modeled);
-        exec
+        self.engine.with_ctx_node_mut(0, |ctx, n| C::chain_mut(n).execute_direct(ctx, &tx))
     }
 }

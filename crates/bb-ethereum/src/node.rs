@@ -865,13 +865,12 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// Execute one transaction synchronously on the head state and commit it
-    /// as the new head state (the micro-benchmark path). Returns the result
-    /// and the modeled peak memory of the execution.
+    /// as the new head state (the micro-benchmark path).
     pub fn execute_direct<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
         tx: &Transaction,
-    ) -> (DirectExec, u64) {
+    ) -> DirectExec {
         let costs = &p.params().costs;
         let head = self.tree.head();
         self.state.set_root(self.roots[&head]);
@@ -879,7 +878,7 @@ impl<S: KvStore + Send> ChainNode<S> {
         let res = match self.state.apply_transaction(tx, height, &p.params().vm, u64::MAX / 2) {
             Ok(res) => res,
             Err(e) => {
-                let refused = DirectExec {
+                return DirectExec {
                     success: false,
                     duration: costs.sig_verify,
                     gas_used: 0,
@@ -887,10 +886,8 @@ impl<S: KvStore + Send> ChainNode<S> {
                     output: Vec::new(),
                     error: Some(e.to_string()),
                 };
-                return (refused, 0);
             }
         };
-        let modeled = costs.modeled_mem(res.vm_peak_mem);
         // Seal the execution as the new head state. A store out of capacity
         // fails here and the execution is reported as an out-of-space
         // failure — where Parity's memory ceiling bites on IOHeavy.
@@ -902,15 +899,14 @@ impl<S: KvStore + Send> ChainNode<S> {
             }
             Err(e) => (false, Some(e.to_string())),
         };
-        let exec = DirectExec {
+        DirectExec {
             success,
             duration: costs.sig_verify + costs.exec_time(res.gas_used),
             gas_used: res.gas_used,
-            modeled_mem: modeled,
+            modeled_mem: costs.modeled_mem(res.vm_peak_mem),
             output: res.output,
             error,
-        };
-        (exec, modeled)
+        }
     }
 
     /// Fold this node into the run-wide stats: its counters and CPU series
@@ -921,8 +917,6 @@ impl<S: KvStore + Send> ChainNode<S> {
         let store = self.state.store().stats();
         stats.disk_bytes += store.disk_bytes;
         stats.batch_put_count += store.batch_writes;
-        stats.write_stall_ms += store.write_stall_ms;
-        stats.compaction_debt_bytes += store.compaction_debt_bytes;
         stats.bytes_compacted += store.bytes_compacted;
         stats.storage_bytes_written += store.bytes_written;
         stats.storage_logical_bytes += store.logical_bytes;

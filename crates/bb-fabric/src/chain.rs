@@ -19,7 +19,7 @@
 //! `bb_sim::shard` and DESIGN.md §5).
 
 use crate::config::FabricConfig;
-use crate::state::{FabricState, InvokeResult, SpecInvoke, STORE_PREFIX};
+use crate::state::{FabricState, STORE_PREFIX};
 use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Request};
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::merkle_root;
@@ -218,16 +218,12 @@ impl FabNode {
         let store = self.state.store_stats();
         stats.disk_bytes += store.disk_bytes;
         stats.batch_put_count += store.batch_writes;
-        stats.write_stall_ms += store.write_stall_ms;
-        stats.compaction_debt_bytes += store.compaction_debt_bytes;
         stats.bytes_compacted += store.bytes_compacted;
         stats.storage_bytes_written += store.bytes_written;
         stats.storage_logical_bytes += store.logical_bytes;
         let (flushed, superseded) = self.state.flush_stats();
         stats.state_nodes_flushed += flushed;
         stats.state_nodes_dropped += superseded;
-        let resident = config.mem_base + self.state.mem_peak();
-        stats.mem_peak_bytes = stats.mem_peak_bytes.max(resident);
     }
 }
 
@@ -245,7 +241,6 @@ pub struct FabricChain {
     engine: ShardedEngine<FabWorld>,
     network: Network,
     contracts: Vec<(Address, blockbench::contract::ChaincodeFactory)>,
-    mem_peak: u64,
 }
 
 impl ShardedWorld for FabWorld {
@@ -481,54 +476,24 @@ fn send_msg(to: NodeId, msg: PbftMsg, fx: &mut Effects<FabEvent>) {
     fx.send(to.0, bytes, move |_at| FabEvent::Consensus { to, from, msg });
 }
 
-/// Execute a deduplicated batch in the optimistic executor's order:
-/// speculate every chaincode invocation against the pre-block state, then
-/// commit in canonical order — clean winners apply their buffered writes,
-/// conflicted losers re-invoke serially at their slot. The simulation bills
-/// the serial execution time, so throughput figures are unchanged; what
-/// parallel hardware would gain lands in the modeled counters.
+/// Execute a deduplicated batch as Fabric v0.6 does: one chaincode
+/// invocation after another against the live state, each billed its
+/// invocation time. Returns the receipts and the batch's execution charge.
 fn execute_batch_txs(
     ctx: &FabCtx,
     node: &mut FabNode,
     height: u64,
     txs: &[Arc<Transaction>],
 ) -> (Vec<(TxId, bool)>, SimDuration) {
-    let specs: Vec<SpecInvoke> =
-        txs.iter().map(|tx| node.state.speculate_invoke(tx, height)).collect();
-    let cost = |r: &InvokeResult| ctx.config.invoke_time(r.units, r.state_ops).as_micros();
-    let mut committed = bb_exec::KeySet::new();
     let mut receipts = Vec::with_capacity(txs.len());
-    let mut conflicts = 0u64;
-    let mut winner_us = 0u64;
-    let mut loser_us = Vec::new();
-    let mut spec_us = Vec::with_capacity(txs.len());
-    for (tx, spec) in txs.iter().zip(specs) {
-        spec_us.push(cost(&spec.result));
-        if !committed.conflicts(&spec.reads) {
-            // Failed invocations carry no writes; applying is a no-op.
-            let applied =
-                !spec.result.success || node.state.apply_writes(&spec.writes).is_ok();
-            if applied {
-                committed.record(spec.writes.iter().map(|(k, _)| k.clone()));
-                winner_us += cost(&spec.result);
-                receipts.push((tx.id(), spec.result.success));
-                continue;
-            }
-            // Mid-apply storage failure: the serial re-invocation below
-            // owns the outcome (matching the classic flush-error path).
-        }
-        conflicts += 1;
-        let re = node.state.speculate_invoke(tx, height);
-        let ok = re.result.success && node.state.apply_writes(&re.writes).is_ok();
-        committed.record(re.writes.iter().map(|(k, _)| k.clone()));
-        loser_us.push(cost(&re.result));
-        receipts.push((tx.id(), ok));
+    let mut charge = SimDuration::ZERO;
+    for tx in txs {
+        let res = node.state.invoke(tx, height, true);
+        charge += ctx.config.invoke_time(res.units, res.state_ops);
+        receipts.push((tx.id(), res.success));
     }
-    let model = bb_exec::model_block(&spec_us, winner_us, &loser_us);
-    node.counters.exec_conflicts += conflicts;
-    node.counters.exec_serial_us += model.serial_us;
-    node.counters.exec_modeled_us += model.modeled_us;
-    (receipts, SimDuration::from_micros(model.serial_us))
+    node.counters.exec_serial_us += charge.as_micros();
+    (receipts, charge)
 }
 
 /// Execute a committed batch and append the block.
@@ -744,7 +709,7 @@ impl FabricChain {
             nodes,
             network.min_latency(),
         );
-        FabricChain { config, engine, network, contracts: Vec::new(), mem_peak: 0 }
+        FabricChain { config, engine, network, contracts: Vec::new() }
     }
 
     /// Restart a crashed peer from its durable store: reopen the LSM
@@ -1003,7 +968,6 @@ impl BlockchainConnector for FabricChain {
             blocks_total: blocks,
             blocks_main: blocks,
             txs_committed,
-            mem_peak_bytes: self.mem_peak.max(self.config.mem_base),
             net_bytes: self.network.stats().bytes,
             partition_flaps: self.network.partition_flaps(),
             ..Default::default()
@@ -1074,26 +1038,20 @@ impl BlockchainConnector for FabricChain {
         let msg_process_cost = self.config.msg_process_cost;
         let invoke_time = |units, ops| self.config.invoke_time(units, ops);
         let mem_base = self.config.mem_base;
-        let (exec, modeled) = self.engine.with_node_mut(0, |node| {
+        self.engine.with_node_mut(0, |node| {
             let height = node.blocks.len() as u64;
             let res = node.state.invoke(&tx, height, true);
             // Each direct execution is its own "block" on this path.
             node.state.commit_block().expect("state store healthy");
-            let modeled = mem_base + res.peak_alloc;
-            (
-                DirectExec {
-                    success: res.success,
-                    duration: msg_process_cost + invoke_time(res.units, res.state_ops),
-                    gas_used: res.units,
-                    modeled_mem: modeled,
-                    output: res.output,
-                    error: res.error,
-                },
-                modeled,
-            )
-        });
-        self.mem_peak = self.mem_peak.max(modeled);
-        exec
+            DirectExec {
+                success: res.success,
+                duration: msg_process_cost + invoke_time(res.units, res.state_ops),
+                gas_used: res.units,
+                modeled_mem: mem_base + res.peak_alloc,
+                output: res.output,
+                error: res.error,
+            }
+        })
     }
 }
 

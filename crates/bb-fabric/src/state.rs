@@ -11,7 +11,7 @@ use bb_sim::MemMeter;
 use bb_storage::{KvError, KvOps, KvPairs, KvStore, LsmConfig, LsmStore, Vfs};
 use bb_types::{Address, Transaction};
 use blockbench::contract::{decode_call, Chaincode, ChaincodeContext, ChaincodeFactory};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// VFS path prefix of a peer's LSM store (`{prefix}/wal`, SSTables).
@@ -228,11 +228,15 @@ impl FabricState {
     /// Execute a transaction's chaincode invocation. `commit` controls
     /// whether buffered writes flush (false = read-only query path).
     pub fn invoke(&mut self, tx: &Transaction, height: u64, commit: bool) -> InvokeResult {
-        let (result, writes, _reads) = self.execute_call(tx, height);
+        let (result, writes) = self.execute_call(tx, height);
         if !result.success || !commit {
             return result;
         }
-        match self.apply_writes(&writes) {
+        let flushed = writes.iter().try_for_each(|(key, value)| match value {
+            Some(v) => self.tree.put(key, v),
+            None => self.tree.delete(key),
+        });
+        match flushed {
             Ok(()) => result,
             Err(e) => InvokeResult {
                 success: false,
@@ -245,38 +249,9 @@ impl FabricState {
         }
     }
 
-    /// Speculatively execute a transaction against the *current* (pre-block)
-    /// state: nothing flushes, and the namespaced keys the chaincode read
-    /// from shared state come back alongside its buffered writes so an
-    /// optimistic block executor can detect conflicts and commit winners.
-    pub fn speculate_invoke(&mut self, tx: &Transaction, height: u64) -> SpecInvoke {
-        let (result, writes, reads) = self.execute_call(tx, height);
-        SpecInvoke { result, reads, writes }
-    }
-
-    /// Apply a set of buffered writes (an optimistic winner's effects, in
-    /// its own key order) to the bucket tree.
-    pub fn apply_writes(
-        &mut self,
-        writes: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> Result<(), bb_storage::KvError> {
-        for (key, value) in writes {
-            match value {
-                Some(v) => self.tree.put(key, v)?,
-                None => self.tree.delete(key)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the chaincode call itself — shared by the serial/query path
-    /// ([`Self::invoke`]) and speculation ([`Self::speculate_invoke`]), so
-    /// the two can never drift. Buffered writes are returned, not applied.
-    fn execute_call(
-        &mut self,
-        tx: &Transaction,
-        height: u64,
-    ) -> (InvokeResult, KvOps, Vec<Vec<u8>>) {
+    /// Run the chaincode call itself. Buffered writes are returned, not
+    /// applied.
+    fn execute_call(&mut self, tx: &Transaction, height: u64) -> (InvokeResult, KvOps) {
         let fail = |err: &str| InvokeResult {
             success: false,
             units: 1,
@@ -286,17 +261,16 @@ impl FabricState {
             error: Some(err.into()),
         };
         let Some((method, args)) = decode_call(&tx.payload) else {
-            return (fail("empty payload"), Vec::new(), Vec::new());
+            return (fail("empty payload"), Vec::new());
         };
         let Some(chaincode) = self.chaincodes.get_mut(&tx.to) else {
-            return (fail("no chaincode at target"), Vec::new(), Vec::new());
+            return (fail("no chaincode at target"), Vec::new());
         };
         let mut ctx = FabricContext {
             tree: &mut self.tree,
             mem: &mut self.mem,
             addr: tx.to,
             writes: BTreeMap::new(),
-            reads: BTreeSet::new(),
             caller: tx.from.0,
             height,
             units: 2, // unmarshal + dispatch
@@ -310,13 +284,11 @@ impl FabricState {
         let state_ops = ctx.state_ops;
         let peak_alloc = ctx.peak_alloc;
         let writes = std::mem::take(&mut ctx.writes);
-        let reads = std::mem::take(&mut ctx.reads);
         // Free anything the chaincode leaked.
         let leaked = ctx.alloc_live;
         let storage_error = ctx.storage_error.take();
         drop(ctx);
         self.mem.free(leaked);
-        let reads: Vec<Vec<u8>> = reads.into_iter().collect();
         if let Some(e) = storage_error {
             return (
                 InvokeResult {
@@ -328,14 +300,12 @@ impl FabricState {
                     error: Some(e),
                 },
                 Vec::new(),
-                reads,
             );
         }
         match result {
             Ok(output) => (
                 InvokeResult { success: true, units, state_ops, peak_alloc, output, error: None },
                 writes.into_iter().collect(),
-                reads,
             ),
             Err(e) => (
                 InvokeResult {
@@ -347,21 +317,9 @@ impl FabricState {
                     error: Some(e),
                 },
                 Vec::new(),
-                reads,
             ),
         }
     }
-}
-
-/// A speculated chaincode invocation (see [`FabricState::speculate_invoke`]).
-pub struct SpecInvoke {
-    /// The invocation's result against the pre-block state.
-    pub result: InvokeResult,
-    /// Namespaced state keys read from shared state (write-buffer hits are
-    /// read-your-writes and excluded).
-    pub reads: Vec<Vec<u8>>,
-    /// Buffered writes, ready for [`FabricState::apply_writes`] if clean.
-    pub writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
 }
 
 /// Per-invocation context: buffered writes over the shared bucket tree.
@@ -370,9 +328,6 @@ struct FabricContext<'a> {
     mem: &'a mut MemMeter,
     addr: Address,
     writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Namespaced keys read from the shared tree (not the write buffer) —
-    /// the speculative executor's conflict-detection read set.
-    reads: BTreeSet<Vec<u8>>,
     caller: [u8; 20],
     height: u64,
     units: u64,
@@ -390,7 +345,6 @@ impl ChaincodeContext for FabricContext<'_> {
         if let Some(buffered) = self.writes.get(&nkey) {
             return buffered.clone();
         }
-        self.reads.insert(nkey.clone());
         match self.tree.get(&nkey) {
             Ok(v) => v,
             Err(e) => {

@@ -538,11 +538,6 @@ impl Consensus for PoaWorld {
             _ => unreachable!("the connector injects the network faults"),
         }
     }
-
-    /// All state lives in memory: the store is resident, not disk.
-    fn resident_bytes(node: &PoaNode) -> u64 {
-        node.chain.state.store().stats().mem_bytes
-    }
 }
 
 /// Restart a crashed authority with total amnesia: rebuild genesis locally,

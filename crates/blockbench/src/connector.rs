@@ -37,8 +37,6 @@ pub struct PlatformStats {
     pub txs_committed: u64,
     /// Bytes on "disk" across all nodes (LSM stores).
     pub disk_bytes: u64,
-    /// Peak resident memory across nodes (state caches, VM arenas).
-    pub mem_peak_bytes: u64,
     /// Mean CPU utilisation per virtual second, averaged over nodes
     /// (Figure 16 left).
     pub cpu_utilisation: Vec<f64>,
@@ -73,13 +71,6 @@ pub struct PlatformStats {
     pub resync_blocks: u64,
     /// Bytes of blocks re-fetched during post-restart catch-up.
     pub resync_bytes: u64,
-    /// Modeled milliseconds foreground writes would have stalled on LSM
-    /// compaction across all nodes (deterministic, derived from merged
-    /// bytes at ~64 MiB/s — zero on stores without compaction).
-    pub write_stall_ms: u64,
-    /// Bytes currently sitting above the stores' per-level compaction size
-    /// targets — the background-maintenance backlog.
-    pub compaction_debt_bytes: u64,
     /// Cumulative bytes fed through compaction merges across all nodes.
     pub bytes_compacted: u64,
     /// Cumulative bytes physically written by the stores (WAL + tables) —
@@ -94,13 +85,16 @@ pub struct PlatformStats {
     pub snapshot_bytes: u64,
     /// Transactions whose optimistic speculation read state a
     /// same-block predecessor wrote, forcing a serial re-execution
-    /// (intra-block parallel executor).
+    /// (intra-block parallel executor). Always 0 on Fabric, which executes
+    /// serially, until the model goes (ROADMAP item 14).
     pub exec_conflicts: u64,
     /// Serial execution charge of every executed block, µs, summed over
     /// nodes — the denominator-side of the modeled speedup.
     pub exec_serial_us: u64,
     /// Modeled parallel makespan of the same blocks, µs (capped at serial
     /// per block: the executor can always fall back to the serial order).
+    /// Always 0 on Fabric, which executes serially, until the model goes
+    /// (ROADMAP item 14).
     pub exec_modeled_us: u64,
     /// Byzantine-client submissions refused at admission. Platforms cannot
     /// tell a byzantine submission from an honest one, so this is filled in
@@ -140,11 +134,13 @@ pub struct NodeCounters {
     /// Torn WAL tails truncated across this node's restarts.
     pub wal_truncated: u64,
     /// Transactions that speculated against stale state and re-executed
-    /// (optimistic block executor).
+    /// (optimistic block executor). Always 0 on Fabric, until the model
+    /// goes (ROADMAP item 14).
     pub exec_conflicts: u64,
     /// Serial execution charge accumulated by the block executor, µs.
     pub exec_serial_us: u64,
-    /// Modeled parallel makespan of the same blocks, µs.
+    /// Modeled parallel makespan of the same blocks, µs. Always 0 on
+    /// Fabric, until the model goes (ROADMAP item 14).
     pub exec_modeled_us: u64,
 }
 

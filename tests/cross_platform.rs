@@ -255,7 +255,11 @@ fn restart_preserves_every_node_counter() {
         assert!(before.recovery_ms > 0, "{name}: recovery never completed");
         assert!(before.resync_blocks > 0 && before.resync_bytes > 0, "{name}: no replay");
         assert!(before.snapshot_chunks > 0 && before.snapshot_bytes > 0, "{name}: no transfer");
-        assert!(before.exec_serial_us > 0 && before.exec_modeled_us > 0, "{name}: no execution");
+        assert!(before.exec_serial_us > 0, "{name}: no execution");
+        // Fabric executes serially: only the account chains model lanes.
+        if name != "hyperledger" {
+            assert!(before.exec_modeled_us > 0, "{name}: no modeled execution");
+        }
         // One more restart: the rebuilt node must carry all of it over.
         chain.inject(Fault::Crash(victim));
         chain.inject(Fault::Restart(victim));
@@ -484,7 +488,6 @@ fn fabric_hot_key_run_is_the_known_answer() {
         drain: SimDuration::from_secs(2),
     };
     let stats = run_workload(&mut chain, &mut workload, &config);
-    assert!(stats.platform.exec_conflicts > 0, "the hot-key run produced no conflicts");
     let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
     let receipts = chain.confirmed_blocks_since(0);
     assert!(

@@ -121,9 +121,9 @@ fn driver_stats(platform: Platform, seed: u64) -> String {
 #[test]
 fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
     let known = [
-        (Platform::Ethereum, "ebdb988dd050d7753b04bda97a5c1de760981bdfe6fa7f8f5bb89e592abf0bd0"),
-        (Platform::Parity, "ad5232d7daf3f248dfe193da45486854ad678f6256f5df595a115c6ab7e70881"),
-        (Platform::Hyperledger, "ef5c94898df58b7a3104500c891addf374f98607095c358f18ca6143efbe6473"),
+        (Platform::Ethereum, "658ec4644b6989bada374094a51136f1741c4f084d683ce7e05595aceb8df789"),
+        (Platform::Parity, "3d7c4baf418946025d7f81bf24814a48149708d4378954a05d47d68f819b724d"),
+        (Platform::Hyperledger, "874dafdf791fb3702134c823fae3a1f54e8f938299fd8a5099c6bff9ce65605e"),
     ];
     for (platform, want) in known {
         let texts: String = [1u64, 7, 42]
@@ -175,12 +175,13 @@ fn open_loop_run_stats_replay_byte_identical() {
     }
 }
 
-/// The optimistic block executor speculates a sealed block's transactions
-/// against the frozen pre-state snapshot, so its read/write sets — and
-/// therefore conflict counts, receipts and roots — are decided by block
-/// content alone. Here under maximum contention: a hot-key YCSB mix
-/// (`zipf_theta = 0.99` over few records) forces speculation conflicts and
-/// the serial re-execution of the losers, whose results must replay too.
+/// Block execution under maximum contention: a hot-key YCSB mix
+/// (`zipf_theta = 0.99` over few records). On Ethereum and Parity the
+/// optimistic executor speculates against the frozen pre-state, so its
+/// conflict counts, receipts and roots are decided by block content alone;
+/// the run forces speculation conflicts and the serial re-execution of the
+/// losers, whose results must replay too. Fabric executes each batch
+/// serially and must replay the same way.
 fn high_conflict_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = YcsbWorkload::new(YcsbConfig {
@@ -200,7 +201,7 @@ fn high_conflict_stats(platform: Platform, seed: u64) -> String {
     };
     let stats = run_workload(chain.as_mut(), &mut workload, &config);
     assert!(
-        stats.platform.exec_conflicts > 0,
+        platform == Platform::Hyperledger || stats.platform.exec_conflicts > 0,
         "{}: hot-key run produced no speculation conflicts — loser path untested",
         platform.name()
     );
