@@ -1,9 +1,10 @@
-//! The optimistic block-execution *model*, shared by all three platforms.
+//! The optimistic block-execution *model* of the account chains, Ethereum
+//! and Parity. Fabric executes each batch serially, as v0.6 does.
 //!
 //! The paper's macro benchmarks saturate far below hardware limits partly
 //! because every platform executes a block's transactions serially on one
-//! core. This crate is the platform-agnostic substrate for asking what an
-//! optimistic (OCC-style) block executor would buy:
+//! core. This crate is the substrate for asking what an optimistic
+//! (OCC-style) block executor would buy:
 //!
 //! 1. **Speculate**: every transaction of a sealed block runs against the
 //!    immutable pre-state snapshot, recording its read set, write set and

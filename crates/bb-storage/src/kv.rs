@@ -116,9 +116,10 @@ pub trait KvStore {
     /// A bounded run of live pairs with key strictly greater than `after`,
     /// in key order, stopping once `max_bytes` of key+value payload have
     /// accumulated. Returns `(entries, done)`; `done` means the key space
-    /// is exhausted. Snapshot state sync serves its chunks through this.
-    /// The default scans everything and slices — engines with real cursors
-    /// (the LSM store's pinned snapshots) do better.
+    /// is exhausted. Parity's snapshot state sync serves its chunks through
+    /// this. No store overrides it: the default scans everything and
+    /// slices. The LSM store's pinned snapshots are a separate API
+    /// (`LsmStore::snapshot_chunk`), which Ethereum and Fabric use.
     fn scan_range_chunk(
         &mut self,
         after: Option<&[u8]>,
