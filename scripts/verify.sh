@@ -201,7 +201,7 @@ smoke -p bb-bench --test cross_platform advancing_in_more_steps_changes_nothing
 # Fabric executes each batch serially, as v0.6 does: its hot-key run is a
 # known answer, and nothing of the optimistic executor's model is back in
 # its source (the modeled executor is Ethereum's and Parity's alone).
-smoke -p bb-bench --test cross_platform fabric_hot_key_run_is_the_known_answer
+smoke -p bb-bench --test cross_platform hot_key_run_is_the_known_answer
 if git grep -nE 'speculate_invoke|SpecInvoke|bb_exec' -- crates/bb-fabric/src; then
     echo "ERROR: bb-fabric speculates again; Fabric executes each batch serially" >&2
     exit 1

@@ -456,47 +456,54 @@ fn advancing_in_more_steps_changes_nothing() {
     }
 }
 
-/// A known answer for Fabric's hot-key run: the `high_conflict_stats`
-/// configuration of `parallel_determinism` (16 records, Zipf 0.99, seed 42),
-/// hashed over what execution decides — every peer's committed chain (ids
-/// and state roots), node 0's confirmed receipts and the execution charge.
-/// It lives here, not beside its configuration, because it reads the
-/// confirmed log, which `parallel_determinism` does not touch.
+/// A known answer per platform for the hot-key run: the
+/// `high_conflict_stats` configuration of `parallel_determinism` (16
+/// records, Zipf 0.99, seed 42), hashed over what execution decides — every
+/// node's committed chain (ids and state roots), node 0's confirmed receipts
+/// and the execution charge. It lives here, not beside its configuration,
+/// because it reads the confirmed log, which `parallel_determinism` does not
+/// touch.
 #[test]
-fn fabric_hot_key_run_is_the_known_answer() {
-    use bb_fabric::{FabricChain, FabricConfig};
+fn hot_key_run_is_the_known_answer() {
     use bb_types::NodeId;
     use bb_workloads::ycsb::{YcsbConfig, YcsbWorkload};
     use blockbench::driver::{run_workload, DriverConfig};
-    use blockbench::BlockchainConnector;
-    let mut config = FabricConfig::with_nodes(4);
-    config.seed = 42;
-    let mut chain = FabricChain::new(config);
-    let mut workload = YcsbWorkload::new(YcsbConfig {
-        record_count: 16,
-        preload_records: 16,
-        zipf_theta: 0.99,
-        clients: 4,
-        seed: 42,
-        ..YcsbConfig::default()
-    });
-    let config = DriverConfig {
-        clients: 4,
-        rate_per_client: 50.0,
-        duration: SimDuration::from_secs(3),
-        poll_interval: SimDuration::from_millis(500),
-        drain: SimDuration::from_secs(2),
-    };
-    let stats = run_workload(&mut chain, &mut workload, &config);
-    let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
-    let receipts = chain.confirmed_blocks_since(0);
-    assert!(
-        receipts.iter().any(|b| !b.txs.is_empty()),
-        "nothing confirmed"
-    );
-    let serial_us = stats.platform.exec_serial_us;
-    let text = format!("{chains:?}\n{receipts:?}\n{serial_us}");
-    let got = bb_crypto::Hash256(bb_crypto::sha256(text.as_bytes())).to_hex();
-    let want = "4295f558dfd7896bd30ad3b75311f0bacbca87604d21e9c803fd7631a2da7816";
-    assert_eq!(got, want, "the hot-key run is not the known answer");
+    let known = [
+        (Platform::Ethereum, "e5d9af1e2afcf18d76293f63568e40cf8682d0fce2e9cd7b46cdcda0ba2f2e77"),
+        (Platform::Parity, "9c99c9bf6e26f3c6d9d49324f580d13afd99f14b280df0c6321cd09a01cf70d0"),
+        (Platform::Hyperledger, "4295f558dfd7896bd30ad3b75311f0bacbca87604d21e9c803fd7631a2da7816"),
+    ];
+    for (platform, want) in known {
+        let name = platform.name();
+        let mut chain = platform.build(4);
+        let mut workload = YcsbWorkload::new(YcsbConfig {
+            record_count: 16,
+            preload_records: 16,
+            zipf_theta: 0.99,
+            clients: 4,
+            seed: 42,
+            ..YcsbConfig::default()
+        });
+        let config = DriverConfig {
+            clients: 4,
+            rate_per_client: 50.0,
+            duration: SimDuration::from_secs(3),
+            poll_interval: SimDuration::from_millis(500),
+            drain: SimDuration::from_secs(2),
+        };
+        let stats = run_workload(chain.as_mut(), &mut workload, &config);
+        // The account chains' pins are taken on runs whose blocks went
+        // through the optimistic executor's loser path.
+        assert!(
+            platform == Platform::Hyperledger || stats.platform.exec_conflicts > 0,
+            "{name}: the hot-key run produced no speculation conflicts"
+        );
+        let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
+        let receipts = chain.confirmed_blocks_since(0);
+        assert!(receipts.iter().any(|b| !b.txs.is_empty()), "{name}: nothing confirmed");
+        let serial_us = stats.platform.exec_serial_us;
+        let text = format!("{chains:?}\n{receipts:?}\n{serial_us}");
+        let got = bb_crypto::Hash256(bb_crypto::sha256(text.as_bytes())).to_hex();
+        assert_eq!(got, want, "{name}: the hot-key run is not the known answer");
+    }
 }
