@@ -13,9 +13,7 @@
 //! that cannot be written exits 1. EXPERIMENTS.md records paper-vs-measured
 //! per figure.
 
-use bb_bench::exp_ablation::{
-    ablation_channel, ablation_conflict, ablation_difficulty, ablation_signing,
-};
+use bb_bench::exp_ablation::{ablation_channel, ablation_difficulty, ablation_signing};
 use bb_bench::exp_chaos::fig_chaos;
 use bb_bench::exp_fault::{
     fig10, fig10_args, fig9, fig9_args, fig9_restart, fig9_restart_args, fig9_snapshot,
@@ -162,6 +160,5 @@ fn main() {
         emit(&ablation_channel(scale.duration), "ablation_channel.csv");
         emit(&ablation_difficulty(scale.duration.max(bb_sim::SimDuration::from_secs(60))), "ablation_difficulty.csv");
         emit(&ablation_signing(scale.duration), "ablation_signing.csv");
-        emit(&ablation_conflict(scale.duration), "ablation_conflict.csv");
     }
 }

@@ -10,8 +10,8 @@ use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
 use bb_parity::{ParityChain, ParityConfig};
 use bb_sim::SimDuration;
-use blockbench::driver::{run_workload, DriverConfig, WorkloadConnector};
-use blockbench::{BlockchainConnector, RunStats};
+use blockbench::driver::{run_workload, DriverConfig};
+use blockbench::BlockchainConnector;
 
 /// Ablation A's channel capacities, v0.6's bounded channel first.
 pub(crate) const CHANNEL_CAPACITIES: [usize; 3] = [250, 1_000, 1_000_000];
@@ -19,26 +19,18 @@ pub(crate) const CHANNEL_CAPACITIES: [usize; 3] = [250, 1_000, 1_000_000];
 pub(crate) const SIZE_EXPONENTS: [f64; 2] = [0.0, 1.35];
 /// Ablation C's producer signing costs (ms/tx), the calibrated one first.
 pub(crate) const SIGN_COSTS_MS: [u64; 3] = [22, 11, 2];
-/// Ablation D's Zipfian skews, least contended first.
-pub(crate) const ZIPF_THETAS: [f64; 3] = [0.2, 0.5, 0.99];
 
-/// Drive `chain` with `workload` from `clients` clients at `rate` tx/s each.
-fn drive(
-    chain: &mut dyn BlockchainConnector,
-    workload: &mut dyn WorkloadConnector,
-    clients: u32,
-    rate: f64,
-    duration: SimDuration,
-) -> RunStats {
-    let poll_interval = SimDuration::from_millis(500);
-    let drain = SimDuration::from_secs(10);
-    let config = DriverConfig { clients, rate_per_client: rate, duration, poll_interval, drain };
-    run_workload(chain, workload, &config)
-}
-
-/// [`drive`] with the macro YCSB workload, for its committed tx/s.
+/// Committed tx/s of the macro YCSB workload on `chain`, driven by
+/// `clients` clients at `rate` tx/s each.
 fn ycsb_tps(chain: &mut dyn BlockchainConnector, clients: u32, rate: f64, d: SimDuration) -> f64 {
-    drive(chain, Macro::Ycsb.build(clients).as_mut(), clients, rate, d).throughput_tps()
+    let config = DriverConfig {
+        clients,
+        rate_per_client: rate,
+        duration: d,
+        poll_interval: SimDuration::from_millis(500),
+        drain: SimDuration::from_secs(10),
+    };
+    run_workload(chain, Macro::Ycsb.build(clients).as_mut(), &config).throughput_tps()
 }
 
 /// Ablation A — "the consensus messages are rejected ... on account of the
@@ -98,46 +90,6 @@ pub fn ablation_signing(duration: SimDuration) -> Table {
     t
 }
 
-/// Ablation D — the optimistic block executor's speedup against workload
-/// contention. Sweep YCSB's Zipfian skew: at low `theta` speculations are
-/// disjoint and the 4-lane model approaches its lane count; at YCSB's
-/// default 0.99 hot-key readers lose and re-execute serially, degrading
-/// the speedup gracefully (the model never drops below 1.0× — losers
-/// would simply run serially). H-Store's partition-serial engine is the
-/// comparison point: single-partition transactions never conflict there,
-/// so its throughput is contention-insensitive — the trade the paper's
-/// Section 4.3 comparison is about.
-pub fn ablation_conflict(duration: SimDuration) -> Table {
-    use bb_hstore::HStoreConfig;
-    use bb_workloads::ycsb::{YcsbConfig, YcsbWorkload};
-
-    let mut t = Table::new(
-        "Ablation D: optimistic executor speedup vs. Zipfian contention (Ethereum, 4 modeled lanes)",
-        &["zipf theta", "tx/s", "exec conflicts", "exec speedup", "hstore tx/s"],
-    );
-    let hstore = bb_hstore::run_ycsb(HStoreConfig::default(), 20_000, 1_000, 42).tps;
-    for theta in ZIPF_THETAS {
-        let mut chain = EthereumChain::new(EthConfig::with_nodes(4));
-        let mut wl = YcsbWorkload::new(YcsbConfig {
-            record_count: 1_000,
-            preload_records: 0,
-            zipf_theta: theta,
-            clients: 8,
-            seed: 42,
-            ..YcsbConfig::default()
-        });
-        let stats = drive(&mut chain, &mut wl, 8, 50.0, duration);
-        t.row(vec![
-            num(theta),
-            num(stats.throughput_tps()),
-            format!("{}", stats.platform.exec_conflicts),
-            num(stats.platform.exec_parallel_speedup()),
-            num(hstore),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -159,13 +111,6 @@ pub(crate) mod tests {
     #[test]
     fn flat_difficulty_removes_ethereum_decay() -> Result<(), String> {
         claims::ablation_b_flat_difficulty_removes_ethereum_decay(difficulty())
-    }
-
-    /// The acceptance contract of the intra-block parallelism work.
-    #[test]
-    fn executor_speedup_degrades_gracefully_with_contention() -> Result<(), String> {
-        let t = ablation_conflict(SimDuration::from_secs(10));
-        claims::ablation_d_executor_speedup_degrades_gracefully(&t)
     }
 
     #[test]

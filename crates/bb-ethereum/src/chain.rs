@@ -589,28 +589,42 @@ mod tests {
         assert!(blocks.iter().all(|b| b.txs.iter().all(|&(_, ok)| ok)));
     }
 
+    /// Every node holds node 0's blocks and receipts at every confirmed
+    /// height they share. The producer's receipts come from `build_block`'s
+    /// apply loop and a validator's from `execute_block_serial`, so this is
+    /// where the two serial paths must agree; the mix includes transfers
+    /// from an unfunded sender, which fail, so a success flag can differ.
     #[test]
     fn nodes_converge_on_one_chain() {
         let mut chain = small_chain(4);
         let contract = chain.deploy(&donothing::bundle());
+        // Genesis funds seeds 0..1024 only.
+        let broke = KeyPair::from_seed(1 << 20);
         for nonce in 0..10 {
             chain.submit(NodeId(0), client_tx(1, nonce, contract, donothing::call()));
+            let transfer = Transaction::signed(&broke, nonce, Address::from_index(7), 5, vec![]);
+            chain.submit(NodeId(0), transfer);
         }
         chain.advance_to(SimTime::from_secs(40));
-        // All nodes should agree on the confirmed prefix.
+        let at = |i: u32, h: u64| {
+            chain.engine.with_node(i, |n| {
+                let id = n.chain.tree.main_chain_at(h);
+                (id, id.and_then(|id| n.chain.receipts.get(&id).cloned()))
+            })
+        };
         let h0 = chain.engine.with_node(0, |n| n.chain.tree.confirmed_height(2));
+        let mut failed = 0;
         for i in 1..4 {
             let hi = chain.engine.with_node(i, |n| n.chain.tree.confirmed_height(2));
             let common = h0.min(hi);
             assert!(common > 0, "node {i} has no confirmed chain (h0={h0}, hi={hi})");
             for h in 1..=common {
-                assert_eq!(
-                    chain.engine.with_node(0, |n| n.chain.tree.main_chain_at(h)),
-                    chain.engine.with_node(i, |n| n.chain.tree.main_chain_at(h)),
-                    "divergence at height {h} on node {i}"
-                );
+                let block = at(i, h);
+                assert_eq!(block, at(0, h), "divergence at height {h} on node {i}");
+                failed += block.1.into_iter().flatten().filter(|&(_, ok)| !ok).count();
             }
         }
+        assert!(failed > 0, "no failed transaction confirmed: the flags were never compared");
     }
 
     #[test]
@@ -701,14 +715,16 @@ mod tests {
     }
 
     /// Everything set-up leaves on a node that a run can later observe, bar
-    /// the observer's log: chain, tip, store and trie counters, and the disk
-    /// (files, I/O counters, fault settings).
+    /// the observer's log: chain, receipts in block-id order, tip, store and
+    /// trie counters, and the disk (files, I/O counters, fault settings).
     fn footprint(chain: &EthereumChain, i: u32) -> impl PartialEq + std::fmt::Debug {
         let entries = chain.committed_chain(NodeId(i));
         chain.engine.with_node(i, |n| {
+            let mut receipts: Vec<_> = n.chain.receipts.clone().into_iter().collect();
+            receipts.sort_unstable_by_key(|&(id, _)| id);
             let disk = n.chain.state.store().vfs().lock().unwrap().clone();
             let trie = (n.chain.state.trie_cache_stats(), n.chain.state.trie_flush_stats());
-            (entries, n.chain.tip(), n.chain.state.store().stats(), trie, disk)
+            (entries, receipts, n.chain.tip(), n.chain.state.store().stats(), trie, disk)
         })
     }
 

@@ -127,7 +127,7 @@ pub trait ChainPlatform {
     fn already_known(has_body: bool, has_root: bool) -> bool;
 
     /// CPU charged for executing a stored orphan once its parent connects
-    /// (`serial_us` is the executor's serial time for the block).
+    /// (`serial_us` is the block's serial execution time).
     fn catch_up_charge(serial_us: u64, txs: usize) -> SimDuration;
 
     /// The event that delivers `msg` to `to`.
@@ -410,13 +410,12 @@ impl<S: KvStore + Send> ChainNode<S> {
         block
     }
 
-    /// Execute a received block on its parent's state through the optimistic
-    /// parallel executor and seal the result. The simulation bills serial
-    /// execution time — the executor's parallelism shows up in the
-    /// modeled-speedup counters, not in simulated latency — except that a
-    /// stored orphan catching up is billed per the platform. A block at a
-    /// deploy height gets its contracts on top, as set-up gave them to node
-    /// 0, so re-executing the set-up chain (a Parity restart) agrees.
+    /// Execute a received block on its parent's state, one transaction after
+    /// another as geth and Parity do, and seal the result. The charge is the
+    /// serial execution time, except that a stored orphan catching up is
+    /// billed per the platform. A block at a deploy height gets its
+    /// contracts on top, as set-up gave them to node 0, so re-executing the
+    /// set-up chain (a Parity restart) agrees.
     fn execute_and_seal<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -428,17 +427,15 @@ impl<S: KvStore + Send> ChainNode<S> {
     ) {
         let params = p.params();
         self.state.set_root(parent_root);
-        let outcome = self.state.execute_block(
+        let outcome = self.state.execute_block_serial(
             &block.txs,
             block.header.height,
             &params.vm,
             params.tx_gas_limit,
-            |gas| params.costs.exec_time(gas.max(1000)).as_micros(),
+            &|gas| params.costs.exec_time(gas.max(1000)).as_micros(),
         );
         self.seen.extend(block.txs.iter().map(|tx| tx.id()));
-        self.counters.exec_conflicts += outcome.conflicts;
         self.counters.exec_serial_us += outcome.serial_us;
-        self.counters.exec_modeled_us += outcome.modeled_us;
         let charge = if catching_up {
             P::catch_up_charge(outcome.serial_us, block.txs.len())
         } else {

@@ -653,30 +653,38 @@ impl<S: KvStore> TxBackend for RecordingState<'_, S> {
     }
 }
 
-/// What [`AccountState::execute_block`] hands back to the chain layer.
+/// What [`AccountState::execute_block_serial`] and
+/// [`AccountState::execute_block`] hand back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockExecOutcome {
     /// `(tx id, success)` per transaction, canonical order — exactly what
     /// the classic serial loop would have recorded.
     pub receipts: Vec<(TxId, bool)>,
-    /// Transactions that speculated against stale state and re-executed.
+    /// Transactions that speculated against stale state and re-executed
+    /// (0 from the serial loop).
     pub conflicts: u64,
-    /// Serial execution charge in µs (what the simulation bills — identical
-    /// to the pre-executor accounting).
+    /// Serial execution charge in µs: what the simulation bills.
     pub serial_us: u64,
-    /// Modeled parallel makespan in µs (see `bb_exec::model_block`).
+    /// Modeled parallel makespan in µs (see `bb_exec::model_block`; equal
+    /// to `serial_us` from the serial loop).
     pub modeled_us: u64,
 }
 
 impl<S: KvStore> AccountState<S> {
-    /// Execute a sealed block's transactions in the optimistic executor's
-    /// order: speculate every transaction against the frozen pre-state,
-    /// then commit in canonical order with first-writer-wins conflict
-    /// detection; losers re-execute serially at their canonical slot.
-    /// Speculation is side-effect-free and every phase runs in canonical
-    /// order, so the committed state, receipts, conflict count and trie
-    /// counters are a function of the block alone; what parallel hardware
-    /// would gain is modeled (`bb_exec::model_block`), not measured.
+    /// The optimistic executor: speculate every transaction against the
+    /// frozen pre-state, then commit in canonical order with
+    /// first-writer-wins conflict detection; losers re-execute serially at
+    /// their canonical slot. Speculation is side-effect-free and every phase
+    /// runs in canonical order, so the committed state, receipts, conflict
+    /// count and trie counters are a function of the block alone; what
+    /// parallel hardware would gain is modeled (`bb_exec::model_block`), not
+    /// measured.
+    ///
+    /// No platform calls this: Ethereum and Parity execute each block with
+    /// [`AccountState::execute_block_serial`], as geth and Parity do. It
+    /// stays, with `SpecView`, `RecordingState`, `commit_winner` and
+    /// [`PatriciaTrie::get_frozen`], only as the subject of the benchmark's
+    /// `exec.block32_*` kernels, and goes with them (ROADMAP item 14).
     ///
     /// `cost_us` converts a transaction's gas into the platform's modeled
     /// execution time in µs (callers pass their `EvmCosts` formula).
@@ -812,9 +820,12 @@ impl<S: KvStore> AccountState<S> {
         Ok(())
     }
 
-    /// The executor's deterministic fallback: the classic serial loop,
-    /// reported as zero conflicts and a modeled time equal to serial.
-    fn execute_block_serial(
+    /// Execute a sealed block's transactions one after another against the
+    /// live state, as geth and Parity do: the one block-execution path of
+    /// both account chains (and the optimistic executor's storage-error
+    /// fallback). Reported as zero conflicts and a modeled time equal to
+    /// serial. `cost_us` is as for [`AccountState::execute_block`].
+    pub fn execute_block_serial(
         &mut self,
         txs: &[Arc<Transaction>],
         height: u64,

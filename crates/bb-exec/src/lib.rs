@@ -1,5 +1,8 @@
-//! The optimistic block-execution *model* of the account chains, Ethereum
-//! and Parity. Fabric executes each batch serially, as v0.6 does.
+//! The optimistic block-execution *model* that `AccountState::execute_block`
+//! runs. No platform calls it: Ethereum, Parity and Fabric all execute a
+//! block's transactions serially, as geth, Parity and Fabric v0.6 do. It
+//! stays only as the subject of the benchmark's `exec.block32_*` kernels and
+//! goes with them (ROADMAP item 14).
 //!
 //! The paper's macro benchmarks saturate far below hardware limits partly
 //! because every platform executes a block's transactions serially on one
@@ -8,7 +11,7 @@
 //!
 //! 1. **Speculate**: every transaction of a sealed block runs against the
 //!    immutable pre-state snapshot, recording its read set, write set and
-//!    result. The platforms do this in a plain canonical-order loop.
+//!    result, in a plain canonical-order loop.
 //! 2. **Detect + commit** in canonical order: a transaction whose reads
 //!    don't intersect the writes committed before it ([`KeySet`]) is a
 //!    *winner* — its buffered writes apply verbatim. A *loser* re-executes
@@ -18,8 +21,7 @@
 //! Nothing here starts a thread. The executor's time is *modeled*, not
 //! measured: [`model_block`] charges the serial sum (so existing figures are
 //! unchanged) and separately computes a deterministic parallel makespan over
-//! [`MODEL_LANES`] lanes, from which the `exec_parallel_speedup` statistic
-//! derives identically on any host (DESIGN.md §8).
+//! [`MODEL_LANES`] lanes, identically on any host (DESIGN.md §8).
 
 use std::collections::BTreeSet;
 

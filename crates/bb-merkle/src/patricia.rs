@@ -471,7 +471,9 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// the trie: the node cache is consulted but never updated and the
     /// hit/miss counters stay untouched. Speculative executors read the
     /// pre-state through this so the speculation phase, which is modeled
-    /// rather than billed, leaves no trace in a block's counters.
+    /// rather than billed, leaves no trace in a block's counters. Its only
+    /// caller is `AccountState::execute_block`, which no platform runs; it
+    /// goes with that executor (ROADMAP item 14).
     pub fn get_frozen(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         self.read(self.root, key, false)
     }

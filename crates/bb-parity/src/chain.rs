@@ -728,10 +728,12 @@ mod tests {
     fn footprint(c: &ParityChain, i: u32) -> impl PartialEq + std::fmt::Debug {
         let entries = c.committed_chain(NodeId(i));
         c.engine.with_node(i, |n| {
+            let mut receipts: Vec<_> = n.chain.receipts.clone().into_iter().collect();
+            receipts.sort_unstable_by_key(|&(id, _)| id);
             let store = n.chain.state.store();
             let contents = store.clone().scan_prefix(b"").unwrap();
             let trie = (n.chain.state.trie_cache_stats(), n.chain.state.trie_flush_stats());
-            (entries, n.chain.tip(), store.stats(), trie, contents)
+            (entries, receipts, n.chain.tip(), store.stats(), trie, contents)
         })
     }
 
@@ -766,14 +768,18 @@ mod tests {
         let heads = [0, 2].map(|i| c.engine.with_node(i, |n| n.chain.tree.head_height()));
         assert!(heads[0].abs_diff(heads[1]) <= 2, "restarted node lags: {heads:?}");
         // It re-executed every block, the set-up's included, to node 0's
-        // state root at every height they share: the Smallbank contract
-        // deployed at height 5 is installed there, not at genesis.
+        // state root and receipts at every height they share: the Smallbank
+        // contract deployed at height 5 is installed there, not at genesis.
         let (chain0, chain2) = (c.committed_chain(NodeId(0)), c.committed_chain(NodeId(2)));
         let common = chain0.len().min(chain2.len());
         assert!(common > 9, "no block past the set-up to compare");
+        let receipts = |i: u32, id| c.engine.with_node(i, |n| n.chain.receipts.get(&id).cloned());
         for (e0, e2) in chain0.iter().zip(&chain2) {
             let height = e0.height;
             assert_eq!(e2.state_root, e0.state_root, "restarted root differs at height {height}");
+            let (r0, r2) = (receipts(0, e0.id), receipts(2, e2.id));
+            assert!(r0.is_some(), "node 0 holds no receipts at height {height}");
+            assert_eq!(r2, r0, "restarted receipts differ at height {height}");
         }
         assert!(c.stats().recovery_ms > 0, "recovery never completed");
     }

@@ -83,23 +83,15 @@ pub struct PlatformStats {
     pub snapshot_chunks: u64,
     /// Bytes of snapshot state transferred during post-restart catch-up.
     pub snapshot_bytes: u64,
-    /// Transactions whose optimistic speculation read state a
-    /// same-block predecessor wrote, forcing a serial re-execution
-    /// (intra-block parallel executor). Always 0 on Fabric, which executes
-    /// serially, until the model goes (ROADMAP item 14).
+    /// Always 0: every platform executes each block serially, so no
+    /// speculation conflicts. Kept only because the benchmark's adapter
+    /// reads it; it goes with the optimistic executor (ROADMAP item 14).
     pub exec_conflicts: u64,
-    /// Serial execution charge of every executed block, µs, summed over
-    /// nodes — the denominator-side of the modeled speedup.
+    /// Serial execution charge of every executed block, µs, summed over nodes.
     pub exec_serial_us: u64,
-    /// Modeled parallel makespan of the same blocks, µs (capped at serial
-    /// per block: the executor can always fall back to the serial order).
-    /// Always 0 on Fabric, which executes serially, until the model goes
-    /// (ROADMAP item 14).
+    /// Always 0, for the reason [`PlatformStats::exec_conflicts`] is, and
+    /// goes with it.
     pub exec_modeled_us: u64,
-    /// Byzantine-client submissions refused at admission. Platforms cannot
-    /// tell a byzantine submission from an honest one, so this is filled in
-    /// by [`crate::driver::run_timeline`], which knows which actor sent what.
-    pub byzantine_rejected: u64,
     /// Conflicting-digest consensus messages honest replicas observed for
     /// an occupied slot and refused (PBFT equivocation detection; zero on
     /// platforms without a BFT quorum path).
@@ -133,15 +125,8 @@ pub struct NodeCounters {
     pub wal_replayed: u64,
     /// Torn WAL tails truncated across this node's restarts.
     pub wal_truncated: u64,
-    /// Transactions that speculated against stale state and re-executed
-    /// (optimistic block executor). Always 0 on Fabric, until the model
-    /// goes (ROADMAP item 14).
-    pub exec_conflicts: u64,
-    /// Serial execution charge accumulated by the block executor, µs.
+    /// Serial execution charge of the blocks this node executed, µs.
     pub exec_serial_us: u64,
-    /// Modeled parallel makespan of the same blocks, µs. Always 0 on
-    /// Fabric, until the model goes (ROADMAP item 14).
-    pub exec_modeled_us: u64,
 }
 
 /// A restarted node's catch-up session: opened by `Restart`, closed into
@@ -209,9 +194,7 @@ impl PlatformStats {
         self.snapshot_bytes += counters.snapshot_bytes;
         self.wal_records_replayed += counters.wal_replayed;
         self.wal_tail_truncated += counters.wal_truncated;
-        self.exec_conflicts += counters.exec_conflicts;
         self.exec_serial_us += counters.exec_serial_us;
-        self.exec_modeled_us += counters.exec_modeled_us;
         average_into(&mut self.cpu_utilisation, cpu, nodes);
         average_into(&mut self.net_mbps, net, nodes);
     }
@@ -221,16 +204,6 @@ impl PlatformStats {
     pub fn write_amplification(&self) -> Option<f64> {
         (self.storage_logical_bytes > 0)
             .then(|| self.storage_bytes_written as f64 / self.storage_logical_bytes as f64)
-    }
-
-    /// Modeled intra-block execution speedup (`serial / modeled`, ≥ 1.0 by
-    /// construction), or 1.0 before any block executed.
-    pub fn exec_parallel_speedup(&self) -> f64 {
-        if self.exec_modeled_us == 0 {
-            1.0
-        } else {
-            self.exec_serial_us as f64 / self.exec_modeled_us as f64
-        }
     }
 }
 
@@ -458,9 +431,7 @@ mod tests {
             snapshot_bytes: 11,
             wal_replayed: 13,
             wal_truncated: 17,
-            exec_conflicts: 19,
-            exec_serial_us: 23,
-            exec_modeled_us: 29,
+            exec_serial_us: 19,
         };
         let b = NodeCounters {
             recovery_ms: 31,
@@ -470,9 +441,7 @@ mod tests {
             snapshot_bytes: 47,
             wal_replayed: 53,
             wal_truncated: 59,
-            exec_conflicts: 61,
-            exec_serial_us: 67,
-            exec_modeled_us: 71,
+            exec_serial_us: 61,
         };
         let mut s = PlatformStats::default();
         s.fold_node(2, &a, &[1.0, 0.5, 0.25], &[8.0]);
@@ -484,14 +453,13 @@ mod tests {
         assert_eq!(s.snapshot_bytes, 11 + 47);
         assert_eq!(s.wal_records_replayed, 13 + 53);
         assert_eq!(s.wal_tail_truncated, 17 + 59);
-        assert_eq!(s.exec_conflicts, 19 + 61);
-        assert_eq!(s.exec_serial_us, 23 + 67);
-        assert_eq!(s.exec_modeled_us, 29 + 71);
+        assert_eq!(s.exec_serial_us, 19 + 61);
         // Unequal lengths: the mean is over all nodes, a missing second is 0.
         assert_eq!(s.cpu_utilisation, [0.75, 0.25, 0.125]);
         assert_eq!(s.net_mbps, [5.0, 2.0]);
         // Nothing else is touched.
-        assert_eq!((s.blocks_total, s.disk_bytes, s.byzantine_rejected), (0, 0, 0));
+        assert_eq!((s.blocks_total, s.disk_bytes), (0, 0));
+        assert_eq!((s.exec_conflicts, s.exec_modeled_us), (0, 0));
     }
 
     #[test]

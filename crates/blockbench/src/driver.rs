@@ -206,9 +206,7 @@ pub fn run_open_loop(
 /// series, the byzantine traffic totals, and each node's committed chain for
 /// the safety checker.
 pub struct Timeline {
-    /// `(t, committed_cumulative, stats)` sampled once per virtual second;
-    /// `stats.byzantine_rejected` is overlaid by the runner (platforms
-    /// cannot attribute byzantine traffic).
+    /// `(t, committed_cumulative, stats)` sampled once per virtual second.
     pub series: Vec<(u64, u64, PlatformStats)>,
     /// Byzantine submissions attempted across all actors.
     pub byz_submitted: u64,
@@ -295,9 +293,7 @@ pub fn run_timeline(
             seen_height = seen_height.max(block.height);
             committed += block.txs.iter().filter(|&&(_, ok)| ok).count() as u64;
         }
-        let mut stats = chain.stats();
-        stats.byzantine_rejected = actors.iter().map(|a| a.rejected).sum();
-        series.push((sec + 1, committed, stats));
+        series.push((sec + 1, committed, chain.stats()));
         honest_rejected.push(honest_rejects);
     }
     Timeline {

@@ -179,18 +179,15 @@ smoke -p blockbench invariant
 smoke -p bb-bench --lib exp_chaos
 smoke -p bb-bench --test pool_eviction
 
-echo "==> replay: seeded runs repeat byte for byte, the event order and the executor model are pinned"
+echo "==> replay: seeded runs repeat byte for byte, and the event order is pinned"
 # Every world is single-threaded, so a seed is a complete description of a
 # run. The replay cases run each seeded experiment twice in one process
-# (driver, open loop, hot-key re-execution, restart, chaos, crash faults)
-# and catch what leaks in from outside the seed — `HashMap` order first;
-# the engine's event order (one heap on `EventKey`, each handler's sends made
-# as it returns — DESIGN.md §5) is pinned by known answers; and the
-# Zipfian conflict ablation must keep the executor model's speedup floors
-# (>=1.5x at theta<=0.5, graceful >=1.0x at 0.99).
+# (driver, open loop, hot-key run, restart, chaos, crash faults) and catch
+# what leaks in from outside the seed — `HashMap` order first; the engine's
+# event order (one heap on `EventKey`, each handler's sends made as it
+# returns — DESIGN.md §5) is pinned by known answers.
 smoke -p bb-bench --test parallel_determinism replay
 smoke -p bb-sim merge_order
-smoke -p bb-bench --lib executor_speedup_degrades_gracefully
 # Known answers: two replay cases also pin the SHA-256 of their run text on
 # every platform, so a refactor that moves one event or one RNG draw fails
 # here by name. And a metamorphic relation: advancing to the same instant in
@@ -198,12 +195,18 @@ smoke -p bb-bench --lib executor_speedup_degrades_gracefully
 smoke -p bb-bench --test parallel_determinism run_stats_replay_byte_identical_across_platforms_and_seeds
 smoke -p bb-bench --test parallel_determinism restart_and_catchup_replay_identically
 smoke -p bb-bench --test cross_platform advancing_in_more_steps_changes_nothing
-# Fabric executes each batch serially, as v0.6 does: its hot-key run is a
-# known answer, and nothing of the optimistic executor's model is back in
-# its source (the modeled executor is Ethereum's and Parity's alone).
+# Every platform executes each block serially, as geth, Parity and Fabric
+# v0.6 do: the hot-key run is a known answer on all three, nothing of the
+# optimistic executor's model is back in Fabric's source, and no platform
+# calls `AccountState::execute_block` (it stays only as the subject of the
+# benchmark's `exec.block32_*` kernels).
 smoke -p bb-bench --test cross_platform hot_key_run_is_the_known_answer
 if git grep -nE 'speculate_invoke|SpecInvoke|bb_exec' -- crates/bb-fabric/src; then
     echo "ERROR: bb-fabric speculates again; Fabric executes each batch serially" >&2
+    exit 1
+fi
+if git grep -nE '\bexecute_block\(' -- crates ':!crates/bb-ethereum/src/state.rs'; then
+    echo "ERROR: a platform runs the optimistic executor; execute blocks serially" >&2
     exit 1
 fi
 # One account-chain connector: Ethereum and Parity are two `Consensus` impls

@@ -120,7 +120,6 @@ fn claims_hold_over_committed_csvs() -> Result<(), String> {
     ablation_a_unbounded_channel_prevents_the_collapse(&csv("ablation_channel.csv")?)?;
     ablation_b_flat_difficulty_removes_ethereum_decay(&difficulty)?;
     ablation_c_cheaper_signing_unlocks_parity(&csv("ablation_signing.csv")?)?;
-    ablation_d_executor_speedup_degrades_gracefully(&csv("ablation_conflict.csv")?)?;
     let chaos = csv("fig_chaos.csv")?;
     fig_chaos_covers_every_cell(&chaos)?;
     fig_chaos_every_cell_is_live(&chaos)?;

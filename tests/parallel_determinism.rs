@@ -121,9 +121,9 @@ fn driver_stats(platform: Platform, seed: u64) -> String {
 #[test]
 fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
     let known = [
-        (Platform::Ethereum, "658ec4644b6989bada374094a51136f1741c4f084d683ce7e05595aceb8df789"),
-        (Platform::Parity, "3d7c4baf418946025d7f81bf24814a48149708d4378954a05d47d68f819b724d"),
-        (Platform::Hyperledger, "874dafdf791fb3702134c823fae3a1f54e8f938299fd8a5099c6bff9ce65605e"),
+        (Platform::Ethereum, "917e323ec18ad3e9b62b75d920e10a59b40cff8376963332db5ed8b569bdd5c9"),
+        (Platform::Parity, "ca9f3b415bbe6d3293dc5b8408a100d0161cb6f56ef1dcd54c99aa5fcddc12a3"),
+        (Platform::Hyperledger, "cf5214d2b0f74ce59181d2c3608861b523550c9803aff9dc3163c3dc88b3d584"),
     ];
     for (platform, want) in known {
         let texts: String = [1u64, 7, 42]
@@ -176,13 +176,11 @@ fn open_loop_run_stats_replay_byte_identical() {
 }
 
 /// Block execution under maximum contention: a hot-key YCSB mix
-/// (`zipf_theta = 0.99` over few records). On Ethereum and Parity the
-/// optimistic executor speculates against the frozen pre-state, so its
-/// conflict counts, receipts and roots are decided by block content alone;
-/// the run forces speculation conflicts and the serial re-execution of the
-/// losers, whose results must replay too. Fabric executes each batch
-/// serially and must replay the same way.
-fn high_conflict_stats(platform: Platform, seed: u64) -> String {
+/// (`zipf_theta = 0.99` over few records), where most transactions of a
+/// block read what an earlier one wrote. Every platform executes each block
+/// serially, so receipts and roots are decided by block content alone and
+/// must replay.
+fn hot_key_stats(platform: Platform, seed: u64) -> String {
     let mut chain = build_seeded(platform, 4, seed);
     let mut workload = YcsbWorkload::new(YcsbConfig {
         record_count: 16,
@@ -199,20 +197,14 @@ fn high_conflict_stats(platform: Platform, seed: u64) -> String {
         poll_interval: SimDuration::from_millis(500),
         drain: SimDuration::from_secs(2),
     };
-    let stats = run_workload(chain.as_mut(), &mut workload, &config);
-    assert!(
-        platform == Platform::Hyperledger || stats.platform.exec_conflicts > 0,
-        "{}: hot-key run produced no speculation conflicts — loser path untested",
-        platform.name()
-    );
-    format!("{stats:?}")
+    format!("{:?}", run_workload(chain.as_mut(), &mut workload, &config))
 }
 
 #[test]
-fn executor_conflict_reexecution_replays_byte_identical() {
+fn hot_key_run_replays_byte_identical() {
     for platform in ALL_PLATFORMS {
-        assert_replays(&format!("{} conflict re-execution", platform.name()), || {
-            high_conflict_stats(platform, 42)
+        assert_replays(&format!("{} hot-key run", platform.name()), || {
+            hot_key_stats(platform, 42)
         });
     }
 }
