@@ -9,8 +9,9 @@
 //!
 //! A node's **encoding is its only representation**. It is what gets
 //! hashed, what the store holds, and what the trie keeps in memory: one
-//! exact-size `Arc<[u8]>` per node, shared by the node cache and the
-//! dirty-node overlay. Walks read it in place through `View`, a borrowed,
+//! exact-size `Arc<[u8]>` per node, in the dirty-node overlay while it is
+//! uncommitted and in the node cache once it is committed or read from the
+//! store. Walks read it in place through `View`, a borrowed,
 //! bounds-checked parse; new nodes are written straight into a reused
 //! buffer by the `write_*` functions. There is no decoded form to build,
 //! clone or re-encode.
@@ -23,6 +24,13 @@
 //! commit, so they never touch the WAL. Root hashes are byte-identical to
 //! an eager-write trie: hashing is unchanged, only persistence is deferred.
 //!
+//! Dirty and clean nodes live apart. Walks look in the overlay, then the
+//! cache, then the store; the cache holds committed nodes only, so a
+//! block's garbage dies at commit instead of waiting for the cache's
+//! wholesale clear. `cache_stats` counts walks over committed nodes: an
+//! overlay read is neither a hit nor a miss, a cache read is a hit, and
+//! only a store read is a miss.
+//!
 //! The root hash is a binding commitment to the full key→value map: any two
 //! insertion orders producing the same map produce the same root (verified
 //! by property test).
@@ -33,10 +41,9 @@ use std::sync::Arc;
 
 /// Node cache capacity, in nodes. Nodes are content-addressed and
 /// immutable, so the only cost of a stale-free cache is memory — a 48-byte
-/// slot (hash + pointer) and the node's encoding, which an uncommitted
-/// node shares with the overlay; when it fills we drop it wholesale
-/// (cheapest possible policy, and the working set of a macro run refills
-/// it within one block).
+/// slot (hash + pointer) and the encoding of a committed node; when it
+/// fills we drop it wholesale (cheapest possible policy, and the working
+/// set of a macro run refills it within a few blocks).
 const NODE_CACHE_CAP: usize = 1 << 17;
 
 /// Merkle-Patricia trie handle owning its backing store.
@@ -54,8 +61,8 @@ pub struct PatriciaTrie<S: KvStore> {
     /// instead of the store; `commit` flushes the subset reachable from the
     /// committed root and drops the rest. Because nodes are
     /// content-addressed, every ancestor of an overlay node is itself in
-    /// the overlay, so reads that miss the overlay can fall through to the
-    /// store unconditionally.
+    /// the overlay, so reads that miss the overlay fall through to the
+    /// cache and the store, which hold only committed nodes.
     overlay: DigestMap<Hash256, Arc<[u8]>>,
     /// Nodes written (hashed) since construction — the write-amplification
     /// numerator an eager-write trie would have paid to storage.
@@ -65,12 +72,14 @@ pub struct PatriciaTrie<S: KvStore> {
     /// Overlay nodes discarded by `commit` calls (garbage interior roots
     /// from per-transaction application inside a block).
     nodes_dropped: u64,
-    /// Recently walked or written nodes' encodings by hash, each checked by
-    /// [`View::parse`] before it got here (`Arc`, not `Rc`: a simulated
-    /// world is `Send`). Content-addressing makes entries immutable, so the
-    /// cache can never go stale — it only skips overlay and store reads,
-    /// never changes what a walk observes (determinism-safe: no simulated
-    /// cost model consumes store read counters).
+    /// Committed nodes' encodings by hash: those the last commits flushed
+    /// and those walks read from the store, each checked by [`View::parse`]
+    /// before it got here (`Arc`, not `Rc`: a simulated world is `Send`).
+    /// Never an uncommitted node — those stay in the overlay until `commit`
+    /// flushes or drops them. Content-addressing makes entries immutable,
+    /// so the cache can never go stale — it only skips store reads, never
+    /// changes what a walk observes (determinism-safe: no simulated cost
+    /// model consumes store read counters).
     cache: DigestMap<Hash256, Arc<[u8]>>,
     cache_hits: u64,
     cache_misses: u64,
@@ -301,7 +310,9 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.overlay.len()
     }
 
-    /// Node cache `(hits, misses)` since construction.
+    /// Node cache `(hits, misses)` since construction: walks over committed
+    /// nodes served by the cache and by the store. Reads of the overlay's
+    /// uncommitted nodes count as neither.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
@@ -318,8 +329,12 @@ impl<S: KvStore> PatriciaTrie<S> {
     }
 
     /// The node `hash` for an update walk, which goes on to write while it
-    /// reads: a hit costs a reference count, not a copy.
+    /// reads: overlay, then cache, then store, and a node found in memory
+    /// costs a reference count, not a copy.
     fn load(&mut self, hash: &Hash256) -> Result<Arc<[u8]>, KvError> {
+        if let Some(bytes) = self.overlay.get(hash) {
+            return Ok(bytes.clone());
+        }
         if let Some(bytes) = self.cache.get(hash) {
             self.cache_hits += 1;
             return Ok(bytes.clone());
@@ -327,23 +342,18 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.load_uncached(hash, true)
     }
 
-    /// The node `hash` after a cache miss, checked. `counted` walks record
-    /// the miss and leave the node in the cache; frozen ones leave no trace.
+    /// The committed node `hash`, read from the store and checked, after
+    /// both the overlay and the cache missed. `counted` walks record the
+    /// miss and leave the node in the cache; frozen ones leave no trace.
     fn load_uncached(&mut self, hash: &Hash256, counted: bool) -> Result<Arc<[u8]>, KvError> {
         if counted {
             self.cache_misses += 1;
         }
-        // Overlay before store: uncommitted nodes exist nowhere else. The
-        // reverse order would also be correct (hashes collide only for
-        // identical bytes) but would charge the store a read per miss.
-        let bytes = match self.overlay.get(hash) {
-            Some(bytes) => bytes.clone(),
-            None => self
-                .store
-                .get(&hash.0)?
-                .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?
-                .into(),
-        };
+        let bytes: Arc<[u8]> = self
+            .store
+            .get(&hash.0)?
+            .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?
+            .into();
         View::parse(&bytes)?;
         if counted {
             self.cache_insert(*hash, bytes.clone());
@@ -358,16 +368,12 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.cache.insert(hash, bytes);
     }
 
-    /// Hash and park a new node: one allocation, shared by the overlay and
-    /// the cache.
+    /// Hash and park a new node in the overlay: one allocation. It reaches
+    /// the cache only if `commit` flushes it.
     fn put_bytes(&mut self, encoding: &[u8]) -> Hash256 {
         let hash = Hash256::digest(encoding);
-        let bytes: Arc<[u8]> = encoding.into();
-        self.overlay.insert(hash, bytes.clone());
+        self.overlay.insert(hash, encoding.into());
         self.nodes_written += 1;
-        // A freshly written node is about to be walked again (it sits on
-        // the path every subsequent update in this block re-traverses).
-        self.cache_insert(hash, bytes);
         hash
     }
 
@@ -388,9 +394,10 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// the store can't reference an uncommitted one, because a node's hash
     /// covers its children, so new parents are always new nodes.
     ///
-    /// On error (a capped in-memory store running out of space) the overlay
-    /// is left intact, so the in-memory trie stays fully readable and a
-    /// later commit retries the flush.
+    /// The flushed nodes then enter the cache in flush order. On error (a
+    /// capped in-memory store running out of space) the overlay is left
+    /// intact and nothing enters the cache, so the in-memory trie stays
+    /// fully readable and a later commit retries the flush.
     pub fn commit(&mut self) -> Result<(), KvError> {
         self.commit_with_extras(Vec::new())
     }
@@ -442,6 +449,11 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.nodes_flushed += staged.len() as u64;
         self.nodes_dropped += self.overlay.len() as u64;
         self.overlay.clear();
+        // The flushed nodes are now committed: the next block's walks start
+        // on the path this one just sealed.
+        for (h, bytes) in staged {
+            self.cache_insert(h, bytes);
+        }
         Ok(())
     }
 
@@ -495,9 +507,9 @@ impl<S: KvStore> PatriciaTrie<S> {
 
     /// The one read walk — the hottest loop in the Ethereum/Parity
     /// platforms. It narrows a slice over one nibble buffer instead of
-    /// reallocating the remaining path at every step, and on a cache hit
-    /// reads the node where it lies: nothing is copied or reference-counted
-    /// but the value it returns.
+    /// reallocating the remaining path at every step, and on an overlay or
+    /// cache hit reads the node where it lies: nothing is copied or
+    /// reference-counted but the value it returns.
     fn read_walk(
         &mut self,
         root: Hash256,
@@ -508,15 +520,18 @@ impl<S: KvStore> PatriciaTrie<S> {
         let mut at = root;
         loop {
             let fetched;
-            let bytes: &[u8] = match self.cache.get(&at) {
-                Some(bytes) => {
-                    self.cache_hits += counted as u64;
-                    bytes
-                }
-                None => {
-                    fetched = self.load_uncached(&at, counted)?;
-                    &fetched
-                }
+            let bytes: &[u8] = match self.overlay.get(&at) {
+                Some(bytes) => bytes,
+                None => match self.cache.get(&at) {
+                    Some(bytes) => {
+                        self.cache_hits += counted as u64;
+                        bytes
+                    }
+                    None => {
+                        fetched = self.load_uncached(&at, counted)?;
+                        &fetched
+                    }
+                },
             };
             match View::parse(bytes)? {
                 View::Leaf { path: p, value } => {
@@ -1057,22 +1072,56 @@ mod tests {
     }
 
     #[test]
-    fn decoded_node_cache_serves_repeat_walks() {
-        let mut t = trie();
-        for i in 0..100u32 {
-            t.insert(format!("key{i:04}").as_bytes(), b"x").unwrap();
+    fn uncommitted_nodes_are_not_cache_traffic() {
+        let key = |i: u32| format!("key{i:04}").into_bytes();
+        let read_all = |t: &mut PatriciaTrie<MemStore>| {
+            for i in 0..100 {
+                assert_eq!(t.get(&key(i)).unwrap(), Some(i.to_be_bytes().to_vec()));
+            }
+            assert_eq!(t.get(b"absent").unwrap(), None);
+        };
+        let cached = |t: &PatriciaTrie<MemStore>| {
+            let mut hashes: Vec<Hash256> = t.cache.keys().copied().collect();
+            hashes.sort();
+            hashes
+        };
+        let mut t = PatriciaTrie::new(MemStore::with_capacity_cap(40_000));
+        for i in 0..100 {
+            t.insert(&key(i), &i.to_be_bytes()).unwrap();
         }
-        let (_, misses_after_insert) = t.cache_stats();
-        // Every node on every path was just written (and cached), so a full
-        // re-read adds hits but no misses.
-        for i in 0..100u32 {
-            assert_eq!(t.get(format!("key{i:04}").as_bytes()).unwrap(), Some(b"x".to_vec()));
-        }
+        // A dirty node is read from the overlay: neither a hit nor a miss,
+        // and it never enters the cache.
+        read_all(&mut t);
+        assert_eq!(t.cache_stats(), (0, 0));
+        assert!(t.cache.is_empty());
+
+        // Once committed, the same walks are served by the cache.
+        t.commit().unwrap();
+        let committed = t.root();
+        read_all(&mut t);
         let (hits, misses) = t.cache_stats();
-        assert_eq!(misses, misses_after_insert, "re-walks must not miss");
-        assert!(hits > 100, "hits: {hits}");
-        // And the cache must not change what a walk observes.
-        assert_eq!(t.get(b"absent").unwrap(), None);
+        assert!(hits > 100 && misses == 0, "{hits} hits, {misses} misses");
+
+        // After a power cut the first re-read comes from the store, the
+        // second from the cache it refilled.
+        t.drop_volatile();
+        t.set_root(committed);
+        read_all(&mut t);
+        let cold = t.cache_stats();
+        assert!(cold.1 > 0, "cold re-read must miss");
+        read_all(&mut t);
+        let warm = t.cache_stats();
+        assert_eq!(warm.1, cold.1, "warm re-read must not miss");
+        assert!(warm.0 > cold.0);
+
+        // A commit the store refuses leaves the cache as it was.
+        for i in 100..140 {
+            t.insert(&key(i), &[i as u8; 1_000]).unwrap();
+        }
+        let before = (cached(&t), t.cache_stats());
+        assert!(!before.0.is_empty());
+        assert!(matches!(t.commit().unwrap_err(), KvError::OutOfSpace { .. }));
+        assert_eq!((cached(&t), t.cache_stats()), before);
     }
 
     #[test]
@@ -1598,7 +1647,7 @@ mod known_answers {
         let want = [
             expect(
                 "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
-                (94_153, 0),
+                (1_098, 0),
                 [115_489, 1_810, 79_079],
                 0,
                 [457_054, 1_810, 313],
@@ -1606,7 +1655,7 @@ mod known_answers {
             ),
             expect(
                 "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
-                (1_294_153, 0),
+                (1_201_098, 0),
                 [115_489, 1_810, 79_079],
                 0,
                 [457_054, 1_810, 313],
@@ -1614,7 +1663,7 @@ mod known_answers {
             ),
             expect(
                 "e3eda1c1cc426ed20719892937b4918f52f047dca193d88c24d7a7113dbbae0c",
-                (1_414_153, 0),
+                (1_222_434, 0),
                 [235_489, 1_818, 127_088],
                 0,
                 [459_648, 1_818, 314],
@@ -1642,7 +1691,9 @@ mod known_answers {
         let mut original = PatriciaTrie::new(TapeStore::over(MemStore::new()));
         let half = keys.len() / 2;
         load(&mut original, &keys[..half], 0);
-        assert!(original.pending_nodes() > 0 && original.cache_stats().1 > 0);
+        assert!(original.pending_nodes() > 0 && !original.cache.is_empty());
+        // No store read yet: the cache has never been cleared.
+        assert_eq!(original.cache_stats().1, 0);
         let copy = original.clone();
         for mut t in [original, copy] {
             load(&mut t, &keys, half);
@@ -1654,7 +1705,7 @@ mod known_answers {
         [
             expect(
                 "cc90f69667245783cc1221184ee56b0eb5c5b738b603b129185f7471b1060ece",
-                (235_752, 21_073),
+                (132_237, 13_113),
                 [338_283, 226_808, 111_475],
                 0,
                 [59_475_218, 226_808, 938],
@@ -1662,7 +1713,7 @@ mod known_answers {
             ),
             expect(
                 "cc90f69667245783cc1221184ee56b0eb5c5b738b603b129185f7471b1060ece",
-                (3_516_334, 136_391),
+                (3_424_456, 116_794),
                 [338_283, 226_808, 111_475],
                 0,
                 [59_475_218, 226_808, 938],
@@ -1670,7 +1721,7 @@ mod known_answers {
             ),
             expect(
                 "020684445b18a1b83c023fdc90845ae6331c50e274b54192921bab3b463f33c8",
-                (3_764_617, 227_698),
+                (3_505_914, 116_794),
                 [677_873, 308_266, 369_607],
                 0,
                 [68_396_288, 308_266, 939],
@@ -1751,7 +1802,7 @@ mod known_answers {
         let want = [
             expect(
                 "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
-                (130, 0),
+                (0, 0),
                 [183, 53, 130],
                 0,
                 [4_734, 53, 1],
@@ -1759,7 +1810,7 @@ mod known_answers {
             ),
             expect(
                 "520a51ba843a31ba8bcae61a368ec14681c1f266272ea7a13f1ecabfeb447f8a",
-                (278, 0),
+                (27, 0),
                 [314, 53, 130],
                 123,
                 [4_734, 53, 1],
@@ -1767,7 +1818,7 @@ mod known_answers {
             ),
             expect(
                 "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
-                (550, 53),
+                (299, 53),
                 [314, 53, 253],
                 0,
                 [4_734, 53, 1],
@@ -1775,7 +1826,7 @@ mod known_answers {
             ),
             expect(
                 "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
-                (717, 53),
+                (379, 53),
                 [413, 65, 340],
                 0,
                 [6_402, 65, 2],
@@ -1783,7 +1834,7 @@ mod known_answers {
             ),
             expect(
                 "908ee5466b6493d0c690cf4e1aefff058b52bf9093222a4a8c8f4526c099423d",
-                (964, 61),
+                (382, 53),
                 [711, 65, 340],
                 298,
                 [34_327, 116, 3],
@@ -1791,7 +1842,7 @@ mod known_answers {
             ),
             expect(
                 "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
-                (1_216, 107),
+                (382, 53),
                 [958, 68, 882],
                 0,
                 [34_575, 119, 4],

@@ -121,8 +121,8 @@ fn driver_stats(platform: Platform, seed: u64) -> String {
 #[test]
 fn run_stats_replay_byte_identical_across_platforms_and_seeds() {
     let known = [
-        (Platform::Ethereum, "917e323ec18ad3e9b62b75d920e10a59b40cff8376963332db5ed8b569bdd5c9"),
-        (Platform::Parity, "ca9f3b415bbe6d3293dc5b8408a100d0161cb6f56ef1dcd54c99aa5fcddc12a3"),
+        (Platform::Ethereum, "e7c166529e5535ecad36f50f680a2e11ea874db4c7ac82ea823ebf16f45dd4cd"),
+        (Platform::Parity, "b90b33bf3b89ac56ff8bffdae386d67253ac64d6e6e5e83532ccc48846729b2c"),
         (Platform::Hyperledger, "cf5214d2b0f74ce59181d2c3608861b523550c9803aff9dc3163c3dc88b3d584"),
     ];
     for (platform, want) in known {
