@@ -200,7 +200,8 @@ impl<S: KvStore> AccountState<S> {
         self.trie.drop_volatile();
     }
 
-    /// Node cache `(hits, misses)` of the state trie (stats).
+    /// Node cache `(hits, misses)` of the state trie (stats): walks over
+    /// committed nodes only, served by the cache or read from the store.
     pub fn trie_cache_stats(&self) -> (u64, u64) {
         self.trie.cache_stats()
     }

@@ -42,8 +42,7 @@ use std::sync::Arc;
 /// Node cache capacity, in nodes. Nodes are content-addressed and
 /// immutable, so the only cost of a stale-free cache is memory — a 48-byte
 /// slot (hash + pointer) and the encoding of a committed node; when it
-/// fills we drop it wholesale (cheapest possible policy, and the working
-/// set of a macro run refills it within a few blocks).
+/// fills we drop it wholesale (cheapest possible policy).
 const NODE_CACHE_CAP: usize = 1 << 17;
 
 /// Merkle-Patricia trie handle owning its backing store.
@@ -1229,7 +1228,6 @@ mod tests {
         assert!(matches!(err, KvError::OutOfSpace { .. }));
         assert_eq!(t.pending_nodes(), pending, "failed commit must restore the overlay");
         assert_eq!(t.nodes_flushed(), 0);
-        t.cache.clear(); // force reads through the overlay, not the cache
         for i in 0..16u32 {
             assert_eq!(
                 t.get(format!("key{i:02}").as_bytes()).unwrap(),
@@ -1367,11 +1365,11 @@ mod tests {
             let after = (t.cache_stats(), t.cache.len(), t.nodes_written(), t.pending_nodes());
             assert_eq!(before, after, "{served_by}");
         };
-        frozen_pass(&mut t, "cache");
-        t.cache.clear();
         frozen_pass(&mut t, "overlay");
-        assert_eq!(t.store().stats().reads, 0, "overlay before store");
+        assert!(t.cache.is_empty(), "uncommitted nodes are never cached");
         t.commit().unwrap();
+        frozen_pass(&mut t, "cache");
+        assert_eq!(t.store().stats().reads, 0, "overlay and cache before store");
         t.cache.clear();
         frozen_pass(&mut t, "store");
         assert!(t.store().stats().reads > 0);

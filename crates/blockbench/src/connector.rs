@@ -45,10 +45,13 @@ pub struct PlatformStats {
     pub net_mbps: Vec<f64>,
     /// Total network bytes offered.
     pub net_bytes: u64,
-    /// Decoded-node cache hits across all state tries (Ethereum/Parity
-    /// Merkle-Patricia walks; zero for platforms without a trie cache).
+    /// Node cache hits across all state tries: steps of Ethereum/Parity
+    /// Merkle-Patricia walks over committed nodes served from memory (zero
+    /// for platforms without a trie cache). A step onto a block's own
+    /// uncommitted node counts as neither a hit nor a miss.
     pub trie_cache_hits: u64,
-    /// Decoded-node cache misses across all state tries.
+    /// Node cache misses across all state tries: steps over committed
+    /// nodes that had to be read from the store.
     pub trie_cache_misses: u64,
     /// State nodes/values persisted at block seals across all nodes (the
     /// block-scoped write path's storage traffic).

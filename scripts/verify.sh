@@ -122,6 +122,12 @@ echo "==> state trees: Patricia and Bucket-Merkle known answers, differentials a
 # record, and pin the checksum's value.
 smoke -p bb-merkle patricia
 smoke --release -p bb-merkle patricia
+# The dirty/clean split (DESIGN.md §6 "Dirty-node overlay"): a block's
+# uncommitted nodes live in the overlay and are never cache traffic, the
+# cache holds committed nodes only and a refused commit adds none. Run by
+# name so that a rename cannot drop it from the selection above unnoticed.
+smoke -p bb-merkle uncommitted_nodes
+smoke --release -p bb-merkle uncommitted_nodes
 smoke -p bb-merkle bucket
 smoke --release -p bb-merkle bucket
 smoke -p bb-storage wal
