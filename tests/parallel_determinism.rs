@@ -283,6 +283,66 @@ fn restart_and_catchup_replay_identically() {
     }
 }
 
+/// Snapshot-transfer drive: the chains of `restart_timeline`, tuned as in
+/// `cross_platform::deep_gap_chains` (gaps deeper than 4 blocks take a
+/// snapshot, in 512-byte chunks, and Ethereum mines every 0.5 s). Node 3
+/// power-cuts at t=3 s (torn WAL tail included) and restarts at t=12 s,
+/// past the replay threshold, so it recovers by state transfer.
+/// `snapshot_bytes` stays out of the text: the known answer pins the
+/// transfer's schedule, not how each platform prices a chunk.
+fn snapshot_timeline(platform: Platform) -> String {
+    let victim = NodeId(3);
+    let plan = ChaosPlan::new()
+        .at(SimDuration::from_secs(3), Fault::Crash(victim))
+        .at(SimDuration::from_secs(3), Fault::TornTail(victim))
+        .at(SimDuration::from_secs(12), Fault::Restart(victim));
+    let mut chain: Box<dyn BlockchainConnector> = match platform {
+        Platform::Ethereum => {
+            let mut c = EthConfig::with_nodes(4);
+            c.pow.base_interval = SimDuration::from_millis(500);
+            (c.snapshot_sync_blocks, c.snapshot_chunk_bytes) = (4, 512);
+            Box::new(EthereumChain::new(c))
+        }
+        Platform::Parity => {
+            let mut c = ParityConfig::with_nodes(4);
+            (c.snapshot_sync_blocks, c.snapshot_chunk_bytes) = (4, 512);
+            Box::new(ParityChain::new(c))
+        }
+        Platform::Hyperledger => {
+            let mut c = FabricConfig::with_nodes(4);
+            (c.snapshot_sync_blocks, c.snapshot_chunk_bytes) = (4, 512);
+            Box::new(FabricChain::new(c))
+        }
+    };
+    let run = run_timeline(chain.as_mut(), Macro::Ycsb.build(4).as_mut(), 4, 20.0, 25, &plan);
+    let last = &run.series.last().expect("timeline non-empty").2;
+    assert!(last.snapshot_chunks > 0, "{}: the deep gap took no snapshot", platform.name());
+    assert!(last.recovery_ms > 0, "{}: no completed recovery window", platform.name());
+    run.series
+        .iter()
+        .map(|(t, committed, stats)| {
+            format!(
+                "t={t} committed={committed} chunks={} recovery_ms={} resync={}\n",
+                stats.snapshot_chunks, stats.recovery_ms, stats.resync_blocks,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn snapshot_timeline_replays_identically() {
+    let known = [
+        (Platform::Ethereum, "1b86f65b35cdbf129df8de3bf5cccaf356e1fb85b48a400966d57a2713ef0dea"),
+        (Platform::Parity, "9befdc149817974e16caadf9bd1895c1a86aaf6b4a37de36ed8f93d66abba9c1"),
+        (Platform::Hyperledger, "052284733d516243f8b2aa78658ad67cdc6b77d609bbe5b9ea50b7906e36a953"),
+    ];
+    for (platform, want) in known {
+        let what = format!("{} snapshot timeline", platform.name());
+        let text = assert_replays(&what, || snapshot_timeline(platform));
+        assert_known_answer(&what, &text, want);
+    }
+}
+
 /// A composite [`ChaosPlan`] — flapping partition, gossip jitter, a
 /// nonce-gap flood and a slow disk all active in one window — driven
 /// through `run_timeline`. Byzantine actors are clock-driven (no RNG)
