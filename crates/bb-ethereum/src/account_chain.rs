@@ -1,16 +1,17 @@
 //! The one `BlockchainConnector` of Ethereum and Parity, which differ in
 //! consensus only (§3.1): [`AccountChain`] owns set-up, the RPC surface on
-//! node 0, the network faults and the stats, and a consensus plugs in through
-//! [`Consensus`]. Each server is a lane of a [`ShardedEngine`]; a world runs
-//! on one thread (lanes order events, they are not threads — DESIGN.md §5).
+//! node 0, the network faults, crash, recover and restart, and the stats,
+//! and a consensus plugs in through [`Consensus`]. Each server is a lane of
+//! a [`ShardedEngine`]; a world runs on one thread (lanes order events, they
+//! are not threads — DESIGN.md §5).
 
-use crate::node::{ChainNode, ChainPlatform, BLOCKS};
+use crate::node::{ChainNode, ChainPlatform, SyncMsg, BLOCKS};
 use bb_net::{LinkParams, Network};
 use bb_sim::{CpuMeter, ShardedEngine, ShardedWorld, SimRng, SimTime};
 use bb_types::{Address, BlockSummary, NodeId, Transaction};
 use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, PlatformStats, Query, QueryError,
-    QueryResult,
+    QueryResult, RecoveryWindow,
 };
 use blockbench::contract::ContractBundle;
 use std::sync::Arc;
@@ -41,8 +42,22 @@ pub trait Consensus:
     fn start(chain: &mut AccountChain<Self>);
     /// Take `tx` in at live `server`'s RPC; `false` refuses it.
     fn admit(chain: &mut AccountChain<Self>, server: NodeId, tx: Transaction) -> bool;
-    /// Inject a node or disk fault. The network faults never reach here.
-    fn inject(chain: &mut AccountChain<Self>, fault: Fault);
+
+    /// Rebuild a restarting node from what survives a power cut: its
+    /// durable store, or nothing but genesis. The run's counters, CPU
+    /// series and the observer's log carry over.
+    fn rebuild(ctx: &Self::Ctx, node: &mut Self::Node);
+    /// Resume a revived or restarted `node`'s block production, once
+    /// production has started.
+    fn resume(_chain: &mut AccountChain<Self>, _node: NodeId) {}
+    /// Does a `Recover` after a crash tore a snapshot transfer restart the
+    /// node instead? It must where the transfer installs a trusted chain
+    /// that the crash left half there.
+    const TORN_TRANSFER_RESTARTS: bool = false;
+    /// Inject a disk or equivocation fault (`TornTail`, `SlowDisk`,
+    /// `Equivocate`); by default they change nothing. The connector runs
+    /// every other fault itself.
+    fn inject(_chain: &mut AccountChain<Self>, _fault: Fault) {}
 
     /// Microseconds this node's disk stalled (its slow-disk fault).
     fn disk_stall_us(_node: &Self::Node) -> u64 {
@@ -97,16 +112,44 @@ impl<C: Consensus> AccountChain<C> {
         AccountChain { config, engine, network, nodes, started: false }
     }
 
-    /// Has block production started?
-    pub fn started(&self) -> bool {
-        self.started
-    }
-
     fn start(&mut self) {
         if !self.started {
             self.started = true;
             C::start(self);
         }
+    }
+
+    fn set_crashed(&mut self, node: NodeId, crashed: bool) {
+        self.engine.with_ctx_mut(|ctx| ctx.params_mut().crashed[node.index()] = crashed);
+    }
+
+    /// The network and the crash flag revive `node`; so does its block
+    /// production, unless the run has not started (`start` will).
+    fn revive(&mut self, node: NodeId) {
+        self.network.recover(node);
+        self.set_crashed(node, false);
+        if self.started {
+            C::resume(self, node);
+        }
+    }
+
+    /// Restart `node` per [`Consensus::rebuild`], open its catch-up window
+    /// and ask the first live peer for its head. Recovery completes when
+    /// the head reaches the height that peer announces; with no live peer
+    /// the node is trivially caught up.
+    fn restart(&mut self, node: NodeId) {
+        let now = self.engine.now();
+        let peer = self.network.first_live_peer(node);
+        self.engine.with_ctx_node_mut(node.0, |ctx, n| {
+            C::rebuild(ctx, n);
+            let recovery = RecoveryWindow { restarted_at: peer.map(|_| now), ..Default::default() };
+            C::chain_mut(n).recovery = recovery;
+        });
+        if let Some(peer) = peer {
+            let ask = <C::Ctx as ChainPlatform>::sync(peer, SyncMsg::HeadRequest { from: node });
+            self.engine.schedule(now, ask);
+        }
+        self.revive(node);
     }
 }
 
@@ -170,7 +213,22 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
             Fault::PartitionAsymmetric { left } => self.network.partition_asymmetric(left),
             Fault::GossipJitter(amplitude) => self.network.set_gossip_jitter(amplitude),
             Fault::Heal => self.network.heal(),
-            node_fault => C::inject(self, node_fault),
+            // The process dies; what it loses is `ChainNode::crash`'s to say.
+            Fault::Crash(node) => {
+                self.network.crash(node);
+                self.set_crashed(node, true);
+                self.engine.with_node_mut(node.0, |n| C::chain_mut(n).crash());
+            }
+            Fault::Recover(node) => {
+                let torn = self.engine.with_node(node.0, |n| C::chain(n).recovery.transfer_torn);
+                if torn && C::TORN_TRANSFER_RESTARTS {
+                    self.restart(node);
+                } else {
+                    self.revive(node);
+                }
+            }
+            Fault::Restart(node) => self.restart(node),
+            disk_or_equivocation => C::inject(self, disk_or_equivocation),
         }
     }
 

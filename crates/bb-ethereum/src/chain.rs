@@ -11,7 +11,8 @@
 //!
 //! What is proof-of-work here: the mining race and gossip coin flips, drawn
 //! from each server's own RNG stream; admission after `rpc_delay`; and a
-//! durable node's crash, restart, torn WAL tail and slow disk.
+//! durable node: it restarts from its own store, a snapshot transfer copies
+//! a peer's store into it, and its disk can tear a WAL tail or slow down.
 
 use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
@@ -20,9 +21,9 @@ use crate::state::AccountState;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
 use bb_sim::{Effects, ShardedWorld, SimDuration, SimRng, SimTime};
-use bb_storage::{FaultVfs, KvError, KvStore, LsmConfig, LsmStore};
+use bb_storage::{FaultVfs, KvError, KvPairs, KvStore, LsmConfig, LsmStore};
 use bb_types::{Block, NodeId, Transaction};
-use blockbench::connector::{Fault, RecoveryWindow};
+use blockbench::connector::Fault;
 use std::sync::Arc;
 
 /// Events of the Ethereum world.
@@ -44,36 +45,12 @@ pub enum EthEvent {
         /// Came from a peer (don't re-gossip) or from a client.
         gossiped: bool,
     },
-    /// A block-sync message (block, ancestor request, head request) reached
-    /// a node.
+    /// A sync message (block sync or snapshot transfer) reached a node.
     Sync {
         /// Receiving node.
         to: NodeId,
         /// The message.
         msg: SyncMsg,
-    },
-    /// A resyncing node asks a peer for the next snapshot state chunk:
-    /// live `(key, value)` pairs with key > `after`, served from the peer's
-    /// durable store (trie nodes are content-addressed and block records
-    /// ride in the same keyspace, so raw chunks rebuild chain + state).
-    SnapshotRequest {
-        /// Peer being asked.
-        to: NodeId,
-        /// Recovering node.
-        from: NodeId,
-        /// Resume cursor: last key already transferred.
-        after: Option<Vec<u8>>,
-    },
-    /// One bounded snapshot chunk; `done` means the key space is exhausted.
-    SnapshotChunk {
-        /// Recovering node.
-        to: NodeId,
-        /// Serving peer (next chunk is requested from it).
-        from: NodeId,
-        /// Live pairs in key order.
-        entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-        /// Keyspace exhausted?
-        done: bool,
     },
 }
 
@@ -84,7 +61,6 @@ pub struct EthNode {
     /// flips, in this lane's own event order.
     rng: SimRng,
     mine_generation: u64,
-    crashed: bool,
 }
 
 /// Read-only context shared by every lane.
@@ -135,8 +111,29 @@ impl ChainPlatform for EthCtx {
     fn sync(to: NodeId, msg: SyncMsg) -> EthEvent {
         EthEvent::Sync { to, msg }
     }
-    fn snapshot_request(to: NodeId, from: NodeId) -> EthEvent {
-        EthEvent::SnapshotRequest { to, from, after: None }
+
+    /// Each chunk pins a fresh snapshot of the durable store (flushing the
+    /// memtable), reads one chunk past the cursor via the sparse indexes and
+    /// unpins, so the store is free to compact between chunks. Trie nodes,
+    /// account values and `!b/` block records share the key space, so the
+    /// chunks carry chain and state alike.
+    fn state_chunk(
+        store: &mut LsmStore,
+        after: Option<&[u8]>,
+        max_bytes: usize,
+    ) -> (KvPairs, bool) {
+        let snap = store.snapshot_open();
+        let chunk = store.snapshot_chunk(snap, after, max_bytes).expect("own snapshot readable");
+        store.snapshot_close(snap);
+        chunk
+    }
+
+    /// The block records came with the state: make the transfer durable and
+    /// rebuild the chain from the store.
+    fn state_landed(node: &mut ChainNode<LsmStore>) -> bool {
+        node.state.store_mut().flush();
+        rebuild_node_from_store(node);
+        true
     }
 }
 
@@ -154,10 +151,7 @@ impl ShardedWorld for EthWorld {
     fn route(_ctx: &EthCtx, event: &EthEvent) -> u32 {
         match event {
             EthEvent::Mine { miner, .. } => miner.0,
-            EthEvent::TxArrive { to, .. }
-            | EthEvent::Sync { to, .. }
-            | EthEvent::SnapshotRequest { to, .. }
-            | EthEvent::SnapshotChunk { to, .. } => to.0,
+            EthEvent::TxArrive { to, .. } | EthEvent::Sync { to, .. } => to.0,
         }
     }
 
@@ -170,19 +164,13 @@ impl ShardedWorld for EthWorld {
         fx: &mut Effects<EthEvent>,
     ) {
         let id = NodeId(lane);
-        if node.crashed {
+        if ctx.params.crashed[id.index()] {
             return; // a dead process handles nothing
         }
         match event {
             EthEvent::Mine { generation, .. } => on_mine(ctx, node, id, now, generation, fx),
             EthEvent::TxArrive { tx, gossiped, .. } => on_tx(ctx, node, id, now, tx, gossiped, fx),
             EthEvent::Sync { msg, .. } => on_sync(ctx, node, id, now, msg, fx),
-            EthEvent::SnapshotRequest { from, after, .. } => {
-                on_snapshot_request(ctx, node, id, from, after, fx)
-            }
-            EthEvent::SnapshotChunk { from, entries, done, .. } => {
-                on_snapshot_chunk(ctx, node, id, now, from, entries, done, fx)
-            }
         }
     }
 }
@@ -300,85 +288,11 @@ fn on_sync(
         node.mine_generation += 1;
     }
     if node.chain.tree.head() != had_head {
-        // Head moved: restart the mining race on the new head.
+        // Head moved (a block, or a snapshot transfer landed): restart the
+        // mining race on the new head.
         let (at, race) = node.next_race(&ctx.config, me, now);
         fx.schedule(at, race);
     }
-}
-
-/// Serve one bounded snapshot chunk from this node's durable store. Each
-/// request pins a fresh snapshot (flushing the memtable), reads one chunk
-/// past the cursor via the sparse indexes, and unpins — the store is free
-/// to compact between chunks, and content-addressed trie nodes make the
-/// resulting cross-chunk mix safe on the receiver.
-fn on_snapshot_request(
-    ctx: &EthCtx,
-    node: &mut EthNode,
-    me: NodeId,
-    from: NodeId,
-    after: Option<Vec<u8>>,
-    fx: &mut Effects<EthEvent>,
-) {
-    let store = node.chain.state.store_mut();
-    let snap = store.snapshot_open();
-    let (entries, done) = store
-        .snapshot_chunk(snap, after.as_deref(), ctx.config.snapshot_chunk_bytes)
-        .expect("own snapshot readable");
-    store.snapshot_close(snap);
-    let bytes: u64 = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-    let entries = Arc::new(entries);
-    fx.send(from.0, bytes, move |_at| EthEvent::SnapshotChunk {
-        to: from,
-        from: me,
-        entries,
-        done,
-    });
-}
-
-/// Apply one received snapshot chunk. Chunks are raw store pairs (trie
-/// nodes, account values, `!b/` block records), applied blind in one batch;
-/// when the last chunk lands the node rebuilds its in-memory chain from the
-/// store and closes the trailing gap through the normal replay path.
-#[allow(clippy::too_many_arguments)]
-fn on_snapshot_chunk(
-    ctx: &EthCtx,
-    node: &mut EthNode,
-    me: NodeId,
-    now: SimTime,
-    from: NodeId,
-    entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-    done: bool,
-    fx: &mut Effects<EthEvent>,
-) {
-    if !node.chain.recovery.snapshot_syncing {
-        return;
-    }
-    node.chain.counters.snapshot_chunks += 1;
-    node.chain.counters.snapshot_bytes +=
-        entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-    let mut batch = bb_storage::WriteBatch::new();
-    for (k, v) in entries.iter() {
-        batch.put(k, v);
-    }
-    let cursor = entries.last().map(|(k, _)| k.clone());
-    node.chain.state.store_mut().apply_batch(batch).expect("state store healthy");
-    if !done {
-        fx.send(from.0, 64, move |_at| EthEvent::SnapshotRequest {
-            to: from,
-            from: me,
-            after: cursor,
-        });
-        return;
-    }
-    // Transfer complete: make it durable, rebuild the chain from the store,
-    // and fetch whatever was mined mid-transfer through the replay path.
-    node.chain.state.store_mut().flush();
-    rebuild_node_from_store(&mut node.chain);
-    node.chain.recovery.snapshot_syncing = false;
-    let ask = SyncMsg::HeadRequest { from: me };
-    fx.send(from.0, 64, move |_at| EthEvent::Sync { to: from, msg: ask });
-    let (at, race) = node.next_race(&ctx.config, me, now);
-    fx.schedule(at, race);
 }
 
 /// Rebuild a node's in-memory chain (tree, bodies, roots, head state) from
@@ -443,10 +357,12 @@ impl Consensus for EthWorld {
             pool_evict_blocks: config.pool_evict_blocks,
             confirm_depth: config.pow.confirm_depth,
             snapshot_sync_blocks: config.snapshot_sync_blocks,
+            snapshot_chunk_bytes: config.snapshot_chunk_bytes,
             build_tx_cost: config.costs.sig_verify,
             block_scan_cost_us: (20, 4),
             account_read_cost: SimDuration::from_micros(60),
             deploys: Vec::new(),
+            crashed: vec![false; config.nodes as usize],
         };
         Setup {
             ctx: EthCtx { config: config.clone(), params },
@@ -459,7 +375,7 @@ impl Consensus for EthWorld {
 
     /// Each miner forks its own stream for mining races and gossip flips.
     fn lane(chain: ChainNode<LsmStore>, rng: &mut SimRng) -> EthNode {
-        EthNode { chain, rng: rng.fork(), mine_generation: 0, crashed: false }
+        EthNode { chain, rng: rng.fork(), mine_generation: 0 }
     }
     fn chain(node: &EthNode) -> &ChainNode<LsmStore> {
         &node.chain
@@ -480,29 +396,22 @@ impl Consensus for EthWorld {
         true
     }
 
+    /// Reopen the durable store: WAL replay, torn-tail truncation, and the
+    /// chain rebuilt from the persisted block records.
+    fn rebuild(_ctx: &EthCtx, node: &mut EthNode) {
+        rebuild_node_from_store(&mut node.chain);
+    }
+
+    /// Only the revived node re-enters the race. A snapshot transfer its
+    /// crash tore needs no care: the chunks are content-addressed trie nodes
+    /// and block records, harmless to the live store, and the replay path
+    /// closes the gap.
+    fn resume(chain: &mut EthereumChain, node: NodeId) {
+        enter_mining_race(chain, node);
+    }
+
     fn inject(chain: &mut EthereumChain, fault: Fault) {
         match fault {
-            Fault::Crash(node) => {
-                chain.network.crash(node);
-                chain.engine.with_node_mut(node.0, |n| {
-                    n.crashed = true;
-                    n.mine_generation += 1; // cancel races
-                    n.chain.crash();
-                });
-            }
-            // A snapshot transfer the crash tore needs no special care here:
-            // its chunks are content-addressed trie nodes and block records,
-            // harmless to the live store, and the replay path closes the gap.
-            Fault::Recover(node) => {
-                chain.network.recover(node);
-                chain.engine.with_node_mut(node.0, |n| n.crashed = false);
-                // Only the revived node re-enters the race; before the run
-                // starts, `start` will enter every node anyway.
-                if chain.started() {
-                    enter_mining_race(chain, node);
-                }
-            }
-            Fault::Restart(node) => restart_node(chain, node),
             Fault::TornTail(node) => {
                 let vfs = chain.engine.with_node(node.0, |n| n.chain.state.store().vfs());
                 FaultVfs::new(vfs, chain.config.seed ^ 0xF417_7A11 ^ node.0 as u64)
@@ -515,36 +424,13 @@ impl Consensus for EthWorld {
             // PoW has no leader proposal to fork: an equivocating miner is
             // just a fork, which the heaviest-chain rule already models.
             Fault::Equivocate(_) => {}
-            _ => unreachable!("the connector injects the network faults"),
+            _ => unreachable!("the connector injects the network and process faults"),
         }
     }
 
     fn disk_stall_us(node: &EthNode) -> u64 {
         node.chain.state.store().vfs().lock().unwrap().stall_us()
     }
-}
-
-/// Restart a crashed node from its durable store alone: reopen the LSM (WAL
-/// replay, torn-tail truncation), rebuild the chain from persisted block
-/// records, then ask a live peer for its head to download the gap.
-fn restart_node(chain: &mut EthereumChain, id: NodeId) {
-    let now = chain.engine.now();
-    let peer = chain.network.first_live_peer(id);
-    chain.engine.with_node_mut(id.0, |n| {
-        rebuild_node_from_store(&mut n.chain);
-        n.crashed = false;
-        n.mine_generation += 1;
-        // Catch-up bookkeeping: recovery completes when the head reaches
-        // the first live peer's announced height. With no live peer the
-        // node is trivially caught up.
-        n.chain.recovery = RecoveryWindow { restarted_at: peer.map(|_| now), ..Default::default() };
-    });
-    chain.network.recover(id);
-    if let Some(peer) = peer {
-        let msg = SyncMsg::HeadRequest { from: id };
-        chain.engine.schedule(now, EthEvent::Sync { to: peer, msg });
-    }
-    enter_mining_race(chain, id);
 }
 
 /// Draw `miner`'s next race and schedule it, cancelling any in flight.
@@ -877,5 +763,12 @@ mod tests {
         // Storage cost-model observability threads through to PlatformStats.
         assert!(stats.storage_logical_bytes > 0);
         assert!(stats.write_amplification().expect("stores saw writes") > 1.0);
+    }
+
+    /// Every event waits in the engine's heap, and the snapshot transfer
+    /// rides in `SyncMsg` without growing the platform's event.
+    #[test]
+    fn events_stay_within_48_bytes() {
+        assert!(std::mem::size_of::<EthEvent>() <= 48, "{} bytes", std::mem::size_of::<EthEvent>());
     }
 }

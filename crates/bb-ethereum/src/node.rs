@@ -7,10 +7,14 @@
 //! future-nonce age-out, the observer's confirmed log, and the post-restart
 //! recovery window — and a platform plugs its differences in through
 //! [`ChainPlatform`]: how a block is sealed, the header's difficulty, two
-//! behavioural quirks that byte-identity pins, and the constructors of the
-//! four sync messages the node sends. Who proposes a block and when (PoW
-//! race, PoA step), transaction admission, and the snapshot wire protocol
-//! stay with the consensus, plugged into [`crate::account_chain`].
+//! behavioural quirks that byte-identity pins, the event that carries a
+//! [`SyncMsg`], and the two ends of a snapshot transfer that touch the store
+//! (how a state chunk is read from it, and what the node does once the last
+//! one is in). The transfer protocol itself — state chunks, then, where the
+//! platform asks for it, the main chain as `(block, root)` chunks — runs
+//! here. Who proposes a block and when (PoW race, PoA step) and
+//! transaction admission stay with the consensus, plugged into
+//! [`crate::account_chain`].
 //!
 //! Everything here is generic and statically dispatched: these handlers are
 //! the hot loop of every Ethereum and Parity run.
@@ -21,7 +25,7 @@ use bb_consensus::pow::{BlockTree, InsertOutcome};
 use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_merkle::merkle_root;
 use bb_sim::{CpuMeter, Effects, SimDuration, SimTime};
-use bb_storage::{KvError, KvStore};
+use bb_storage::{KvError, KvPairs, KvStore};
 use bb_svm::{Vm, VmConfig};
 use bb_types::{
     Address, Block, BlockHeader, BlockSummary, Encoder, NodeId, Transaction, TxId,
@@ -56,6 +60,8 @@ pub struct ChainParams {
     pub confirm_depth: u64,
     /// Post-restart gaps strictly deeper than this use snapshot sync.
     pub snapshot_sync_blocks: u64,
+    /// Soft byte budget of one snapshot chunk, state or chain.
+    pub snapshot_chunk_bytes: usize,
     /// Producer CPU per included transaction on top of its execution
     /// (Ethereum: signature check; Parity: the signing bottleneck).
     pub build_tx_cost: SimDuration,
@@ -66,6 +72,10 @@ pub struct ChainParams {
     /// The deploy log, `(height, address, contract)`: each contract sits on
     /// the state after the block at `height`. Only `deploy` appends.
     pub deploys: Vec<(u64, Address, SvmContract)>,
+    /// Which servers are down, by index. Only the connector's faults flip a
+    /// flag, between `run_until` calls; a crashed server's lane handles
+    /// nothing its consensus does not keep ticking itself.
+    pub crashed: Vec<bool>,
 }
 
 /// Observer counter: blocks ever produced, forks and preloads included.
@@ -132,9 +142,20 @@ pub trait ChainPlatform {
 
     /// The event that delivers `msg` to `to`.
     fn sync(to: NodeId, msg: SyncMsg) -> Self::Event;
-    /// The event by which `from` asks `to` to start a snapshot transfer (the
-    /// transfer protocol itself is the platform's).
-    fn snapshot_request(to: NodeId, from: NodeId) -> Self::Event;
+
+    /// Read one state chunk from a serving node's store: live `(key, value)`
+    /// pairs with key > `after`, in key order, about `max_bytes` of them,
+    /// and whether the key space is exhausted.
+    fn state_chunk(
+        store: &mut Self::Store,
+        after: Option<&[u8]>,
+        max_bytes: usize,
+    ) -> (KvPairs, bool);
+
+    /// The last state chunk is in `node`'s store. Either rebuild the chain
+    /// from the store and return `true`, or return `false` to fetch the main
+    /// chain as `(block, root)` chunks too.
+    fn state_landed(node: &mut ChainNode<Self::Store>) -> bool;
 }
 
 /// The block-sync messages nodes exchange, handled by [`ChainNode::on_sync`].
@@ -159,6 +180,42 @@ pub enum SyncMsg {
     HeadRequest {
         /// Recovering node.
         from: NodeId,
+    },
+    /// A node too far behind to replay asks a peer for its next state chunk
+    /// ([`ChainPlatform::state_chunk`]). Trie nodes are content-addressed,
+    /// so chunks read at different instants mix safely.
+    StateRequest {
+        /// Recovering node.
+        from: NodeId,
+        /// Resume cursor: the last key already transferred.
+        after: Option<Vec<u8>>,
+    },
+    /// One bounded state chunk.
+    StateChunk {
+        /// Serving peer (the next chunk is asked of it).
+        from: NodeId,
+        /// Raw store pairs in key order.
+        entries: Arc<KvPairs>,
+        /// Key space exhausted?
+        done: bool,
+    },
+    /// After the state: ask for main-chain bodies from `height` up.
+    ChainRequest {
+        /// Recovering node.
+        from: NodeId,
+        /// First wanted height.
+        height: u64,
+    },
+    /// A bounded run of main-chain `(block, state root)` pairs. The roots are
+    /// trusted: the freshly transferred store already holds every trie node
+    /// they reach, so adoption skips re-execution.
+    ChainChunk {
+        /// Serving peer.
+        from: NodeId,
+        /// Consecutive main-chain blocks with their committed roots.
+        blocks: Arc<Vec<(Arc<Block>, Hash256)>>,
+        /// The peer's head was reached?
+        done: bool,
     },
 }
 
@@ -605,6 +662,18 @@ impl<S: KvStore + Send> ChainNode<S> {
             SyncMsg::HeadRequest { from } => {
                 self.on_block_request::<P>(me, self.tree.head(), from, fx)
             }
+            SyncMsg::StateRequest { from, after } => {
+                self.on_state_request(p, me, from, after.as_deref(), fx)
+            }
+            SyncMsg::StateChunk { from, entries, done } => {
+                self.on_state_chunk::<P>(me, from, &entries, done, fx)
+            }
+            SyncMsg::ChainRequest { from, height } => {
+                self.on_chain_request(p, me, from, height, fx)
+            }
+            SyncMsg::ChainChunk { from, blocks, done } => {
+                self.on_chain_chunk(p, now, me, from, &blocks, done, fx)
+            }
         }
         false
     }
@@ -634,7 +703,7 @@ impl<S: KvStore + Send> ChainNode<S> {
                     // Too deep to replay block by block: fetch the peer's
                     // state snapshot in bounded chunks instead.
                     self.recovery.snapshot_syncing = true;
-                    let ask = P::snapshot_request(from, me);
+                    let ask = P::sync(from, SyncMsg::StateRequest { from: me, after: None });
                     fx.send(from.0, 64, move |_at| ask);
                     return true;
                 }
@@ -662,6 +731,141 @@ impl<S: KvStore + Send> ChainNode<S> {
             let bytes = body.byte_size();
             let reply = P::sync(from, SyncMsg::Block { block: Arc::clone(body), from: me });
             fx.send(from.0, bytes, move |_at| reply);
+        }
+    }
+
+    /// Serve `from` one state chunk after `after`. The wire carries a
+    /// 16-byte header and the pairs.
+    fn on_state_request<P: ChainPlatform<Store = S>>(
+        &mut self,
+        p: &P,
+        me: NodeId,
+        from: NodeId,
+        after: Option<&[u8]>,
+        fx: &mut Effects<P::Event>,
+    ) {
+        let max_bytes = p.params().snapshot_chunk_bytes;
+        let (entries, done) = P::state_chunk(self.state.store_mut(), after, max_bytes);
+        let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+        let entries = Arc::new(entries);
+        let chunk = P::sync(from, SyncMsg::StateChunk { from: me, entries, done });
+        fx.send(from.0, bytes, move |_at| chunk);
+    }
+
+    /// Apply a state chunk blind, in one batch, and ask for the next; after
+    /// the last, hand over to [`ChainPlatform::state_landed`]. A chunk that
+    /// arrives after a crash tore the transfer is dropped.
+    fn on_state_chunk<P: ChainPlatform<Store = S>>(
+        &mut self,
+        me: NodeId,
+        from: NodeId,
+        entries: &[(Vec<u8>, Vec<u8>)],
+        done: bool,
+        fx: &mut Effects<P::Event>,
+    ) {
+        if !self.recovery.snapshot_syncing {
+            return;
+        }
+        self.counters.snapshot_chunks += 1;
+        self.counters.snapshot_bytes +=
+            16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+        let mut batch = bb_storage::WriteBatch::new();
+        for (k, v) in entries {
+            batch.put(k, v);
+        }
+        // A full store (Parity's capped memory) is the same OOM surface as
+        // execution: the transfer goes on and the missing nodes resurface
+        // through reads, not a panic.
+        let _ = self.state.store_mut().apply_batch(batch);
+        let next = if !done {
+            SyncMsg::StateRequest { from: me, after: entries.last().map(|(k, _)| k.clone()) }
+        } else if P::state_landed(self) {
+            // The chain came with the state: fetch whatever was mined
+            // mid-transfer through the replay path.
+            self.recovery.snapshot_syncing = false;
+            SyncMsg::HeadRequest { from: me }
+        } else {
+            SyncMsg::ChainRequest { from: me, height: 1 }
+        };
+        let ask = P::sync(from, next);
+        fx.send(from.0, 64, move |_at| ask);
+    }
+
+    /// Serve `from` a bounded run of main-chain `(block, root)` pairs from
+    /// `height` up.
+    fn on_chain_request<P: ChainPlatform<Store = S>>(
+        &self,
+        p: &P,
+        me: NodeId,
+        from: NodeId,
+        height: u64,
+        fx: &mut Effects<P::Event>,
+    ) {
+        let head_height = self.tree.head_height();
+        let mut blocks = Vec::new();
+        let mut bytes = 16u64;
+        let mut h = height;
+        while h <= head_height {
+            let Some(id) = self.tree.main_chain_at(h) else { break };
+            let (Some(body), Some(&root)) = (self.bodies.get(&id), self.roots.get(&id)) else {
+                break;
+            };
+            bytes += body.byte_size() + 32;
+            blocks.push((Arc::clone(body), root));
+            h += 1;
+            if bytes as usize >= p.params().snapshot_chunk_bytes {
+                break;
+            }
+        }
+        let done = h > head_height;
+        let blocks = Arc::new(blocks);
+        let chunk = P::sync(from, SyncMsg::ChainChunk { from: me, blocks, done });
+        fx.send(from.0, bytes, move |_at| chunk);
+    }
+
+    /// Adopt a transferred chain run wholesale, re-executing nothing.
+    /// Receipts are not reconstructed (the observer never snapshot-syncs in
+    /// the experiments). After the last run, close the gap mined during the
+    /// transfer through the head walk.
+    #[allow(clippy::too_many_arguments)]
+    fn on_chain_chunk<P: ChainPlatform<Store = S>>(
+        &mut self,
+        p: &P,
+        now: SimTime,
+        me: NodeId,
+        from: NodeId,
+        blocks: &[(Arc<Block>, Hash256)],
+        done: bool,
+        fx: &mut Effects<P::Event>,
+    ) {
+        if !self.recovery.snapshot_syncing {
+            return;
+        }
+        self.counters.snapshot_chunks += 1;
+        self.counters.snapshot_bytes +=
+            16 + blocks.iter().map(|(b, _)| b.byte_size() + 32).sum::<u64>();
+        for (block, root) in blocks {
+            let id = block.id();
+            self.tree.insert(id, block.header.parent, block.header.difficulty);
+            self.bodies.insert(id, Arc::clone(block));
+            self.roots.insert(id, *root);
+            self.receipts.insert(id, Vec::new());
+            self.seen.extend(block.txs.iter().map(|tx| tx.id()));
+        }
+        if !done {
+            let next = SyncMsg::ChainRequest { from: me, height: self.tree.head_height() + 1 };
+            let ask = P::sync(from, next);
+            fx.send(from.0, 64, move |_at| ask);
+            return;
+        }
+        self.state.set_root(self.roots[&self.tree.head()]);
+        self.recovery.snapshot_syncing = false;
+        self.prune_main_chain();
+        self.recovery.close_if_reached(self.tree.head_height(), now, &mut self.counters);
+        let ask = P::sync(from, SyncMsg::HeadRequest { from: me });
+        fx.send(from.0, 64, move |_at| ask);
+        if me.index() == 0 {
+            self.refresh_confirmed(p, now);
         }
     }
 
@@ -945,7 +1149,6 @@ mod tests {
     #[derive(Debug)]
     enum TestEvent {
         Sync(NodeId, SyncMsg),
-        SnapshotRequest(NodeId, NodeId),
     }
 
     impl ChainPlatform for TestCtx {
@@ -976,8 +1179,15 @@ mod tests {
         fn sync(to: NodeId, msg: SyncMsg) -> TestEvent {
             TestEvent::Sync(to, msg)
         }
-        fn snapshot_request(to: NodeId, from: NodeId) -> TestEvent {
-            TestEvent::SnapshotRequest(to, from)
+        fn state_chunk(
+            store: &mut MemStore,
+            after: Option<&[u8]>,
+            max_bytes: usize,
+        ) -> (KvPairs, bool) {
+            store.scan_range_chunk(after, max_bytes).expect("in-memory scans are infallible")
+        }
+        fn state_landed(_node: &mut ChainNode<MemStore>) -> bool {
+            false
         }
     }
 
@@ -993,10 +1203,12 @@ mod tests {
             pool_evict_blocks: EVICT_BLOCKS,
             confirm_depth: 2,
             snapshot_sync_blocks: 24,
+            snapshot_chunk_bytes: 512,
             build_tx_cost: SimDuration::ZERO,
             block_scan_cost_us: (20, 4),
             account_read_cost: SimDuration::from_micros(60),
             deploys: Vec::new(),
+            crashed: vec![false; 2],
         })
     }
 
@@ -1166,11 +1378,47 @@ mod tests {
         let msg = SyncMsg::Block { block: head, from: PEER };
         assert!(n.on_sync(&p, now, ME, msg, &mut fx), "deep gap must open a transfer");
         let sent = fx.take_sends(now);
-        assert!(matches!(sent.as_slice(), [(1, _, TestEvent::SnapshotRequest(PEER, ME))]));
+        assert!(matches!(
+            sent.as_slice(),
+            [(1, _, TestEvent::Sync(PEER, SyncMsg::StateRequest { from: ME, after: None }))]
+        ));
         assert!(n.recovery.snapshot_syncing);
         // The crash takes the transfer with it and says so.
         n.crash();
         assert!(!n.recovery.snapshot_syncing, "flag latched across the crash");
         assert!(n.recovery.transfer_torn);
+    }
+
+    /// `snapshot_bytes` counts what the wire carried: the chunk's 16-byte
+    /// header and its pairs, exactly the bytes the serving peer sent.
+    #[test]
+    fn state_chunk_counts_its_wire_bytes() {
+        let p = ctx();
+        let mut peer = node(&p);
+        let mut n = node(&p);
+        n.recovery.snapshot_syncing = true;
+        let now = SimTime::from_secs(100);
+        let mut fx = Effects::detached(PEER.0, now);
+        peer.on_sync(&p, now, PEER, SyncMsg::StateRequest { from: ME, after: None }, &mut fx);
+        let mut served = fx.take_sends(now);
+        assert_eq!(served.len(), 1, "the peer must serve exactly one chunk: {served:?}");
+        let (lane, wire_bytes, TestEvent::Sync(to, chunk)) = served.pop().expect("one send");
+        assert_eq!((lane, to), (ME.0, ME));
+        let SyncMsg::StateChunk { entries, done: false, .. } = &chunk else {
+            panic!("1024 funded accounts overflow one 512-byte chunk: {chunk:?}");
+        };
+        let last = entries.last().map(|(k, _)| k.clone());
+        let mut fx = Effects::detached(ME.0, now);
+        n.on_sync(&p, now, ME, chunk, &mut fx);
+        assert_eq!((n.counters.snapshot_chunks, n.counters.snapshot_bytes), (1, wire_bytes));
+        let sent = fx.take_sends(now);
+        assert!(
+            matches!(
+                sent.as_slice(),
+                [(1, 64, TestEvent::Sync(PEER, SyncMsg::StateRequest { from: ME, after }))]
+                    if *after == last
+            ),
+            "the next chunk must be asked after the last key applied: {sent:?}"
+        );
     }
 }

@@ -3,7 +3,10 @@
 //! Every event names the authority it mutates and the confirmation log
 //! lives with the observer (node 0). What is proof-of-authority here: the
 //! step schedule, the signing admission queue and pool cap, a restart with
-//! total amnesia, and state held resident in memory.
+//! total amnesia, and state held resident in memory. Holding no durable
+//! files, an authority is untouched by a torn WAL tail or a slow disk, and
+//! an equivocating Aura authority is just a forked slot, which the
+//! longest-chain rule already models: those faults change nothing here.
 
 use crate::config::ParityConfig;
 use bb_consensus::PoaSchedule;
@@ -12,9 +15,8 @@ use bb_ethereum::account_chain::{AccountChain, Consensus, Setup};
 use bb_ethereum::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use bb_ethereum::state::AccountState;
 use bb_sim::{CpuMeter, Effects, ShardedWorld, SimDuration, SimRng, SimTime};
-use bb_storage::{KvError, KvStore, MemStore};
+use bb_storage::{KvError, KvPairs, KvStore, MemStore};
 use bb_types::{Block, NodeId, Transaction};
-use blockbench::connector::Fault;
 use std::sync::Arc;
 
 /// Events of the Parity world.
@@ -34,59 +36,15 @@ pub enum PoaEvent {
         /// First hop (gossip to peers) or relayed.
         relayed: bool,
     },
-    /// A block-sync message reached a node. A restarted authority's head
-    /// request seeds the ancestor walk-back that re-downloads the whole
-    /// chain (Parity's state is purely in-memory, so a restart recovers
-    /// from genesis).
+    /// A sync message reached a node. A restarted authority's head request
+    /// seeds the ancestor walk-back that re-downloads the whole chain
+    /// (Parity's state is purely in-memory, so a restart recovers from
+    /// genesis); a deeply lagged one takes a snapshot transfer instead.
     Sync {
         /// Receiving node.
         to: NodeId,
         /// The message.
         msg: SyncMsg,
-    },
-    /// A deeply-lagged restarted authority asks a peer for a chunk of its
-    /// state store (trie nodes, content-addressed) instead of replaying the
-    /// whole chain transaction-by-transaction.
-    SnapshotRequest {
-        /// Serving peer.
-        to: NodeId,
-        /// Recovering node.
-        from: NodeId,
-        /// Resume after this key (exclusive); `None` starts the stream.
-        after: Option<Vec<u8>>,
-    },
-    /// One bounded chunk of a peer's state store.
-    SnapshotChunk {
-        /// Recovering node.
-        to: NodeId,
-        /// Serving peer.
-        from: NodeId,
-        /// Raw `(key, value)` store entries.
-        entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-        /// True when the peer's key space is exhausted.
-        done: bool,
-    },
-    /// After the state transfer: ask for main-chain bodies from `height` up.
-    ChainRequest {
-        /// Serving peer.
-        to: NodeId,
-        /// Recovering node.
-        from: NodeId,
-        /// First wanted height.
-        height: u64,
-    },
-    /// A bounded run of main-chain `(block, state root)` pairs. The roots
-    /// are trusted — the recovering node's freshly transferred store already
-    /// holds every trie node they reach, so adoption skips re-execution.
-    ChainChunk {
-        /// Recovering node.
-        to: NodeId,
-        /// Serving peer.
-        from: NodeId,
-        /// Consecutive main-chain blocks with their committed roots.
-        blocks: Arc<Vec<(Arc<Block>, Hash256)>>,
-        /// True when the peer's head was reached.
-        done: bool,
     },
 }
 
@@ -98,20 +56,18 @@ pub struct PoaNode {
     admission_backlog: usize,
 }
 
-/// Read-only context shared by every lane. Crash flags live here (not in
-/// the per-lane nodes) because [`ShardedWorld::route`] needs them to pick
-/// the authority lane for a `Step` event; they only change between runs,
-/// via `inject`.
+/// Read-only context shared by every lane. [`ShardedWorld::route`] reads
+/// its crash flags (`ChainParams::crashed`) to pick the authority lane for a
+/// `Step` event.
 pub struct PoaCtx {
     config: ParityConfig,
     params: ChainParams,
     schedule: PoaSchedule,
-    crashed: Vec<bool>,
 }
 
 impl PoaCtx {
     fn step_authority(&self, index: u64) -> Option<NodeId> {
-        let live: Vec<bool> = self.crashed.iter().map(|&c| !c).collect();
+        let live: Vec<bool> = self.params.crashed.iter().map(|&c| !c).collect();
         self.schedule.authority_for_step_live(index, &live)
     }
 }
@@ -156,8 +112,22 @@ impl ChainPlatform for PoaCtx {
     fn sync(to: NodeId, msg: SyncMsg) -> PoaEvent {
         PoaEvent::Sync { to, msg }
     }
-    fn snapshot_request(to: NodeId, from: NodeId) -> PoaEvent {
-        PoaEvent::SnapshotRequest { to, from, after: None }
+
+    /// The store is in-memory and content-addressed (trie nodes are never
+    /// rewritten), so a plain cursor scan over the live store is consistent:
+    /// entries added behind the cursor mid-transfer are newer trie nodes the
+    /// trailing chain chunks' roots never reach.
+    fn state_chunk(
+        store: &mut MemStore,
+        after: Option<&[u8]>,
+        max_bytes: usize,
+    ) -> (KvPairs, bool) {
+        store.scan_range_chunk(after, max_bytes).expect("in-memory store scans are infallible")
+    }
+
+    /// No block records: the main chain follows as `(block, root)` chunks.
+    fn state_landed(_node: &mut ChainNode<MemStore>) -> bool {
+        false
     }
 }
 
@@ -178,12 +148,7 @@ impl ShardedWorld for PoaWorld {
             // crashed the event still needs a home: lane 0 keeps the round
             // ticking without producing.
             PoaEvent::Step { index } => ctx.step_authority(*index).map_or(0, |a| a.0),
-            PoaEvent::TxAdmit { to, .. }
-            | PoaEvent::Sync { to, .. }
-            | PoaEvent::SnapshotRequest { to, .. }
-            | PoaEvent::SnapshotChunk { to, .. }
-            | PoaEvent::ChainRequest { to, .. }
-            | PoaEvent::ChainChunk { to, .. } => to.0,
+            PoaEvent::TxAdmit { to, .. } | PoaEvent::Sync { to, .. } => to.0,
         }
     }
 
@@ -201,23 +166,11 @@ impl ShardedWorld for PoaWorld {
             // draining on a crashed node; they check the flag themselves.
             PoaEvent::Step { index } => on_step(ctx, node, id, now, index, fx),
             PoaEvent::TxAdmit { tx, relayed, .. } => on_admit(ctx, node, id, now, tx, relayed, fx),
-            _ if ctx.crashed[id.index()] => {} // a dead process handles nothing else
+            _ if ctx.params.crashed[id.index()] => {} // a dead process handles nothing else
             PoaEvent::Sync { msg, .. } => {
                 // A deep gap opens a state transfer; nothing to stop here —
                 // a step on a stale head just forks and loses.
                 node.chain.on_sync(ctx, now, id, msg, fx);
-            }
-            PoaEvent::SnapshotRequest { from, after, .. } => {
-                on_snapshot_request(ctx, node, id, from, after, fx)
-            }
-            PoaEvent::SnapshotChunk { from, entries, done, .. } => {
-                on_snapshot_chunk(node, id, from, entries, done, fx)
-            }
-            PoaEvent::ChainRequest { from, height, .. } => {
-                on_chain_request(ctx, node, id, from, height, fx)
-            }
-            PoaEvent::ChainChunk { from, blocks, done, .. } => {
-                on_chain_chunk(ctx, node, id, now, from, blocks, done, fx)
             }
         }
     }
@@ -238,7 +191,7 @@ fn on_step(
     let next = ctx.schedule.step_start(index + 1);
     fx.schedule_at(next, PoaEvent::Step { index: index + 1 });
 
-    if ctx.crashed[me.index()] {
+    if ctx.params.crashed[me.index()] {
         return; // crashed after this step was routed here
     }
     match ctx.step_authority(index) {
@@ -264,7 +217,7 @@ fn on_admit(
         node.admission_backlog = node.admission_backlog.saturating_sub(1);
         node.chain.cpu.charge(now, ctx.config.costs.sig_verify);
     }
-    if ctx.crashed[me.index()] || !node.chain.enqueue(Arc::clone(&tx)) {
+    if ctx.params.crashed[me.index()] || !node.chain.enqueue(Arc::clone(&tx)) {
         return;
     }
     if !relayed {
@@ -278,144 +231,6 @@ fn on_admit(
             let tx = Arc::clone(&tx);
             fx.send(peer.0, size, move |_at| PoaEvent::TxAdmit { to: peer, tx, relayed: true });
         }
-    }
-}
-
-/// Serve one bounded chunk of this node's state store to a recovering peer.
-/// Parity's store is in-memory and content-addressed (trie nodes are never
-/// rewritten), so a plain cursor scan over the live store is consistent:
-/// entries added behind the cursor mid-transfer are newer trie nodes the
-/// trailing chain chunks' roots never reach.
-fn on_snapshot_request(
-    ctx: &PoaCtx,
-    node: &mut PoaNode,
-    me: NodeId,
-    from: NodeId,
-    after: Option<Vec<u8>>,
-    fx: &mut Effects<PoaEvent>,
-) {
-    let (entries, done) = node
-        .chain
-        .state
-        .store_mut()
-        .scan_range_chunk(after.as_deref(), ctx.config.snapshot_chunk_bytes)
-        .expect("in-memory store scans are infallible");
-    let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-    let entries = Arc::new(entries);
-    fx.send(from.0, bytes, move |_at| PoaEvent::SnapshotChunk {
-        to: from,
-        from: me,
-        entries,
-        done,
-    });
-}
-
-/// Apply a received state chunk and request the next one; once the key
-/// space is exhausted, switch to the chain phase.
-fn on_snapshot_chunk(
-    node: &mut PoaNode,
-    me: NodeId,
-    from: NodeId,
-    entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-    done: bool,
-    fx: &mut Effects<PoaEvent>,
-) {
-    if !node.chain.recovery.snapshot_syncing {
-        return;
-    }
-    node.chain.counters.snapshot_chunks += 1;
-    node.chain.counters.snapshot_bytes +=
-        16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-    let mut batch = bb_storage::WriteBatch::new();
-    for (k, v) in entries.iter() {
-        batch.put(k, v);
-    }
-    // A full store is the same OOM surface as execution: the transfer keeps
-    // going and the missing nodes resurface through reads, not a panic.
-    let _ = node.chain.state.store_mut().apply_batch(batch);
-    if !done {
-        let after = entries.last().map(|(k, _)| k.clone());
-        fx.send(from.0, 64, move |_at| PoaEvent::SnapshotRequest { to: from, from: me, after });
-    } else {
-        fx.send(from.0, 64, move |_at| PoaEvent::ChainRequest { to: from, from: me, height: 1 });
-    }
-}
-
-/// Serve a bounded run of main-chain `(block, root)` pairs from `height` up.
-fn on_chain_request(
-    ctx: &PoaCtx,
-    node: &mut PoaNode,
-    me: NodeId,
-    from: NodeId,
-    height: u64,
-    fx: &mut Effects<PoaEvent>,
-) {
-    let chain = &node.chain;
-    let head_height = chain.tree.head_height();
-    let mut blocks = Vec::new();
-    let mut bytes = 16u64;
-    let mut h = height;
-    while h <= head_height {
-        let Some(id) = chain.tree.main_chain_at(h) else { break };
-        let (Some(body), Some(&root)) = (chain.bodies.get(&id), chain.roots.get(&id)) else { break };
-        bytes += body.byte_size() + 32;
-        blocks.push((Arc::clone(body), root));
-        h += 1;
-        if bytes as usize >= ctx.config.snapshot_chunk_bytes {
-            break;
-        }
-    }
-    let done = h > head_height;
-    let blocks = Arc::new(blocks);
-    fx.send(from.0, bytes, move |_at| PoaEvent::ChainChunk { to: from, from: me, blocks, done });
-}
-
-/// Adopt a transferred chain run wholesale: the roots are trusted and every
-/// trie node they reach already sits in the freshly transferred store, so
-/// no transaction is re-executed. Receipts are not reconstructed (the
-/// observer never snapshot-syncs in the experiments; queries that need
-/// them fall back to the serving peers).
-#[allow(clippy::too_many_arguments)]
-fn on_chain_chunk(
-    ctx: &PoaCtx,
-    node: &mut PoaNode,
-    me: NodeId,
-    now: SimTime,
-    from: NodeId,
-    blocks: Arc<Vec<(Arc<Block>, Hash256)>>,
-    done: bool,
-    fx: &mut Effects<PoaEvent>,
-) {
-    let chain = &mut node.chain;
-    if !chain.recovery.snapshot_syncing {
-        return;
-    }
-    chain.counters.snapshot_chunks += 1;
-    chain.counters.snapshot_bytes +=
-        16 + blocks.iter().map(|(b, _)| b.byte_size() + 32).sum::<u64>();
-    for (block, root) in blocks.iter() {
-        let id = block.id();
-        chain.tree.insert(id, block.header.parent, block.header.difficulty);
-        chain.bodies.insert(id, Arc::clone(block));
-        chain.roots.insert(id, *root);
-        chain.receipts.insert(id, Vec::new());
-        chain.seen.extend(block.txs.iter().map(|tx| tx.id()));
-    }
-    if !done {
-        let next = chain.tree.head_height() + 1;
-        fx.send(from.0, 64, move |_at| PoaEvent::ChainRequest { to: from, from: me, height: next });
-        return;
-    }
-    let head = chain.tree.head();
-    chain.state.set_root(chain.roots[&head]);
-    chain.recovery.snapshot_syncing = false;
-    chain.prune_main_chain();
-    chain.recovery.close_if_reached(chain.tree.head_height(), now, &mut chain.counters);
-    // Close the gap mined during the transfer through the normal head walk.
-    let ask = SyncMsg::HeadRequest { from: me };
-    fx.send(from.0, 64, move |_at| PoaEvent::Sync { to: from, msg: ask });
-    if me.index() == 0 {
-        chain.refresh_confirmed(ctx, now);
     }
 }
 
@@ -434,11 +249,13 @@ impl Consensus for PoaWorld {
             pool_evict_blocks: config.pool_evict_blocks,
             confirm_depth: config.confirm_depth,
             snapshot_sync_blocks: config.snapshot_sync_blocks,
+            snapshot_chunk_bytes: config.snapshot_chunk_bytes,
             build_tx_cost: config.produce_sign_cost,
             block_scan_cost_us: (15, 3),
             // In-memory state: faster reads than Ethereum's 60 µs.
             account_read_cost: SimDuration::from_micros(40),
             deploys: Vec::new(),
+            crashed: vec![false; config.nodes as usize],
         };
         let ctx = PoaCtx {
             config: config.clone(),
@@ -447,7 +264,6 @@ impl Consensus for PoaWorld {
                 (0..config.nodes).map(NodeId).collect(),
                 config.step_duration,
             ),
-            crashed: vec![false; config.nodes as usize],
         };
         Setup {
             ctx,
@@ -507,64 +323,25 @@ impl Consensus for PoaWorld {
         true
     }
 
-    fn inject(chain: &mut ParityChain, fault: Fault) {
-        match fault {
-            Fault::Crash(node) => {
-                chain.network.crash(node);
-                chain.engine.with_ctx_mut(|ctx| ctx.crashed[node.index()] = true);
-                // Everything else dies at Restart (handlers no-op while
-                // crashed, so keeping the chain copies around until then is
-                // observationally identical — and lets the gentle legacy
-                // Recover resurrect them).
-                chain.engine.with_node_mut(node.0, |n| n.chain.crash());
-            }
-            Fault::Recover(node) => {
-                if chain.engine.with_node(node.0, |n| n.chain.recovery.transfer_torn) {
-                    // The crash tore a snapshot transfer: the trusted chain
-                    // it was installing is half there and nothing will send
-                    // the rest. There is no sane memory to resurrect.
-                    return restart_node(chain, node);
-                }
-                chain.network.recover(node);
-                chain.engine.with_ctx_mut(|ctx| ctx.crashed[node.index()] = false);
-            }
-            Fault::Restart(node) => restart_node(chain, node),
-            // Parity holds no durable files: a power cut tears nothing and a
-            // slow disk slows nothing (the whole state lives in memory).
-            // These faults are no-ops here. An equivocating Aura authority
-            // is just a forked slot, which the longest-chain rule already
-            // models.
-            Fault::TornTail(_) | Fault::SlowDisk(_, _) | Fault::Equivocate(_) => {}
-            _ => unreachable!("the connector injects the network faults"),
-        }
-    }
-}
-
-/// Restart a crashed authority with total amnesia: rebuild genesis locally,
-/// then re-download the chain from a live peer and re-execute it (later
-/// deploys land as their blocks execute). Parity keeps no durable store, so
-/// this is the whole recovery story.
-fn restart_node(chain: &mut ParityChain, id: NodeId) {
-    let now = chain.engine.now();
-    let peer = chain.network.first_live_peer(id);
-    let store = MemStore::with_capacity_cap(state_cap(&chain.config));
-    chain.engine.with_ctx_node_mut(id.0, |ctx, n| {
-        let cpu = std::mem::replace(&mut n.chain.cpu, CpuMeter::new(1));
+    /// Total amnesia: a fresh genesis node, which re-downloads the chain
+    /// from a live peer and re-executes it (later deploys land as their
+    /// blocks execute). Parity keeps no durable store, so this is the whole
+    /// recovery story.
+    fn rebuild(ctx: &PoaCtx, node: &mut PoaNode) {
+        let store = MemStore::with_capacity_cap(state_cap(&ctx.config));
+        let cpu = std::mem::replace(&mut node.chain.cpu, CpuMeter::new(1));
         let mut fresh = ChainNode::at_genesis(ctx, store, cpu);
-        fresh.recovery.restarted_at = peer.map(|_| now);
-        fresh.counters = std::mem::take(&mut n.chain.counters);
+        fresh.counters = std::mem::take(&mut node.chain.counters);
         // Observer history survives as driver-side bookkeeping.
-        fresh.take_confirmed_from(&mut n.chain);
-        n.chain = fresh;
-        n.admission_busy_until = SimTime::ZERO;
-        n.admission_backlog = 0;
-    });
-    chain.network.recover(id);
-    chain.engine.with_ctx_mut(|ctx| ctx.crashed[id.index()] = false);
-    if let Some(peer) = peer {
-        let msg = SyncMsg::HeadRequest { from: id };
-        chain.engine.schedule(now, PoaEvent::Sync { to: peer, msg });
+        fresh.take_confirmed_from(&mut node.chain);
+        node.chain = fresh;
+        node.admission_busy_until = SimTime::ZERO;
+        node.admission_backlog = 0;
     }
+
+    /// The trusted chain a torn transfer was installing is half there and
+    /// nothing will send the rest: there is no sane memory to resurrect.
+    const TORN_TRANSFER_RESTARTS: bool = true;
 }
 
 /// Bytes of node RAM left for the in-memory state store.
@@ -577,7 +354,7 @@ mod tests {
     use super::*;
     use bb_contracts::testing::ycsb_and_smallbank_setup;
     use bb_types::Address;
-    use blockbench::connector::{BlockchainConnector, Query};
+    use blockbench::connector::{BlockchainConnector, Fault, Query};
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
 
@@ -870,5 +647,12 @@ mod tests {
         assert_eq!(a0.nonce, a3.nonce);
         assert_eq!(a0.balance, a3.balance);
         assert!(a0.nonce > 0, "client transactions never landed");
+    }
+
+    /// Every event waits in the engine's heap, and the snapshot transfer
+    /// rides in `SyncMsg` without growing the platform's event.
+    #[test]
+    fn events_stay_within_48_bytes() {
+        assert!(std::mem::size_of::<PoaEvent>() <= 48, "{} bytes", std::mem::size_of::<PoaEvent>());
     }
 }
