@@ -322,6 +322,7 @@ impl<W: ShardedWorld> ShardedEngine<W> {
     }
 
     /// Run the world up to and including `deadline`, then set `now` to it.
+    /// The clock never runs backwards: a `deadline` before `now` panics.
     ///
     /// Events pop in [`EventKey`] order. Each handler's same-lane follow-ups
     /// are queued first, then its emits are applied in emission order: a
@@ -329,6 +330,7 @@ impl<W: ShardedWorld> ShardedEngine<W> {
     /// it, a cross-lane schedule is queued as given. Both land at least one
     /// lookahead after the event that made them.
     pub fn run_until(&mut self, deadline: SimTime, out: &mut impl Outboard) {
+        assert!(deadline >= self.now, "run_until into the past: {:?} -> {deadline:?}", self.now);
         // One outbox for the whole run, emptied after every event: a
         // broadcast's sends reuse its buffer instead of growing a fresh one.
         let mut fx = Effects::detached(0, self.now);
@@ -584,6 +586,14 @@ mod tests {
     #[should_panic(expected = "lane 0 cannot be lent")]
     fn first_lane_is_not_lent_twice() {
         ring_engine(2).with_first_and_node_mut(0, |_, _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "run_until into the past")]
+    fn running_until_the_past_panics() {
+        let mut engine = ring_engine(1);
+        engine.run_until(SimTime::from_secs(2), &mut OrderNet { sends: 0 });
+        engine.run_until(SimTime::from_secs(1), &mut OrderNet { sends: 0 });
     }
 
     #[test]

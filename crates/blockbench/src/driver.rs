@@ -621,7 +621,8 @@ mod tests {
             true
         }
         fn advance_to(&mut self, t: SimTime) {
-            self.now = self.now.max(t);
+            assert!(t >= self.now, "clock rewound: {:?} -> {t:?}", self.now);
+            self.now = t;
             let mut ready: Vec<(SimTime, TxId, bool)> = {
                 let (done, rest): (Vec<_>, Vec<_>) =
                     self.pipe.drain(..).partition(|&(at, _, _)| at <= t);

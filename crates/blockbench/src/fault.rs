@@ -81,8 +81,10 @@ impl FaultCursor {
             }
             // Let the platform world reach the injection instant first so
             // the fault lands at its scheduled time, not at the driver's
-            // next convenient step.
-            chain.advance_to(deadline);
+            // next convenient step. A deadline the clock has already passed
+            // (a sub-second fault under `run_timeline`) fires at the clock:
+            // it never runs backwards.
+            chain.advance_to(deadline.max(chain.now()));
             chain.inject(ev.fault.clone());
             self.next += 1;
             fired += 1;
@@ -152,7 +154,8 @@ mod tests {
                 true
             }
             fn advance_to(&mut self, t: SimTime) {
-                self.now = self.now.max(t);
+                assert!(t >= self.now, "clock rewound: {:?} -> {t:?}", self.now);
+                self.now = t;
             }
             fn now(&self) -> SimTime {
                 self.now
