@@ -3,26 +3,13 @@
 //! A crash is only interesting if it can destroy something: [`FaultVfs`]
 //! wraps a shared [`Vfs`] and damages it the way real disks do under power
 //! loss — the un-fsynced suffix of the last WAL append torn off mid-frame,
-//! seeded bit rot in cold files, and a disk-full ceiling. The WAL's frame
-//! checksums (and the SSTable footer magic) are what make these injections
-//! recoverable; the counters here let experiments report exactly how much
-//! damage each run survived.
+//! and seeded bit rot in cold files. The WAL's frame checksums (and the
+//! SSTable footer magic) are what make these injections recoverable. The
+//! disk-full ceiling and the slow disk are the [`Vfs`]'s own settings
+//! (`set_capacity`, `set_op_latency_us`), which count their own hits.
 
 use crate::vfs::Vfs;
 use std::sync::{Arc, Mutex};
-
-/// Damage totals injected so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Tail-tear injections that actually removed bytes.
-    pub torn_tails: u64,
-    /// Individual bits flipped by [`FaultVfs::bit_rot`].
-    pub bits_flipped: u64,
-    /// Writes cut short by the capacity ceiling (from the VFS).
-    pub enospc_hits: u64,
-    /// Modeled µs of injected slow-disk latency (from the VFS).
-    pub disk_stall_us: u64,
-}
 
 /// Deterministic fault injector over a shared [`Vfs`].
 ///
@@ -34,19 +21,12 @@ pub struct FaultCounters {
 pub struct FaultVfs {
     vfs: Arc<Mutex<Vfs>>,
     rng_state: u64,
-    torn_tails: u64,
-    bits_flipped: u64,
 }
 
 impl FaultVfs {
     /// Wrap `vfs` with a fault injector seeded by `seed`.
     pub fn new(vfs: Arc<Mutex<Vfs>>, seed: u64) -> FaultVfs {
-        FaultVfs { vfs, rng_state: seed, torn_tails: 0, bits_flipped: 0 }
-    }
-
-    /// The wrapped filesystem.
-    pub fn vfs(&self) -> Arc<Mutex<Vfs>> {
-        Arc::clone(&self.vfs)
+        FaultVfs { vfs, rng_state: seed }
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -74,7 +54,6 @@ impl FaultVfs {
         }
         let cut = start + self.next_u64() % (len - start);
         self.vfs.lock().unwrap().truncate(name, cut);
-        self.torn_tails += 1;
         true
     }
 
@@ -91,31 +70,7 @@ impl FaultVfs {
                 done += 1;
             }
         }
-        self.bits_flipped += done as u64;
         done
-    }
-
-    /// Arm (or disarm) the wrapped filesystem's disk-full ceiling.
-    pub fn set_capacity(&mut self, capacity: Option<u64>) {
-        self.vfs.lock().unwrap().set_capacity(capacity);
-    }
-
-    /// Arm (or, with 0, disarm) the wrapped filesystem's modeled slow disk:
-    /// every metered I/O op charges `us` µs of stall (accounting only — the
-    /// simulation clock never moves, so determinism is untouched).
-    pub fn set_op_latency_us(&mut self, us: u64) {
-        self.vfs.lock().unwrap().set_op_latency_us(us);
-    }
-
-    /// Damage injected so far (ENOSPC hits and stall come from the VFS).
-    pub fn counters(&self) -> FaultCounters {
-        let v = self.vfs.lock().unwrap();
-        FaultCounters {
-            torn_tails: self.torn_tails,
-            bits_flipped: self.bits_flipped,
-            enospc_hits: v.enospc_hits(),
-            disk_stall_us: v.stall_us(),
-        }
     }
 }
 
@@ -136,7 +91,6 @@ mod tests {
         assert!(f.tear_tail("wal"));
         let len = vfs.lock().unwrap().file_size("wal").unwrap();
         assert!((13..13 + 14).contains(&len), "cut {len} outside the tail");
-        assert_eq!(f.counters().torn_tails, 1);
         // The tail is gone now; a second tear finds nothing to destroy.
         assert!(!f.tear_tail("wal"));
         assert!(!f.tear_tail("ghost"));
@@ -160,9 +114,7 @@ mod tests {
         let vfs = shared();
         vfs.lock().unwrap().write("sst", vec![0u8; 256].as_slice());
         let mut f = FaultVfs::new(Arc::clone(&vfs), 1);
-        let flipped = f.bit_rot("sst", 8);
-        assert_eq!(flipped, 8);
-        assert_eq!(f.counters().bits_flipped, 8);
+        assert_eq!(f.bit_rot("sst", 8), 8);
         let data = vfs.lock().unwrap().read("sst").unwrap();
         let ones: u32 = data.iter().map(|b| b.count_ones()).sum();
         // Two seeded flips can land on the same bit and cancel; parity of
@@ -173,35 +125,30 @@ mod tests {
 
     #[test]
     fn slow_disk_charges_every_metered_op() {
-        let vfs = shared();
-        let mut f = FaultVfs::new(Arc::clone(&vfs), 0);
+        let mut v = Vfs::new();
         // Un-armed I/O charges nothing.
-        vfs.lock().unwrap().append("wal", b"pre");
-        assert_eq!(f.counters().disk_stall_us, 0);
-        f.set_op_latency_us(250);
-        {
-            let mut v = vfs.lock().unwrap();
-            v.append("wal", b"abc"); // 250
-            v.write("sst", b"xyz"); // 500
-            let _ = v.read("wal"); // 750
-            let _ = v.read_at("wal", 0, 2); // 1000
-            let _ = v.read_with("wal", 0, 1, |_| ()); // 1250
-            v.truncate("wal", 1); // metadata only: free
-        }
-        assert_eq!(f.counters().disk_stall_us, 1250);
+        v.append("wal", b"pre");
+        assert_eq!(v.stall_us(), 0);
+        v.set_op_latency_us(250);
+        v.append("wal", b"abc"); // 250
+        v.write("sst", b"xyz"); // 500
+        let _ = v.read("wal"); // 750
+        let _ = v.read_at("wal", 0, 2); // 1000
+        let _ = v.read_with("wal", 0, 1, |_| ()); // 1250
+        v.truncate("wal", 1); // metadata only: free
+        assert_eq!(v.stall_us(), 1250);
         // Disarm: the accumulator freezes.
-        f.set_op_latency_us(0);
-        vfs.lock().unwrap().append("wal", b"post");
-        assert_eq!(f.counters().disk_stall_us, 1250);
+        v.set_op_latency_us(0);
+        v.append("wal", b"post");
+        assert_eq!(v.stall_us(), 1250);
     }
 
     #[test]
     fn enospc_counts_surface_through_counters() {
-        let vfs = shared();
-        let mut f = FaultVfs::new(Arc::clone(&vfs), 0);
-        f.set_capacity(Some(4));
-        vfs.lock().unwrap().append("f", b"123456");
-        assert_eq!(f.counters().enospc_hits, 1);
-        assert_eq!(vfs.lock().unwrap().read("f").unwrap(), b"1234");
+        let mut v = Vfs::new();
+        v.set_capacity(Some(4));
+        v.append("f", b"123456");
+        assert_eq!(v.enospc_hits(), 1);
+        assert_eq!(v.read("f").unwrap(), b"1234");
     }
 }

@@ -23,7 +23,7 @@ pub mod memstore;
 pub mod stats;
 pub mod vfs;
 
-pub use fault::{FaultCounters, FaultVfs};
+pub use fault::FaultVfs;
 pub use kv::{KvError, KvOps, KvPairs, KvStore, WriteBatch};
 pub use lsm::merge::KWayMerge;
 pub use lsm::sstable::{SsTable, TableBuilder};
