@@ -775,8 +775,11 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
         // A full store (Parity's capped memory) is the same OOM surface as
         // execution: the transfer goes on and the missing nodes resurface
-        // through reads, not a panic.
-        let _ = self.state.store_mut().apply_batch(batch);
+        // through reads, not a panic. Any other refusal is a bug.
+        match self.state.store_mut().apply_batch(batch) {
+            Ok(()) | Err(KvError::OutOfSpace { .. }) => {}
+            Err(e) => panic!("state store refused a snapshot chunk: {e}"),
+        }
         let next = if !done {
             SyncMsg::StateRequest { from: me, after: entries.last().map(|(k, _)| k.clone()) }
         } else if P::state_landed(self) {
