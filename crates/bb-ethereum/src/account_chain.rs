@@ -213,7 +213,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
             Fault::PartitionAsymmetric { left } => self.network.partition_asymmetric(left),
             Fault::GossipJitter(amplitude) => self.network.set_gossip_jitter(amplitude),
             Fault::Heal => self.network.heal(),
-            // The process dies; what it loses is `ChainNode::crash`'s to say.
             Fault::Crash(node) => {
                 self.network.crash(node);
                 self.set_crashed(node, true);

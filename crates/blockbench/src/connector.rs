@@ -282,9 +282,15 @@ pub enum Fault {
     /// — transaction pool, miner/sealer progress, in-flight consensus, trie
     /// caches and uncommitted overlays — keeping only its durable store.
     Crash(NodeId),
-    /// Revive a crashed node *with its volatile state intact* — the gentle
-    /// legacy fault (a long GC pause, not a power cut). Use
-    /// [`Fault::Restart`] for recovery through the durable store.
+    /// Revive a crashed node without restarting it — the gentle legacy
+    /// fault (a frozen process, not a power cut). What `Crash` dropped stays
+    /// lost: the pool, queued messages, a mining race or a snapshot transfer
+    /// in flight, trie caches and uncommitted overlays. The rest of its
+    /// memory comes back as the crash left it: the chain (blocks, roots,
+    /// Fabric's PBFT log and state maps) and the run counters, over the
+    /// durable store. A node whose crash tore a snapshot transfer has no
+    /// intact chain to revive, so Parity and Fabric restart it instead. Use
+    /// [`Fault::Restart`] for recovery through the durable store alone.
     Recover(NodeId),
     /// Restart a crashed node from its durable store alone: replay the WAL
     /// (`LsmStore::open`), rebuild the chain head from persisted blocks,

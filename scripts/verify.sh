@@ -140,7 +140,17 @@ echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 smoke -p bb-storage fault
 for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" restart; done
 smoke -p bb-bench --test cross_platform restart_recovers
-smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer
+smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
+smoke -p bb-bench --test cross_platform restart_preserves_every_node_counter
+smoke -p bb-bench --test parallel_determinism snapshot_timeline
+# One account-chain recovery path: the snapshot transfer is `SyncMsg`
+# traffic handled by `ChainNode::on_sync`, and crash, recover and restart
+# run in `AccountChain::inject`. Neither consensus keeps a copy.
+if git grep -nE 'Snapshot(Request|Chunk)|Chain(Request|Chunk)|fn restart_node' -- \
+    crates/bb-ethereum/src/chain.rs crates/bb-parity/src/chain.rs; then
+    echo "ERROR: an account-chain consensus runs its own transfer or restart; use ChainNode and AccountChain" >&2
+    exit 1
+fi
 
 echo "==> storage matrix: leveled compaction + chunked snapshot sync smoke"
 # The leveled compactor must keep its invariants (disjoint L1+, bounded
