@@ -72,9 +72,10 @@ pub struct ChainParams {
     /// The deploy log, `(height, address, contract)`: each contract sits on
     /// the state after the block at `height`. Only `deploy` appends.
     pub deploys: Vec<(u64, Address, SvmContract)>,
-    /// Which servers are down, by index. Only the connector's faults flip a
-    /// flag, between `run_until` calls; a crashed server's lane handles
-    /// nothing its consensus does not keep ticking itself.
+    /// Which servers are down, by index. Only the connector's `Crash`,
+    /// `Recover` and `Restart` flip a flag, between `run_until` calls. A
+    /// crashed server handles no event but those its consensus keeps
+    /// running itself (Parity's steps and admission queue).
     pub crashed: Vec<bool>,
 }
 
@@ -158,7 +159,8 @@ pub trait ChainPlatform {
     fn state_landed(node: &mut ChainNode<Self::Store>) -> bool;
 }
 
-/// The block-sync messages nodes exchange, handled by [`ChainNode::on_sync`].
+/// The sync messages nodes exchange — block sync and the snapshot transfer —
+/// handled by [`ChainNode::on_sync`].
 #[derive(Debug, Clone)]
 pub enum SyncMsg {
     /// A block: gossip from its proposer, or the reply to either request.
