@@ -1,6 +1,6 @@
 //! The one `BlockchainConnector` of Ethereum and Parity, which differ in
 //! consensus only (§3.1): [`AccountChain`] owns set-up, the RPC surface on
-//! node 0, the network faults, crash, recover and restart, and the stats,
+//! node 0, the network faults, crash and restart, and the stats,
 //! and a consensus plugs in through [`Consensus`]. Each server is a lane of
 //! a [`ShardedEngine`]; a world runs on one thread (lanes order events, they
 //! are not threads — DESIGN.md §5).
@@ -47,13 +47,9 @@ pub trait Consensus:
     /// durable store, or nothing but genesis. The run's counters, CPU
     /// series and the observer's log carry over.
     fn rebuild(ctx: &Self::Ctx, node: &mut Self::Node);
-    /// Resume a revived or restarted `node`'s block production, once
-    /// production has started.
+    /// Resume a restarted `node`'s block production, once production has
+    /// started.
     fn resume(_chain: &mut AccountChain<Self>, _node: NodeId) {}
-    /// Does a `Recover` after a crash tore a snapshot transfer restart the
-    /// node instead? It must where the transfer installs a trusted chain
-    /// that the crash left half there.
-    const TORN_TRANSFER_RESTARTS: bool = false;
     /// Inject a disk or equivocation fault (`TornTail`, `SlowDisk`,
     /// `Equivocate`); by default they change nothing. The connector runs
     /// every other fault itself.
@@ -123,33 +119,36 @@ impl<C: Consensus> AccountChain<C> {
         self.engine.with_ctx_mut(|ctx| ctx.params_mut().crashed[node.index()] = crashed);
     }
 
-    /// The network and the crash flag revive `node`; so does its block
-    /// production, unless the run has not started (`start` will).
-    fn revive(&mut self, node: NodeId) {
-        self.network.recover(node);
-        self.set_crashed(node, false);
-        if self.started {
-            C::resume(self, node);
-        }
-    }
-
-    /// Restart `node` per [`Consensus::rebuild`], open its catch-up window
-    /// and ask the first live peer for its head. Recovery completes when
-    /// the head reaches the height that peer announces; with no live peer
-    /// the node is trivially caught up.
+    /// Restart crashed `node` per [`Consensus::rebuild`], open its catch-up
+    /// window and ask the first live peer for its head. Recovery completes
+    /// when the head reaches the height that peer announces; with no live
+    /// peer the node is trivially caught up. A snapshot transfer the crash
+    /// tore stays flagged in the new window, so the head reply opens a
+    /// fresh one whatever the gap. The network and the crash flag revive
+    /// the node; so does its block production, unless the run has not
+    /// started (`start` will).
     fn restart(&mut self, node: NodeId) {
+        assert!(self.network.is_crashed(node), "Restart of live {node}: crash it first");
         let now = self.engine.now();
         let peer = self.network.first_live_peer(node);
         self.engine.with_ctx_node_mut(node.0, |ctx, n| {
+            let torn = C::chain(n).recovery.snapshot_syncing;
             C::rebuild(ctx, n);
-            let recovery = RecoveryWindow { restarted_at: peer.map(|_| now), ..Default::default() };
-            C::chain_mut(n).recovery = recovery;
+            C::chain_mut(n).recovery = RecoveryWindow {
+                restarted_at: peer.map(|_| now),
+                sync_target: None,
+                snapshot_syncing: torn,
+            };
         });
         if let Some(peer) = peer {
             let ask = <C::Ctx as ChainPlatform>::sync(peer, SyncMsg::HeadRequest { from: node });
             self.engine.schedule(now, ask);
         }
-        self.revive(node);
+        self.network.recover(node);
+        self.set_crashed(node, false);
+        if self.started {
+            C::resume(self, node);
+        }
     }
 }
 
@@ -217,14 +216,6 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
                 self.network.crash(node);
                 self.set_crashed(node, true);
                 self.engine.with_node_mut(node.0, |n| C::chain_mut(n).crash());
-            }
-            Fault::Recover(node) => {
-                let torn = self.engine.with_node(node.0, |n| C::chain(n).recovery.transfer_torn);
-                if torn && C::TORN_TRANSFER_RESTARTS {
-                    self.restart(node);
-                } else {
-                    self.revive(node);
-                }
             }
             Fault::Restart(node) => self.restart(node),
             disk_or_equivocation => C::inject(self, disk_or_equivocation),

@@ -402,10 +402,7 @@ impl Consensus for EthWorld {
         rebuild_node_from_store(&mut node.chain);
     }
 
-    /// Only the revived node re-enters the race. A snapshot transfer its
-    /// crash tore needs no care: the chunks are content-addressed trie nodes
-    /// and block records, harmless to the live store, and the replay path
-    /// closes the gap.
+    /// Only the restarted node re-enters the race.
     fn resume(chain: &mut EthereumChain, node: NodeId) {
         enter_mining_race(chain, node);
     }
@@ -557,7 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_reenters_only_the_recovered_node() {
+    fn restart_reenters_only_the_restarted_node() {
         let mut chain = small_chain(4);
         chain.advance_to(SimTime::from_secs(5));
         let generations = |chain: &EthereumChain| -> Vec<u64> {
@@ -565,13 +562,80 @@ mod tests {
         };
         let before = generations(&chain);
         chain.inject(Fault::Crash(NodeId(3)));
-        chain.inject(Fault::Recover(NodeId(3)));
+        chain.inject(Fault::Restart(NodeId(3)));
         let after = generations(&chain);
-        assert_eq!(after[..3], before[..3], "recovering node 3 redrew other races");
+        assert_eq!(after[..3], before[..3], "restarting node 3 redrew other races");
         assert!(after[3] > before[3], "node 3 did not re-enter the race: {before:?} → {after:?}");
         chain.advance_to(SimTime::from_secs(60));
         let moved = chain.engine.with_node(3, |n| n.mine_generation) > after[3];
         assert!(moved, "node 3's race never moved");
+    }
+
+    #[test]
+    #[should_panic(expected = "crash it first")]
+    fn restart_of_a_live_node_panics() {
+        small_chain(4).inject(Fault::Restart(NodeId(2)));
+    }
+
+    /// A crash that tears a snapshot transfer once the peer's `!b/` block
+    /// records have landed leaves a store whose records name state that
+    /// never arrived. A restart within `snapshot_sync_blocks` of the peer
+    /// must not rebuild from them and replay: it transfers afresh, and the
+    /// node ends on the cluster's chain and state roots.
+    #[test]
+    fn restart_after_a_torn_transfer_transfers_afresh() {
+        let mut config = EthConfig::with_nodes(4);
+        config.pow.base_interval = SimDuration::from_millis(500);
+        (config.snapshot_sync_blocks, config.snapshot_chunk_bytes) = (4, 512);
+        let sync_blocks = config.snapshot_sync_blocks;
+        let mut c = EthereumChain::new(config);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut next = 0u64;
+        let mut load = |c: &mut EthereumChain, secs: u64| {
+            while c.now() < SimTime::from_secs(secs) {
+                let (client, nonce) = (next % 3, next / 3);
+                let tx = client_tx(1 + client, nonce, addr, ycsb::write_call(next, b"v"));
+                assert!(c.submit(NodeId(client as u32), tx));
+                next += 1;
+                c.advance_to(c.now() + SimDuration::from_millis(50));
+            }
+        };
+        let step = |c: &mut EthereumChain| c.advance_to(c.now() + SimDuration::from_micros(200));
+        let syncing =
+            |c: &EthereumChain| c.engine.with_node(3, |n| n.chain.recovery.snapshot_syncing);
+        // The heights of the block records in node `i`'s store.
+        let durable = |c: &mut EthereumChain, i: u32| -> Vec<u64> {
+            let records = c.engine.with_node_mut(i, |n| {
+                n.chain.state.store_mut().scan_prefix(b"!b/").expect("store reads")
+            });
+            let blocks = records.iter().filter_map(|(_, v)| decode_block_meta(v));
+            blocks.map(|(_, b)| b.header.height).collect()
+        };
+        load(&mut c, 3);
+        c.inject(Fault::Crash(NodeId(3)));
+        load(&mut c, 13);
+        c.inject(Fault::Restart(NodeId(3)));
+        // Step until a transfer has shipped every block record, mid-state.
+        let deadline = c.now() + SimDuration::from_secs(1);
+        while !syncing(&c) || durable(&mut c, 3).len() < durable(&mut c, 0).len() {
+            assert!(c.now() < deadline, "no transfer stopped mid-state with every block record");
+            step(&mut c);
+        }
+        c.inject(Fault::Crash(NodeId(3)));
+        let torn_chunks = c.stats().snapshot_chunks;
+        c.advance_to(c.now() + SimDuration::from_secs(1));
+        let torn_head = durable(&mut c, 3).into_iter().max().expect("genesis is durable");
+        let peer_head = c.engine.with_node(0, |n| n.chain.tree.head_height());
+        assert!(peer_head - torn_head <= sync_blocks, "gap {torn_head}..{peer_head} is deep");
+        c.inject(Fault::Restart(NodeId(3)));
+        load(&mut c, 30);
+        c.advance_to(SimTime::from_secs(40));
+        assert!(c.stats().snapshot_chunks > torn_chunks, "restart replayed onto a torn store");
+        let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
+        let (peer, mine) = (chains[0].len(), chains[3].len());
+        assert!(peer.abs_diff(mine) <= 3, "restarted node lags at {mine} of {peer} blocks");
+        let checked = blockbench::check_chains(&chains, 3).unwrap_or_else(|v| panic!("{v}"));
+        assert!(checked > 0, "safety check was vacuous");
     }
 
     #[test]

@@ -72,10 +72,10 @@ pub struct ChainParams {
     /// The deploy log, `(height, address, contract)`: each contract sits on
     /// the state after the block at `height`. Only `deploy` appends.
     pub deploys: Vec<(u64, Address, SvmContract)>,
-    /// Which servers are down, by index. Only the connector's `Crash`,
-    /// `Recover` and `Restart` flip a flag, between `run_until` calls. A
-    /// crashed server handles no event but those its consensus keeps
-    /// running itself (Parity's steps and admission queue).
+    /// Which servers are down, by index. Only the connector's `Crash` and
+    /// `Restart` flip a flag, between `run_until` calls. A crashed server
+    /// handles no event but those its consensus keeps running itself
+    /// (Parity's steps and admission queue).
     pub crashed: Vec<bool>,
 }
 
@@ -342,12 +342,11 @@ impl<S: KvStore + Send> ChainNode<S> {
         self.pool_admitted.clear();
     }
 
-    /// The process died. Amnesia: the pool, an in-flight snapshot transfer,
-    /// and the trie's uncommitted overlay and caches go with it. The store
-    /// (and the in-memory chain copies a gentle `Recover` resurrects) stay.
+    /// The process died. Amnesia: the pool and the trie's uncommitted
+    /// overlay and caches go now; an in-flight snapshot transfer and the
+    /// in-memory chain go when `Restart` rebuilds the node from its store.
     pub fn crash(&mut self) {
         self.clear_pool();
-        self.recovery.crash();
         self.state.drop_volatile();
     }
 
@@ -690,25 +689,28 @@ impl<S: KvStore + Send> ChainNode<S> {
         fx: &mut Effects<P::Event>,
     ) -> bool {
         if self.recovery.restarted_at.is_some() {
-            if self.recovery.snapshot_syncing {
-                // The chain is about to be replaced wholesale by the
-                // transfer; anything mined meanwhile is re-fetched by the
-                // post-transfer head walk.
-                return false;
-            }
             if self.recovery.sync_target.is_none() {
                 // First arrival after a restart is the head-request reply:
                 // its height is the gap this node must close.
                 let head = self.tree.head_height();
                 self.recovery.sync_target = Some(block.header.height.max(head));
-                if block.header.height.saturating_sub(head) > p.params().snapshot_sync_blocks {
-                    // Too deep to replay block by block: fetch the peer's
-                    // state snapshot in bounded chunks instead.
+                let gap = block.header.height.saturating_sub(head);
+                if gap > p.params().snapshot_sync_blocks || self.recovery.snapshot_syncing {
+                    // Too deep to replay block by block, or the crash tore
+                    // a transfer and left block records whose state never
+                    // arrived: fetch the peer's state snapshot in bounded
+                    // chunks instead.
                     self.recovery.snapshot_syncing = true;
                     let ask = P::sync(from, SyncMsg::StateRequest { from: me, after: None });
                     fx.send(from.0, 64, move |_at| ask);
                     return true;
                 }
+            }
+            if self.recovery.snapshot_syncing {
+                // The chain is about to be replaced wholesale by the
+                // transfer; anything mined meanwhile is re-fetched by the
+                // post-transfer head walk.
+                return false;
             }
             self.counters.resync_blocks += 1;
             self.counters.resync_bytes += block.byte_size();
@@ -756,7 +758,7 @@ impl<S: KvStore + Send> ChainNode<S> {
 
     /// Apply a state chunk blind, in one batch, and ask for the next; after
     /// the last, hand over to [`ChainPlatform::state_landed`]. A chunk that
-    /// arrives after a crash tore the transfer is dropped.
+    /// arrives with no transfer open is dropped.
     fn on_state_chunk<P: ChainPlatform<Store = S>>(
         &mut self,
         me: NodeId,
@@ -1370,7 +1372,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_tears_a_snapshot_transfer() {
+    fn deep_gap_opens_a_snapshot_transfer() {
         let p = ctx();
         let mut miner = node(&p);
         let gap = p.0.snapshot_sync_blocks + 1;
@@ -1388,10 +1390,6 @@ mod tests {
             [(1, _, TestEvent::Sync(PEER, SyncMsg::StateRequest { from: ME, after: None }))]
         ));
         assert!(n.recovery.snapshot_syncing);
-        // The crash takes the transfer with it and says so.
-        n.crash();
-        assert!(!n.recovery.snapshot_syncing, "flag latched across the crash");
-        assert!(n.recovery.transfer_torn);
     }
 
     /// `snapshot_bytes` counts what the wire carried: the chunk's 16-byte

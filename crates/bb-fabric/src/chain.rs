@@ -716,8 +716,10 @@ impl FabricChain {
     /// (replaying the WAL and truncating any torn tail), rebuild the
     /// bucket digests and the chain from the per-block records, resume
     /// PBFT at the durable sequence floor, and ask a live peer for the
-    /// committed batches past it.
+    /// committed batches past it. The crash already cleared the process
+    /// memory the store does not rebuild (inbox and pipeline).
     fn restart_node(&mut self, id: NodeId) {
+        assert!(self.network.is_crashed(id), "Restart of live {id}: crash it first");
         let now = self.engine.now();
         let peer = self.network.first_live_peer(id);
         let peer_floor = peer.map(|p| self.engine.with_node(p.0, |n| n.pbft.last_committed()));
@@ -741,10 +743,10 @@ impl FabricChain {
             // The gap is known synchronously from the live peer's committed
             // floor: too deep to replay batch-by-batch → discard the durable
             // prefix and pull the peer's whole snapshot in bounded chunks.
-            // Likewise when a crash tore an earlier transfer: the store then
-            // holds block records whose state never fully arrived, so its
-            // floor says nothing about what can be replayed onto it.
-            let torn = n.recovery.transfer_torn;
+            // Likewise when the crash tore a transfer: the store then holds
+            // block records whose state never fully arrived, so its floor
+            // says nothing about what can be replayed onto it.
+            let torn = n.recovery.snapshot_syncing;
             let snapshot = peer_floor
                 .is_some_and(|t| torn || t.saturating_sub(floor) > snapshot_sync_blocks);
             if snapshot {
@@ -763,18 +765,12 @@ impl FabricChain {
                 n.state.install(*addr, *factory);
             }
             n.pbft = PbftNode::resume_at(id, pbft_config, floor);
-            n.inbox.clear();
-            n.draining = false;
-            n.drain_generation += 1;
-            n.pipeline_penalty = SimDuration::ZERO;
-            n.wake_scheduled = None;
             n.crashed = false;
             let sync_target = peer_floor.filter(|&t| t > floor);
             n.recovery = RecoveryWindow {
                 restarted_at: sync_target.map(|_| now),
                 sync_target,
                 snapshot_syncing: snapshot,
-                transfer_torn: false,
             };
             (floor, snapshot)
         });
@@ -913,26 +909,15 @@ impl BlockchainConnector for FabricChain {
                 self.engine.with_node_mut(node.0, |n| {
                     n.crashed = true;
                     // Amnesia: the inbox and pipeline are process memory.
-                    // The chain/state maps linger until a Restart discards
-                    // them, but no handler reads them while crashed.
+                    // The chain/state maps and the recovery window linger
+                    // until a Restart replaces them, but no handler reads
+                    // them while crashed.
                     n.inbox.clear();
                     n.draining = false;
                     n.drain_generation += 1;
                     n.pipeline_penalty = SimDuration::ZERO;
                     n.wake_scheduled = None;
-                    n.recovery.crash();
                 });
-            }
-            Fault::Recover(node) => {
-                if self.engine.with_node(node.0, |n| n.recovery.transfer_torn) {
-                    // The crash tore a snapshot transfer that was replacing
-                    // this peer's state: there is no intact memory to revive.
-                    return self.restart_node(node);
-                }
-                // Legacy gentle revive (a long GC pause, not a process
-                // death): in-memory chain state is intact.
-                self.network.recover(node);
-                self.engine.with_node_mut(node.0, |n| n.crashed = false);
             }
             Fault::Restart(node) => self.restart_node(node),
             Fault::TornTail(node) => {
@@ -1380,6 +1365,65 @@ mod tests {
         );
         let committed: usize = c.confirmed_blocks_since(0).iter().map(|b| b.txs.len()).sum();
         assert_eq!(committed, 51);
+    }
+
+    /// A crash that tears a snapshot transfer after every `!b/` record has
+    /// landed (they sort before the `s:` state keys) leaves a store whose
+    /// block records claim a floor its state never reached. A restart within
+    /// `snapshot_sync_blocks` of the peer must not replay onto it: it opens
+    /// a fresh transfer and ends on node 0's chain and state.
+    #[test]
+    fn restart_after_a_torn_transfer_transfers_afresh() {
+        let mut config = FabricConfig::with_nodes(4);
+        (config.snapshot_sync_blocks, config.snapshot_chunk_bytes) = (3, 512);
+        let sync_blocks = config.snapshot_sync_blocks;
+        let mut c = FabricChain::new(config);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut nonce = 0u64;
+        let mut load = |c: &mut FabricChain, servers: u64, secs: u64| {
+            while c.now() < SimTime::from_secs(secs) {
+                let tx = client_tx(9, nonce, addr, ycsb::write_call(nonce, b"v"));
+                assert!(c.submit(NodeId((nonce % servers) as u32), tx));
+                nonce += 1;
+                c.advance_to(c.now() + SimDuration::from_millis(100));
+            }
+        };
+        let syncing = |c: &FabricChain| c.engine.with_node(3, |n| n.recovery.snapshot_syncing);
+        load(&mut c, 4, 2);
+        c.inject(Fault::Crash(NodeId(3)));
+        load(&mut c, 3, 8);
+        c.inject(Fault::Restart(NodeId(3)));
+        assert!(syncing(&c), "the outage left no deep gap");
+        // Step until the first state key lands: every block record is in.
+        let has_state = |c: &mut FabricChain| {
+            c.engine.with_node_mut(3, |n| !n.state.scan_meta(b"s:").unwrap().is_empty())
+        };
+        while !has_state(&mut c) {
+            c.advance_to(c.now() + SimDuration::from_micros(200));
+        }
+        assert!(syncing(&c), "the transfer finished with its first state chunk");
+        c.inject(Fault::Crash(NodeId(3)));
+        c.advance_to(c.now() + SimDuration::from_secs(2));
+        let torn_floor = c.engine.with_node_mut(3, |n| rebuild_chain_from_state(&mut n.state).0);
+        let peer_floor = c.engine.with_node(0, |n| n.pbft.last_committed());
+        assert!(peer_floor - torn_floor <= sync_blocks, "gap {torn_floor}..{peer_floor} is deep");
+        c.inject(Fault::Restart(NodeId(3)));
+        assert!(syncing(&c), "restart replayed onto a torn store");
+        c.advance_to(c.now() + SimDuration::from_secs(10));
+        let ids = |c: &FabricChain, i| {
+            c.engine.with_node(i, |n| n.blocks.iter().map(|b| b.id()).collect::<Vec<_>>())
+        };
+        assert_eq!(ids(&c, 3), ids(&c, 0));
+        assert_eq!(
+            c.engine.with_node_mut(3, |n| n.state.root()),
+            c.engine.with_node_mut(0, |n| n.state.root())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "crash it first")]
+    fn restart_of_a_live_node_panics() {
+        chain(4).inject(Fault::Restart(NodeId(2)));
     }
 
     #[test]

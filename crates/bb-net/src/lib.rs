@@ -234,16 +234,19 @@ impl Network {
     }
 
     /// Split the first `left` nodes from the rest (the paper's
-    /// half-and-half attack).
+    /// half-and-half attack). Both sides must be non-empty: a split that
+    /// cuts no link would still count a flap at the next heal.
     pub fn partition_in_half(&mut self, left: u32) {
+        assert!(0 < left && left < self.n, "partition side {left} of {} cuts no link", self.n);
         let groups = (0..self.n).map(|i| u8::from(i >= left)).collect();
         self.partition(groups);
     }
 
     /// Asymmetric split: the first `left` nodes keep their outbound links,
-    /// but everything sent back to them from the rest is dropped.
+    /// but everything sent back to them from the rest is dropped. Both
+    /// sides must be non-empty, as for [`Network::partition_in_half`].
     pub fn partition_asymmetric(&mut self, left: u32) {
-        assert!(left <= self.n, "left side out of range");
+        assert!(0 < left && left < self.n, "partition side {left} of {} cuts no link", self.n);
         self.asym_left = Some(left);
     }
 
@@ -488,6 +491,18 @@ mod tests {
         n.partition_asymmetric(2);
         n.heal();
         assert_eq!(n.partition_flaps(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cuts no link")]
+    fn partition_in_half_refuses_an_empty_side() {
+        net(4).partition_in_half(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cuts no link")]
+    fn asymmetric_partition_refuses_an_empty_side() {
+        net(4).partition_asymmetric(0);
     }
 
     #[test]

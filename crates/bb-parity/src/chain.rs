@@ -338,10 +338,6 @@ impl Consensus for PoaWorld {
         node.admission_busy_until = SimTime::ZERO;
         node.admission_backlog = 0;
     }
-
-    /// The trusted chain a torn transfer was installing is half there and
-    /// nothing will send the rest: there is no sane memory to resurrect.
-    const TORN_TRANSFER_RESTARTS: bool = true;
 }
 
 /// Bytes of node RAM left for the in-memory state store.
@@ -570,6 +566,12 @@ mod tests {
         let lone = Arc::new(client_tx(1, 0, contract, ycsb::write_call(1, b"v")));
         c.engine.with_ctx_node_mut(2, |ctx, n| n.chain.preload_block(ctx, SimTime::ZERO, &[lone]));
         c.preload_blocks(vec![vec![client_tx(2, 0, contract, ycsb::write_call(2, b"v"))]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash it first")]
+    fn restart_of_a_live_node_panics() {
+        chain(4).inject(Fault::Restart(NodeId(2)));
     }
 
     #[test]

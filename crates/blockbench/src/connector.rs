@@ -142,22 +142,14 @@ pub struct RecoveryWindow {
     /// The peers' progress this node must reach for the window to close.
     pub sync_target: Option<u64>,
     /// Set while a chunked snapshot transfer is closing the gap; live block
-    /// or batch adoption is suppressed until the transfer lands.
+    /// or batch adoption is suppressed until the transfer lands. A crash
+    /// leaves it set, and the crashed node handles nothing that reads it:
+    /// the `Restart` reads it as "the crash tore a transfer" and then
+    /// replaces the whole window.
     pub snapshot_syncing: bool,
-    /// A crash interrupted a snapshot transfer. The session that was
-    /// driving it is gone, so a platform whose transfer overwrites live
-    /// state must restart from scratch rather than resume on the remains.
-    pub transfer_torn: bool,
 }
 
 impl RecoveryWindow {
-    /// The process died: an in-flight snapshot transfer dies with it (its
-    /// remaining chunks are dropped by the crashed node), so the flag that
-    /// suppresses adoption must not stay latched across a revive.
-    pub fn crash(&mut self) {
-        self.transfer_torn |= std::mem::take(&mut self.snapshot_syncing);
-    }
-
     /// Close the window once `progress` reaches the sync target. A completed
     /// recovery records at least 1 ms: `recovery_ms == 0` means "never
     /// caught up", and a sub-millisecond catch-up (nothing committed during
@@ -279,23 +271,15 @@ pub struct QueryResult {
 #[derive(Debug, Clone)]
 pub enum Fault {
     /// Crash-stop a node (Figure 9): it drops every piece of volatile state
-    /// — transaction pool, miner/sealer progress, in-flight consensus, trie
-    /// caches and uncommitted overlays — keeping only its durable store.
+    /// — transaction pool, miner/sealer progress, in-flight consensus and
+    /// snapshot transfers, trie caches and uncommitted overlays — keeping
+    /// only its durable store. It stays down until [`Fault::Restart`].
     Crash(NodeId),
-    /// Revive a crashed node without restarting it — the gentle legacy
-    /// fault (a frozen process, not a power cut). What `Crash` dropped stays
-    /// lost: the pool, queued messages, a mining race or a snapshot transfer
-    /// in flight, trie caches and uncommitted overlays. The rest of its
-    /// memory comes back as the crash left it: the chain (blocks, roots,
-    /// Fabric's PBFT log and state maps) and the run counters, over the
-    /// durable store. A node whose crash tore a snapshot transfer has no
-    /// intact chain to revive, so Parity and Fabric restart it instead. Use
-    /// [`Fault::Restart`] for recovery through the durable store alone.
-    Recover(NodeId),
     /// Restart a crashed node from its durable store alone: replay the WAL
     /// (`LsmStore::open`), rebuild the chain head from persisted blocks,
     /// then catch up from peers (PBFT checkpoint/sync, block download on
-    /// the chain platforms).
+    /// the chain platforms). The one way back from a `Crash`; restarting a
+    /// live node panics.
     Restart(NodeId),
     /// Tear the un-fsynced tail of the node's WAL, as a power cut would.
     /// Inject alongside [`Fault::Crash`] to make the crash destructive.
@@ -472,18 +456,15 @@ mod tests {
     }
 
     #[test]
-    fn recovery_window_closes_at_target_and_crash_tears_a_transfer() {
+    fn recovery_window_closes_at_target() {
         let mut counters = NodeCounters::default();
         let mut w = RecoveryWindow {
             restarted_at: Some(SimTime::from_secs(10)),
             sync_target: Some(5),
-            snapshot_syncing: true,
-            transfer_torn: false,
+            ..Default::default()
         };
         w.close_if_reached(4, SimTime::from_secs(11), &mut counters);
         assert!(w.restarted_at.is_some() && counters.recovery_ms == 0, "closed short of target");
-        w.crash();
-        assert!(!w.snapshot_syncing && w.transfer_torn);
         // A sub-millisecond catch-up still reads as a completed recovery.
         w.close_if_reached(5, SimTime::from_secs(10), &mut counters);
         assert_eq!((w.restarted_at, w.sync_target, counters.recovery_ms), (None, None, 1));

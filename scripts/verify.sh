@@ -143,12 +143,24 @@ smoke -p bb-bench --test cross_platform restart_recovers
 smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
 smoke -p bb-bench --test cross_platform restart_preserves_every_node_counter
 smoke -p bb-bench --test parallel_determinism snapshot_timeline
+# A restart after a crash tore a snapshot transfer transfers afresh, and
+# restarting one miner redraws no other miner's race.
+for platform in bb-ethereum bb-fabric; do
+    smoke -p "$platform" restart_after_a_torn_transfer_transfers_afresh
+done
+smoke -p bb-ethereum restart_reenters_only_the_restarted_node
 # One account-chain recovery path: the snapshot transfer is `SyncMsg`
-# traffic handled by `ChainNode::on_sync`, and crash, recover and restart
-# run in `AccountChain::inject`. Neither consensus keeps a copy.
+# traffic handled by `ChainNode::on_sync`, and crash and restart run in
+# `AccountChain::inject`. Neither consensus keeps a copy.
 if git grep -nE 'Snapshot(Request|Chunk)|Chain(Request|Chunk)|fn restart_node' -- \
     crates/bb-ethereum/src/chain.rs crates/bb-parity/src/chain.rs; then
     echo "ERROR: an account-chain consensus runs its own transfer or restart; use ChainNode and AccountChain" >&2
+    exit 1
+fi
+# One way back from a crash: `Restart`. No gentle revive, and no
+# crash-time bookkeeping or per-platform knob for one.
+if git grep -nE 'Recover\(|TORN_TRANSFER_RESTARTS|transfer_torn|fn revive' -- crates; then
+    echo "ERROR: a second way back from a crash is back; Restart is the only one" >&2
     exit 1
 fi
 

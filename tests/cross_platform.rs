@@ -186,11 +186,10 @@ impl Pump {
     }
 }
 
-/// Satellite regression: `Restart` with a deep gap opens a snapshot
-/// transfer, `Crash` lands in the middle of it (the in-flight chunks are
-/// dropped by the dead node), `Recover` revives the node. The transfer
-/// flag used to stay latched on Parity and Fabric, so the node ignored
-/// every block (or batch) forever.
+/// `Restart` with a deep gap opens a snapshot transfer, `Crash` lands in
+/// the middle of it (the in-flight chunks are dropped by the dead node),
+/// and a second `Restart` brings the node back: it must not stay wedged
+/// behind the torn transfer, ignoring every block (or batch) forever.
 #[test]
 fn crash_during_snapshot_transfer_does_not_wedge_the_node() {
     use blockbench::{check_chains, Fault};
@@ -215,14 +214,14 @@ fn crash_during_snapshot_transfer_does_not_wedge_the_node() {
         let torn_at = chain.stats().snapshot_chunks;
         pump.until(chain, 16);
         assert_eq!(chain.stats().snapshot_chunks, torn_at, "{name}: a dead node applied chunks");
-        chain.inject(Fault::Recover(victim));
+        chain.inject(Fault::Restart(victim));
         pump.until(chain, 30);
         // Let the tail confirm, then compare chains.
         chain.advance_to(bb_sim::SimTime::from_secs(40));
         let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
         let (peer, mine) = (chains[0].len(), chains[3].len());
         assert!(peer > 10, "{name}: the cluster stalled at {peer} blocks");
-        assert!(peer.abs_diff(mine) <= 3, "{name}: revived node wedged at {mine} of {peer} blocks");
+        assert!(peer.abs_diff(mine) <= 3, "{name}: restarted node stuck at {mine} of {peer} blocks");
         let checked = check_chains(&chains, 3).unwrap_or_else(|v| panic!("{name}: {v}"));
         assert!(checked > 0, "{name}: safety check was vacuous");
     }
