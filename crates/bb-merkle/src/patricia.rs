@@ -1849,4 +1849,150 @@ mod known_answers {
         ];
         assert_eq!(pins, want);
     }
+
+    /// Two keys that differ only in their first nibble, with one value: the
+    /// fork between them writes the same one-nibble leaf twice in one block.
+    #[test]
+    fn same_leaf_bytes_twice_in_one_block() {
+        let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
+        t.insert(&[0x10], b"same").unwrap();
+        t.insert(&[0x20], b"same").unwrap();
+        let unsealed = pin(&t);
+        t.commit().unwrap();
+        let pins = [unsealed, pin(&t)];
+        let want = [
+            expect(
+                "2c99625e06cd9c3cfd40e51ba08d285313fa8eb0dafcd395fae4c840c2069d0a",
+                (0, 0),
+                [4, 0, 0],
+                3,
+                [0, 0, 0],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            expect(
+                "2c99625e06cd9c3cfd40e51ba08d285313fa8eb0dafcd395fae4c840c2069d0a",
+                (0, 0),
+                [4, 2, 1],
+                0,
+                [146, 2, 1],
+                "642225f2c548f935442945aae9a986f203af57c1f268b85a13e9816763ce8bcd",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
+
+    /// Sealed accounts; then one block writes an account away from its
+    /// sealed value and back, which re-creates the sealed path, and seals.
+    #[test]
+    fn key_written_away_and_back() {
+        let key = |i: u32| format!("acct{i:03}").into_bytes();
+        let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
+        for i in 0..20 {
+            t.insert(&key(i), b"balance").unwrap();
+        }
+        t.commit().unwrap();
+        let sealed = pin(&t);
+        t.insert(&key(7), b"spent").unwrap();
+        t.insert(&key(7), b"balance").unwrap();
+        let unsealed = pin(&t);
+        t.commit().unwrap();
+        let pins = [sealed, unsealed, pin(&t)];
+        let want = [
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (0, 0),
+                [79, 5, 45],
+                0,
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
+            ),
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (5, 0),
+                [89, 5, 45],
+                10,
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
+            ),
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (5, 0),
+                [89, 10, 50],
+                0,
+                [1_308, 10, 2],
+                "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
+
+    /// A failed transaction's rollback after its writes re-created sealed
+    /// nodes: the mark is the sealed root, the writes go away and back, and
+    /// the rewind lands on the sealed root again. The first block seals
+    /// right there; the second writes one more account after the rewind.
+    #[test]
+    fn rewind_after_recreating_sealed_nodes() {
+        let key = |i: u32| format!("acct{i:03}").into_bytes();
+        let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
+        for i in 0..20 {
+            t.insert(&key(i), b"balance").unwrap();
+        }
+        t.commit().unwrap();
+        let mut pins = vec![pin(&t)];
+        for extra in [None, Some(40)] {
+            let mark = t.root();
+            t.insert(&key(7), b"spent").unwrap();
+            t.insert(&key(7), b"balance").unwrap();
+            t.set_root(mark);
+            if let Some(i) = extra {
+                t.insert(&key(i), b"balance").unwrap();
+            }
+            pins.push(pin(&t));
+            t.commit().unwrap();
+            pins.push(pin(&t));
+        }
+        let want = [
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (0, 0),
+                [79, 5, 45],
+                0,
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
+            ),
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (5, 0),
+                [89, 5, 45],
+                10,
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
+            ),
+            expect(
+                "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
+                (5, 0),
+                [89, 10, 50],
+                0,
+                [1_308, 10, 2],
+                "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
+            ),
+            expect(
+                "27dd13780ee032937aff6161ab532729c191cb321255739d6677e11440519498",
+                (10, 0),
+                [102, 10, 50],
+                13,
+                [1_308, 10, 2],
+                "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
+            ),
+            expect(
+                "27dd13780ee032937aff6161ab532729c191cb321255739d6677e11440519498",
+                (10, 0),
+                [102, 16, 57],
+                0,
+                [2_044, 16, 3],
+                "7ec27f2f28f455dcd8b5103a5fb8e5997c06f54c45879513117b2d495472c300",
+            ),
+        ];
+        assert_eq!(pins, want);
+    }
 }
