@@ -125,7 +125,7 @@ pub trait ChainPlatform {
     /// durable platform writes its block record in the same atomic batch and
     /// treats failure as a bug; a platform whose store may legitimately fill
     /// returns the error — block adoption then limps on with the unpersisted
-    /// overlay, and `execute_direct` reports it.
+    /// arena, and `execute_direct` reports it.
     fn seal(
         &self,
         state: &mut AccountState<Self::Store>,
@@ -343,7 +343,7 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// The process died. Amnesia: the pool and the trie's uncommitted
-    /// overlay and caches go now; an in-flight snapshot transfer and the
+    /// arena and caches go now; an in-flight snapshot transfer and the
     /// in-memory chain go when `Restart` rebuilds the node from its store.
     pub fn crash(&mut self) {
         self.clear_pool();

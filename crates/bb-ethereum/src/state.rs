@@ -123,8 +123,9 @@ impl<S: KvStore> AccountState<S> {
         AccountState { trie: PatriciaTrie::new(store) }
     }
 
-    /// Current state root (committed into block headers).
-    pub fn root(&self) -> bb_crypto::Hash256 {
+    /// Current state root (committed into block headers), hashing the trie
+    /// nodes this block created that it reaches.
+    pub fn root(&mut self) -> bb_crypto::Hash256 {
         self.trie.root()
     }
 
@@ -192,8 +193,8 @@ impl<S: KvStore> AccountState<S> {
         self.trie.store_mut()
     }
 
-    /// Drop everything volatile in the state trie — the uncommitted dirty
-    /// overlay and the node cache — keeping only what the backing
+    /// Drop everything volatile in the state trie — the uncommitted node
+    /// arena and the node cache — keeping only what the backing
     /// store holds. Crash-injection calls this; the root is left for the
     /// caller to rewind to a durable one.
     pub fn drop_volatile(&mut self) {
@@ -212,7 +213,7 @@ impl<S: KvStore> AccountState<S> {
         (self.trie.nodes_flushed(), self.trie.nodes_dropped())
     }
 
-    /// Seal a block: flush the trie's dirty-node overlay to storage as one
+    /// Seal a block: flush the trie's dirty-node arena to storage as one
     /// write batch, keeping exactly the nodes reachable from the current
     /// root (plus everything committed earlier) and dropping the garbage
     /// interior roots that per-transaction application created. Every root
@@ -272,7 +273,7 @@ trait TxBackend {
 }
 
 impl<S: KvStore> TxBackend for AccountState<S> {
-    type Mark = bb_crypto::Hash256;
+    type Mark = bb_merkle::patricia::Mark;
     fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         self.trie.get(key)
     }
@@ -283,10 +284,10 @@ impl<S: KvStore> TxBackend for AccountState<S> {
         self.trie.remove(key)
     }
     fn mark(&self) -> Self::Mark {
-        self.trie.root()
+        self.trie.mark()
     }
     fn rewind(&mut self, mark: &Self::Mark) {
-        self.trie.set_root(*mark);
+        self.trie.rewind(*mark);
     }
 }
 
@@ -618,7 +619,7 @@ struct RecordingState<'a, S: KvStore> {
 }
 
 impl<S: KvStore> TxBackend for RecordingState<'_, S> {
-    type Mark = bb_crypto::Hash256;
+    type Mark = bb_merkle::patricia::Mark;
     fn kv_get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         self.inner.trie.get(key)
     }
@@ -646,11 +647,11 @@ impl<S: KvStore> TxBackend for RecordingState<'_, S> {
         self.inner.trie.remove(key)
     }
     fn mark(&self) -> Self::Mark {
-        self.inner.trie.root()
+        self.inner.trie.mark()
     }
     fn rewind(&mut self, mark: &Self::Mark) {
         // Rewound keys stay recorded: conservative but deterministic.
-        self.inner.trie.set_root(*mark);
+        self.inner.trie.rewind(*mark);
     }
 }
 

@@ -1,41 +1,47 @@
 //! A persistent Merkle-Patricia trie over pluggable key-value storage —
 //! the state tree of the Ethereum-like and Parity-like platforms.
 //!
-//! Nodes are immutable and content-addressed: every update hashes fresh
-//! leaf/extension/branch nodes along the key's path (keyed by node hash)
-//! and returns a new root. Committed nodes are never garbage collected,
+//! Nodes are immutable: every update path-copies fresh leaf/extension/
+//! branch nodes along the key's path and leaves the old ones in place, so
+//! any earlier root still reads as it did. Committed nodes are
+//! content-addressed (keyed by node hash) and never garbage collected,
 //! exactly like geth v1.4 — this is the mechanism behind the
 //! order-of-magnitude disk-usage gap the paper measures in Figure 12(c).
 //!
 //! A node's **encoding is its only representation**. It is what gets
-//! hashed, what the store holds, and what the trie keeps in memory: one
-//! exact-size `Arc<[u8]>` per node, in the dirty-node overlay while it is
-//! uncommitted and in the node cache once it is committed or read from the
+//! hashed, what the store holds, and what the trie keeps in memory: bytes
+//! in the block's arena while the node is uncommitted, and one exact-size
+//! `Arc<[u8]>` in the node cache once it is committed or read from the
 //! store. Walks read it in place through `View`, a borrowed,
-//! bounds-checked parse; new nodes are written straight into a reused
-//! buffer by the `write_*` functions. There is no decoded form to build,
-//! clone or re-encode.
+//! bounds-checked parse; new nodes are written straight into the arena by
+//! the `write_*` functions. There is no decoded form to build, clone or
+//! re-encode.
 //!
-//! Writes are **block-scoped**: `insert`/`remove` park encoded nodes in an
-//! in-memory dirty-node overlay, and [`PatriciaTrie::commit`] at block-seal
-//! time flushes only the nodes reachable from the committed root as one
-//! [`WriteBatch`]. Intermediate per-transaction roots created and replaced
-//! within a block leave garbage nodes in the overlay that are dropped at
-//! commit, so they never touch the WAL. Root hashes are byte-identical to
-//! an eager-write trie: hashing is unchanged, only persistence is deferred.
+//! Writes are **block-scoped and hashed lazily**, as geth hashes its dirty
+//! trie nodes only when `Hash()`/`Commit()` asks. `insert`/`remove` append
+//! the nodes they create to a per-trie arena, unhashed: a child slot of an
+//! arena node may hold the arena index of another arena node instead of a
+//! hash. [`PatriciaTrie::root`] hashes the arena nodes reachable from the
+//! current root, bottom-up and once each, and [`PatriciaTrie::commit`] at
+//! block-seal time flushes exactly those nodes as one [`WriteBatch`] and
+//! empties the arena. Intermediate per-transaction roots created and
+//! replaced within a block are never hashed and never touch the WAL. Root
+//! hashes are byte-identical to hashing every node as it is created; with
+//! debug assertions on, every arena node carries that eager hash and
+//! `root` checks each hash it computes against it.
 //!
-//! Dirty and clean nodes live apart. Walks look in the overlay, then the
-//! cache, then the store; the cache holds committed nodes only, so a
-//! block's garbage dies at commit instead of waiting for the cache's
-//! wholesale clear. `cache_stats` counts walks over committed nodes: an
-//! overlay read is neither a hit nor a miss, a cache read is a hit, and
-//! only a store read is a miss.
+//! Dirty and clean nodes live apart. Walks follow arena indices through
+//! the arena, and hashes through the cache, then the store; the cache holds
+//! committed nodes only, so a block's garbage dies at commit instead of
+//! waiting for the cache's wholesale clear. `cache_stats` counts walks over
+//! committed nodes: an arena read is neither a hit nor a miss, a cache read
+//! is a hit, and only a store read is a miss.
 //!
 //! The root hash is a binding commitment to the full key→value map: any two
 //! insertion orders producing the same map produce the same root (verified
 //! by property test).
 
-use bb_crypto::{DigestMap, Hash256};
+use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_storage::{KvError, KvPairs, KvStore, WriteBatch};
 use std::sync::Arc;
 
@@ -48,33 +54,36 @@ const NODE_CACHE_CAP: usize = 1 << 17;
 /// Merkle-Patricia trie handle owning its backing store.
 ///
 /// `Clone` is a second trie over a second store, indistinguishable from the
-/// first by anything a walk or a counter can observe: root, overlay, cache
+/// first by anything a walk or a counter can observe: root, arena, cache
 /// (same entries in the same table layout, so the wholesale `clear()` falls
-/// on the same insert) and all five counters travel. Node encodings are
-/// immutable, so the two share them by reference count.
+/// on the same insert) and all five counters travel. Committed node
+/// encodings are immutable, so the two share them by reference count.
 #[derive(Clone)]
 pub struct PatriciaTrie<S: KvStore> {
     store: S,
-    root: Hash256,
-    /// Uncommitted nodes' encodings by hash. Every written node lands here
-    /// instead of the store; `commit` flushes the subset reachable from the
-    /// committed root and drops the rest. Because nodes are
-    /// content-addressed, every ancestor of an overlay node is itself in
-    /// the overlay, so reads that miss the overlay fall through to the
-    /// cache and the store, which hold only committed nodes.
-    overlay: DigestMap<Hash256, Arc<[u8]>>,
-    /// Nodes written (hashed) since construction — the write-amplification
-    /// numerator an eager-write trie would have paid to storage.
+    root: Ref,
+    /// The nodes created since the last commit, unhashed until `root` asks.
+    /// `commit` flushes the ones reachable from the committed root and
+    /// drops the rest. A committed node never references an arena node, so
+    /// a walk that reaches a hash stays among committed nodes.
+    arena: Arena,
+    /// The roots `root` has hashed since the last commit, by hash, so
+    /// `set_root` and `get_at` can return to an uncommitted root.
+    hashed_roots: DigestMap<Hash256, u32>,
+    /// Nodes created since construction — the write-amplification numerator
+    /// an eager-write trie would have paid to storage.
     nodes_written: u64,
-    /// Overlay nodes persisted by `commit` calls.
+    /// Distinct node hashes persisted by `commit` calls.
     nodes_flushed: u64,
-    /// Overlay nodes discarded by `commit` calls (garbage interior roots
-    /// from per-transaction application inside a block).
+    /// Nodes created and never persisted: the arena nodes `commit` left
+    /// behind (garbage interior roots from per-transaction application
+    /// inside a block, and repeats of a flushed hash) and those
+    /// `drop_volatile` discarded.
     nodes_dropped: u64,
     /// Committed nodes' encodings by hash: those the last commits flushed
     /// and those walks read from the store, each checked by [`View::parse`]
     /// before it got here (`Arc`, not `Rc`: a simulated world is `Send`).
-    /// Never an uncommitted node — those stay in the overlay until `commit`
+    /// Never an uncommitted node — those stay in the arena until `commit`
     /// flushes or drops them. Content-addressing makes entries immutable,
     /// so the cache can never go stale — it only skips store reads, never
     /// changes what a walk observes (determinism-safe: no simulated cost
@@ -82,10 +91,100 @@ pub struct PatriciaTrie<S: KvStore> {
     cache: DigestMap<Hash256, Arc<[u8]>>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Scratch buffer every new node is encoded into before it is hashed.
-    encode_buf: Vec<u8>,
+    /// Copies of the nodes an update walk is rewriting, one per level,
+    /// reused across walks.
+    node_bufs: Vec<Vec<u8>>,
+    /// Scratch buffer an arena node's encoding is completed in before it is
+    /// hashed or flushed.
+    fill_buf: Vec<u8>,
     /// Scratch buffer reused across key→nibble conversions.
     nibble_buf: Vec<u8>,
+}
+
+/// Where a walk goes next: a hashed node, looked up in the cache and then
+/// the store, or an arena node, by index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ref {
+    Hash(Hash256),
+    Node(u32),
+}
+
+impl Ref {
+    /// No node at all: the empty trie, an empty branch slot.
+    const EMPTY: Ref = Ref::Hash(Hash256::ZERO);
+
+    fn is_empty(self) -> bool {
+        self == Ref::EMPTY
+    }
+
+    fn is_node(self) -> bool {
+        matches!(self, Ref::Node(_))
+    }
+
+    /// The 32 bytes this reference occupies in a child slot: the hash, or
+    /// the arena index padded with `0xff` (never [`Hash256::ZERO`], the
+    /// empty slot) until the node is hashed.
+    fn slot(self) -> [u8; 32] {
+        match self {
+            Ref::Hash(hash) => hash.0,
+            Ref::Node(index) => {
+                let mut slot = [0xff; 32];
+                slot[..4].copy_from_slice(&index.to_be_bytes());
+                slot
+            }
+        }
+    }
+
+    /// The reference in the child slot starting at `bytes[at]`; `lazy`
+    /// says whether it holds an arena index.
+    fn in_slot(bytes: &[u8], at: usize, lazy: bool) -> Ref {
+        if lazy {
+            Ref::Node(index_at(bytes, at))
+        } else {
+            Ref::Hash(hash_at(bytes, at))
+        }
+    }
+}
+
+/// The arena index in the lazy child slot starting at `bytes[at]`.
+fn index_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4-byte index"))
+}
+
+/// A root to roll back to: [`PatriciaTrie::mark`] takes it without hashing
+/// anything, [`PatriciaTrie::rewind`] returns to it. It stays valid until
+/// the next successful commit or `drop_volatile`, which empty the arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mark(Ref);
+
+/// The nodes created since the last commit: their encodings back to back
+/// in one buffer, and where each one lies.
+#[derive(Clone, Default)]
+struct Arena {
+    bytes: Vec<u8>,
+    nodes: Vec<ArenaNode>,
+}
+
+#[derive(Clone, Copy)]
+struct ArenaNode {
+    start: usize,
+    len: u32,
+    /// Bit `i` set: child slot `i` of a branch (bit 0: an extension's
+    /// child) holds an arena index, not a hash.
+    lazy: u16,
+    /// Set once `root` has hashed the node.
+    hash: Option<Hash256>,
+    /// The hash the node had when it was created, with each arena child's
+    /// own eager hash in its slot: what `root` must compute.
+    #[cfg(debug_assertions)]
+    eager: Hash256,
+}
+
+impl Arena {
+    fn node(&self, index: u32) -> (&[u8], ArenaNode) {
+        let node = self.nodes[index as usize];
+        (&self.bytes[node.start..node.start + node.len as usize], node)
+    }
 }
 
 const TAG_LEAF: u8 = 0;
@@ -98,7 +197,7 @@ enum View<'a> {
     /// Terminal node holding a value at the end of `path` nibbles.
     Leaf { path: &'a [u8], value: &'a [u8] },
     /// Path compression: `path` nibbles leading to a single child.
-    Ext { path: &'a [u8], child: Hash256 },
+    Ext { path: &'a [u8], child: Ref },
     /// 16-way fan-out with an optional value terminating exactly here.
     Branch(Branch<'a>),
 }
@@ -107,23 +206,26 @@ enum View<'a> {
 struct Branch<'a> {
     /// Bit `i` set: slot `i` has a child.
     bitmap: u16,
-    /// The present slots' hashes only, packed in slot order:
+    /// Bit `i` set: slot `i`'s child is an arena node.
+    lazy: u16,
+    /// The present slots' references only, packed in slot order:
     /// `32 * bitmap.count_ones()` bytes.
     children: &'a [u8],
     value: Option<&'a [u8]>,
 }
 
 impl Branch<'_> {
-    /// The child in slot `i` ([`Hash256::ZERO`] when there is none).
-    fn child(&self, i: usize) -> Hash256 {
+    /// The child in slot `i` ([`Ref::EMPTY`] when there is none).
+    fn child(&self, i: usize) -> Ref {
         if self.bitmap >> i & 1 == 0 {
-            return Hash256::ZERO;
+            return Ref::EMPTY;
         }
-        hash_at(self.children, packed_offset(self.bitmap, i))
+        Ref::in_slot(self.children, packed_offset(self.bitmap, i), self.lazy >> i & 1 != 0)
     }
 }
 
-/// Where slot `i`'s hash sits (or would be inserted) in a packed child table.
+/// Where slot `i`'s reference sits (or would be inserted) in a packed
+/// child table.
 fn packed_offset(bitmap: u16, i: usize) -> usize {
     32 * (bitmap & ((1 << i) - 1)).count_ones() as usize
 }
@@ -160,11 +262,15 @@ impl<'a> View<'a> {
     /// Check `bytes` once — every length prefix, and a branch's whole child
     /// table against its bitmap before any slot is read — so a damaged
     /// stored node is a [`KvError::Corrupt`], never an out-of-bounds index.
-    fn parse(bytes: &'a [u8]) -> Result<View<'a>, KvError> {
+    /// `lazy` is the node's arena-child bits (0 for a committed node).
+    fn parse(bytes: &'a [u8], lazy: u16) -> Result<View<'a>, KvError> {
         let mut r = Reader(bytes);
         match r.take(1)?[0] {
             TAG_LEAF => Ok(View::Leaf { path: r.prefixed()?, value: r.prefixed()? }),
-            TAG_EXT => Ok(View::Ext { path: r.prefixed()?, child: hash_at(r.take(32)?, 0) }),
+            TAG_EXT => {
+                let path = r.prefixed()?;
+                Ok(View::Ext { path, child: Ref::in_slot(r.take(32)?, 0, lazy != 0) })
+            }
             TAG_BRANCH => {
                 let bitmap = u16::from_be_bytes(r.take(2)?.try_into().expect("took 2"));
                 let children = r.take(32 * bitmap.count_ones() as usize)?;
@@ -173,11 +279,55 @@ impl<'a> View<'a> {
                     1 => Some(r.prefixed()?),
                     _ => return Err(Reader::corrupt()),
                 };
-                Ok(View::Branch(Branch { bitmap, children, value }))
+                Ok(View::Branch(Branch { bitmap, lazy, children, value }))
             }
             _ => Err(Reader::corrupt()),
         }
     }
+}
+
+/// The byte offsets of an arena node's lazy child slots.
+fn lazy_slots(bytes: &[u8], lazy: u16) -> impl Iterator<Item = usize> {
+    let (base, bitmap) = match bytes[0] {
+        TAG_EXT => {
+            let path_len = u32::from_be_bytes(bytes[1..5].try_into().expect("4")) as usize;
+            (5 + path_len, 0)
+        }
+        _ => (3, u16::from_be_bytes(bytes[1..3].try_into().expect("2"))),
+    };
+    (0..16)
+        .filter(move |i| lazy >> i & 1 != 0)
+        .map(move |i| base + packed_offset(bitmap, i))
+}
+
+/// An arena node's final encoding: its bytes with every lazy slot holding
+/// `hash_of` its arena index, completed in `buf` (the bytes themselves
+/// when nothing is lazy).
+fn filled<'a>(
+    bytes: &'a [u8],
+    lazy: u16,
+    buf: &'a mut Vec<u8>,
+    hash_of: impl Fn(u32) -> Hash256,
+) -> &'a [u8] {
+    if lazy == 0 {
+        return bytes;
+    }
+    buf.clear();
+    buf.extend_from_slice(bytes);
+    for at in lazy_slots(bytes, lazy) {
+        buf[at..at + 32].copy_from_slice(&hash_of(index_at(bytes, at)).0);
+    }
+    buf
+}
+
+/// The one place a node is hashed: its [`filled`] encoding, digested.
+fn hash_filled(
+    bytes: &[u8],
+    lazy: u16,
+    buf: &mut Vec<u8>,
+    hash_of: impl Fn(u32) -> Hash256,
+) -> Hash256 {
+    Hash256::digest(filled(bytes, lazy, buf, hash_of))
 }
 
 fn write_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -185,41 +335,47 @@ fn write_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn write_leaf(out: &mut Vec<u8>, path: &[u8], value: &[u8]) {
+/// Each `write_*` function appends one node's encoding and returns its
+/// lazy-child bits.
+fn write_leaf(out: &mut Vec<u8>, path: &[u8], value: &[u8]) -> u16 {
     out.push(TAG_LEAF);
     write_prefixed(out, path);
     write_prefixed(out, value);
+    0
 }
 
-fn write_ext(out: &mut Vec<u8>, path: &[u8], child: &Hash256) {
+fn write_ext(out: &mut Vec<u8>, path: &[u8], child: Ref) -> u16 {
     out.push(TAG_EXT);
     write_prefixed(out, path);
-    out.extend_from_slice(&child.0);
+    out.extend_from_slice(&child.slot());
+    u16::from(child.is_node())
 }
 
-/// Write branch `b`, after setting slot `i` to `hash` if `set` is
-/// `Some((i, hash))`: the packed table is copied with that one 32-byte slot
-/// replaced, inserted, or — for [`Hash256::ZERO`] — left out.
-fn write_branch(out: &mut Vec<u8>, b: Branch<'_>, set: Option<(usize, Hash256)>) {
+/// Write branch `b`, after setting slot `i` to `child` if `set` is
+/// `Some((i, child))`: the packed table is copied with that one 32-byte
+/// slot replaced, inserted, or — for [`Ref::EMPTY`] — left out.
+fn write_branch(out: &mut Vec<u8>, b: Branch<'_>, set: Option<(usize, Ref)>) -> u16 {
     out.push(TAG_BRANCH);
-    match set {
+    let lazy = match set {
         None => {
             out.extend_from_slice(&b.bitmap.to_be_bytes());
             out.extend_from_slice(b.children);
+            b.lazy
         }
-        Some((i, hash)) => {
+        Some((i, child)) => {
             let bit = 1u16 << i;
             let at = packed_offset(b.bitmap, i);
             let after = if b.bitmap & bit == 0 { at } else { at + 32 };
-            let bitmap = if hash.is_zero() { b.bitmap & !bit } else { b.bitmap | bit };
+            let bitmap = if child.is_empty() { b.bitmap & !bit } else { b.bitmap | bit };
             out.extend_from_slice(&bitmap.to_be_bytes());
             out.extend_from_slice(&b.children[..at]);
-            if !hash.is_zero() {
-                out.extend_from_slice(&hash.0);
+            if !child.is_empty() {
+                out.extend_from_slice(&child.slot());
             }
             out.extend_from_slice(&b.children[after..]);
+            (b.lazy & !bit) | (u16::from(child.is_node()) << i)
         }
-    }
+    };
     match b.value {
         Some(v) => {
             out.push(1);
@@ -227,14 +383,21 @@ fn write_branch(out: &mut Vec<u8>, b: Branch<'_>, set: Option<(usize, Hash256)>)
         }
         None => out.push(0),
     }
+    lazy
 }
 
-/// A node's encoding as an owned buffer (the rare `remove` paths, whose
-/// replacement nodes travel up the recursion before they are stored).
-fn encoded(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::new();
-    write(&mut out);
-    out
+/// A node's encoding and lazy bits as an owned buffer (the rare `remove`
+/// paths, whose replacement nodes travel up the recursion before they are
+/// stored).
+struct Encoded {
+    bytes: Vec<u8>,
+    lazy: u16,
+}
+
+fn encoded(write: impl FnOnce(&mut Vec<u8>) -> u16) -> Encoded {
+    let mut bytes = Vec::new();
+    let lazy = write(&mut bytes);
+    Encoded { bytes, lazy }
 }
 
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
@@ -245,7 +408,7 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// off it: a child in a slot, or — when the old key ends at the fork — the
 /// branch's own value.
 enum OldSide<'a> {
-    Child(u8, Hash256),
+    Child(u8, Ref),
     Value(&'a [u8]),
 }
 
@@ -254,28 +417,83 @@ impl<S: KvStore> PatriciaTrie<S> {
     pub fn new(store: S) -> Self {
         PatriciaTrie {
             store,
-            root: Hash256::ZERO,
-            overlay: DigestMap::default(),
+            root: Ref::EMPTY,
+            arena: Arena::default(),
+            hashed_roots: DigestMap::default(),
             nodes_written: 0,
             nodes_flushed: 0,
             nodes_dropped: 0,
             cache: DigestMap::default(),
             cache_hits: 0,
             cache_misses: 0,
-            encode_buf: Vec::new(),
+            node_bufs: Vec::new(),
+            fill_buf: Vec::new(),
             nibble_buf: Vec::new(),
         }
     }
 
-    /// Current root commitment ([`Hash256::ZERO`] when empty).
-    pub fn root(&self) -> Hash256 {
-        self.root
+    /// Current root commitment ([`Hash256::ZERO`] when empty), hashing the
+    /// arena nodes it reaches that no earlier call hashed.
+    pub fn root(&mut self) -> Hash256 {
+        match self.root {
+            Ref::Hash(hash) => hash,
+            Ref::Node(index) => {
+                let hash = self.hash_node(index);
+                self.hashed_roots.insert(hash, index);
+                hash
+            }
+        }
+    }
+
+    /// Hash arena node `index`, its unhashed arena children first (every
+    /// child was created before its parent, so the recursion ends).
+    fn hash_node(&mut self, index: u32) -> Hash256 {
+        let (bytes, node) = self.arena.node(index);
+        if let Some(hash) = node.hash {
+            return hash;
+        }
+        let mut children = [0u32; 16];
+        let mut count = 0;
+        for at in lazy_slots(bytes, node.lazy) {
+            children[count] = index_at(bytes, at);
+            count += 1;
+        }
+        for &child in &children[..count] {
+            self.hash_node(child);
+        }
+        let (bytes, _) = self.arena.node(index);
+        let nodes = &self.arena.nodes;
+        let hash = hash_filled(bytes, node.lazy, &mut self.fill_buf, |child| {
+            nodes[child as usize].hash.expect("children are hashed first")
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(hash, node.eager, "lazy hash of arena node {index} differs from its eager hash");
+        self.arena.nodes[index as usize].hash = Some(hash);
+        hash
     }
 
     /// Rewind/forward the trie to a historical root (every version's nodes
-    /// stay in the store — the basis of `getBalance(account, block)`).
+    /// stay in the store — the basis of `getBalance(account, block)`), or to
+    /// an uncommitted root an earlier [`Self::root`] call returned.
     pub fn set_root(&mut self, root: Hash256) {
-        self.root = root;
+        self.root = self.resolve(root);
+    }
+
+    fn resolve(&self, root: Hash256) -> Ref {
+        match self.hashed_roots.get(&root) {
+            Some(&index) => Ref::Node(index),
+            None => Ref::Hash(root),
+        }
+    }
+
+    /// The current root as a rollback point, without hashing anything.
+    pub fn mark(&self) -> Mark {
+        Mark(self.root)
+    }
+
+    /// Return to a root [`Self::mark`] took since the last commit.
+    pub fn rewind(&mut self, mark: Mark) {
+        self.root = mark.0;
     }
 
     /// Borrow the backing store (stats inspection).
@@ -288,62 +506,90 @@ impl<S: KvStore> PatriciaTrie<S> {
         &mut self.store
     }
 
-    /// Trie nodes written (hashed) since construction.
+    /// Trie nodes created since construction.
     pub fn nodes_written(&self) -> u64 {
         self.nodes_written
     }
 
-    /// Overlay nodes persisted across all `commit` calls.
+    /// Distinct node hashes persisted across all `commit` calls.
     pub fn nodes_flushed(&self) -> u64 {
         self.nodes_flushed
     }
 
-    /// Overlay nodes discarded across all `commit` calls (garbage interior
-    /// roots that never reached storage).
+    /// Nodes created and never persisted (garbage interior roots that never
+    /// reached storage).
     pub fn nodes_dropped(&self) -> u64 {
         self.nodes_dropped
     }
 
-    /// Uncommitted nodes currently parked in the overlay.
+    /// Uncommitted nodes currently in the arena.
     pub fn pending_nodes(&self) -> usize {
-        self.overlay.len()
+        self.arena.nodes.len()
     }
 
     /// Node cache `(hits, misses)` since construction: walks over committed
-    /// nodes served by the cache and by the store. Reads of the overlay's
+    /// nodes served by the cache and by the store. Reads of the arena's
     /// uncommitted nodes count as neither.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
 
     /// Drop everything that would not survive a power cut: the uncommitted
-    /// dirty-node overlay and the node cache. The crash-fault path calls
-    /// this so a "crashed" node keeps only what its store persisted; the
-    /// root is NOT touched — callers rewind it to a durable root themselves
-    /// (the current one may reference overlay-only nodes).
+    /// arena and the node cache. The crash-fault path calls this so a
+    /// "crashed" node keeps only what its store persisted; the root hash is
+    /// NOT touched — callers rewind it to a durable root themselves (the
+    /// current one may name nodes that were only in the arena).
     pub fn drop_volatile(&mut self) {
-        self.nodes_dropped += self.overlay.len() as u64;
-        self.overlay.clear();
+        let root = self.root();
+        self.root = Ref::Hash(root);
+        self.nodes_dropped += self.arena.nodes.len() as u64;
+        self.arena = Arena::default();
+        self.hashed_roots.clear();
         self.cache.clear();
     }
 
-    /// The node `hash` for an update walk, which goes on to write while it
-    /// reads: overlay, then cache, then store, and a node found in memory
-    /// costs a reference count, not a copy.
-    fn load(&mut self, hash: &Hash256) -> Result<Arc<[u8]>, KvError> {
-        if let Some(bytes) = self.overlay.get(hash) {
-            return Ok(bytes.clone());
+    /// Copy node `at` into `buf` for an update walk, which goes on to write
+    /// while it reads, and return its lazy bits: from the arena, or the
+    /// cache, then the store.
+    fn load_into(&mut self, at: Ref, buf: &mut Vec<u8>) -> Result<u16, KvError> {
+        match at {
+            Ref::Node(index) => {
+                let (bytes, node) = self.arena.node(index);
+                buf.extend_from_slice(bytes);
+                Ok(node.lazy)
+            }
+            Ref::Hash(hash) => {
+                if let Some(bytes) = self.cache.get(&hash) {
+                    self.cache_hits += 1;
+                    buf.extend_from_slice(bytes);
+                } else {
+                    buf.extend_from_slice(&self.load_uncached(&hash, true)?);
+                }
+                Ok(0)
+            }
         }
-        if let Some(bytes) = self.cache.get(hash) {
-            self.cache_hits += 1;
-            return Ok(bytes.clone());
-        }
-        self.load_uncached(hash, true)
+    }
+
+    /// Run `f` on node `at`, read through a buffer of [`Self::node_bufs`]
+    /// so that `f` may write to the trie while it reads the node.
+    fn with_node<T>(
+        &mut self,
+        at: Ref,
+        f: impl FnOnce(&mut Self, &[u8], u16) -> Result<T, KvError>,
+    ) -> Result<T, KvError> {
+        let mut buf = self.node_bufs.pop().unwrap_or_default();
+        buf.clear();
+        let out = match self.load_into(at, &mut buf) {
+            Ok(lazy) => f(self, &buf, lazy),
+            Err(e) => Err(e),
+        };
+        self.node_bufs.push(buf);
+        out
     }
 
     /// The committed node `hash`, read from the store and checked, after
-    /// both the overlay and the cache missed. `counted` walks record the
-    /// miss and leave the node in the cache; frozen ones leave no trace.
+    /// the cache missed. `counted` walks record the miss and leave the node
+    /// in the cache; frozen ones leave no trace.
     fn load_uncached(&mut self, hash: &Hash256, counted: bool) -> Result<Arc<[u8]>, KvError> {
         if counted {
             self.cache_misses += 1;
@@ -353,7 +599,7 @@ impl<S: KvStore> PatriciaTrie<S> {
             .get(&hash.0)?
             .ok_or_else(|| KvError::Corrupt(format!("missing trie node {hash:?}")))?
             .into();
-        View::parse(&bytes)?;
+        View::parse(&bytes, 0)?;
         if counted {
             self.cache_insert(*hash, bytes.clone());
         }
@@ -367,34 +613,60 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.cache.insert(hash, bytes);
     }
 
-    /// Hash and park a new node in the overlay: one allocation. It reaches
-    /// the cache only if `commit` flushes it.
-    fn put_bytes(&mut self, encoding: &[u8]) -> Hash256 {
-        let hash = Hash256::digest(encoding);
-        self.overlay.insert(hash, encoding.into());
+    /// Append the node `write` encodes to the arena: no hash, no allocation
+    /// of its own. It reaches the store and the cache only if `commit`
+    /// flushes it.
+    fn put(&mut self, write: impl FnOnce(&mut Vec<u8>) -> u16) -> Ref {
+        let start = self.arena.bytes.len();
+        let lazy = write(&mut self.arena.bytes);
+        let index = u32::try_from(self.arena.nodes.len()).expect("fewer than 2^32 nodes per block");
+        let len = u32::try_from(self.arena.bytes.len() - start).expect("a node under 4 GiB");
+        #[cfg(debug_assertions)]
+        let eager = {
+            let nodes = &self.arena.nodes;
+            hash_filled(&self.arena.bytes[start..], lazy, &mut self.fill_buf, |child| {
+                nodes[child as usize].eager
+            })
+        };
+        self.arena.nodes.push(ArenaNode {
+            start,
+            len,
+            lazy,
+            hash: None,
+            #[cfg(debug_assertions)]
+            eager,
+        });
         self.nodes_written += 1;
-        hash
+        Ref::Node(index)
     }
 
-    /// [`Self::put_bytes`] of what `write` encodes into the scratch buffer.
-    fn put(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Hash256 {
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        buf.clear();
-        write(&mut buf);
-        let hash = self.put_bytes(&buf);
-        self.encode_buf = buf;
-        hash
+    /// Hashed arena node `index`'s encoding as the store holds it: every
+    /// lazy slot filled with its child's hash.
+    fn final_bytes(&mut self, index: u32) -> &[u8] {
+        let (bytes, node) = self.arena.node(index);
+        let nodes = &self.arena.nodes;
+        filled(bytes, node.lazy, &mut self.fill_buf, |child| {
+            nodes[child as usize].hash.expect("children are hashed first")
+        })
     }
 
-    /// Flush the overlay at a block boundary: persist exactly the nodes
-    /// reachable from the current root as one atomic [`WriteBatch`], drop
-    /// the rest (garbage interior roots from per-tx application). Reachable
-    /// traversal only ever descends into overlay nodes — a node already in
-    /// the store can't reference an uncommitted one, because a node's hash
-    /// covers its children, so new parents are always new nodes.
+    /// [`Self::put`] of a copy of an encoding and its lazy bits.
+    fn put_copy(&mut self, bytes: &[u8], lazy: u16) -> Ref {
+        self.put(|out| {
+            out.extend_from_slice(bytes);
+            lazy
+        })
+    }
+
+    /// Flush the arena at a block boundary: hash and persist exactly the
+    /// nodes reachable from the current root as one atomic [`WriteBatch`],
+    /// drop the rest (garbage interior roots from per-tx application).
+    /// Reachable traversal only ever follows arena indices — a committed
+    /// node can't reference an uncommitted one, because a node's hash
+    /// covers its children. Two arena nodes with one hash are flushed once.
     ///
     /// The flushed nodes then enter the cache in flush order. On error (a
-    /// capped in-memory store running out of space) the overlay is left
+    /// capped in-memory store running out of space) the arena is left
     /// intact and nothing enters the cache, so the in-memory trie stays
     /// fully readable and a later commit retries the flush.
     pub fn commit(&mut self) -> Result<(), KvError> {
@@ -409,29 +681,34 @@ impl<S: KvStore> PatriciaTrie<S> {
         &mut self,
         extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Result<(), KvError> {
-        if self.overlay.is_empty() && extras.is_empty() {
+        if self.arena.nodes.is_empty() && extras.is_empty() {
             return Ok(());
         }
-        // Deterministic DFS from the committed root; removal from the
-        // overlay doubles as the visited set.
-        let mut staged: Vec<(Hash256, Arc<[u8]>)> = Vec::new();
+        let root = self.root();
+        // Deterministic DFS from the committed root, children in slot order;
+        // the batch gets each distinct hash once.
+        let mut flushed: Vec<(Hash256, u32)> = Vec::new();
+        let mut seen = DigestSet::default();
+        let mut batch = WriteBatch::new();
         let mut stack = vec![self.root];
-        while let Some(h) = stack.pop() {
-            let Some(bytes) = self.overlay.remove(&h) else {
-                continue; // already committed, or already staged
+        while let Some(at) = stack.pop() {
+            let Ref::Node(index) = at else {
+                continue; // already committed
             };
-            match View::parse(&bytes)? {
+            let (bytes, node) = self.arena.node(index);
+            let hash = node.hash.expect("root() hashed every reachable node");
+            if !seen.insert(hash) {
+                continue; // a repeat of a flushed node
+            }
+            match View::parse(bytes, node.lazy)? {
                 View::Leaf { .. } => {}
                 View::Ext { child, .. } => stack.push(child),
                 View::Branch(b) => {
-                    stack.extend(b.children.chunks_exact(32).rev().map(|c| hash_at(c, 0)));
+                    stack.extend((0..16).rev().filter(|i| b.lazy >> i & 1 != 0).map(|i| b.child(i)));
                 }
             }
-            staged.push((h, bytes));
-        }
-        let mut batch = WriteBatch::new();
-        for (h, bytes) in &staged {
-            batch.put(&h.0, bytes);
+            batch.put(&hash.0, self.final_bytes(index));
+            flushed.push((hash, index));
         }
         for (k, v) in &extras {
             match v {
@@ -439,26 +716,28 @@ impl<S: KvStore> PatriciaTrie<S> {
                 None => batch.delete(k),
             }
         }
-        if let Err(e) = self.store.apply_batch(batch) {
-            // Restore the overlay so nothing becomes unreadable; a partial
-            // batch in the store is harmless (content-addressed rewrites).
-            self.overlay.extend(staged);
-            return Err(e);
-        }
-        self.nodes_flushed += staged.len() as u64;
-        self.nodes_dropped += self.overlay.len() as u64;
-        self.overlay.clear();
+        // On error the arena stays as it is, so nothing becomes unreadable;
+        // a partial batch in the store is harmless (content-addressed
+        // rewrites).
+        self.store.apply_batch(batch)?;
+        self.nodes_flushed += flushed.len() as u64;
+        self.nodes_dropped += (self.arena.nodes.len() - flushed.len()) as u64;
         // The flushed nodes are now committed: the next block's walks start
-        // on the path this one just sealed.
-        for (h, bytes) in staged {
-            self.cache_insert(h, bytes);
+        // on the path this one just sealed. They enter the cache after the
+        // batch is gone, so a block's nodes are never in memory three times.
+        for (hash, index) in flushed {
+            let bytes: Arc<[u8]> = self.final_bytes(index).into();
+            self.cache_insert(hash, bytes);
         }
+        self.arena = Arena::default();
+        self.hashed_roots.clear();
+        self.root = Ref::Hash(root);
         Ok(())
     }
 
     /// Fetch the value stored under `key` at the current root.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        self.get_at(self.root, key)
+        self.read(self.root, key, true)
     }
 
     /// Convert `key` to nibbles in the trie's reusable scratch buffer. The
@@ -484,18 +763,19 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// pre-state through this so the speculation phase, which is modeled
     /// rather than billed, leaves no trace in a block's counters. Its only
     /// caller is `AccountState::execute_block`, which no platform runs; it
-    /// goes with that executor (ROADMAP item 14).
+    /// goes with that executor (ROADMAP item 9).
     pub fn get_frozen(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         self.read(self.root, key, false)
     }
 
-    /// Fetch the value stored under `key` at a historical `root`.
+    /// Fetch the value stored under `key` at a historical `root`, or at an
+    /// uncommitted one an earlier [`Self::root`] call returned.
     pub fn get_at(&mut self, root: Hash256, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        self.read(root, key, true)
+        self.read(self.resolve(root), key, true)
     }
 
-    fn read(&mut self, root: Hash256, key: &[u8], counted: bool) -> Result<Option<Vec<u8>>, KvError> {
-        if root.is_zero() {
+    fn read(&mut self, root: Ref, key: &[u8], counted: bool) -> Result<Option<Vec<u8>>, KvError> {
+        if root.is_empty() {
             return Ok(None);
         }
         let nibbles = self.take_nibbles(key);
@@ -506,12 +786,12 @@ impl<S: KvStore> PatriciaTrie<S> {
 
     /// The one read walk — the hottest loop in the Ethereum/Parity
     /// platforms. It narrows a slice over one nibble buffer instead of
-    /// reallocating the remaining path at every step, and on an overlay or
+    /// reallocating the remaining path at every step, and on an arena or
     /// cache hit reads the node where it lies: nothing is copied or
     /// reference-counted but the value it returns.
     fn read_walk(
         &mut self,
-        root: Hash256,
+        root: Ref,
         nibbles: &[u8],
         counted: bool,
     ) -> Result<Option<Vec<u8>>, KvError> {
@@ -519,20 +799,23 @@ impl<S: KvStore> PatriciaTrie<S> {
         let mut at = root;
         loop {
             let fetched;
-            let bytes: &[u8] = match self.overlay.get(&at) {
-                Some(bytes) => bytes,
-                None => match self.cache.get(&at) {
+            let (bytes, lazy): (&[u8], u16) = match at {
+                Ref::Node(index) => {
+                    let (bytes, node) = self.arena.node(index);
+                    (bytes, node.lazy)
+                }
+                Ref::Hash(hash) => match self.cache.get(&hash) {
                     Some(bytes) => {
                         self.cache_hits += counted as u64;
-                        bytes
+                        (bytes, 0)
                     }
                     None => {
-                        fetched = self.load_uncached(&at, counted)?;
-                        &fetched
+                        fetched = self.load_uncached(&hash, counted)?;
+                        (&fetched, 0)
                     }
                 },
             };
-            match View::parse(bytes)? {
+            match View::parse(bytes, lazy)? {
                 View::Leaf { path: p, value } => {
                     return Ok((p == path).then(|| value.to_vec()));
                 }
@@ -548,7 +831,7 @@ impl<S: KvStore> PatriciaTrie<S> {
                         return Ok(b.value.map(<[u8]>::to_vec));
                     };
                     let next = b.child(nibble as usize);
-                    if next.is_zero() {
+                    if next.is_empty() {
                         return Ok(None);
                     }
                     path = rest;
@@ -567,52 +850,56 @@ impl<S: KvStore> PatriciaTrie<S> {
         Ok(())
     }
 
-    fn insert_at(&mut self, at: Hash256, path: &[u8], value: &[u8]) -> Result<Hash256, KvError> {
-        if at.is_zero() {
+    fn insert_at(&mut self, at: Ref, path: &[u8], value: &[u8]) -> Result<Ref, KvError> {
+        if at.is_empty() {
             return Ok(self.put(|out| write_leaf(out, path, value)));
         }
-        let node = self.load(&at)?;
-        Ok(match View::parse(&node)? {
-            View::Leaf { path: p, value: old } => {
-                if p == path {
-                    return Ok(self.put(|out| write_leaf(out, path, value)));
-                }
-                let cp = common_prefix_len(p, path);
-                let old_side = match p[cp..].split_first() {
-                    None => OldSide::Value(old),
-                    Some((&slot, rest)) => {
-                        OldSide::Child(slot, self.put(|out| write_leaf(out, rest, old)))
+        self.with_node(at, |this, node, lazy| {
+            Ok(match View::parse(node, lazy)? {
+                View::Leaf { path: p, value: old } => {
+                    if p == path {
+                        return Ok(this.put(|out| write_leaf(out, path, value)));
                     }
-                };
-                self.put_fork(&path[..cp], old_side, &path[cp..], value)
-            }
-            View::Ext { path: p, child } => {
-                let cp = common_prefix_len(p, path);
-                match p[cp..].split_first() {
+                    let cp = common_prefix_len(p, path);
+                    let old_side = match p[cp..].split_first() {
+                        None => OldSide::Value(old),
+                        Some((&slot, rest)) => {
+                            OldSide::Child(slot, this.put(|out| write_leaf(out, rest, old)))
+                        }
+                    };
+                    this.put_fork(&path[..cp], old_side, &path[cp..], value)
+                }
+                View::Ext { path: p, child } => {
+                    let cp = common_prefix_len(p, path);
+                    match p[cp..].split_first() {
+                        None => {
+                            let new_child = this.insert_at(child, &path[cp..], value)?;
+                            this.put(|out| write_ext(out, p, new_child))
+                        }
+                        // Split the extension at the divergence point; what
+                        // is left of its path stays above the old child.
+                        Some((&slot, rest)) => {
+                            let below = if rest.is_empty() {
+                                child
+                            } else {
+                                this.put(|out| write_ext(out, rest, child))
+                            };
+                            let old = OldSide::Child(slot, below);
+                            this.put_fork(&path[..cp], old, &path[cp..], value)
+                        }
+                    }
+                }
+                View::Branch(b) => match path.split_first() {
                     None => {
-                        let new_child = self.insert_at(child, &path[cp..], value)?;
-                        self.put(|out| write_ext(out, p, &new_child))
+                        this.put(|out| write_branch(out, Branch { value: Some(value), ..b }, None))
                     }
-                    // Split the extension at the divergence point; what is
-                    // left of its path stays above the old child.
                     Some((&slot, rest)) => {
-                        let below = if rest.is_empty() {
-                            child
-                        } else {
-                            self.put(|out| write_ext(out, rest, &child))
-                        };
-                        self.put_fork(&path[..cp], OldSide::Child(slot, below), &path[cp..], value)
+                        let slot = slot as usize;
+                        let new_child = this.insert_at(b.child(slot), rest, value)?;
+                        this.put(|out| write_branch(out, b, Some((slot, new_child))))
                     }
-                }
-            }
-            View::Branch(b) => match path.split_first() {
-                None => self.put(|out| write_branch(out, Branch { value: Some(value), ..b }, None)),
-                Some((&slot, rest)) => {
-                    let slot = slot as usize;
-                    let new_child = self.insert_at(b.child(slot), rest, value)?;
-                    self.put(|out| write_branch(out, b, Some((slot, new_child))))
-                }
-            },
+                },
+            })
         })
     }
 
@@ -620,22 +907,21 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// side before new side — from the new key's remainder `new_rest`
     /// (empty: the value lands on the branch itself), under an extension
     /// for their common `prefix` if they have one. Returns the top node.
-    fn put_fork(
-        &mut self,
-        prefix: &[u8],
-        old: OldSide<'_>,
-        new_rest: &[u8],
-        value: &[u8],
-    ) -> Hash256 {
-        let old = match &old {
-            OldSide::Child(slot, hash) => Branch { bitmap: 1 << slot, children: &hash.0, value: None },
-            OldSide::Value(v) => Branch { bitmap: 0, children: &[], value: Some(v) },
+    fn put_fork(&mut self, prefix: &[u8], old: OldSide<'_>, new_rest: &[u8], value: &[u8]) -> Ref {
+        let slot_bytes;
+        let old = match old {
+            OldSide::Child(slot, child) => {
+                slot_bytes = child.slot();
+                let lazy = u16::from(child.is_node()) << slot;
+                Branch { bitmap: 1 << slot, lazy, children: &slot_bytes, value: None }
+            }
+            OldSide::Value(v) => Branch { bitmap: 0, lazy: 0, children: &[], value: Some(v) },
         };
         debug_assert!(old.value.is_none() || !new_rest.is_empty(), "two keys, one path");
         let branch = match new_rest.split_first() {
             None => self.put(|out| write_branch(out, Branch { value: Some(value), ..old }, None)),
             Some((&slot, rest)) => {
-                debug_assert!(old.child(slot as usize).is_zero(), "fork sides share a slot");
+                debug_assert!(old.child(slot as usize).is_empty(), "fork sides share a slot");
                 let leaf = self.put(|out| write_leaf(out, rest, value));
                 self.put(|out| write_branch(out, old, Some((slot as usize, leaf))))
             }
@@ -643,7 +929,7 @@ impl<S: KvStore> PatriciaTrie<S> {
         if prefix.is_empty() {
             branch
         } else {
-            self.put(|out| write_ext(out, prefix, &branch))
+            self.put(|out| write_ext(out, prefix, branch))
         }
     }
 
@@ -651,7 +937,7 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// key leaves the root unchanged.
     pub fn remove(&mut self, key: &[u8]) -> Result<(), KvError> {
         let root = self.root;
-        if root.is_zero() {
+        if root.is_empty() {
             return Ok(());
         }
         let path = self.take_nibbles(key);
@@ -659,15 +945,14 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.restore_nibbles(path);
         match result? {
             RemoveResult::Unchanged => {}
-            RemoveResult::Gone => self.root = Hash256::ZERO,
-            RemoveResult::Replaced(node) => self.root = self.put_bytes(&node),
+            RemoveResult::Gone => self.root = Ref::EMPTY,
+            RemoveResult::Replaced(node) => self.root = self.put_copy(&node.bytes, node.lazy),
         }
         Ok(())
     }
 
-    fn remove_at(&mut self, at: Hash256, path: &[u8]) -> Result<RemoveResult, KvError> {
-        let node = self.load(&at)?;
-        match View::parse(&node)? {
+    fn remove_at(&mut self, at: Ref, path: &[u8]) -> Result<RemoveResult, KvError> {
+        self.with_node(at, |this, node, lazy| match View::parse(node, lazy)? {
             View::Leaf { path: p, .. } => {
                 Ok(if p == path { RemoveResult::Gone } else { RemoveResult::Unchanged })
             }
@@ -675,9 +960,9 @@ impl<S: KvStore> PatriciaTrie<S> {
                 if !path.starts_with(p) {
                     return Ok(RemoveResult::Unchanged);
                 }
-                Ok(match self.remove_at(child, &path[p.len()..])? {
+                Ok(match this.remove_at(child, &path[p.len()..])? {
                     RemoveResult::Replaced(below) => {
-                        RemoveResult::Replaced(self.graft_ext(p, &below)?)
+                        RemoveResult::Replaced(this.graft_ext(p, &below.bytes, below.lazy)?)
                     }
                     unchanged_or_gone => unchanged_or_gone,
                 })
@@ -687,36 +972,36 @@ impl<S: KvStore> PatriciaTrie<S> {
                     if b.value.is_none() {
                         return Ok(RemoveResult::Unchanged);
                     }
-                    return self.normalise_branch(b, None, None);
+                    return this.normalise_branch(b, None, None);
                 };
                 let slot = slot as usize;
-                if b.child(slot).is_zero() {
+                if b.child(slot).is_empty() {
                     return Ok(RemoveResult::Unchanged);
                 }
-                match self.remove_at(b.child(slot), rest)? {
+                match this.remove_at(b.child(slot), rest)? {
                     RemoveResult::Unchanged => Ok(RemoveResult::Unchanged),
-                    RemoveResult::Gone => self.normalise_branch(b, Some(slot), b.value),
+                    RemoveResult::Gone => this.normalise_branch(b, Some(slot), b.value),
                     RemoveResult::Replaced(below) => {
-                        let set = Some((slot, self.put_bytes(&below)));
+                        let set = Some((slot, this.put_copy(&below.bytes, below.lazy)));
                         Ok(RemoveResult::Replaced(encoded(|out| write_branch(out, b, set))))
                     }
                 }
             }
-        }
+        })
     }
 
     /// Merge an extension's path onto its (possibly restructured) child.
-    fn graft_ext(&mut self, prefix: &[u8], child: &[u8]) -> Result<Vec<u8>, KvError> {
-        Ok(match View::parse(child)? {
+    fn graft_ext(&mut self, prefix: &[u8], child: &[u8], lazy: u16) -> Result<Encoded, KvError> {
+        Ok(match View::parse(child, lazy)? {
             View::Leaf { path, value } => {
                 encoded(|out| write_leaf(out, &[prefix, path].concat(), value))
             }
             View::Ext { path, child } => {
-                encoded(|out| write_ext(out, &[prefix, path].concat(), &child))
+                encoded(|out| write_ext(out, &[prefix, path].concat(), child))
             }
             View::Branch(_) => {
-                let h = self.put_bytes(child);
-                encoded(|out| write_ext(out, prefix, &h))
+                let below = self.put_copy(child, lazy);
+                encoded(|out| write_ext(out, prefix, below))
             }
         })
     }
@@ -736,11 +1021,12 @@ impl<S: KvStore> PatriciaTrie<S> {
             (0, Some(v)) => encoded(|out| write_leaf(out, &[], v)),
             (1, None) => {
                 let only = left.trailing_zeros() as usize;
-                let child = self.load(&b.child(only))?;
-                self.graft_ext(&[only as u8], &child)?
+                self.with_node(b.child(only), |this, child, lazy| {
+                    this.graft_ext(&[only as u8], child, lazy)
+                })?
             }
             _ => {
-                let set = gone.map(|slot| (slot, Hash256::ZERO));
+                let set = gone.map(|slot| (slot, Ref::EMPTY));
                 encoded(|out| write_branch(out, Branch { value, ..b }, set))
             }
         }))
@@ -751,7 +1037,7 @@ impl<S: KvStore> PatriciaTrie<S> {
     pub fn collect_all(&mut self) -> Result<KvPairs, KvError> {
         let mut out = Vec::new();
         let root = self.root;
-        if !root.is_zero() {
+        if !root.is_empty() {
             self.collect(root, Vec::new(), &mut out)?;
         }
         Ok(out)
@@ -759,33 +1045,34 @@ impl<S: KvStore> PatriciaTrie<S> {
 
     fn collect(
         &mut self,
-        at: Hash256,
+        at: Ref,
         prefix: Vec<u8>,
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<(), KvError> {
         fn from_nibbles(nibbles: &[u8]) -> Vec<u8> {
             nibbles.chunks(2).map(|c| (c[0] << 4) | c.get(1).copied().unwrap_or(0)).collect()
         }
-        let node = self.load(&at)?;
-        match View::parse(&node)? {
-            View::Leaf { path, value } => {
-                out.push((from_nibbles(&[&prefix[..], path].concat()), value.to_vec()));
-            }
-            View::Ext { path, child } => {
-                self.collect(child, [&prefix[..], path].concat(), out)?;
-            }
-            View::Branch(b) => {
-                if let Some(v) = b.value {
-                    out.push((from_nibbles(&prefix), v.to_vec()));
+        self.with_node(at, |this, node, lazy| {
+            match View::parse(node, lazy)? {
+                View::Leaf { path, value } => {
+                    out.push((from_nibbles(&[&prefix[..], path].concat()), value.to_vec()));
                 }
-                for slot in (0..16).filter(|slot| b.bitmap >> slot & 1 != 0) {
-                    let mut full = prefix.clone();
-                    full.push(slot as u8);
-                    self.collect(b.child(slot), full, out)?;
+                View::Ext { path, child } => {
+                    this.collect(child, [&prefix[..], path].concat(), out)?;
+                }
+                View::Branch(b) => {
+                    if let Some(v) = b.value {
+                        out.push((from_nibbles(&prefix), v.to_vec()));
+                    }
+                    for slot in (0..16).filter(|slot| b.bitmap >> slot & 1 != 0) {
+                        let mut full = prefix.clone();
+                        full.push(slot as u8);
+                        this.collect(b.child(slot), full, out)?;
+                    }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -795,7 +1082,7 @@ enum RemoveResult {
     /// The subtree vanished entirely.
     Gone,
     /// The subtree was rebuilt as this node's encoding (not yet stored).
-    Replaced(Vec<u8>),
+    Replaced(Encoded),
 }
 
 /// The codec this file used before nodes were read in place: a decoded
@@ -907,16 +1194,16 @@ mod reference {
     pub(super) fn check(bytes: &[u8]) {
         let node = Node::decode(bytes).expect("reference codec decodes a written node");
         assert_eq!(node.encode(), bytes, "written bytes differ from the reference encoding");
-        match (View::parse(bytes).expect("a written node parses"), &node) {
+        match (View::parse(bytes, 0).expect("a written node parses"), &node) {
             (View::Leaf { path, value }, Node::Leaf { path: p, value: v }) => {
                 assert_eq!((path, value), (&p[..], &v[..]));
             }
             (View::Ext { path, child }, Node::Ext { path: p, child: c }) => {
-                assert_eq!((path, child), (&p[..], *c));
+                assert_eq!((path, child), (&p[..], Ref::Hash(*c)));
             }
             (View::Branch(b), Node::Branch { children, value }) => {
                 for (slot, child) in children.iter().enumerate() {
-                    assert_eq!(b.child(slot), *child, "slot {slot}");
+                    assert_eq!(b.child(slot), Ref::Hash(*child), "slot {slot}");
                 }
                 assert_eq!(b.value, value.as_deref());
             }
@@ -924,8 +1211,23 @@ mod reference {
         }
     }
 
-    pub(super) fn check_overlay(t: &PatriciaTrie<MemStore>) {
-        t.overlay.values().for_each(|bytes| check(bytes));
+    /// Every arena node as [`check`] sees it (an arena index reads as a
+    /// hash there), with lazy bits only on present child slots, each
+    /// naming a node created before it.
+    pub(super) fn check_arena<S: KvStore>(t: &PatriciaTrie<S>) {
+        for index in 0..t.arena.nodes.len() {
+            let (bytes, node) = t.arena.node(index as u32);
+            check(bytes);
+            let present = match View::parse(bytes, 0).unwrap() {
+                View::Leaf { .. } => 0,
+                View::Ext { .. } => 1,
+                View::Branch(b) => b.bitmap,
+            };
+            assert_eq!(node.lazy & !present, 0, "arena node {index}");
+            for at in lazy_slots(bytes, node.lazy) {
+                assert!((index_at(bytes, at) as usize) < index, "arena node {index}");
+            }
+        }
     }
 
     pub(super) fn check_store(t: &mut PatriciaTrie<MemStore>) {
@@ -1088,7 +1390,7 @@ mod tests {
         for i in 0..100 {
             t.insert(&key(i), &i.to_be_bytes()).unwrap();
         }
-        // A dirty node is read from the overlay: neither a hit nor a miss,
+        // A dirty node is read from the arena: neither a hit nor a miss,
         // and it never enters the cache.
         read_all(&mut t);
         assert_eq!(t.cache_stats(), (0, 0));
@@ -1126,7 +1428,7 @@ mod tests {
     #[test]
     fn cached_and_cold_walks_agree() {
         // Dropping the cache mid-life must not change what walks observe —
-        // overlay + store together are authoritative, including for
+        // arena + store together are authoritative, including for
         // historical roots recorded at commit points.
         let mut t = trie();
         t.insert(b"acct", b"10").unwrap();
@@ -1138,7 +1440,7 @@ mod tests {
         assert_eq!(t.get(b"acct").unwrap(), Some(b"20".to_vec()));
         assert_eq!(t.get_at(old_root, b"acct").unwrap(), Some(b"10".to_vec()));
         let (_, misses) = t.cache_stats();
-        assert!(misses > 0, "cold walks must repopulate through overlay/store");
+        assert!(misses > 0, "cold walks must repopulate through the store");
     }
 
     #[test]
@@ -1161,9 +1463,8 @@ mod tests {
             eager_puts
         );
         assert!(t.nodes_dropped() > 0, "per-tx garbage roots must be dropped");
-        // <= not ==: identical-content nodes (same hash) dedupe in the
-        // overlay, while the eager path would have store-put each of them.
-        assert!(t.nodes_flushed() + t.nodes_dropped() <= eager_puts);
+        // Every node created is flushed or dropped at the seal.
+        assert_eq!(t.nodes_flushed() + t.nodes_dropped(), eager_puts);
         assert_eq!(t.pending_nodes(), 0);
         assert_eq!(t.store().stats().batch_writes, 1, "one batch per block seal");
         // The store alone now serves everything reachable.
@@ -1217,7 +1518,7 @@ mod tests {
     #[test]
     fn commit_failure_keeps_overlay_readable_and_retries() {
         // A capped store OOMs the first commit; the trie must stay fully
-        // readable from the overlay, and a later commit (after the cap is
+        // readable from the arena, and a later commit (after the cap is
         // no longer exceeded — here: never) keeps failing identically.
         let mut t = PatriciaTrie::new(MemStore::with_capacity_cap(256));
         for i in 0..16u32 {
@@ -1226,13 +1527,13 @@ mod tests {
         let pending = t.pending_nodes();
         let err = t.commit().unwrap_err();
         assert!(matches!(err, KvError::OutOfSpace { .. }));
-        assert_eq!(t.pending_nodes(), pending, "failed commit must restore the overlay");
+        assert_eq!(t.pending_nodes(), pending, "failed commit must keep the arena");
         assert_eq!(t.nodes_flushed(), 0);
         for i in 0..16u32 {
             assert_eq!(
                 t.get(format!("key{i:02}").as_bytes()).unwrap(),
                 Some(vec![7u8; 32]),
-                "overlay must keep serving reads after a failed commit"
+                "arena must keep serving reads after a failed commit"
             );
         }
         assert!(t.commit().is_err(), "retry hits the same cap");
@@ -1259,7 +1560,7 @@ mod tests {
 
     #[test]
     fn damaged_encodings_are_corrupt_never_a_panic() {
-        let is_corrupt = |bytes: &[u8]| matches!(View::parse(bytes), Err(KvError::Corrupt(_)));
+        let is_corrupt = |bytes: &[u8]| matches!(View::parse(bytes, 0), Err(KvError::Corrupt(_)));
         for node in sample_nodes() {
             let good = node.encode();
             reference::check(&good);
@@ -1311,11 +1612,13 @@ mod tests {
                 // Root extension, top branch, then `depth` more steps down slot 1.
                 let mut victim = t.root();
                 for _ in 0..2 + depth {
-                    victim = match View::parse(&stored(&mut t, victim)).unwrap() {
+                    let child = match View::parse(&stored(&mut t, victim), 0).unwrap() {
                         View::Ext { child, .. } => child,
                         View::Branch(b) => b.child(1),
                         View::Leaf { .. } => panic!("walked past the leaves"),
                     };
+                    let Ref::Hash(child) = child else { panic!("a stored node names a hash") };
+                    victim = child;
                 }
                 let mut bytes = stored(&mut t, victim);
                 damage(&mut bytes);
@@ -1365,11 +1668,11 @@ mod tests {
             let after = (t.cache_stats(), t.cache.len(), t.nodes_written(), t.pending_nodes());
             assert_eq!(before, after, "{served_by}");
         };
-        frozen_pass(&mut t, "overlay");
+        frozen_pass(&mut t, "arena");
         assert!(t.cache.is_empty(), "uncommitted nodes are never cached");
         t.commit().unwrap();
         frozen_pass(&mut t, "cache");
-        assert_eq!(t.store().stats().reads, 0, "overlay and cache before store");
+        assert_eq!(t.store().stats().reads, 0, "arena and cache before store");
         t.cache.clear();
         frozen_pass(&mut t, "store");
         assert!(t.store().stats().reads > 0);
@@ -1412,7 +1715,7 @@ mod seeded_props {
                     model.remove(&k);
                     t.remove(&k).unwrap();
                 }
-                reference::check_overlay(&t);
+                reference::check_arena(&t);
             }
             for (k, v) in &model {
                 assert_eq!(t.get(k).unwrap(), Some(v.clone()), "case {i}");
@@ -1425,11 +1728,11 @@ mod seeded_props {
         }
     }
 
-    /// Overlay-commit ≡ eager writes: a trie committing at randomized block
-    /// boundaries must produce the identical root and identical `get` /
-    /// `get_at` answers as a reference trie that commits after every single
-    /// operation (the closest expressible analogue of the old eager path,
-    /// where every `put_node` hit the store immediately).
+    /// Block-scoped commits ≡ eager writes: a trie committing at randomized
+    /// block boundaries must produce the identical root and identical `get`
+    /// / `get_at` answers as a reference trie that commits after every
+    /// single operation (the closest expressible analogue of the old eager
+    /// path, where every `put_node` hit the store immediately).
     #[test]
     fn overlay_commit_equivalent_to_eager_writes_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0011);
@@ -1462,8 +1765,8 @@ mod seeded_props {
                         sealed.push((batched.root(), model.clone()));
                     }
                 }
-                reference::check_overlay(&batched);
-                reference::check_overlay(&eager);
+                reference::check_arena(&batched);
+                reference::check_arena(&eager);
                 eager.commit().unwrap(); // every op "eagerly" persisted
                 assert_eq!(batched.root(), eager.root(), "roots diverged mid-block");
             }
@@ -1488,6 +1791,138 @@ mod seeded_props {
                         "sealed-root read diverged"
                     );
                 }
+            }
+        }
+    }
+
+    /// A `MemStore` that refuses every batch while `refuse` is set, as a
+    /// full store does.
+    #[derive(Clone)]
+    struct Refusing {
+        inner: MemStore,
+        refuse: bool,
+    }
+
+    impl KvStore for Refusing {
+        fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+            self.inner.put(key, value)
+        }
+        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
+            self.inner.delete(key)
+        }
+        fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
+            if self.refuse {
+                return Err(KvError::OutOfSpace { used: 0, cap: 0 });
+            }
+            self.inner.apply_batch(batch)
+        }
+        fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn stats(&self) -> bb_storage::StorageStats {
+            self.inner.stats()
+        }
+    }
+
+    type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    /// Lazy hashing against a trie built afresh: random inserts, removes,
+    /// mark/rewind, `root`/`set_root`, clones, commits, refused commits and
+    /// `drop_volatile` over short and hashed keys. After every operation the
+    /// trie holds what a `BTreeMap` model holds and its root equals that of
+    /// a fresh trie built from `collect_all()`; every node a commit flushed
+    /// is stored under its own hash and decodes with the reference codec.
+    #[test]
+    fn lazy_root_matches_a_fresh_build_seeded() {
+        let mut rng = SimRng::seed_from_u64(0x5EED_0041);
+        for case in 0..96 {
+            let hashed = case % 2 == 1;
+            let key = |rng: &mut SimRng| {
+                if hashed {
+                    bb_crypto::sha256(&rng.below(48).to_be_bytes())[..20].to_vec()
+                } else {
+                    random_key(rng)
+                }
+            };
+            let mut t = PatriciaTrie::new(Refusing { inner: MemStore::new(), refuse: false });
+            let mut model = Model::new();
+            // What the last accepted commit sealed; the marks taken and the
+            // roots hashed since, each with the map it stood for.
+            let mut sealed = (Hash256::ZERO, Model::new());
+            let mut marks: Vec<(Mark, Model)> = Vec::new();
+            let mut roots: Vec<(Hash256, Model)> = Vec::new();
+            for step in 0..rng.range(10, 200) {
+                match rng.below(16) {
+                    0..=5 => {
+                        let k = key(&mut rng);
+                        let mut v = vec![0u8; rng.below(8) as usize];
+                        rng.fill_bytes(&mut v);
+                        t.insert(&k, &v).unwrap();
+                        model.insert(k, v);
+                    }
+                    6..=7 => {
+                        let k = key(&mut rng);
+                        t.remove(&k).unwrap();
+                        model.remove(&k);
+                    }
+                    8 => marks.push((t.mark(), model.clone())),
+                    9 if !marks.is_empty() => {
+                        let (mark, map) = marks[rng.below(marks.len() as u64) as usize].clone();
+                        t.rewind(mark);
+                        model = map;
+                    }
+                    10 => roots.push((t.root(), model.clone())),
+                    11 if !roots.is_empty() => {
+                        let (root, map) = roots[rng.below(roots.len() as u64) as usize].clone();
+                        t.set_root(root);
+                        model = map;
+                    }
+                    12 => t = t.clone(),
+                    13 => {
+                        // A commit with nothing to flush reaches no store.
+                        let refused = rng.chance(0.3) && t.pending_nodes() > 0;
+                        t.store_mut().refuse = refused;
+                        assert_eq!(t.commit().is_err(), refused, "case {case} step {step}");
+                        t.store_mut().refuse = false;
+                        if !refused {
+                            assert_eq!(t.pending_nodes(), 0);
+                            sealed = (t.root(), model.clone());
+                            marks.clear();
+                            roots.clear();
+                            for (hash, bytes) in t.store_mut().scan_prefix(b"").unwrap() {
+                                assert_eq!(Hash256::digest(&bytes).0[..], hash[..]);
+                                reference::check(&bytes);
+                            }
+                        }
+                    }
+                    14 => {
+                        t.drop_volatile();
+                        t.set_root(sealed.0);
+                        model = sealed.1.clone();
+                        marks.clear();
+                        roots.clear();
+                    }
+                    _ => {
+                        let k = key(&mut rng);
+                        assert_eq!(t.get(&k).unwrap().as_ref(), model.get(&k), "case {case} step {step}");
+                    }
+                }
+                reference::check_arena(&t);
+                let root = t.root();
+                let all = t.collect_all().unwrap();
+                assert_eq!(all, model.clone().into_iter().collect::<KvPairs>(), "case {case} step {step}");
+                let mut fresh = PatriciaTrie::new(MemStore::new());
+                for (k, v) in &all {
+                    fresh.insert(k, v).unwrap();
+                }
+                assert_eq!(root, fresh.root(), "case {case} step {step}");
+                assert_eq!(
+                    t.nodes_written(),
+                    t.nodes_flushed() + t.nodes_dropped() + t.pending_nodes() as u64
+                );
             }
         }
     }
@@ -1586,7 +2021,7 @@ mod known_answers {
         }
     }
 
-    fn pin(t: &PatriciaTrie<TapeStore>) -> Pin {
+    fn pin(t: &mut PatriciaTrie<TapeStore>) -> Pin {
         let stats = t.store().stats();
         Pin {
             root: t.root().to_hex(),
@@ -1624,18 +2059,18 @@ mod known_answers {
     /// Everything in [`load_read_overwrite`] after the last inserted key.
     fn read_overwrite(mut t: PatriciaTrie<TapeStore>, keys: &[Vec<u8>]) -> [Pin; 3] {
         t.commit().unwrap();
-        let loaded = pin(&t);
+        let loaded = pin(&mut t);
         for _ in 0..10 {
             for k in keys {
                 assert_eq!(t.get(k).unwrap().as_deref(), Some(&b"value-bytes-here"[..]));
             }
         }
-        let read = pin(&t);
+        let read = pin(&mut t);
         for k in keys {
             t.insert(k, b"another-value-16").unwrap();
         }
         t.commit().unwrap();
-        [loaded, read, pin(&t)]
+        [loaded, read, pin(&mut t)]
     }
 
     #[test]
@@ -1646,7 +2081,7 @@ mod known_answers {
             expect(
                 "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
                 (1_098, 0),
-                [115_489, 1_810, 79_079],
+                [115_489, 1_810, 113_679],
                 0,
                 [457_054, 1_810, 313],
                 "d7497ebec6d716fe48e2bdb7342ae82748684d4bbf6148efb966a5ea64771ea5",
@@ -1654,7 +2089,7 @@ mod known_answers {
             expect(
                 "0b37b21f85a1e37d06543d67d4a5ee6b43af2238240207fea086090f7366644d",
                 (1_201_098, 0),
-                [115_489, 1_810, 79_079],
+                [115_489, 1_810, 113_679],
                 0,
                 [457_054, 1_810, 313],
                 "d7497ebec6d716fe48e2bdb7342ae82748684d4bbf6148efb966a5ea64771ea5",
@@ -1662,7 +2097,7 @@ mod known_answers {
             expect(
                 "e3eda1c1cc426ed20719892937b4918f52f047dca193d88c24d7a7113dbbae0c",
                 (1_222_434, 0),
-                [235_489, 1_818, 127_088],
+                [235_489, 1_818, 233_671],
                 0,
                 [459_648, 1_818, 314],
                 "dd4c076f1c92d918c080bcdb766f86496897d96f58c9ec27ad4bfbe9a0ed38b0",
@@ -1680,7 +2115,7 @@ mod known_answers {
         assert_eq!(load_read_overwrite(&hashed_keys()), hashed_keys_pins());
     }
 
-    /// A trie cloned mid-script — mid-block, overlay and cache populated, the
+    /// A trie cloned mid-script — mid-block, arena and cache populated, the
     /// cache-cap crossings still ahead — is a twin: original and copy each
     /// finish the script on the pins of the run that never forked.
     #[test]
@@ -1743,7 +2178,7 @@ mod known_answers {
         t.insert(b"acct", b"prefix key lands on a branch").unwrap();
         t.commit().unwrap();
         let sealed = t.root();
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
 
         // An unsealed block: removals, overwrites, new keys. Then power is cut.
         for i in (0..40).step_by(4) {
@@ -1759,14 +2194,14 @@ mod known_answers {
         }
         assert_eq!(t.get(&key(0)).unwrap(), None);
         assert_eq!(t.get(&key(1)).unwrap().as_deref(), Some(&b"overwritten"[..]));
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
         t.drop_volatile();
         t.set_root(sealed);
         for i in 0..40 {
             assert_eq!(t.get(&key(i)).unwrap(), Some(format!("balance-of-account-{i:03}").into_bytes()));
         }
         assert_eq!(t.get(&key(40)).unwrap(), None);
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
 
         // A sealed block of removals; the older root stays readable.
         for i in (0..40).step_by(3) {
@@ -1780,9 +2215,9 @@ mod known_answers {
         assert_eq!(t.get(&key(3)).unwrap(), None);
         assert_eq!(t.get_frozen(&key(4)).unwrap(), Some(b"balance-of-account-004".to_vec()));
         assert_eq!(t.collect_all().unwrap().len(), 27);
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
 
-        // A block too big for the store: the commit is refused, the overlay
+        // A block too big for the store: the commit is refused, the arena
         // keeps serving it, and the retry goes through once it has shrunk.
         for i in 100..140 {
             t.insert(&key(i), &[i as u8; 600]).unwrap();
@@ -1790,13 +2225,13 @@ mod known_answers {
         assert!(matches!(t.commit().unwrap_err(), KvError::OutOfSpace { .. }));
         t.cache.clear();
         assert_eq!(t.get(&key(139)).unwrap(), Some(vec![139u8; 600]));
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
         for i in 100..140 {
             t.remove(&key(i)).unwrap();
         }
         assert_eq!(t.root(), thinned);
         t.commit().unwrap();
-        pins.push(pin(&t));
+        pins.push(pin(&mut t));
         let want = [
             expect(
                 "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
@@ -1810,14 +2245,14 @@ mod known_answers {
                 "520a51ba843a31ba8bcae61a368ec14681c1f266272ea7a13f1ecabfeb447f8a",
                 (27, 0),
                 [314, 53, 130],
-                123,
+                131,
                 [4_734, 53, 1],
                 "d563d0bc0cda0ba170f75bc252c7fd31a6574bd36ba6f92095300a468a041cad",
             ),
             expect(
                 "9309adf71beb674023461461ffabf53146ac38d28694b5425846f0e66b7c84ac",
                 (299, 53),
-                [314, 53, 253],
+                [314, 53, 261],
                 0,
                 [4_734, 53, 1],
                 "d563d0bc0cda0ba170f75bc252c7fd31a6574bd36ba6f92095300a468a041cad",
@@ -1825,7 +2260,7 @@ mod known_answers {
             expect(
                 "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
                 (379, 53),
-                [413, 65, 340],
+                [413, 65, 348],
                 0,
                 [6_402, 65, 2],
                 "bb146de66f6eaf27fb5ca502ca5f6da58e4c0be2c4986c260c95bd6d22022426",
@@ -1833,7 +2268,7 @@ mod known_answers {
             expect(
                 "908ee5466b6493d0c690cf4e1aefff058b52bf9093222a4a8c8f4526c099423d",
                 (382, 53),
-                [711, 65, 340],
+                [711, 65, 348],
                 298,
                 [34_327, 116, 3],
                 "19f0b28b18f9aa195db50f7a9de79698c2b6223b0327afd07021900636af6aaf",
@@ -1841,7 +2276,7 @@ mod known_answers {
             expect(
                 "272e8aa1f5e45f0815642436ce43d47ac2500ee85d2a8bb95cc8c03c3ec68ab7",
                 (382, 53),
-                [958, 68, 882],
+                [958, 68, 890],
                 0,
                 [34_575, 119, 4],
                 "79cdfbb7866ab9b569998f5a9685737ce6f23b5488b3e63e9acd155b77518637",
@@ -1857,22 +2292,22 @@ mod known_answers {
         let mut t = PatriciaTrie::new(TapeStore::over(MemStore::new()));
         t.insert(&[0x10], b"same").unwrap();
         t.insert(&[0x20], b"same").unwrap();
-        let unsealed = pin(&t);
+        let unsealed = pin(&mut t);
         t.commit().unwrap();
-        let pins = [unsealed, pin(&t)];
+        let pins = [unsealed, pin(&mut t)];
         let want = [
             expect(
                 "2c99625e06cd9c3cfd40e51ba08d285313fa8eb0dafcd395fae4c840c2069d0a",
                 (0, 0),
                 [4, 0, 0],
-                3,
+                4,
                 [0, 0, 0],
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             ),
             expect(
                 "2c99625e06cd9c3cfd40e51ba08d285313fa8eb0dafcd395fae4c840c2069d0a",
                 (0, 0),
-                [4, 2, 1],
+                [4, 2, 2],
                 0,
                 [146, 2, 1],
                 "642225f2c548f935442945aae9a986f203af57c1f268b85a13e9816763ce8bcd",
@@ -1891,17 +2326,17 @@ mod known_answers {
             t.insert(&key(i), b"balance").unwrap();
         }
         t.commit().unwrap();
-        let sealed = pin(&t);
+        let sealed = pin(&mut t);
         t.insert(&key(7), b"spent").unwrap();
         t.insert(&key(7), b"balance").unwrap();
-        let unsealed = pin(&t);
+        let unsealed = pin(&mut t);
         t.commit().unwrap();
-        let pins = [sealed, unsealed, pin(&t)];
+        let pins = [sealed, unsealed, pin(&mut t)];
         let want = [
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (0, 0),
-                [79, 5, 45],
+                [79, 5, 74],
                 0,
                 [654, 5, 1],
                 "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
@@ -1909,7 +2344,7 @@ mod known_answers {
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (5, 0),
-                [89, 5, 45],
+                [89, 5, 74],
                 10,
                 [654, 5, 1],
                 "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
@@ -1917,7 +2352,7 @@ mod known_answers {
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (5, 0),
-                [89, 10, 50],
+                [89, 10, 79],
                 0,
                 [1_308, 10, 2],
                 "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
@@ -1938,7 +2373,7 @@ mod known_answers {
             t.insert(&key(i), b"balance").unwrap();
         }
         t.commit().unwrap();
-        let mut pins = vec![pin(&t)];
+        let mut pins = vec![pin(&mut t)];
         for extra in [None, Some(40)] {
             let mark = t.root();
             t.insert(&key(7), b"spent").unwrap();
@@ -1947,15 +2382,15 @@ mod known_answers {
             if let Some(i) = extra {
                 t.insert(&key(i), b"balance").unwrap();
             }
-            pins.push(pin(&t));
+            pins.push(pin(&mut t));
             t.commit().unwrap();
-            pins.push(pin(&t));
+            pins.push(pin(&mut t));
         }
         let want = [
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (0, 0),
-                [79, 5, 45],
+                [79, 5, 74],
                 0,
                 [654, 5, 1],
                 "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
@@ -1963,7 +2398,7 @@ mod known_answers {
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (5, 0),
-                [89, 5, 45],
+                [89, 5, 74],
                 10,
                 [654, 5, 1],
                 "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
@@ -1971,26 +2406,26 @@ mod known_answers {
             expect(
                 "9b086994f12e379858829508dec83362b7723e0554818bcc94383f489003b550",
                 (5, 0),
-                [89, 10, 50],
+                [89, 5, 84],
                 0,
-                [1_308, 10, 2],
-                "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
             ),
             expect(
                 "27dd13780ee032937aff6161ab532729c191cb321255739d6677e11440519498",
-                (10, 0),
-                [102, 10, 50],
+                (12, 0),
+                [102, 5, 84],
                 13,
-                [1_308, 10, 2],
-                "c8b3b0a1bf828a81e41a1ed7cb85d6af97497bdc193aae4e926270d0515d1fea",
+                [654, 5, 1],
+                "52809b5f2d679c2f1ec8b2d1890753a3d518a9cf533a0bee75d37789a5443b0c",
             ),
             expect(
                 "27dd13780ee032937aff6161ab532729c191cb321255739d6677e11440519498",
-                (10, 0),
-                [102, 16, 57],
+                (12, 0),
+                [102, 8, 94],
                 0,
-                [2_044, 16, 3],
-                "7ec27f2f28f455dcd8b5103a5fb8e5997c06f54c45879513117b2d495472c300",
+                [916, 8, 2],
+                "f3ff86b5cfac20f1e07e1bbcfdc26f1c2d30ec338d0701b1fdbec0d3b87e7447",
             ),
         ];
         assert_eq!(pins, want);

@@ -86,7 +86,7 @@ impl ChainPlatform for PoaCtx {
     }
 
     /// No block records: nothing here is durable. A failed commit means the
-    /// capped in-memory store is full — the overlay keeps serving reads, so
+    /// capped in-memory store is full — the arena keeps serving reads, so
     /// the chain limps on with unpersisted roots and the OOM surfaces
     /// through `execute_direct` and the memory counters, not a crash.
     fn seal(

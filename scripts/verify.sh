@@ -122,12 +122,28 @@ echo "==> state trees: Patricia and Bucket-Merkle known answers, differentials a
 # record, and pin the checksum's value.
 smoke -p bb-merkle patricia
 smoke --release -p bb-merkle patricia
-# The dirty/clean split (DESIGN.md §6 "Dirty-node overlay"): a block's
-# uncommitted nodes live in the overlay and are never cache traffic, the
-# cache holds committed nodes only and a refused commit adds none. Run by
-# name so that a rename cannot drop it from the selection above unnoticed.
+# The dirty/clean split (DESIGN.md §6 "Dirty-node arena, hashed lazily"): a
+# block's uncommitted nodes live in the arena and are never cache traffic,
+# the cache holds committed nodes only and a refused commit adds none. Run
+# by name so that a rename cannot drop it from the selection above
+# unnoticed; so is the seeded run that compares the lazily hashed root with
+# a trie built afresh after every insert, remove, rewind, clone, commit,
+# refused commit and crash.
 smoke -p bb-merkle uncommitted_nodes
 smoke --release -p bb-merkle uncommitted_nodes
+smoke -p bb-merkle lazy_root_matches_a_fresh_build_seeded
+smoke --release -p bb-merkle lazy_root_matches_a_fresh_build_seeded
+# A Patricia node is hashed in one function, `hash_filled`, which `root`
+# reaches (and `put`, under debug assertions only, for the eager-hash
+# cross-check), so an eager hash cannot creep back into `insert`. The test
+# modules, from the first `#[cfg(test)]` on, are exempt.
+hashers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /Hash256::digest/ { print fn }' crates/bb-merkle/src/patricia.rs | sort -u)
+if [ "$hashers" != hash_filled ]; then
+    echo "ERROR: Hash256::digest in patricia.rs outside hash_filled (in: ${hashers:-nothing})" >&2
+    exit 1
+fi
 smoke -p bb-merkle bucket
 smoke --release -p bb-merkle bucket
 smoke -p bb-storage wal
