@@ -277,6 +277,35 @@ fn restart_preserves_every_node_counter() {
     }
 }
 
+/// A restart while every other node is down has no peer to catch up from:
+/// the node comes back at exactly its durable prefix — genesis on Parity,
+/// which keeps state in memory — and opens no catch-up window.
+#[test]
+fn restart_with_no_live_peer_comes_back_at_its_durable_prefix() {
+    use blockbench::Fault;
+    use bb_types::NodeId;
+    let victim = NodeId(3);
+    for mut chain in deep_gap_chains() {
+        let name = chain.name();
+        let chain = chain.as_mut();
+        let mut pump = Pump { contract: chain.deploy(&bb_contracts::ycsb::bundle()), next: 0 };
+        pump.until(chain, 3);
+        let before = chain.committed_chain(victim);
+        assert!(!before.is_empty(), "{name}: nothing committed before the outage");
+        for i in 0..4 {
+            chain.inject(Fault::Crash(NodeId(i)));
+        }
+        chain.advance_to(bb_sim::SimTime::from_secs(4));
+        chain.inject(Fault::Restart(victim));
+        let prefix = if name == "parity" { Vec::new() } else { before };
+        assert_eq!(chain.committed_chain(victim), prefix, "{name}: not the durable prefix");
+        chain.advance_to(bb_sim::SimTime::from_secs(6));
+        let stats = chain.stats();
+        assert_eq!(stats.recovery_ms, 0, "{name}: a catch-up window closed");
+        assert_eq!(stats.resync_blocks, 0, "{name}: blocks came from a crashed peer");
+    }
+}
+
 /// Smallbank with a ledger of its own: the height its set-up left the
 /// chain at, and what each transaction it signs adds to the bank's total if
 /// it commits. A transaction the platform refused leaves the ledger.
