@@ -28,7 +28,7 @@ use bb_sim::{CpuMeter, Effects, SimDuration, SimTime};
 use bb_storage::{KvError, KvPairs, KvStore};
 use bb_svm::{Vm, VmConfig};
 use bb_types::{
-    Address, Block, BlockHeader, BlockSummary, Encoder, NodeId, Transaction, TxId,
+    Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId,
 };
 use blockbench::connector::{
     ChainEntry, DirectExec, NodeCounters, PlatformStats, Query, QueryError, QueryResult,
@@ -924,14 +924,9 @@ impl<S: KvStore + Send> ChainNode<S> {
             Query::BlockTxs { height } => {
                 let id = self.tree.main_chain_at(*height).ok_or(QueryError::NotFound)?;
                 let body = self.bodies.get(&id).ok_or(QueryError::NotFound)?;
-                let mut enc = Encoder::with_capacity(body.txs.len() * 48 + 4);
-                enc.put_u32(body.txs.len() as u32);
-                for tx in &body.txs {
-                    enc.put_raw(tx.from.as_bytes()).put_raw(tx.to.as_bytes()).put_u64(tx.value);
-                }
                 let (base, per_tx) = params.block_scan_cost_us;
                 let cost = SimDuration::from_micros(base + per_tx * body.txs.len() as u64);
-                Ok(QueryResult { data: enc.finish(), server_cost: cost })
+                Ok(QueryResult::block_txs(body, cost))
             }
             Query::AccountAtBlock { account, height } => {
                 let id = self.tree.main_chain_at(*height).ok_or(QueryError::NotFound)?;

@@ -686,7 +686,7 @@ impl<S: KvStore> AccountState<S> {
     /// [`AccountState::execute_block_serial`], as geth and Parity do. It
     /// stays, with `SpecView`, `RecordingState`, `commit_winner` and
     /// [`PatriciaTrie::get_frozen`], only as the subject of the benchmark's
-    /// `exec.block32_*` kernels, and goes with them (ROADMAP item 14).
+    /// `exec.block32_*` kernels, and goes with them (ROADMAP item 9).
     ///
     /// `cost_us` converts a transaction's gas into the platform's modeled
     /// execution time in µs (callers pass their `EvmCosts` formula).

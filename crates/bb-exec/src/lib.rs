@@ -2,7 +2,7 @@
 //! runs. No platform calls it: Ethereum, Parity and Fabric all execute a
 //! block's transactions serially, as geth, Parity and Fabric v0.6 do. It
 //! stays only as the subject of the benchmark's `exec.block32_*` kernels and
-//! goes with them (ROADMAP item 14).
+//! goes with them (ROADMAP item 9).
 //!
 //! The paper's macro benchmarks saturate far below hardware limits partly
 //! because every platform executes a block's transactions serially on one

@@ -24,16 +24,16 @@ use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Re
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::merkle_root;
 use bb_net::Network;
-use bb_storage::FaultVfs;
+use bb_storage::{FaultVfs, Vfs};
 use bb_sim::{CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime};
-use bb_types::{Address, Block, BlockHeader, BlockSummary, Encoder, NodeId, Transaction, TxId};
+use bb_types::{Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId};
 use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
     QueryError, QueryResult, RecoveryWindow,
 };
-use std::sync::Arc;
-use blockbench::contract::ContractBundle;
+use blockbench::contract::{ChaincodeFactory, ContractBundle};
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 /// Events of the Fabric world.
 #[derive(Debug, Clone)]
@@ -121,6 +121,35 @@ fn decode_block_meta(value: &[u8]) -> Option<(u64, Block)> {
     Some((floor, block))
 }
 
+/// A peer's chain book. It is volatile: reopening the peer's disk rebuilds
+/// it from the durable `!b/` records.
+#[derive(Clone, Default)]
+struct Ledger {
+    /// Executed transaction ids (dedupe across re-proposals).
+    executed: DigestSet<TxId>,
+    /// Committed chain.
+    blocks: Vec<Block>,
+    /// Per-block receipts; recovered blocks carry none.
+    receipts: Vec<Vec<(TxId, bool)>>,
+}
+
+impl Ledger {
+    /// The ledger `state`'s `!b/` records hold — each rode the same atomic
+    /// batch as its block's state flush, so these are exactly the blocks
+    /// whose effects survive — and the PBFT sequence floor they reached.
+    fn recover(state: &mut FabricState) -> (Ledger, u64) {
+        let records = state.scan_meta(BLOCK_META_PREFIX).expect("durable store recoverable");
+        let (floors, blocks): (Vec<u64>, Vec<Block>) =
+            records.iter().filter_map(|(_, v)| decode_block_meta(v)).unzip();
+        let ledger = Ledger {
+            executed: blocks.iter().flat_map(|b| &b.txs).map(|tx| tx.id()).collect(),
+            receipts: vec![Vec::new(); blocks.len()],
+            blocks,
+        };
+        (ledger, floors.into_iter().max().unwrap_or(0))
+    }
+}
+
 struct FabNode {
     pbft: PbftNode,
     state: FabricState,
@@ -128,11 +157,7 @@ struct FabNode {
     inbox: VecDeque<(NodeId, PbftMsg)>,
     draining: bool,
     drain_generation: u64,
-    /// Executed transaction ids (dedupe across re-proposals).
-    executed: DigestSet<TxId>,
-    /// Committed chain.
-    blocks: Vec<Block>,
-    receipts: Vec<Vec<(TxId, bool)>>,
+    ledger: Ledger,
     cpu: CpuMeter,
     dropped_msgs: u64,
     crashed: bool,
@@ -174,13 +199,13 @@ impl FabNode {
         receipts: Vec<(TxId, bool)>,
         pbft: Option<(u64, NodeId)>,
     ) -> u64 {
-        let height = self.blocks.len() as u64 + 1;
+        let height = self.ledger.blocks.len() as u64 + 1;
         let (timestamp_us, proposer, round, floor) = match pbft {
             Some((seq, proposer)) => (seq, proposer, seq, seq),
             None => (now.as_micros(), NodeId(0), height, 0),
         };
         let header = BlockHeader {
-            parent: self.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO),
+            parent: self.ledger.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO),
             height,
             timestamp_us,
             tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
@@ -204,9 +229,33 @@ impl FabNode {
                 txs: receipts.clone(),
             });
         }
-        self.receipts.push(receipts);
-        self.blocks.push(block);
+        self.ledger.receipts.push(receipts);
+        self.ledger.blocks.push(block);
         block_bytes
+    }
+
+    /// Reopen this peer's disk — after a crash the only thing it kept,
+    /// after a snapshot transfer the store the transfer streamed in — with
+    /// the deploy log's chaincodes, recover the ledger from it, and resume
+    /// PBFT at the sequence floor it reached, which this returns.
+    fn reopen(&mut self, ctx: &FabCtx, me: NodeId) -> u64 {
+        self.state = ctx.open_state(self.state.vfs());
+        let floor;
+        (self.ledger, floor) = Ledger::recover(&mut self.state);
+        self.pbft = PbftNode::resume_at(me, pbft_config(&ctx.config), floor);
+        floor
+    }
+
+    /// The process died. Amnesia: the inbox and pipeline are process
+    /// memory. The state, ledger and recovery window linger until a restart
+    /// replaces them, but no handler reads them while crashed.
+    fn crash(&mut self) {
+        self.crashed = true;
+        self.inbox.clear();
+        self.draining = false;
+        self.drain_generation += 1;
+        self.pipeline_penalty = SimDuration::ZERO;
+        self.wake_scheduled = None;
     }
 
     /// Fold this peer into the run-wide stats: its counters and CPU series
@@ -230,6 +279,18 @@ impl FabNode {
 /// Read-only context shared by every lane.
 struct FabCtx {
     config: FabricConfig,
+    /// The deploy log: every peer runs these chaincodes. Only `deploy`
+    /// appends.
+    deploys: Vec<(Address, ChaincodeFactory)>,
+}
+
+impl FabCtx {
+    /// Open `vfs` as a peer's state, with the deploy log's chaincodes.
+    fn open_state(&self, vfs: Arc<Mutex<Vfs>>) -> FabricState {
+        let mem_cap = self.config.node_mem_bytes.saturating_sub(self.config.mem_base);
+        FabricState::reopen(vfs, self.config.state_buckets, mem_cap, &self.deploys)
+            .expect("durable store recoverable")
+    }
 }
 
 /// The sharded-world marker type for Fabric.
@@ -240,7 +301,6 @@ pub struct FabricChain {
     config: FabricConfig,
     engine: ShardedEngine<FabWorld>,
     network: Network,
-    contracts: Vec<(Address, blockbench::contract::ChaincodeFactory)>,
 }
 
 impl ShardedWorld for FabWorld {
@@ -511,7 +571,7 @@ fn commit_batch(
         // replays everything committed past the snapshot's floor.
         return;
     }
-    let height = node.blocks.len() as u64 + 1;
+    let height = node.ledger.blocks.len() as u64 + 1;
     let mut txs: Vec<Arc<Transaction>> = Vec::with_capacity(batch.len());
     for req in &batch {
         // Decoded once, where the request was made: every replica executes
@@ -519,7 +579,7 @@ fn commit_batch(
         let Some(tx) = req.transaction() else {
             continue;
         };
-        if !node.executed.insert(tx.id()) {
+        if !node.ledger.executed.insert(tx.id()) {
             continue; // re-proposed duplicate
         }
         txs.push(Arc::clone(tx));
@@ -536,37 +596,6 @@ fn commit_batch(
         node.counters.resync_bytes += block_bytes;
         node.recovery.close_if_reached(seq, now, &mut node.counters);
     }
-}
-
-/// A node's volatile chain bookkeeping: PBFT sequence floor, executed ids,
-/// blocks and per-block receipts.
-type ChainBook = (u64, DigestSet<TxId>, Vec<Block>, Vec<Vec<(TxId, bool)>>);
-
-/// Rebuild the volatile chain bookkeeping (blocks, receipts, executed ids,
-/// PBFT sequence floor) from a state's durable `!b/` records — shared by
-/// the restart path and the snapshot-sync finish.
-fn rebuild_chain_from_state(state: &mut FabricState) -> ChainBook {
-    let mut records: Vec<(u64, Block)> = state
-        .scan_meta(BLOCK_META_PREFIX)
-        .expect("durable store recoverable")
-        .iter()
-        .filter_map(|(_, v)| decode_block_meta(v))
-        .collect();
-    records.sort_by_key(|(_, b)| b.header.height);
-    let mut floor = 0u64;
-    let mut executed = DigestSet::default();
-    let mut blocks = Vec::with_capacity(records.len());
-    let mut receipts = Vec::with_capacity(records.len());
-    for (f, block) in records {
-        floor = floor.max(f);
-        for tx in &block.txs {
-            executed.insert(tx.id());
-        }
-        // Receipts were volatile; recovered blocks carry none.
-        receipts.push(Vec::new());
-        blocks.push(block);
-    }
-    (floor, executed, blocks, receipts)
 }
 
 /// Serve one chunk of a pinned store snapshot to a recovering peer. The
@@ -609,9 +638,10 @@ fn on_snapshot_request(
     });
 }
 
-/// Apply a received snapshot chunk; on the final chunk, rebuild digests
-/// and chain from the transferred store, resume PBFT at the transferred
-/// floor, and replay anything committed since through a `SyncRequest`.
+/// Apply a received snapshot chunk; on the final chunk, reopen the
+/// transferred store as a restart does — its WAL replay is the transfer's
+/// own writes, so it counts as none — and replay anything committed since
+/// its floor through a `SyncRequest`.
 #[allow(clippy::too_many_arguments)]
 fn on_snapshot_chunk(
     ctx: &FabCtx,
@@ -641,17 +671,7 @@ fn on_snapshot_chunk(
         });
         return;
     }
-    let buckets = ctx.config.state_buckets;
-    let mem_cap = ctx.config.node_mem_bytes.saturating_sub(ctx.config.mem_base);
-    let state = std::mem::replace(&mut node.state, FabricState::new(1, 0));
-    let mut state =
-        state.rebuild_keeping_chaincodes(buckets, mem_cap).expect("transferred store healthy");
-    let (floor, executed, blocks, receipts) = rebuild_chain_from_state(&mut state);
-    node.pbft = PbftNode::resume_at(me, pbft_config(&ctx.config), floor);
-    node.state = state;
-    node.blocks = blocks;
-    node.receipts = receipts;
-    node.executed = executed;
+    let floor = node.reopen(ctx, me);
     node.recovery.snapshot_syncing = false;
     node.recovery.close_if_reached(floor, now, &mut node.counters);
     // Batches committed while the transfer ran replay through the normal
@@ -678,19 +698,15 @@ impl FabricChain {
     pub fn new(config: FabricConfig) -> FabricChain {
         let mut rng = SimRng::seed_from_u64(config.seed);
         let pbft_config = pbft_config(&config);
+        let ctx = FabCtx { config: config.clone(), deploys: Vec::new() };
         let nodes = (0..config.nodes)
             .map(|i| FabNode {
                 pbft: PbftNode::new(NodeId(i), pbft_config.clone()),
-                state: FabricState::new(
-                    config.state_buckets,
-                    config.node_mem_bytes.saturating_sub(config.mem_base),
-                ),
+                state: ctx.open_state(Arc::default()),
                 inbox: VecDeque::new(),
                 draining: false,
                 drain_generation: 0,
-                executed: DigestSet::default(),
-                blocks: Vec::new(),
-                receipts: Vec::new(),
+                ledger: Ledger::default(),
                 cpu: CpuMeter::new(config.cores),
                 dropped_msgs: 0,
                 crashed: false,
@@ -704,67 +720,38 @@ impl FabricChain {
             })
             .collect();
         let network = Network::new(config.nodes, config.link.clone(), rng.fork());
-        let engine = ShardedEngine::new(
-            FabCtx { config: config.clone() },
-            nodes,
-            network.min_latency(),
-        );
-        FabricChain { config, engine, network, contracts: Vec::new() }
+        let engine = ShardedEngine::new(ctx, nodes, network.min_latency());
+        FabricChain { config, engine, network }
     }
 
-    /// Restart a crashed peer from its durable store: reopen the LSM
-    /// (replaying the WAL and truncating any torn tail), rebuild the
-    /// bucket digests and the chain from the per-block records, resume
-    /// PBFT at the durable sequence floor, and ask a live peer for the
-    /// committed batches past it. The crash already cleared the process
-    /// memory the store does not rebuild (inbox and pipeline).
+    /// Restart a crashed peer from its durable store: reopen it, then ask
+    /// a live peer for the committed batches past its floor — or, when that
+    /// gap is too deep to replay batch by batch, for its whole snapshot in
+    /// bounded chunks. Likewise when the crash tore a transfer: the store
+    /// then holds block records whose state never fully arrived, so its
+    /// floor says nothing about what can be replayed onto it. With no live
+    /// peer the peer is caught up as it stands.
     fn restart_node(&mut self, id: NodeId) {
         assert!(self.network.is_crashed(id), "Restart of live {id}: crash it first");
         let now = self.engine.now();
         let peer = self.network.first_live_peer(id);
         let peer_floor = peer.map(|p| self.engine.with_node(p.0, |n| n.pbft.last_committed()));
-        let pbft_config = pbft_config(&self.config);
-        let buckets = self.config.state_buckets;
-        let mem_cap = self.config.node_mem_bytes.saturating_sub(self.config.mem_base);
-        let snapshot_sync_blocks = self.config.snapshot_sync_blocks;
-        let contracts = &self.contracts;
-        let (floor, snapshot) = self.engine.with_node_mut(id.0, |n| {
-            // Reopen the store from the only thing the crash preserved:
-            // the Vfs-backed files.
-            let mut state = FabricState::reopen(n.state.vfs(), buckets, mem_cap)
-                .expect("durable store recoverable");
-            let st = state.store_stats();
+        let (floor, snapshot) = self.engine.with_ctx_node_mut(id.0, |ctx, n| {
+            let torn = n.recovery.snapshot_syncing;
+            let floor = n.reopen(ctx, id);
+            // A restart counts the WAL it replays; a transfer's landing,
+            // which replays only what the transfer wrote, does not.
+            let st = n.state.store_stats();
             n.counters.wal_replayed += st.wal_records_replayed;
             n.counters.wal_truncated += st.wal_tail_truncated;
-            // Rebuild the chain from the durable block records. Each
-            // record rode the same atomic batch as its state flush, so
-            // this list is exactly the blocks whose effects survive.
-            let (floor, executed, blocks, receipts) = rebuild_chain_from_state(&mut state);
-            // The gap is known synchronously from the live peer's committed
-            // floor: too deep to replay batch-by-batch → discard the durable
-            // prefix and pull the peer's whole snapshot in bounded chunks.
-            // Likewise when the crash tore a transfer: the store then holds
-            // block records whose state never fully arrived, so its floor
-            // says nothing about what can be replayed onto it.
-            let torn = n.recovery.snapshot_syncing;
-            let snapshot = peer_floor
-                .is_some_and(|t| torn || t.saturating_sub(floor) > snapshot_sync_blocks);
+            let deep = |t: u64| t.saturating_sub(floor) > ctx.config.snapshot_sync_blocks;
+            let snapshot = peer_floor.is_some_and(|t| torn || deep(t));
             if snapshot {
-                n.state = FabricState::new(buckets, mem_cap);
-                n.blocks = Vec::new();
-                n.receipts = Vec::new();
-                n.executed = DigestSet::default();
-            } else {
-                n.state = state;
-                n.blocks = blocks;
-                n.receipts = receipts;
-                n.executed = executed;
+                // Discard the durable prefix: the transfer lands on a blank
+                // disk, and PBFT stays at the durable floor until it does.
+                n.state = ctx.open_state(Arc::default());
+                n.ledger = Ledger::default();
             }
-            // Chaincode binaries are redeployable artifacts, not state.
-            for (addr, factory) in contracts {
-                n.state.install(*addr, *factory);
-            }
-            n.pbft = PbftNode::resume_at(id, pbft_config, floor);
             n.crashed = false;
             let sync_target = peer_floor.filter(|&t| t > floor);
             n.recovery = RecoveryWindow {
@@ -815,13 +802,14 @@ impl BlockchainConnector for FabricChain {
         self.config.nodes
     }
 
+    /// Numbered by the deploy log: a fresh chain's first deploy is index 0.
     fn deploy(&mut self, bundle: &ContractBundle) -> Address {
-        let addr = Address::contract(&Address::ZERO, self.contracts.len() as u64);
+        let deployed = self.engine.with_ctx(|ctx| ctx.deploys.len()) as u64;
+        let addr = Address::contract(&Address::ZERO, deployed);
         for i in 0..self.config.nodes {
-            let native = bundle.native;
-            self.engine.with_node_mut(i, |node| node.state.install(addr, native));
+            self.engine.with_node_mut(i, |node| node.state.install(addr, bundle.native));
         }
-        self.contracts.push((addr, bundle.native));
+        self.engine.with_ctx_mut(|ctx| ctx.deploys.push((addr, bundle.native)));
         addr
     }
 
@@ -864,14 +852,9 @@ impl BlockchainConnector for FabricChain {
             Query::BlockTxs { height } => {
                 let idx = (*height as usize).checked_sub(1).ok_or(QueryError::NotFound)?;
                 self.engine.with_node(0, |node| {
-                    let block = node.blocks.get(idx).ok_or(QueryError::NotFound)?;
-                    let mut enc = Encoder::with_capacity(block.txs.len() * 48 + 4);
-                    enc.put_u32(block.txs.len() as u32);
-                    for tx in &block.txs {
-                        enc.put_raw(tx.from.as_bytes()).put_raw(tx.to.as_bytes()).put_u64(tx.value);
-                    }
+                    let block = node.ledger.blocks.get(idx).ok_or(QueryError::NotFound)?;
                     let cost = SimDuration::from_micros(20 + 4 * block.txs.len() as u64);
-                    Ok(QueryResult { data: enc.finish(), server_cost: cost })
+                    Ok(QueryResult::block_txs(block, cost))
                 })
             }
             Query::AccountAtBlock { .. } => {
@@ -886,7 +869,7 @@ impl BlockchainConnector for FabricChain {
                 self.engine.with_node_mut(0, |node| {
                     let kp = bb_crypto::KeyPair::from_seed(0);
                     let tx = Transaction::signed(&kp, 0, *address, 0, payload.clone());
-                    let height = node.blocks.len() as u64;
+                    let height = node.ledger.blocks.len() as u64;
                     let res = node.state.invoke(&tx, height, false);
                     if !res.success {
                         return Err(QueryError::Contract(
@@ -906,18 +889,7 @@ impl BlockchainConnector for FabricChain {
         match fault {
             Fault::Crash(node) => {
                 self.network.crash(node);
-                self.engine.with_node_mut(node.0, |n| {
-                    n.crashed = true;
-                    // Amnesia: the inbox and pipeline are process memory.
-                    // The chain/state maps and the recovery window linger
-                    // until a Restart replaces them, but no handler reads
-                    // them while crashed.
-                    n.inbox.clear();
-                    n.draining = false;
-                    n.drain_generation += 1;
-                    n.pipeline_penalty = SimDuration::ZERO;
-                    n.wake_scheduled = None;
-                });
+                self.engine.with_node_mut(node.0, FabNode::crash);
             }
             Fault::Restart(node) => self.restart_node(node),
             Fault::TornTail(node) => {
@@ -943,7 +915,8 @@ impl BlockchainConnector for FabricChain {
 
     fn stats(&self) -> PlatformStats {
         let (blocks, txs_committed) = self.engine.with_node(0, |node| {
-            (node.blocks.len() as u64, node.confirmed.iter().map(|b| b.txs.len() as u64).sum())
+            let txs = node.confirmed.iter().map(|b| b.txs.len() as u64).sum();
+            (node.ledger.blocks.len() as u64, txs)
         });
         // Fabric's Bucket-Merkle state has no Patricia node cache, and the
         // platform cannot tell a byzantine submission apart (the chaos
@@ -971,7 +944,8 @@ impl BlockchainConnector for FabricChain {
 
     fn committed_chain(&self, node: NodeId) -> Vec<ChainEntry> {
         self.engine.with_node(node.0, |n| {
-            n.blocks
+            n.ledger
+                .blocks
                 .iter()
                 .map(|b| ChainEntry {
                     height: b.header.height,
@@ -985,14 +959,14 @@ impl BlockchainConnector for FabricChain {
 
     fn preload_blocks(&mut self, blocks: Vec<Vec<Transaction>>) {
         let now = self.engine.now();
-        let before = self.engine.with_node_mut(0, |n| (n.blocks.len(), n.state.root()));
+        let before = self.engine.with_node_mut(0, |n| (n.ledger.blocks.len(), n.state.root()));
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
             self.engine.with_node_mut(0, |node| {
-                let height = node.blocks.len() as u64 + 1;
+                let height = node.ledger.blocks.len() as u64 + 1;
                 let mut receipts = Vec::with_capacity(txs.len());
                 for tx in &txs {
-                    node.executed.insert(tx.id());
+                    node.ledger.executed.insert(tx.id());
                     let res = node.state.invoke(tx, height, true);
                     receipts.push((tx.id(), res.success));
                 }
@@ -1006,15 +980,13 @@ impl BlockchainConnector for FabricChain {
         for i in 1..self.config.nodes {
             self.engine.with_first_and_node_mut(i, |first, node| {
                 assert_eq!(
-                    (node.blocks.len(), node.state.root()),
+                    (node.ledger.blocks.len(), node.state.root()),
                     before,
                     "preload after replicas diverged: peer {i}'s (block count, state root) is \
                      not node 0's from before the preload"
                 );
                 node.state.copy_state_from(&first.state);
-                node.executed = first.executed.clone();
-                node.blocks = first.blocks.clone();
-                node.receipts = first.receipts.clone();
+                node.ledger = first.ledger.clone();
             });
         }
     }
@@ -1024,7 +996,7 @@ impl BlockchainConnector for FabricChain {
         let invoke_time = |units, ops| self.config.invoke_time(units, ops);
         let mem_base = self.config.mem_base;
         self.engine.with_node_mut(0, |node| {
-            let height = node.blocks.len() as u64;
+            let height = node.ledger.blocks.len() as u64;
             let res = node.state.invoke(&tx, height, true);
             // Each direct execution is its own "block" on this path.
             node.state.commit_block().expect("state store healthy");
@@ -1057,7 +1029,7 @@ mod tests {
 
     /// The transactions of every block peer `i` holds, by height.
     fn block_txs(c: &FabricChain, i: u32) -> Vec<Vec<Arc<Transaction>>> {
-        c.engine.with_node(i, |n| n.blocks.iter().map(|b| b.txs.clone()).collect())
+        c.engine.with_node(i, |n| n.ledger.blocks.iter().map(|b| b.txs.clone()).collect())
     }
 
     #[test]
@@ -1084,11 +1056,11 @@ mod tests {
         }
         c.advance_to(SimTime::from_secs(5));
         let reference: Vec<Hash256> =
-            c.engine.with_node(0, |n| n.blocks.iter().map(|b| b.id()).collect());
+            c.engine.with_node(0, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
         assert!(!reference.is_empty());
         for i in 1..4 {
             let other: Vec<Hash256> =
-                c.engine.with_node(i, |n| n.blocks.iter().map(|b| b.id()).collect());
+                c.engine.with_node(i, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
             assert_eq!(other, reference, "node {i} diverged");
         }
         // State roots agree too.
@@ -1119,10 +1091,10 @@ mod tests {
         let entries = c.committed_chain(NodeId(i));
         c.engine.with_node_mut(i, |n| {
             let disk = n.state.vfs().lock().unwrap().clone();
-            let mut executed: Vec<TxId> = n.executed.iter().copied().collect();
+            let mut executed: Vec<TxId> = n.ledger.executed.iter().copied().collect();
             executed.sort_unstable();
             let counts = (n.state.store_stats(), n.state.flush_stats(), n.state.mem_peak());
-            (entries, n.receipts.clone(), executed, n.state.root(), counts, disk)
+            (entries, n.ledger.receipts.clone(), executed, n.state.root(), counts, disk)
         })
     }
 
@@ -1157,7 +1129,7 @@ mod tests {
         }
         c.advance_to(SimTime::from_secs(10));
         c.inject(Fault::Restart(NodeId(2)));
-        let recovered = c.engine.with_node(2, |n| n.blocks.len());
+        let recovered = c.engine.with_node(2, |n| n.ledger.blocks.len());
         assert!(recovered >= 9, "copied prefix not durable: {recovered} blocks recovered");
         c.advance_to(SimTime::from_secs(25));
         assert_eq!(c.committed_chain(NodeId(2)), c.committed_chain(NodeId(0)));
@@ -1229,9 +1201,9 @@ mod tests {
         }
         c.advance_to(SimTime::from_secs(60));
         // Node 0 is the observer AND the crashed primary, so look at node 1.
-        let (committed, view) = c
-            .engine
-            .with_node(1, |n| (n.receipts.iter().map(Vec::len).sum::<usize>(), n.pbft.view()));
+        let (committed, view) = c.engine.with_node(1, |n| {
+            (n.ledger.receipts.iter().map(Vec::len).sum::<usize>(), n.pbft.view())
+        });
         assert_eq!(committed, 5, "view change did not recover the cluster");
         assert!(view > 0);
     }
@@ -1253,7 +1225,7 @@ mod tests {
             }
         }
         c.advance_to(SimTime::from_secs(5));
-        let pre_blocks = c.engine.with_node(3, |n| n.blocks.len());
+        let pre_blocks = c.engine.with_node(3, |n| n.ledger.blocks.len());
         assert!(pre_blocks > 1, "need several pre-crash blocks, got {pre_blocks}");
         // Kill node 3 and tear the tail off its WAL: the final committed
         // batch (state + block record, atomically) is lost.
@@ -1270,14 +1242,14 @@ mod tests {
         c.inject(Fault::Restart(NodeId(3)));
         // Immediately after restart the node holds a strict durable
         // prefix of its pre-crash chain (the torn batch is gone).
-        let recovered_blocks = c.engine.with_node(3, |n| n.blocks.len());
+        let recovered_blocks = c.engine.with_node(3, |n| n.ledger.blocks.len());
         assert!(recovered_blocks < pre_blocks, "{recovered_blocks} vs {pre_blocks}");
         c.advance_to(SimTime::from_secs(25));
         // Caught back up: chain and state byte-identical to the cluster.
         let reference: Vec<Hash256> =
-            c.engine.with_node(0, |n| n.blocks.iter().map(|b| b.id()).collect());
+            c.engine.with_node(0, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
         let recovered: Vec<Hash256> =
-            c.engine.with_node(3, |n| n.blocks.iter().map(|b| b.id()).collect());
+            c.engine.with_node(3, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
         assert_eq!(recovered, reference);
         assert_eq!(
             c.engine.with_node_mut(3, |n| n.state.root()),
@@ -1343,9 +1315,9 @@ mod tests {
         c.advance_to(SimTime::from_secs(25));
         // Caught back up: chain and state byte-identical to the cluster.
         let reference: Vec<Hash256> =
-            c.engine.with_node(0, |n| n.blocks.iter().map(|b| b.id()).collect());
+            c.engine.with_node(0, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
         let recovered: Vec<Hash256> =
-            c.engine.with_node(3, |n| n.blocks.iter().map(|b| b.id()).collect());
+            c.engine.with_node(3, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
         assert_eq!(recovered, reference);
         assert_eq!(
             c.engine.with_node_mut(3, |n| n.state.root()),
@@ -1404,14 +1376,14 @@ mod tests {
         assert!(syncing(&c), "the transfer finished with its first state chunk");
         c.inject(Fault::Crash(NodeId(3)));
         c.advance_to(c.now() + SimDuration::from_secs(2));
-        let torn_floor = c.engine.with_node_mut(3, |n| rebuild_chain_from_state(&mut n.state).0);
+        let torn_floor = c.engine.with_node_mut(3, |n| Ledger::recover(&mut n.state).1);
         let peer_floor = c.engine.with_node(0, |n| n.pbft.last_committed());
         assert!(peer_floor - torn_floor <= sync_blocks, "gap {torn_floor}..{peer_floor} is deep");
         c.inject(Fault::Restart(NodeId(3)));
         assert!(syncing(&c), "restart replayed onto a torn store");
         c.advance_to(c.now() + SimDuration::from_secs(10));
         let ids = |c: &FabricChain, i| {
-            c.engine.with_node(i, |n| n.blocks.iter().map(|b| b.id()).collect::<Vec<_>>())
+            c.engine.with_node(i, |n| n.ledger.blocks.iter().map(|b| b.id()).collect::<Vec<_>>())
         };
         assert_eq!(ids(&c, 3), ids(&c, 0));
         assert_eq!(

@@ -60,29 +60,23 @@ fn namespaced(addr: &Address, key: &[u8]) -> Vec<u8> {
 }
 
 impl FabricState {
-    /// Fresh state over a private LSM store.
-    pub fn new(buckets: usize, mem_cap: u64) -> FabricState {
-        FabricState {
-            tree: BucketTree::new(LsmStore::new_private(store_config()), buckets),
-            chaincodes: HashMap::new(),
-            mem: MemMeter::new(mem_cap),
-        }
-    }
-
-    /// Reopen a peer's state from its durable filesystem after a crash
-    /// (the restart path). Replays the WAL — truncating any torn tail —
-    /// and recomputes the Bucket-Merkle digests from the surviving `s:`
-    /// entries, so the returned state is exactly the durable prefix.
-    /// Chaincodes are volatile; the caller reinstalls them.
+    /// Open a peer's state on its filesystem: a blank disk, a disk a crash
+    /// left behind, or one a snapshot transfer has streamed a whole store
+    /// onto. Replays the WAL — truncating any torn tail — recomputes the
+    /// Bucket-Merkle digests from the surviving `s:` entries, so the
+    /// returned state is exactly the durable prefix, and installs the
+    /// `deploys` log's chaincodes: they are redeployable artifacts, not
+    /// state.
     pub fn reopen(
         vfs: Arc<Mutex<Vfs>>,
         buckets: usize,
         mem_cap: u64,
+        deploys: &[(Address, ChaincodeFactory)],
     ) -> Result<FabricState, bb_storage::KvError> {
         let store = LsmStore::open(vfs, STORE_PREFIX, store_config())?;
         Ok(FabricState {
             tree: BucketTree::rebuild(store, buckets)?,
-            chaincodes: HashMap::new(),
+            chaincodes: deploys.iter().map(|&(addr, factory)| (addr, factory())).collect(),
             mem: MemMeter::new(mem_cap),
         })
     }
@@ -126,8 +120,8 @@ impl FabricState {
 
     /// Apply raw transferred `(key, value)` entries straight to the
     /// backing store (the snapshot-sync receive path). Bucket digests are
-    /// not maintained — the receiver rebuilds them once via
-    /// [`Self::rebuild_keeping_chaincodes`] when the transfer completes.
+    /// not maintained — the receiver rebuilds them once, by
+    /// [`Self::reopen`]ing its disk, when the transfer completes.
     pub fn apply_snapshot_entries(
         &mut self,
         entries: &[(Vec<u8>, Vec<u8>)],
@@ -137,26 +131,6 @@ impl FabricState {
             batch.put(k, v);
         }
         self.tree.store_mut().apply_batch(batch)
-    }
-
-    /// Reopen this state's own store and recompute the bucket digests from
-    /// it, carrying the installed chaincodes over — the final step of a
-    /// snapshot sync, after [`Self::apply_snapshot_entries`] has streamed
-    /// the full key space in.
-    pub fn rebuild_keeping_chaincodes(
-        self,
-        buckets: usize,
-        mem_cap: u64,
-    ) -> Result<FabricState, bb_storage::KvError> {
-        let vfs = self.vfs();
-        let FabricState { tree, chaincodes, mem: _ } = self;
-        drop(tree); // release the old store before reopening its files
-        let store = LsmStore::open(vfs, STORE_PREFIX, store_config())?;
-        Ok(FabricState {
-            tree: BucketTree::rebuild(store, buckets)?,
-            chaincodes,
-            mem: MemMeter::new(mem_cap),
-        })
     }
 
     /// Become `src` as far as its world state goes: a copy of its bucket
@@ -402,8 +376,13 @@ mod tests {
         Transaction::signed(&KeyPair::from_seed(seed), nonce, to, 0, payload)
     }
 
+    /// A 64-bucket state on a blank disk with no chaincode installed.
+    fn blank(mem_cap: u64) -> FabricState {
+        FabricState::reopen(Arc::default(), 64, mem_cap, &[]).unwrap()
+    }
+
     fn state_with_ycsb() -> (FabricState, Address) {
-        let mut s = FabricState::new(64, 1 << 30);
+        let mut s = blank(1 << 30);
         let addr = Address::from_index(500);
         s.install(addr, ycsb::bundle().native);
         (s, addr)
@@ -422,7 +401,7 @@ mod tests {
 
     #[test]
     fn chaincodes_are_isolated_by_namespace() {
-        let mut s = FabricState::new(64, 1 << 30);
+        let mut s = blank(1 << 30);
         let a = Address::from_index(1);
         let b = Address::from_index(2);
         s.install(a, ycsb::bundle().native);
@@ -434,7 +413,7 @@ mod tests {
 
     #[test]
     fn failed_invocation_rolls_back() {
-        let mut s = FabricState::new(64, 1 << 30);
+        let mut s = blank(1 << 30);
         let addr = Address::from_index(3);
         s.install(addr, smallbank::bundle().native);
         let root = s.root();
@@ -464,7 +443,7 @@ mod tests {
 
     #[test]
     fn allocation_cap_models_node_ram() {
-        let mut s = FabricState::new(64, 1 << 20); // 1 MiB cap
+        let mut s = blank(1 << 20); // 1 MiB cap
         let addr = Address::from_index(4);
         s.install(addr, cpuheavy::bundle().native);
         let r = s.invoke(&tx(1, 0, addr, cpuheavy::sort_call(1_000_000)), 1, true);

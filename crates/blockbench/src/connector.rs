@@ -9,7 +9,7 @@
 use crate::contract::ContractBundle;
 use bb_crypto::Hash256;
 use bb_sim::{SimDuration, SimTime};
-use bb_types::{Address, BlockSummary, NodeId, Transaction};
+use bb_types::{Address, Block, BlockSummary, Encoder, NodeId, Transaction};
 
 /// One committed block as a node reports it to the cross-node safety
 /// checker ([`crate::invariant`]): enough structure to verify hash-chain
@@ -88,7 +88,7 @@ pub struct PlatformStats {
     pub snapshot_bytes: u64,
     /// Always 0: every platform executes each block serially, so no
     /// speculation conflicts. Kept only because the benchmark's adapter
-    /// reads it; it goes with the optimistic executor (ROADMAP item 14).
+    /// reads it; it goes with the optimistic executor (ROADMAP item 9).
     pub exec_conflicts: u64,
     /// Serial execution charge of every executed block, µs, summed over nodes.
     pub exec_serial_us: u64,
@@ -265,6 +265,19 @@ pub struct QueryResult {
     pub data: Vec<u8>,
     /// Simulated time the server spent producing it.
     pub server_cost: SimDuration,
+}
+
+impl QueryResult {
+    /// The `BlockTxs` answer for `block`: a `u32` count, then `(from, to,
+    /// value)` per transaction. What serving it costs is the platform's.
+    pub fn block_txs(block: &Block, server_cost: SimDuration) -> QueryResult {
+        let mut enc = Encoder::with_capacity(block.txs.len() * 48 + 4);
+        enc.put_u32(block.txs.len() as u32);
+        for tx in &block.txs {
+            enc.put_raw(tx.from.as_bytes()).put_raw(tx.to.as_bytes()).put_u64(tx.value);
+        }
+        QueryResult { data: enc.finish(), server_cost }
+    }
 }
 
 /// Fault-injection commands (Section 3.3's failure modes).

@@ -158,6 +158,7 @@ for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" restart
 smoke -p bb-bench --test cross_platform restart_recovers
 smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
 smoke -p bb-bench --test cross_platform restart_preserves_every_node_counter
+smoke -p bb-bench --test cross_platform restart_with_no_live_peer_comes_back_at_its_durable_prefix
 smoke -p bb-bench --test parallel_determinism snapshot_timeline
 # A restart after a crash tore a snapshot transfer transfers afresh, and
 # restarting one miner redraws no other miner's race.
@@ -177,6 +178,21 @@ fi
 # crash-time bookkeeping or per-platform knob for one.
 if git grep -nE 'Recover\(|TORN_TRANSFER_RESTARTS|transfer_torn|fn revive' -- crates; then
     echo "ERROR: a second way back from a crash is back; Restart is the only one" >&2
+    exit 1
+fi
+# One recovery path for a Fabric peer: a restart and a snapshot transfer's
+# landing both run `FabNode::reopen`, over the one `FabricState::reopen`,
+# and `Ledger::recover` is the one chain book.
+if git grep -nE 'rebuild_keeping_chaincodes|ChainBook|rebuild_chain_from_state' -- crates/bb-fabric/src; then
+    echo "ERROR: Fabric has a second reopen or chain book; use FabNode::reopen and Ledger::recover" >&2
+    exit 1
+fi
+opens=$(for f in crates/bb-fabric/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /LsmStore::open\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ "$(grep -c . <<<"$opens")" -gt 1 ]; then
+    echo "$opens"
+    echo "ERROR: Fabric opens its LSM store in more than one place; FabricState::reopen is the one" >&2
     exit 1
 fi
 
