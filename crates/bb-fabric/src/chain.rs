@@ -282,9 +282,17 @@ struct FabCtx {
     /// The deploy log: every peer runs these chaincodes. Only `deploy`
     /// appends.
     deploys: Vec<(Address, ChaincodeFactory)>,
+    /// The disk every peer starts on and a snapshot transfer lands on: each
+    /// peer's is a clone, so the peers' byte-identical tables are held once.
+    blank: Vfs,
 }
 
 impl FabCtx {
+    /// A blank disk of this world's lineage.
+    fn blank_disk(&self) -> Arc<Mutex<Vfs>> {
+        Arc::new(Mutex::new(self.blank.clone()))
+    }
+
     /// Open `vfs` as a peer's state, with the deploy log's chaincodes.
     fn open_state(&self, vfs: Arc<Mutex<Vfs>>) -> FabricState {
         let mem_cap = self.config.node_mem_bytes.saturating_sub(self.config.mem_base);
@@ -698,11 +706,11 @@ impl FabricChain {
     pub fn new(config: FabricConfig) -> FabricChain {
         let mut rng = SimRng::seed_from_u64(config.seed);
         let pbft_config = pbft_config(&config);
-        let ctx = FabCtx { config: config.clone(), deploys: Vec::new() };
+        let ctx = FabCtx { config: config.clone(), deploys: Vec::new(), blank: Vfs::new() };
         let nodes = (0..config.nodes)
             .map(|i| FabNode {
                 pbft: PbftNode::new(NodeId(i), pbft_config.clone()),
-                state: ctx.open_state(Arc::default()),
+                state: ctx.open_state(ctx.blank_disk()),
                 inbox: VecDeque::new(),
                 draining: false,
                 drain_generation: 0,
@@ -749,7 +757,7 @@ impl FabricChain {
             if snapshot {
                 // Discard the durable prefix: the transfer lands on a blank
                 // disk, and PBFT stays at the durable floor until it does.
-                n.state = ctx.open_state(Arc::default());
+                n.state = ctx.open_state(ctx.blank_disk());
                 n.ledger = Ledger::default();
             }
             n.crashed = false;
@@ -1390,6 +1398,70 @@ mod tests {
             c.engine.with_node_mut(3, |n| n.state.root()),
             c.engine.with_node_mut(0, |n| n.state.root())
         );
+    }
+
+    /// Where the bytes of each table file on peer `i`'s disk live, read
+    /// through a copy of the disk so the peer's counters do not move.
+    fn table_bytes(c: &FabricChain, i: u32) -> Vec<(String, *const u8)> {
+        let mut disk = c.engine.with_node(i, |n| n.state.vfs().lock().unwrap().clone());
+        let tables = disk.list(&format!("{}/sst/", crate::state::STORE_PREFIX));
+        tables
+            .into_iter()
+            .map(|t| {
+                let at = disk.read_with(&t, 0, usize::MAX, |bytes| bytes.as_ptr()).unwrap();
+                (t, at)
+            })
+            .collect()
+    }
+
+    /// PBFT replicas apply the same batches in the same order and so seal
+    /// the same tables: the world holds each once, whatever the number of
+    /// peers. A peer that restarts onto a blank disk takes a disk of the same
+    /// world and still ends on node 0's chain.
+    #[test]
+    fn twin_replicas_hold_each_sealed_table_once() {
+        let mut config = FabricConfig::with_nodes(4);
+        config.snapshot_sync_blocks = 3; // force the blank-disk restart
+        let mut c = FabricChain::new(config);
+        let addr = c.deploy(&ycsb::bundle());
+        let value = vec![0xAB; 4096];
+        let mut nonce = 0u64;
+        let mut load = |c: &mut FabricChain, servers: u64, secs: u64| {
+            while c.now() < SimTime::from_secs(secs) {
+                for _ in 0..20 {
+                    let tx = client_tx(11, nonce, addr, ycsb::write_call(nonce, &value));
+                    assert!(c.submit(NodeId((nonce % servers) as u32), tx));
+                    nonce += 1;
+                }
+                c.advance_to(c.now() + SimDuration::from_millis(100));
+            }
+        };
+        load(&mut c, 4, 4);
+        c.advance_to(c.now() + SimDuration::from_secs(1)); // let every peer commit the tail
+        let tables = table_bytes(&c, 0);
+        assert!(!tables.is_empty(), "the run sealed no table");
+        for i in 1..4 {
+            assert_eq!(table_bytes(&c, i), tables, "peer {i} holds a table of its own");
+        }
+
+        c.inject(Fault::Crash(NodeId(3)));
+        load(&mut c, 3, 7);
+        c.inject(Fault::Restart(NodeId(3)));
+        assert!(c.engine.with_node(3, |n| n.recovery.snapshot_syncing), "no blank-disk restart");
+        c.advance_to(c.now() + SimDuration::from_secs(10));
+        let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
+        let checked = blockbench::check_chains(&chains, 0).unwrap_or_else(|v| panic!("{v}"));
+        assert!(chains.iter().all(|chain| chain.len() == chains[0].len()));
+        assert_eq!(checked as usize, chains[0].len());
+        assert_eq!(
+            c.engine.with_node_mut(3, |n| n.state.root()),
+            c.engine.with_node_mut(0, |n| n.state.root())
+        );
+        // Node 0 served the transfer, which flushed its memtable out of step;
+        // the two peers that neither crashed nor served still share every
+        // table they hold.
+        assert!(table_bytes(&c, 1).len() > tables.len(), "no table sealed after the restart");
+        assert_eq!(table_bytes(&c, 2), table_bytes(&c, 1), "peer 2 holds a table of its own");
     }
 
     #[test]

@@ -704,9 +704,10 @@ impl KvStore for LsmStore {
     }
 }
 
-/// A second disk, not a second handle: the copy owns a deep copy of the
-/// [`Vfs`] (file bytes, I/O counters, fault settings) behind a fresh
-/// `Arc<Mutex<_>>`, plus its own memtable, table handles, pins and counters.
+/// A second disk, not a second handle: the copy owns a copy of the [`Vfs`]
+/// (file bytes, I/O counters, fault settings; sealed tables shared
+/// copy-on-write, as `Vfs`'s `Clone` does) behind a fresh `Arc<Mutex<_>>`,
+/// plus its own memtable, table handles, pins and counters.
 /// At the moment of the copy both stores read, count and recover alike;
 /// afterwards a write, fault or compaction on one never reaches the other.
 /// Written by hand because the derive would alias the one disk.
@@ -1295,6 +1296,98 @@ mod second_disk {
         b.flush();
         assert_eq!(disk(&a), a_disk);
         assert_eq!(a.get(&key(1)).unwrap(), Some(b"after-the-copy".to_vec()));
+    }
+
+    /// Every table file of a store's disk.
+    fn tables(s: &LsmStore) -> Vec<String> {
+        disk(s).list("lsm/sst/")
+    }
+
+    #[test]
+    fn sealed_tables_of_twin_stores_are_one_allocation() {
+        let mut a = loaded();
+        let mut b = a.clone();
+        for s in [&mut a, &mut b] {
+            for i in 0..40 {
+                s.put(&key(i), b"after-the-copy").unwrap();
+            }
+            s.flush();
+            s.put(b"tail", b"unflushed").unwrap();
+        }
+        let (da, db) = (disk(&a), disk(&b));
+        assert_eq!(da, db);
+        assert!(tables(&a).len() > 1);
+        for file in tables(&a).iter().map(String::as_str).chain(["lsm/manifest"]) {
+            assert!(da.shares_file(&db, file), "{file} is held twice");
+        }
+        assert!(!da.shares_file(&db, "lsm/wal"), "an appended file is shared");
+        assert_eq!(da.sealed_pool_len(), tables(&a).len() + 1);
+    }
+
+    #[test]
+    fn sealed_tables_of_unrelated_stores_are_never_shared() {
+        let (a, b) = (loaded(), loaded());
+        let (da, db) = (disk(&a), disk(&b));
+        assert_eq!(da, db, "the same writes leave the same bytes");
+        for file in tables(&a) {
+            assert!(!da.shares_file(&db, &file), "{file} crossed into another lineage");
+        }
+    }
+
+    #[test]
+    fn sealed_table_faults_on_one_disk_never_reach_its_twin() {
+        type Fault = fn(&LsmStore, &str);
+        let faults: [(&str, Fault); 5] = [
+            ("bit rot", |s, f| assert_eq!(FaultVfs::new(s.vfs(), 3).bit_rot(f, 4), 4)),
+            ("truncation", |s, f| s.vfs().lock().unwrap().truncate(f, 10)),
+            ("torn tail", |s, f| {
+                s.vfs().lock().unwrap().append(f, b"unsynced");
+                assert!(FaultVfs::new(s.vfs(), 3).tear_tail(f));
+            }),
+            ("append", |s, f| s.vfs().lock().unwrap().append(f, b"more")),
+            ("overwrite", |s, f| s.vfs().lock().unwrap().write(f, b"other bytes")),
+        ];
+        // The same writes on a disk of another lineage: bytes the fault
+        // cannot reach.
+        let witness = disk(&loaded());
+        for (what, fault) in faults {
+            let a = loaded();
+            let mut b = a.clone();
+            let b_disk = disk(&b);
+            let table = tables(&a)[0].clone();
+            assert!(disk(&a).shares_file(&b_disk, &table));
+            let bytes = witness.clone().read(&table).unwrap();
+
+            fault(&a, &table);
+            assert_ne!(disk(&a).read(&table).unwrap(), bytes, "{what} did nothing");
+            assert_eq!(disk(&b), b_disk, "{what} moved the twin's disk");
+            assert_eq!(disk(&b), witness, "{what} reached the twin's bytes");
+            assert_eq!(disk(&b).read(&table).unwrap(), bytes);
+            assert!(!disk(&a).shares_file(&disk(&b), &table), "{what} left the file shared");
+            // The twin still reads and recovers as it did.
+            assert_eq!(b.get(&key(1)).unwrap(), Some(b"round5".to_vec()), "after {what}");
+            let mut reopened = LsmStore::open(b.vfs(), "lsm", config()).unwrap();
+            assert_eq!(reopened.scan_prefix(b"").unwrap().len(), 39, "after {what}");
+        }
+    }
+
+    #[test]
+    fn sealed_pool_empties_once_every_twin_lets_go() {
+        let a = loaded();
+        let b = a.clone();
+        let probe = {
+            let mut d = disk(&a);
+            for file in d.list("") {
+                d.delete(&file);
+            }
+            d
+        };
+        let sealed = tables(&a).len() + 1;
+        assert_eq!(probe.sealed_pool_len(), sealed);
+        drop(a);
+        assert_eq!(probe.sealed_pool_len(), sealed, "the twin still holds them");
+        drop(b);
+        assert_eq!(probe.sealed_pool_len(), 0);
     }
 }
 

@@ -6,7 +6,10 @@
 //! contents, not estimates. Write and read volumes feed the storage engines'
 //! [`crate::StorageStats`].
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex};
 
 /// Error returned for operations on missing files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,17 +23,113 @@ impl std::fmt::Display for FileNotFound {
 
 impl std::error::Error for FileNotFound {}
 
+/// One file's bytes. A file written whole by [`Vfs::write`] is *sealed*:
+/// its bytes sit in its lineage's [`Pool`], so replicas that write the
+/// same table under the same name hold one allocation. A file that is
+/// appended to is *open* and owned by its disk alone.
+#[derive(Clone)]
+enum Bytes {
+    Open(Vec<u8>),
+    Sealed(Arc<[u8]>),
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Bytes::Open(data) => data,
+            Bytes::Sealed(data) => data,
+        }
+    }
+}
+
+/// Files are equal when their bytes are, shared or not.
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Bytes {}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// The sealed files of one disk lineage, keyed by `(name, len)`; a key
+/// holds more than one file while disks of the lineage disagree on its
+/// bytes (a manifest rewritten at the same length on one replica before
+/// another). The pool holds a strong reference to each file and drops it
+/// when the last disk holding it deletes, overwrites, unseals or drops it,
+/// so a lone disk holds exactly its own bytes.
+#[derive(Default)]
+struct Pool(Mutex<BTreeMap<PoolKey, Vec<Arc<[u8]>>>>);
+
+/// A sealed file's `(name, len)`.
+type PoolKey = (String, usize);
+
+impl Pool {
+    /// `data` sealed as `name`: the pooled file with the same bytes, else a
+    /// new pooled one. Files are shared after a full compare, never on a
+    /// hash.
+    fn seal(&self, name: &str, data: &[u8]) -> Bytes {
+        let mut pool = self.0.lock().unwrap();
+        let files = pool.entry((name.to_string(), data.len())).or_default();
+        match files.iter().find(|f| ***f == *data) {
+            Some(f) => Bytes::Sealed(Arc::clone(f)),
+            None => {
+                let f: Arc<[u8]> = Arc::from(data);
+                files.push(Arc::clone(&f));
+                Bytes::Sealed(f)
+            }
+        }
+    }
+
+    /// Let go of `name`'s old bytes. A sealed file no other disk holds
+    /// leaves the pool. The reference drops under the lock, so two disks
+    /// letting go of one file at once cannot each leave it to the other.
+    fn release(&self, name: &str, bytes: Bytes) {
+        let Bytes::Sealed(data) = bytes else { return };
+        let mut pool = self.0.lock().unwrap();
+        let Entry::Occupied(mut files) = pool.entry((name.to_string(), data.len())) else {
+            unreachable!("a sealed file outside its pool");
+        };
+        if Arc::strong_count(&data) == 2 {
+            files.get_mut().retain(|f| !Arc::ptr_eq(f, &data));
+            if files.get().is_empty() {
+                files.remove();
+            }
+        }
+        drop(data);
+    }
+}
+
+/// A disk's `Debug` shows its own files, not its lineage's.
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Pool")
+    }
+}
+
 /// An in-memory filesystem with byte accounting.
 ///
-/// `Clone` deliberately copies file contents *and* the I/O counters: tests
-/// snapshot a node's durable state this way to compare pre-crash and
-/// post-recovery bytes, benchmarks clone a prepared image per iteration, and
-/// a store copied with its replica ([`crate::LsmStore`]'s `Clone`) gets its
-/// own disk this way. Two disks are equal when every file, counter and
-/// fault setting is.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// `Clone` copies the files *and* the I/O counters, and the copy joins the
+/// original's lineage: a sealed file's bytes are shared, not duplicated,
+/// and whatever either side writes whole later is interned in the same
+/// pool, while appends, truncation and bit rot copy a shared file first and
+/// so never reach the other side. Tests snapshot a node's durable state
+/// this way to compare pre-crash and post-recovery bytes, benchmarks clone a
+/// prepared image per iteration, and a store copied with its replica
+/// ([`crate::LsmStore`]'s `Clone`) gets its own disk this way. [`Vfs::new`]
+/// starts a lineage of its own. Two disks are equal when every file's
+/// bytes, every counter and every fault setting are; sharing is not
+/// compared.
+#[derive(Debug, Default, Clone)]
 pub struct Vfs {
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, Bytes>,
     bytes_written: u64,
     bytes_read: u64,
     /// Per file: offset where the most recent `append` began. An un-fsynced
@@ -48,6 +147,44 @@ pub struct Vfs {
     op_latency_us: u64,
     /// Cumulative modeled stall across all ops, µs.
     stall_us: u64,
+    /// The sealed files of this disk's lineage: its own, its clones' and
+    /// the disks it was cloned from.
+    pool: Arc<Pool>,
+}
+
+impl PartialEq for Vfs {
+    fn eq(&self, other: &Vfs) -> bool {
+        let Vfs {
+            files,
+            bytes_written,
+            bytes_read,
+            last_append,
+            capacity,
+            enospc_hits,
+            op_latency_us,
+            stall_us,
+            pool: _,
+        } = self;
+        *files == other.files
+            && *bytes_written == other.bytes_written
+            && *bytes_read == other.bytes_read
+            && *last_append == other.last_append
+            && *capacity == other.capacity
+            && *enospc_hits == other.enospc_hits
+            && *op_latency_us == other.op_latency_us
+            && *stall_us == other.stall_us
+    }
+}
+
+impl Eq for Vfs {}
+
+/// A dropped disk lets go of its sealed files.
+impl Drop for Vfs {
+    fn drop(&mut self) {
+        for (name, bytes) in std::mem::take(&mut self.files) {
+            self.pool.release(&name, bytes);
+        }
+    }
 }
 
 impl Vfs {
@@ -61,10 +198,25 @@ impl Vfs {
         self.stall_us += self.op_latency_us;
     }
 
+    /// `name`'s bytes to change in place. A sealed file is copied first, so
+    /// the change reaches no other disk.
+    fn open_mut(&mut self, name: &str) -> Option<&mut Vec<u8>> {
+        let file = self.files.get_mut(name)?;
+        if let Bytes::Sealed(data) = &*file {
+            let own = Bytes::Open(data.to_vec());
+            let sealed = std::mem::replace(file, own);
+            self.pool.release(name, sealed);
+        }
+        match file {
+            Bytes::Open(data) => Some(data),
+            Bytes::Sealed(_) => unreachable!("unsealed above"),
+        }
+    }
+
     /// Create or truncate a file.
     pub fn create(&mut self, name: &str) {
-        self.files.insert(name.to_string(), Vec::new());
-        self.last_append.remove(name);
+        self.delete(name);
+        self.files.insert(name.to_string(), Bytes::Open(Vec::new()));
     }
 
     /// How many of `extra` bytes fit under the capacity ceiling. Counts a
@@ -86,13 +238,18 @@ impl Vfs {
         self.charge_op();
         let admitted = self.admit(data.len());
         self.bytes_written += admitted as u64;
-        let file = self.files.entry(name.to_string()).or_default();
+        if !self.files.contains_key(name) {
+            self.files.insert(name.to_string(), Bytes::Open(Vec::new()));
+        }
+        let file = self.open_mut(name).expect("inserted above");
         let start = file.len() as u64;
         file.extend_from_slice(&data[..admitted]);
         self.last_append.insert(name.to_string(), start);
     }
 
-    /// Replace a file's contents, creating it if needed. With a capacity
+    /// Replace a file's contents, creating it if needed, and seal it: a
+    /// disk of the same lineage that sealed the same bytes under the same
+    /// name already holds them, and this disk shares them. With a capacity
     /// set, an oversized rewrite is truncated to fit.
     pub fn write(&mut self, name: &str, data: &[u8]) {
         self.charge_op();
@@ -100,8 +257,9 @@ impl Vfs {
         let grow = (data.len() as u64).saturating_sub(prior) as usize;
         let admitted = data.len() - (grow - self.admit(grow));
         self.bytes_written += admitted as u64;
-        self.files.insert(name.to_string(), data[..admitted].to_vec());
-        self.last_append.remove(name);
+        self.delete(name);
+        let sealed = self.pool.seal(name, &data[..admitted]);
+        self.files.insert(name.to_string(), sealed);
     }
 
     /// Read a whole file.
@@ -109,7 +267,7 @@ impl Vfs {
         self.charge_op();
         let data = self.files.get(name).ok_or_else(|| FileNotFound(name.to_string()))?;
         self.bytes_read += data.len() as u64;
-        Ok(data.clone())
+        Ok(data.to_vec())
     }
 
     /// Read a byte range `[offset, offset+len)` of a file. Short reads at
@@ -145,10 +303,8 @@ impl Vfs {
     /// only — no bytes are written, so accounting is untouched. Whatever
     /// survives is considered durable: the last-append marker is cleared.
     pub fn truncate(&mut self, name: &str, len: u64) {
-        if let Some(data) = self.files.get_mut(name) {
-            if (len as usize) < data.len() {
-                data.truncate(len as usize);
-            }
+        if self.file_size(name).is_some_and(|size| len < size) {
+            self.open_mut(name).expect("sized above").truncate(len as usize);
         }
         self.last_append.remove(name);
     }
@@ -163,13 +319,11 @@ impl Vfs {
     /// Mutable access to raw file bytes — fault injection only (bit rot).
     /// Accounting is deliberately untouched: rot is not I/O.
     pub fn corrupt_byte(&mut self, name: &str, offset: u64, mask: u8) -> bool {
-        match self.files.get_mut(name).and_then(|d| d.get_mut(offset as usize)) {
-            Some(b) => {
-                *b ^= mask;
-                true
-            }
-            None => false,
+        if self.file_size(name).is_none_or(|size| offset >= size) {
+            return false;
         }
+        self.open_mut(name).expect("sized above")[offset as usize] ^= mask;
+        true
     }
 
     /// Arm (or disarm) the disk-full ceiling.
@@ -196,7 +350,9 @@ impl Vfs {
     /// Delete a file; deleting a missing file is a no-op (matching POSIX
     /// `unlink` semantics in the engines' cleanup paths).
     pub fn delete(&mut self, name: &str) {
-        self.files.remove(name);
+        if let Some(old) = self.files.remove(name) {
+            self.pool.release(name, old);
+        }
         self.last_append.remove(name);
     }
 
@@ -237,6 +393,22 @@ impl Vfs {
     /// Number of files.
     pub fn file_count(&self) -> usize {
         self.files.len()
+    }
+}
+
+#[cfg(test)]
+impl Vfs {
+    /// Sealed files in the pool of this disk's lineage.
+    pub(crate) fn sealed_pool_len(&self) -> usize {
+        self.pool.0.lock().unwrap().values().map(Vec::len).sum()
+    }
+
+    /// Do both disks hold `name` in one allocation?
+    pub(crate) fn shares_file(&self, other: &Vfs, name: &str) -> bool {
+        match (self.files.get(name), other.files.get(name)) {
+            (Some(Bytes::Sealed(a)), Some(Bytes::Sealed(b))) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -378,5 +550,95 @@ mod tests {
         assert_eq!(vfs.list(""), vec!["sst/000001", "sst/000002", "wal"]);
         assert!(vfs.list("zzz").is_empty());
         assert_eq!(vfs.file_count(), 3);
+    }
+
+    #[test]
+    fn sealed_file_written_twice_in_one_lineage_is_one_allocation() {
+        let mut a = Vfs::new();
+        let mut b = a.clone();
+        a.write("sst/1", b"table bytes");
+        b.write("sst/1", b"table bytes");
+        assert!(a.shares_file(&b, "sst/1"));
+        assert_eq!(a.sealed_pool_len(), 1);
+        // Each disk still counts its own write.
+        assert_eq!((a.bytes_written(), b.bytes_written()), (11, 11));
+        assert_eq!((a.disk_usage(), b.disk_usage()), (11, 11));
+        // A clone shares what its original sealed before and after the clone.
+        let c = b.clone();
+        assert!(c.shares_file(&a, "sst/1"));
+        // Appended files are each disk's own.
+        a.append("wal", b"log");
+        b.append("wal", b"log");
+        assert!(!a.shares_file(&b, "wal"));
+        assert_eq!(a.read("wal").unwrap(), b.read("wal").unwrap());
+    }
+
+    #[test]
+    fn sealed_files_of_unrelated_disks_are_never_shared() {
+        let mut a = Vfs::new();
+        let mut b = Vfs::new();
+        a.write("sst/1", b"table bytes");
+        b.write("sst/1", b"table bytes");
+        assert!(!a.shares_file(&b, "sst/1"));
+        assert_eq!(a, b, "equal bytes are equal disks, shared or not");
+        assert_eq!((a.sealed_pool_len(), b.sealed_pool_len()), (1, 1));
+    }
+
+    #[test]
+    fn sealed_bytes_differing_under_one_name_and_length_stay_apart() {
+        let mut a = Vfs::new();
+        let mut b = a.clone();
+        let mut c = a.clone();
+        a.write("manifest", b"aaaa");
+        b.write("manifest", b"bbbb");
+        assert!(!a.shares_file(&b, "manifest"));
+        assert_eq!(a.read("manifest").unwrap(), b"aaaa");
+        assert_eq!(b.read("manifest").unwrap(), b"bbbb");
+        assert_eq!(a.sealed_pool_len(), 2);
+        // A third disk shares whichever it matches, while both are held.
+        c.write("manifest", b"bbbb");
+        assert!(c.shares_file(&b, "manifest"));
+        a.write("manifest", b"bbbb");
+        assert!(a.shares_file(&b, "manifest"));
+        assert_eq!(a.sealed_pool_len(), 1);
+    }
+
+    #[test]
+    fn sealed_pool_empties_when_the_last_holder_lets_go() {
+        let mut a = Vfs::new();
+        let probe = a.clone(); // holds no file: it only sees the pool
+        a.write("deleted", b"one");
+        a.write("overwritten", b"two");
+        a.write("unsealed", b"three");
+        a.write("dropped", b"four");
+        let mut b = a.clone();
+        assert_eq!(probe.sealed_pool_len(), 4);
+        // Deleted: the file leaves with its last holder.
+        a.delete("deleted");
+        assert_eq!(probe.sealed_pool_len(), 4, "b still holds it");
+        b.delete("deleted");
+        assert_eq!(probe.sealed_pool_len(), 3);
+        // Overwritten: the new bytes come in as the old ones leave.
+        a.write("overwritten", b"2");
+        assert_eq!(probe.sealed_pool_len(), 4);
+        b.write("overwritten", b"2");
+        assert_eq!(probe.sealed_pool_len(), 3);
+        assert!(a.shares_file(&b, "overwritten"));
+        // Unsealed by an append and a truncation: each side's copy is open.
+        a.append("unsealed", b"!");
+        b.truncate("unsealed", 1);
+        assert_eq!(probe.sealed_pool_len(), 2);
+        // Dropped: each disk lets go of everything it sealed.
+        drop(a);
+        assert_eq!(probe.sealed_pool_len(), 2);
+        drop(b);
+        assert_eq!(probe.sealed_pool_len(), 0);
+        // A lone disk holds only its own bytes.
+        let mut lone = Vfs::new();
+        lone.write("f", b"bytes");
+        lone.write("f", b"other");
+        assert_eq!(lone.sealed_pool_len(), 1);
+        lone.delete("f");
+        assert_eq!(lone.sealed_pool_len(), 0);
     }
 }

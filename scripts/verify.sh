@@ -87,6 +87,20 @@ for platform in bb-ethereum bb-parity bb-fabric; do
     smoke -p "$platform" twin
     smoke -p "$platform" preload_refuses
 done
+# Sealed files are held once per world (DESIGN.md §4 "Replicas may share any
+# immutable value"): the disks of one lineage share a file written whole
+# with the same bytes, an unrelated disk never does, a fault on one side
+# copies first, and the pool empties with its last holder. On Fabric every
+# peer's tables are node 0's allocations. The pool is `bb-storage`'s own: no
+# type of it leaves `vfs.rs`.
+smoke -p bb-storage sealed
+smoke -p bb-fabric twin_replicas_hold_each_sealed_table_once
+if git grep -n 'Pool' -- crates/bb-storage/src/lib.rs ||
+    git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*Pool' -- crates/bb-storage/src ':!crates/bb-storage/src/vfs.rs' ||
+    git grep -nE '^[[:space:]]*pub .*\bPool\b' -- crates/bb-storage/src/vfs.rs; then
+    echo "ERROR: bb-storage exports its sealed-file pool; it stays private to vfs.rs" >&2
+    exit 1
+fi
 
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
