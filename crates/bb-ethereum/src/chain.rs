@@ -21,7 +21,7 @@ use crate::state::AccountState;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
 use bb_sim::{Effects, ShardedWorld, SimDuration, SimRng, SimTime};
-use bb_storage::{FaultVfs, KvError, KvPairs, KvStore, LsmConfig, LsmStore};
+use bb_storage::{FaultVfs, KvError, KvStore, LsmConfig, LsmStore};
 use bb_types::{Block, NodeId, Transaction};
 use blockbench::connector::Fault;
 use std::sync::Arc;
@@ -112,24 +112,9 @@ impl ChainPlatform for EthCtx {
         EthEvent::Sync { to, msg }
     }
 
-    /// Each chunk pins a fresh snapshot of the durable store (flushing the
-    /// memtable), reads one chunk past the cursor via the sparse indexes and
-    /// unpins, so the store is free to compact between chunks. Trie nodes,
-    /// account values and `!b/` block records share the key space, so the
-    /// chunks carry chain and state alike.
-    fn state_chunk(
-        store: &mut LsmStore,
-        after: Option<&[u8]>,
-        max_bytes: usize,
-    ) -> (KvPairs, bool) {
-        let snap = store.snapshot_open();
-        let chunk = store.snapshot_chunk(snap, after, max_bytes).expect("own snapshot readable");
-        store.snapshot_close(snap);
-        chunk
-    }
-
-    /// The block records came with the state: make the transfer durable and
-    /// rebuild the chain from the store.
+    /// Trie nodes, account values and `!b/` block records share the store's
+    /// key space, so the state chunks carried the chain too: make the
+    /// transfer durable and rebuild the chain from the store.
     fn state_landed(node: &mut ChainNode<LsmStore>) -> bool {
         node.state.store_mut().flush();
         rebuild_node_from_store(node);

@@ -144,15 +144,6 @@ pub trait ChainPlatform {
     /// The event that delivers `msg` to `to`.
     fn sync(to: NodeId, msg: SyncMsg) -> Self::Event;
 
-    /// Read one state chunk from a serving node's store: live `(key, value)`
-    /// pairs with key > `after`, in key order, about `max_bytes` of them,
-    /// and whether the key space is exhausted.
-    fn state_chunk(
-        store: &mut Self::Store,
-        after: Option<&[u8]>,
-        max_bytes: usize,
-    ) -> (KvPairs, bool);
-
     /// The last state chunk is in `node`'s store. Either rebuild the chain
     /// from the store and return `true`, or return `false` to fetch the main
     /// chain as `(block, root)` chunks too.
@@ -184,8 +175,8 @@ pub enum SyncMsg {
         from: NodeId,
     },
     /// A node too far behind to replay asks a peer for its next state chunk
-    /// ([`ChainPlatform::state_chunk`]). Trie nodes are content-addressed,
-    /// so chunks read at different instants mix safely.
+    /// ([`KvStore::scan_range_chunk`] on the peer's live store). Trie nodes
+    /// are content-addressed, so chunks read at different instants mix safely.
     StateRequest {
         /// Recovering node.
         from: NodeId,
@@ -738,8 +729,8 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
     }
 
-    /// Serve `from` one state chunk after `after`. The wire carries a
-    /// 16-byte header and the pairs.
+    /// Serve `from` one state chunk after `after`, read from the live store.
+    /// The wire carries a 16-byte header and the pairs.
     fn on_state_request<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -749,7 +740,8 @@ impl<S: KvStore + Send> ChainNode<S> {
         fx: &mut Effects<P::Event>,
     ) {
         let max_bytes = p.params().snapshot_chunk_bytes;
-        let (entries, done) = P::state_chunk(self.state.store_mut(), after, max_bytes);
+        let (entries, done) =
+            self.state.store_mut().scan_range_chunk(after, max_bytes).expect("own store readable");
         let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
         let entries = Arc::new(entries);
         let chunk = P::sync(from, SyncMsg::StateChunk { from: me, entries, done });
@@ -1180,13 +1172,6 @@ mod tests {
         }
         fn sync(to: NodeId, msg: SyncMsg) -> TestEvent {
             TestEvent::Sync(to, msg)
-        }
-        fn state_chunk(
-            store: &mut MemStore,
-            after: Option<&[u8]>,
-            max_bytes: usize,
-        ) -> (KvPairs, bool) {
-            store.scan_range_chunk(after, max_bytes).expect("in-memory scans are infallible")
         }
         fn state_landed(_node: &mut ChainNode<MemStore>) -> bool {
             false

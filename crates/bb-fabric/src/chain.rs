@@ -24,7 +24,7 @@ use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Re
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::merkle_root;
 use bb_net::Network;
-use bb_storage::{FaultVfs, Vfs};
+use bb_storage::{FaultVfs, KvStore, LsmStore, Vfs};
 use bb_sim::{CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_types::{Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId};
 use blockbench::connector::{
@@ -66,30 +66,26 @@ pub enum FabEvent {
         /// The peer.
         node: NodeId,
     },
-    /// A restarted peer too far behind to replay batch-by-batch asks a
-    /// live peer for one chunk of its state snapshot.
+    /// A restarted peer that cannot replay batch by batch asks a live peer
+    /// for the next chunk of its store (`ChainNode`'s `StateRequest` shape).
     SnapshotRequest {
         /// Serving peer.
         to: NodeId,
         /// Recovering peer.
         from: NodeId,
-        /// Pinned snapshot session on the server; `None` opens one.
-        session: Option<u64>,
-        /// Resume after this key (exclusive); `None` starts the stream.
+        /// Resume after this key (exclusive); `None` starts a transfer.
         after: Option<Vec<u8>>,
     },
-    /// One bounded chunk of a pinned peer snapshot: raw store entries
+    /// One bounded chunk of a peer's frozen store: raw store entries
     /// (state values and the `!b/` block records ride together).
     SnapshotChunk {
         /// Recovering peer.
         to: NodeId,
         /// Serving peer.
         from: NodeId,
-        /// The server's pinned session, echoed back for the next request.
-        session: u64,
         /// Raw `(key, value)` store entries.
         entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-        /// True when the snapshot's key space is exhausted.
+        /// True when the frozen store's key space is exhausted.
         done: bool,
     },
 }
@@ -153,6 +149,9 @@ impl Ledger {
 struct FabNode {
     pbft: PbftNode,
     state: FabricState,
+    /// Per recovering peer it serves, the frozen copy of its store that the
+    /// transfer's first request took. Process memory: a crash drops them.
+    serving: Vec<(NodeId, LsmStore)>,
     /// Bounded consensus channel: `(sender, message)` in arrival order.
     inbox: VecDeque<(NodeId, PbftMsg)>,
     draining: bool,
@@ -246,11 +245,13 @@ impl FabNode {
         floor
     }
 
-    /// The process died. Amnesia: the inbox and pipeline are process
-    /// memory. The state, ledger and recovery window linger until a restart
-    /// replaces them, but no handler reads them while crashed.
+    /// The process died. Amnesia: the inbox, the pipeline and the copies it
+    /// served from are process memory. The state, ledger and recovery window
+    /// linger until a restart replaces them, but no handler reads them while
+    /// crashed.
     fn crash(&mut self) {
         self.crashed = true;
+        self.serving.clear();
         self.inbox.clear();
         self.draining = false;
         self.drain_generation += 1;
@@ -342,11 +343,11 @@ impl ShardedWorld for FabWorld {
             }
             FabEvent::Drain { generation, .. } => on_drain(ctx, node, id, now, generation, fx),
             FabEvent::Wake { .. } => on_wake(ctx, node, id, now, fx),
-            FabEvent::SnapshotRequest { from, session, after, .. } => {
-                on_snapshot_request(ctx, node, id, from, session, after, fx)
+            FabEvent::SnapshotRequest { from, after, .. } => {
+                on_snapshot_request(ctx, node, id, from, after, fx)
             }
-            FabEvent::SnapshotChunk { from, session, entries, done, .. } => {
-                on_snapshot_chunk(ctx, node, id, now, from, session, entries, done, fx)
+            FabEvent::SnapshotChunk { from, entries, done, .. } => {
+                on_snapshot_chunk(ctx, node, id, now, from, entries, done, fx)
             }
         }
     }
@@ -523,12 +524,12 @@ fn dispatch(
                 }
             }
             Action::CommitBatch { seq, batch } => commit_batch(ctx, node, from, now, seq, batch),
-            // A replica jumped past garbage-collected consensus history.
-            // With the default horizon (1024 batches) no benchmark sweep
-            // ever trims the log, so this only fires in hand-built
-            // scenarios; the simulation does not model the application
-            // state transfer a real deployment would run here — the
-            // replica keeps serving consensus from the checkpoint on.
+            // A replica jumped past history its peer no longer holds (a
+            // trimmed log, or a peer that restarted above it). A restart
+            // transfers state instead (`restart_node`), but a live
+            // replica's gap sync can still land here; no state transfer
+            // runs — the replica keeps serving consensus from the
+            // checkpoint on, without the jumped-over batches.
             Action::InstallCheckpoint { .. } => {}
         }
     }
@@ -606,44 +607,39 @@ fn commit_batch(
     }
 }
 
-/// Serve one chunk of a pinned store snapshot to a recovering peer. The
-/// first request opens the session; the pin freezes the table set (one
-/// consistent block boundary) while compaction keeps running with file
-/// deletion deferred until the session closes. If the requester dies
-/// mid-transfer the session stays pinned until this peer next restarts —
-/// bounded garbage, matched by real snapshot servers' lease timeouts.
+/// Serve a recovering peer the next chunk of this peer's store. The first
+/// request freezes a copy at a block boundary (commits are atomic batches),
+/// replacing any earlier one for that peer; every chunk reads it, and the
+/// last drops it. A follow-up with no copy (this peer crashed mid-serve)
+/// goes unanswered. A copy whose requester died stays until this peer
+/// crashes — bounded garbage, like a snapshot server's lease.
 fn on_snapshot_request(
     ctx: &FabCtx,
     node: &mut FabNode,
     me: NodeId,
     from: NodeId,
-    session: Option<u64>,
     after: Option<Vec<u8>>,
     fx: &mut Effects<FabEvent>,
 ) {
     if node.crashed {
         return;
     }
-    let snap = session.unwrap_or_else(|| node.state.snapshot_open());
-    let Ok((entries, done)) =
-        node.state.snapshot_chunk(snap, after.as_deref(), ctx.config.snapshot_chunk_bytes)
-    else {
-        // Unknown session (this peer restarted mid-serve): the transfer
-        // stalls exactly like a crashed server would.
+    if after.is_none() {
+        node.serving.retain(|(peer, _)| *peer != from);
+        node.serving.push((from, node.state.frozen_store()));
+    }
+    let Some(i) = node.serving.iter().position(|(peer, _)| *peer == from) else {
         return;
     };
+    let max_bytes = ctx.config.snapshot_chunk_bytes;
+    let read = node.serving[i].1.scan_range_chunk(after.as_deref(), max_bytes);
+    let (entries, done) = read.expect("frozen store readable");
     if done {
-        node.state.snapshot_close(snap);
+        node.serving.remove(i);
     }
     let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-    let entries = Arc::new(entries);
-    fx.send(from.0, bytes, move |_at| FabEvent::SnapshotChunk {
-        to: from,
-        from: me,
-        session: snap,
-        entries,
-        done,
-    });
+    let chunk = FabEvent::SnapshotChunk { to: from, from: me, entries: Arc::new(entries), done };
+    fx.send(from.0, bytes, move |_at| chunk);
 }
 
 /// Apply a received snapshot chunk; on the final chunk, reopen the
@@ -657,7 +653,6 @@ fn on_snapshot_chunk(
     me: NodeId,
     now: SimTime,
     from: NodeId,
-    session: u64,
     entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
     done: bool,
     fx: &mut Effects<FabEvent>,
@@ -671,12 +666,7 @@ fn on_snapshot_chunk(
     node.state.apply_snapshot_entries(&entries).expect("fresh store healthy");
     if !done {
         let after = entries.last().map(|(k, _)| k.clone());
-        fx.send(from.0, 64, move |_at| FabEvent::SnapshotRequest {
-            to: from,
-            from: me,
-            session: Some(session),
-            after,
-        });
+        fx.send(from.0, 64, move |_at| FabEvent::SnapshotRequest { to: from, from: me, after });
         return;
     }
     let floor = node.reopen(ctx, me);
@@ -711,6 +701,7 @@ impl FabricChain {
             .map(|i| FabNode {
                 pbft: PbftNode::new(NodeId(i), pbft_config.clone()),
                 state: ctx.open_state(ctx.blank_disk()),
+                serving: Vec::new(),
                 inbox: VecDeque::new(),
                 draining: false,
                 drain_generation: 0,
@@ -734,16 +725,21 @@ impl FabricChain {
 
     /// Restart a crashed peer from its durable store: reopen it, then ask
     /// a live peer for the committed batches past its floor — or, when that
-    /// gap is too deep to replay batch by batch, for its whole snapshot in
+    /// gap is too deep to replay batch by batch, for its whole store in
     /// bounded chunks. Likewise when the crash tore a transfer: the store
     /// then holds block records whose state never fully arrived, so its
-    /// floor says nothing about what can be replayed onto it. With no live
-    /// peer the peer is caught up as it stands.
+    /// floor says nothing about what can be replayed onto it. Likewise when
+    /// the peer's retained log starts above the floor (it restarted above
+    /// it): it would answer with a checkpoint jump over batches never
+    /// executed here. With no live peer the peer is caught up as it stands.
     fn restart_node(&mut self, id: NodeId) {
         assert!(self.network.is_crashed(id), "Restart of live {id}: crash it first");
         let now = self.engine.now();
         let peer = self.network.first_live_peer(id);
-        let peer_floor = peer.map(|p| self.engine.with_node(p.0, |n| n.pbft.last_committed()));
+        let peer_log = peer.map(|p| {
+            self.engine.with_node(p.0, |n| (n.pbft.checkpoint().0, n.pbft.last_committed()))
+        });
+        let peer_floor = peer_log.map(|(_, committed)| committed);
         let (floor, snapshot) = self.engine.with_ctx_node_mut(id.0, |ctx, n| {
             let torn = n.recovery.snapshot_syncing;
             let floor = n.reopen(ctx, id);
@@ -753,7 +749,8 @@ impl FabricChain {
             n.counters.wal_replayed += st.wal_records_replayed;
             n.counters.wal_truncated += st.wal_tail_truncated;
             let deep = |t: u64| t.saturating_sub(floor) > ctx.config.snapshot_sync_blocks;
-            let snapshot = peer_floor.is_some_and(|t| torn || deep(t));
+            let snapshot =
+                peer_log.is_some_and(|(retained_from, t)| torn || deep(t) || floor < retained_from);
             if snapshot {
                 // Discard the durable prefix: the transfer lands on a blank
                 // disk, and PBFT stays at the durable floor until it does.
@@ -772,11 +769,9 @@ impl FabricChain {
         self.network.recover(id);
         if let Some(peer) = peer {
             if snapshot {
-                // Open a pinned snapshot session on the peer and stream it.
-                self.engine.schedule(
-                    now,
-                    FabEvent::SnapshotRequest { to: peer, from: id, session: None, after: None },
-                );
+                // Freeze a copy of the peer's store and stream it.
+                self.engine
+                    .schedule(now, FabEvent::SnapshotRequest { to: peer, from: id, after: None });
             } else {
                 // Fetch the committed batches past the durable floor.
                 self.engine.schedule(

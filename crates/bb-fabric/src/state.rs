@@ -93,29 +93,14 @@ impl FabricState {
         self.tree.store_mut().scan_prefix(prefix)
     }
 
-    /// Pin a consistent snapshot of the backing store for chunked state
-    /// sync. The pin freezes the table set at a block boundary (commits
-    /// are atomic batches), so every chunk of the session reads the same
-    /// state; compaction keeps running and defers file deletion until
-    /// [`Self::snapshot_close`].
-    pub fn snapshot_open(&mut self) -> u64 {
-        self.tree.store_mut().snapshot_open()
-    }
-
-    /// One bounded chunk of pinned snapshot `snap`: live `(key, value)`
-    /// pairs strictly after `after`, up to `max_bytes` of payload.
-    pub fn snapshot_chunk(
-        &mut self,
-        snap: u64,
-        after: Option<&[u8]>,
-        max_bytes: usize,
-    ) -> Result<(KvPairs, bool), KvError> {
-        self.tree.store_mut().snapshot_chunk(snap, after, max_bytes)
-    }
-
-    /// Release a pinned snapshot (reclaims any deferred file deletions).
-    pub fn snapshot_close(&mut self, snap: u64) {
-        self.tree.store_mut().snapshot_close(snap)
+    /// A frozen copy of the backing store to serve a state transfer from:
+    /// the memtable flushed, then a clone on a second disk, which shares
+    /// the sealed tables and so costs handles, not bytes. Later commits and
+    /// compactions never reach it.
+    pub fn frozen_store(&mut self) -> LsmStore {
+        let store = self.tree.store_mut();
+        store.flush();
+        store.clone()
     }
 
     /// Apply raw transferred `(key, value)` entries straight to the

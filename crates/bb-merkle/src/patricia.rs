@@ -1822,6 +1822,13 @@ mod seeded_props {
         fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
             self.inner.scan_prefix(prefix)
         }
+        fn scan_range_chunk(
+            &mut self,
+            after: Option<&[u8]>,
+            max_bytes: usize,
+        ) -> Result<(KvPairs, bool), KvError> {
+            self.inner.scan_range_chunk(after, max_bytes)
+        }
         fn stats(&self) -> bb_storage::StorageStats {
             self.inner.stats()
         }
@@ -1976,6 +1983,13 @@ mod known_answers {
         }
         fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
             self.inner.scan_prefix(prefix)
+        }
+        fn scan_range_chunk(
+            &mut self,
+            after: Option<&[u8]>,
+            max_bytes: usize,
+        ) -> Result<(KvPairs, bool), KvError> {
+            self.inner.scan_range_chunk(after, max_bytes)
         }
         fn stats(&self) -> StorageStats {
             StorageStats { bytes_written: self.bytes_written, ..self.inner.stats() }

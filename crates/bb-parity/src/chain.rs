@@ -15,7 +15,7 @@ use bb_ethereum::account_chain::{AccountChain, Consensus, Setup};
 use bb_ethereum::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use bb_ethereum::state::AccountState;
 use bb_sim::{CpuMeter, Effects, ShardedWorld, SimDuration, SimRng, SimTime};
-use bb_storage::{KvError, KvPairs, KvStore, MemStore};
+use bb_storage::{KvError, MemStore};
 use bb_types::{Block, NodeId, Transaction};
 use std::sync::Arc;
 
@@ -111,18 +111,6 @@ impl ChainPlatform for PoaCtx {
 
     fn sync(to: NodeId, msg: SyncMsg) -> PoaEvent {
         PoaEvent::Sync { to, msg }
-    }
-
-    /// The store is in-memory and content-addressed (trie nodes are never
-    /// rewritten), so a plain cursor scan over the live store is consistent:
-    /// entries added behind the cursor mid-transfer are newer trie nodes the
-    /// trailing chain chunks' roots never reach.
-    fn state_chunk(
-        store: &mut MemStore,
-        after: Option<&[u8]>,
-        max_bytes: usize,
-    ) -> (KvPairs, bool) {
-        store.scan_range_chunk(after, max_bytes).expect("in-memory store scans are infallible")
     }
 
     /// No block records: the main chain follows as `(block, root)` chunks.
@@ -349,6 +337,7 @@ fn state_cap(config: &ParityConfig) -> u64 {
 mod tests {
     use super::*;
     use bb_contracts::testing::ycsb_and_smallbank_setup;
+    use bb_storage::KvStore;
     use bb_types::Address;
     use blockbench::connector::{BlockchainConnector, Fault, Query};
     use bb_contracts::{donothing, ycsb};

@@ -36,6 +36,25 @@ pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 /// deletes.
 pub type KvOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
+/// What [`KvStore::scan_range_chunk`] returns from the live pairs past its
+/// cursor, in key order: the pairs up to and including the one that brings
+/// the key+value payload to `max_bytes`, and whether `pairs` ran out first.
+pub(crate) fn take_chunk(
+    pairs: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
+    max_bytes: usize,
+) -> (KvPairs, bool) {
+    let mut out = Vec::new();
+    let mut bytes = 0;
+    for (k, v) in pairs {
+        bytes += k.len() + v.len();
+        out.push((k, v));
+        if bytes >= max_bytes {
+            return (out, false);
+        }
+    }
+    (out, true)
+}
+
 /// A buffered set of writes applied atomically by [`KvStore::apply_batch`].
 ///
 /// Engines that implement batching natively (the LSM store) turn one batch
@@ -116,29 +135,14 @@ pub trait KvStore {
     /// A bounded run of live pairs with key strictly greater than `after`,
     /// in key order, stopping once `max_bytes` of key+value payload have
     /// accumulated. Returns `(entries, done)`; `done` means the key space
-    /// is exhausted. Parity's snapshot state sync serves its chunks through
-    /// this. No store overrides it: the default scans everything and
-    /// slices. The LSM store's pinned snapshots are a separate API
-    /// (`LsmStore::snapshot_chunk`), which Ethereum and Fabric use.
+    /// is exhausted. The one chunk reader, with no default that scans the
+    /// whole store: every snapshot transfer serves through it, from the
+    /// live store (Ethereum, Parity) or a frozen `clone` of it (Fabric).
     fn scan_range_chunk(
         &mut self,
         after: Option<&[u8]>,
         max_bytes: usize,
-    ) -> Result<(KvPairs, bool), KvError> {
-        let mut out = Vec::new();
-        let mut bytes = 0usize;
-        for (k, v) in self.scan_prefix(b"")? {
-            if after.is_some_and(|a| k.as_slice() <= a) {
-                continue;
-            }
-            bytes += k.len() + v.len();
-            out.push((k, v));
-            if bytes >= max_bytes {
-                return Ok((out, false));
-            }
-        }
-        Ok((out, true))
-    }
+    ) -> Result<(KvPairs, bool), KvError>;
 
     /// Engine statistics snapshot.
     fn stats(&self) -> StorageStats;

@@ -3,6 +3,7 @@
 //! drops them.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Sorted in-memory write buffer.
 #[derive(Debug, Default, Clone)]
@@ -57,6 +58,18 @@ impl MemTable {
         self.entries
             .range(prefix.to_vec()..)
             .take_while(move |(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.as_slice(), v.as_deref()))
+    }
+
+    /// Entries (including tombstones) with key strictly after `after`, or
+    /// all of them for `None`, in key order.
+    pub fn range_after<'a>(
+        &'a self,
+        after: Option<&'a [u8]>,
+    ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a {
+        let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.entries
+            .range::<[u8], _>((lo, Bound::Unbounded))
             .map(|(k, v)| (k.as_slice(), v.as_deref()))
     }
 
@@ -146,5 +159,20 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0], (b"a:1".as_slice(), Some(b"x".as_slice())));
         assert_eq!(hits[1], (b"a:2".as_slice(), None));
+    }
+
+    #[test]
+    fn range_after_excludes_the_cursor_and_keeps_tombstones() {
+        let mut m = MemTable::new();
+        m.put(b"a", b"1");
+        m.delete(b"b");
+        m.put(b"c", b"3");
+        let keys = |after: Option<&[u8]>| -> Vec<(Vec<u8>, bool)> {
+            m.range_after(after).map(|(k, v)| (k.to_vec(), v.is_some())).collect()
+        };
+        assert_eq!(keys(None).len(), 3);
+        assert_eq!(keys(Some(b"a")), vec![(b"b".to_vec(), false), (b"c".to_vec(), true)]);
+        assert_eq!(keys(Some(b"bb")), vec![(b"c".to_vec(), true)]);
+        assert!(keys(Some(b"c")).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Streaming k-way merge over SSTable entry regions.
 //!
-//! Compaction, prefix scans and snapshot chunking all need the same thing:
+//! Compaction, prefix scans and chunked range reads all need the same thing:
 //! the newest version of every key across several sorted tables, in key
 //! order, without materialising a whole-store `BTreeMap`. [`KWayMerge`]
 //! walks the raw entry regions with one cursor per source and emits each

@@ -21,8 +21,8 @@ const MAGIC: u32 = 0x5354_424c; // "STBL"
 
 /// Handle to one on-"disk" table, with its bloom filter and sparse index
 /// resident in memory. Clone is cheap relative to the file (bloom bits +
-/// sparse index only) and lets snapshot sessions pin a table set while the
-/// store keeps compacting.
+/// sparse index only), so a frozen copy of a store holds its tables for
+/// handles' worth of memory while the original keeps compacting.
 #[derive(Debug, Clone)]
 pub struct SsTable {
     file: String,

@@ -18,7 +18,7 @@ use super::memtable::MemTable;
 use super::merge::KWayMerge;
 use super::sstable::{SsTable, TableBuilder};
 use super::wal::{Wal, WalRecord};
-use crate::kv::{KvError, KvPairs, KvStore, WriteBatch};
+use crate::kv::{take_chunk, KvError, KvPairs, KvStore, WriteBatch};
 use crate::stats::StorageStats;
 use crate::vfs::Vfs;
 use std::collections::HashSet;
@@ -74,15 +74,6 @@ struct Tbl {
     table: SsTable,
 }
 
-/// A pinned snapshot: the table set (newest-first read priority) frozen at
-/// `snapshot_open` time. Compaction defers deleting these files until the
-/// snapshot closes.
-#[derive(Clone)]
-struct SnapshotPin {
-    id: u64,
-    tables: Vec<SsTable>,
-}
-
 /// A log-structured merge-tree key-value store over a (shared) [`Vfs`].
 pub struct LsmStore {
     vfs: Arc<Mutex<Vfs>>,
@@ -97,11 +88,6 @@ pub struct LsmStore {
     /// Round-robin compaction cursor per level: the upper bound of the last
     /// victim's key range, so repeated triggers sweep the whole level.
     cursors: Vec<Vec<u8>>,
-    snapshots: Vec<SnapshotPin>,
-    next_snapshot_id: u64,
-    /// Obsolete files still pinned by an open snapshot; deleted at
-    /// `snapshot_close`.
-    deferred_deletes: Vec<String>,
     stats: StorageStats,
 }
 
@@ -156,9 +142,6 @@ impl LsmStore {
             levels,
             next_table_id,
             cursors: Vec::new(),
-            snapshots: Vec::new(),
-            next_snapshot_id: 0,
-            deferred_deletes: Vec::new(),
             stats: StorageStats::default(),
         };
         // Recover the un-flushed tail. A torn or corrupt final frame (crash
@@ -316,7 +299,7 @@ impl LsmStore {
             .map(|(f, l)| (f.to_vec(), l.to_vec()))
         else {
             // An empty table carries no data; just drop it.
-            self.delete_or_defer(victim.table.file().to_string());
+            self.vfs.lock().unwrap().delete(victim.table.file());
             self.stats.compactions += 1;
             self.write_manifest();
             return;
@@ -403,9 +386,9 @@ impl LsmStore {
         // inputs. Only after it lands do the input files go away; a crash
         // anywhere in this window leaves orphans that `open` deletes.
         self.write_manifest();
-        self.delete_or_defer(victim.table.file().to_string());
-        for t in &overlaps {
-            self.delete_or_defer(t.table.file().to_string());
+        let mut v = self.vfs.lock().unwrap();
+        for t in std::iter::once(&victim).chain(&overlaps) {
+            v.delete(t.table.file());
         }
     }
 
@@ -415,96 +398,6 @@ impl LsmStore {
         let file = self.sst_file(id);
         let table = builder.finish(&mut self.vfs.lock().unwrap(), &file);
         Tbl { id, table }
-    }
-
-    fn is_pinned(&self, file: &str) -> bool {
-        self.snapshots.iter().any(|s| s.tables.iter().any(|t| t.file() == file))
-    }
-
-    fn delete_or_defer(&mut self, file: String) {
-        if self.is_pinned(&file) {
-            self.deferred_deletes.push(file);
-        } else {
-            self.vfs.lock().unwrap().delete(&file);
-        }
-    }
-
-    /// Pin the current durable table set for chunked iteration. Flushes the
-    /// memtable first so the snapshot is exactly the store's contents at
-    /// this instant; compaction keeps running but defers deleting pinned
-    /// files until [`snapshot_close`](Self::snapshot_close).
-    pub fn snapshot_open(&mut self) -> u64 {
-        self.flush_memtable();
-        let mut tables = Vec::new();
-        for t in self.levels[0].iter().rev() {
-            tables.push(t.table.clone());
-        }
-        for lvl in self.levels.iter().skip(1) {
-            for t in lvl {
-                tables.push(t.table.clone());
-            }
-        }
-        let id = self.next_snapshot_id;
-        self.next_snapshot_id += 1;
-        self.snapshots.push(SnapshotPin { id, tables });
-        id
-    }
-
-    /// The next `max_bytes`-bounded run of live `(key, value)` pairs with
-    /// key > `after`, in key order, from pinned snapshot `snap`. Returns
-    /// `(entries, done)`; `done` means the key space is exhausted. Each
-    /// call seeks via the sparse indexes, so a full transfer reads each
-    /// table roughly once.
-    pub fn snapshot_chunk(
-        &mut self,
-        snap: u64,
-        after: Option<&[u8]>,
-        max_bytes: usize,
-    ) -> Result<(KvPairs, bool), KvError> {
-        let pin = self
-            .snapshots
-            .iter()
-            .find(|s| s.id == snap)
-            .ok_or_else(|| KvError::Corrupt(format!("unknown snapshot {snap}")))?;
-        let mut sources = Vec::new();
-        {
-            let mut v = self.vfs.lock().unwrap();
-            for t in &pin.tables {
-                if let (Some(a), Some(l)) = (after, t.last_key()) {
-                    if l <= a {
-                        continue; // already shipped in full
-                    }
-                }
-                sources.push(t.entry_region_from(&mut v, after)?);
-            }
-        }
-        let mut out = Vec::new();
-        let mut bytes = 0usize;
-        let mut done = true;
-        for (key, value) in KWayMerge::new(sources) {
-            if after.is_some_and(|a| key.as_slice() <= a) {
-                continue; // sparse-index seek overshoots backwards
-            }
-            let Some(value) = value else { continue }; // live keys only
-            bytes += key.len() + value.len();
-            out.push((key, value));
-            if bytes >= max_bytes {
-                done = false;
-                break;
-            }
-        }
-        self.stats.reads += out.len() as u64;
-        Ok((out, done))
-    }
-
-    /// Release a snapshot pin and delete any files compaction obsoleted
-    /// while it was open.
-    pub fn snapshot_close(&mut self, snap: u64) {
-        self.snapshots.retain(|s| s.id != snap);
-        let deferred = std::mem::take(&mut self.deferred_deletes);
-        for file in deferred {
-            self.delete_or_defer(file);
-        }
     }
 
     /// Force a flush (platforms call this at block boundaries in tests).
@@ -693,6 +586,38 @@ impl KvStore for LsmStore {
         Ok(out)
     }
 
+    /// One streaming merge, newest source first: the memtable's entries
+    /// past `after`, then every live table that reaches past it (L0
+    /// newest→oldest, then the deeper levels), each read from its
+    /// sparse-index seek point. A call copies the suffix of every such
+    /// table, however small the chunk, so a whole transfer copies each
+    /// table once per chunk that reaches into it.
+    fn scan_range_chunk(
+        &mut self,
+        after: Option<&[u8]>,
+        max_bytes: usize,
+    ) -> Result<(KvPairs, bool), KvError> {
+        let mut sources = vec![Self::encode_region(self.memtable.range_after(after))];
+        {
+            let mut v = self.vfs.lock().unwrap();
+            let tables = self.levels[0].iter().rev().chain(self.levels[1..].iter().flatten());
+            for t in tables {
+                if after.is_some_and(|a| t.table.last_key().is_some_and(|l| l <= a)) {
+                    continue; // wholly at or before the cursor
+                }
+                sources.push(t.table.entry_region_from(&mut v, after)?);
+            }
+        }
+        // A sparse-index seek lands at or before the cursor, and tombstones
+        // only shadow: keep the live pairs past it.
+        let live = KWayMerge::new(sources)
+            .filter(|(key, _)| after.is_none_or(|a| key.as_slice() > a))
+            .filter_map(|(key, value)| Some((key, value?)));
+        let (out, done) = take_chunk(live, max_bytes);
+        self.stats.reads += out.len() as u64;
+        Ok((out, done))
+    }
+
     fn stats(&self) -> StorageStats {
         let mut s = self.stats;
         let v = self.vfs.lock().unwrap();
@@ -707,9 +632,11 @@ impl KvStore for LsmStore {
 /// A second disk, not a second handle: the copy owns a copy of the [`Vfs`]
 /// (file bytes, I/O counters, fault settings; sealed tables shared
 /// copy-on-write, as `Vfs`'s `Clone` does) behind a fresh `Arc<Mutex<_>>`,
-/// plus its own memtable, table handles, pins and counters.
+/// plus its own memtable, table handles and counters.
 /// At the moment of the copy both stores read, count and recover alike;
-/// afterwards a write, fault or compaction on one never reaches the other.
+/// afterwards a write, fault or compaction on one never reaches the other,
+/// so a copy is also a frozen view to read in chunks while the original
+/// keeps writing and deleting what it compacts.
 /// Written by hand because the derive would alias the one disk.
 impl Clone for LsmStore {
     fn clone(&self) -> LsmStore {
@@ -723,9 +650,6 @@ impl Clone for LsmStore {
             levels: self.levels.clone(),
             next_table_id: self.next_table_id,
             cursors: self.cursors.clone(),
-            snapshots: self.snapshots.clone(),
-            next_snapshot_id: self.next_snapshot_id,
-            deferred_deletes: self.deferred_deletes.clone(),
             stats: self.stats,
         }
     }
@@ -1018,7 +942,7 @@ mod tests {
 }
 
 /// Leveled-compaction specifics: bounded per-trigger work, level
-/// invariants, tombstone placement, snapshot pinning.
+/// invariants, tombstone placement, chunked reads of a frozen copy.
 #[cfg(test)]
 mod leveled_tests {
     use super::*;
@@ -1157,16 +1081,20 @@ mod leveled_tests {
         assert_eq!(bottom_tombstones, 0, "bottom level retains tombstones");
     }
 
+    /// A frozen `clone` streams the store as it stood at the copy —
+    /// memtable included — while the original keeps writing, flushing and
+    /// compacting. Compaction deletes its inputs at once: mid-transfer the
+    /// original's disk holds its live tables and nothing else.
     #[test]
-    fn snapshot_chunks_stream_a_frozen_consistent_state() {
+    fn frozen_copy_streams_a_consistent_snapshot() {
         let mut s = LsmStore::new_private(leveled_config());
         for i in 0..500u32 {
             s.put(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         s.delete(b"k0007").unwrap();
-        let snap = s.snapshot_open();
-        // Mutate and churn the store mid-transfer: the snapshot must not
-        // see any of it, and compaction must defer deleting pinned files.
+        assert!(!s.memtable.is_empty(), "the copy should carry a memtable");
+        let mut frozen = s.clone();
+        let compactions = s.stats().compactions;
         let mut transferred = Vec::new();
         let mut after: Option<Vec<u8>> = None;
         loop {
@@ -1174,8 +1102,9 @@ mod leveled_tests {
                 s.put(format!("k{i:04}").as_bytes(), b"overwritten-mid-transfer").unwrap();
             }
             s.flush();
-            let (chunk, done) =
-                s.snapshot_chunk(snap, after.as_deref(), 512).expect("snapshot open");
+            let files = s.vfs().lock().unwrap().list("lsm/sst/").len();
+            assert_eq!(files, s.table_count(), "a compacted input outlived its merge");
+            let (chunk, done) = frozen.scan_range_chunk(after.as_deref(), 512).unwrap();
             assert!(!chunk.is_empty() || done, "no progress");
             after = chunk.last().map(|(k, _)| k.clone()).or(after);
             transferred.extend(chunk);
@@ -1183,29 +1112,14 @@ mod leveled_tests {
                 break;
             }
         }
+        assert!(s.stats().compactions > compactions, "nothing compacted mid-transfer");
         assert_eq!(transferred.len(), 499, "all live keys, exactly once");
         for (k, v) in &transferred {
             let i: u32 = String::from_utf8_lossy(&k[1..]).parse().unwrap();
-            assert_eq!(v, format!("v{i}").as_bytes(), "pre-snapshot value for {i}");
+            assert_eq!(v, format!("v{i}").as_bytes(), "pre-copy value for {i}");
         }
         assert!(!transferred.iter().any(|(k, _)| k == b"k0007"), "tombstone leaked");
-        // Closing the snapshot releases deferred files: nothing on disk
-        // beyond the live table set + wal + manifest.
-        s.snapshot_close(snap);
-        let files = s.vfs().lock().unwrap().list("lsm/sst/").len();
-        assert_eq!(files, s.table_count(), "deferred deletes not reclaimed");
         assert_eq!(s.get(b"k0001").unwrap(), Some(b"overwritten-mid-transfer".to_vec()));
-    }
-
-    #[test]
-    fn snapshot_of_unknown_id_is_an_error() {
-        let mut s = LsmStore::new_private(leveled_config());
-        s.put(b"k", b"v").unwrap();
-        assert!(s.snapshot_chunk(99, None, 1024).is_err());
-        let snap = s.snapshot_open();
-        assert!(s.snapshot_chunk(snap, None, 1024).is_ok());
-        s.snapshot_close(snap);
-        assert!(s.snapshot_chunk(snap, None, 1024).is_err(), "closed snapshot");
     }
 }
 
@@ -1682,6 +1596,69 @@ mod seeded_props {
                 for lo in 0..64u8 {
                     let key = vec![b'a' + hi, lo];
                     assert_eq!(store.get(&key).unwrap(), reference.get(&key), "key {key:?}");
+                }
+            }
+        }
+    }
+
+    /// One random op stream into an LSM store — a tiny memtable, so the
+    /// reads merge L0, deeper levels, tombstones and a live memtable — and
+    /// into a `MemStore`: chunk by chunk, from random cursors and under
+    /// random byte bounds, both stream the same pairs.
+    #[test]
+    fn scan_range_chunk_matches_memstore_seeded() {
+        let mut rng = SimRng::seed_from_u64(0x5EED_0044);
+        let random_key = |rng: &mut SimRng| {
+            let mut key = vec![b'a' + rng.below(4) as u8, rng.below(64) as u8];
+            key.truncate(1 + rng.below(2) as usize);
+            key
+        };
+        for case in 0..16 {
+            let mut lsm = LsmStore::new_private(LsmConfig {
+                memtable_flush_bytes: 256,
+                max_tables: 2,
+                level_base_bytes: 1024,
+                level_growth: 4,
+                ..LsmConfig::default()
+            });
+            let mut mem = crate::memstore::MemStore::new();
+            for round in 0..4 {
+                for _ in 0..rng.range(50, 150) {
+                    let key = vec![b'a' + rng.below(4) as u8, rng.below(64) as u8];
+                    if rng.below(4) == 0 {
+                        lsm.delete(&key).unwrap();
+                        mem.delete(&key).unwrap();
+                    } else {
+                        let mut value = vec![0u8; 1 + rng.below(24) as usize];
+                        rng.fill_bytes(&mut value);
+                        lsm.put(&key, &value).unwrap();
+                        mem.put(&key, &value).unwrap();
+                    }
+                }
+                if lsm.memtable.is_empty() {
+                    // A lone tombstone never fills a memtable: the reads
+                    // below always merge one.
+                    let key = vec![b'a', rng.below(64) as u8];
+                    lsm.delete(&key).unwrap();
+                    mem.delete(&key).unwrap();
+                }
+                if round == 3 {
+                    let levels = lsm.level_table_counts();
+                    assert!(levels.len() > 2 && levels[1..].iter().any(|&n| n > 0), "{levels:?}");
+                }
+                for _ in 0..6 {
+                    let mut after = rng.chance(0.7).then(|| random_key(&mut rng));
+                    let max_bytes = rng.range(1, 400) as usize;
+                    loop {
+                        let got = lsm.scan_range_chunk(after.as_deref(), max_bytes).unwrap();
+                        let want = mem.scan_range_chunk(after.as_deref(), max_bytes).unwrap();
+                        assert_eq!(got, want, "case {case}, after {after:?}, max {max_bytes}");
+                        let (chunk, done) = got;
+                        if done {
+                            break;
+                        }
+                        after = chunk.last().map(|(k, _)| k.clone());
+                    }
                 }
             }
         }

@@ -6,9 +6,10 @@
 //! [`KvError::OutOfSpace`], our analogue of the paper's 'X' (out-of-memory)
 //! data points.
 
-use crate::kv::{KvError, KvStore, WriteBatch};
+use crate::kv::{take_chunk, KvError, KvPairs, KvStore, WriteBatch};
 use crate::stats::StorageStats;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Fixed per-entry bookkeeping overhead, on top of key and value bytes.
 /// Models allocator + index overhead of an in-memory state cache.
@@ -109,6 +110,18 @@ impl KvStore for MemStore {
             .collect();
         self.stats.reads += out.len() as u64;
         Ok(out)
+    }
+
+    fn scan_range_chunk(
+        &mut self,
+        after: Option<&[u8]>,
+        max_bytes: usize,
+    ) -> Result<(KvPairs, bool), KvError> {
+        let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let pairs = self.map.range::<[u8], _>((lo, Bound::Unbounded));
+        let (out, done) = take_chunk(pairs.map(|(k, v)| (k.clone(), v.clone())), max_bytes);
+        self.stats.reads += out.len() as u64;
+        Ok((out, done))
     }
 
     fn stats(&self) -> StorageStats {

@@ -173,6 +173,9 @@ smoke -p bb-bench --test cross_platform restart_recovers
 smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
 smoke -p bb-bench --test cross_platform restart_preserves_every_node_counter
 smoke -p bb-bench --test cross_platform restart_with_no_live_peer_comes_back_at_its_durable_prefix
+# A Fabric peer restarting behind a peer that itself restarted transfers
+# state instead of taking a checkpoint jump over batches it never executed.
+smoke -p bb-bench --test cross_platform fabric_restart_behind_a_restarted_peer_skips_no_batch
 smoke -p bb-bench --test parallel_determinism snapshot_timeline
 # A restart after a crash tore a snapshot transfer transfers afresh, and
 # restarting one miner redraws no other miner's race.
@@ -218,6 +221,16 @@ echo "==> storage matrix: leveled compaction + chunked snapshot sync smoke"
 # storage write path or the sync protocol are reported as such.
 smoke -p bb-storage compact
 smoke -p bb-storage snapshot
+# One chunk reader: `KvStore::scan_range_chunk`, implemented by every engine
+# (the LSM's stream equals MemStore's over random ops, cursors and bounds).
+# A consistent view across chunks is a frozen `clone` of the store: no LSM
+# snapshot pins, no deferred deletions, no platform hook that reads chunks.
+smoke -p bb-storage scan_range_chunk_matches_memstore_seeded
+smoke -p bb-storage frozen_copy_streams_a_consistent_snapshot
+if git grep -nwE 'snapshot_open|snapshot_close|SnapshotPin|deferred_deletes|fn state_chunk' -- crates; then
+    echo "ERROR: a second chunk reader is back; read chunks with KvStore::scan_range_chunk, from a frozen clone where the view must hold still" >&2
+    exit 1
+fi
 for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" deep_gap; done
 smoke -p bb-bench --lib fig9_snapshot
 

@@ -227,6 +227,46 @@ fn crash_during_snapshot_transfer_does_not_wedge_the_node() {
     }
 }
 
+/// A Fabric peer restarting behind a peer that itself restarted: that peer
+/// resumed PBFT at its own durable floor and holds no batch below it, so a
+/// batch sync from the restarting peer's older floor would be answered
+/// with a checkpoint jump over batches it never executed. It must catch up
+/// by state transfer instead, and end on the same chain as everyone else.
+#[test]
+fn fabric_restart_behind_a_restarted_peer_skips_no_batch() {
+    use bb_contracts::ycsb;
+    use bb_types::{NodeId, Transaction};
+    use blockbench::{check_chains, BlockchainConnector, Fault};
+    let mut chain = bb_fabric::FabricChain::new(bb_fabric::FabricConfig::with_nodes(4));
+    let contract = chain.deploy(&ycsb::bundle());
+    let key = bb_crypto::KeyPair::from_seed(1);
+    let mut nonce = 0;
+    // YCSB writes into node 1, which never crashes, one every 50 ms.
+    let mut pump = |chain: &mut bb_fabric::FabricChain, secs: u64| {
+        while chain.now() < bb_sim::SimTime::from_secs(secs) {
+            let tx = Transaction::signed(&key, nonce, contract, 0, ycsb::write_call(nonce, b"v"));
+            assert!(chain.submit(NodeId(1), tx), "node 1 refused a submission");
+            nonce += 1;
+            chain.advance_to(chain.now() + SimDuration::from_millis(50));
+        }
+    };
+    pump(&mut chain, 3);
+    chain.inject(Fault::Crash(NodeId(3)));
+    pump(&mut chain, 5);
+    chain.inject(Fault::Crash(NodeId(0)));
+    pump(&mut chain, 6);
+    chain.inject(Fault::Restart(NodeId(0)));
+    pump(&mut chain, 8);
+    chain.inject(Fault::Restart(NodeId(3)));
+    pump(&mut chain, 30);
+    let chains: Vec<_> = (0..4).map(|i| chain.committed_chain(NodeId(i))).collect();
+    let checked = check_chains(&chains, 0).unwrap_or_else(|v| panic!("{v}"));
+    let lens: Vec<usize> = chains.iter().map(Vec::len).collect();
+    assert!(lens.iter().all(|&n| n == lens[1]), "peers ended on different heights: {lens:?}");
+    assert!(checked > 20, "safety check was nearly vacuous: {checked} blocks");
+    assert!(chain.stats().snapshot_chunks > 0, "node 3 caught up without a state transfer");
+}
+
 /// A restart replaces the node but not what the run has counted so far:
 /// every per-node counter that feeds `PlatformStats` is at least its
 /// pre-crash value right after the node is rebuilt.
