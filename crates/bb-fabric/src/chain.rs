@@ -22,7 +22,7 @@ use crate::config::FabricConfig;
 use crate::state::{FabricState, STORE_PREFIX};
 use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Request};
 use bb_crypto::{DigestSet, Hash256};
-use bb_merkle::merkle_root;
+use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
 use bb_storage::{FaultVfs, KvStore, LsmStore, Vfs};
 use bb_sim::{CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime};
@@ -188,14 +188,15 @@ impl FabNode {
     /// proposer of a committed batch: its header carries the sequence, not
     /// local delivery time, so replicas' headers are byte-identical. A
     /// preload (`None`) bypasses consensus: the set-up clock, node 0, and a
-    /// zero sequence floor so a restart resumes PBFT from scratch. Returns
-    /// the block's encoded size.
+    /// zero sequence floor so a restart resumes PBFT from scratch.
+    /// `tx_root` is [`tx_root`] of `txs`. Returns the block's encoded size.
     fn append_block(
         &mut self,
         me: NodeId,
         now: SimTime,
         txs: Vec<Arc<Transaction>>,
         receipts: Vec<(TxId, bool)>,
+        tx_root: Hash256,
         pbft: Option<(u64, NodeId)>,
     ) -> u64 {
         let height = self.ledger.blocks.len() as u64 + 1;
@@ -207,7 +208,7 @@ impl FabNode {
             parent: self.ledger.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO),
             height,
             timestamp_us,
-            tx_root: merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>()),
+            tx_root,
             state_root: self.state.root(),
             proposer,
             difficulty: 0,
@@ -277,7 +278,68 @@ impl FabNode {
     }
 }
 
-/// Read-only context shared by every lane.
+/// The Merkle root of a block's transaction ids (its header's `tx_root`).
+fn tx_root(txs: &[Arc<Transaction>]) -> Hash256 {
+    merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>())
+}
+
+/// How many batch outcomes a world keeps: replicas commit a batch within a
+/// few batches of each other, and an outcome holds its batch's writes.
+const OUTCOMES_KEPT: usize = 8;
+
+/// What executing one committed batch does on a peer: a pure function of
+/// its [`BatchKey`].
+#[derive(Debug, PartialEq)]
+struct BatchOutcome {
+    receipts: Vec<(TxId, bool)>,
+    /// The serial execution charge.
+    charge: SimDuration,
+    /// The highest chaincode allocation of any invocation.
+    alloc_peak: u64,
+    tx_root: Hash256,
+    /// The world-state writes.
+    delta: BlockDelta,
+}
+
+/// Everything a batch's execution reads: the block height the chaincodes
+/// see, the deploy log's length (the chaincodes there are), the sealed
+/// pre-state's root and the executed transactions in order.
+#[derive(PartialEq)]
+struct BatchKey {
+    height: u64,
+    deployed: usize,
+    pre_root: Hash256,
+    ids: Vec<TxId>,
+}
+
+/// A world's most recent batch outcomes, oldest first, at most
+/// [`OUTCOMES_KEPT`]. Only [`execute_batch_txs`] reads or fills it.
+#[derive(Default)]
+struct Outcomes {
+    recent: VecDeque<(BatchKey, Arc<BatchOutcome>)>,
+    /// Every lookup as `(peer, height, hit)`: tests only, never stats.
+    #[cfg(test)]
+    lookups: Vec<(NodeId, u64, bool)>,
+}
+
+impl Outcomes {
+    fn find(&mut self, _peer: NodeId, key: &BatchKey) -> Option<Arc<BatchOutcome>> {
+        let found = self.recent.iter().find(|(k, _)| k == key).map(|(_, o)| Arc::clone(o));
+        #[cfg(test)]
+        self.lookups.push((_peer, key.height, found.is_some()));
+        found
+    }
+
+    fn keep(&mut self, key: BatchKey, outcome: Arc<BatchOutcome>) {
+        if self.recent.len() == OUTCOMES_KEPT {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((key, outcome));
+    }
+}
+
+/// Context shared by every lane: read-only but for the batch outcomes, a
+/// cache of a pure function of lane state (see `ShardedWorld::Ctx`).
 struct FabCtx {
     config: FabricConfig,
     /// The deploy log: every peer runs these chaincodes. Only `deploy`
@@ -286,6 +348,9 @@ struct FabCtx {
     /// The disk every peer starts on and a snapshot transfer lands on: each
     /// peer's is a clone, so the peers' byte-identical tables are held once.
     blank: Vfs,
+    /// Recent batch outcomes. A world runs on one thread, so the lock is
+    /// never contended; it is there because `Ctx` is shared.
+    outcomes: Mutex<Outcomes>,
 }
 
 impl FabCtx {
@@ -547,22 +612,70 @@ fn send_msg(to: NodeId, msg: PbftMsg, fx: &mut Effects<FabEvent>) {
 
 /// Execute a deduplicated batch as Fabric v0.6 does: one chaincode
 /// invocation after another against the live state, each billed its
-/// invocation time. Returns the receipts and the batch's execution charge.
+/// invocation time — and on the host, once per world. A peer whose state
+/// is sealed and whose disk is not slowed (a slow disk bills the reads)
+/// first looks the batch up among the world's recent outcomes; on a hit it
+/// installs that outcome's writes instead of running the chaincodes, on a
+/// miss it runs them and keeps the outcome. Either way the peer bills its
+/// own charge and seals its own block. With debug assertions on, a hit
+/// runs the chaincodes too and asserts that they did what the hit says.
 fn execute_batch_txs(
+    ctx: &FabCtx,
+    node: &mut FabNode,
+    me: NodeId,
+    height: u64,
+    txs: &[Arc<Transaction>],
+) -> Arc<BatchOutcome> {
+    let disk = node.state.vfs();
+    let slowed = disk.lock().expect("no holder of a disk panicked").op_latency_us() > 0;
+    let key = (node.state.is_sealed() && !slowed).then(|| BatchKey {
+        height,
+        deployed: ctx.deploys.len(),
+        pre_root: node.state.root(),
+        ids: txs.iter().map(|tx| tx.id()).collect(),
+    });
+    let outcomes = || ctx.outcomes.lock().expect("no holder of the outcomes panicked");
+    let hit = key.as_ref().and_then(|key| outcomes().find(me, key));
+    let outcome = match hit {
+        Some(hit) if cfg!(debug_assertions) => {
+            let ran = run_batch(ctx, node, height, txs);
+            assert_eq!(ran, *hit, "{me} ran batch {height} unlike its cached outcome");
+            hit
+        }
+        Some(hit) => {
+            node.state.install_block(&hit.delta, hit.alloc_peak);
+            hit
+        }
+        None => {
+            let ran = Arc::new(run_batch(ctx, node, height, txs));
+            if let Some(key) = key {
+                outcomes().keep(key, Arc::clone(&ran));
+            }
+            ran
+        }
+    };
+    node.counters.exec_serial_us += outcome.charge.as_micros();
+    outcome
+}
+
+/// Run a batch's chaincodes, one after another, against the live state.
+fn run_batch(
     ctx: &FabCtx,
     node: &mut FabNode,
     height: u64,
     txs: &[Arc<Transaction>],
-) -> (Vec<(TxId, bool)>, SimDuration) {
+) -> BatchOutcome {
     let mut receipts = Vec::with_capacity(txs.len());
     let mut charge = SimDuration::ZERO;
+    let mut alloc_peak = 0;
     for tx in txs {
         let res = node.state.invoke(tx, height, true);
         charge += ctx.config.invoke_time(res.units, res.state_ops);
+        alloc_peak = alloc_peak.max(res.peak_alloc);
         receipts.push((tx.id(), res.success));
     }
-    node.counters.exec_serial_us += charge.as_micros();
-    (receipts, charge)
+    let delta = node.state.block_delta();
+    BatchOutcome { receipts, charge, alloc_peak, tx_root: tx_root(txs), delta }
 }
 
 /// Execute a committed batch and append the block.
@@ -593,13 +706,15 @@ fn commit_batch(
         }
         txs.push(Arc::clone(tx));
     }
-    let (receipts, exec_time) = execute_batch_txs(ctx, node, height, &txs);
-    node.cpu.charge(now, exec_time);
+    let outcome = execute_batch_txs(ctx, node, at, height, &txs);
+    node.cpu.charge(now, outcome.charge);
     // Execution occupies the same event loop as message processing:
     // the next drain waits for it.
-    node.pipeline_penalty += exec_time;
+    node.pipeline_penalty += outcome.charge;
     let proposer = NodeId((seq % ctx.config.nodes as u64) as u32);
-    let block_bytes = node.append_block(at, now, txs, receipts, Some((seq, proposer)));
+    let receipts = outcome.receipts.clone();
+    let block_bytes =
+        node.append_block(at, now, txs, receipts, outcome.tx_root, Some((seq, proposer)));
     if node.recovery.restarted_at.is_some() {
         node.counters.resync_blocks += 1;
         node.counters.resync_bytes += block_bytes;
@@ -696,7 +811,12 @@ impl FabricChain {
     pub fn new(config: FabricConfig) -> FabricChain {
         let mut rng = SimRng::seed_from_u64(config.seed);
         let pbft_config = pbft_config(&config);
-        let ctx = FabCtx { config: config.clone(), deploys: Vec::new(), blank: Vfs::new() };
+        let ctx = FabCtx {
+            config: config.clone(),
+            deploys: Vec::new(),
+            blank: Vfs::new(),
+            outcomes: Mutex::default(),
+        };
         let nodes = (0..config.nodes)
             .map(|i| FabNode {
                 pbft: PbftNode::new(NodeId(i), pbft_config.clone()),
@@ -973,7 +1093,8 @@ impl BlockchainConnector for FabricChain {
                     let res = node.state.invoke(tx, height, true);
                     receipts.push((tx.id(), res.success));
                 }
-                node.append_block(NodeId(0), now, txs, receipts, None);
+                let root = tx_root(&txs);
+                node.append_block(NodeId(0), now, txs, receipts, root, None);
             });
         }
         // Preloading is consensus-free and identical on every peer: the
@@ -1457,6 +1578,111 @@ mod tests {
         // table they hold.
         assert!(table_bytes(&c, 1).len() > tables.len(), "no table sealed after the restart");
         assert_eq!(table_bytes(&c, 2), table_bytes(&c, 1), "peer 2 holds a table of its own");
+    }
+
+    /// The batch outcomes the run has looked up, as `(peer, height, hit)`.
+    fn lookups(c: &FabricChain) -> Vec<(NodeId, u64, bool)> {
+        c.engine.with_ctx(|ctx| ctx.outcomes.lock().unwrap().lookups.clone())
+    }
+
+    /// Writes over seven hot records (in-batch overwrites) into `servers`
+    /// peers, one wave per 400 ms, until `secs`.
+    fn hot_writes(c: &mut FabricChain, addr: Address, nonce: &mut u64, servers: u64, secs: u64) {
+        while c.now() < SimTime::from_secs(secs) {
+            for _ in 0..5 {
+                let tx = client_tx(13, *nonce, addr, ycsb::write_call(*nonce % 7, b"hot"));
+                assert!(c.submit(NodeId((*nonce % servers) as u32), tx));
+                *nonce += 1;
+            }
+            c.advance_to(c.now() + SimDuration::from_millis(400));
+        }
+    }
+
+    fn roots(c: &mut FabricChain) -> Vec<Hash256> {
+        (0..c.config.nodes).map(|i| c.engine.with_node_mut(i, |n| n.state.root())).collect()
+    }
+
+    /// Each committed batch runs once per world: the first peer to commit
+    /// it misses and keeps the outcome, and the other three install it.
+    /// (With debug assertions on they also run it and assert it matches.)
+    /// The world keeps at most `OUTCOMES_KEPT` outcomes.
+    #[test]
+    fn outcome_of_a_batch_is_installed_by_every_peer_after_the_first() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        hot_writes(&mut c, addr, &mut 0, 4, 8);
+        c.advance_to(c.now() + SimDuration::from_secs(1));
+        let height = c.committed_chain(NodeId(0)).len() as u64;
+        assert!(height > OUTCOMES_KEPT as u64, "only {height} blocks");
+        let log = lookups(&c);
+        for h in 1..=height {
+            let hits: Vec<bool> = log.iter().filter(|l| l.1 == h).map(|l| l.2).collect();
+            assert_eq!(hits, [false, true, true, true], "height {h}");
+        }
+        let kept = c.engine.with_ctx(|ctx| ctx.outcomes.lock().unwrap().recent.len());
+        assert_eq!(kept, OUTCOMES_KEPT);
+        let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
+        assert!(chains.iter().all(|chain| *chain == chains[0]));
+        let roots = roots(&mut c);
+        assert!(roots.iter().all(|r| *r == roots[0]));
+    }
+
+    /// A slowed disk bills every read op, so its peer runs every batch
+    /// itself — never a lookup, let alone a hit — and its stall keeps
+    /// growing; the other peers still install.
+    #[test]
+    fn outcome_of_a_batch_is_never_installed_on_a_slow_disk() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut nonce = 0;
+        hot_writes(&mut c, addr, &mut nonce, 4, 2);
+        let stall =
+            |c: &FabricChain| c.engine.with_node(2, |n| n.state.vfs().lock().unwrap().stall_us());
+        assert_eq!(stall(&c), 0);
+        c.inject(Fault::SlowDisk(NodeId(2), SimDuration::from_micros(50)));
+        let from = lookups(&c).len();
+        let slowed_at = c.committed_chain(NodeId(2)).len();
+        hot_writes(&mut c, addr, &mut nonce, 4, 6);
+        let mid = stall(&c);
+        assert!(mid > 0);
+        hot_writes(&mut c, addr, &mut nonce, 4, 8);
+        c.advance_to(c.now() + SimDuration::from_secs(1));
+        assert!(stall(&c) > mid, "the slow disk stopped stalling");
+        assert!(c.committed_chain(NodeId(2)).len() > slowed_at + 4, "peer 2 committed too little");
+        let log = &lookups(&c)[from..];
+        assert!(log.iter().all(|l| l.0 != NodeId(2)), "the slowed peer looked an outcome up");
+        assert!(log.iter().filter(|l| l.2).count() >= 2 * log.iter().filter(|l| !l.2).count());
+        assert_eq!(c.committed_chain(NodeId(2)), c.committed_chain(NodeId(0)));
+        let roots = roots(&mut c);
+        assert!(roots.iter().all(|r| *r == roots[0]));
+    }
+
+    /// A peer restarted behind more batches than the world keeps outcomes
+    /// of replays the oldest itself: they were kept once (its peers hit
+    /// them) and evicted since. It still ends on node 0's chain and state.
+    #[test]
+    fn outcome_of_a_batch_older_than_the_cache_is_replayed_by_running_it() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut nonce = 0;
+        hot_writes(&mut c, addr, &mut nonce, 4, 2);
+        c.advance_to(c.now() + SimDuration::from_secs(1));
+        c.inject(Fault::Crash(NodeId(3)));
+        let floor = c.committed_chain(NodeId(3)).len() as u64;
+        hot_writes(&mut c, addr, &mut nonce, 3, 8);
+        let behind = c.committed_chain(NodeId(0)).len() as u64 - floor;
+        assert!(behind > OUTCOMES_KEPT as u64, "peer 3 is only {behind} batches behind");
+        let from = lookups(&c).len();
+        c.inject(Fault::Restart(NodeId(3)));
+        assert!(!c.engine.with_node(3, |n| n.recovery.snapshot_syncing), "no batch replay");
+        c.advance_to(c.now() + SimDuration::from_secs(5));
+        let log = lookups(&c);
+        let replay: Vec<_> = log[from..].iter().filter(|l| l.0 == NodeId(3)).collect();
+        assert_eq!(replay.first().map(|l| (l.1, l.2)), Some((floor + 1, false)));
+        assert!(log[..from].iter().any(|l| l.1 == floor + 1 && l.2), "no peer hit it first");
+        assert_eq!(c.committed_chain(NodeId(3)), c.committed_chain(NodeId(0)));
+        let roots = roots(&mut c);
+        assert!(roots.iter().all(|r| *r == roots[0]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! invocation and flush only on success, so a failed chaincode leaves no
 //! trace.
 
-use bb_merkle::BucketTree;
+use bb_merkle::{BlockDelta, BucketTree};
 use bb_sim::MemMeter;
 use bb_storage::{KvError, KvOps, KvPairs, KvStore, LsmConfig, LsmStore, Vfs};
 use bb_types::{Address, Transaction};
@@ -163,6 +163,26 @@ impl FabricState {
         extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Result<(), bb_storage::KvError> {
         self.tree.commit_with_extras(extras)
+    }
+
+    /// No writes since the last sealed block?
+    pub fn is_sealed(&self) -> bool {
+        self.tree.pending_values() == 0
+    }
+
+    /// What the invocations since the last seal did to the world state,
+    /// for a peer on the same pre-state to install instead of running them.
+    pub fn block_delta(&self) -> BlockDelta {
+        self.tree.block_delta()
+    }
+
+    /// Move this sealed state where running a block's invocations would:
+    /// install their `delta`, and raise the memory meter's peak as
+    /// chaincodes that reached `alloc_peak` bytes and freed them did.
+    pub fn install_block(&mut self, delta: &BlockDelta, alloc_peak: u64) {
+        self.tree.install_block_delta(delta);
+        self.mem.alloc(alloc_peak).expect("a peak the block reached on an equal state fits");
+        self.mem.free(alloc_peak);
     }
 
     /// `(values_flushed, values_superseded)` across this state's lifetime.
@@ -439,6 +459,39 @@ mod tests {
         assert!(r.success);
         assert_eq!(r.peak_alloc, 8000);
         assert!(s.mem_peak() >= 8000);
+    }
+
+    /// A block installed on a twin from the delta and allocation peak its
+    /// run left (`install_block`) lands where running it does: root, memory
+    /// peak, flush counters and, after the seal, the store.
+    #[test]
+    fn outcome_of_a_batch_installed_on_a_twin_state_lands_where_running_it_does() {
+        let (kv, cpu) = (Address::from_index(1), Address::from_index(2));
+        let [mut ran, mut twin] = [0; 2].map(|_| {
+            let mut s = blank(1 << 30);
+            s.install(kv, ycsb::bundle().native);
+            s.install(cpu, cpuheavy::bundle().native);
+            for i in 0..10 {
+                assert!(s.invoke(&tx(1, i, kv, ycsb::write_call(i, b"old")), 1, true).success);
+            }
+            s.commit_block().unwrap();
+            s
+        });
+        // Overwrites of sealed and in-block values, then a sort that allocates.
+        let mut peak = 0;
+        for i in 0..6 {
+            let r = ran.invoke(&tx(2, i, kv, ycsb::write_call(i % 3, b"new")), 2, true);
+            peak = peak.max(r.peak_alloc);
+        }
+        peak = peak.max(ran.invoke(&tx(2, 6, cpu, cpuheavy::sort_call(1000)), 2, true).peak_alloc);
+        assert_eq!(peak, 8000);
+        assert!(twin.is_sealed() && !ran.is_sealed());
+        twin.install_block(&ran.block_delta(), peak);
+        assert_eq!((twin.root(), twin.mem_peak()), (ran.root(), ran.mem_peak()));
+        ran.commit_block().unwrap();
+        twin.commit_block().unwrap();
+        assert_eq!(twin.flush_stats(), ran.flush_stats());
+        assert_eq!(twin.scan_meta(b"").unwrap(), ran.scan_meta(b"").unwrap());
     }
 
     #[test]

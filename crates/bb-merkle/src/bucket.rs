@@ -56,6 +56,21 @@ fn build_levels(buckets: &[Hash256]) -> Vec<Vec<Hash256>> {
     levels
 }
 
+/// What one block's writes did to a [`BucketTree`]: its pending overlay,
+/// the new digests of the buckets it wrote, the entry count it left and the
+/// same-key overwrites its overlay absorbed. Taken by
+/// [`BucketTree::block_delta`] from a tree that ran the writes, installed by
+/// [`BucketTree::install_block_delta`] on an equal tree that did not, it
+/// leaves both trees equal — roots, counts, overlay and, after the seal,
+/// store.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BlockDelta {
+    pending: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    buckets: Vec<(usize, Hash256)>,
+    entries: u64,
+    superseded: u64,
+}
+
 /// Authenticated state store: flat key-value data plus bucket digests.
 ///
 /// Writes are block-scoped: `put`/`delete` update the bucket digests (and
@@ -66,7 +81,7 @@ fn build_levels(buckets: &[Hash256]) -> Vec<Vec<Hash256>> {
 ///
 /// `Clone` is a second tree over a second store: digests, their Merkle
 /// levels, the buckets written since the last root, entry count, the
-/// pending overlay and both flush counters travel.
+/// pending overlay and the flush counters travel.
 #[derive(Clone)]
 pub struct BucketTree<S: KvStore> {
     store: S,
@@ -87,6 +102,9 @@ pub struct BucketTree<S: KvStore> {
     values_flushed: u64,
     /// Same-key overwrites absorbed by the overlay before reaching storage.
     values_superseded: u64,
+    /// `values_superseded` as of the last commit that emptied the overlay:
+    /// the overwrites since are the open block's.
+    superseded_at_seal: u64,
 }
 
 impl<S: KvStore> BucketTree<S> {
@@ -102,6 +120,7 @@ impl<S: KvStore> BucketTree<S> {
             pending: BTreeMap::new(),
             values_flushed: 0,
             values_superseded: 0,
+            superseded_at_seal: 0,
         }
     }
 
@@ -129,6 +148,7 @@ impl<S: KvStore> BucketTree<S> {
             pending: BTreeMap::new(),
             values_flushed: 0,
             values_superseded: 0,
+            superseded_at_seal: 0,
         })
     }
 
@@ -243,7 +263,41 @@ impl<S: KvStore> BucketTree<S> {
         self.store.apply_batch(batch)?;
         self.values_flushed += n;
         self.pending.clear();
+        self.superseded_at_seal = self.values_superseded;
         Ok(())
+    }
+
+    /// What the writes since the last commit did: the open block's
+    /// [`BlockDelta`], for an equal tree to install instead of running them.
+    pub fn block_delta(&self) -> BlockDelta {
+        let mut written: Vec<usize> = self
+            .pending
+            .keys()
+            .map(|skey| self.bucket_of(&skey[STATE_PREFIX.len()..]))
+            .collect();
+        written.sort_unstable();
+        written.dedup();
+        BlockDelta {
+            pending: self.pending.clone(),
+            buckets: written.into_iter().map(|b| (b, self.bucket_hashes[b])).collect(),
+            entries: self.entries,
+            superseded: self.values_superseded - self.superseded_at_seal,
+        }
+    }
+
+    /// Apply a block's writes as their [`BlockDelta`]: this tree, sealed
+    /// and equal to the one the delta was taken from as of that block's
+    /// start, ends where running the writes would have left it. Nothing
+    /// reads the store.
+    pub fn install_block_delta(&mut self, delta: &BlockDelta) {
+        assert!(self.pending.is_empty(), "a block delta installs on a sealed tree only");
+        for &(bucket, digest) in &delta.buckets {
+            self.bucket_hashes[bucket] = digest;
+            self.touch(bucket);
+        }
+        self.entries = delta.entries;
+        self.pending = delta.pending.clone();
+        self.values_superseded += delta.superseded;
     }
 
     /// Values persisted across all `commit` calls.
@@ -549,7 +603,7 @@ mod tests {
 mod seeded_props {
     use super::*;
     use bb_sim::SimRng;
-    use bb_storage::MemStore;
+    use bb_storage::{MemStore, StorageStats};
     use std::collections::BTreeMap;
 
     #[test]
@@ -633,6 +687,64 @@ mod seeded_props {
                 assert_eq!(pin(t), want);
             }
         }
+    }
+
+    /// A block's writes installed as the delta an equal tree took of them
+    /// land where running them does. Before each block a sealed tree is
+    /// cloned; the tree runs seeded puts, deletes and in-block overwrites,
+    /// the clone installs its `block_delta`, and roots, counts, overlay,
+    /// flush counters and — after both seal — store contents agree. Roots
+    /// are taken at random between blocks, so some clones install with
+    /// their levels empty.
+    #[test]
+    fn block_delta_installs_like_running_the_block_seeded() {
+        fn pin(t: &mut BucketTree<MemStore>) -> impl PartialEq + std::fmt::Debug {
+            let counts = (t.len(), t.pending_values(), t.values_flushed(), t.values_superseded());
+            (t.root(), counts)
+        }
+        let mut rng = SimRng::seed_from_u64(0x5EED_0045);
+        let (mut deletes, mut overwrites, mut levelless) = (0, 0, 0);
+        for case in 0..32 {
+            let nbuckets = [1, 5, 16, 1024][case % 4];
+            let mut ran = BucketTree::new(MemStore::new(), nbuckets);
+            for block in 0..rng.range(1, 8) {
+                let mut installed = ran.clone();
+                levelless += installed.levels.is_empty() as u32;
+                for _ in 0..rng.range(0, 40) {
+                    let k = [rng.below(32) as u8];
+                    if rng.chance(0.7) {
+                        let mut v = vec![0u8; rng.below(4) as usize];
+                        rng.fill_bytes(&mut v);
+                        ran.put(&k, &v).unwrap();
+                    } else {
+                        deletes += ran.get(&k).unwrap().is_some() as u32;
+                        ran.delete(&k).unwrap();
+                    }
+                }
+                let delta = ran.block_delta();
+                overwrites += delta.superseded;
+                installed.install_block_delta(&delta);
+                assert_eq!(installed.block_delta(), delta, "case {case}, block {block}");
+                assert_eq!(pin(&mut installed), pin(&mut ran), "case {case}, block {block}");
+                ran.commit().unwrap();
+                installed.commit().unwrap();
+                assert_eq!(pin(&mut installed), pin(&mut ran), "case {case}, block {block}");
+                // The one difference: the installing tree read nothing.
+                let written = |t: &BucketTree<MemStore>| StorageStats {
+                    reads: 0,
+                    bytes_read: 0,
+                    ..t.store().stats()
+                };
+                assert_eq!(written(&installed), written(&ran), "case {case}, block {block}");
+                let stored = |t: &mut BucketTree<MemStore>| t.store_mut().scan_prefix(b"").unwrap();
+                assert_eq!(stored(&mut installed), stored(&mut ran), "case {case}, block {block}");
+                if rng.chance(0.5) {
+                    ran.root();
+                }
+            }
+        }
+        let covered = (deletes, overwrites, levelless);
+        assert!(deletes > 0 && overwrites > 0 && levelless > 0, "{covered:?}");
     }
 
     /// The incremental root equals the full rebuild — `merkle_root` over

@@ -18,6 +18,6 @@ pub mod bucket;
 pub mod merkle;
 pub mod patricia;
 
-pub use bucket::BucketTree;
+pub use bucket::{BlockDelta, BucketTree};
 pub use merkle::{merkle_root, MerkleTree};
 pub use patricia::PatriciaTrie;

@@ -57,6 +57,10 @@ struct EventKey {
 ///   at least one lookahead in the future;
 /// - `Ctx` is read-only while the engine runs; the driver may mutate it
 ///   between `run_until` calls (fault injection flipping `crashed` flags).
+///   The one exception is a cache of a pure function of lane state behind
+///   interior mutability: a lane may fill it and any lane read it, because
+///   a hit is exactly what the reading lane would have computed, so no
+///   result depends on which lane filled it or when.
 ///
 /// The `Send` bounds make every engine `Send`: a world is a plain value the
 /// experiment runner may hand to one of its worker threads.
@@ -65,7 +69,8 @@ pub trait ShardedWorld: 'static {
     type Event: Send + 'static;
     /// Per-lane mutable state.
     type Node: Send + 'static;
-    /// Shared read-only context (configs, cost models, fault flags).
+    /// Shared context (configs, cost models, fault flags, caches of pure
+    /// functions), read-only but for those caches.
     type Ctx: Send + Sync + 'static;
 
     /// Which lane an event executes on.

@@ -221,17 +221,19 @@ impl SsTable {
         };
         let start = self.index[slot].1;
         let end = self.index.get(slot + 1).map(|(_, o)| *o).unwrap_or(self.data_end);
-        let chunk = vfs
-            .read_at(&self.file, start as usize, (end - start) as usize)
-            .map_err(|e| KvError::Corrupt(e.to_string()))?;
-        for (k, v) in EntryIter::new(&chunk) {
-            match k.cmp(key) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => return Ok(Some(v.map(|v| v.to_vec()))),
-                std::cmp::Ordering::Greater => return Ok(None),
+        // The interval is read in place: only the value found is copied.
+        let scan = |chunk: &[u8]| {
+            for (k, v) in EntryIter::new(chunk) {
+                match k.cmp(key) {
+                    std::cmp::Ordering::Less => continue,
+                    std::cmp::Ordering::Equal => return Some(v.map(|v| v.to_vec())),
+                    std::cmp::Ordering::Greater => return None,
+                }
             }
-        }
-        Ok(None)
+            None
+        };
+        vfs.read_with(&self.file, start as usize, (end - start) as usize, scan)
+            .map_err(|e| KvError::Corrupt(e.to_string()))
     }
 
     /// All entries (including tombstones) in key order — compaction and

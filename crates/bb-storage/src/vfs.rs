@@ -342,6 +342,11 @@ impl Vfs {
         self.op_latency_us = us;
     }
 
+    /// The modeled slow disk's per-operation latency, µs (0: not slowed).
+    pub fn op_latency_us(&self) -> u64 {
+        self.op_latency_us
+    }
+
     /// Cumulative modeled slow-disk stall, µs.
     pub fn stall_us(&self) -> u64 {
         self.stall_us

@@ -102,6 +102,31 @@ if git grep -n 'Pool' -- crates/bb-storage/src/lib.rs ||
     exit 1
 fi
 
+echo "==> once per world: a committed Fabric batch runs on one replica, the others install its outcome"
+# DESIGN.md §8 "Executed once per world": every peer after the first
+# installs a batch's cached outcome, a slowed disk's peer always runs the
+# batch, and a replay older than the cache runs it. In the test profile a
+# hit also runs the chaincodes and asserts the outcome; the release run is
+# the one where a hit installs instead. The cache stays private to
+# `bb-fabric`'s chain.rs and only `execute_batch_txs` reads it.
+smoke -p bb-merkle block_delta_installs_like_running_the_block_seeded
+smoke --release -p bb-merkle block_delta_installs_like_running_the_block_seeded
+smoke -p bb-fabric outcome_of_a_batch
+smoke --release -p bb-fabric outcome_of_a_batch
+if git grep -nE '\b(Outcomes|BatchOutcome|BatchKey|OUTCOMES_KEPT)\b' -- crates/bb-fabric/src/lib.rs ||
+    git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*\b(Outcomes|BatchOutcome|BatchKey)\b' -- crates/bb-fabric/src ||
+    git grep -nE '\.outcomes\b' -- crates/bb-fabric/src ':!crates/bb-fabric/src/chain.rs'; then
+    echo "ERROR: bb-fabric exports its batch-outcome cache; it stays private to chain.rs" >&2
+    exit 1
+fi
+readers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.outcomes([^a-z_0-9]|$)/ { print fn }' crates/bb-fabric/src/chain.rs | sort -u)
+if [ "$readers" != execute_batch_txs ]; then
+    echo "ERROR: the batch-outcome cache is read outside execute_batch_txs (in: ${readers:-nothing})" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
