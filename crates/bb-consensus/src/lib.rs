@@ -21,6 +21,6 @@ pub mod pbft;
 pub mod poa;
 pub mod pow;
 
-pub use pbft::{batch_digest, PbftConfig, PbftMsg, PbftNode};
+pub use pbft::{Batch, PbftConfig, PbftMsg, PbftNode};
 pub use poa::PoaSchedule;
 pub use pow::{BlockTree, InsertOutcome, PowParams};

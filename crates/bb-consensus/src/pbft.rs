@@ -44,7 +44,7 @@
 //! which turns the ≥16-node collapse from "throughput degrades" into an
 //! event storm that grows without bound.
 
-use bb_crypto::{DigestSet, Hash256};
+use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_sim::{SimDuration, SimTime};
 use bb_types::{NodeId, Transaction};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -57,8 +57,8 @@ use std::sync::Arc;
 /// All three are filled once, by whoever makes the value: `From<Vec<u8>>`
 /// hashes the bytes and decodes them (bytes that are no transaction are
 /// still ordered, with none attached), `From<Transaction>` encodes a
-/// transaction the caller already holds. Every replica's `awaiting`, slot
-/// and committed-log entry, every forward and every batch copy is a
+/// transaction the caller already holds. Every replica's `awaiting` and
+/// pending entry, every forward and every [`Batch`] holding it is a
 /// reference-count bump on that allocation, so n replicas read the same
 /// digest and execute the same `Arc<Transaction>` instead of re-hashing and
 /// re-decoding the payload n times.
@@ -126,6 +126,59 @@ impl std::fmt::Debug for Request {
 }
 
 impl Eq for Request {}
+
+/// A proposed batch: the ordered requests and their digest, one immutable
+/// allocation behind one pointer.
+///
+/// The digest is hashed once, by `From<Vec<Request>>`. Every slot,
+/// committed-log entry, pre-prepare, sync reply and `CommitBatch` copy of
+/// the batch is one reference-count bump, so n replicas neither clone the
+/// request list nor re-hash it. A forged batch (an equivocating primary's)
+/// is a different allocation with its own digest.
+#[derive(Clone)]
+pub struct Batch(Arc<BatchInner>);
+
+struct BatchInner {
+    digest: Hash256,
+    requests: Box<[Request]>,
+}
+
+impl Batch {
+    /// The batch's identity: `digest_parts(["pbft-batch", payload, ...])`.
+    pub fn digest(&self) -> Hash256 {
+        self.0.digest
+    }
+}
+
+impl From<Vec<Request>> for Batch {
+    fn from(requests: Vec<Request>) -> Batch {
+        let digest = batch_digest(&requests);
+        Batch(Arc::new(BatchInner { digest, requests: requests.into() }))
+    }
+}
+
+impl std::ops::Deref for Batch {
+    type Target = [Request];
+
+    fn deref(&self) -> &[Request] {
+        &self.0.requests
+    }
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        self.digest() == other.digest()
+    }
+}
+
+impl Eq for Batch {}
+
+/// Not derived, for the reason `Request`'s is not.
+impl std::fmt::Debug for Batch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Batch({}, {} requests)", self.digest().short(), self.len())
+    }
+}
 
 /// Max committed batches per [`PbftMsg::SyncReply`]. A lagging replica
 /// catches up window by window, requesting the next chunk after applying
@@ -210,7 +263,7 @@ pub enum PbftMsg {
         /// Batch digest.
         digest: Hash256,
         /// The requests themselves.
-        batch: Vec<Request>,
+        batch: Batch,
     },
     /// A replica vouches it accepted the pre-prepare.
     Prepare {
@@ -252,7 +305,7 @@ pub enum PbftMsg {
     /// Committed batches for a lagging peer.
     SyncReply {
         /// `(seq, batch)` pairs in order.
-        batches: Vec<(u64, Vec<Request>)>,
+        batches: Vec<(u64, Batch)>,
     },
     /// The requested history is below the sender's checkpoint horizon:
     /// jump to this checkpoint, then sync the remaining batches.
@@ -302,7 +355,7 @@ pub enum Action {
         /// Sequence number (consecutive from 1).
         seq: u64,
         /// The ordered requests.
-        batch: Vec<Request>,
+        batch: Batch,
     },
     /// The node jumped past garbage-collected history to a peer's
     /// checkpoint: batches `..= seq` will never be delivered here. The
@@ -319,7 +372,7 @@ pub enum Action {
 struct Slot {
     view: u64,
     digest: Hash256,
-    batch: Option<Vec<Request>>,
+    batch: Option<Batch>,
     prepares: HashSet<NodeId>,
     commits: HashSet<NodeId>,
     sent_commit: bool,
@@ -327,11 +380,12 @@ struct Slot {
     delivered: bool,
 }
 
-/// Digest binding a proposal to its batch content. Public so a simulated
-/// byzantine primary can mint a *well-formed* conflicting proposal (honest
-/// replicas drop digest-mismatched pre-prepares before any equivocation
-/// logic runs, so a forged batch must carry its own correct digest).
-pub fn batch_digest(batch: &[Request]) -> Hash256 {
+/// Digest binding a proposal to its batch content. Hashed by
+/// `Batch::from`, so a forged batch (a simulated byzantine primary's
+/// *well-formed* conflicting proposal) carries its own correct digest:
+/// honest replicas drop digest-mismatched pre-prepares before any
+/// equivocation logic runs.
+fn batch_digest(batch: &[Request]) -> Hash256 {
     let mut parts: Vec<&[u8]> = Vec::with_capacity(batch.len() + 1);
     parts.push(b"pbft-batch");
     for r in batch {
@@ -351,17 +405,18 @@ pub struct PbftNode {
     last_committed: u64,
     /// Exactly the sequences in `(checkpoint_seq, last_committed]` — the
     /// retained window the sync sub-protocol serves from.
-    committed_log: BTreeMap<u64, Vec<Request>>,
+    committed_log: BTreeMap<u64, Batch>,
     /// Highest sequence folded into the checkpoint digest (0 = none).
     checkpoint_seq: u64,
     /// Chained digest of every garbage-collected batch up to
     /// `checkpoint_seq`, starting from `Hash256::ZERO`.
     checkpoint_digest: Hash256,
     /// Requests seen but not yet committed, for re-forwarding on view
-    /// change. Ordered (by digest) so every retransmission path walks it
-    /// in a deterministic order — a `HashMap` here would randomise message
-    /// order, and with it the whole simulation, across runs.
-    awaiting: BTreeMap<Hash256, Request>,
+    /// change, keyed by digest: every `Forward` probes it. Every
+    /// retransmission path walks it in ascending digest order, and only
+    /// through [`Self::lowest_awaiting`] — the map's own iteration order
+    /// would reorder messages, and with them the whole simulation.
+    awaiting: DigestMap<Hash256, Request>,
     /// Primary-side queue of requests not yet batched.
     pending: VecDeque<Request>,
     pending_digests: DigestSet<Hash256>,
@@ -391,7 +446,7 @@ impl PbftNode {
             committed_log: BTreeMap::new(),
             checkpoint_seq: 0,
             checkpoint_digest: Hash256::ZERO,
-            awaiting: BTreeMap::new(),
+            awaiting: DigestMap::default(),
             pending: VecDeque::new(),
             pending_digests: DigestSet::default(),
             view_votes: HashMap::new(),
@@ -481,10 +536,28 @@ impl PbftNode {
         }
     }
 
+    /// A request still queued at this primary whose digest already left
+    /// `awaiting` committed in another batch: drop the repeat. Two hash
+    /// probes.
     fn committed_digest(&self, digest: &Hash256) -> bool {
-        // Linear scan is fine at benchmark batch counts; committed requests
-        // are also pruned from `awaiting`, which is the hot set.
         !self.awaiting.contains_key(digest) && self.pending_digests.contains(digest)
+    }
+
+    /// The `k` awaiting requests with the lowest digests, in ascending
+    /// digest order: the order every retransmission path sends in, which
+    /// `results/` pins. A select, then a sort of `k` items; only view
+    /// changes and liveness timeouts pay for it.
+    fn lowest_awaiting(&self, k: usize) -> Vec<Request> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut lowest: Vec<&Request> = self.awaiting.values().collect();
+        if k < lowest.len() {
+            lowest.select_nth_unstable_by_key(k - 1, |r| r.digest());
+            lowest.truncate(k);
+        }
+        lowest.sort_unstable_by_key(|r| r.digest());
+        lowest.into_iter().cloned().collect()
     }
 
     fn enqueue_at_primary(&mut self, req: Request, now: SimTime) -> Vec<Action> {
@@ -507,13 +580,13 @@ impl PbftNode {
         if take == 0 {
             return Vec::new();
         }
-        let batch: Vec<Request> = self.pending.drain(..take).collect();
-        for r in &batch {
+        let batch = Batch::from(self.pending.drain(..take).collect::<Vec<_>>());
+        for r in batch.iter() {
             self.pending_digests.remove(&r.digest());
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let digest = batch_digest(&batch);
+        let digest = batch.digest();
         let slot = self.slots.entry(seq).or_default();
         slot.view = self.view;
         slot.digest = digest;
@@ -561,7 +634,7 @@ impl PbftNode {
         view: u64,
         seq: u64,
         digest: Hash256,
-        batch: Vec<Request>,
+        batch: Batch,
         now: SimTime,
     ) -> Vec<Action> {
         if view != self.view || from != self.config.primary_of(view) {
@@ -570,7 +643,8 @@ impl PbftNode {
         if seq <= self.last_committed {
             return Vec::new();
         }
-        if batch_digest(&batch) != digest {
+        debug_assert_eq!(batch_digest(&batch), batch.digest(), "a batch's digest is its content's");
+        if batch.digest() != digest {
             return Vec::new(); // malformed proposal
         }
         let slot = self.slots.entry(seq).or_default();
@@ -702,7 +776,7 @@ impl PbftNode {
             let slot = self.slots.get_mut(&next).expect("checked above");
             slot.delivered = true;
             let batch = slot.batch.clone().expect("checked above");
-            for r in &batch {
+            for r in batch.iter() {
                 self.awaiting.remove(&r.digest());
             }
             self.committed_log.insert(next, batch.clone());
@@ -777,8 +851,8 @@ impl PbftNode {
                 // which is exactly Fabric v0.6's ≥16-node collapse, so the
                 // quota is a config knob and the scalability experiment can
                 // restore the storm deliberately.
-                for req in self.awaiting.values().take(self.config.recruit_quota) {
-                    actions.push(Action::Broadcast(PbftMsg::Forward(req.clone())));
+                for req in self.lowest_awaiting(self.config.recruit_quota) {
+                    actions.push(Action::Broadcast(PbftMsg::Forward(req)));
                 }
                 actions.extend(self.maybe_enter_view(target, now));
             }
@@ -870,8 +944,8 @@ impl PbftNode {
         // window as earlier ones commit.
         let primary = self.config.primary_of(self.view);
         if primary != self.id {
-            for req in self.awaiting.values().take(self.config.batch_size) {
-                actions.push(Action::Send(primary, PbftMsg::Forward(req.clone())));
+            for req in self.lowest_awaiting(self.config.batch_size) {
+                actions.push(Action::Send(primary, PbftMsg::Forward(req)));
             }
         }
         self.arm_view_timer(now);
@@ -882,14 +956,8 @@ impl PbftNode {
         // In-flight window: re-propose a couple of batches, not the whole
         // backlog — backups re-forward theirs window by window too, and an
         // unbounded re-proposal burst at 20 nodes is O(backlog × n) clones.
-        let reqs: Vec<Request> = self
-            .awaiting
-            .values()
-            .take(2 * self.config.batch_size)
-            .cloned()
-            .collect();
         let mut actions = Vec::new();
-        for req in reqs {
+        for req in self.lowest_awaiting(2 * self.config.batch_size) {
             actions.extend(self.enqueue_at_primary(req, now));
         }
         // Flush a partial batch immediately: the view change already cost
@@ -926,7 +994,7 @@ impl PbftNode {
                 PbftMsg::Checkpoint { seq: self.checkpoint_seq, digest: self.checkpoint_digest },
             )];
         }
-        let batches: Vec<(u64, Vec<Request>)> = self
+        let batches: Vec<(u64, Batch)> = self
             .committed_log
             .range(from_seq + 1..)
             .take(SYNC_WINDOW)
@@ -941,7 +1009,7 @@ impl PbftNode {
     fn on_sync_reply(
         &mut self,
         from: NodeId,
-        batches: Vec<(u64, Vec<Request>)>,
+        batches: Vec<(u64, Batch)>,
         now: SimTime,
     ) -> Vec<Action> {
         let full_window = batches.len() == SYNC_WINDOW;
@@ -950,7 +1018,7 @@ impl PbftNode {
             if seq != self.last_committed + 1 {
                 continue; // only contiguous catch-up
             }
-            for r in &batch {
+            for r in batch.iter() {
                 self.awaiting.remove(&r.digest());
             }
             self.committed_log.insert(seq, batch.clone());
@@ -1029,7 +1097,7 @@ impl PbftNode {
                 b"pbft-ckpt",
                 self.checkpoint_digest.as_bytes(),
                 &seq.to_be_bytes(),
-                batch_digest(&batch).as_bytes(),
+                batch.digest().as_bytes(),
             ]);
             self.checkpoint_seq = seq;
         }
@@ -1044,7 +1112,7 @@ mod tests {
         payload.to_vec().into()
     }
 
-    /// `awaiting` is ordered by request digest and slots are matched by
+    /// `awaiting` is walked by request digest and slots are matched by
     /// batch digest, so these values decide retransmission order and are
     /// frozen by `results/` (literals from the hash-on-every-use code).
     #[test]
@@ -1166,7 +1234,7 @@ mod tests {
                             }
                         }
                         Action::CommitBatch { seq, batch } => {
-                            committed[src.index()].push((seq, batch));
+                            committed[src.index()].push((seq, batch.to_vec()));
                         }
                         // State-transfer jump; the harness tracks only the
                         // batch stream, which resumes past the checkpoint.
@@ -1322,7 +1390,7 @@ mod tests {
             view: 0,
             seq: 1,
             digest,
-            batch: batch.clone(),
+            batch: batch.clone().into(),
         };
         let mut queue: VecDeque<(NodeId, NodeId, PbftMsg)> = VecDeque::new();
         queue.push_back((NodeId(0), NodeId(1), pp(da, &batch_a)));
@@ -1473,7 +1541,7 @@ mod tests {
                 view: 0,
                 seq: 1,
                 digest: batch_digest(&[req(b"x")]),
-                batch: vec![req(b"x")],
+                batch: vec![req(b"x")].into(),
             },
             now,
         );
@@ -1491,7 +1559,7 @@ mod tests {
                 view: 0,
                 seq: 1,
                 digest: batch_digest(&[req(b"x")]),
-                batch: vec![req(b"x")],
+                batch: vec![req(b"x")].into(),
             },
             SimTime::from_secs(1),
         );
@@ -1508,7 +1576,7 @@ mod tests {
                 view: 0,
                 seq: 1,
                 digest: Hash256::digest(b"lies"),
-                batch: vec![req(b"x")],
+                batch: vec![req(b"x")].into(),
             },
             SimTime::from_secs(1),
         );
@@ -1522,7 +1590,7 @@ mod tests {
             view: 0,
             seq: 1,
             digest: Hash256::ZERO,
-            batch: vec![req(&[0u8; 200]); 10],
+            batch: vec![req(&[0u8; 200]); 10].into(),
         };
         assert!(big.byte_size() > small.byte_size() + 2000);
         assert!(small.byte_size() >= 64);
@@ -1534,14 +1602,14 @@ mod tests {
     fn message_sizes_known_answer() {
         let (empty, five, full) = (req(b""), req(b"12345"), req(&[9u8; 160]));
         let pre_prepare =
-            |batch| PbftMsg::PrePrepare { view: 2, seq: 7, digest: Hash256::ZERO, batch };
+            |batch: Vec<Request>| PbftMsg::PrePrepare { view: 2, seq: 7, digest: Hash256::ZERO, batch: batch.into() };
         assert_eq!(PbftMsg::Forward(full.clone()).byte_size(), 224);
         assert_eq!(PbftMsg::Forward(empty.clone()).byte_size(), 64);
         assert_eq!(pre_prepare(vec![]).byte_size(), 112);
         assert_eq!(pre_prepare(vec![five.clone()]).byte_size(), 121);
         assert_eq!(pre_prepare(vec![empty.clone(), five.clone(), full.clone()]).byte_size(), 289);
         let reply = PbftMsg::SyncReply {
-            batches: vec![(1, vec![empty, five.clone(), full]), (2, vec![five])],
+            batches: vec![(1, vec![empty, five.clone(), full].into()), (2, vec![five].into())],
         };
         assert_eq!(reply.byte_size(), 266);
         assert_eq!(PbftMsg::SyncReply { batches: vec![] }.byte_size(), 64);
@@ -1588,7 +1656,7 @@ mod tests {
                             }
                         }
                         Action::CommitBatch { seq, batch } => {
-                            committed[src.index()].push((seq, batch));
+                            committed[src.index()].push((seq, batch.to_vec()));
                         }
                         Action::InstallCheckpoint { .. } => {}
                     }
@@ -1643,8 +1711,9 @@ mod tests {
     #[test]
     fn retransmission_order_is_deterministic() {
         // Two replicas fed the same requests in the same order must emit
-        // identical retransmission actions — the ordered `awaiting` map is
-        // what keeps whole-simulation runs byte-identical across processes.
+        // identical retransmission actions — the digest-ordered walk of
+        // `awaiting` is what keeps whole-simulation runs byte-identical
+        // across processes.
         let config = PbftConfig { n: 4, batch_size: 8, ..PbftConfig::default() };
         let t0 = SimTime::from_secs(1);
         let mk = || {
@@ -1655,6 +1724,52 @@ mod tests {
             n.on_tick(t0 + config.view_timeout + SimDuration::from_millis(1))
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// `lowest_awaiting(k)` is the first `k` values of a `BTreeMap` keyed by
+    /// digest — the walk every retransmission path took when `awaiting` was
+    /// that map. Seeded request sets (repeats included, some committed and
+    /// pruned) on a backup, checked at k ∈ {0, 1, len − 1, len, len + 7}.
+    #[test]
+    fn lowest_awaiting_walks_in_digest_order_seeded() {
+        use bb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(0x5EED_0047);
+        let now = SimTime::from_secs(1);
+        let mut covered = 0;
+        for case in 0..24 {
+            let config = PbftConfig { n: 4, batch_size: 8, ..PbftConfig::default() };
+            let mut node = PbftNode::new(NodeId(1), config);
+            let mut reference: BTreeMap<Hash256, Request> = BTreeMap::new();
+            for _ in 0..rng.range(0, 300) {
+                let mut payload = vec![0u8; rng.range(1, 6) as usize];
+                rng.fill_bytes(&mut payload);
+                let r = req(&payload);
+                reference.insert(r.digest(), r.clone());
+                node.on_request(r, now);
+            }
+            // Commit one batch of awaiting requests: they leave `awaiting`.
+            if reference.len() > 4 && rng.chance(0.5) {
+                let batch: Batch = reference.values().step_by(3).cloned().collect::<Vec<_>>().into();
+                for r in batch.iter() {
+                    reference.remove(&r.digest());
+                }
+                let (seq, digest) = (1, batch.digest());
+                node.on_message(NodeId(0), PbftMsg::PrePrepare { view: 0, seq, digest, batch }, now);
+                for from in [0u32, 2] {
+                    node.on_message(NodeId(from), PbftMsg::Commit { view: 0, seq, digest }, now);
+                }
+                node.on_message(NodeId(2), PbftMsg::Prepare { view: 0, seq, digest }, now);
+                assert_eq!(node.last_committed(), 1, "case {case}");
+                covered += 1;
+            }
+            assert_eq!(node.awaiting_count(), reference.len(), "case {case}");
+            let len = reference.len();
+            for k in [0, 1, len.saturating_sub(1), len, len + 7] {
+                let want: Vec<Request> = reference.values().take(k).cloned().collect();
+                assert_eq!(node.lowest_awaiting(k), want, "case {case}, k {k} of {len}");
+            }
+        }
+        assert!(covered > 0, "no case pruned `awaiting` by a commit");
     }
 
     #[test]
@@ -1725,7 +1840,7 @@ mod tests {
                 let digest = batch_digest(&batch);
                 node.on_message(
                     NodeId(0),
-                    PbftMsg::PrePrepare { view: 0, seq, digest, batch },
+                    PbftMsg::PrePrepare { view: 0, seq, digest, batch: batch.into() },
                     now,
                 );
                 node.on_message(NodeId(2), PbftMsg::Prepare { view: 0, seq, digest }, now);

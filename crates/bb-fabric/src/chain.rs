@@ -20,7 +20,7 @@
 
 use crate::config::FabricConfig;
 use crate::state::{FabricState, STORE_PREFIX};
-use bb_consensus::pbft::{batch_digest, Action, PbftConfig, PbftMsg, PbftNode, Request};
+use bb_consensus::pbft::{Action, Batch, PbftConfig, PbftMsg, PbftNode, Request};
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
@@ -560,9 +560,9 @@ fn dispatch(
                 // and recover liveness through the view change.
                 if node.equivocating {
                     if let PbftMsg::PrePrepare { view, seq, batch, .. } = &msg {
-                        let mut forged = batch.clone();
+                        let mut forged = batch.to_vec();
                         forged.push(b"equivocated-request".to_vec().into());
-                        let forged_digest = batch_digest(&forged);
+                        let forged = Batch::from(forged);
                         let peers: Vec<NodeId> =
                             (0..ctx.config.nodes).map(NodeId).filter(|&t| t != from).collect();
                         let split = peers.len() / 2;
@@ -573,7 +573,7 @@ fn dispatch(
                                 let fork = PbftMsg::PrePrepare {
                                     view: *view,
                                     seq: *seq,
-                                    digest: forged_digest,
+                                    digest: forged.digest(),
                                     batch: forged.clone(),
                                 };
                                 send_msg(to, fork, fx);
@@ -674,6 +674,9 @@ fn run_batch(
         alloc_peak = alloc_peak.max(res.peak_alloc);
         receipts.push((tx.id(), res.success));
     }
+    // The root first: the delta then carries the Merkle level nodes the
+    // batch rewrote, and a peer installing it hashes nothing.
+    node.state.root();
     let delta = node.state.block_delta();
     BatchOutcome { receipts, charge, alloc_peak, tx_root: tx_root(txs), delta }
 }
@@ -685,7 +688,7 @@ fn commit_batch(
     at: NodeId,
     now: SimTime,
     seq: u64,
-    batch: Vec<Request>,
+    batch: Batch,
 ) {
     if node.recovery.snapshot_syncing {
         // The node's state is mid-transfer: executing against it would
@@ -695,7 +698,7 @@ fn commit_batch(
     }
     let height = node.ledger.blocks.len() as u64 + 1;
     let mut txs: Vec<Arc<Transaction>> = Vec::with_capacity(batch.len());
-    for req in &batch {
+    for req in batch.iter() {
         // Decoded once, where the request was made: every replica executes
         // and stores the same `Arc<Transaction>`.
         let Some(tx) = req.transaction() else {
@@ -1760,6 +1763,14 @@ mod tests {
         let rate = committed as f64 / 14.0;
         // Near the paper's ~1273 tx/s peak: 8 servers × 160 tx/s admission.
         assert!(rate > 900.0 && rate < 1500.0, "rate {rate}");
+    }
+
+    /// Every event waits in the engine's heap, and a consensus message
+    /// carries its batch as one pointer. The account chains' 48 bytes are
+    /// not reached yet.
+    #[test]
+    fn events_stay_within_72_bytes() {
+        assert!(std::mem::size_of::<FabEvent>() <= 72, "{} bytes", std::mem::size_of::<FabEvent>());
     }
 
     #[test]

@@ -57,16 +57,20 @@ fn build_levels(buckets: &[Hash256]) -> Vec<Vec<Hash256>> {
 }
 
 /// What one block's writes did to a [`BucketTree`]: its pending overlay,
-/// the new digests of the buckets it wrote, the entry count it left and the
-/// same-key overwrites its overlay absorbed. Taken by
-/// [`BucketTree::block_delta`] from a tree that ran the writes, installed by
-/// [`BucketTree::install_block_delta`] on an equal tree that did not, it
-/// leaves both trees equal — roots, counts, overlay and, after the seal,
-/// store.
+/// the new digests of the buckets it wrote, the entry count it left, the
+/// same-key overwrites its overlay absorbed and — when the tree's root was
+/// taken after the writes — the Merkle level nodes above those buckets.
+/// Taken by [`BucketTree::block_delta`] from a tree that ran the writes,
+/// installed by [`BucketTree::install_block_delta`] on an equal tree that
+/// did not, it leaves both trees equal — roots, counts, overlay and, after
+/// the seal, store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockDelta {
     pending: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     buckets: Vec<(usize, Hash256)>,
+    /// Per internal level, bottom-up, the `(index, node)` of every ancestor
+    /// of `buckets`; empty when the tree's levels were not current.
+    levels: Vec<Vec<(usize, Hash256)>>,
     entries: u64,
     superseded: u64,
 }
@@ -267,8 +271,15 @@ impl<S: KvStore> BucketTree<S> {
         Ok(())
     }
 
+    /// Are the Merkle levels built and current with every bucket?
+    fn levels_clean(&self) -> bool {
+        !self.levels.is_empty() && self.dirty.is_empty()
+    }
+
     /// What the writes since the last commit did: the open block's
     /// [`BlockDelta`], for an equal tree to install instead of running them.
+    /// Taken after a [`Self::root`] that followed the writes, it carries
+    /// the level nodes they rewrote.
     pub fn block_delta(&self) -> BlockDelta {
         let mut written: Vec<usize> = self
             .pending
@@ -277,9 +288,21 @@ impl<S: KvStore> BucketTree<S> {
             .collect();
         written.sort_unstable();
         written.dedup();
+        let mut levels = Vec::new();
+        if self.levels_clean() {
+            let mut above = written.clone();
+            for level in &self.levels {
+                for i in &mut above {
+                    *i /= 2;
+                }
+                above.dedup();
+                levels.push(above.iter().map(|&i| (i, level[i])).collect());
+            }
+        }
         BlockDelta {
             pending: self.pending.clone(),
             buckets: written.into_iter().map(|b| (b, self.bucket_hashes[b])).collect(),
+            levels,
             entries: self.entries,
             superseded: self.values_superseded - self.superseded_at_seal,
         }
@@ -288,12 +311,26 @@ impl<S: KvStore> BucketTree<S> {
     /// Apply a block's writes as their [`BlockDelta`]: this tree, sealed
     /// and equal to the one the delta was taken from as of that block's
     /// start, ends where running the writes would have left it. Nothing
-    /// reads the store.
+    /// reads the store. When the delta carries its level nodes and this
+    /// tree's levels are built and clean, the nodes are written in place
+    /// and the next root hashes nothing; otherwise the written buckets are
+    /// marked for the next root to re-hash.
     pub fn install_block_delta(&mut self, delta: &BlockDelta) {
         assert!(self.pending.is_empty(), "a block delta installs on a sealed tree only");
+        let in_place = !delta.levels.is_empty() && self.levels_clean();
         for &(bucket, digest) in &delta.buckets {
             self.bucket_hashes[bucket] = digest;
-            self.touch(bucket);
+            if !in_place {
+                self.touch(bucket);
+            }
+        }
+        if in_place {
+            debug_assert_eq!(delta.levels.len(), self.levels.len(), "equal trees have equal levels");
+            for (level, nodes) in self.levels.iter_mut().zip(&delta.levels) {
+                for &(i, node) in nodes {
+                    level[i] = node;
+                }
+            }
         }
         self.entries = delta.entries;
         self.pending = delta.pending.clone();
@@ -745,6 +782,65 @@ mod seeded_props {
         }
         let covered = (deletes, overwrites, levelless);
         assert!(deletes > 0 && overwrites > 0 && levelless > 0, "{covered:?}");
+    }
+
+    /// A delta taken after the root carries the level nodes its block
+    /// rewrote: a twin whose levels are built and clean installs it and
+    /// holds the donor's levels, nothing left to re-hash. Two fallbacks
+    /// reach the same root by re-hashing: a twin rebuilt from the store
+    /// (levels empty), and a twin installing the delta taken before the
+    /// root (no levels carried).
+    #[test]
+    fn block_delta_carries_the_rewritten_levels_seeded() {
+        let mut rng = SimRng::seed_from_u64(0x5EED_0047);
+        let (mut in_place, mut levelless) = (0, 0);
+        for case in 0..24 {
+            let nbuckets = [1, 5, 16, 1024][case % 4];
+            let mut donor = BucketTree::new(MemStore::new(), nbuckets);
+            for block in 0..rng.range(1, 6) {
+                donor.root();
+                let mut twin = donor.clone();
+                let BucketTree { store, .. } = donor.clone();
+                let mut rebuilt = BucketTree::rebuild(store, nbuckets).unwrap();
+                let mut late = donor.clone();
+                for _ in 0..rng.range(1, 60) {
+                    let k = [rng.below(64) as u8];
+                    if rng.chance(0.75) {
+                        let mut v = vec![0u8; rng.below(4) as usize];
+                        rng.fill_bytes(&mut v);
+                        donor.put(&k, &v).unwrap();
+                    } else {
+                        donor.delete(&k).unwrap();
+                    }
+                }
+                let early = donor.block_delta();
+                let root = donor.root();
+                let delta = donor.block_delta();
+                let at = format!("case {case}, block {block}");
+                // A single bucket has no levels, and an empty tree's root
+                // hashes nothing: neither carries any.
+                if nbuckets > 1 && !donor.is_empty() {
+                    assert_eq!(delta.levels.len(), donor.levels.len(), "{at}");
+                }
+                let twin_clean = twin.levels_clean();
+                twin.install_block_delta(&delta);
+                if twin_clean && !delta.levels.is_empty() {
+                    assert_eq!(twin.levels, donor.levels, "{at}");
+                    assert!(twin.dirty.is_empty(), "{at}");
+                    in_place += 1;
+                }
+                levelless += early.levels.is_empty() as u32;
+                rebuilt.install_block_delta(&delta);
+                late.install_block_delta(&early);
+                for t in [&mut twin, &mut rebuilt, &mut late] {
+                    assert_eq!(t.root(), root, "{at}");
+                    assert_eq!(t.bucket_hashes, donor.bucket_hashes, "{at}");
+                    t.commit().unwrap();
+                }
+                donor.commit().unwrap();
+            }
+        }
+        assert!(in_place > 0 && levelless > 0, "{:?}", (in_place, levelless));
     }
 
     /// The incremental root equals the full rebuild — `merkle_root` over

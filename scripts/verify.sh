@@ -127,6 +127,40 @@ if [ "$readers" != execute_batch_txs ]; then
     exit 1
 fi
 
+echo "==> one batch per world: one allocation, one digest and one Merkle root per committed PBFT batch"
+# DESIGN.md §4 "Identities" and §8 "Executed once per world": a
+# `pbft::Batch` hashes its digest once, in `From<Vec<Request>>`, and every
+# copy is a refcount bump; `awaiting` is a digest-keyed hash map that only
+# `lowest_awaiting` walks, in the digest order `results/` pins; a batch
+# outcome's delta carries the bucket-tree levels it rewrote, so an
+# installing peer hashes nothing. The levels install in place in both
+# profiles; the release run is the one where a hit installs the outcome.
+smoke -p bb-consensus lowest_awaiting_walks_in_digest_order_seeded
+smoke --release -p bb-consensus lowest_awaiting_walks_in_digest_order_seeded
+smoke -p bb-merkle block_delta_carries_the_rewritten_levels_seeded
+smoke --release -p bb-merkle block_delta_carries_the_rewritten_levels_seeded
+smoke -p bb-fabric events_stay_within_72_bytes
+smoke --release -p bb-fabric events_stay_within_72_bytes
+hashers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^impl/ { impl = $0 }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /batch_digest\(/ && !/^[[:space:]]*\/\/|fn batch_digest\(|debug_assert/ &&
+        !(fn == "from" && impl ~ /From<Vec<Request>> for Batch/) { print NR ": " $0 }' \
+    crates/bb-consensus/src/pbft.rs)
+if [ -n "$hashers" ] || git grep -n 'batch_digest(' -- crates ':!crates/bb-consensus/src/pbft.rs'; then
+    echo "${hashers}"
+    echo "ERROR: a batch is re-hashed outside Batch::from and its debug assertion" >&2
+    exit 1
+fi
+walkers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.awaiting\.(values|values_mut|iter|iter_mut|keys|drain|into_iter)\(|in &(mut )?self\.awaiting/ { print fn }' \
+    crates/bb-consensus/src/pbft.rs | sort -u)
+if [ "$walkers" != lowest_awaiting ]; then
+    echo "ERROR: \`awaiting\` is walked outside lowest_awaiting (in: ${walkers:-nothing})" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
