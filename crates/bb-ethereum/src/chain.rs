@@ -4,7 +4,10 @@
 //! RPC and probabilistic gossip, an exponential-race miner, full block
 //! validation by re-execution, heaviest-chain fork choice with reorgs (the
 //! tx pool re-adopts transactions from abandoned branches), and a
-//! Merkle-Patricia state trie over a private LSM store. Node 0 doubles as
+//! Merkle-Patricia state trie over a private LSM store. Validation is
+//! billed on every validator, but run on the host once per world: the first
+//! validator to adopt a block runs it and the others install its trie
+//! delta (`ChainNode::execute_and_seal`, DESIGN.md §8). Node 0 doubles as
 //! the driver's RPC endpoint: it serves `getLatestBlock(h)` from its view of
 //! the confirmed chain (head minus `confirm_depth`), block/state queries,
 //! and the read-only contract path.
@@ -16,7 +19,7 @@
 
 use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
-use crate::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
+use crate::node::{vm_for, BlockOutcomes, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use crate::state::AccountState;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
@@ -63,10 +66,12 @@ pub struct EthNode {
     mine_generation: u64,
 }
 
-/// Read-only context shared by every lane.
+/// Context shared by every lane: read-only but for the block outcomes, a
+/// cache of a pure function of lane state (see `ShardedWorld::Ctx`).
 pub struct EthCtx {
     config: EthConfig,
     params: ChainParams,
+    outcomes: BlockOutcomes,
 }
 
 /// What proof-of-work plugs into the shared account-chain node.
@@ -80,6 +85,12 @@ impl ChainPlatform for EthCtx {
     }
     fn params_mut(&mut self) -> &mut ChainParams {
         &mut self.params
+    }
+
+    /// Validators install the first validator's trie delta: the LSM never
+    /// refuses a batch, so an install ends where a run ends.
+    fn outcomes(&self) -> Option<&BlockOutcomes> {
+        Some(&self.outcomes)
     }
 
     /// The durable `!b/` record rides the same atomic batch as the state
@@ -350,7 +361,7 @@ impl Consensus for EthWorld {
             crashed: vec![false; config.nodes as usize],
         };
         Setup {
-            ctx: EthCtx { config: config.clone(), params },
+            ctx: EthCtx { config: config.clone(), params, outcomes: BlockOutcomes::default() },
             store: LsmStore::new_private(eth_store_config()),
             link: config.link.clone(),
             cores: config.cores,
@@ -576,15 +587,6 @@ mod tests {
         let mut c = EthereumChain::new(config);
         let addr = c.deploy(&ycsb::bundle());
         let mut next = 0u64;
-        let mut load = |c: &mut EthereumChain, secs: u64| {
-            while c.now() < SimTime::from_secs(secs) {
-                let (client, nonce) = (next % 3, next / 3);
-                let tx = client_tx(1 + client, nonce, addr, ycsb::write_call(next, b"v"));
-                assert!(c.submit(NodeId(client as u32), tx));
-                next += 1;
-                c.advance_to(c.now() + SimDuration::from_millis(50));
-            }
-        };
         let step = |c: &mut EthereumChain| c.advance_to(c.now() + SimDuration::from_micros(200));
         let syncing =
             |c: &EthereumChain| c.engine.with_node(3, |n| n.chain.recovery.snapshot_syncing);
@@ -596,9 +598,9 @@ mod tests {
             let blocks = records.iter().filter_map(|(_, v)| decode_block_meta(v));
             blocks.map(|(_, b)| b.header.height).collect()
         };
-        load(&mut c, 3);
+        ycsb_load(&mut c, addr, &mut next, 3, 3);
         c.inject(Fault::Crash(NodeId(3)));
-        load(&mut c, 13);
+        ycsb_load(&mut c, addr, &mut next, 3, 13);
         c.inject(Fault::Restart(NodeId(3)));
         // Step until a transfer has shipped every block record, mid-state.
         let deadline = c.now() + SimDuration::from_secs(1);
@@ -613,7 +615,7 @@ mod tests {
         let peer_head = c.engine.with_node(0, |n| n.chain.tree.head_height());
         assert!(peer_head - torn_head <= sync_blocks, "gap {torn_head}..{peer_head} is deep");
         c.inject(Fault::Restart(NodeId(3)));
-        load(&mut c, 30);
+        ycsb_load(&mut c, addr, &mut next, 3, 30);
         c.advance_to(SimTime::from_secs(40));
         assert!(c.stats().snapshot_chunks > torn_chunks, "restart replayed onto a torn store");
         let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
@@ -812,6 +814,141 @@ mod tests {
         // Storage cost-model observability threads through to PlatformStats.
         assert!(stats.storage_logical_bytes > 0);
         assert!(stats.write_amplification().expect("stores saw writes") > 1.0);
+    }
+
+    /// The block outcomes the run has looked up, as `(validator, block id,
+    /// hit, installs)`.
+    fn lookups(c: &EthereumChain) -> Vec<(NodeId, Hash256, bool, bool)> {
+        c.engine.with_ctx(|ctx| ctx.outcomes.lookups.lock().unwrap().clone())
+    }
+
+    /// YCSB writes into the first `servers` nodes, one per 50 ms, until
+    /// `secs`; `next` numbers them (client `1 + next % 3`, nonce `next / 3`).
+    fn ycsb_load(c: &mut EthereumChain, addr: Address, next: &mut u64, servers: u64, secs: u64) {
+        while c.now() < SimTime::from_secs(secs) {
+            let (client, nonce) = (*next % 3, *next / 3);
+            let tx = client_tx(1 + client, nonce, addr, ycsb::write_call(*next, b"v"));
+            assert!(c.submit(NodeId((*next % servers) as u32), tx));
+            *next += 1;
+            c.advance_to(c.now() + SimDuration::from_millis(50));
+        }
+    }
+
+    /// Every node's main chain agrees with every other's (all but the last
+    /// `tip` blocks, which may still be in flight), state roots included.
+    fn assert_one_chain(c: &EthereumChain, tip: u64) {
+        let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
+        let checked = blockbench::check_chains(&chains, tip).unwrap_or_else(|v| panic!("{v}"));
+        assert!(checked > 0, "safety check was vacuous");
+    }
+
+    /// Each block runs once per world: the miner built it, the first
+    /// validator to adopt it misses and keeps its outcome, and the other two
+    /// install it. (With debug assertions on they also run it and assert it
+    /// matches.)
+    #[test]
+    fn outcome_of_a_block_is_installed_by_every_validator_after_the_first() {
+        let mut c = small_chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        ycsb_load(&mut c, addr, &mut 0, 4, 10);
+        let main = c.committed_chain(NodeId(0));
+        assert!(main.len() > 8, "only {} blocks", main.len());
+        let log = lookups(&c);
+        for entry in &main[..main.len() - 3] {
+            let seen: Vec<_> = log.iter().filter(|l| l.1 == entry.id).map(|l| (l.2, l.3)).collect();
+            let want = [(false, false), (true, true), (true, true)];
+            assert_eq!(seen, want, "height {}", entry.height);
+        }
+        assert_one_chain(&c, 3);
+    }
+
+    /// A crash empties a validator's trie cache, so once restarted it cannot
+    /// install: its first replayed block is a hit that it runs itself.
+    #[test]
+    fn outcome_of_a_block_is_run_by_a_validator_whose_cache_a_crash_emptied() {
+        let mut c = small_chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut next = 0;
+        ycsb_load(&mut c, addr, &mut next, 4, 4);
+        c.inject(Fault::Crash(NodeId(3)));
+        ycsb_load(&mut c, addr, &mut next, 3, 6);
+        let from = lookups(&c).len();
+        c.inject(Fault::Restart(NodeId(3)));
+        ycsb_load(&mut c, addr, &mut next, 3, 16);
+        let log = lookups(&c);
+        let replay: Vec<_> = log[from..].iter().filter(|l| l.0 == NodeId(3)).collect();
+        assert_eq!(replay.first().map(|l| (l.2, l.3)), Some((true, false)));
+        assert!(replay.iter().any(|l| l.3), "node 3 never installed once its cache refilled");
+        assert_one_chain(&c, 3);
+    }
+
+    /// A validator restarted behind more blocks than the world keeps
+    /// outcomes of runs the oldest itself: they were kept once (its peers
+    /// hit them) and evicted since.
+    #[test]
+    fn outcome_of_a_block_older_than_the_cache_is_run() {
+        let mut c = small_chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut next = 0;
+        ycsb_load(&mut c, addr, &mut next, 4, 4);
+        c.inject(Fault::Crash(NodeId(3)));
+        let floor = c.engine.with_node(3, |n| n.chain.tree.head_height());
+        ycsb_load(&mut c, addr, &mut next, 3, 20);
+        let behind = c.engine.with_node(0, |n| n.chain.tree.head_height()) - floor;
+        assert!(behind > bb_sim::OUTCOMES_KEPT as u64, "node 3 is only {behind} blocks behind");
+        let from = lookups(&c).len();
+        c.inject(Fault::Restart(NodeId(3)));
+        ycsb_load(&mut c, addr, &mut next, 3, 30);
+        assert_eq!(c.stats().snapshot_chunks, 0, "node 3 took a snapshot instead of replaying");
+        let log = lookups(&c);
+        let first = log[from..].iter().find(|l| l.0 == NodeId(3)).expect("node 3 replayed");
+        assert!(!first.2, "node 3's first replayed block was still kept");
+        assert!(log[..from].iter().any(|l| l.1 == first.1 && l.2), "no peer hit it first");
+        assert_one_chain(&c, 3);
+    }
+
+    /// A slowed disk bills the store's reads and writes, and a validator
+    /// whose walks all hit its cache reads nothing: so it installs like any
+    /// other, and ends with the same stall, CPU, counters, disk and root as
+    /// a twin that ran the block.
+    #[test]
+    fn outcome_of_a_block_installs_on_a_slow_disk_like_running_it() {
+        let mut c = small_chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let mut next = 0;
+        ycsb_load(&mut c, addr, &mut next, 4, 3);
+        c.inject(Fault::SlowDisk(NodeId(2), SimDuration::from_micros(50)));
+        ycsb_load(&mut c, addr, &mut next, 4, 5);
+        let now = c.now();
+        let footprint = |n: &mut ChainNode<LsmStore>, id: &Hash256| {
+            let disk = n.state.store().vfs().lock().unwrap().clone();
+            let trie = (n.state.trie_cache_stats(), n.state.trie_flush_stats());
+            let charged = (n.cpu.utilisation_series(), n.counters.clone());
+            (n.state.root(), n.receipts[id].clone(), trie, n.state.store().stats(), disk, charged)
+        };
+        let (ran, installed, stall_before, id) = c.engine.with_ctx_node_mut(2, |ctx, n| {
+            let mut miner = n.chain.clone();
+            for nonce in 0..20 {
+                let write = ycsb::write_call(1000 + nonce, b"slow");
+                assert!(miner.enqueue(Arc::new(client_tx(77, nonce, addr, write))));
+            }
+            let block = Arc::new(miner.build_block(ctx, now, NodeId(9), 0));
+            assert!(block.txs.len() >= 20, "the pool's own transactions come first");
+            let stall_before = n.chain.state.store().vfs().lock().unwrap().stall_us();
+            let mut twins = [n.chain.clone(), n.chain.clone()];
+            let mut fx = Effects::detached(2, now);
+            for twin in &mut twins {
+                twin.adopt_block(ctx, now, NodeId(2), Arc::clone(&block), None, &mut fx);
+            }
+            let [mut ran, mut installed] = twins;
+            let id = block.id();
+            (footprint(&mut ran, &id), footprint(&mut installed, &id), stall_before, id)
+        });
+        assert!(ran.4.stall_us() > stall_before, "the slowed disk did not stall");
+        assert_eq!(installed, ran);
+        let log = lookups(&c);
+        let seen: Vec<_> = log.iter().filter(|l| l.1 == id).map(|l| (l.0, l.2, l.3)).collect();
+        assert_eq!(seen, [(NodeId(2), false, false), (NodeId(2), true, true)]);
     }
 
     /// Every event waits in the engine's heap, and the snapshot transfer

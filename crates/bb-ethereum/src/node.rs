@@ -23,8 +23,8 @@ use crate::config::EvmCosts;
 use crate::state::{AccountState, TxInvalid};
 use bb_consensus::pow::{BlockTree, InsertOutcome};
 use bb_crypto::{DigestMap, DigestSet, Hash256};
-use bb_merkle::merkle_root;
-use bb_sim::{CpuMeter, Effects, SimDuration, SimTime};
+use bb_merkle::{merkle_root, TrieDelta};
+use bb_sim::{CpuMeter, Effects, RecentOutcomes, SimDuration, SimTime};
 use bb_storage::{KvError, KvPairs, KvStore};
 use bb_svm::{Vm, VmConfig};
 use bb_types::{
@@ -77,6 +77,42 @@ pub struct ChainParams {
     /// handles no event but those its consensus keeps running itself
     /// (Parity's steps and admission queue).
     pub crashed: Vec<bool>,
+}
+
+/// What running one block does on a validator: a pure function of its
+/// [`OutcomeKey`].
+#[derive(Debug, PartialEq)]
+struct BlockOutcome {
+    receipts: Vec<(TxId, bool)>,
+    /// The serial execution time in µs.
+    serial_us: u64,
+    /// What the block did to the state trie, its seal included: recorded
+    /// where the world keeps outcomes, and always in a kept one.
+    delta: Option<TrieDelta>,
+}
+
+/// Everything a block's execution reads: the parent's post-state root, the
+/// block (its id covers its height and transactions) and the deploy log's
+/// length.
+#[derive(PartialEq)]
+struct OutcomeKey {
+    parent_root: Hash256,
+    id: Hash256,
+    deployed: usize,
+}
+
+/// A world's recent block outcomes, held by a platform's lane context where
+/// its validators install them (see [`ChainPlatform::outcomes`]). Opaque:
+/// only `ChainNode::execute_and_seal` reads or fills it.
+#[derive(Default)]
+pub struct BlockOutcomes {
+    recent: RecentOutcomes<OutcomeKey, BlockOutcome>,
+    /// Every lookup as `(validator, block id, hit, installs)`, where
+    /// `installs` says the validator's trie accepts the hit's delta (with
+    /// debug assertions on it runs the block anyway): tests only, never
+    /// stats.
+    #[cfg(test)]
+    pub(crate) lookups: std::sync::Mutex<Vec<(NodeId, Hash256, bool, bool)>>,
 }
 
 /// Observer counter: blocks ever produced, forks and preloads included.
@@ -132,6 +168,14 @@ pub trait ChainPlatform {
         id: &Hash256,
         block: &Block,
     ) -> Result<(), KvError>;
+
+    /// The world's recent block outcomes, where a validator installs the
+    /// trie delta of the first validator that ran a block instead of
+    /// running it again. `None`, the default: every validator runs every
+    /// block.
+    fn outcomes(&self) -> Option<&BlockOutcomes> {
+        None
+    }
 
     /// Is an arriving block one this node need not look at again, given
     /// whether it already holds the body and the executed post-state root?
@@ -460,29 +504,56 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// Execute a received block on its parent's state, one transaction after
-    /// another as geth and Parity do, and seal the result. The charge is the
-    /// serial execution time, except that a stored orphan catching up is
-    /// billed per the platform. A block at a deploy height gets its
-    /// contracts on top, as set-up gave them to node 0, so re-executing the
-    /// set-up chain (a Parity restart) agrees.
+    /// another as geth and Parity do, and seal the result — on the host,
+    /// once per world. The charge is the serial execution time, except that
+    /// a stored orphan catching up is billed per the platform.
+    ///
+    /// Where the platform keeps [`ChainPlatform::outcomes`], the validator
+    /// first looks the block up among the world's recent outcomes. On a hit
+    /// it installs the outcome's trie delta instead of running the block,
+    /// unless its trie refuses (its cache lacks a node the block walked, as
+    /// after a crash) and it runs the block after all; on a miss it runs the
+    /// block and keeps the outcome. A block at a deploy height always runs.
+    /// Either way the validator bills its own CPU, writes its own batch and
+    /// keeps its own counters. With debug assertions on, a hit runs the
+    /// block too and asserts that it did what the hit says.
     fn execute_and_seal<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
+        me: NodeId,
         now: SimTime,
-        parent_root: Hash256,
         id: Hash256,
         block: &Block,
         catching_up: bool,
     ) {
-        let params = p.params();
+        let deploys = &p.params().deploys;
+        let height = block.header.height;
+        let outcomes = p.outcomes().filter(|_| deploys.iter().all(|d| d.0 != height));
+        let parent_root = self.roots[&block.header.parent];
+        let key = OutcomeKey { parent_root, id, deployed: deploys.len() };
         self.state.set_root(parent_root);
-        let outcome = self.state.execute_block_serial(
-            &block.txs,
-            block.header.height,
-            &params.vm,
-            params.tx_gas_limit,
-            &|gas| params.costs.exec_time(gas.max(1000)).as_micros(),
-        );
+        let hit = outcomes.and_then(|o| o.recent.find(&key));
+        #[cfg(test)]
+        if let Some(o) = outcomes {
+            let delta = hit.as_ref().and_then(|h| h.delta.as_ref());
+            let installs = delta.is_some_and(|d| self.state.accepts_block(d));
+            o.lookups.lock().unwrap().push((me, id, hit.is_some(), installs));
+        }
+        let outcome = match hit {
+            Some(hit) if !cfg!(debug_assertions) && self.install(&hit) => hit,
+            Some(hit) => {
+                let ran = self.run_block(p, &id, block, cfg!(debug_assertions));
+                debug_assert_eq!(ran, *hit, "{me} ran block {height} unlike its kept outcome");
+                hit
+            }
+            None => {
+                let ran = Arc::new(self.run_block(p, &id, block, outcomes.is_some()));
+                if let (Some(o), Some(_)) = (outcomes, &ran.delta) {
+                    o.recent.keep(key, Arc::clone(&ran));
+                }
+                ran
+            }
+        };
         self.seen.extend(block.txs.iter().map(|tx| tx.id()));
         self.counters.exec_serial_us += outcome.serial_us;
         let charge = if catching_up {
@@ -491,13 +562,46 @@ impl<S: KvStore + Send> ChainNode<S> {
             SimDuration::from_micros(outcome.serial_us)
         };
         self.cpu.charge(now, charge);
-        let _ = p.seal(&mut self.state, &id, block);
+        self.roots.insert(id, self.state.root());
+        self.receipts.insert(id, outcome.receipts.clone());
+    }
+
+    /// Install a kept outcome's trie delta on the state standing on the
+    /// block's parent root; `false` where the trie refuses it.
+    fn install(&mut self, hit: &BlockOutcome) -> bool {
+        let delta = hit.delta.as_ref().expect("a kept outcome carries its delta");
+        self.state.install_block(delta).expect("a world that installs never refuses a batch")
+    }
+
+    /// Run a block on the state standing on its parent's root and seal it,
+    /// recording its trie delta where `record`. A block at a deploy height
+    /// gets its contracts on top, as set-up gave them to node 0, so
+    /// re-executing the set-up chain (a Parity restart) agrees.
+    fn run_block<P: ChainPlatform<Store = S>>(
+        &mut self,
+        p: &P,
+        id: &Hash256,
+        block: &Block,
+        record: bool,
+    ) -> BlockOutcome {
+        let params = p.params();
+        if record {
+            self.state.record_block();
+        }
+        let outcome = self.state.execute_block_serial(
+            &block.txs,
+            block.header.height,
+            &params.vm,
+            params.tx_gas_limit,
+            &|gas| params.costs.exec_time(gas.max(1000)).as_micros(),
+        );
+        let _ = p.seal(&mut self.state, id, block);
+        let delta = self.state.take_block_delta();
         for (_, address, code) in params.deploys.iter().filter(|d| d.0 == block.header.height) {
             self.state.install_contract(address, code).expect("set-up contracts fit");
-            let _ = p.seal(&mut self.state, &id, block);
+            let _ = p.seal(&mut self.state, id, block);
         }
-        self.roots.insert(id, self.state.root());
-        self.receipts.insert(id, outcome.receipts);
+        BlockOutcome { receipts: outcome.receipts, serial_us: outcome.serial_us, delta }
     }
 
     /// Produce a block on this node's head: build it, count it, adopt it
@@ -525,8 +629,9 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
     }
 
-    /// Validate (re-execute) and adopt a block into the tree. An orphan is
-    /// stashed and its parent requested from `request_from`.
+    /// Validate a block by re-execution, billed here and run on the host
+    /// once per world (see `execute_and_seal`), and adopt it into the tree.
+    /// An orphan is stashed and its parent requested from `request_from`.
     pub fn adopt_block<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -541,7 +646,7 @@ impl<S: KvStore + Send> ChainNode<S> {
             return;
         }
         let parent = block.header.parent;
-        let Some(&parent_root) = self.roots.get(&parent) else {
+        if !self.roots.contains_key(&parent) {
             // Orphan: stash in the tree and fetch the ancestor chain.
             self.tree.insert(id, parent, block.header.difficulty);
             self.bodies.insert(id, block);
@@ -550,9 +655,9 @@ impl<S: KvStore + Send> ChainNode<S> {
                 fx.send(from.0, 64, move |_at| ask);
             }
             return;
-        };
+        }
         if !self.roots.contains_key(&id) {
-            self.execute_and_seal(p, now, parent_root, id, &block, false);
+            self.execute_and_seal(p, me, now, id, &block, false);
         }
         let difficulty = block.header.difficulty;
         self.bodies.insert(id, block);
@@ -561,7 +666,7 @@ impl<S: KvStore + Send> ChainNode<S> {
             self.readopt_abandoned(old_head);
         }
         // Connecting this block may have connected stored orphan children.
-        self.execute_connected_descendants(p, now, id);
+        self.execute_connected_descendants(p, me, now, id);
         // Whatever the head is now, drop its branch's transactions from the
         // pool (after the reorg path above re-added the abandoned branch's).
         self.prune_main_chain();
@@ -590,14 +695,15 @@ impl<S: KvStore + Send> ChainNode<S> {
     fn execute_connected_descendants<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
+        me: NodeId,
         now: SimTime,
         from_id: Hash256,
     ) {
         let mut frontier = vec![from_id];
         while let Some(parent_id) = frontier.pop() {
-            let Some(&parent_root) = self.roots.get(&parent_id) else {
+            if !self.roots.contains_key(&parent_id) {
                 continue;
-            };
+            }
             let mut children: Vec<(Hash256, Arc<Block>)> = self
                 .bodies
                 .iter()
@@ -606,7 +712,7 @@ impl<S: KvStore + Send> ChainNode<S> {
                 .collect();
             children.sort_unstable_by_key(|(id, _)| *id);
             for (id, child) in children {
-                self.execute_and_seal(p, now, parent_root, id, &child, true);
+                self.execute_and_seal(p, me, now, id, &child, true);
                 frontier.push(id);
             }
         }
@@ -1138,7 +1244,7 @@ mod tests {
 
     const EVICT_BLOCKS: u64 = 2;
 
-    struct TestCtx(ChainParams);
+    struct TestCtx(ChainParams, BlockOutcomes);
 
     #[derive(Debug)]
     enum TestEvent {
@@ -1155,6 +1261,9 @@ mod tests {
         }
         fn params_mut(&mut self) -> &mut ChainParams {
             &mut self.0
+        }
+        fn outcomes(&self) -> Option<&BlockOutcomes> {
+            Some(&self.1)
         }
         fn seal(
             &self,
@@ -1180,7 +1289,7 @@ mod tests {
 
     fn ctx() -> TestCtx {
         let costs = EvmCosts::ethereum();
-        TestCtx(ChainParams {
+        let params = ChainParams {
             nodes: 2,
             vm: vm_for(&costs, 32 << 30),
             costs,
@@ -1196,7 +1305,8 @@ mod tests {
             account_read_cost: SimDuration::from_micros(60),
             deploys: Vec::new(),
             crashed: vec![false; 2],
-        })
+        };
+        TestCtx(params, BlockOutcomes::default())
     }
 
     fn node(p: &TestCtx) -> ChainNode<MemStore> {
@@ -1349,6 +1459,34 @@ mod tests {
         let nonces: Vec<u64> = block.txs.iter().map(|t| t.nonce).collect();
         assert_eq!(nonces, [0, 1, 2, 3, 4], "one sender's transactions must all fit, in order");
         assert_eq!(n.pool_len(), 0);
+    }
+
+    /// A block at a deploy height gets its contracts on top after its
+    /// seal, which no trie delta records: every validator runs it without
+    /// looking it up. The next block is looked up: the first validator runs
+    /// it, and the second installs it.
+    #[test]
+    fn outcome_of_a_block_at_a_deploy_height_is_never_looked_up() {
+        let mut p = ctx();
+        let (addr, code) = (Address::from_index(4242), bb_contracts::donothing::bundle().svm);
+        p.0.deploys.push((1, addr, code.clone()));
+        let mut miner = node(&p);
+        let b1 = mine(&p, &mut miner, 1, &[transfer(1, 0)]);
+        // As `deploy` does to every node's head at set-up.
+        miner.install_contract(&p, &addr, &code);
+        let b2 = mine(&p, &mut miner, 2, &[transfer(1, 1)]);
+        let mut validators = [node(&p), node(&p)];
+        for n in &mut validators {
+            deliver(&p, n, &b1);
+            deliver(&p, n, &b2);
+        }
+        let log = p.1.lookups.lock().unwrap().clone();
+        let seen: Vec<_> = log.iter().map(|l| (l.1, l.2, l.3)).collect();
+        assert_eq!(seen, [(b2.id(), false, false), (b2.id(), true, true)]);
+        for n in &mut validators {
+            assert_eq!(n.tip(), miner.tip());
+            assert_eq!(n.roots[&b1.id()], miner.roots[&b1.id()], "no contract at height 1");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! giving the revert/out-of-gas rollback the paper describes for the EVM
 //! (Section 3.1.3).
 
-use bb_merkle::PatriciaTrie;
+use bb_merkle::{PatriciaTrie, TrieDelta};
 use bb_storage::{KvError, KvStore};
 use bb_svm::{Host, Vm};
 use bb_types::{Address, Transaction, TxId};
@@ -230,6 +230,31 @@ impl<S: KvStore> AccountState<S> {
         extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Result<(), KvError> {
         self.trie.commit_with_extras(extras)
+    }
+
+    /// Start recording the next block's trie delta, up to and including
+    /// its seal (see [`PatriciaTrie::record`]).
+    pub(crate) fn record_block(&mut self) {
+        self.trie.record();
+    }
+
+    /// Stop recording: the recorded block's trie delta, if a seal completed
+    /// it.
+    pub(crate) fn take_block_delta(&mut self) -> Option<TrieDelta> {
+        self.trie.take_delta()
+    }
+
+    /// Would [`Self::install_block`] install `delta` rather than refuse it?
+    #[cfg(test)]
+    pub(crate) fn accepts_block(&self, delta: &TrieDelta) -> bool {
+        self.trie.accepts_delta(delta)
+    }
+
+    /// Do what running and sealing `delta`'s block would do to this state,
+    /// without running it; `Ok(false)` where the trie refuses (see
+    /// [`PatriciaTrie::install_delta`]).
+    pub(crate) fn install_block(&mut self, delta: &TrieDelta) -> Result<bool, KvError> {
+        self.trie.install_delta(delta)
     }
 
     /// Validate a transaction against current state without applying it:

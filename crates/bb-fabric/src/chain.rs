@@ -25,7 +25,9 @@ use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
 use bb_storage::{FaultVfs, KvStore, LsmStore, Vfs};
-use bb_sim::{CpuMeter, Effects, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime};
+use bb_sim::{
+    CpuMeter, Effects, RecentOutcomes, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
+};
 use bb_types::{Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId};
 use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
@@ -283,10 +285,6 @@ fn tx_root(txs: &[Arc<Transaction>]) -> Hash256 {
     merkle_root(&txs.iter().map(|t| t.id().0).collect::<Vec<_>>())
 }
 
-/// How many batch outcomes a world keeps: replicas commit a batch within a
-/// few batches of each other, and an outcome holds its batch's writes.
-const OUTCOMES_KEPT: usize = 8;
-
 /// What executing one committed batch does on a peer: a pure function of
 /// its [`BatchKey`].
 #[derive(Debug, PartialEq)]
@@ -312,32 +310,6 @@ struct BatchKey {
     ids: Vec<TxId>,
 }
 
-/// A world's most recent batch outcomes, oldest first, at most
-/// [`OUTCOMES_KEPT`]. Only [`execute_batch_txs`] reads or fills it.
-#[derive(Default)]
-struct Outcomes {
-    recent: VecDeque<(BatchKey, Arc<BatchOutcome>)>,
-    /// Every lookup as `(peer, height, hit)`: tests only, never stats.
-    #[cfg(test)]
-    lookups: Vec<(NodeId, u64, bool)>,
-}
-
-impl Outcomes {
-    fn find(&mut self, _peer: NodeId, key: &BatchKey) -> Option<Arc<BatchOutcome>> {
-        let found = self.recent.iter().find(|(k, _)| k == key).map(|(_, o)| Arc::clone(o));
-        #[cfg(test)]
-        self.lookups.push((_peer, key.height, found.is_some()));
-        found
-    }
-
-    fn keep(&mut self, key: BatchKey, outcome: Arc<BatchOutcome>) {
-        if self.recent.len() == OUTCOMES_KEPT {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((key, outcome));
-    }
-}
-
 /// Context shared by every lane: read-only but for the batch outcomes, a
 /// cache of a pure function of lane state (see `ShardedWorld::Ctx`).
 struct FabCtx {
@@ -348,9 +320,12 @@ struct FabCtx {
     /// The disk every peer starts on and a snapshot transfer lands on: each
     /// peer's is a clone, so the peers' byte-identical tables are held once.
     blank: Vfs,
-    /// Recent batch outcomes. A world runs on one thread, so the lock is
-    /// never contended; it is there because `Ctx` is shared.
-    outcomes: Mutex<Outcomes>,
+    /// Recent batch outcomes. Only [`execute_batch_txs`] reads or fills it.
+    outcomes: RecentOutcomes<BatchKey, BatchOutcome>,
+    /// Every outcome lookup as `(peer, height, hit)`: tests only, never
+    /// stats.
+    #[cfg(test)]
+    lookups: Mutex<Vec<(NodeId, u64, bool)>>,
 }
 
 impl FabCtx {
@@ -634,8 +609,11 @@ fn execute_batch_txs(
         pre_root: node.state.root(),
         ids: txs.iter().map(|tx| tx.id()).collect(),
     });
-    let outcomes = || ctx.outcomes.lock().expect("no holder of the outcomes panicked");
-    let hit = key.as_ref().and_then(|key| outcomes().find(me, key));
+    let hit = key.as_ref().and_then(|key| ctx.outcomes.find(key));
+    #[cfg(test)]
+    if key.is_some() {
+        ctx.lookups.lock().unwrap().push((me, height, hit.is_some()));
+    }
     let outcome = match hit {
         Some(hit) if cfg!(debug_assertions) => {
             let ran = run_batch(ctx, node, height, txs);
@@ -649,7 +627,7 @@ fn execute_batch_txs(
         None => {
             let ran = Arc::new(run_batch(ctx, node, height, txs));
             if let Some(key) = key {
-                outcomes().keep(key, Arc::clone(&ran));
+                ctx.outcomes.keep(key, Arc::clone(&ran));
             }
             ran
         }
@@ -818,7 +796,9 @@ impl FabricChain {
             config: config.clone(),
             deploys: Vec::new(),
             blank: Vfs::new(),
-            outcomes: Mutex::default(),
+            outcomes: RecentOutcomes::default(),
+            #[cfg(test)]
+            lookups: Mutex::default(),
         };
         let nodes = (0..config.nodes)
             .map(|i| FabNode {
@@ -1145,6 +1125,7 @@ mod tests {
     use bb_contracts::testing::ycsb_and_smallbank_setup;
     use bb_contracts::{donothing, ycsb};
     use bb_crypto::KeyPair;
+    use bb_sim::OUTCOMES_KEPT;
 
     fn chain(nodes: u32) -> FabricChain {
         FabricChain::new(FabricConfig::with_nodes(nodes))
@@ -1585,7 +1566,7 @@ mod tests {
 
     /// The batch outcomes the run has looked up, as `(peer, height, hit)`.
     fn lookups(c: &FabricChain) -> Vec<(NodeId, u64, bool)> {
-        c.engine.with_ctx(|ctx| ctx.outcomes.lock().unwrap().lookups.clone())
+        c.engine.with_ctx(|ctx| ctx.lookups.lock().unwrap().clone())
     }
 
     /// Writes over seven hot records (in-batch overwrites) into `servers`
@@ -1622,7 +1603,7 @@ mod tests {
             let hits: Vec<bool> = log.iter().filter(|l| l.1 == h).map(|l| l.2).collect();
             assert_eq!(hits, [false, true, true, true], "height {h}");
         }
-        let kept = c.engine.with_ctx(|ctx| ctx.outcomes.lock().unwrap().recent.len());
+        let kept = c.engine.with_ctx(|ctx| ctx.outcomes.len());
         assert_eq!(kept, OUTCOMES_KEPT);
         let chains: Vec<_> = (0..4).map(|i| c.committed_chain(NodeId(i))).collect();
         assert!(chains.iter().all(|chain| *chain == chains[0]));

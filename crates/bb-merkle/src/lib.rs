@@ -20,4 +20,4 @@ pub mod patricia;
 
 pub use bucket::{BlockDelta, BucketTree};
 pub use merkle::{merkle_root, MerkleTree};
-pub use patricia::PatriciaTrie;
+pub use patricia::{PatriciaTrie, TrieDelta};

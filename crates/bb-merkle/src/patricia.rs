@@ -37,6 +37,18 @@
 //! committed nodes: an arena read is neither a hit nor a miss, a cache read
 //! is a hit, and only a store read is a miss.
 //!
+//! A block run can be **recorded** and **installed** on a twin.
+//! [`PatriciaTrie::record`] before the block and
+//! [`PatriciaTrie::take_delta`] after its seal give a [`TrieDelta`]: the
+//! committed nodes the block's counted walks touched and how many walks
+//! there were, the node counters' increments, the sealed batch and the
+//! post-state root. A twin on the same root whose cache holds every
+//! walked node would, running the block, hit on every walk — so it would
+//! read nothing from its store and insert nothing into its cache before
+//! the seal. [`PatriciaTrie::install_delta`] does exactly what that run
+//! would: the same hits, the same batch, the same cache inserts in the
+//! same order, the same counters and root, without walking at all.
+//!
 //! The root hash is a binding commitment to the full key→value map: any two
 //! insertion orders producing the same map produce the same root (verified
 //! by property test).
@@ -99,6 +111,47 @@ pub struct PatriciaTrie<S: KvStore> {
     fill_buf: Vec<u8>,
     /// Scratch buffer reused across key→nibble conversions.
     nibble_buf: Vec<u8>,
+    /// The block being recorded, from [`Self::record`] to
+    /// [`Self::take_delta`].
+    recording: Option<Box<Recording>>,
+}
+
+/// What one block did to a trie, recorded on the trie that ran it
+/// ([`PatriciaTrie::record`], [`PatriciaTrie::take_delta`]) for a twin on
+/// the same root to [`PatriciaTrie::install_delta`] instead of running it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TrieDelta {
+    /// The committed root the block ran on.
+    pre_root: Hash256,
+    /// The committed nodes the block's counted walks touched, whether the
+    /// cache served them or the store did.
+    walked: DigestSet<Hash256>,
+    /// The block's counted walks: cache hits plus misses.
+    walks: u64,
+    /// The block's `nodes_written` increment.
+    written: u64,
+    /// The seal's `nodes_dropped` increment.
+    dropped: u64,
+    /// The nodes the seal flushed, in flush order, as the cache holds them.
+    flushed: Vec<(Hash256, Arc<[u8]>)>,
+    /// The raw store operations that rode the seal's batch.
+    extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    /// The post-state root.
+    root: Hash256,
+}
+
+/// A block being recorded: its delta so far, and the counters it started
+/// from.
+#[derive(Clone)]
+struct Recording {
+    delta: TrieDelta,
+    /// `cache_hits + cache_misses` when recording began.
+    walks_from: u64,
+    written_from: u64,
+    dropped_from: u64,
+    /// A commit sealed the block: `delta` is whole, and later walks are not
+    /// the block's.
+    sealed: bool,
 }
 
 /// Where a walk goes next: a hashed node, looked up in the cache and then
@@ -429,6 +482,7 @@ impl<S: KvStore> PatriciaTrie<S> {
             node_bufs: Vec::new(),
             fill_buf: Vec::new(),
             nibble_buf: Vec::new(),
+            recording: None,
         }
     }
 
@@ -546,6 +600,80 @@ impl<S: KvStore> PatriciaTrie<S> {
         self.arena = Arena::default();
         self.hashed_roots.clear();
         self.cache.clear();
+        self.recording = None;
+    }
+
+    /// Start recording the next block: its walks, up to and including the
+    /// commit that seals it, which [`Self::take_delta`] then hands back.
+    /// Records nothing unless the arena is empty (a sealed root is what a
+    /// twin can stand on).
+    pub fn record(&mut self) {
+        self.recording = match (self.arena.nodes.is_empty(), self.root) {
+            (true, Ref::Hash(pre_root)) => Some(Box::new(Recording {
+                delta: TrieDelta {
+                    pre_root,
+                    walked: DigestSet::default(),
+                    walks: 0,
+                    written: 0,
+                    dropped: 0,
+                    flushed: Vec::new(),
+                    extras: Vec::new(),
+                    root: pre_root,
+                },
+                walks_from: self.cache_hits + self.cache_misses,
+                written_from: self.nodes_written,
+                dropped_from: self.nodes_dropped,
+                sealed: false,
+            })),
+            _ => None,
+        };
+    }
+
+    /// Stop recording: the delta of the block recorded since
+    /// [`Self::record`], if a commit sealed it.
+    pub fn take_delta(&mut self) -> Option<TrieDelta> {
+        let recording = self.recording.take()?;
+        recording.sealed.then_some(recording.delta)
+    }
+
+    /// Would running `delta`'s block here hit on every walk? True where the
+    /// arena is empty, the trie stands on the root the block ran on and the
+    /// cache holds every node the block walked: nothing then misses, so
+    /// nothing enters the cache before the seal either.
+    pub fn accepts_delta(&self, delta: &TrieDelta) -> bool {
+        self.arena.nodes.is_empty()
+            && self.root == Ref::Hash(delta.pre_root)
+            && delta.walked.iter().all(|hash| self.cache.contains_key(hash))
+    }
+
+    /// Do what running `delta`'s block and sealing it would do here, without
+    /// running it: add its walks to the cache hits, apply its batch (the
+    /// flushed nodes, then its extras), add its node counts, insert the
+    /// flushed nodes into the cache in flush order and stand on its root.
+    ///
+    /// That is the run's exact effect only where every walk would hit, so
+    /// this refuses, touching nothing, with `Ok(false)` unless
+    /// [`Self::accepts_delta`]. An `Err` is the store refusing the batch;
+    /// nothing else has changed.
+    pub fn install_delta(&mut self, delta: &TrieDelta) -> Result<bool, KvError> {
+        if !self.accepts_delta(delta) {
+            return Ok(false);
+        }
+        let mut batch = WriteBatch::new();
+        for (hash, bytes) in &delta.flushed {
+            batch.put(&hash.0, bytes);
+        }
+        push_extras(&mut batch, &delta.extras);
+        self.store.apply_batch(batch)?;
+        self.cache_hits += delta.walks;
+        self.nodes_written += delta.written;
+        self.nodes_flushed += delta.flushed.len() as u64;
+        self.nodes_dropped += delta.dropped;
+        for (hash, bytes) in &delta.flushed {
+            self.cache_insert(*hash, Arc::clone(bytes));
+        }
+        self.root = Ref::Hash(delta.root);
+        Ok(true)
     }
 
     /// Copy node `at` into `buf` for an update walk, which goes on to write
@@ -559,6 +687,9 @@ impl<S: KvStore> PatriciaTrie<S> {
                 Ok(node.lazy)
             }
             Ref::Hash(hash) => {
+                if let Some(recording) = &mut self.recording {
+                    recording.walk(hash);
+                }
                 if let Some(bytes) = self.cache.get(&hash) {
                     self.cache_hits += 1;
                     buf.extend_from_slice(bytes);
@@ -710,25 +841,35 @@ impl<S: KvStore> PatriciaTrie<S> {
             batch.put(&hash.0, self.final_bytes(index));
             flushed.push((hash, index));
         }
-        for (k, v) in &extras {
-            match v {
-                Some(v) => batch.put(k, v),
-                None => batch.delete(k),
-            }
-        }
+        push_extras(&mut batch, &extras);
         // On error the arena stays as it is, so nothing becomes unreadable;
         // a partial batch in the store is harmless (content-addressed
         // rewrites).
         self.store.apply_batch(batch)?;
         self.nodes_flushed += flushed.len() as u64;
         self.nodes_dropped += (self.arena.nodes.len() - flushed.len()) as u64;
+        let mut recording = self.recording.take();
+        let mut open = recording.as_mut().filter(|r| !r.sealed);
         // The flushed nodes are now committed: the next block's walks start
         // on the path this one just sealed. They enter the cache after the
         // batch is gone, so a block's nodes are never in memory three times.
         for (hash, index) in flushed {
             let bytes: Arc<[u8]> = self.final_bytes(index).into();
+            if let Some(open) = &mut open {
+                open.delta.flushed.push((hash, Arc::clone(&bytes)));
+            }
             self.cache_insert(hash, bytes);
         }
+        if let Some(recording) = open {
+            let delta = &mut recording.delta;
+            delta.walks = self.cache_hits + self.cache_misses - recording.walks_from;
+            delta.written = self.nodes_written - recording.written_from;
+            delta.dropped = self.nodes_dropped - recording.dropped_from;
+            delta.extras = extras;
+            delta.root = root;
+            recording.sealed = true;
+        }
+        self.recording = recording;
         self.arena = Arena::default();
         self.hashed_roots.clear();
         self.root = Ref::Hash(root);
@@ -804,16 +945,21 @@ impl<S: KvStore> PatriciaTrie<S> {
                     let (bytes, node) = self.arena.node(index);
                     (bytes, node.lazy)
                 }
-                Ref::Hash(hash) => match self.cache.get(&hash) {
-                    Some(bytes) => {
-                        self.cache_hits += counted as u64;
-                        (bytes, 0)
+                Ref::Hash(hash) => {
+                    if let (true, Some(recording)) = (counted, &mut self.recording) {
+                        recording.walk(hash);
                     }
-                    None => {
-                        fetched = self.load_uncached(&hash, counted)?;
-                        (&fetched, 0)
+                    match self.cache.get(&hash) {
+                        Some(bytes) => {
+                            self.cache_hits += counted as u64;
+                            (bytes, 0)
+                        }
+                        None => {
+                            fetched = self.load_uncached(&hash, counted)?;
+                            (&fetched, 0)
+                        }
                     }
-                },
+                }
             };
             match View::parse(bytes, lazy)? {
                 View::Leaf { path: p, value } => {
@@ -1073,6 +1219,25 @@ impl<S: KvStore> PatriciaTrie<S> {
             }
             Ok(())
         })
+    }
+}
+
+impl Recording {
+    /// A counted walk reached committed node `hash`.
+    fn walk(&mut self, hash: Hash256) {
+        if !self.sealed {
+            self.delta.walked.insert(hash);
+        }
+    }
+}
+
+/// Append a caller's raw store operations to a seal's batch.
+fn push_extras(batch: &mut WriteBatch, extras: &[(Vec<u8>, Option<Vec<u8>>)]) {
+    for (k, v) in extras {
+        match v {
+            Some(v) => batch.put(k, v),
+            None => batch.delete(k),
+        }
     }
 }
 
@@ -1696,6 +1861,96 @@ mod seeded_props {
     /// Small alphabet + short keys force deep structural sharing.
     fn random_key(rng: &mut SimRng) -> Vec<u8> {
         (0..rng.below(6)).map(|_| rng.below(4) as u8).collect()
+    }
+
+    /// A twin on the same root whose cache holds every node a block walked
+    /// installs the block's recorded delta and ends where running the block
+    /// ends: root, the five counters, the arena, the cache, the store and
+    /// its write counters. The delta is the same whichever twin recorded it,
+    /// one that had to read nodes from its store included. A twin whose
+    /// cache a crash emptied, or that lacks one walked node, refuses the
+    /// delta and is left as it was.
+    #[test]
+    fn trie_delta_installs_like_running_the_block_seeded() {
+        type Op = (Vec<u8>, Option<Vec<u8>>);
+        fn pin(t: &mut PatriciaTrie<MemStore>) -> impl PartialEq + std::fmt::Debug {
+            let counters =
+                [t.nodes_written, t.nodes_flushed, t.nodes_dropped, t.cache_hits, t.cache_misses];
+            let mut cache: Vec<_> = t.cache.iter().map(|(h, b)| (*h, b.to_vec())).collect();
+            cache.sort_unstable();
+            let written = bb_storage::StorageStats { reads: 0, bytes_read: 0, ..t.store().stats() };
+            let stored = t.store_mut().scan_prefix(b"").unwrap();
+            (t.root(), counters, t.pending_nodes(), cache, written, stored)
+        }
+        /// Record `ops` as one block (each key read, then written or
+        /// removed), sealed with `extras`.
+        fn run(t: &mut PatriciaTrie<MemStore>, ops: &[Op], extras: &[Op]) -> TrieDelta {
+            t.record();
+            for (key, value) in ops {
+                t.get(key).unwrap();
+                match value {
+                    Some(v) => t.insert(key, v).unwrap(),
+                    None => t.remove(key).unwrap(),
+                }
+            }
+            t.commit_with_extras(extras.to_vec()).unwrap();
+            t.take_delta().expect("a sealed block was recorded")
+        }
+        let mut rng = SimRng::seed_from_u64(0x5EED_0048);
+        let (mut removes, mut overwrites, mut misses, mut refusals) = (0, 0, 0, 0);
+        for case in 0..24 {
+            let mut ran = PatriciaTrie::new(MemStore::new());
+            let mut model = BTreeMap::new();
+            for block in 0..rng.range(1, 7) {
+                let ops: Vec<Op> = (0..rng.range(1, 40))
+                    .map(|_| {
+                        let key = random_key(&mut rng);
+                        let value = rng.chance(0.7).then(|| vec![rng.below(256) as u8; 3]);
+                        let old = match &value {
+                            Some(v) => model.insert(key.clone(), v.clone()),
+                            None => model.remove(&key),
+                        };
+                        let counter = if value.is_some() { &mut overwrites } else { &mut removes };
+                        *counter += old.is_some() as u32;
+                        (key, value)
+                    })
+                    .collect();
+                let extras: Vec<Op> = match rng.below(3) {
+                    0 => Vec::new(),
+                    1 => vec![(b"!b/x".to_vec(), Some(vec![block as u8; 5]))],
+                    _ => vec![(b"!b/x".to_vec(), None)],
+                };
+                let mut installed = ran.clone();
+                let mut cold = ran.clone();
+                cold.drop_volatile();
+                let delta = run(&mut ran, &ops, &extras);
+                assert_eq!(run(&mut cold, &ops, &extras), delta, "case {case}, block {block}");
+                misses += (cold.cache_misses > 0) as u32;
+
+                let mut emptied = installed.clone();
+                emptied.drop_volatile();
+                let mut lacking = installed.clone();
+                let pick = rng.below(delta.walked.len().max(1) as u64) as usize;
+                if let Some(&hash) = delta.walked.iter().nth(pick) {
+                    lacking.cache.remove(&hash);
+                    for twin in [&mut emptied, &mut lacking] {
+                        let before = pin(twin);
+                        assert!(!twin.install_delta(&delta).unwrap(), "case {case}, block {block}");
+                        assert_eq!(pin(twin), before, "case {case}, block {block}");
+                        refusals += 1;
+                    }
+                }
+                assert!(installed.install_delta(&delta).unwrap(), "case {case}, block {block}");
+                assert_eq!(pin(&mut installed), pin(&mut ran), "case {case}, block {block}");
+            }
+            // Pending nodes: nothing to stand on, so nothing is recorded.
+            ran.insert(b"pending", b"v").unwrap();
+            ran.record();
+            ran.commit().unwrap();
+            assert_eq!(ran.take_delta(), None, "case {case}");
+        }
+        let covered = (removes, overwrites, misses, refusals);
+        assert!(removes > 0 && overwrites > 0 && misses > 0 && refusals > 0, "{covered:?}");
     }
 
     #[test]

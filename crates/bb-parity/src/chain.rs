@@ -89,6 +89,11 @@ impl ChainPlatform for PoaCtx {
     /// capped in-memory store is full — the arena keeps serving reads, so
     /// the chain limps on with unpersisted roots and the OOM surfaces
     /// through `execute_direct` and the memory counters, not a crash.
+    ///
+    /// So every authority runs every block (no `outcomes`): a refused run
+    /// leaves the block's nodes in the arena and a prefix of its batch in
+    /// the store, which installing another authority's trie delta cannot
+    /// reproduce.
     fn seal(
         &self,
         state: &mut AccountState<MemStore>,

@@ -25,6 +25,6 @@ pub mod time;
 
 pub use meter::{ByteMeter, CpuMeter, MemMeter};
 pub use rng::SimRng;
-pub use shard::{Effects, Outboard, ShardedEngine, ShardedWorld};
+pub use shard::{Effects, Outboard, RecentOutcomes, ShardedEngine, ShardedWorld, OUTCOMES_KEPT};
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};

@@ -26,7 +26,8 @@
 //! (`bb-bench::parallel`); DESIGN.md §5 has the measurements behind that.
 
 use crate::{SimDuration, SimTime};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// Key class for events scheduled by the driver (between runs) or created
 /// when an outbox is applied (network arrivals, cross-lane schedules): they
@@ -85,6 +86,55 @@ pub trait ShardedWorld: 'static {
         event: Self::Event,
         fx: &mut Effects<Self::Event>,
     );
+}
+
+/// How many outcomes a [`RecentOutcomes`] keeps: the lanes of a world
+/// compute one outcome within a few blocks of each other, and an outcome
+/// may hold a block's writes.
+pub const OUTCOMES_KEPT: usize = 8;
+
+/// The last [`OUTCOMES_KEPT`] outcomes of a pure function of lane state, by
+/// the key of everything the function reads, oldest first: the cache a
+/// [`ShardedWorld::Ctx`] may hold. A world runs on one thread, so the lock
+/// is never contended; it is there because the context is shared.
+pub struct RecentOutcomes<K, V> {
+    kept: Mutex<VecDeque<(K, Arc<V>)>>,
+}
+
+impl<K, V> Default for RecentOutcomes<K, V> {
+    fn default() -> Self {
+        RecentOutcomes { kept: Mutex::new(VecDeque::with_capacity(OUTCOMES_KEPT)) }
+    }
+}
+
+impl<K: PartialEq, V> RecentOutcomes<K, V> {
+    fn kept(&self) -> std::sync::MutexGuard<'_, VecDeque<(K, Arc<V>)>> {
+        self.kept.lock().expect("no holder of the outcomes panicked")
+    }
+
+    /// The outcome kept under `key`, if any.
+    pub fn find(&self, key: &K) -> Option<Arc<V>> {
+        self.kept().iter().find(|(k, _)| k == key).map(|(_, v)| Arc::clone(v))
+    }
+
+    /// Keep `outcome` under `key`, dropping the oldest when full.
+    pub fn keep(&self, key: K, outcome: Arc<V>) {
+        let mut kept = self.kept();
+        if kept.len() == OUTCOMES_KEPT {
+            kept.pop_front();
+        }
+        kept.push_back((key, outcome));
+    }
+
+    /// How many outcomes are kept.
+    pub fn len(&self) -> usize {
+        self.kept().len()
+    }
+
+    /// Is nothing kept?
+    pub fn is_empty(&self) -> bool {
+        self.kept().is_empty()
+    }
 }
 
 /// A cross-lane interaction waiting in an outbox for its handler to return.
@@ -386,6 +436,23 @@ impl<W: ShardedWorld> ShardedEngine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cache finds a kept key's outcome, the same allocation, and keeps
+    /// the last `OUTCOMES_KEPT` keys only.
+    #[test]
+    fn recent_outcomes_keep_the_last_few() {
+        let recent = RecentOutcomes::default();
+        assert!(recent.is_empty());
+        let first = Arc::new("first");
+        recent.keep(0, Arc::clone(&first));
+        assert!(Arc::ptr_eq(&recent.find(&0).expect("kept"), &first));
+        for key in 1..=OUTCOMES_KEPT {
+            recent.keep(key, Arc::new("later"));
+        }
+        assert_eq!(recent.len(), OUTCOMES_KEPT);
+        assert!(recent.find(&0).is_none(), "the oldest outcome was not dropped");
+        assert!((1..=OUTCOMES_KEPT).all(|key| recent.find(&key).is_some()));
+    }
 
     /// A toy world: each lane counts pings; a ping to lane L schedules a
     /// local echo and sends a pong to lane (L+1) % n.

@@ -102,17 +102,43 @@ if git grep -n 'Pool' -- crates/bb-storage/src/lib.rs ||
     exit 1
 fi
 
-echo "==> once per world: a committed Fabric batch runs on one replica, the others install its outcome"
+echo "==> once per world: a committed Fabric batch or an Ethereum block runs on one replica, the others install its outcome"
 # DESIGN.md §8 "Executed once per world": every peer after the first
 # installs a batch's cached outcome, a slowed disk's peer always runs the
-# batch, and a replay older than the cache runs it. In the test profile a
-# hit also runs the chaincodes and asserts the outcome; the release run is
-# the one where a hit installs instead. The cache stays private to
-# `bb-fabric`'s chain.rs and only `execute_batch_txs` reads it.
+# batch, and a replay older than the cache runs it. Every Ethereum
+# validator after the first installs a block's trie delta; one whose cache
+# a crash emptied runs it, as does one replaying a block older than the
+# cache, and every validator runs a block at a deploy height; a slowed
+# disk installs and ends where running ends. In the test profile a hit
+# also runs the block and asserts the outcome; the release run is the one
+# where a hit installs instead. Both caches are one `bb_sim::RecentOutcomes`
+# each: Fabric's stays private to `bb-fabric`'s chain.rs and only
+# `execute_batch_txs` reads it; the account chains' is opaque outside
+# `bb-ethereum`'s node.rs and only `execute_and_seal` reads it.
 smoke -p bb-merkle block_delta_installs_like_running_the_block_seeded
 smoke --release -p bb-merkle block_delta_installs_like_running_the_block_seeded
+smoke -p bb-merkle trie_delta_installs_like_running_the_block_seeded
+smoke --release -p bb-merkle trie_delta_installs_like_running_the_block_seeded
 smoke -p bb-fabric outcome_of_a_batch
 smoke --release -p bb-fabric outcome_of_a_batch
+smoke -p bb-ethereum outcome_of_a_block
+smoke --release -p bb-ethereum outcome_of_a_block
+smoke -p bb-ethereum events_stay_within_48_bytes
+smoke -p bb-parity events_stay_within_48_bytes
+if git grep -nE '\b(BlockOutcomes|BlockOutcome|OutcomeKey)\b' -- crates/bb-ethereum/src/lib.rs ||
+    git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*\b(BlockOutcome|OutcomeKey|RecentOutcomes)\b' -- crates/bb-ethereum/src crates/bb-parity/src ||
+    git grep -nE '^[[:space:]]*pub(\([a-z]+\))? +(recent|fn +(find|keep))\b' -- crates/bb-ethereum/src/node.rs ||
+    git grep -nE '\.outcomes\(\)' -- crates ':!crates/bb-ethereum/src/node.rs'; then
+    echo "ERROR: bb-ethereum leaks its block-outcome cache; it stays opaque outside node.rs" >&2
+    exit 1
+fi
+readers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.recent\.|\.outcomes\(\)/ { print fn }' crates/bb-ethereum/src/node.rs | sort -u)
+if [ "$readers" != execute_and_seal ]; then
+    echo "ERROR: the block-outcome cache is read outside execute_and_seal (in: ${readers:-nothing})" >&2
+    exit 1
+fi
 if git grep -nE '\b(Outcomes|BatchOutcome|BatchKey|OUTCOMES_KEPT)\b' -- crates/bb-fabric/src/lib.rs ||
     git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*\b(Outcomes|BatchOutcome|BatchKey)\b' -- crates/bb-fabric/src ||
     git grep -nE '\.outcomes\b' -- crates/bb-fabric/src ':!crates/bb-fabric/src/chain.rs'; then
