@@ -21,11 +21,11 @@ use bb_bench::exp_fault::{
 };
 use bb_bench::exp_macro::{
     fig13c, fig13c_grid, fig14, fig14_grid, fig15, fig16, fig16_grid, fig17, fig17_grid, fig18,
-    fig5, fig5_grid, fig6, fig6_grid, Macro, MacroCells, MacroKey,
+    fig18_grid, fig19_grid, fig5, fig5_grid, fig6, fig6_grid, fig7, fig7_grid, fig8, fig8_grid,
+    Macro, MacroCells, MacroKey,
 };
 use bb_bench::exp_micro::{fig11, fig12, fig13ab};
 use bb_bench::exp_saturation::fig_saturation;
-use bb_bench::exp_scale::{fig7, fig8};
 use bb_bench::{Scale, Table};
 use std::path::Path;
 
@@ -36,7 +36,7 @@ const FIGURES: [&str; 19] = [
     "fig15", "fig16", "fig17", "fig18", "fig19", "fig_saturation", "fig_chaos", "ablations",
 ];
 
-/// The cells an 8×8 figure reads at a scale.
+/// The cells a closed-loop figure reads at a scale.
 type Grid = fn(&Scale) -> Vec<MacroKey>;
 
 fn main() {
@@ -77,15 +77,12 @@ fn main() {
         scale.duration.as_secs_f64()
     );
 
-    // The 8×8 figures are views of one cell set: the union of the wanted
-    // figures' grids, each distinct cell run once.
-    let grids: [(&str, Grid); 6] = [
-        ("fig5", fig5_grid),
-        ("fig6", fig6_grid),
-        ("fig13", fig13c_grid),
-        ("fig14", fig14_grid),
-        ("fig16", fig16_grid),
-        ("fig17", fig17_grid),
+    // The closed-loop figures are views of one cell set: the union of the
+    // wanted figures' grids, each distinct cell run once.
+    let grids: [(&str, Grid); 10] = [
+        ("fig5", fig5_grid), ("fig6", fig6_grid), ("fig7", fig7_grid), ("fig8", fig8_grid),
+        ("fig13", fig13c_grid), ("fig14", fig14_grid), ("fig16", fig16_grid),
+        ("fig17", fig17_grid), ("fig18", fig18_grid), ("fig19", fig19_grid),
     ];
     let wanted_grids = grids.into_iter().filter(|&(name, _)| want(name));
     let cells = MacroCells::run(wanted_grids.flat_map(|(_, grid)| grid(&scale)));
@@ -99,10 +96,10 @@ fn main() {
         emit(&fig6(&cells, &scale), "fig6_queues.csv");
     }
     if want("fig7") {
-        emit(&fig7(&scale, Macro::Ycsb), "fig7_scalability_ycsb.csv");
+        emit(&fig7(&cells, &scale, Macro::Ycsb), "fig7_scalability_ycsb.csv");
     }
     if want("fig8") {
-        emit(&fig8(&scale), "fig8_scalability_8clients.csv");
+        emit(&fig8(&cells, &scale), "fig8_scalability_8clients.csv");
     }
     if want("fig9") {
         let (window, fail_at, rate) = fig9_args(&scale);
@@ -143,10 +140,10 @@ fn main() {
         emit(&fig17(&cells, &scale), "fig17_latency_cdf.csv");
     }
     if want("fig18") {
-        emit(&fig18(&scale), "fig18_queue_20x20.csv");
+        emit(&fig18(&cells, &scale), "fig18_queue_20x20.csv");
     }
     if want("fig19") {
-        emit(&fig7(&scale, Macro::Smallbank), "fig19_scalability_smallbank.csv");
+        emit(&fig7(&cells, &scale, Macro::Smallbank), "fig19_scalability_smallbank.csv");
     }
     if want("fig_saturation") {
         emit(&fig_saturation(&scale), "fig_saturation.csv");

@@ -3,8 +3,10 @@
 //! specific mechanism (Section 5: "such insights are not easy to extract
 //! without a systematic analysis framework") — these experiments demonstrate
 //! the attribution is causal in our models, not coincidental calibration.
+//! Each ablation's cells are independent worlds, run in one scatter.
 
 use crate::exp_macro::Macro;
+use crate::parallel::{cost_hint, map_cells_hinted};
 use crate::table::{num, Table};
 use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
@@ -42,12 +44,16 @@ pub fn ablation_channel(duration: SimDuration) -> Table {
         "Ablation A: Fabric channel capacity at 20 servers x 20 clients",
         &["channel capacity", "tx/s", "dropped msgs"],
     );
-    for cap in CHANNEL_CAPACITIES {
+    let cells = CHANNEL_CAPACITIES.map(|cap| (cost_hint(20, duration), cap));
+    let rows = map_cells_hinted(cells.to_vec(), |cap| {
         let mut config = FabricConfig::with_nodes(20);
         config.channel_capacity = cap;
         let mut chain = FabricChain::new(config);
         let tps = ycsb_tps(&mut chain, 20, 150.0, duration);
-        t.row(vec![format!("{cap}"), num(tps), format!("{}", chain.dropped_messages())]);
+        vec![format!("{cap}"), num(tps), format!("{}", chain.dropped_messages())]
+    });
+    for row in rows {
+        t.row(row);
     }
     t
 }
@@ -60,15 +66,17 @@ pub fn ablation_difficulty(duration: SimDuration) -> Table {
         "Ablation B: Ethereum difficulty scaling at 32 servers (8 clients)",
         &["size exponent", "tx/s @ 8 nodes", "tx/s @ 32 nodes"],
     );
-    for exponent in SIZE_EXPONENTS {
-        let mut row = vec![num(exponent)];
-        for nodes in [8u32, 32] {
-            let mut config = EthConfig::with_nodes(nodes);
-            config.pow.size_exponent = exponent;
-            let mut chain = EthereumChain::new(config);
-            row.push(num(ycsb_tps(&mut chain, 8, 48.0, duration)));
-        }
-        t.row(row);
+    const NODES: [u32; 2] = [8, 32];
+    let cells = SIZE_EXPONENTS.iter().flat_map(|&exponent| {
+        NODES.map(|nodes| (cost_hint(nodes, duration), (exponent, nodes)))
+    });
+    let tps = map_cells_hinted(cells.collect(), |(exponent, nodes)| {
+        let mut config = EthConfig::with_nodes(nodes);
+        config.pow.size_exponent = exponent;
+        num(ycsb_tps(&mut EthereumChain::new(config), 8, 48.0, duration))
+    });
+    for (i, tps) in tps.chunks(NODES.len()).enumerate() {
+        t.row([vec![num(SIZE_EXPONENTS[i])], tps.to_vec()].concat());
     }
     t
 }
@@ -81,11 +89,14 @@ pub fn ablation_signing(duration: SimDuration) -> Table {
         "Ablation C: Parity producer signing cost (8 servers, 8 clients)",
         &["sign cost ms/tx", "tx/s"],
     );
-    for cost_ms in SIGN_COSTS_MS {
+    let cells = SIGN_COSTS_MS.map(|cost_ms| (cost_hint(8, duration), cost_ms));
+    let rows = map_cells_hinted(cells.to_vec(), |cost_ms| {
         let mut config = ParityConfig::with_nodes(8);
         config.produce_sign_cost = SimDuration::from_millis(cost_ms);
-        let mut chain = ParityChain::new(config);
-        t.row(vec![format!("{cost_ms}"), num(ycsb_tps(&mut chain, 8, 256.0, duration))]);
+        vec![format!("{cost_ms}"), num(ycsb_tps(&mut ParityChain::new(config), 8, 256.0, duration))]
+    });
+    for row in rows {
+        t.row(row);
     }
     t
 }

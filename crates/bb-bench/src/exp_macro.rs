@@ -1,9 +1,9 @@
-//! Macro-benchmark experiments: Figures 5, 6, 13c, 14, 15, 16, 17 and 18.
+//! Macro-benchmark experiments: Figures 5–8, 13c and 14–19.
 //!
-//! Every `(platform, workload, rate)` cell is an isolated simulated world, so
-//! the sweeps scatter their cells across threads via [`crate::parallel`] and
-//! rebuild the tables from the index-ordered results — output is
-//! byte-identical to the serial order (`BB_WORKERS=1`).
+//! Every `(platform, workload, servers × clients, rate)` cell is an isolated
+//! simulated world, so the sweeps scatter their cells across threads via
+//! [`crate::parallel`] and rebuild the tables from the index-ordered results
+//! — output is byte-identical to the serial order (`BB_WORKERS=1`).
 
 use crate::parallel::{cost_hint, map_cells, map_cells_hinted};
 use crate::platforms::{Platform, Scale, ALL_PLATFORMS};
@@ -84,14 +84,17 @@ pub fn run_macro(
     )
 }
 
-/// One 8-server × 8-client macro cell: everything [`run_macro`] is given
-/// besides the 8 × 8 — platform, workload, rate per client and window.
-pub type MacroKey = (Platform, Macro, f64, SimDuration);
+/// One closed-loop macro cell: everything [`run_macro`] is given —
+/// platform, workload, (servers, clients), rate per client and window.
+pub type MacroKey = (Platform, Macro, (u32, u32), f64, SimDuration);
 
-/// 8-server × 8-client macro cells, each key run once, in the order the keys
-/// first appear. Figures 5, 6, 13c, 14, 16 and 17 are views of one such set:
-/// each has a grid function listing the keys it reads and a table function
-/// over the set, so a run of several figures runs the union of their grids.
+/// The 8-server × 8-client size of Figures 5, 6, 13c, 14, 16 and 17.
+const EIGHT_BY_EIGHT: (u32, u32) = (8, 8);
+
+/// Closed-loop macro cells, each key run once, in the order the keys first
+/// appear. Figures 5–8, 13c, 14 and 16–19 are views of one such set: each
+/// has a grid function listing the keys it reads and a table function over
+/// the set, so a run of several figures runs the union of their grids.
 pub struct MacroCells(Vec<(MacroKey, RunStats)>);
 
 impl MacroCells {
@@ -99,31 +102,30 @@ impl MacroCells {
     /// run once, so a union of grids may be passed as it is.
     pub fn run(keys: impl IntoIterator<Item = MacroKey>) -> Self {
         let keys = distinct(keys);
-        // The cells share 8 nodes; the window and the request rate are what
-        // separate a 5-second world from a 50-second one, so both go into
-        // the hint.
-        let hint = |(_, _, rate, window): MacroKey| {
-            cost_hint(8, window).saturating_mul(rate as u64 + 1)
+        // Servers × window is a world's size, clients × rate its load; the
+        // hint only orders dispatch.
+        let hint = |(_, _, (servers, clients), rate, window): MacroKey| {
+            cost_hint(servers, window).saturating_mul((clients as f64 * rate) as u64 + 1)
         };
         let cells = keys.iter().map(|&key| (hint(key), key)).collect();
-        let stats = map_cells_hinted(cells, |(platform, workload, rate, window)| {
-            run_macro(platform, workload, 8, 8, rate, window)
+        let stats = map_cells_hinted(cells, |(platform, workload, size, rate, window)| {
+            run_macro(platform, workload, size.0, size.1, rate, window)
         });
         MacroCells(keys.into_iter().zip(stats).collect())
     }
 
-    /// The rates `platform` ran `workload` at over `window`, with their
-    /// stats, in set order.
+    /// The rates `platform` ran `workload` at on 8 × 8 over `window`, with
+    /// their stats, in set order.
     fn rates(
         &self,
         platform: Platform,
         workload: Macro,
         window: SimDuration,
     ) -> impl Iterator<Item = (f64, &RunStats)> {
-        let cells = self.0.iter().filter(move |((p, w, _, win), _)| {
-            (*p, *w, *win) == (platform, workload, window)
+        let cells = self.0.iter().filter(move |((p, w, size, _, win), _)| {
+            (*p, *w, *size, *win) == (platform, workload, EIGHT_BY_EIGHT, window)
         });
-        cells.map(|((_, _, rate, _), stats)| (*rate, stats))
+        cells.map(|((_, _, _, rate, _), stats)| (*rate, stats))
     }
 
     /// The stats of one cell.
@@ -143,10 +145,18 @@ fn distinct(keys: impl IntoIterator<Item = MacroKey>) -> Vec<MacroKey> {
     out
 }
 
-/// Every platform × `workloads` × `rates` over `window`, in that nesting.
-fn grid(workloads: &[Macro], rates: &[f64], window: SimDuration) -> Vec<MacroKey> {
+/// Every platform × `workloads` × `sizes` × `rates` over `window`, in that
+/// nesting.
+fn grid(
+    workloads: &[Macro],
+    sizes: &[(u32, u32)],
+    rates: &[f64],
+    window: SimDuration,
+) -> Vec<MacroKey> {
     let keys = ALL_PLATFORMS.into_iter().flat_map(|p| {
-        workloads.iter().flat_map(move |&w| rates.iter().map(move |&r| (p, w, r, window)))
+        workloads.iter().flat_map(move |&w| {
+            sizes.iter().flat_map(move |&s| rates.iter().map(move |&r| (p, w, s, r, window)))
+        })
     });
     keys.collect()
 }
@@ -161,7 +171,7 @@ const YCSB_SMALLBANK: [Macro; 2] = [Macro::Ycsb, Macro::Smallbank];
 
 /// Figure 5's cells: YCSB and Smallbank at every rate of `scale`'s sweep.
 pub fn fig5_grid(scale: &Scale) -> Vec<MacroKey> {
-    grid(&YCSB_SMALLBANK, &scale.rates, scale.duration)
+    grid(&YCSB_SMALLBANK, &[EIGHT_BY_EIGHT], &scale.rates, scale.duration)
 }
 
 /// Figure 5: throughput and latency at 8 servers × 8 clients, with the
@@ -207,7 +217,7 @@ pub fn fig5(cells: &MacroCells, scale: &Scale) -> (Table, Table) {
 
 /// Figure 6's cells: YCSB at 8 tx/s and 512 tx/s per client.
 pub fn fig6_grid(scale: &Scale) -> Vec<MacroKey> {
-    grid(&[Macro::Ycsb], &[8.0, 512.0], scale.duration)
+    grid(&[Macro::Ycsb], &[EIGHT_BY_EIGHT], &[8.0, 512.0], scale.duration)
 }
 
 /// Figure 6: client request-queue length over time at 8 tx/s and 512 tx/s
@@ -217,7 +227,7 @@ pub fn fig6(cells: &MacroCells, scale: &Scale) -> Table {
         "Figure 6: outstanding-queue length over time (8 servers, 8 clients)",
         &["platform", "rate/client", "t (s)", "queue"],
     );
-    for key @ (platform, _, rate, _) in fig6_grid(scale) {
+    for key @ (platform, _, _, rate, _) in fig6_grid(scale) {
         for &(at, q) in cells.get(key).queue_timeline.points().iter().step_by(10) {
             t.row(vec![platform.name().into(), num(rate), num(at.as_secs_f64()), num(q)]);
         }
@@ -230,7 +240,7 @@ const FIG13C_WORKLOADS: [Macro; 3] = [Macro::Smallbank, Macro::Ycsb, Macro::DoNo
 
 /// Figure 13c's cells: its three workloads at `scale`'s saturating rate.
 pub fn fig13c_grid(scale: &Scale) -> Vec<MacroKey> {
-    grid(&FIG13C_WORKLOADS, &[top_rate(scale)], scale.duration)
+    grid(&FIG13C_WORKLOADS, &[EIGHT_BY_EIGHT], &[top_rate(scale)], scale.duration)
 }
 
 /// Figure 13c: DoNothing vs YCSB vs Smallbank throughput — the consensus
@@ -242,7 +252,7 @@ pub fn fig13c(cells: &MacroCells, scale: &Scale) -> Table {
     );
     let (rate, window) = (top_rate(scale), scale.duration);
     for platform in ALL_PLATFORMS {
-        let tps = |w| num(cells.get((platform, w, rate, window)).throughput_tps());
+        let tps = |w| num(cells.get((platform, w, EIGHT_BY_EIGHT, rate, window)).throughput_tps());
         let mut row = vec![platform.name().to_string()];
         row.extend(FIG13C_WORKLOADS.map(tps));
         t.row(row);
@@ -255,7 +265,7 @@ pub(crate) const HSTORE: &str = "h-store";
 
 /// Figure 14's cells: YCSB and Smallbank at `scale`'s saturating rate.
 pub fn fig14_grid(scale: &Scale) -> Vec<MacroKey> {
-    grid(&YCSB_SMALLBANK, &[top_rate(scale)], scale.duration)
+    grid(&YCSB_SMALLBANK, &[EIGHT_BY_EIGHT], &[top_rate(scale)], scale.duration)
 }
 
 /// Figure 14 (Appendix B): blockchains vs H-Store.
@@ -266,7 +276,7 @@ pub fn fig14(cells: &MacroCells, scale: &Scale) -> Table {
     );
     let (rate, window) = (top_rate(scale), scale.duration);
     for platform in ALL_PLATFORMS {
-        let tps = |w| num(cells.get((platform, w, rate, window)).throughput_tps());
+        let tps = |w| num(cells.get((platform, w, EIGHT_BY_EIGHT, rate, window)).throughput_tps());
         t.row(vec![platform.name().into(), tps(Macro::Ycsb), tps(Macro::Smallbank)]);
     }
     let hy = bb_hstore::run_ycsb(bb_hstore::HStoreConfig::default(), 200_000, 100_000, 1);
@@ -337,7 +347,7 @@ pub fn fig15(scale: &Scale) -> Table {
 /// YCSB column, at `--paper` cells of their own.
 pub fn fig16_grid(scale: &Scale) -> Vec<MacroKey> {
     let window = scale.duration.min(SimDuration::from_secs(100));
-    grid(&[Macro::Ycsb], &[top_rate(scale)], window)
+    grid(&[Macro::Ycsb], &[EIGHT_BY_EIGHT], &[top_rate(scale)], window)
 }
 
 /// Figure 16 (Appendix B): CPU and network utilisation over the first 100
@@ -347,7 +357,7 @@ pub fn fig16(cells: &MacroCells, scale: &Scale) -> Table {
         "Figure 16: resource utilisation over time (8x8, saturating rate)",
         &["platform", "t (s)", "cpu %", "net Mbps"],
     );
-    for key @ (platform, _, _, window) in fig16_grid(scale) {
+    for key @ (platform, _, _, _, window) in fig16_grid(scale) {
         let stats = cells.get(key);
         let cpu = &stats.platform.cpu_utilisation;
         let net = &stats.platform.net_mbps;
@@ -366,7 +376,7 @@ pub fn fig16(cells: &MacroCells, scale: &Scale) -> Table {
 
 /// Figure 17's cells: YCSB and Smallbank at `scale`'s saturating rate.
 pub fn fig17_grid(scale: &Scale) -> Vec<MacroKey> {
-    grid(&YCSB_SMALLBANK, &[top_rate(scale)], scale.duration)
+    grid(&YCSB_SMALLBANK, &[EIGHT_BY_EIGHT], &[top_rate(scale)], scale.duration)
 }
 
 /// Figure 17 (Appendix B): latency CDFs for YCSB and Smallbank.
@@ -383,27 +393,81 @@ pub fn fig17(cells: &MacroCells, scale: &Scale) -> Table {
     t
 }
 
+/// Figures 7 and 19's cells: clients = servers over `scale`'s node sweep.
+/// The paper scaled at a saturating per-client rate; 2× the base rate puts
+/// the combined load past Fabric's pipeline at 20 nodes. Windows stretch to
+/// cover several PoW confirmations at large N.
+fn clients_equal_servers_grid(scale: &Scale, workload: Macro) -> Vec<MacroKey> {
+    let sizes: Vec<_> = scale.nodes_sweep.iter().map(|&n| (n, n)).collect();
+    let window = scale.duration.max(SimDuration::from_secs(60));
+    grid(&[workload], &sizes, &[scale.base_rate * 2.0], window)
+}
+
+/// Figure 7's cells: YCSB with clients = servers.
+pub fn fig7_grid(scale: &Scale) -> Vec<MacroKey> {
+    clients_equal_servers_grid(scale, Macro::Ycsb)
+}
+
+/// Figure 19's cells: Smallbank with clients = servers.
+pub fn fig19_grid(scale: &Scale) -> Vec<MacroKey> {
+    clients_equal_servers_grid(scale, Macro::Smallbank)
+}
+
+/// Figure 8's cells: YCSB over `scale`'s servers sweep, 8 clients fixed.
+/// 32-node PoW blocks arrive every ~16 s: the window must cover several
+/// confirmations.
+pub fn fig8_grid(scale: &Scale) -> Vec<MacroKey> {
+    let sizes: Vec<_> = scale.servers_sweep.iter().map(|&n| (n, 8)).collect();
+    let window = scale.duration.max(SimDuration::from_secs(90));
+    grid(&[Macro::Ycsb], &sizes, &[scale.base_rate], window)
+}
+
+/// Throughput and mean latency per platform and server count over `keys`.
+fn scalability(cells: &MacroCells, title: &str, servers: &str, keys: Vec<MacroKey>) -> Table {
+    let mut t = Table::new(title, &["platform", servers, "tx/s", "latency s"]);
+    for key @ (platform, _, (n, _), ..) in keys {
+        let stats = cells.get(key);
+        let (tps, latency) = (stats.throughput_tps(), stats.mean_latency().unwrap_or(f64::NAN));
+        t.row(vec![platform.name().into(), format!("{n}"), num(tps), num(latency)]);
+    }
+    t
+}
+
+/// Figures 7 (YCSB) and 19 (Smallbank): scale clients and servers together.
+pub fn fig7(cells: &MacroCells, scale: &Scale, workload: Macro) -> Table {
+    let figure = if workload == Macro::Ycsb { "Figure 7" } else { "Figure 19" };
+    let title = format!("{figure}: scalability with clients = servers ({})", workload.name());
+    scalability(cells, &title, "nodes", clients_equal_servers_grid(scale, workload))
+}
+
+/// Figure 8: scale servers only, 8 clients fixed.
+pub fn fig8(cells: &MacroCells, scale: &Scale) -> Table {
+    let title = "Figure 8: scalability with 8 clients fixed (YCSB)";
+    scalability(cells, title, "servers", fig8_grid(scale))
+}
+
+/// Figure 18's cells: YCSB at 20 servers and 20 clients.
+pub fn fig18_grid(scale: &Scale) -> Vec<MacroKey> {
+    grid(&[Macro::Ycsb], &[(20, 20)], &[scale.base_rate], scale.duration)
+}
+
 /// Figure 18 (Appendix B): queue length at 20 servers and 20 clients —
 /// the regime where Hyperledger stalls and its queue never drains.
-pub fn fig18(scale: &Scale) -> Table {
+pub fn fig18(cells: &MacroCells, scale: &Scale) -> Table {
     let mut t = Table::new(
         "Figure 18: queue length at 20 servers / 20 clients",
         &["platform", "t (s)", "queue"],
     );
-    let (base_rate, duration) = (scale.base_rate, scale.duration);
-    let results = map_cells(ALL_PLATFORMS.to_vec(), move |platform| {
-        run_macro(platform, Macro::Ycsb, 20, 20, base_rate, duration)
-    });
-    for (platform, stats) in ALL_PLATFORMS.into_iter().zip(results) {
-        for &(at, q) in stats.queue_timeline.points().iter().step_by(10) {
+    for key @ (platform, ..) in fig18_grid(scale) {
+        for &(at, q) in cells.get(key).queue_timeline.points().iter().step_by(10) {
             t.row(vec![platform.name().into(), num(at.as_secs_f64()), num(q)]);
         }
     }
     t
 }
 
-/// The macro cells run live once, in `tests/paper_claims.rs`; these check the
-/// tables `figures all` wrote from them at quick scale.
+/// The 8×8 cells run live once, in `tests/paper_claims.rs`; most of these
+/// check the tables `figures all` wrote from the cells at quick scale.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,14 +492,103 @@ mod tests {
     }
 
     /// At quick scale the six 8×8 figures read 48 cells, 21 of them
-    /// distinct, so `figures all` runs 21; Figure 6 alone runs its own 6.
+    /// distinct, so `figures fig5 fig6 fig13 fig14 fig16 fig17` runs 21;
+    /// Figure 6 alone runs its own 6. With the four scalability figures
+    /// the ten grids hold 81 keys, 54 of them distinct: `figures all`'s one
+    /// scatter.
     #[test]
     fn macro_figures_share_their_cells() {
         let scale = Scale::quick();
         let grids = [fig5_grid, fig6_grid, fig13c_grid, fig14_grid, fig16_grid, fig17_grid];
         let keys: Vec<MacroKey> = grids.iter().flat_map(|grid| grid(&scale)).collect();
         assert_eq!(keys.len(), 48);
-        assert_eq!(distinct(keys).len(), 21);
+        assert_eq!(distinct(keys.clone()).len(), 21);
         assert_eq!(distinct(fig6_grid(&scale)).len(), 6);
+        let scaling = [fig7_grid, fig8_grid, fig18_grid, fig19_grid];
+        let all: Vec<MacroKey> =
+            keys.into_iter().chain(scaling.iter().flat_map(|grid| grid(&scale))).collect();
+        assert_eq!(all.len(), 81);
+        assert_eq!(distinct(all).len(), 54);
+    }
+
+    /// Figures 5 and 13c read 8×8 cells only: a set that also holds a 4×4
+    /// cell per platform and workload at the same rate and window renders
+    /// the same bytes as the 8×8 cells alone.
+    #[test]
+    fn eight_by_eight_views_ignore_other_sizes() {
+        let tiny =
+            Scale { duration: SimDuration::from_secs(3), rates: vec![64.0], ..Scale::quick() };
+        let eight: Vec<MacroKey> = [fig5_grid, fig13c_grid].iter().flat_map(|g| g(&tiny)).collect();
+        let four = eight.iter().map(|&(p, w, _, rate, window)| (p, w, (4, 4), rate, window));
+        let mixed = MacroCells::run(four.chain(eight.iter().copied()));
+        let alone = mixed.0.iter().filter(|((.., size, _, _), _)| *size == EIGHT_BY_EIGHT);
+        let alone = MacroCells(alone.cloned().collect());
+        assert_eq!(alone.0.len(), distinct(eight).len(), "every 8×8 cell is in the mixed set");
+        let render = |cells: &MacroCells| {
+            let (peak, sweep) = fig5(cells, &tiny);
+            [peak, sweep, fig13c(cells, &tiny)].map(|t| t.render())
+        };
+        assert_eq!(render(&mixed), render(&alone));
+    }
+
+    // The collapse test runs single Fabric points rather than rendering
+    // `fig7`'s three-platform table: each point is tens of wall-seconds,
+    // and the assertions concern Fabric alone.
+
+    #[test]
+    fn hyperledger_collapses_when_everything_scales() {
+        // The headline scalability finding (Figure 7): Fabric works at 8×8
+        // but fails at 20×20 under combined load. The paper diagnoses the
+        // v0.6 mechanism — "consensus messages are rejected ... on account
+        // of the message channel being full. As messages are dropped, the
+        // views start to diverge" (§4.1.2) — and in this reproduction the
+        // channel-filling traffic is PBFT's own view-timeout retransmission
+        // storm: n replicas time out together, each re-broadcasts a batch
+        // worth of requests, and the view-change votes drown in the flood.
+        // The storm is a config knob (`pbft_recruit_quota`): at
+        // `batch_size` it is v0.6-faithful and the collapse reproduces; at
+        // the hardened default (PR 9's chaos gates forced the fix) the same
+        // overload degrades but stays live. Each client offers 400 tx/s,
+        // twice `fig7`'s 2 × base_rate = 200, so the 20×20 cell offers
+        // 8 000 tx/s: that overload is the regime in which this test pins
+        // both the collapse and the survival. The window is `fig7`'s 60 s
+        // floor.
+        // The three runs are independent worlds; scattering them keeps this
+        // test, the suite's longest, from running alone on one core.
+        let cells = vec![(8, false), (20, true), (20, false)];
+        let tps = map_cells(cells, |(n, v06): (u32, bool)| {
+            let mut config = FabricConfig::with_nodes(n);
+            if v06 {
+                config.pbft_recruit_quota = config.batch_size;
+            }
+            let driver = DriverConfig {
+                clients: n,
+                rate_per_client: 400.0,
+                duration: SimDuration::from_secs(60),
+                poll_interval: SimDuration::from_millis(500),
+                drain: SimDuration::from_secs(20),
+            };
+            let mut wl = Macro::Ycsb.build(n);
+            run_workload(&mut FabricChain::new(config), wl.as_mut(), &driver).throughput_tps()
+        });
+        let (at8, at20_v06, at20) = (tps[0], tps[1], tps[2]);
+        assert!(at8 > 700.0, "fabric at 8 nodes: {at8}");
+        assert!(
+            at20_v06 < at8 / 2.0,
+            "v0.6 retransmission storm did not collapse at 20 nodes: {at8} → {at20_v06}"
+        );
+        assert!(
+            at20 > at8 * 0.6,
+            "hardened view change no longer survives 20 nodes: {at8} → {at20}"
+        );
+    }
+
+    /// Figure 8's ethereum curve, on ablation B's default-difficulty row:
+    /// the same rule at 8 and at 32 nodes, 8 clients.
+    #[test]
+    fn ethereum_degrades_with_size_but_survives() -> Result<(), String> {
+        claims::fig8_ethereum_degrades_with_size_but_survives(
+            crate::exp_ablation::tests::difficulty(),
+        )
     }
 }

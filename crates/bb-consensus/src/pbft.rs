@@ -786,11 +786,7 @@ impl PbftNode {
         self.gc_committed_log();
         if !actions.is_empty() {
             // Progress: reset (or clear) the liveness timer.
-            self.view_deadline = if self.has_outstanding_work() {
-                Some(now + self.config.view_timeout)
-            } else {
-                None
-            };
+            self.reset_view_timer(now);
         }
         actions
     }
@@ -804,6 +800,16 @@ impl PbftNode {
         if self.view_deadline.is_none() && self.has_outstanding_work() {
             self.view_deadline = Some(now + self.config.view_timeout);
         }
+    }
+
+    /// Restart the liveness timer from `now`, or clear it when nothing is
+    /// outstanding.
+    fn reset_view_timer(&mut self, now: SimTime) {
+        self.view_deadline = if self.has_outstanding_work() {
+            Some(now + self.config.view_timeout)
+        } else {
+            None
+        };
     }
 
     /// Timer poll: the platform calls this at (or after) `next_wake`.
@@ -975,8 +981,7 @@ impl PbftNode {
         self.pending.clear();
         self.pending_digests.clear();
         self.view_votes.retain(|&v, _| v > view);
-        self.view_deadline =
-            if self.has_outstanding_work() { Some(now + self.config.view_timeout) } else { None };
+        self.reset_view_timer(now);
         self.batch_deadline = None;
     }
 
@@ -1037,11 +1042,7 @@ impl PbftNode {
                     PbftMsg::SyncRequest { from_seq: self.last_committed },
                 ));
             }
-            self.view_deadline = if self.has_outstanding_work() {
-                Some(now + self.config.view_timeout)
-            } else {
-                None
-            };
+            self.reset_view_timer(now);
         }
         actions
     }
@@ -1074,11 +1075,7 @@ impl PbftNode {
         // the retained-window invariant holds.
         self.committed_log = self.committed_log.split_off(&(seq + 1));
         self.slots.retain(|&s, _| s > seq);
-        self.view_deadline = if self.has_outstanding_work() {
-            Some(now + self.config.view_timeout)
-        } else {
-            None
-        };
+        self.reset_view_timer(now);
         vec![
             Action::InstallCheckpoint { seq, digest },
             // Fetch the peer's retained window above the checkpoint.

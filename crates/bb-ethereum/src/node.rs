@@ -25,7 +25,7 @@ use bb_consensus::pow::{BlockTree, InsertOutcome};
 use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_merkle::{merkle_root, TrieDelta};
 use bb_sim::{CpuMeter, Effects, RecentOutcomes, SimDuration, SimTime};
-use bb_storage::{KvError, KvPairs, KvStore};
+use bb_storage::{chunk_wire_bytes, KvError, KvPairs, KvStore};
 use bb_svm::{Vm, VmConfig};
 use bb_types::{
     Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId,
@@ -848,7 +848,7 @@ impl<S: KvStore + Send> ChainNode<S> {
         let max_bytes = p.params().snapshot_chunk_bytes;
         let (entries, done) =
             self.state.store_mut().scan_range_chunk(after, max_bytes).expect("own store readable");
-        let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+        let bytes = chunk_wire_bytes(&entries);
         let entries = Arc::new(entries);
         let chunk = P::sync(from, SyncMsg::StateChunk { from: me, entries, done });
         fx.send(from.0, bytes, move |_at| chunk);
@@ -869,8 +869,7 @@ impl<S: KvStore + Send> ChainNode<S> {
             return;
         }
         self.counters.snapshot_chunks += 1;
-        self.counters.snapshot_bytes +=
-            16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+        self.counters.snapshot_bytes += chunk_wire_bytes(entries);
         let mut batch = bb_storage::WriteBatch::new();
         for (k, v) in entries {
             batch.put(k, v);

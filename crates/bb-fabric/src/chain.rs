@@ -24,7 +24,7 @@ use bb_consensus::pbft::{Action, Batch, PbftConfig, PbftMsg, PbftNode, Request};
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
-use bb_storage::{FaultVfs, KvStore, LsmStore, Vfs};
+use bb_storage::{chunk_wire_bytes, FaultVfs, KvStore, LsmStore, Vfs};
 use bb_sim::{
     CpuMeter, Effects, RecentOutcomes, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
 };
@@ -733,7 +733,7 @@ fn on_snapshot_request(
     if done {
         node.serving.remove(i);
     }
-    let bytes = 16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+    let bytes = chunk_wire_bytes(&entries);
     let chunk = FabEvent::SnapshotChunk { to: from, from: me, entries: Arc::new(entries), done };
     fx.send(from.0, bytes, move |_at| chunk);
 }
@@ -757,8 +757,7 @@ fn on_snapshot_chunk(
         return;
     }
     node.counters.snapshot_chunks += 1;
-    node.counters.snapshot_bytes +=
-        16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
+    node.counters.snapshot_bytes += chunk_wire_bytes(&entries);
     node.state.apply_snapshot_entries(&entries).expect("fresh store healthy");
     if !done {
         let after = entries.last().map(|(k, _)| k.clone());

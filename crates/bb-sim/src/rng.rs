@@ -161,7 +161,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -174,7 +173,7 @@ impl Zipfian {
         let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        Zipfian { n, theta, alpha, zetan, eta, zeta2theta }
+        Zipfian { n, theta, alpha, zetan, eta }
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -213,11 +212,6 @@ impl Zipfian {
     /// The skew parameter.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Unused normaliser accessor retained for diagnostics.
-    pub fn zeta2theta(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

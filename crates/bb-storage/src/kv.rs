@@ -55,6 +55,12 @@ pub(crate) fn take_chunk(
     (out, true)
 }
 
+/// The simulated wire size of a snapshot chunk carrying `entries`: a
+/// 16-byte header and every key and value byte.
+pub fn chunk_wire_bytes(entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
+    16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>()
+}
+
 /// A buffered set of writes applied atomically by [`KvStore::apply_batch`].
 ///
 /// Engines that implement batching natively (the LSM store) turn one batch

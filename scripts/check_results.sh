@@ -13,9 +13,9 @@
 # to results/paper/, which is outside this gate (`:(glob)` keeps `*` from
 # crossing a `/`).
 #
-# Not part of tier-1: ~4 min on a 2-core host (`figures all` 202-212 s over
-# three runs, against 224-263 s before the six 8x8 macro figures shared one
-# cell set, plus a warm release build).
+# Not part of tier-1: ~2 min on a 2-core host (`figures all` 96-99 s, with
+# every closed-loop figure a view of one cell set run in one scatter, plus a
+# warm release build).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

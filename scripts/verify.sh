@@ -419,6 +419,42 @@ if git grep -n split_whitespace -- crates/bb-bench/src; then
     exit 1
 fi
 
+echo "==> one cell set: every closed-loop figure reads one MacroCells, every ablation cell runs in a scatter"
+# Figures 5–8, 13c, 14 and 16–19 are views of one `exp_macro::MacroCells`,
+# keyed by servers × clients: `figures` runs the union of the wanted grids
+# once, in one scatter, and Figure 5's sweep reads only its 8×8 cells. The
+# ablations scatter their cells through `map_cells_hinted` too. So the
+# scalability module stays gone, `MacroCells::run` is the one non-test
+# caller of `run_macro` in bb-bench, and no ablation cell runs (`ycsb_tps`)
+# and no ablation constant is looped over outside a `map_cells_hinted` call.
+smoke -p bb-bench --lib macro_figures_share_their_cells
+smoke -p bb-bench --lib eight_by_eight_views_ignore_other_sizes
+if [ -e crates/bb-bench/src/exp_scale.rs ]; then
+    echo "ERROR: crates/bb-bench/src/exp_scale.rs is back; scalability figures are views of MacroCells" >&2
+    exit 1
+fi
+callers=$(find crates/bb-bench/src -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        /^impl/ { impl = $2 "::" } /^}/ { impl = "" }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        /run_macro\(/ && !/fn run_macro\(|^[[:space:]]*\/\// { print FILENAME ": " impl fn }' "$f"
+done | sort -u)
+if [ "$callers" != "crates/bb-bench/src/exp_macro.rs: MacroCells::run" ]; then
+    echo "${callers}"
+    echo "ERROR: run_macro has a non-test caller besides MacroCells::run; add the cells to a grid" >&2
+    exit 1
+fi
+loose=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /map_cells_hinted\(/ { inside = 1; depth = 0 }
+    inside { depth += gsub(/\(/, "(") - gsub(/\)/, ")"); if (depth <= 0) inside = 0; next }
+    /(^|[^a-z_])for .* in .*(CHANNEL_CAPACITIES|SIZE_EXPONENTS|SIGN_COSTS_MS)/ ||
+        (/ycsb_tps\(/ && !/fn ycsb_tps\(/) { print FNR ": " $0 }' crates/bb-bench/src/exp_ablation.rs)
+if [ -n "$loose" ]; then
+    echo "${loose}"
+    echo "ERROR: an ablation cell runs outside a map_cells_hinted scatter" >&2
+    exit 1
+fi
+
 echo "==> books: Smallbank conserves money on both backends and every platform"
 # A Smallbank procedure changes the bank's total only by its
 # `smallbank::net_deposit`. The contract tests check that on the SVM and

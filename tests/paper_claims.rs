@@ -36,7 +36,8 @@ fn tables() -> &'static Tables {
         let scale = Scale { rates: vec![RATE], ..Scale::quick() };
         let grids = [fig5_grid, fig13c_grid, fig14_grid].map(|grid| grid(&scale));
         let window = scale.duration;
-        let parity = [64.0, 512.0].map(|rate| (Platform::Parity, Macro::Ycsb, rate, window));
+        let parity =
+            [64.0, 512.0].map(|rate| (Platform::Parity, Macro::Ycsb, (8, 8), rate, window));
         let cells = MacroCells::run(grids.into_iter().flatten().chain(parity));
         let (peak, sweep) = fig5(&cells, &scale);
         Tables { peak, sweep, fig13c: fig13c(&cells, &scale), fig14: fig14(&cells, &scale) }

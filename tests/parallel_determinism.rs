@@ -12,7 +12,7 @@
 //!   order first of all: every map's `RandomState` is keyed differently, so
 //!   two runs in one process iterate in two orders.
 
-use bb_bench::exp_macro::{self, fig13c_grid, fig5_grid, Macro, MacroCells};
+use bb_bench::exp_macro::{self, fig13c_grid, fig18_grid, fig5_grid, Macro, MacroCells};
 use bb_bench::{Platform, Scale, ALL_PLATFORMS};
 use bb_ethereum::{EthConfig, EthereumChain};
 use bb_fabric::{FabricChain, FabricConfig};
@@ -76,15 +76,17 @@ fn figure_tables_byte_identical_parallel_vs_serial() {
     let scale = tiny_scale();
     let render = |workers: &str| {
         std::env::set_var("BB_WORKERS", workers);
-        let cells = MacroCells::run(fig5_grid(&scale).into_iter().chain(fig13c_grid(&scale)));
+        let grids = [fig5_grid, fig13c_grid, fig18_grid].map(|grid| grid(&scale));
+        let cells = MacroCells::run(grids.into_iter().flatten());
         let (performance, saturation) = exp_macro::fig5(&cells, &scale);
-        (exp_macro::fig13c(&cells, &scale).render(), performance.render(), saturation.render())
+        let fig18 = exp_macro::fig18(&cells, &scale);
+        [exp_macro::fig13c(&cells, &scale), performance, saturation, fig18].map(|t| t.render())
     };
     let serial = render("1");
     // Multi-threaded even on single-core CI machines.
     let parallel = render("4");
     std::env::remove_var("BB_WORKERS");
-    assert_eq!(serial, parallel, "fig13c/fig5 must not depend on thread scheduling");
+    assert_eq!(serial, parallel, "fig13c/fig5/fig18 must not depend on thread scheduling");
 }
 
 /// One full driver run (open-loop clients, polling, drain) with the full
