@@ -40,7 +40,8 @@ pub trait Consensus:
 
     /// Start block production (once, at the first `submit`/`advance_to`).
     fn start(chain: &mut AccountChain<Self>);
-    /// Take `tx` in at live `server`'s RPC; `false` refuses it.
+    /// Take `tx` in at live `server`'s RPC; `false` refuses it. A taken
+    /// transaction enters the world's [`crate::txs::TxTable`] here.
     fn admit(chain: &mut AccountChain<Self>, server: NodeId, tx: Transaction) -> bool;
 
     /// Rebuild a restarting node from what survives a power cut: its
@@ -257,6 +258,13 @@ impl<C: Consensus> BlockchainConnector for AccountChain<C> {
         let before = self.engine.with_node(0, |n| C::chain(n).tip());
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
+            // Preloaded transactions enter the world here; no live node
+            // counts them as seen (a restarted one does, from its blocks).
+            self.engine.with_ctx_mut(|ctx| {
+                for tx in &txs {
+                    ctx.txs_mut().intern(tx.id());
+                }
+            });
             self.engine
                 .with_ctx_node_mut(0, |ctx, n| C::chain_mut(n).preload_block(ctx, now, &txs));
             self.engine.bump_counter(BLOCKS, 1);

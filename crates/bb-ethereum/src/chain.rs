@@ -21,6 +21,7 @@ use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
 use crate::node::{vm_for, BlockOutcomes, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use crate::state::AccountState;
+use crate::txs::TxTable;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
 use bb_sim::{Effects, ShardedWorld, SimDuration, SimRng, SimTime};
@@ -45,6 +46,8 @@ pub enum EthEvent {
         to: NodeId,
         /// The transaction.
         tx: Arc<Transaction>,
+        /// Its index in the world's [`TxTable`].
+        index: u32,
         /// Came from a peer (don't re-gossip) or from a client.
         gossiped: bool,
     },
@@ -72,6 +75,7 @@ pub struct EthCtx {
     config: EthConfig,
     params: ChainParams,
     outcomes: BlockOutcomes,
+    txs: TxTable,
 }
 
 /// What proof-of-work plugs into the shared account-chain node.
@@ -91,6 +95,13 @@ impl ChainPlatform for EthCtx {
     /// refuses a batch, so an install ends where a run ends.
     fn outcomes(&self) -> Option<&BlockOutcomes> {
         Some(&self.outcomes)
+    }
+
+    fn txs(&self) -> &TxTable {
+        &self.txs
+    }
+    fn txs_mut(&mut self) -> &mut TxTable {
+        &mut self.txs
     }
 
     /// The durable `!b/` record rides the same atomic batch as the state
@@ -126,9 +137,9 @@ impl ChainPlatform for EthCtx {
     /// Trie nodes, account values and `!b/` block records share the store's
     /// key space, so the state chunks carried the chain too: make the
     /// transfer durable and rebuild the chain from the store.
-    fn state_landed(node: &mut ChainNode<LsmStore>) -> bool {
+    fn state_landed(&self, node: &mut ChainNode<LsmStore>) -> bool {
         node.state.store_mut().flush();
-        rebuild_node_from_store(node);
+        rebuild_node_from_store(self, node);
         true
     }
 }
@@ -165,7 +176,9 @@ impl ShardedWorld for EthWorld {
         }
         match event {
             EthEvent::Mine { generation, .. } => on_mine(ctx, node, id, now, generation, fx),
-            EthEvent::TxArrive { tx, gossiped, .. } => on_tx(ctx, node, id, now, tx, gossiped, fx),
+            EthEvent::TxArrive { tx, index, gossiped, .. } => {
+                on_tx(ctx, node, id, now, tx, index, gossiped, fx)
+            }
             EthEvent::Sync { msg, .. } => on_sync(ctx, node, id, now, msg, fx),
         }
     }
@@ -245,17 +258,19 @@ fn on_mine(
     fx.schedule(at, race);
 }
 
+#[allow(clippy::too_many_arguments)]
 fn on_tx(
     ctx: &EthCtx,
     node: &mut EthNode,
     me: NodeId,
     now: SimTime,
     tx: Arc<Transaction>,
+    index: u32,
     gossiped: bool,
     fx: &mut Effects<EthEvent>,
 ) {
     node.chain.cpu.charge(now, ctx.config.costs.sig_verify);
-    if !node.chain.enqueue(Arc::clone(&tx)) {
+    if !node.chain.enqueue(Arc::clone(&tx), index) {
         return;
     }
     if !gossiped {
@@ -265,7 +280,8 @@ fn on_tx(
                 continue;
             }
             let tx = Arc::clone(&tx);
-            fx.send(peer.0, size, move |_at| EthEvent::TxArrive { to: peer, tx, gossiped: true });
+            let gossip = move |_at| EthEvent::TxArrive { to: peer, tx, index, gossiped: true };
+            fx.send(peer.0, size, gossip);
         }
     }
 }
@@ -294,7 +310,7 @@ fn on_sync(
 /// Rebuild a node's in-memory chain (tree, bodies, roots, head state) from
 /// its durable store alone — the shared tail of crash restart and snapshot
 /// sync.
-fn rebuild_node_from_store(n: &mut ChainNode<LsmStore>) {
+fn rebuild_node_from_store(ctx: &EthCtx, n: &mut ChainNode<LsmStore>) {
     // Everything in-memory is stale; only the Vfs behind the store is
     // authoritative.
     let vfs = n.state.store().vfs();
@@ -335,7 +351,7 @@ fn rebuild_node_from_store(n: &mut ChainNode<LsmStore>) {
         roots.insert(bid, root);
         bodies.insert(bid, Arc::new(block));
     }
-    n.install_chain(tree, bodies, roots);
+    n.install_chain(ctx, tree, bodies, roots);
 }
 
 impl Consensus for EthWorld {
@@ -361,7 +377,12 @@ impl Consensus for EthWorld {
             crashed: vec![false; config.nodes as usize],
         };
         Setup {
-            ctx: EthCtx { config: config.clone(), params, outcomes: BlockOutcomes::default() },
+            ctx: EthCtx {
+                config: config.clone(),
+                params,
+                outcomes: BlockOutcomes::default(),
+                txs: TxTable::default(),
+            },
             store: LsmStore::new_private(eth_store_config()),
             link: config.link.clone(),
             cores: config.cores,
@@ -387,15 +408,16 @@ impl Consensus for EthWorld {
     }
 
     fn admit(chain: &mut EthereumChain, server: NodeId, tx: Transaction) -> bool {
-        let arrive = EthEvent::TxArrive { to: server, tx: Arc::new(tx), gossiped: false };
+        let index = chain.engine.with_ctx_mut(|ctx| ctx.txs.intern(tx.id()));
+        let arrive = EthEvent::TxArrive { to: server, tx: Arc::new(tx), index, gossiped: false };
         chain.engine.schedule(chain.engine.now() + chain.config.rpc_delay, arrive);
         true
     }
 
     /// Reopen the durable store: WAL replay, torn-tail truncation, and the
     /// chain rebuilt from the persisted block records.
-    fn rebuild(_ctx: &EthCtx, node: &mut EthNode) {
-        rebuild_node_from_store(&mut node.chain);
+    fn rebuild(ctx: &EthCtx, node: &mut EthNode) {
+        rebuild_node_from_store(ctx, &mut node.chain);
     }
 
     /// Only the restarted node re-enters the race.
@@ -926,11 +948,18 @@ mod tests {
             let charged = (n.cpu.utilisation_series(), n.counters.clone());
             (n.state.root(), n.receipts[id].clone(), trie, n.state.store().stats(), disk, charged)
         };
+        let txs: Vec<_> = (0..20)
+            .map(|nonce| Arc::new(client_tx(77, nonce, addr, ycsb::write_call(1000 + nonce, b"slow"))))
+            .collect();
+        c.engine.with_ctx_mut(|ctx| {
+            for tx in &txs {
+                ctx.txs.intern(tx.id());
+            }
+        });
         let (ran, installed, stall_before, id) = c.engine.with_ctx_node_mut(2, |ctx, n| {
             let mut miner = n.chain.clone();
-            for nonce in 0..20 {
-                let write = ycsb::write_call(1000 + nonce, b"slow");
-                assert!(miner.enqueue(Arc::new(client_tx(77, nonce, addr, write))));
+            for tx in &txs {
+                assert!(miner.enqueue(Arc::clone(tx), ctx.txs.index(&tx.id())));
             }
             let block = Arc::new(miner.build_block(ctx, now, NodeId(9), 0));
             assert!(block.txs.len() >= 20, "the pool's own transactions come first");
@@ -949,6 +978,54 @@ mod tests {
         let log = lookups(&c);
         let seen: Vec<_> = log.iter().filter(|l| l.1 == id).map(|l| (l.0, l.2, l.3)).collect();
         assert_eq!(seen, [(NodeId(2), false, false), (NodeId(2), true, true)]);
+    }
+
+    /// One signed transaction submitted at two servers enters the world's
+    /// table once, and every node pools it once.
+    #[test]
+    fn tx_table_enters_a_transaction_submitted_twice_once() {
+        let mut config = EthConfig::with_nodes(4);
+        config.pow.base_interval = SimDuration::from_secs(3600); // no block in the window
+        let mut c = EthereumChain::new(config);
+        let contract = c.deploy(&donothing::bundle());
+        let tx = client_tx(1, 0, contract, donothing::call());
+        assert!(c.submit(NodeId(0), tx.clone()));
+        assert!(c.submit(NodeId(1), tx));
+        c.advance_to(SimTime::from_secs(1));
+        assert_eq!(c.engine.with_ctx(|ctx| ctx.txs.len()), 1);
+        for i in 0..4 {
+            let node = c.engine.with_node(i, |n| (n.chain.tree.head_height(), n.chain.pool_len()));
+            assert_eq!(node, (0, 1), "node {i}: (head height, pool length)");
+        }
+    }
+
+    /// A node restarted from its store counts every transaction of its
+    /// recovered blocks as seen, a preloaded one included; a node that
+    /// stayed up never saw the preloaded one (set-up bypasses the pool).
+    #[test]
+    fn tx_table_restarted_node_refuses_its_recovered_transactions() {
+        let mut c = small_chain(4);
+        let contract = c.deploy(&ycsb::bundle());
+        let preloaded = client_tx(1, 0, contract, ycsb::write_call(0, b"v"));
+        c.preload_blocks(vec![vec![preloaded.clone()]]);
+        let live = client_tx(2, 0, contract, ycsb::write_call(1, b"v"));
+        assert!(c.submit(NodeId(0), live.clone()));
+        c.advance_to(SimTime::from_secs(10));
+        c.inject(Fault::Crash(NodeId(3)));
+        c.inject(Fault::Restart(NodeId(3)));
+        let recovered = c.engine.with_node(3, |n| {
+            n.chain.bodies.values().flat_map(|b| &b.txs).filter(|t| t.id() == live.id()).count()
+        });
+        assert_eq!(recovered, 1, "the live transaction is in no recovered block");
+        let mut offer = |i: u32, tx: &Transaction| {
+            c.engine.with_ctx_node_mut(i, |ctx, n| {
+                n.chain.enqueue(Arc::new(tx.clone()), ctx.txs.index(&tx.id()))
+            })
+        };
+        assert!(!offer(3, &preloaded), "restarted node pooled a preloaded transaction");
+        assert!(!offer(3, &live), "restarted node pooled a recovered transaction");
+        assert!(!offer(1, &live));
+        assert!(offer(1, &preloaded), "a live node counts a preloaded transaction as seen");
     }
 
     /// Every event waits in the engine's heap, and the snapshot transfer

@@ -21,6 +21,7 @@
 
 use crate::config::EvmCosts;
 use crate::state::{AccountState, TxInvalid};
+use crate::txs::{Pooled, TxBits, TxTable};
 use bb_consensus::pow::{BlockTree, InsertOutcome};
 use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_merkle::{merkle_root, TrieDelta};
@@ -35,7 +36,6 @@ use blockbench::connector::{
     RecoveryWindow,
 };
 use blockbench::contract::SvmContract;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -177,6 +177,13 @@ pub trait ChainPlatform {
         None
     }
 
+    /// The world's transaction table: every transaction in a block, a pool
+    /// or an event has its index there.
+    fn txs(&self) -> &TxTable;
+    /// The same, for the only two writers, both between `run_until` calls:
+    /// a server's RPC admitting a transaction, and set-up preloading blocks.
+    fn txs_mut(&mut self) -> &mut TxTable;
+
     /// Is an arriving block one this node need not look at again, given
     /// whether it already holds the body and the executed post-state root?
     fn already_known(has_body: bool, has_root: bool) -> bool;
@@ -191,7 +198,7 @@ pub trait ChainPlatform {
     /// The last state chunk is in `node`'s store. Either rebuild the chain
     /// from the store and return `true`, or return `false` to fetch the main
     /// chain as `(block, root)` chunks too.
-    fn state_landed(node: &mut ChainNode<Self::Store>) -> bool;
+    fn state_landed(&self, node: &mut ChainNode<Self::Store>) -> bool;
 }
 
 /// The sync messages nodes exchange — block sync and the snapshot transfer —
@@ -273,15 +280,16 @@ pub struct ChainNode<S: KvStore> {
     pub roots: DigestMap<Hash256, Hash256>,
     /// Receipts (tx id, success) per block id.
     pub receipts: DigestMap<Hash256, Vec<(TxId, bool)>>,
-    /// Pending transactions in arrival order. Removal is lazy: an entry
-    /// counts only while `pool_admitted` still holds its id.
-    pool: VecDeque<Arc<Transaction>>,
-    /// The pooled transaction ids, each with the head height at admission —
-    /// the age-out clock for future-nonced entries
+    /// Pending transactions in arrival order, each with its index in the
+    /// world's [`TxTable`]. Removal is lazy: an entry counts only while
+    /// `pooled` holds its index, a stale duplicate entry included.
+    pool: VecDeque<(Arc<Transaction>, u32)>,
+    /// The pooled indices, each with the head height at admission — the
+    /// age-out clock for future-nonced entries
     /// (`ChainParams::pool_evict_blocks`).
-    pool_admitted: DigestMap<TxId, u64>,
-    /// Everything ever seen (suppresses gossip loops).
-    pub seen: DigestSet<TxId>,
+    pooled: Pooled,
+    /// Every index ever seen, bar preloaded ones (suppresses gossip loops).
+    seen: TxBits,
     /// Blocks whose transactions were pruned from the pool — only blocks
     /// that joined this node's main chain. A transaction in a side block
     /// that never wins stays in the pool; pruning on mere validation would
@@ -325,8 +333,8 @@ impl<S: KvStore + Send> ChainNode<S> {
             roots: DigestMap::from_iter([(id, root)]),
             receipts: DigestMap::from_iter([(id, Vec::new())]),
             pool: VecDeque::new(),
-            pool_admitted: DigestMap::default(),
-            seen: DigestSet::default(),
+            pooled: Pooled::default(),
+            seen: TxBits::default(),
             pruned: DigestSet::from_iter([id]),
             cpu,
             recovery: RecoveryWindow::default(),
@@ -337,9 +345,11 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// Replace the chain with one recovered from a durable store and move
-    /// the state to its head. The pool is volatile and resets.
-    pub fn install_chain(
+    /// the state to its head. The pool is volatile and resets; every
+    /// recovered transaction, a preloaded one included, counts as seen.
+    pub fn install_chain<P: ChainPlatform<Store = S>>(
         &mut self,
+        p: &P,
         tree: BlockTree,
         bodies: DigestMap<Hash256, Arc<Block>>,
         roots: DigestMap<Hash256, Hash256>,
@@ -347,34 +357,38 @@ impl<S: KvStore + Send> ChainNode<S> {
         // Receipts are volatile; recovered blocks keep empty ones. (The
         // observer's confirmed log is kept separately.)
         self.receipts = bodies.keys().map(|id| (*id, Vec::new())).collect();
-        self.seen = bodies.values().flat_map(|b| &b.txs).map(|tx| tx.id()).collect();
+        self.seen.clear();
+        for tx in bodies.values().flat_map(|b| &b.txs) {
+            self.seen.insert(p.txs().index(&tx.id()));
+        }
         self.state.set_root(roots[&tree.head()]);
         self.tree = tree;
         self.bodies = bodies;
         self.roots = roots;
         self.clear_pool();
         self.pruned.clear();
-        self.prune_main_chain();
+        self.prune_main_chain(p);
     }
 
-    /// Admit a transaction to the pool; `false` if it was seen before.
-    pub fn enqueue(&mut self, tx: Arc<Transaction>) -> bool {
-        if !self.seen.insert(tx.id()) {
+    /// Admit the transaction at `index` in the world's [`TxTable`] to the
+    /// pool; `false` if it was seen before.
+    pub fn enqueue(&mut self, tx: Arc<Transaction>, index: u32) -> bool {
+        if !self.seen.insert(index) {
             return false;
         }
-        self.pool_admitted.insert(tx.id(), self.tree.head_height());
-        self.pool.push_back(tx);
+        self.pooled.admit(index, self.tree.head_height());
+        self.pool.push_back((tx, index));
         true
     }
 
     /// Transactions awaiting inclusion.
     pub fn pool_len(&self) -> usize {
-        self.pool_admitted.len()
+        self.pooled.len()
     }
 
     fn clear_pool(&mut self) {
         self.pool.clear();
-        self.pool_admitted.clear();
+        self.pooled.clear();
     }
 
     /// The process died. Amnesia: the pool and the trie's uncommitted
@@ -426,23 +440,24 @@ impl<S: KvStore + Send> ChainNode<S> {
         // at a handful of transactions; real pools queue per sender by
         // nonce. Sender map is ordered so the put-back below is
         // deterministic.
-        let mut future: BTreeMap<Address, BTreeMap<u64, Arc<Transaction>>> = BTreeMap::new();
+        let mut future: BTreeMap<Address, BTreeMap<u64, (Arc<Transaction>, u32)>> =
+            BTreeMap::new();
         'fill: while included.len() < params.max_txs_per_block {
-            let Some(tx) = self.pool.pop_front() else {
+            let Some(entry) = self.pool.pop_front() else {
                 break;
             };
-            if !self.pool_admitted.contains_key(&tx.id()) {
+            if !self.pooled.contains(entry.1) {
                 continue; // pruned
             }
             // Try this transaction, then any buffered successors it unblocks.
-            let mut next = Some(tx);
-            while let Some(tx) = next.take() {
+            let mut next = Some(entry);
+            while let Some((tx, index)) = next.take() {
                 match self.state.apply_transaction(&tx, height, &params.vm, params.tx_gas_limit) {
                     Ok(res) => {
                         gas_total += res.gas_used.max(1000);
                         cpu_time += params.costs.exec_time(res.gas_used.max(1000))
                             + params.build_tx_cost;
-                        self.pool_admitted.remove(&tx.id());
+                        self.pooled.remove(index);
                         receipts.push((tx.id(), res.success));
                         let successor = (tx.from, tx.nonce + 1);
                         included.push(tx);
@@ -460,12 +475,10 @@ impl<S: KvStore + Send> ChainNode<S> {
                     }
                     Err(TxInvalid::BadNonce { expected, got }) if got > expected => {
                         // Future nonce: hold until its predecessor applies.
-                        future.entry(tx.from).or_default().insert(got, tx);
+                        future.entry(tx.from).or_default().insert(got, (tx, index));
                     }
                     // Stale or broken: drop.
-                    Err(_) => {
-                        self.pool_admitted.remove(&tx.id());
-                    }
+                    Err(_) => self.pooled.remove(index),
                 }
             }
         }
@@ -474,13 +487,14 @@ impl<S: KvStore + Send> ChainNode<S> {
         // which case the predecessor is presumed lost (or never existed: a
         // nonce-gap flood) and the entry ages out instead of re-queueing
         // (and, on a bounded pool, pinning it) forever.
-        for tx in future.into_values().flat_map(BTreeMap::into_values) {
-            // Only pooled transactions were tried, and a held one stays pooled.
-            let admitted = self.pool_admitted[&tx.id()];
+        for (tx, index) in future.into_values().flat_map(BTreeMap::into_values) {
+            // Only pooled transactions were tried, and a held one stays
+            // pooled: its index's current admission height is the clock.
+            let admitted = self.pooled.admitted_at(index);
             if height.saturating_sub(admitted) > params.pool_evict_blocks {
-                self.pool_admitted.remove(&tx.id());
+                self.pooled.remove(index);
             } else {
-                self.pool.push_front(tx);
+                self.pool.push_front((tx, index));
             }
         }
         self.cpu.charge(now, cpu_time);
@@ -554,7 +568,9 @@ impl<S: KvStore + Send> ChainNode<S> {
                 ran
             }
         };
-        self.seen.extend(block.txs.iter().map(|tx| tx.id()));
+        for tx in &block.txs {
+            self.seen.insert(p.txs().index(&tx.id()));
+        }
         self.counters.exec_serial_us += outcome.serial_us;
         let charge = if catching_up {
             P::catch_up_charge(outcome.serial_us, block.txs.len())
@@ -663,27 +679,27 @@ impl<S: KvStore + Send> ChainNode<S> {
         self.bodies.insert(id, block);
         let old_head = self.tree.head();
         if let InsertOutcome::NewHead { reorged: true } = self.tree.insert(id, parent, difficulty) {
-            self.readopt_abandoned(old_head);
+            self.readopt_abandoned(p, old_head);
         }
         // Connecting this block may have connected stored orphan children.
         self.execute_connected_descendants(p, me, now, id);
         // Whatever the head is now, drop its branch's transactions from the
         // pool (after the reorg path above re-added the abandoned branch's).
-        self.prune_main_chain();
+        self.prune_main_chain(p);
     }
 
     /// Remove the transactions of blocks that joined this node's main chain
     /// from its pool. Walks head→genesis, stopping at the first block
     /// already pruned, so each block is processed once; side blocks are
     /// deliberately never pruned here.
-    pub fn prune_main_chain(&mut self) {
+    fn prune_main_chain<P: ChainPlatform<Store = S>>(&mut self, p: &P) {
         let mut cursor = self.tree.head();
         while self.pruned.insert(cursor) {
             let Some(body) = self.bodies.get(&cursor) else {
                 break;
             };
             for tx in &body.txs {
-                self.pool_admitted.remove(&tx.id());
+                self.pooled.remove(p.txs().index(&tx.id()));
             }
             cursor = body.header.parent;
         }
@@ -719,7 +735,7 @@ impl<S: KvStore + Send> ChainNode<S> {
     }
 
     /// A reorg abandoned part of the old chain: re-adopt its transactions.
-    fn readopt_abandoned(&mut self, old_head: Hash256) {
+    fn readopt_abandoned<P: ChainPlatform<Store = S>>(&mut self, p: &P, old_head: Hash256) {
         let mut cursor = old_head;
         // Walk the old branch until we hit a block still on the main chain.
         while !self.tree.on_main_chain(&cursor) {
@@ -730,9 +746,10 @@ impl<S: KvStore + Send> ChainNode<S> {
             // Bodies hold `Arc<Transaction>`: re-adopting bumps refcounts
             // instead of deep-cloning every transaction.
             for tx in &body.txs {
-                if let Entry::Vacant(slot) = self.pool_admitted.entry(tx.id()) {
-                    slot.insert(height);
-                    self.pool.push_back(Arc::clone(tx));
+                let index = p.txs().index(&tx.id());
+                if !self.pooled.contains(index) {
+                    self.pooled.admit(index, height);
+                    self.pool.push_back((Arc::clone(tx), index));
                 }
             }
             cursor = body.header.parent;
@@ -764,7 +781,7 @@ impl<S: KvStore + Send> ChainNode<S> {
                 self.on_state_request(p, me, from, after.as_deref(), fx)
             }
             SyncMsg::StateChunk { from, entries, done } => {
-                self.on_state_chunk::<P>(me, from, &entries, done, fx)
+                self.on_state_chunk(p, me, from, &entries, done, fx)
             }
             SyncMsg::ChainRequest { from, height } => {
                 self.on_chain_request(p, me, from, height, fx)
@@ -859,6 +876,7 @@ impl<S: KvStore + Send> ChainNode<S> {
     /// arrives with no transfer open is dropped.
     fn on_state_chunk<P: ChainPlatform<Store = S>>(
         &mut self,
+        p: &P,
         me: NodeId,
         from: NodeId,
         entries: &[(Vec<u8>, Vec<u8>)],
@@ -883,7 +901,7 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
         let next = if !done {
             SyncMsg::StateRequest { from: me, after: entries.last().map(|(k, _)| k.clone()) }
-        } else if P::state_landed(self) {
+        } else if p.state_landed(self) {
             // The chain came with the state: fetch whatever was mined
             // mid-transfer through the replay path.
             self.recovery.snapshot_syncing = false;
@@ -954,7 +972,9 @@ impl<S: KvStore + Send> ChainNode<S> {
             self.bodies.insert(id, Arc::clone(block));
             self.roots.insert(id, *root);
             self.receipts.insert(id, Vec::new());
-            self.seen.extend(block.txs.iter().map(|tx| tx.id()));
+            for tx in &block.txs {
+                self.seen.insert(p.txs().index(&tx.id()));
+            }
         }
         if !done {
             let next = SyncMsg::ChainRequest { from: me, height: self.tree.head_height() + 1 };
@@ -964,7 +984,7 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
         self.state.set_root(self.roots[&self.tree.head()]);
         self.recovery.snapshot_syncing = false;
-        self.prune_main_chain();
+        self.prune_main_chain(p);
         self.recovery.close_if_reached(self.tree.head_height(), now, &mut self.counters);
         let ask = P::sync(from, SyncMsg::HeadRequest { from: me });
         fx.send(from.0, 64, move |_at| ask);
@@ -1243,7 +1263,7 @@ mod tests {
 
     const EVICT_BLOCKS: u64 = 2;
 
-    struct TestCtx(ChainParams, BlockOutcomes);
+    struct TestCtx(ChainParams, BlockOutcomes, TxTable);
 
     #[derive(Debug)]
     enum TestEvent {
@@ -1264,6 +1284,12 @@ mod tests {
         fn outcomes(&self) -> Option<&BlockOutcomes> {
             Some(&self.1)
         }
+        fn txs(&self) -> &TxTable {
+            &self.2
+        }
+        fn txs_mut(&mut self) -> &mut TxTable {
+            &mut self.2
+        }
         fn seal(
             &self,
             state: &mut AccountState<MemStore>,
@@ -1281,7 +1307,7 @@ mod tests {
         fn sync(to: NodeId, msg: SyncMsg) -> TestEvent {
             TestEvent::Sync(to, msg)
         }
-        fn state_landed(_node: &mut ChainNode<MemStore>) -> bool {
+        fn state_landed(&self, _node: &mut ChainNode<MemStore>) -> bool {
             false
         }
     }
@@ -1305,17 +1331,27 @@ mod tests {
             deploys: Vec::new(),
             crashed: vec![false; 2],
         };
-        TestCtx(params, BlockOutcomes::default())
+        TestCtx(params, BlockOutcomes::default(), TxTable::default())
     }
 
     fn node(p: &TestCtx) -> ChainNode<MemStore> {
         ChainNode::at_genesis(p, MemStore::new(), CpuMeter::new(8))
     }
 
-    /// A value transfer from funded client `seed`.
-    fn transfer(seed: u64, nonce: u64) -> Arc<Transaction> {
+    /// A value transfer from funded client `seed`, entered in `p`'s table.
+    fn transfer(p: &mut TestCtx, seed: u64, nonce: u64) -> Arc<Transaction> {
         let to = Address::from_index(9000 + seed);
-        Arc::new(Transaction::signed(&KeyPair::from_seed(seed), nonce, to, 1, Vec::new()))
+        let tx = Transaction::signed(&KeyPair::from_seed(seed), nonce, to, 1, Vec::new());
+        p.2.intern(tx.id());
+        Arc::new(tx)
+    }
+
+    fn enqueue(p: &TestCtx, n: &mut ChainNode<MemStore>, tx: &Arc<Transaction>) -> bool {
+        n.enqueue(Arc::clone(tx), p.2.index(&tx.id()))
+    }
+
+    fn pooled(p: &TestCtx, n: &ChainNode<MemStore>, tx: &Arc<Transaction>) -> bool {
+        n.pooled.contains(p.2.index(&tx.id()))
     }
 
     const ME: NodeId = NodeId(0);
@@ -1329,7 +1365,7 @@ mod tests {
         txs: &[Arc<Transaction>],
     ) -> Arc<Block> {
         for tx in txs {
-            assert!(miner.enqueue(Arc::clone(tx)));
+            assert!(enqueue(p, miner, tx));
         }
         let now = SimTime::from_secs(at_secs);
         let block = Arc::new(miner.build_block(p, now, PEER, 0));
@@ -1349,8 +1385,8 @@ mod tests {
 
     #[test]
     fn heavier_side_branch_reorgs_the_pool() {
-        let p = ctx();
-        let (tx_a, tx_b, tx_c) = (transfer(1, 0), transfer(2, 0), transfer(3, 0));
+        let mut p = ctx();
+        let [tx_a, tx_b, tx_c] = [1, 2, 3].map(|seed| transfer(&mut p, seed, 0));
         let a1 = mine(&p, &mut node(&p), 1, &[Arc::clone(&tx_a)]);
         let mut fork_miner = node(&p);
         let b1 = mine(&p, &mut fork_miner, 2, &[Arc::clone(&tx_b)]);
@@ -1358,22 +1394,23 @@ mod tests {
 
         let mut n = node(&p);
         for tx in [&tx_a, &tx_b, &tx_c] {
-            assert!(n.enqueue(Arc::clone(tx)));
+            assert!(enqueue(&p, &mut n, tx));
         }
         // A1 becomes the head: its transaction leaves the pool.
         deliver(&p, &mut n, &a1);
         assert_eq!(n.tree.head(), a1.id());
-        assert!(!n.pool_admitted.contains_key(&tx_a.id()));
+        assert!(!pooled(&p, &n, &tx_a));
         // B1 ties and loses: a side block's transactions are never pruned.
         deliver(&p, &mut n, &b1);
         assert_eq!(n.tree.head(), a1.id());
-        assert!(n.pool_admitted.contains_key(&tx_b.id()), "side-block transaction was pruned");
+        assert!(pooled(&p, &n, &tx_b), "side-block transaction was pruned");
         // B2 makes the side branch heavier: reorg. The abandoned branch's
         // transaction returns to the pool, the new main chain's leave it.
         deliver(&p, &mut n, &b2);
         assert_eq!(n.tree.head(), b2.id());
-        assert!(n.pool_admitted.contains_key(&tx_a.id()), "abandoned transaction not re-adopted");
-        assert!(!n.pool_admitted.contains_key(&tx_b.id()) && !n.pool_admitted.contains_key(&tx_c.id()));
+        assert!(pooled(&p, &n, &tx_a), "abandoned transaction not re-adopted");
+        assert!(!pooled(&p, &n, &tx_b) && !pooled(&p, &n, &tx_c));
+        assert_eq!(n.pool_len(), 1);
         // And it is minable again on the new head.
         let next = n.build_block(&p, SimTime::from_secs(101), ME, 0);
         assert_eq!(next.header.parent, b2.id());
@@ -1382,10 +1419,11 @@ mod tests {
 
     #[test]
     fn orphan_requests_its_parent_once_then_descendants_execute() {
-        let p = ctx();
+        let mut p = ctx();
+        let (t0, t1) = (transfer(&mut p, 1, 0), transfer(&mut p, 1, 1));
         let mut miner = node(&p);
-        let b1 = mine(&p, &mut miner, 1, &[transfer(1, 0)]);
-        let b2 = mine(&p, &mut miner, 2, &[transfer(1, 1)]);
+        let b1 = mine(&p, &mut miner, 1, &[t0]);
+        let b2 = mine(&p, &mut miner, 2, &[t1]);
 
         let mut n = node(&p);
         let sent = deliver(&p, &mut n, &b2);
@@ -1420,11 +1458,11 @@ mod tests {
 
     #[test]
     fn future_nonced_entry_ages_out_and_sender_recovers() {
-        let p = ctx();
-        let mut n = node(&p);
+        let mut p = ctx();
         // Nonce 5 with no predecessors: blocked forever.
-        let stuck = transfer(1, 5);
-        assert!(n.enqueue(Arc::clone(&stuck)));
+        let (stuck, valid) = (transfer(&mut p, 1, 5), transfer(&mut p, 1, 0));
+        let mut n = node(&p);
+        assert!(enqueue(&p, &mut n, &stuck));
         let build = |n: &mut ChainNode<MemStore>| {
             let now = SimTime::from_secs(1 + n.tree.head_height());
             let block = Arc::new(n.build_block(&p, now, ME, 0));
@@ -1442,17 +1480,17 @@ mod tests {
         assert!(build(&mut n).txs.is_empty());
         assert_eq!(n.pool_len(), 0, "future-nonced entry still pins the pool");
         // The sender's next valid transaction is admitted and mined.
-        let valid = transfer(1, 0);
-        assert!(n.enqueue(Arc::clone(&valid)));
+        assert!(enqueue(&p, &mut n, &valid));
         assert_eq!(build(&mut n).txs.iter().map(|t| t.id()).collect::<Vec<_>>(), [valid.id()]);
     }
 
     #[test]
     fn out_of_nonce_order_gossip_still_fills_a_block() {
-        let p = ctx();
+        let mut p = ctx();
+        let txs = [2, 0, 1, 4, 3].map(|nonce| transfer(&mut p, 1, nonce));
         let mut n = node(&p);
-        for nonce in [2, 0, 1, 4, 3] {
-            assert!(n.enqueue(transfer(1, nonce)));
+        for tx in &txs {
+            assert!(enqueue(&p, &mut n, tx));
         }
         let block = n.build_block(&p, SimTime::from_secs(1), ME, 0);
         let nonces: Vec<u64> = block.txs.iter().map(|t| t.nonce).collect();
@@ -1469,11 +1507,12 @@ mod tests {
         let mut p = ctx();
         let (addr, code) = (Address::from_index(4242), bb_contracts::donothing::bundle().svm);
         p.0.deploys.push((1, addr, code.clone()));
+        let (t0, t1) = (transfer(&mut p, 1, 0), transfer(&mut p, 1, 1));
         let mut miner = node(&p);
-        let b1 = mine(&p, &mut miner, 1, &[transfer(1, 0)]);
+        let b1 = mine(&p, &mut miner, 1, &[t0]);
         // As `deploy` does to every node's head at set-up.
         miner.install_contract(&p, &addr, &code);
-        let b2 = mine(&p, &mut miner, 2, &[transfer(1, 1)]);
+        let b2 = mine(&p, &mut miner, 2, &[t1]);
         let mut validators = [node(&p), node(&p)];
         for n in &mut validators {
             deliver(&p, n, &b1);

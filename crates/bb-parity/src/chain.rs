@@ -14,6 +14,7 @@ use bb_crypto::Hash256;
 use bb_ethereum::account_chain::{AccountChain, Consensus, Setup};
 use bb_ethereum::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use bb_ethereum::state::AccountState;
+use bb_ethereum::txs::TxTable;
 use bb_sim::{CpuMeter, Effects, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_storage::{KvError, MemStore};
 use bb_types::{Block, NodeId, Transaction};
@@ -33,6 +34,8 @@ pub enum PoaEvent {
         to: NodeId,
         /// The transaction.
         tx: Arc<Transaction>,
+        /// Its index in the world's [`TxTable`].
+        index: u32,
         /// First hop (gossip to peers) or relayed.
         relayed: bool,
     },
@@ -63,6 +66,7 @@ pub struct PoaCtx {
     config: ParityConfig,
     params: ChainParams,
     schedule: PoaSchedule,
+    txs: TxTable,
 }
 
 impl PoaCtx {
@@ -83,6 +87,13 @@ impl ChainPlatform for PoaCtx {
     }
     fn params_mut(&mut self) -> &mut ChainParams {
         &mut self.params
+    }
+
+    fn txs(&self) -> &TxTable {
+        &self.txs
+    }
+    fn txs_mut(&mut self) -> &mut TxTable {
+        &mut self.txs
     }
 
     /// No block records: nothing here is durable. A failed commit means the
@@ -119,7 +130,7 @@ impl ChainPlatform for PoaCtx {
     }
 
     /// No block records: the main chain follows as `(block, root)` chunks.
-    fn state_landed(_node: &mut ChainNode<MemStore>) -> bool {
+    fn state_landed(&self, _node: &mut ChainNode<MemStore>) -> bool {
         false
     }
 }
@@ -158,7 +169,9 @@ impl ShardedWorld for PoaWorld {
             // These two keep the round ticking and the admission pipeline
             // draining on a crashed node; they check the flag themselves.
             PoaEvent::Step { index } => on_step(ctx, node, id, now, index, fx),
-            PoaEvent::TxAdmit { tx, relayed, .. } => on_admit(ctx, node, id, now, tx, relayed, fx),
+            PoaEvent::TxAdmit { tx, index, relayed, .. } => {
+                on_admit(ctx, node, id, now, tx, index, relayed, fx)
+            }
             _ if ctx.params.crashed[id.index()] => {} // a dead process handles nothing else
             PoaEvent::Sync { msg, .. } => {
                 // A deep gap opens a state transfer; nothing to stop here —
@@ -197,12 +210,14 @@ fn on_step(
     node.chain.produce(ctx, now, me, index, fx);
 }
 
+#[allow(clippy::too_many_arguments)]
 fn on_admit(
     ctx: &PoaCtx,
     node: &mut PoaNode,
     me: NodeId,
     now: SimTime,
     tx: Arc<Transaction>,
+    index: u32,
     relayed: bool,
     fx: &mut Effects<PoaEvent>,
 ) {
@@ -210,7 +225,7 @@ fn on_admit(
         node.admission_backlog = node.admission_backlog.saturating_sub(1);
         node.chain.cpu.charge(now, ctx.config.costs.sig_verify);
     }
-    if ctx.params.crashed[me.index()] || !node.chain.enqueue(Arc::clone(&tx)) {
+    if ctx.params.crashed[me.index()] || !node.chain.enqueue(Arc::clone(&tx), index) {
         return;
     }
     if !relayed {
@@ -222,7 +237,8 @@ fn on_admit(
                 continue;
             }
             let tx = Arc::clone(&tx);
-            fx.send(peer.0, size, move |_at| PoaEvent::TxAdmit { to: peer, tx, relayed: true });
+            let relay = move |_at| PoaEvent::TxAdmit { to: peer, tx, index, relayed: true };
+            fx.send(peer.0, size, relay);
         }
     }
 }
@@ -257,6 +273,7 @@ impl Consensus for PoaWorld {
                 (0..config.nodes).map(NodeId).collect(),
                 config.step_duration,
             ),
+            txs: TxTable::default(),
         };
         Setup {
             ctx,
@@ -311,7 +328,8 @@ impl Consensus for PoaWorld {
         let Some(done) = done else {
             return false;
         };
-        let admit = PoaEvent::TxAdmit { to: server, tx: Arc::new(tx), relayed: false };
+        let index = chain.engine.with_ctx_mut(|ctx| ctx.txs.intern(tx.id()));
+        let admit = PoaEvent::TxAdmit { to: server, tx: Arc::new(tx), index, relayed: false };
         chain.engine.schedule(done, admit);
         true
     }
@@ -319,7 +337,8 @@ impl Consensus for PoaWorld {
     /// Total amnesia: a fresh genesis node, which re-downloads the chain
     /// from a live peer and re-executes it (later deploys land as their
     /// blocks execute). Parity keeps no durable store, so this is the whole
-    /// recovery story.
+    /// recovery story. The transaction table is the world's, in `ctx`: the
+    /// fresh node indexes what it re-executes as every other node does.
     fn rebuild(ctx: &PoaCtx, node: &mut PoaNode) {
         let store = MemStore::with_capacity_cap(state_cap(&ctx.config));
         let cpu = std::mem::replace(&mut node.chain.cpu, CpuMeter::new(1));
@@ -643,6 +662,66 @@ mod tests {
         assert_eq!(a0.nonce, a3.nonce);
         assert_eq!(a0.balance, a3.balance);
         assert!(a0.nonce > 0, "client transactions never landed");
+    }
+
+    fn pool_len(c: &ParityChain, i: u32) -> usize {
+        c.engine.with_node(i, |n| n.chain.pool_len())
+    }
+
+    /// One signed transaction submitted at two servers enters the world's
+    /// table once, and every authority pools it once.
+    #[test]
+    fn tx_table_enters_a_transaction_submitted_twice_once() {
+        let mut c = chain(4);
+        let contract = c.deploy(&donothing::bundle());
+        let tx = client_tx(1, 0, contract, donothing::call());
+        assert!(c.submit(NodeId(0), tx.clone()));
+        assert!(c.submit(NodeId(1), tx));
+        // Before the first step, at 1 s, takes it into a block.
+        c.advance_to(SimTime::from_millis(500));
+        assert_eq!(c.engine.with_ctx(|ctx| ctx.txs.len()), 1);
+        for i in 0..4 {
+            assert_eq!(c.engine.with_node(i, |n| n.chain.tree.head_height()), 0);
+            assert_eq!(pool_len(&c, i), 1, "authority {i}");
+        }
+    }
+
+    /// A restarted authority is a fresh genesis node over the world's one
+    /// transaction table: it refuses a relayed transaction of the chain it
+    /// re-executed, and pools a new one once.
+    #[test]
+    fn tx_table_is_shared_with_a_restarted_node() {
+        let mut c = chain(4);
+        let contract = c.deploy(&ycsb::bundle());
+        let write = |nonce| client_tx(1, nonce, contract, ycsb::write_call(nonce, b"v"));
+        for nonce in 0..8 {
+            assert!(c.submit(NodeId((nonce % 4) as u32), write(nonce)));
+        }
+        c.advance_to(SimTime::from_secs(6));
+        c.inject(Fault::Crash(NodeId(2)));
+        c.advance_to(SimTime::from_secs(8));
+        c.inject(Fault::Restart(NodeId(2)));
+        c.advance_to(SimTime::from_millis(20_500));
+        let committed: usize = c.confirmed_blocks_since(0).iter().map(|b| b.txs.len()).sum();
+        assert_eq!(committed, 8);
+        let old = Arc::new(write(0));
+        let executed = c.engine.with_node(2, |n| {
+            let blocks = n.chain.bodies.iter().filter(|(id, _)| n.chain.roots.contains_key(*id));
+            blocks.flat_map(|(_, b)| &b.txs).any(|t| t.id() == old.id())
+        });
+        assert!(executed, "the restarted authority never re-executed the first write");
+        assert_eq!(pool_len(&c, 2), 0);
+        let index = c.engine.with_ctx(|ctx| ctx.txs.index(&old.id()));
+        let now = c.now();
+        c.engine.schedule(now, PoaEvent::TxAdmit { to: NodeId(2), tx: old, index, relayed: true });
+        c.advance_to(now + SimDuration::from_millis(1));
+        assert_eq!(pool_len(&c, 2), 0, "a re-executed transaction was pooled again");
+        let new = write(8);
+        assert!(c.submit(NodeId(2), new.clone()));
+        assert!(c.submit(NodeId(3), new));
+        c.advance_to(now + SimDuration::from_millis(100));
+        assert_eq!(c.engine.with_ctx(|ctx| ctx.txs.len()), 9);
+        assert_eq!(pool_len(&c, 2), 1);
     }
 
     /// Every event waits in the engine's heap, and the snapshot transfer

@@ -187,6 +187,38 @@ if [ "$walkers" != lowest_awaiting ]; then
     exit 1
 fi
 
+echo "==> one transaction table: account-chain replicas keep bitsets over the world's dense indices"
+# DESIGN.md §4 "What stays per node": a transaction gets its index once, in
+# the world's `bb_ethereum::txs::TxTable`, when it enters the world at a
+# server's RPC (`Consensus::admit`) or in a set-up preload; a replica's
+# `seen` and pool are bitsets and vectors over those indices, never
+# digest-keyed tables of ids. The tests: one entry and one pool entry for a
+# transaction submitted twice, a restarted Parity authority on the world's
+# index space, a restarted Ethereum node refusing its recovered (preloaded
+# included) transactions, and the bitset's edges.
+for platform in bb-ethereum bb-parity; do
+    smoke -p "$platform" tx_table
+    smoke --release -p "$platform" tx_table
+done
+tables=$(for f in crates/bb-ethereum/src/node.rs crates/bb-parity/src/chain.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /Digest(Set|Map)<([a-z_0-9]+::)*TxId([^A-Za-z_0-9]|$)/ { print f ":" NR ": " $0 }' "$f"
+done)
+if [ -n "$tables" ]; then
+    echo "$tables"
+    echo "ERROR: a replica keeps a digest-keyed table of transaction ids; index the world's TxTable" >&2
+    exit 1
+fi
+interners=$(for f in $(git ls-files 'crates/*.rs'); do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        /\.intern\(/ { print fn }' "$f"
+done | sort -u | tr '\n' ' ')
+if [ "$interners" != "admit preload_blocks " ]; then
+    echo "ERROR: the transaction table is written outside admit and preload_blocks (in: ${interners:-nothing})" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
