@@ -1380,7 +1380,7 @@ mod tests {
         let mut fx = Effects::detached(ME.0, now);
         let msg = SyncMsg::Block { block: Arc::clone(block), from: PEER };
         assert!(!n.on_sync(p, now, ME, msg, &mut fx), "no snapshot transfer expected");
-        fx.take_sends(now).into_iter().map(|(_, _, event)| event).collect()
+        fx.take_sends().into_iter().map(|(_, _, event)| event).collect()
     }
 
     #[test]
@@ -1449,7 +1449,7 @@ mod tests {
         let now = SimTime::from_secs(100);
         let mut fx = Effects::detached(PEER.0, now);
         miner.on_sync(&p, now, PEER, SyncMsg::HeadRequest { from: ME }, &mut fx);
-        let served = fx.take_sends(now);
+        let served = fx.take_sends();
         assert!(matches!(
             served.as_slice(),
             [(0, _, TestEvent::Sync(ME, SyncMsg::Block { block, from: PEER }))] if block.id() == b2.id()
@@ -1540,7 +1540,7 @@ mod tests {
         let mut fx = Effects::detached(ME.0, now);
         let msg = SyncMsg::Block { block: head, from: PEER };
         assert!(n.on_sync(&p, now, ME, msg, &mut fx), "deep gap must open a transfer");
-        let sent = fx.take_sends(now);
+        let sent = fx.take_sends();
         assert!(matches!(
             sent.as_slice(),
             [(1, _, TestEvent::Sync(PEER, SyncMsg::StateRequest { from: ME, after: None }))]
@@ -1559,7 +1559,7 @@ mod tests {
         let now = SimTime::from_secs(100);
         let mut fx = Effects::detached(PEER.0, now);
         peer.on_sync(&p, now, PEER, SyncMsg::StateRequest { from: ME, after: None }, &mut fx);
-        let mut served = fx.take_sends(now);
+        let mut served = fx.take_sends();
         assert_eq!(served.len(), 1, "the peer must serve exactly one chunk: {served:?}");
         let (lane, wire_bytes, TestEvent::Sync(to, chunk)) = served.pop().expect("one send");
         assert_eq!((lane, to), (ME.0, ME));
@@ -1570,7 +1570,7 @@ mod tests {
         let mut fx = Effects::detached(ME.0, now);
         n.on_sync(&p, now, ME, chunk, &mut fx);
         assert_eq!((n.counters.snapshot_chunks, n.counters.snapshot_bytes), (1, wire_bytes));
-        let sent = fx.take_sends(now);
+        let sent = fx.take_sends();
         assert!(
             matches!(
                 sent.as_slice(),

@@ -14,6 +14,12 @@
 //!   outbox as the handler returns, in emission order — the only place the
 //!   shared network RNG is consumed.
 //!
+//! The heap holds only keys: a 32-byte entry of key, lane and slot, whatever
+//! the event's size. The events wait in a slab beside it whose freed slots
+//! are reused, so a world's slab is as long as its most events ever queued at
+//! once. A send's event is built when the handler sends it; the network only
+//! decides whether and when it arrives.
+//!
 //! So the event order is one sentence: events run in `(time, lane-class,
 //! sequence)` order, and an event's sends are delivered, in the order it made
 //! them, before the next event runs. Every committed `results/*.csv` depends
@@ -26,6 +32,7 @@
 //! (`bb-bench::parallel`); DESIGN.md §5 has the measurements behind that.
 
 use crate::{SimDuration, SimTime};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -140,11 +147,7 @@ impl<K: PartialEq, V> RecentOutcomes<K, V> {
 /// A cross-lane interaction waiting in an outbox for its handler to return.
 enum Emit<E> {
     /// A network message: delivery (and its RNG draws) happens on return.
-    Send {
-        to: u32,
-        bytes: u64,
-        build: Box<dyn FnOnce(SimTime) -> E + Send>,
-    },
+    Send { to: u32, bytes: u64, event: E },
     /// A direct cross-lane schedule (must be `>= now + lookahead`).
     At { at: SimTime, event: E },
 }
@@ -169,14 +172,14 @@ impl<E> Effects<E> {
         Effects { lane, now, emits: Vec::new(), local: Vec::new(), counts: [0; N_COUNTERS] }
     }
 
-    /// Take every message sent so far as `(to, bytes, event)`, each event
-    /// built as if it arrived at `arrival` (what the engine does with a
-    /// returned outbox, minus the network; cross-lane schedules stay queued).
-    pub fn take_sends(&mut self, arrival: SimTime) -> Vec<(u32, u64, E)> {
+    /// Take every message sent so far as `(to, bytes, event)`, each event as
+    /// it was built at its send (what the engine does with a returned outbox,
+    /// minus the network; cross-lane schedules stay queued).
+    pub fn take_sends(&mut self) -> Vec<(u32, u64, E)> {
         let mut sends = Vec::new();
         for emit in std::mem::take(&mut self.emits) {
             match emit {
-                Emit::Send { to, bytes, build } => sends.push((to, bytes, build(arrival))),
+                Emit::Send { to, bytes, event } => sends.push((to, bytes, event)),
                 schedule => self.emits.push(schedule),
             }
         }
@@ -199,16 +202,13 @@ impl<E> Effects<E> {
         self.local.push((at, event));
     }
 
-    /// Send `bytes` to lane `to` over the network. Delivery time, loss and
-    /// corruption are decided when the handler returns, in emission order;
-    /// `build` turns the arrival time into the event to deliver.
-    pub fn send(
-        &mut self,
-        to: u32,
-        bytes: u64,
-        build: impl FnOnce(SimTime) -> E + Send + 'static,
-    ) {
-        self.emits.push(Emit::Send { to, bytes, build: Box::new(build) });
+    /// Send `bytes` to lane `to` over the network. `build` runs once, here,
+    /// with the send instant, and its event waits in the outbox; delivery
+    /// time, loss and corruption are decided when the handler returns, in
+    /// emission order.
+    pub fn send(&mut self, to: u32, bytes: u64, build: impl FnOnce(SimTime) -> E) {
+        let event = build(self.now);
+        self.emits.push(Emit::Send { to, bytes, event });
     }
 
     /// Schedule an event that may land on *another* lane. Must be at least
@@ -231,28 +231,45 @@ pub trait Outboard {
     fn send(&mut self, now: SimTime, from: u32, to: u32, bytes: u64) -> Option<SimTime>;
 }
 
-struct Entry<E> {
+/// A queued event's place in the heap: its key, the lane it executes on
+/// (routed when it was queued) and its slot in the [`Queue`]'s slab. Keys
+/// are unique, so the lane and slot never decide the order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
     key: EventKey,
-    /// The lane the event executes on (routed when it was queued).
     lane: u32,
-    event: E,
+    slot: u32,
 }
 
-// Min-heap on the canonical key (BinaryHeap is a max-heap).
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
+/// The queued events: a min-heap of keys over a slab of events. A sift
+/// moves 32-byte entries, never an event; a popped event leaves its slot
+/// free for the next one queued.
+struct Queue<E> {
+    heap: BinaryHeap<Reverse<Entry>>,
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<E> Queue<E> {
+    fn push(&mut self, key: EventKey, lane: u32, event: E) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 events queued")
+        });
+        self.slab[slot as usize] = Some(event);
+        self.heap.push(Reverse(Entry { key, lane, slot }));
     }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
+
+    /// The lowest-keyed event if it is due by `deadline`, taken out of its
+    /// slot, with its key and lane.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<(EventKey, u32, E)> {
+        if self.heap.peek()?.0.key.at > deadline {
+            return None;
+        }
+        let Reverse(Entry { key, lane, slot }) = self.heap.pop().expect("peeked entry pops");
+        self.free.push(slot);
+        let event = self.slab[slot as usize].take().expect("a queued slot holds its event");
+        Some((key, lane, event))
     }
 }
 
@@ -266,7 +283,7 @@ struct Lane<W: ShardedWorld> {
 /// The event loop. One instance per simulated world.
 pub struct ShardedEngine<W: ShardedWorld> {
     lanes: Vec<Lane<W>>,
-    heap: BinaryHeap<Entry<W::Event>>,
+    queue: Queue<W::Event>,
     ctx: W::Ctx,
     /// Floor under the delay of every cross-lane effect.
     lookahead: SimDuration,
@@ -287,7 +304,7 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         );
         ShardedEngine {
             lanes: nodes.into_iter().map(|node| Lane { node, seq: 0 }).collect(),
-            heap: BinaryHeap::new(),
+            queue: Queue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() },
             ctx,
             lookahead,
             now: SimTime::ZERO,
@@ -319,7 +336,7 @@ impl<W: ShardedWorld> ShardedEngine<W> {
         let lane = W::route(&self.ctx, &event);
         let key = EventKey { at, lane: GLOBAL_LANE, seq: self.main_seq };
         self.main_seq += 1;
-        self.heap.push(Entry { key, lane, event });
+        self.queue.push(key, lane, event);
     }
 
     /// Read-only access to the shared context.
@@ -379,18 +396,18 @@ impl<W: ShardedWorld> ShardedEngine<W> {
     /// Run the world up to and including `deadline`, then set `now` to it.
     /// The clock never runs backwards: a `deadline` before `now` panics.
     ///
-    /// Events pop in [`EventKey`] order. Each handler's same-lane follow-ups
-    /// are queued first, then its emits are applied in emission order: a
-    /// send asks `out` for an arrival time and queues what `build` makes of
-    /// it, a cross-lane schedule is queued as given. Both land at least one
-    /// lookahead after the event that made them.
+    /// Events pop in [`EventKey`] order, each taken out of its slab slot.
+    /// Each handler's same-lane follow-ups are queued first, then its emits
+    /// are applied in emission order: a send asks `out` for an arrival time
+    /// and queues the event built at the send, a cross-lane schedule is
+    /// queued as given. Both land at least one lookahead after the event
+    /// that made them.
     pub fn run_until(&mut self, deadline: SimTime, out: &mut impl Outboard) {
         assert!(deadline >= self.now, "run_until into the past: {:?} -> {deadline:?}", self.now);
         // One outbox for the whole run, emptied after every event: a
         // broadcast's sends reuse its buffer instead of growing a fresh one.
         let mut fx = Effects::detached(0, self.now);
-        while self.heap.peek().is_some_and(|head| head.key.at <= deadline) {
-            let Entry { key, lane, event } = self.heap.pop().expect("peeked entry pops");
+        while let Some((key, lane, event)) = self.queue.pop_due(deadline) {
             let now = key.at;
             (fx.lane, fx.now) = (lane, now);
             let slot = &mut self.lanes[lane as usize];
@@ -403,20 +420,20 @@ impl<W: ShardedWorld> ShardedEngine<W> {
                 );
                 let key = EventKey { at, lane, seq: slot.seq };
                 slot.seq += 1;
-                self.heap.push(Entry { key, lane, event });
+                self.queue.push(key, lane, event);
             }
             for (total, by) in self.counters.iter_mut().zip(&mut fx.counts) {
                 *total += std::mem::take(by);
             }
             for emit in fx.emits.drain(..) {
                 match emit {
-                    Emit::Send { to, bytes, build } => {
+                    Emit::Send { to, bytes, event } => {
                         if let Some(at) = out.send(now, lane, to, bytes) {
                             assert!(
                                 at >= now + self.lookahead,
                                 "network delivered under lookahead: {now:?} -> {at:?}"
                             );
-                            self.enqueue(at, build(at));
+                            self.enqueue(at, event);
                         }
                     }
                     Emit::At { at, event } => {
@@ -430,6 +447,14 @@ impl<W: ShardedWorld> ShardedEngine<W> {
             }
         }
         self.now = deadline;
+    }
+}
+
+#[cfg(test)]
+impl<W: ShardedWorld> ShardedEngine<W> {
+    /// Slots in the event slab, free or holding an event.
+    fn slab_len(&self) -> usize {
+        self.queue.slab.len()
     }
 }
 
@@ -541,14 +566,21 @@ mod tests {
             .collect()
     }
 
-    fn run_ring(lanes: u32, hops: u32) -> (Lanes, u64, u64) {
+    /// The ring after every lane's ping has travelled `hops` hops, and how
+    /// many sends it made.
+    fn finished_ring(lanes: u32, hops: u32) -> (ShardedEngine<Ring>, u64) {
         let mut engine = ring_engine(lanes);
         let mut net = FixedNet { latency: SimDuration::from_micros(700), sends: 0 };
         for l in 0..lanes {
             engine.schedule(SimTime(10 + l as u64), Ping::Ping { to: l, hops });
         }
         engine.run_until(SimTime::from_secs(1), &mut net);
-        (lanes_of(&engine), engine.counter(0), net.sends)
+        (engine, net.sends)
+    }
+
+    fn run_ring(lanes: u32, hops: u32) -> (Lanes, u64, u64) {
+        let (engine, sends) = finished_ring(lanes, hops);
+        (lanes_of(&engine), engine.counter(0), sends)
     }
 
     #[test]
@@ -630,6 +662,27 @@ mod tests {
         assert_eq!(counts(&nodes), [(14, 14); 5]);
         assert_eq!((counter, sends), (70, 65));
         assert_eq!(fold_logs(&nodes), 0x9886_6915_29b4_f5bc);
+    }
+
+    /// A popped event frees its slot before its handler queues anything, so
+    /// the slab is as long as the most events ever queued at once. In the
+    /// 5-lane ring at most 8 are: the pings at 10–14 µs each queue an echo
+    /// 3 µs on and a ping 700 µs on, and the echoes at 13 and 14 µs run
+    /// before the pings of those instants (lane keys sort before driver
+    /// keys), so the last two pings each replace what their echo freed.
+    /// Every later round repeats that shape 700 µs on.
+    #[test]
+    fn slab_reuses_freed_slots() {
+        let (engine, _) = finished_ring(5, 13);
+        let run = (0..5).map(|l| engine.with_node(l, |n| n.pings + n.echoes)).sum::<u64>();
+        assert_eq!(run, 140);
+        assert_eq!(engine.slab_len(), 8);
+    }
+
+    /// A sift moves key, lane and slot, never the event.
+    #[test]
+    fn heap_entries_stay_within_32_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 32, "{} bytes", std::mem::size_of::<Entry>());
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl Wal {
         self.append_record(vfs, TAG_BATCH, &blob, &[]);
     }
 
-    /// Truncate after a successful memtable flush.
+    /// Truncate after a successful memtable flush. The file keeps its
+    /// buffer, so the next batches append without regrowing it.
     pub fn reset(&self, vfs: &mut Vfs) {
         vfs.create(&self.file);
     }

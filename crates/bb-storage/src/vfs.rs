@@ -213,8 +213,15 @@ impl Vfs {
         }
     }
 
-    /// Create or truncate a file.
+    /// Create or truncate a file. An open file is emptied in place and keeps
+    /// its allocation, so a log reset after every flush does not regrow its
+    /// buffer; a sealed file lets go of its bytes and starts afresh.
     pub fn create(&mut self, name: &str) {
+        if let Some(Bytes::Open(data)) = self.files.get_mut(name) {
+            data.clear();
+            self.last_append.remove(name);
+            return;
+        }
         self.delete(name);
         self.files.insert(name.to_string(), Bytes::Open(Vec::new()));
     }
@@ -408,6 +415,14 @@ impl Vfs {
         self.pool.0.lock().unwrap().values().map(Vec::len).sum()
     }
 
+    /// The allocation behind an open file, in bytes.
+    pub(crate) fn open_capacity(&self, name: &str) -> Option<usize> {
+        match self.files.get(name)? {
+            Bytes::Open(data) => Some(data.capacity()),
+            Bytes::Sealed(_) => None,
+        }
+    }
+
     /// Do both disks hold `name` in one allocation?
     pub(crate) fn shares_file(&self, other: &Vfs, name: &str) -> bool {
         match (self.files.get(name), other.files.get(name)) {
@@ -519,6 +534,30 @@ mod tests {
         vfs.append("f", b"z");
         vfs.delete("f");
         assert_eq!(vfs.last_append_start("f"), None);
+    }
+
+    #[test]
+    fn create_empties_an_open_file_in_place() {
+        let mut vfs = Vfs::new();
+        vfs.append("wal", b"first batch");
+        vfs.append("wal", b"second");
+        let mut fresh = vfs.clone();
+        fresh.delete("wal");
+        fresh.create("wal");
+        vfs.create("wal");
+        assert!(vfs.open_capacity("wal").is_some_and(|cap| cap >= 17), "the buffer was let go");
+        assert_eq!(vfs, fresh, "a file emptied in place is a file created afresh");
+        assert_eq!(vfs.last_append_start("wal"), None);
+        vfs.append("wal", b"next");
+        assert_eq!(vfs.last_append_start("wal"), Some(0));
+        assert_eq!(vfs.read("wal").unwrap(), b"next");
+        // A sealed file is let go of, not emptied in place.
+        let probe = vfs.clone();
+        vfs.write("manifest", b"sealed");
+        assert_eq!(probe.sealed_pool_len(), 1);
+        vfs.create("manifest");
+        assert_eq!(probe.sealed_pool_len(), 0);
+        assert_eq!(vfs.file_size("manifest"), Some(0));
     }
 
     #[test]

@@ -219,6 +219,28 @@ if [ "$interners" != "admit preload_blocks " ]; then
     exit 1
 fi
 
+echo "==> one engine queue: 32-byte keys in the heap, events in a slab, a send's event built as it is sent"
+# DESIGN.md §5 "The event order": the heap orders `(key, lane, slot)`
+# entries and the events wait in a slab whose freed slots are reused; a send
+# builds its event at once and the outbox holds it, no box. The order is
+# the one `merge_order` pins by value. A log reset keeps its buffer: `create`
+# empties an open file in place.
+smoke -p bb-sim merge_order
+smoke --release -p bb-sim merge_order
+smoke -p bb-sim slab_reuses_freed_slots
+smoke --release -p bb-sim slab_reuses_freed_slots
+smoke -p bb-sim heap_entries_stay_within_32_bytes
+smoke --release -p bb-sim heap_entries_stay_within_32_bytes
+smoke -p bb-storage create_empties_an_open_file_in_place
+smoke --release -p bb-storage create_empties_an_open_file_in_place
+boxed=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /Box<dyn FnOnce|Entry</ { print NR ": " $0 }' crates/bb-sim/src/shard.rs)
+if [ -n "$boxed" ]; then
+    echo "$boxed"
+    echo "ERROR: the engine boxes a send or carries events in its heap entries" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
