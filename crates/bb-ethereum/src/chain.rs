@@ -115,7 +115,7 @@ impl ChainPlatform for EthCtx {
     ) -> Result<(), KvError> {
         let record = block_meta_record(&state.root(), block);
         state
-            .commit_block_with_meta(vec![(block_meta_key(id), Some(record))])
+            .commit_block_with_meta(vec![(block_meta_key(id).into(), Some(record))])
             .expect("state store healthy");
         Ok(())
     }
@@ -213,10 +213,8 @@ fn block_meta_key(id: &Hash256) -> Vec<u8> {
 /// The root is recorded separately from `header.state_root` because setup
 /// writes (genesis funding, contract deploys) re-commit a block's state
 /// without re-hashing its header.
-fn block_meta_record(root: &Hash256, block: &Block) -> Vec<u8> {
-    let mut v = root.0.to_vec();
-    v.extend_from_slice(&block.encode());
-    v
+fn block_meta_record(root: &Hash256, block: &Block) -> Arc<[u8]> {
+    block.encode_after(&root.0).into()
 }
 
 fn decode_block_meta(value: &[u8]) -> Option<(Hash256, Block)> {

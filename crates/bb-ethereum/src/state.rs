@@ -16,7 +16,7 @@
 //! (Section 3.1.3).
 
 use bb_merkle::{PatriciaTrie, TrieDelta};
-use bb_storage::{KvError, KvStore};
+use bb_storage::{KvError, KvOps, KvStore};
 use bb_svm::{Host, Vm};
 use bb_types::{Address, Transaction, TxId};
 use blockbench::contract::{decode_call, SvmContract};
@@ -225,10 +225,7 @@ impl<S: KvStore> AccountState<S> {
     /// [`Self::commit_block`] plus raw metadata ops (durable block records,
     /// head pointers) riding the *same* atomic write batch — a crash can
     /// never separate a block's state flush from its chain metadata.
-    pub fn commit_block_with_meta(
-        &mut self,
-        extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<(), KvError> {
+    pub fn commit_block_with_meta(&mut self, extras: KvOps) -> Result<(), KvError> {
         self.trie.commit_with_extras(extras)
     }
 

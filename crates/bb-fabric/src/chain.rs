@@ -107,10 +107,8 @@ fn block_meta_key(height: u64) -> Vec<u8> {
 /// installed outside consensus, i.e. preloads) followed by the encoded
 /// block. The floor is stored explicitly because preloaded blocks consume
 /// heights without consuming sequence numbers.
-fn block_meta_record(pbft_floor: u64, block: &Block) -> Vec<u8> {
-    let mut v = pbft_floor.to_be_bytes().to_vec();
-    v.extend_from_slice(&block.encode());
-    v
+fn block_meta_record(pbft_floor: u64, block: &Block) -> Arc<[u8]> {
+    block.encode_after(&pbft_floor.to_be_bytes()).into()
 }
 
 fn decode_block_meta(value: &[u8]) -> Option<(u64, Block)> {
@@ -220,7 +218,7 @@ impl FabNode {
         let record = block_meta_record(floor, &block);
         let block_bytes = (record.len() - 8) as u64;
         self.state
-            .commit_block_with_meta(vec![(block_meta_key(height), Some(record))])
+            .commit_block_with_meta(vec![(block_meta_key(height).into(), Some(record))])
             .expect("state store healthy");
         if me.index() == 0 {
             self.confirmed.push(BlockSummary {

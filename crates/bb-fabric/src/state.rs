@@ -158,10 +158,7 @@ impl FabricState {
     /// atomic batch, so a crash can never separate a block's state flush
     /// from its chain metadata. Keys must live outside the `s:` state
     /// namespace (they bypass the bucket digests).
-    pub fn commit_block_with_meta(
-        &mut self,
-        extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<(), bb_storage::KvError> {
+    pub fn commit_block_with_meta(&mut self, extras: KvOps) -> Result<(), bb_storage::KvError> {
         self.tree.commit_with_extras(extras)
     }
 
@@ -211,9 +208,9 @@ impl FabricState {
         if !result.success || !commit {
             return result;
         }
-        let flushed = writes.iter().try_for_each(|(key, value)| match value {
-            Some(v) => self.tree.put(key, v),
-            None => self.tree.delete(key),
+        let flushed = writes.into_iter().try_for_each(|(key, value)| match value {
+            Some(v) => self.tree.put(&key, v),
+            None => self.tree.delete(&key),
         });
         match flushed {
             Ok(()) => result,
@@ -230,7 +227,7 @@ impl FabricState {
 
     /// Run the chaincode call itself. Buffered writes are returned, not
     /// applied.
-    fn execute_call(&mut self, tx: &Transaction, height: u64) -> (InvokeResult, KvOps) {
+    fn execute_call(&mut self, tx: &Transaction, height: u64) -> (InvokeResult, Writes) {
         let fail = |err: &str| InvokeResult {
             success: false,
             units: 1,
@@ -240,16 +237,16 @@ impl FabricState {
             error: Some(err.into()),
         };
         let Some((method, args)) = decode_call(&tx.payload) else {
-            return (fail("empty payload"), Vec::new());
+            return (fail("empty payload"), Writes::new());
         };
         let Some(chaincode) = self.chaincodes.get_mut(&tx.to) else {
-            return (fail("no chaincode at target"), Vec::new());
+            return (fail("no chaincode at target"), Writes::new());
         };
         let mut ctx = FabricContext {
             tree: &mut self.tree,
             mem: &mut self.mem,
             addr: tx.to,
-            writes: BTreeMap::new(),
+            writes: Writes::new(),
             caller: tx.from.0,
             height,
             units: 2, // unmarshal + dispatch
@@ -278,13 +275,13 @@ impl FabricState {
                     output: Vec::new(),
                     error: Some(e),
                 },
-                Vec::new(),
+                Writes::new(),
             );
         }
         match result {
             Ok(output) => (
                 InvokeResult { success: true, units, state_ops, peak_alloc, output, error: None },
-                writes.into_iter().collect(),
+                writes,
             ),
             Err(e) => (
                 InvokeResult {
@@ -295,18 +292,23 @@ impl FabricState {
                     output: Vec::new(),
                     error: Some(e),
                 },
-                Vec::new(),
+                Writes::new(),
             ),
         }
     }
 }
+
+/// An invocation's buffered writes by namespaced key: `Some` value (a put,
+/// held as the shared bytes the bucket tree's overlay takes) or `None` (a
+/// delete).
+type Writes = BTreeMap<Vec<u8>, Option<Arc<[u8]>>>;
 
 /// Per-invocation context: buffered writes over the shared bucket tree.
 struct FabricContext<'a> {
     tree: &'a mut BucketTree<LsmStore>,
     mem: &'a mut MemMeter,
     addr: Address,
-    writes: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    writes: Writes,
     caller: [u8; 20],
     height: u64,
     units: u64,
@@ -322,7 +324,7 @@ impl ChaincodeContext for FabricContext<'_> {
         self.state_ops += 1;
         let nkey = namespaced(&self.addr, key);
         if let Some(buffered) = self.writes.get(&nkey) {
-            return buffered.clone();
+            return buffered.as_deref().map(<[u8]>::to_vec);
         }
         match self.tree.get(&nkey) {
             Ok(v) => v,
@@ -336,7 +338,7 @@ impl ChaincodeContext for FabricContext<'_> {
     fn put_state(&mut self, key: &[u8], value: &[u8]) {
         self.units += 2;
         self.state_ops += 1;
-        self.writes.insert(namespaced(&self.addr, key), Some(value.to_vec()));
+        self.writes.insert(namespaced(&self.addr, key), Some(value.into()));
     }
 
     fn delete_state(&mut self, key: &[u8]) {

@@ -20,8 +20,10 @@
 
 use crate::merkle::merkle_root;
 use bb_crypto::Hash256;
-use bb_storage::{KvError, KvPairs, KvStore, WriteBatch};
+use bb_storage::{IntoShared, KvError, KvOps, KvPairs, KvStore, WriteBatch};
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 const STATE_PREFIX: &[u8] = b"s:";
 
@@ -66,7 +68,7 @@ fn build_levels(buckets: &[Hash256]) -> Vec<Vec<Hash256>> {
 /// the seal, store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockDelta {
-    pending: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    pending: Overlay,
     buckets: Vec<(usize, Hash256)>,
     /// Per internal level, bottom-up, the `(index, node)` of every ancestor
     /// of `buckets`; empty when the tree's levels were not current.
@@ -74,6 +76,10 @@ pub struct BlockDelta {
     entries: u64,
     superseded: u64,
 }
+
+/// A tree's pending overlay: full store key to `Some` value (a put) or
+/// `None` (a delete), as shared bytes.
+type Overlay = BTreeMap<Arc<[u8]>, Option<Arc<[u8]>>>;
 
 /// Authenticated state store: flat key-value data plus bucket digests.
 ///
@@ -100,8 +106,10 @@ pub struct BucketTree<S: KvStore> {
     dirty: Vec<usize>,
     entries: u64,
     /// Uncommitted state by full store key: `Some` = pending put, `None` =
-    /// pending delete. BTreeMap so commit order is deterministic.
-    pending: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// pending delete. BTreeMap so commit order is deterministic. Shared
+    /// bytes: a block delta, an installing tree and the seal's batch hold
+    /// these allocations, not copies.
+    pending: Overlay,
     /// Values persisted by `commit` calls.
     values_flushed: u64,
     /// Same-key overwrites absorbed by the overlay before reaching storage.
@@ -161,18 +169,15 @@ impl<S: KvStore> BucketTree<S> {
             as usize
     }
 
-    fn state_key(key: &[u8]) -> Vec<u8> {
-        let mut k = Vec::with_capacity(STATE_PREFIX.len() + key.len());
-        k.extend_from_slice(STATE_PREFIX);
-        k.extend_from_slice(key);
-        k
+    fn state_key(key: &[u8]) -> Arc<[u8]> {
+        STATE_PREFIX.iter().chain(key).copied().collect()
     }
 
     /// Look up the live value for a full store key: overlay first, then the
     /// store.
     fn get_skey(&mut self, skey: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         if let Some(pending) = self.pending.get(skey) {
-            return Ok(pending.clone());
+            return Ok(pending.as_deref().map(<[u8]>::to_vec));
         }
         self.store.get(skey)
     }
@@ -183,12 +188,15 @@ impl<S: KvStore> BucketTree<S> {
     }
 
     /// Write a state value, updating the owning bucket digest in O(1). The
-    /// value lands in the pending overlay until [`Self::commit`].
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+    /// value lands in the pending overlay until [`Self::commit`]: an `Arc`
+    /// as it is, borrowed bytes copied once.
+    pub fn put(&mut self, key: &[u8], value: impl IntoShared) -> Result<(), KvError> {
+        let value = value.into_shared();
         let skey = Self::state_key(key);
         let bucket = self.bucket_of(key);
         let old = self.get_skey(&skey)?;
-        if self.pending.insert(skey, Some(value.to_vec())).is_some() {
+        let digest = entry_digest(key, &value);
+        if self.pending.insert(skey, Some(value)).is_some() {
             self.values_superseded += 1;
         }
         if let Some(old) = &old {
@@ -196,7 +204,7 @@ impl<S: KvStore> BucketTree<S> {
         } else {
             self.entries += 1;
         }
-        xor_into(&mut self.bucket_hashes[bucket], &entry_digest(key, value));
+        xor_into(&mut self.bucket_hashes[bucket], &digest);
         self.touch(bucket);
         Ok(())
     }
@@ -242,23 +250,21 @@ impl<S: KvStore> BucketTree<S> {
     /// to the *same* atomic batch — per-block durable metadata (encoded
     /// block, head pointer) commits or vanishes with its state. Extras
     /// bypass the bucket digests, so they must live outside the state
-    /// namespace.
-    pub fn commit_with_extras(
-        &mut self,
-        extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<(), KvError> {
+    /// namespace. The batch holds the overlay's and the extras'
+    /// allocations themselves.
+    pub fn commit_with_extras(&mut self, extras: KvOps) -> Result<(), KvError> {
         if self.pending.is_empty() && extras.is_empty() {
             return Ok(());
         }
         let mut batch = WriteBatch::new();
         for (skey, value) in &self.pending {
             match value {
-                Some(v) => batch.put(skey, v),
-                None => batch.delete(skey),
+                Some(v) => batch.put(Arc::clone(skey), Arc::clone(v)),
+                None => batch.delete(Arc::clone(skey)),
             }
         }
         let n = batch.len() as u64;
-        for (k, v) in &extras {
+        for (k, v) in extras {
             match v {
                 Some(v) => batch.put(k, v),
                 None => batch.delete(k),
@@ -363,11 +369,11 @@ impl<S: KvStore> BucketTree<S> {
             .into_iter()
             .map(|(k, v)| (k, Some(v)))
             .collect();
-        for (k, v) in self.pending.range(sprefix.clone()..) {
+        for (k, v) in self.pending.range::<[u8], _>((Bound::Included(&*sprefix), Bound::Unbounded)) {
             if !k.starts_with(&sprefix) {
                 break;
             }
-            merged.insert(k.clone(), v.clone());
+            merged.insert(k.to_vec(), v.as_deref().map(<[u8]>::to_vec));
         }
         Ok(merged
             .into_iter()
@@ -630,6 +636,35 @@ mod tests {
         }
         batched.commit().unwrap();
         assert_eq!(batched.root(), eager.root());
+    }
+
+    /// An installed delta's overlay holds the runner's value allocations,
+    /// and the seal's batch takes them from there.
+    #[test]
+    fn installed_block_delta_shares_the_runners_values() {
+        let mut ran = tree();
+        let mut installer = tree();
+        for t in [&mut ran, &mut installer] {
+            t.put(b"gone", b"soon").unwrap();
+            t.commit().unwrap();
+        }
+        let value: Arc<[u8]> = Arc::from(&b"made once"[..]);
+        ran.put(b"alice", Arc::clone(&value)).unwrap();
+        ran.put(b"bob", b"copied once").unwrap();
+        ran.delete(b"gone").unwrap();
+        installer.install_block_delta(&ran.block_delta());
+        assert_eq!(installer.pending_values(), 3);
+        for (skey, v) in &ran.pending {
+            let installed = &installer.pending[skey];
+            match (v, installed) {
+                (Some(v), Some(installed)) => assert!(Arc::ptr_eq(v, installed), "{skey:?}"),
+                (v, installed) => assert_eq!((v, installed), (&None, &None), "{skey:?}"),
+            }
+        }
+        assert!(Arc::ptr_eq(ran.pending[&b"s:alice"[..]].as_ref().unwrap(), &value));
+        installer.commit().unwrap();
+        assert_eq!(Arc::strong_count(&value), 2, "the runner's overlay and this test");
+        assert_eq!(installer.get(b"alice").unwrap(), Some(b"made once".to_vec()));
     }
 }
 

@@ -54,7 +54,7 @@
 //! by property test).
 
 use bb_crypto::{DigestMap, DigestSet, Hash256};
-use bb_storage::{KvError, KvPairs, KvStore, WriteBatch};
+use bb_storage::{IntoShared, KvError, KvOp, KvOps, KvPairs, KvStore, WriteBatch};
 use std::sync::Arc;
 
 /// Node cache capacity, in nodes. Nodes are content-addressed and
@@ -132,10 +132,12 @@ pub struct TrieDelta {
     written: u64,
     /// The seal's `nodes_dropped` increment.
     dropped: u64,
-    /// The nodes the seal flushed, in flush order, as the cache holds them.
+    /// The nodes the seal flushed, in flush order: the allocations the
+    /// seal's batch and the cache hold.
     flushed: Vec<(Hash256, Arc<[u8]>)>,
-    /// The raw store operations that rode the seal's batch.
-    extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    /// The raw store operations that rode the seal's batch, as it held
+    /// them.
+    extras: KvOps,
     /// The post-state root.
     root: Hash256,
 }
@@ -661,7 +663,7 @@ impl<S: KvStore> PatriciaTrie<S> {
         }
         let mut batch = WriteBatch::new();
         for (hash, bytes) in &delta.flushed {
-            batch.put(&hash.0, bytes);
+            batch.put(store_key(hash), Arc::clone(bytes));
         }
         push_extras(&mut batch, &delta.extras);
         self.store.apply_batch(batch)?;
@@ -771,14 +773,18 @@ impl<S: KvStore> PatriciaTrie<S> {
         Ref::Node(index)
     }
 
-    /// Hashed arena node `index`'s encoding as the store holds it: every
-    /// lazy slot filled with its child's hash.
-    fn final_bytes(&mut self, index: u32) -> &[u8] {
+    /// Hashed arena node `index`'s encoding as the store holds it, in one
+    /// new allocation: the node's bytes, copied once, with every lazy slot
+    /// filled in place with its child's hash.
+    fn final_bytes(&self, index: u32) -> Arc<[u8]> {
         let (bytes, node) = self.arena.node(index);
-        let nodes = &self.arena.nodes;
-        filled(bytes, node.lazy, &mut self.fill_buf, |child| {
-            nodes[child as usize].hash.expect("children are hashed first")
-        })
+        let mut out: Arc<[u8]> = Arc::from(bytes);
+        let slots = Arc::get_mut(&mut out).expect("a new allocation is unshared");
+        for at in lazy_slots(bytes, node.lazy) {
+            let child = self.arena.nodes[index_at(bytes, at) as usize];
+            slots[at..at + 32].copy_from_slice(&child.hash.expect("children are hashed first").0);
+        }
+        out
     }
 
     /// [`Self::put`] of a copy of an encoding and its lazy bits.
@@ -801,24 +807,32 @@ impl<S: KvStore> PatriciaTrie<S> {
     /// intact and nothing enters the cache, so the in-memory trie stays
     /// fully readable and a later commit retries the flush.
     pub fn commit(&mut self) -> Result<(), KvError> {
-        self.commit_with_extras(Vec::new())
+        self.commit_with_extras(KvOps::new())
     }
 
     /// [`Self::commit`] plus caller-supplied raw store operations appended
     /// to the *same* atomic batch. Platforms persist per-block metadata —
     /// the encoded block, a durable head pointer — with exactly the state
     /// nodes that block committed, so a crash can never separate them.
-    pub fn commit_with_extras(
+    /// Shared extras (`Arc`s) ride the batch and a recorded delta as they
+    /// are; other bytes are copied once.
+    pub fn commit_with_extras<K: IntoShared, V: IntoShared>(
         &mut self,
-        extras: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        extras: Vec<(K, Option<V>)>,
     ) -> Result<(), KvError> {
         if self.arena.nodes.is_empty() && extras.is_empty() {
             return Ok(());
         }
+        let extras: KvOps = extras
+            .into_iter()
+            .map(|(k, v)| (k.into_shared(), v.map(IntoShared::into_shared)))
+            .collect();
         let root = self.root();
         // Deterministic DFS from the committed root, children in slot order;
-        // the batch gets each distinct hash once.
-        let mut flushed: Vec<(Hash256, u32)> = Vec::new();
+        // the batch gets each distinct hash once. Each flushed node is filled
+        // once, into the one allocation the batch, the cache and a recorded
+        // delta share.
+        let mut flushed: Vec<(Hash256, Arc<[u8]>)> = Vec::new();
         let mut seen = DigestSet::default();
         let mut batch = WriteBatch::new();
         let mut stack = vec![self.root];
@@ -838,8 +852,9 @@ impl<S: KvStore> PatriciaTrie<S> {
                     stack.extend((0..16).rev().filter(|i| b.lazy >> i & 1 != 0).map(|i| b.child(i)));
                 }
             }
-            batch.put(&hash.0, self.final_bytes(index));
-            flushed.push((hash, index));
+            let bytes = self.final_bytes(index);
+            batch.put(store_key(&hash), Arc::clone(&bytes));
+            flushed.push((hash, bytes));
         }
         push_extras(&mut batch, &extras);
         // On error the arena stays as it is, so nothing becomes unreadable;
@@ -851,10 +866,10 @@ impl<S: KvStore> PatriciaTrie<S> {
         let mut recording = self.recording.take();
         let mut open = recording.as_mut().filter(|r| !r.sealed);
         // The flushed nodes are now committed: the next block's walks start
-        // on the path this one just sealed. They enter the cache after the
-        // batch is gone, so a block's nodes are never in memory three times.
-        for (hash, index) in flushed {
-            let bytes: Arc<[u8]> = self.final_bytes(index).into();
+        // on the path this one just sealed. The cache takes the allocations
+        // the batch carried into the store (an LSM memtable keeps them), so a
+        // flushed node is in memory once.
+        for (hash, bytes) in flushed {
             if let Some(open) = &mut open {
                 open.delta.flushed.push((hash, Arc::clone(&bytes)));
             }
@@ -1231,12 +1246,18 @@ impl Recording {
     }
 }
 
-/// Append a caller's raw store operations to a seal's batch.
-fn push_extras(batch: &mut WriteBatch, extras: &[(Vec<u8>, Option<Vec<u8>>)]) {
+/// A committed node's store key — its hash — as a batch holds it.
+fn store_key(hash: &Hash256) -> Arc<[u8]> {
+    Arc::from(hash.0.as_slice())
+}
+
+/// Append a caller's raw store operations to a seal's batch, sharing their
+/// allocations.
+fn push_extras(batch: &mut WriteBatch, extras: &[KvOp]) {
     for (k, v) in extras {
         match v {
-            Some(v) => batch.put(k, v),
-            None => batch.delete(k),
+            Some(v) => batch.put(Arc::clone(k), Arc::clone(v)),
+            None => batch.delete(Arc::clone(k)),
         }
     }
 }
@@ -1842,6 +1863,35 @@ mod tests {
         frozen_pass(&mut t, "store");
         assert!(t.store().stats().reads > 0);
         assert!(t.cache.is_empty());
+    }
+
+    /// A seal fills each flushed node once: the cache and the recorded
+    /// delta hold that one allocation, the extras ride as the caller's, and
+    /// a twin that installs the delta caches the same allocations.
+    #[test]
+    fn seal_shares_each_flushed_node_with_cache_delta_and_installer() {
+        let mut ran = PatriciaTrie::new(MemStore::new());
+        ran.insert(b"genesis", b"v").unwrap();
+        ran.commit().unwrap();
+        let mut installer = ran.clone();
+        ran.record();
+        for i in 0..32u32 {
+            ran.insert(&i.to_be_bytes(), b"value").unwrap();
+        }
+        let record: Arc<[u8]> = Arc::from(&b"block record"[..]);
+        ran.commit_with_extras(vec![(Arc::from(&b"!b/1"[..]), Some(Arc::clone(&record)))])
+            .unwrap();
+        let delta = ran.take_delta().expect("a sealed block was recorded");
+        assert!(delta.flushed.len() > 1);
+        assert!(Arc::ptr_eq(delta.extras[0].1.as_ref().unwrap(), &record));
+        for (hash, bytes) in &delta.flushed {
+            assert!(Arc::ptr_eq(ran.cache.get(hash).unwrap(), bytes), "{hash:?}");
+        }
+        assert!(installer.install_delta(&delta).unwrap());
+        for (hash, bytes) in &delta.flushed {
+            assert!(Arc::ptr_eq(installer.cache.get(hash).unwrap(), bytes), "{hash:?}");
+        }
+        assert_eq!(installer.root(), ran.root());
     }
 }
 

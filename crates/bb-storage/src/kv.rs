@@ -5,6 +5,7 @@
 //! one level down. Keys and values are arbitrary byte strings.
 
 use crate::stats::StorageStats;
+use std::sync::Arc;
 
 /// Errors surfaced by storage engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,9 +33,53 @@ impl std::error::Error for KvError {}
 /// Live `(key, value)` pairs in key order, as scans return them.
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Write operations in order: `(key, Some(value))` puts, `(key, None)`
-/// deletes.
-pub type KvOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+/// One write operation as shared bytes: `(key, Some(value))` is a put,
+/// `(key, None)` a delete.
+pub type KvOp = (Arc<[u8]>, Option<Arc<[u8]>>);
+
+/// Write operations in order.
+pub type KvOps = Vec<KvOp>;
+
+/// Bytes a [`WriteBatch`] (and through it the LSM memtable) holds by
+/// reference count. An `Arc<[u8]>` is taken as it is: a value made once —
+/// a flushed trie node, a bucket tree's pending value, a block record —
+/// reaches every store that keeps it without another copy. Borrowed bytes
+/// and a `Vec` are copied once. There is no impl for `&Arc<[u8]>`: sharing
+/// is spelled `Arc::clone`, so a borrow never copies by accident.
+pub trait IntoShared {
+    /// The bytes as one shared allocation.
+    fn into_shared(self) -> Arc<[u8]>;
+}
+
+impl IntoShared for Arc<[u8]> {
+    fn into_shared(self) -> Arc<[u8]> {
+        self
+    }
+}
+
+impl IntoShared for &[u8] {
+    fn into_shared(self) -> Arc<[u8]> {
+        Arc::from(self)
+    }
+}
+
+impl IntoShared for &Vec<u8> {
+    fn into_shared(self) -> Arc<[u8]> {
+        Arc::from(self.as_slice())
+    }
+}
+
+impl IntoShared for Vec<u8> {
+    fn into_shared(self) -> Arc<[u8]> {
+        Arc::from(self)
+    }
+}
+
+impl<const N: usize> IntoShared for &[u8; N] {
+    fn into_shared(self) -> Arc<[u8]> {
+        Arc::from(self.as_slice())
+    }
+}
 
 /// What [`KvStore::scan_range_chunk`] returns from the live pairs past its
 /// cursor, in key order: the pairs up to and including the one that brings
@@ -66,7 +111,9 @@ pub fn chunk_wire_bytes(entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
 /// Engines that implement batching natively (the LSM store) turn one batch
 /// into one WAL record, one memtable pass and one flush check — instead of
 /// per-operation overhead. Operations apply in insertion order, so a later
-/// op on the same key wins.
+/// op on the same key wins. Keys and values are shared bytes
+/// ([`IntoShared`]): the LSM store writes them once into its WAL and moves
+/// the allocations themselves into its memtable.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
     ops: KvOps,
@@ -78,14 +125,15 @@ impl WriteBatch {
         WriteBatch::default()
     }
 
-    /// Buffer an insert/overwrite of `key`.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.ops.push((key.to_vec(), Some(value.to_vec())));
+    /// Buffer an insert/overwrite of `key`: an `Arc` is taken as it is,
+    /// borrowed bytes are copied once.
+    pub fn put(&mut self, key: impl IntoShared, value: impl IntoShared) {
+        self.ops.push((key.into_shared(), Some(value.into_shared())));
     }
 
     /// Buffer a delete of `key`.
-    pub fn delete(&mut self, key: &[u8]) {
-        self.ops.push((key.to_vec(), None));
+    pub fn delete(&mut self, key: impl IntoShared) {
+        self.ops.push((key.into_shared(), None));
     }
 
     /// Number of buffered operations.
@@ -100,7 +148,7 @@ impl WriteBatch {
 
     /// The buffered operations: `(key, Some(value))` puts, `(key, None)`
     /// deletes, in insertion order.
-    pub fn ops(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
+    pub fn ops(&self) -> &[KvOp] {
         &self.ops
     }
 

@@ -1,14 +1,17 @@
 //! The mutable in-memory tier of the LSM tree. Deletions are tombstones
 //! (`None` values) so they shadow older SSTable versions until compaction
-//! drops them.
+//! drops them. Keys and values are shared bytes: a batch's allocations are
+//! moved in, not copied.
 
+use crate::kv::{IntoShared, KvOps};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Sorted in-memory write buffer.
 #[derive(Debug, Default, Clone)]
 pub struct MemTable {
-    entries: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    entries: BTreeMap<Arc<[u8]>, Option<Arc<[u8]>>>,
     approx_bytes: u64,
 }
 
@@ -21,21 +24,22 @@ impl MemTable {
         Self::default()
     }
 
-    fn cost(key_len: usize, value: &Option<Vec<u8>>) -> u64 {
+    fn cost(key_len: usize, value: &Option<Arc<[u8]>>) -> u64 {
         key_len as u64 + value.as_ref().map_or(0, |v| v.len() as u64) + NODE_OVERHEAD
     }
 
-    /// Insert a live value.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.insert(key.to_vec(), Some(value.to_vec()));
+    /// Insert a live value: an `Arc` is held as it is, borrowed bytes are
+    /// copied once.
+    pub fn put(&mut self, key: impl IntoShared, value: impl IntoShared) {
+        self.insert(key.into_shared(), Some(value.into_shared()));
     }
 
     /// Insert a tombstone.
-    pub fn delete(&mut self, key: &[u8]) {
-        self.insert(key.to_vec(), None);
+    pub fn delete(&mut self, key: impl IntoShared) {
+        self.insert(key.into_shared(), None);
     }
 
-    fn insert(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+    fn insert(&mut self, key: Arc<[u8]>, value: Option<Arc<[u8]>>) {
         let key_len = key.len();
         let add = Self::cost(key_len, &value);
         if let Some(old) = self.entries.insert(key, value) {
@@ -56,9 +60,9 @@ impl MemTable {
         prefix: &'a [u8],
     ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a {
         self.entries
-            .range(prefix.to_vec()..)
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_slice(), v.as_deref()))
+            .map(|(k, v)| (&**k, v.as_deref()))
     }
 
     /// Entries (including tombstones) with key strictly after `after`, or
@@ -70,11 +74,11 @@ impl MemTable {
         let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
         self.entries
             .range::<[u8], _>((lo, Bound::Unbounded))
-            .map(|(k, v)| (k.as_slice(), v.as_deref()))
+            .map(|(k, v)| (&**k, v.as_deref()))
     }
 
     /// Drain all entries in key order for an SSTable flush.
-    pub fn drain_sorted(&mut self) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+    pub fn drain_sorted(&mut self) -> KvOps {
         self.approx_bytes = 0;
         std::mem::take(&mut self.entries).into_iter().collect()
     }
@@ -92,6 +96,14 @@ impl MemTable {
     /// Nothing buffered?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl MemTable {
+    /// The allocation holding `key`'s live value.
+    pub(crate) fn value_arc(&self, key: &[u8]) -> Option<&Arc<[u8]>> {
+        self.entries.get(key)?.as_ref()
     }
 }
 
@@ -136,7 +148,11 @@ mod tests {
         m.put(b"b", b"2");
         m.put(b"a", b"1");
         m.delete(b"c");
-        let drained = m.drain_sorted();
+        let drained: Vec<(Vec<u8>, Option<Vec<u8>>)> = m
+            .drain_sorted()
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), v.map(|v| v.to_vec())))
+            .collect();
         assert_eq!(
             drained,
             vec![

@@ -14,8 +14,11 @@
 //! at most one index interval — the LevelDB recipe at laptop scale.
 
 use super::bloom::Bloom;
-use crate::kv::{KvError, KvOps};
+use crate::kv::KvError;
 use crate::vfs::Vfs;
+
+/// A table's `(key, value)` entries in key order, tombstones as `None`.
+pub type Entries = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
 const MAGIC: u32 = 0x5354_424c; // "STBL"
 
@@ -135,16 +138,16 @@ impl SsTable {
     /// Write `entries` (sorted by key, tombstones as `None`) to `file` and
     /// return a handle. Panics if entries are not strictly sorted — the
     /// flush and compaction paths guarantee that.
-    pub fn build(
+    pub fn build<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         vfs: &mut Vfs,
         file: &str,
-        entries: &[(Vec<u8>, Option<Vec<u8>>)],
+        entries: &[(K, Option<V>)],
         bits_per_key: u32,
         index_interval: usize,
     ) -> SsTable {
         let mut b = TableBuilder::new(entries.len(), bits_per_key, index_interval);
         for (key, value) in entries {
-            b.add(key, value.as_deref());
+            b.add(key.as_ref(), value.as_ref().map(AsRef::as_ref));
         }
         b.finish(vfs, file)
     }
@@ -238,7 +241,7 @@ impl SsTable {
 
     /// All entries (including tombstones) in key order — compaction and
     /// prefix scans read whole tables.
-    pub fn all_entries(&self, vfs: &mut Vfs) -> Result<KvOps, KvError> {
+    pub fn all_entries(&self, vfs: &mut Vfs) -> Result<Entries, KvError> {
         let data = vfs
             .read_at(&self.file, 0, self.data_end as usize)
             .map_err(|e| KvError::Corrupt(e.to_string()))?;
@@ -419,7 +422,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let mut vfs = Vfs::new();
-        let t = SsTable::build(&mut vfs, "sst/e", &[], 10, 16);
+        let t = SsTable::build(&mut vfs, "sst/e", &Entries::new(), 10, 16);
         assert!(t.is_empty());
         assert_eq!(t.get(&mut vfs, b"x").unwrap(), None);
         let reopened = SsTable::open(&mut vfs, "sst/e").unwrap();
@@ -448,7 +451,7 @@ mod tests {
         assert_eq!(reopened.data_bytes(), built.data_bytes());
         assert!(built.overlaps(b"key000050", b"zzz"));
         assert!(!built.overlaps(b"key000100", b"zzz"));
-        let empty = SsTable::build(&mut vfs, "sst/e", &[], 10, 16);
+        let empty = SsTable::build(&mut vfs, "sst/e", &Entries::new(), 10, 16);
         assert_eq!(empty.first_key(), None);
         assert!(!empty.overlaps(b"", b"\xff"));
     }

@@ -161,8 +161,8 @@ impl LsmStore {
                 WalRecord::Batch(ops) => {
                     for (k, v) in ops {
                         match v {
-                            Some(v) => store.memtable.put(&k, &v),
-                            None => store.memtable.delete(&k),
+                            Some(v) => store.memtable.put(k, v),
+                            None => store.memtable.delete(k),
                         }
                     }
                 }
@@ -534,7 +534,8 @@ impl KvStore for LsmStore {
     }
 
     /// One WAL record, one memtable pass, one flush check — the whole point
-    /// of batching over per-node `put` calls.
+    /// of batching over per-node `put` calls. The WAL copies each byte once;
+    /// the memtable takes the batch's allocations themselves.
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
         if batch.is_empty() {
             return Ok(());
@@ -547,7 +548,7 @@ impl KvStore for LsmStore {
             .map(|(k, v)| (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64)
             .sum::<u64>();
         self.wal.log_batch(&mut self.vfs.lock().unwrap(), &ops);
-        for (key, value) in &ops {
+        for (key, value) in ops {
             match value {
                 Some(v) => self.memtable.put(key, v),
                 None => self.memtable.delete(key),
@@ -895,6 +896,26 @@ mod tests {
         for (k, v) in &payload {
             assert_eq!(batched.get(k).unwrap().as_deref(), v.as_deref());
         }
+    }
+
+    #[test]
+    fn apply_batch_moves_shared_bytes_into_the_memtable() {
+        let mut s = LsmStore::new_private(LsmConfig::default());
+        let key: Arc<[u8]> = Arc::from(&b"node-hash"[..]);
+        let value: Arc<[u8]> = Arc::from(&b"node-bytes"[..]);
+        let mut b = WriteBatch::new();
+        b.put(Arc::clone(&key), Arc::clone(&value));
+        b.put(b"copied", b"once");
+        s.apply_batch(b).unwrap();
+        assert!(Arc::ptr_eq(s.memtable.value_arc(&key).unwrap(), &value));
+        assert_eq!(Arc::strong_count(&key), 2, "the memtable holds the batch's key");
+        assert_eq!(s.get(b"copied").unwrap(), Some(b"once".to_vec()));
+        // The WAL holds its own copy: a reopened store reads the same bytes.
+        let vfs = s.vfs();
+        drop(s);
+        let mut s = LsmStore::open(vfs, "lsm", LsmConfig::default()).unwrap();
+        assert_eq!(s.stats().wal_records_replayed, 1);
+        assert_eq!(s.get(&key).unwrap(), Some(value.to_vec()));
     }
 
     #[test]

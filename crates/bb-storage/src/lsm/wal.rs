@@ -2,8 +2,9 @@
 //! touches the memtable, so a reopened store recovers exactly the
 //! un-flushed tail.
 
-use crate::kv::KvOps;
+use crate::kv::{KvOp, KvOps};
 use crate::vfs::Vfs;
+use std::sync::Arc;
 
 const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
@@ -19,8 +20,9 @@ pub enum WalRecord {
     /// A deletion of `key`.
     Delete(Vec<u8>),
     /// An atomic batch: `(key, Some(value))` puts and `(key, None)` deletes,
-    /// in application order.
-    Batch(Vec<(Vec<u8>, Option<Vec<u8>>)>),
+    /// in application order, as shared bytes a reopened store moves into
+    /// its memtable.
+    Batch(KvOps),
 }
 
 /// Outcome of a [`Wal::replay_with_stats`] pass.
@@ -75,51 +77,62 @@ impl Wal {
         Wal { file: file.to_string() }
     }
 
-    fn append_record(&self, vfs: &mut Vfs, tag: u8, key: &[u8], value: &[u8]) {
-        let mut rec = Vec::with_capacity(13 + key.len() + value.len());
-        rec.push(tag);
-        rec.extend_from_slice(&(key.len() as u32).to_be_bytes());
-        rec.extend_from_slice(key);
-        rec.extend_from_slice(&(value.len() as u32).to_be_bytes());
-        rec.extend_from_slice(value);
-        let sum = checksum(&[&[tag], key, value]);
-        rec.extend_from_slice(&sum.to_be_bytes());
-        vfs.append(&self.file, &rec);
+    /// Append one frame — `[tag][key len][key][value len][value][checksum]`
+    /// — straight onto the end of the log: `key_len` bytes of key that
+    /// `put_key` appends in place, then `value`. Nothing is staged.
+    fn append_frame(
+        &self,
+        vfs: &mut Vfs,
+        tag: u8,
+        key_len: usize,
+        put_key: impl FnOnce(&mut Vec<u8>),
+        value: &[u8],
+    ) {
+        vfs.append_with(&self.file, 13 + key_len + value.len(), |log| {
+            log.push(tag);
+            log.extend_from_slice(&(key_len as u32).to_be_bytes());
+            let key_at = log.len();
+            put_key(log);
+            let sum = checksum(&[&[tag], &log[key_at..], value]);
+            log.extend_from_slice(&(value.len() as u32).to_be_bytes());
+            log.extend_from_slice(value);
+            log.extend_from_slice(&sum.to_be_bytes());
+        });
     }
 
     /// Log a put.
     pub fn log_put(&self, vfs: &mut Vfs, key: &[u8], value: &[u8]) {
-        self.append_record(vfs, TAG_PUT, key, value);
+        self.append_frame(vfs, TAG_PUT, key.len(), |log| log.extend_from_slice(key), value);
     }
 
     /// Log a delete.
     pub fn log_delete(&self, vfs: &mut Vfs, key: &[u8]) {
-        self.append_record(vfs, TAG_DELETE, key, &[]);
+        self.append_frame(vfs, TAG_DELETE, key.len(), |log| log.extend_from_slice(key), &[]);
     }
 
-    /// Log an atomic batch as ONE record: the operations are serialised into
-    /// a single blob carried in the record's key slot, reusing the standard
-    /// framing and checksum. Recovery applies the whole batch or none of it.
-    pub fn log_batch(&self, vfs: &mut Vfs, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&(ops.len() as u32).to_be_bytes());
-        for (key, value) in ops {
-            match value {
-                Some(v) => {
-                    blob.push(BATCH_OP_PUT);
-                    blob.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                    blob.extend_from_slice(key);
-                    blob.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                    blob.extend_from_slice(v);
-                }
-                None => {
-                    blob.push(BATCH_OP_DELETE);
-                    blob.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                    blob.extend_from_slice(key);
+    /// Log an atomic batch as ONE record: the operations, serialised as a
+    /// blob, fill the record's key slot, reusing the standard framing and
+    /// checksum. The blob is written in place at the end of the log, so
+    /// each stored byte is copied once. Recovery applies the whole batch or
+    /// none of it.
+    pub fn log_batch(&self, vfs: &mut Vfs, ops: &[KvOp]) {
+        let blob_len = 4 + ops
+            .iter()
+            .map(|(key, value)| 1 + 4 + key.len() + value.as_ref().map_or(0, |v| 4 + v.len()))
+            .sum::<usize>();
+        let put_blob = |log: &mut Vec<u8>| {
+            log.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+            for (key, value) in ops {
+                log.push(if value.is_some() { BATCH_OP_PUT } else { BATCH_OP_DELETE });
+                log.extend_from_slice(&(key.len() as u32).to_be_bytes());
+                log.extend_from_slice(key);
+                if let Some(v) = value {
+                    log.extend_from_slice(&(v.len() as u32).to_be_bytes());
+                    log.extend_from_slice(v);
                 }
             }
-        }
-        self.append_record(vfs, TAG_BATCH, &blob, &[]);
+        };
+        self.append_frame(vfs, TAG_BATCH, blob_len, put_blob, &[]);
     }
 
     /// Truncate after a successful memtable flush. The file keeps its
@@ -196,14 +209,14 @@ impl Wal {
             let klen =
                 u32::from_be_bytes(blob.get(pos..pos + 4)?.try_into().ok()?) as usize;
             pos += 4;
-            let key = blob.get(pos..pos + klen)?.to_vec();
+            let key: Arc<[u8]> = blob.get(pos..pos + klen)?.into();
             pos += klen;
             match op {
                 BATCH_OP_PUT => {
                     let vlen =
                         u32::from_be_bytes(blob.get(pos..pos + 4)?.try_into().ok()?) as usize;
                     pos += 4;
-                    let value = blob.get(pos..pos + vlen)?.to_vec();
+                    let value: Arc<[u8]> = blob.get(pos..pos + vlen)?.into();
                     pos += vlen;
                     ops.push((key, Some(value)));
                 }
@@ -221,6 +234,11 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ops` as the shared bytes a batch holds.
+    fn shared(ops: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> KvOps {
+        ops.into_iter().map(|(k, v)| (k.into(), v.map(Into::into))).collect()
+    }
 
     #[test]
     fn replay_round_trips() {
@@ -302,11 +320,11 @@ mod tests {
     fn batch_record_round_trips() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        let ops = vec![
+        let ops = shared(vec![
             (b"a".to_vec(), Some(b"1".to_vec())),
             (b"b".to_vec(), None),
             (b"c".to_vec(), Some(Vec::new())),
-        ];
+        ]);
         wal.log_put(&mut vfs, b"before", b"x");
         wal.log_batch(&mut vfs, &ops);
         wal.log_delete(&mut vfs, b"after");
@@ -324,7 +342,7 @@ mod tests {
     fn corrupt_batch_blob_stops_replay() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_batch(&mut vfs, &[(b"k".to_vec(), Some(b"v".to_vec()))]);
+        wal.log_batch(&mut vfs, &shared(vec![(b"k".to_vec(), Some(b"v".to_vec()))]));
         let mut data = vfs.read("wal").unwrap();
         // Flip a bit inside the op blob: the frame checksum catches it.
         data[7] ^= 0x01;
@@ -345,11 +363,11 @@ mod tests {
         let wal = Wal::open(vfs, "wal");
         wal.log_put(vfs, b"before", b"x");
         let boundary = vfs.file_size("wal").unwrap();
-        let ops = vec![
+        let ops = shared(vec![
             (b"alpha".to_vec(), Some(b"one".to_vec())),
             (b"beta".to_vec(), None),
             (b"gamma-key-longer-than-a-word".to_vec(), Some(vec![7u8; 19])),
-        ];
+        ]);
         wal.log_batch(vfs, &ops);
         (wal, boundary)
     }
@@ -395,6 +413,27 @@ mod tests {
         wal.log_put(&mut vfs, b"blockbench-wal", b"frame-value");
         let frame = vfs.read("wal").unwrap();
         assert_eq!(frame[frame.len() - 4..], 0xa6cc_7e4cu32.to_be_bytes());
+        // And a whole batch frame — a put, a delete and an empty value under
+        // keys that end mid-word — byte for byte.
+        let mut vfs = Vfs::new();
+        let wal = Wal::open(&mut vfs, "wal");
+        wal.log_batch(
+            &mut vfs,
+            &shared(vec![
+                (b"blockbench-key".to_vec(), Some(b"frame-value".to_vec())),
+                (b"deleted-key".to_vec(), None),
+                (b"empty-value-key".to_vec(), Some(Vec::new())),
+            ]),
+        );
+        let hex: String = vfs.read("wal").unwrap().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "030000004e00000003010000000e626c6f636b62656e63682d6b65790000000b",
+                "6672616d652d76616c7565020000000b64656c657465642d6b6579010000000f",
+                "656d7074792d76616c75652d6b657900000000000000009119586c",
+            )
+        );
     }
 
     #[test]

@@ -242,16 +242,35 @@ impl Vfs {
     /// Append bytes to a file, creating it if needed. With a capacity set,
     /// an append that would overflow is torn: only the fitting prefix lands.
     pub fn append(&mut self, name: &str, data: &[u8]) {
+        self.append_with(name, data.len(), |file| file.extend_from_slice(data));
+    }
+
+    /// Append `len` bytes that `fill` writes in place onto the end of a
+    /// file, creating it if needed: `fill` gets the file's bytes and must
+    /// extend them by exactly `len` (asserted). The one append path, so a
+    /// caller that frames a record builds it in the file, with no buffer of
+    /// its own. Metered like any append; with a capacity set, an append that
+    /// would overflow is torn: `fill` writes all `len` bytes and only the
+    /// fitting prefix lands.
+    pub fn append_with(&mut self, name: &str, len: usize, fill: impl FnOnce(&mut Vec<u8>)) {
         self.charge_op();
-        let admitted = self.admit(data.len());
+        let admitted = self.admit(len);
         self.bytes_written += admitted as u64;
         if !self.files.contains_key(name) {
             self.files.insert(name.to_string(), Bytes::Open(Vec::new()));
         }
         let file = self.open_mut(name).expect("inserted above");
-        let start = file.len() as u64;
-        file.extend_from_slice(&data[..admitted]);
-        self.last_append.insert(name.to_string(), start);
+        let start = file.len();
+        file.reserve(len);
+        fill(file);
+        assert_eq!(file.len() - start, len, "an append wrote other than it declared");
+        file.truncate(start + admitted);
+        match self.last_append.get_mut(name) {
+            Some(at) => *at = start as u64,
+            None => {
+                self.last_append.insert(name.to_string(), start as u64);
+            }
+        }
     }
 
     /// Replace a file's contents, creating it if needed, and seal it: a
@@ -573,6 +592,20 @@ mod tests {
         vfs.set_capacity(None);
         vfs.append("a", b"78");
         assert_eq!(vfs.read("a").unwrap(), b"12345678");
+        // An in-place append that overflows lands what `append` would.
+        let mut copied = Vfs::new();
+        let mut filled = Vfs::new();
+        for vfs in [&mut copied, &mut filled] {
+            vfs.set_capacity(Some(6));
+            vfs.set_op_latency_us(7);
+            vfs.append("a", b"1234");
+        }
+        copied.append("a", b"5678");
+        filled.append_with("a", 4, |file| file.extend_from_slice(b"5678"));
+        assert_eq!((filled.enospc_hits(), filled.bytes_written()), (1, 6));
+        assert_eq!(filled.last_append_start("a"), Some(4));
+        assert_eq!(filled, copied, "same bytes, counters, charge and marker");
+        assert_eq!(filled.read("a").unwrap(), b"123456");
     }
 
     #[test]

@@ -98,8 +98,15 @@ impl Block {
     /// transaction list. This is what a node persists per committed block
     /// and what peers ship during catch-up sync.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(self.byte_size() as usize + 4 + 4 * self.txs.len());
-        e.put_raw(&self.header.encode()).put_u32(self.txs.len() as u32);
+        self.encode_after(&[])
+    }
+
+    /// `prefix`, then [`Self::encode`], in one buffer of exactly that size:
+    /// the platforms' durable block records put their own fields first.
+    pub fn encode_after(&self, prefix: &[u8]) -> Vec<u8> {
+        let len = prefix.len() + self.byte_size() as usize + 4 + 4 * self.txs.len();
+        let mut e = Encoder::with_capacity(len);
+        e.put_raw(prefix).put_raw(&self.header.encode()).put_u32(self.txs.len() as u32);
         for tx in &self.txs {
             e.put_u32(tx.byte_size() as u32);
             tx.encode_into(&mut e);

@@ -241,6 +241,48 @@ if [ -n "$boxed" ]; then
     exit 1
 fi
 
+echo "==> one copy per stored byte: shared bytes from the trie and bucket overlays into the memtable, WAL frames written in place"
+# DESIGN.md §6 "Storage write path": a `WriteBatch` holds `Arc<[u8]>`s, the
+# memtable takes them as they are, and `Wal::log_batch` serialises the batch
+# straight into the log file through `Vfs::append_with`, the one append
+# path. A flushed Patricia node is one allocation shared by the batch, the
+# node cache and a recorded delta; a bucket tree's overlay shares its values
+# with its block deltas and its seal's batch. The frame's bytes are pinned
+# by value (`checksum_known_answer`), and an in-place append tears under a
+# capacity as a copying one does.
+for t in checksum_known_answer capacity_tears_overflowing_writes \
+    apply_batch_moves_shared_bytes_into_the_memtable; do
+    smoke -p bb-storage "$t"
+    smoke --release -p bb-storage "$t"
+done
+for t in seal_shares_each_flushed_node_with_cache_delta_and_installer \
+    installed_block_delta_shares_the_runners_values; do
+    smoke -p bb-merkle "$t"
+    smoke --release -p bb-merkle "$t"
+done
+copied=$(awk '/^#\[cfg\(test\)\]/ { exit } /to_vec\(\)/ { print NR ": " $0 }' \
+    crates/bb-storage/src/lsm/memtable.rs)
+if [ -n "$copied" ]; then
+    echo "$copied"
+    echo "ERROR: the memtable copies bytes it could share" >&2
+    exit 1
+fi
+staged=$(awk '/^    pub fn log_batch/ { body = 1 } body && /Vec::|vec!|to_vec|\.append\(/ { print NR ": " $0 }
+    body && /^    }$/ { exit }' crates/bb-storage/src/lsm/wal.rs)
+if [ -n "$staged" ] || ! grep -q '^    pub fn log_batch' crates/bb-storage/src/lsm/wal.rs; then
+    echo "$staged"
+    echo "ERROR: Wal::log_batch stages the frame in a buffer instead of writing it in place" >&2
+    exit 1
+fi
+borrowed=$(for f in crates/bb-merkle/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /batch\.put\(&/ { print f ":" NR ": " $0 }' "$f"
+done)
+if [ -n "$borrowed" ]; then
+    echo "$borrowed"
+    echo "ERROR: a state tree copies bytes into its batch instead of sharing them" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
