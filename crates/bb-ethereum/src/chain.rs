@@ -978,6 +978,56 @@ mod tests {
         assert_eq!(seen, [(NodeId(2), false, false), (NodeId(2), true, true)]);
     }
 
+    /// A validator that installs a block appends the WAL frame the runner's
+    /// seal built, rather than framing its own: from one base, the runner
+    /// records, runs and seals a block, its twin installs the delta, and
+    /// the two disks are equal, the WAL file byte for byte, with the frame
+    /// the last append on both. (The twins install in every profile;
+    /// `adopt_block` runs a hit too under debug assertions.)
+    #[test]
+    fn installed_block_appends_the_runners_wal_frame() {
+        let mut c = small_chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        ycsb_load(&mut c, addr, &mut 0, 4, 3);
+        let now = c.now();
+        let txs: Vec<_> = (0..20)
+            .map(|nonce| Arc::new(client_tx(77, nonce, addr, ycsb::write_call(500 + nonce, b"w"))))
+            .collect();
+        c.engine.with_ctx_mut(|ctx| {
+            for tx in &txs {
+                ctx.txs.intern(tx.id());
+            }
+        });
+        c.engine.with_ctx_node_mut(1, |ctx, n| {
+            let mut miner = n.chain.clone();
+            for tx in &txs {
+                assert!(miner.enqueue(Arc::clone(tx), ctx.txs.index(&tx.id())));
+            }
+            let block = miner.build_block(ctx, now, NodeId(9), 0);
+            let (id, parent_root) = (block.id(), n.chain.roots[&block.header.parent]);
+            let (mut runner, mut installer) = (n.chain.state.clone(), n.chain.state.clone());
+            runner.set_root(parent_root);
+            runner.record_block();
+            let params = ctx.params();
+            let cost = |_| 1;
+            let (height, vm) = (block.header.height, &params.vm);
+            runner.execute_block_serial(&block.txs, height, vm, params.tx_gas_limit, &cost);
+            ctx.seal(&mut runner, &id, &block).unwrap();
+            let delta = runner.take_block_delta().expect("the seal completed the recording");
+            let frame = delta.frame().expect("the runner's store framed the seal");
+            installer.set_root(parent_root);
+            assert!(installer.install_block(&delta).unwrap(), "the twin refused the delta");
+            assert_eq!(installer.root(), runner.root());
+            let disk = |s: &AccountState<LsmStore>| s.store().vfs().lock().unwrap().clone();
+            let (ran, installed) = (disk(&runner), disk(&installer));
+            assert_eq!(installed, ran);
+            let wal = format!("{STORE_PREFIX}/wal");
+            let from = installed.last_append_start(&wal).unwrap() as usize;
+            assert_eq!(installed.clone().read(&wal).unwrap()[from..], frame[..]);
+            assert!(ran.clone().read(&wal).unwrap().ends_with(frame));
+        });
+    }
+
     /// One signed transaction submitted at two servers enters the world's
     /// table once, and every node pools it once.
     #[test]

@@ -24,7 +24,7 @@ use bb_consensus::pbft::{Action, Batch, PbftConfig, PbftMsg, PbftNode, Request};
 use bb_crypto::{DigestSet, Hash256};
 use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
-use bb_storage::{chunk_wire_bytes, FaultVfs, KvStore, LsmStore, Vfs};
+use bb_storage::{chunk_wire_bytes, FaultVfs, FrameSlot, KvStore, LsmStore, Vfs};
 use bb_sim::{
     CpuMeter, Effects, RecentOutcomes, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
 };
@@ -35,7 +35,7 @@ use blockbench::connector::{
 };
 use blockbench::contract::{ChaincodeFactory, ContractBundle};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Events of the Fabric world.
 #[derive(Debug, Clone)]
@@ -189,7 +189,11 @@ impl FabNode {
     /// local delivery time, so replicas' headers are byte-identical. A
     /// preload (`None`) bypasses consensus: the set-up clock, node 0, and a
     /// zero sequence floor so a restart resumes PBFT from scratch.
-    /// `tx_root` is [`tx_root`] of `txs`. Returns the block's encoded size.
+    /// `tx_root` is [`tx_root`] of `txs`. A committed batch also brings its
+    /// outcome's [`BatchOutcome::sealed`]: the first peer to seal the batch
+    /// fills it, and a peer whose header and floor equal the ones in it
+    /// stores the same `!b/` record and appends the same WAL frame. Returns
+    /// the block's encoded size.
     fn append_block(
         &mut self,
         me: NodeId,
@@ -197,12 +201,12 @@ impl FabNode {
         txs: Vec<Arc<Transaction>>,
         receipts: Vec<(TxId, bool)>,
         tx_root: Hash256,
-        pbft: Option<(u64, NodeId)>,
+        pbft: Option<(u64, NodeId, &OnceLock<SealedBlock>)>,
     ) -> u64 {
         let height = self.ledger.blocks.len() as u64 + 1;
-        let (timestamp_us, proposer, round, floor) = match pbft {
-            Some((seq, proposer)) => (seq, proposer, seq, seq),
-            None => (now.as_micros(), NodeId(0), height, 0),
+        let (timestamp_us, proposer, round, floor, sealed) = match pbft {
+            Some((seq, proposer, sealed)) => (seq, proposer, seq, seq, Some(sealed)),
+            None => (now.as_micros(), NodeId(0), height, 0, None),
         };
         let header = BlockHeader {
             parent: self.ledger.blocks.last().map(|b| b.id()).unwrap_or(Hash256::ZERO),
@@ -215,10 +219,36 @@ impl FabNode {
             round,
         };
         let block = Block { header, txs };
-        let record = block_meta_record(floor, &block);
+        // Shared only on an equal header and floor: the batch's key holds
+        // neither the parent, nor the sequence, nor the proposer.
+        let first = sealed.and_then(OnceLock::get);
+        let (record, frame) = match first.filter(|s| s.floor == floor && s.header == block.header) {
+            Some(first) => {
+                debug_assert!(
+                    block_meta_record(floor, &block) == first.record,
+                    "{me} encodes block {height} unlike the peer that sealed it first"
+                );
+                (Arc::clone(&first.record), Some(Arc::clone(&first.frame)))
+            }
+            None => {
+                let record = block_meta_record(floor, &block);
+                // The first peer to seal the batch fills the slot; a peer
+                // whose header differs from the first one's keeps its own.
+                let frame = sealed.filter(|_| first.is_none()).map(|slot| {
+                    let mine = slot.get_or_init(|| SealedBlock {
+                        header: block.header.clone(),
+                        floor,
+                        record: Arc::clone(&record),
+                        frame: FrameSlot::default(),
+                    });
+                    Arc::clone(&mine.frame)
+                });
+                (record, frame)
+            }
+        };
         let block_bytes = (record.len() - 8) as u64;
         self.state
-            .commit_block_with_meta(vec![(block_meta_key(height).into(), Some(record))])
+            .commit_block_with_meta(vec![(block_meta_key(height).into(), Some(record))], frame)
             .expect("state store healthy");
         if me.index() == 0 {
             self.confirmed.push(BlockSummary {
@@ -284,8 +314,9 @@ fn tx_root(txs: &[Arc<Transaction>]) -> Hash256 {
 }
 
 /// What executing one committed batch does on a peer: a pure function of
-/// its [`BatchKey`].
-#[derive(Debug, PartialEq)]
+/// its [`BatchKey`] — and the block the first peer to commit it sealed,
+/// which is not part of that function.
+#[derive(Debug)]
 struct BatchOutcome {
     receipts: Vec<(TxId, bool)>,
     /// The serial execution charge.
@@ -295,6 +326,35 @@ struct BatchOutcome {
     tx_root: Hash256,
     /// The world-state writes.
     delta: BlockDelta,
+    /// The first peer to seal this batch's block: see
+    /// [`FabNode::append_block`].
+    sealed: OnceLock<SealedBlock>,
+}
+
+/// Two outcomes are equal when executing their batches did the same;
+/// which blocks sealed them is no part of that.
+impl PartialEq for BatchOutcome {
+    fn eq(&self, other: &BatchOutcome) -> bool {
+        let BatchOutcome { receipts, charge, alloc_peak, tx_root, delta, sealed: _ } = self;
+        *receipts == other.receipts
+            && *charge == other.charge
+            && *alloc_peak == other.alloc_peak
+            && *tx_root == other.tx_root
+            && *delta == other.delta
+    }
+}
+
+/// A committed batch's block as the first peer to append it sealed it: the
+/// header and PBFT floor its `!b/` record encodes, the record, and the slot
+/// its store filled with the batch's WAL frame. A peer that seals an equal
+/// header at an equal floor writes a byte-equal batch: the batch outcome's
+/// state writes, then this record.
+#[derive(Debug)]
+struct SealedBlock {
+    header: BlockHeader,
+    floor: u64,
+    record: Arc<[u8]>,
+    frame: FrameSlot,
 }
 
 /// Everything a batch's execution reads: the block height the chaincodes
@@ -654,7 +714,8 @@ fn run_batch(
     // batch rewrote, and a peer installing it hashes nothing.
     node.state.root();
     let delta = node.state.block_delta();
-    BatchOutcome { receipts, charge, alloc_peak, tx_root: tx_root(txs), delta }
+    let sealed = OnceLock::new();
+    BatchOutcome { receipts, charge, alloc_peak, tx_root: tx_root(txs), delta, sealed }
 }
 
 /// Execute a committed batch and append the block.
@@ -692,8 +753,14 @@ fn commit_batch(
     node.pipeline_penalty += outcome.charge;
     let proposer = NodeId((seq % ctx.config.nodes as u64) as u32);
     let receipts = outcome.receipts.clone();
-    let block_bytes =
-        node.append_block(at, now, txs, receipts, outcome.tx_root, Some((seq, proposer)));
+    let block_bytes = node.append_block(
+        at,
+        now,
+        txs,
+        receipts,
+        outcome.tx_root,
+        Some((seq, proposer, &outcome.sealed)),
+    );
     if node.recovery.restarted_at.is_some() {
         node.counters.resync_blocks += 1;
         node.counters.resync_bytes += block_bytes;
@@ -1606,6 +1673,99 @@ mod tests {
         assert!(chains.iter().all(|chain| *chain == chains[0]));
         let roots = roots(&mut c);
         assert!(roots.iter().all(|r| *r == roots[0]));
+    }
+
+    /// The WAL bytes of `peer`'s last append.
+    fn last_wal_append(c: &FabricChain, peer: u32) -> Vec<u8> {
+        c.engine.with_node(peer, |n| {
+            let disk = n.state.vfs();
+            let mut disk = disk.lock().unwrap();
+            let wal = format!("{STORE_PREFIX}/wal");
+            let from = disk.last_append_start(&wal).expect("the WAL was appended to");
+            disk.read(&wal).unwrap()[from as usize..].to_vec()
+        })
+    }
+
+    /// Each committed batch's block is sealed once per world: the first
+    /// peer to commit it encodes its `!b/` record and frames its WAL
+    /// record, and every other peer stores that one record allocation and
+    /// appends those frame bytes.
+    #[test]
+    fn sealed_block_of_a_batch_is_shared_by_every_peer_that_installs_it() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        hot_writes(&mut c, addr, &mut 0, 4, 3);
+        c.advance_to(c.now() + SimDuration::from_secs(1));
+        let blocks = c.engine.with_node(0, |n| n.ledger.blocks.clone());
+        assert!(blocks.len() >= 4, "only {} blocks", blocks.len());
+        for block in &blocks {
+            let key = block_meta_key(block.header.height);
+            let record = |i| c.engine.with_node(i, |n| n.state.memtable_value(&key)).unwrap();
+            let first = record(0);
+            for i in 1..4 {
+                let height = block.header.height;
+                assert!(Arc::ptr_eq(&record(i), &first), "peer {i}, height {height}");
+            }
+        }
+        // The newest batch's outcome holds that record and the frame every
+        // peer appended last.
+        let last = blocks.last().unwrap();
+        let pre_root = blocks[blocks.len() - 2].header.state_root;
+        let outcome = c.engine.with_ctx(|ctx| {
+            let ids = last.txs.iter().map(|tx| tx.id()).collect();
+            let key = BatchKey { height: last.header.height, deployed: 1, pre_root, ids };
+            ctx.outcomes.find(&key).expect("the newest batch's outcome is kept")
+        });
+        let sealed = outcome.sealed.get().expect("the first peer sealed the batch");
+        assert_eq!(sealed.header, last.header);
+        let key = block_meta_key(last.header.height);
+        let stored = c.engine.with_node(2, |n| n.state.memtable_value(&key)).unwrap();
+        assert!(Arc::ptr_eq(&sealed.record, &stored));
+        let frame = sealed.frame.get().expect("the first peer's store filled the slot");
+        for i in 0..4 {
+            assert_eq!(last_wal_append(&c, i), frame[..], "peer {i}");
+        }
+    }
+
+    /// A peer whose header differs from the first sealer's encodes its own
+    /// record and frames its own WAL record — whether the sequence differs
+    /// (another timestamp, round and floor) or only the proposer (an equal
+    /// floor); a peer with an equal header shares them.
+    #[test]
+    fn sealed_block_of_a_batch_is_never_shared_with_a_different_header() {
+        let mut c = chain(4);
+        let now = c.now();
+        let sealed = OnceLock::new();
+        let mut append = |peer: u32, seq: u64, proposer: u32| {
+            c.engine.with_node_mut(peer, |node| {
+                let (root, pbft) = (tx_root(&[]), Some((seq, NodeId(proposer), &sealed)));
+                node.append_block(NodeId(peer), now, Vec::new(), Vec::new(), root, pbft);
+                node.state.memtable_value(&block_meta_key(1)).unwrap()
+            })
+        };
+        let first = append(0, 1, 1);
+        let later = append(1, 2, 1);
+        let proposed = append(2, 1, 2);
+        let twin = append(3, 1, 1);
+        let mine: &SealedBlock = sealed.get().unwrap();
+        assert_eq!(mine.floor, 1);
+        assert!(Arc::ptr_eq(&mine.record, &first) && Arc::ptr_eq(&mine.record, &twin));
+        let frame = mine.frame.get().unwrap();
+        assert_eq!(last_wal_append(&c, 0), frame[..]);
+        assert_eq!(last_wal_append(&c, 3), frame[..]);
+        for (peer, own, floor) in [(1, later, 2), (2, proposed, 1)] {
+            assert!(!Arc::ptr_eq(&mine.record, &own), "peer {peer} shares the record");
+            let block = c.engine.with_node(peer, |n| n.ledger.blocks[0].clone());
+            assert_eq!(own[..], block_meta_record(floor, &block)[..], "peer {peer}");
+            assert_ne!(last_wal_append(&c, peer), frame[..], "peer {peer} appended the frame");
+            let wal = c.engine.with_node(peer, |n| {
+                let disk = n.state.vfs();
+                let mut disk = disk.lock().unwrap();
+                bb_storage::Wal::open(&mut disk, &format!("{STORE_PREFIX}/wal")).replay(&mut disk)
+            });
+            let meta = (Arc::from(&block_meta_key(1)[..]), Some(own));
+            assert_eq!(wal.last(), Some(&bb_storage::WalRecord::Batch(vec![meta])), "peer {peer}");
+        }
     }
 
     /// A slowed disk bills every read op, so its peer runs every batch

@@ -8,7 +8,7 @@
 
 use bb_merkle::{BlockDelta, BucketTree};
 use bb_sim::MemMeter;
-use bb_storage::{KvError, KvOps, KvPairs, KvStore, LsmConfig, LsmStore, Vfs};
+use bb_storage::{FrameSlot, KvError, KvOps, KvPairs, KvStore, LsmConfig, LsmStore, Vfs};
 use bb_types::{Address, Transaction};
 use blockbench::contract::{decode_call, Chaincode, ChaincodeContext, ChaincodeFactory};
 use std::collections::{BTreeMap, HashMap};
@@ -93,6 +93,13 @@ impl FabricState {
         self.tree.store_mut().scan_prefix(prefix)
     }
 
+    /// The allocation the store's memtable holds for the raw `key` (tests
+    /// of what peers share).
+    #[cfg(test)]
+    pub(crate) fn memtable_value(&self, key: &[u8]) -> Option<Arc<[u8]>> {
+        self.tree.store().memtable_value(key).cloned()
+    }
+
     /// A frozen copy of the backing store to serve a state transfer from:
     /// the memtable flushed, then a clone on a second disk, which shares
     /// the sealed tables and so costs handles, not bytes. Later commits and
@@ -157,9 +164,15 @@ impl FabricState {
     /// [`Self::commit_block`] plus raw metadata records riding the same
     /// atomic batch, so a crash can never separate a block's state flush
     /// from its chain metadata. Keys must live outside the `s:` state
-    /// namespace (they bypass the bucket digests).
-    pub fn commit_block_with_meta(&mut self, extras: KvOps) -> Result<(), bb_storage::KvError> {
-        self.tree.commit_with_extras(extras)
+    /// namespace (they bypass the bucket digests). `frame`, where given, is
+    /// the WAL frame slot the block's batch shares with its twins on other
+    /// peers.
+    pub fn commit_block_with_meta(
+        &mut self,
+        extras: KvOps,
+        frame: Option<FrameSlot>,
+    ) -> Result<(), bb_storage::KvError> {
+        self.tree.commit_with_extras(extras, frame)
     }
 
     /// No writes since the last sealed block?

@@ -20,7 +20,7 @@
 
 use crate::merkle::merkle_root;
 use bb_crypto::Hash256;
-use bb_storage::{IntoShared, KvError, KvOps, KvPairs, KvStore, WriteBatch};
+use bb_storage::{FrameSlot, IntoShared, KvError, KvOps, KvPairs, KvStore, WriteBatch};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -243,7 +243,7 @@ impl<S: KvStore> BucketTree<S> {
     /// [`WriteBatch`]. On error the overlay is left intact (reads keep
     /// working) and a later commit retries.
     pub fn commit(&mut self) -> Result<(), KvError> {
-        self.commit_with_extras(Vec::new())
+        self.commit_with_extras(Vec::new(), None)
     }
 
     /// [`Self::commit`] plus caller-supplied raw store operations appended
@@ -251,12 +251,20 @@ impl<S: KvStore> BucketTree<S> {
     /// block, head pointer) commits or vanishes with its state. Extras
     /// bypass the bucket digests, so they must live outside the state
     /// namespace. The batch holds the overlay's and the extras'
-    /// allocations themselves.
-    pub fn commit_with_extras(&mut self, extras: KvOps) -> Result<(), KvError> {
+    /// allocations themselves, and shares `frame`, where given, with the
+    /// byte-equal batches of the caller's twins.
+    pub fn commit_with_extras(
+        &mut self,
+        extras: KvOps,
+        frame: Option<FrameSlot>,
+    ) -> Result<(), KvError> {
         if self.pending.is_empty() && extras.is_empty() {
             return Ok(());
         }
         let mut batch = WriteBatch::new();
+        if let Some(frame) = frame {
+            batch.share_frame(frame);
+        }
         for (skey, value) in &self.pending {
             match value {
                 Some(v) => batch.put(Arc::clone(skey), Arc::clone(v)),

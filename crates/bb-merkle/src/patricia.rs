@@ -54,7 +54,7 @@
 //! by property test).
 
 use bb_crypto::{DigestMap, DigestSet, Hash256};
-use bb_storage::{IntoShared, KvError, KvOp, KvOps, KvPairs, KvStore, WriteBatch};
+use bb_storage::{FrameSlot, IntoShared, KvError, KvOp, KvOps, KvPairs, KvStore, WriteBatch};
 use std::sync::Arc;
 
 /// Node cache capacity, in nodes. Nodes are content-addressed and
@@ -119,7 +119,7 @@ pub struct PatriciaTrie<S: KvStore> {
 /// What one block did to a trie, recorded on the trie that ran it
 /// ([`PatriciaTrie::record`], [`PatriciaTrie::take_delta`]) for a twin on
 /// the same root to [`PatriciaTrie::install_delta`] instead of running it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct TrieDelta {
     /// The committed root the block ran on.
     pre_root: Hash256,
@@ -140,6 +140,41 @@ pub struct TrieDelta {
     extras: KvOps,
     /// The post-state root.
     root: Hash256,
+    /// The seal's WAL frame, which the runner's store fills and an
+    /// installer's appends. Not part of what the block did: two deltas of
+    /// one block are equal whatever their slots hold.
+    frame: FrameSlot,
+}
+
+impl TrieDelta {
+    /// The seal's WAL frame, once the runner's store has built it.
+    pub fn frame(&self) -> Option<&Arc<[u8]>> {
+        self.frame.get()
+    }
+}
+
+impl PartialEq for TrieDelta {
+    fn eq(&self, other: &TrieDelta) -> bool {
+        let TrieDelta {
+            pre_root,
+            walked,
+            walks,
+            written,
+            dropped,
+            flushed,
+            extras,
+            root,
+            frame: _,
+        } = self;
+        *pre_root == other.pre_root
+            && *walked == other.walked
+            && *walks == other.walks
+            && *written == other.written
+            && *dropped == other.dropped
+            && *flushed == other.flushed
+            && *extras == other.extras
+            && *root == other.root
+    }
 }
 
 /// A block being recorded: its delta so far, and the counters it started
@@ -621,6 +656,7 @@ impl<S: KvStore> PatriciaTrie<S> {
                     flushed: Vec::new(),
                     extras: Vec::new(),
                     root: pre_root,
+                    frame: FrameSlot::default(),
                 },
                 walks_from: self.cache_hits + self.cache_misses,
                 written_from: self.nodes_written,
@@ -666,6 +702,7 @@ impl<S: KvStore> PatriciaTrie<S> {
             batch.put(store_key(hash), Arc::clone(bytes));
         }
         push_extras(&mut batch, &delta.extras);
+        batch.share_frame(Arc::clone(&delta.frame));
         self.store.apply_batch(batch)?;
         self.cache_hits += delta.walks;
         self.nodes_written += delta.written;
@@ -857,6 +894,11 @@ impl<S: KvStore> PatriciaTrie<S> {
             flushed.push((hash, bytes));
         }
         push_extras(&mut batch, &extras);
+        // A block being recorded shares its seal's frame with every twin
+        // that installs its delta.
+        if let Some(recording) = self.recording.as_ref().filter(|r| !r.sealed) {
+            batch.share_frame(Arc::clone(&recording.delta.frame));
+        }
         // On error the arena stays as it is, so nothing becomes unreadable;
         // a partial batch in the store is harmless (content-addressed
         // rewrites).
@@ -1892,6 +1934,65 @@ mod tests {
             assert!(Arc::ptr_eq(installer.cache.get(hash).unwrap(), bytes), "{hash:?}");
         }
         assert_eq!(installer.root(), ran.root());
+    }
+
+    /// A `MemStore` that logs which WAL frame slot each batch shares.
+    #[derive(Clone, Default)]
+    struct SlotLog {
+        inner: MemStore,
+        slots: Vec<Option<FrameSlot>>,
+    }
+
+    impl KvStore for SlotLog {
+        fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
+            self.inner.get(key)
+        }
+        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+            self.inner.put(key, value)
+        }
+        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
+            self.inner.delete(key)
+        }
+        fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
+            let (ops, slot) = batch.into_parts();
+            self.slots.push(slot);
+            let mut batch = WriteBatch::new();
+            push_extras(&mut batch, &ops);
+            self.inner.apply_batch(batch)
+        }
+        fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
+            self.inner.scan_prefix(prefix)
+        }
+        fn scan_range_chunk(
+            &mut self,
+            after: Option<&[u8]>,
+            max_bytes: usize,
+        ) -> Result<(KvPairs, bool), KvError> {
+            self.inner.scan_range_chunk(after, max_bytes)
+        }
+        fn stats(&self) -> bb_storage::StorageStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A recorded seal's batch shares its WAL frame slot with the delta,
+    /// and a twin that installs the delta shares the same slot; a seal
+    /// that is not recorded shares none.
+    #[test]
+    fn seal_shares_its_frame_slot_with_the_installer() {
+        let mut ran = PatriciaTrie::new(SlotLog::default());
+        ran.insert(b"genesis", b"v").unwrap();
+        ran.commit().unwrap();
+        let mut installer = ran.clone();
+        ran.record();
+        ran.insert(b"key", b"value").unwrap();
+        ran.commit().unwrap();
+        let delta = ran.take_delta().expect("a sealed block was recorded");
+        assert!(installer.install_delta(&delta).unwrap());
+        let [None, Some(slot)] = &ran.store().slots[..] else { panic!("the seals' slots") };
+        assert!(Arc::ptr_eq(slot, &delta.frame));
+        let [None, Some(installed)] = &installer.store().slots[..] else { panic!("no slot") };
+        assert!(Arc::ptr_eq(installed, slot));
     }
 }
 

@@ -5,7 +5,7 @@
 //! one level down. Keys and values are arbitrary byte strings.
 
 use crate::stats::StorageStats;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors surfaced by storage engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +39,14 @@ pub type KvOp = (Arc<[u8]>, Option<Arc<[u8]>>);
 
 /// Write operations in order.
 pub type KvOps = Vec<KvOp>;
+
+/// A batch's WAL frame, built once per world. Replicas that write
+/// byte-equal batches attach one slot to them: the first LSM store to log
+/// such a batch frames it in place and fills the slot with a copy of the
+/// frame, and every later store appends those bytes instead of framing and
+/// checksumming its own. Debug builds re-frame every shared frame and
+/// assert that the bytes are equal.
+pub type FrameSlot = Arc<OnceLock<Arc<[u8]>>>;
 
 /// Bytes a [`WriteBatch`] (and through it the LSM memtable) holds by
 /// reference count. An `Arc<[u8]>` is taken as it is: a value made once —
@@ -113,10 +121,13 @@ pub fn chunk_wire_bytes(entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
 /// per-operation overhead. Operations apply in insertion order, so a later
 /// op on the same key wins. Keys and values are shared bytes
 /// ([`IntoShared`]): the LSM store writes them once into its WAL and moves
-/// the allocations themselves into its memtable.
+/// the allocations themselves into its memtable. A batch may carry a
+/// [`FrameSlot`] it shares with byte-equal batches on other replicas; only
+/// the LSM store reads it.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
     ops: KvOps,
+    frame: Option<FrameSlot>,
 }
 
 impl WriteBatch {
@@ -152,9 +163,16 @@ impl WriteBatch {
         &self.ops
     }
 
-    /// Consume the batch, yielding the operations.
-    pub fn into_ops(self) -> KvOps {
-        self.ops
+    /// Share `slot` with every batch of the same operations: whichever
+    /// store logs one of them first fills it, the rest append its bytes.
+    pub fn share_frame(&mut self, slot: FrameSlot) {
+        self.frame = Some(slot);
+    }
+
+    /// Consume the batch, yielding the operations and the frame slot it
+    /// shares, if any.
+    pub fn into_parts(self) -> (KvOps, Option<FrameSlot>) {
+        (self.ops, self.frame)
     }
 }
 
@@ -173,7 +191,8 @@ pub trait KvStore {
     /// loops over `put`/`delete`; engines override it to amortise per-write
     /// overhead (one WAL record per batch on the LSM store).
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
-        for (key, value) in batch.into_ops() {
+        let (ops, _frame) = batch.into_parts();
+        for (key, value) in ops {
             match value {
                 Some(v) => self.put(&key, &v)?,
                 None => self.delete(&key)?,

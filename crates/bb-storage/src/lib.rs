@@ -24,7 +24,9 @@ pub mod stats;
 pub mod vfs;
 
 pub use fault::FaultVfs;
-pub use kv::{chunk_wire_bytes, IntoShared, KvError, KvOp, KvOps, KvPairs, KvStore, WriteBatch};
+pub use kv::{
+    chunk_wire_bytes, FrameSlot, IntoShared, KvError, KvOp, KvOps, KvPairs, KvStore, WriteBatch,
+};
 pub use lsm::merge::KWayMerge;
 pub use lsm::sstable::{SsTable, TableBuilder};
 pub use lsm::store::{LsmConfig, LsmStore};

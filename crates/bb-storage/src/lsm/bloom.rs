@@ -20,6 +20,28 @@ fn fnv1a(seed: u64, data: &[u8]) -> u64 {
     h
 }
 
+/// A key's two hashes, taken once per read and probed against every
+/// table's filter: the probe positions depend on a filter's size only
+/// through `% nbits`.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHash {
+    h1: u64,
+    /// Odd, so the increments cover every slot.
+    h2: u64,
+}
+
+impl KeyHash {
+    /// Hash `key`.
+    pub fn of(key: &[u8]) -> KeyHash {
+        KeyHash { h1: fnv1a(0x5bd1e995, key), h2: fnv1a(0x9e3779b9, key) | 1 }
+    }
+
+    /// The `k` probe positions in a filter of `nbits` bits.
+    fn probes(self, k: u32, nbits: u64) -> impl Iterator<Item = u64> {
+        (0..k as u64).map(move |i| self.h1.wrapping_add(i.wrapping_mul(self.h2)) % nbits)
+    }
+}
+
 impl Bloom {
     /// Build an empty filter sized for `expected` keys at `bits_per_key`
     /// bits each, with the near-optimal probe count `k ≈ 0.69 · bits/key`.
@@ -29,24 +51,16 @@ impl Bloom {
         Bloom { bits: vec![0; nbits.div_ceil(64) as usize], nbits, k }
     }
 
-    fn probes(&self, key: &[u8]) -> impl Iterator<Item = u64> + '_ {
-        let h1 = fnv1a(0x5bd1e995, key);
-        let h2 = fnv1a(0x9e3779b9, key) | 1; // odd increment covers all slots
-        let nbits = self.nbits;
-        (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % nbits)
-    }
-
     /// Insert a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<u64> = self.probes(key).collect();
-        for p in positions {
+        for p in KeyHash::of(key).probes(self.k, self.nbits) {
             self.bits[(p / 64) as usize] |= 1 << (p % 64);
         }
     }
 
-    /// May the key be present? `false` is definitive.
-    pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        self.probes(key).all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
+    /// May the key hashed as `hash` be present? `false` is definitive.
+    pub fn maybe_contains(&self, hash: KeyHash) -> bool {
+        hash.probes(self.k, self.nbits).all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
     /// Serialize to bytes (for the SSTable footer).
@@ -96,7 +110,7 @@ mod tests {
             b.insert(&i.to_be_bytes());
         }
         for i in 0..1000u32 {
-            assert!(b.maybe_contains(&i.to_be_bytes()), "false negative at {i}");
+            assert!(b.maybe_contains(KeyHash::of(&i.to_be_bytes())), "false negative at {i}");
         }
     }
 
@@ -106,7 +120,9 @@ mod tests {
         for i in 0..1000u32 {
             b.insert(&i.to_be_bytes());
         }
-        let fps = (10_000..60_000u32).filter(|i| b.maybe_contains(&i.to_be_bytes())).count();
+        let fps = (10_000..60_000u32)
+            .filter(|i| b.maybe_contains(KeyHash::of(&i.to_be_bytes())))
+            .count();
         let rate = fps as f64 / 50_000.0;
         // 10 bits/key targets ~1%; allow generous slack.
         assert!(rate < 0.03, "false positive rate {rate}");
@@ -115,7 +131,7 @@ mod tests {
     #[test]
     fn empty_filter_contains_nothing_surely() {
         let b = Bloom::new(10, 10);
-        let hits = (0..1000u32).filter(|i| b.maybe_contains(&i.to_be_bytes())).count();
+        let hits = (0..1000u32).filter(|i| b.maybe_contains(KeyHash::of(&i.to_be_bytes()))).count();
         assert_eq!(hits, 0);
     }
 
@@ -128,6 +144,18 @@ mod tests {
         let decoded = Bloom::decode(&b.encode()).unwrap();
         assert_eq!(decoded, b);
         assert_eq!(b.encode().len(), b.encoded_size());
+    }
+
+    /// Filters are part of every table's bytes: one filter's encoding,
+    /// taken before reads began hashing each key once, pinned byte for byte.
+    #[test]
+    fn encoded_filter_known_answer() {
+        let mut b = Bloom::new(12, 10);
+        for i in 0..12u32 {
+            b.insert(format!("bloom-key-{i}").as_bytes());
+        }
+        let hex: String = b.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "000000000000007800000007e563c5db8256231f002a825936b66488");
     }
 
     #[test]

@@ -97,10 +97,7 @@ impl MemTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
 
-#[cfg(test)]
-impl MemTable {
     /// The allocation holding `key`'s live value.
     pub(crate) fn value_arc(&self, key: &[u8]) -> Option<&Arc<[u8]>> {
         self.entries.get(key)?.as_ref()

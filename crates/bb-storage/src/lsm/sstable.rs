@@ -13,7 +13,7 @@
 //! reads check the bloom filter, binary-search the sparse index, then scan
 //! at most one index interval — the LevelDB recipe at laptop scale.
 
-use super::bloom::Bloom;
+use super::bloom::{Bloom, KeyHash};
 use crate::kv::KvError;
 use crate::vfs::Vfs;
 
@@ -209,11 +209,17 @@ impl SsTable {
         })
     }
 
-    /// Point lookup. `Ok(Some(None))` means a tombstone: the key is deleted
-    /// at this tier and older tables must not be consulted.
+    /// Point lookup of `key`, whose hashes are `hash` (taken once per read,
+    /// for every table it probes). `Ok(Some(None))` means a tombstone: the
+    /// key is deleted at this tier and older tables must not be consulted.
     #[allow(clippy::type_complexity)]
-    pub fn get(&self, vfs: &mut Vfs, key: &[u8]) -> Result<Option<Option<Vec<u8>>>, KvError> {
-        if !self.bloom.maybe_contains(key) {
+    pub fn get(
+        &self,
+        vfs: &mut Vfs,
+        key: &[u8],
+        hash: KeyHash,
+    ) -> Result<Option<Option<Vec<u8>>>, KvError> {
+        if !self.bloom.maybe_contains(hash) {
             return Ok(None);
         }
         // Find the last index entry with key <= target.
@@ -379,7 +385,7 @@ mod tests {
         let t = SsTable::build(&mut vfs, "sst/1", &es, 10, 16);
         assert_eq!(t.len(), 500);
         for (k, v) in &es {
-            assert_eq!(t.get(&mut vfs, k).unwrap(), Some(v.clone()), "key {k:?}");
+            assert_eq!(t.get(&mut vfs, k, KeyHash::of(k)).unwrap(), Some(v.clone()), "key {k:?}");
         }
     }
 
@@ -387,9 +393,9 @@ mod tests {
     fn missing_keys_return_none() {
         let mut vfs = Vfs::new();
         let t = SsTable::build(&mut vfs, "sst/1", &entries(100), 10, 16);
-        assert_eq!(t.get(&mut vfs, b"absent").unwrap(), None);
-        assert_eq!(t.get(&mut vfs, b"key999999").unwrap(), None);
-        assert_eq!(t.get(&mut vfs, b"aaa").unwrap(), None); // before first key
+        assert_eq!(t.get(&mut vfs, b"absent", KeyHash::of(b"absent")).unwrap(), None);
+        assert_eq!(t.get(&mut vfs, b"key999999", KeyHash::of(b"key999999")).unwrap(), None);
+        assert_eq!(t.get(&mut vfs, b"aaa", KeyHash::of(b"aaa")).unwrap(), None); // before first key
     }
 
     #[test]
@@ -400,7 +406,7 @@ mod tests {
         let t = SsTable::open(&mut vfs, "sst/1").unwrap();
         assert_eq!(t.len(), 200);
         for (k, v) in &es {
-            assert_eq!(t.get(&mut vfs, k).unwrap(), Some(v.clone()));
+            assert_eq!(t.get(&mut vfs, k, KeyHash::of(k)).unwrap(), Some(v.clone()));
         }
         assert_eq!(t.all_entries(&mut vfs).unwrap(), es);
     }
@@ -424,7 +430,7 @@ mod tests {
         let mut vfs = Vfs::new();
         let t = SsTable::build(&mut vfs, "sst/e", &Entries::new(), 10, 16);
         assert!(t.is_empty());
-        assert_eq!(t.get(&mut vfs, b"x").unwrap(), None);
+        assert_eq!(t.get(&mut vfs, b"x", KeyHash::of(b"x")).unwrap(), None);
         let reopened = SsTable::open(&mut vfs, "sst/e").unwrap();
         assert!(reopened.all_entries(&mut vfs).unwrap().is_empty());
     }
@@ -434,8 +440,9 @@ mod tests {
         let mut vfs = Vfs::new();
         let es = vec![(b"dead".to_vec(), None), (b"live".to_vec(), Some(b"v".to_vec()))];
         let t = SsTable::build(&mut vfs, "sst/1", &es, 10, 16);
-        assert_eq!(t.get(&mut vfs, b"dead").unwrap(), Some(None));
-        assert_eq!(t.get(&mut vfs, b"live").unwrap(), Some(Some(b"v".to_vec())));
+        assert_eq!(t.get(&mut vfs, b"dead", KeyHash::of(b"dead")).unwrap(), Some(None));
+        let live = t.get(&mut vfs, b"live", KeyHash::of(b"live")).unwrap();
+        assert_eq!(live, Some(Some(b"v".to_vec())));
     }
 
     #[test]

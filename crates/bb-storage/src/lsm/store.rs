@@ -14,6 +14,7 @@
 //! single atomic write is the commit point of every flush/compaction, so a
 //! crash mid-merge leaves only unlisted orphan files, which `open` deletes.
 
+use super::bloom::KeyHash;
 use super::memtable::MemTable;
 use super::merge::KWayMerge;
 use super::sstable::{SsTable, TableBuilder};
@@ -415,6 +416,13 @@ impl LsmStore {
         self.levels.iter().map(|l| l.len()).collect()
     }
 
+    /// The allocation the memtable holds for `key`'s live value, if it
+    /// holds one: which caller's bytes a batch moved in (tests of sharing
+    /// across replicas read it).
+    pub fn memtable_value(&self, key: &[u8]) -> Option<&Arc<[u8]>> {
+        self.memtable.value_arc(key)
+    }
+
     /// Shared VFS handle.
     pub fn vfs(&self) -> Arc<Mutex<Vfs>> {
         Arc::clone(&self.vfs)
@@ -488,9 +496,12 @@ impl KvStore for LsmStore {
         if let Some(hit) = self.memtable.get(key) {
             return Ok(hit.map(|v| v.to_vec()));
         }
+        // Both bloom hashes at most once, at the first table probed.
+        let mut hashed = None;
+        let mut hash = || *hashed.get_or_insert_with(|| KeyHash::of(key));
         // L0 may overlap: newest table first.
         for t in self.levels[0].iter().rev() {
-            if let Some(hit) = t.table.get(&mut self.vfs.lock().unwrap(), key)? {
+            if let Some(hit) = t.table.get(&mut self.vfs.lock().unwrap(), key, hash())? {
                 return Ok(hit);
             }
         }
@@ -503,7 +514,7 @@ impl KvStore for LsmStore {
             }
             let t = &lvl[i - 1];
             if t.table.last_key().is_some_and(|l| l >= key) {
-                if let Some(hit) = t.table.get(&mut self.vfs.lock().unwrap(), key)? {
+                if let Some(hit) = t.table.get(&mut self.vfs.lock().unwrap(), key, hash())? {
                     return Ok(hit);
                 }
             }
@@ -534,20 +545,21 @@ impl KvStore for LsmStore {
     }
 
     /// One WAL record, one memtable pass, one flush check — the whole point
-    /// of batching over per-node `put` calls. The WAL copies each byte once;
-    /// the memtable takes the batch's allocations themselves.
+    /// of batching over per-node `put` calls. The WAL copies each byte once,
+    /// or appends the frame a byte-equal batch's slot already holds; the
+    /// memtable takes the batch's allocations themselves.
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
         if batch.is_empty() {
             return Ok(());
         }
-        let ops = batch.into_ops();
+        let (ops, frame) = batch.into_parts();
         self.stats.writes += ops.len() as u64;
         self.stats.batch_writes += 1;
         self.stats.logical_bytes += ops
             .iter()
             .map(|(k, v)| (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64)
             .sum::<u64>();
-        self.wal.log_batch(&mut self.vfs.lock().unwrap(), &ops);
+        self.wal.log_batch(&mut self.vfs.lock().unwrap(), &ops, frame.as_ref());
         for (key, value) in ops {
             match value {
                 Some(v) => self.memtable.put(key, v),
@@ -669,6 +681,7 @@ impl std::fmt::Debug for LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::{FrameSlot, KvOps};
 
     fn small_config() -> LsmConfig {
         LsmConfig { memtable_flush_bytes: 2048, max_tables: 3, ..LsmConfig::default() }
@@ -916,6 +929,65 @@ mod tests {
         let mut s = LsmStore::open(vfs, "lsm", LsmConfig::default()).unwrap();
         assert_eq!(s.stats().wal_records_replayed, 1);
         assert_eq!(s.get(&key).unwrap(), Some(value.to_vec()));
+    }
+
+    /// A batch applied through an empty frame slot (framed in place) and
+    /// the same batch applied through the slot it filled, on a clone of the
+    /// same disk, land alike: the whole disks are equal — files, op charge,
+    /// `bytes_written`, the last-append marker, `enospc_hits` — with and
+    /// without a capacity that tears the append, and both disks reopen to
+    /// the same records.
+    #[test]
+    fn shared_frame_lands_like_a_framed_one() {
+        let ops: KvOps = vec![
+            (Arc::from(&b"alpha"[..]), Some(Arc::from(&b"one"[..]))),
+            (Arc::from(&b"beta"[..]), None),
+            (Arc::from(&b"gamma-key-longer-than-a-word"[..]), Some(Arc::from(&[7u8; 19][..]))),
+        ];
+        let batch = |slot: &FrameSlot| {
+            let mut b = WriteBatch::new();
+            for (k, v) in &ops {
+                match v {
+                    Some(v) => b.put(Arc::clone(k), Arc::clone(v)),
+                    None => b.delete(Arc::clone(k)),
+                }
+            }
+            b.share_frame(Arc::clone(slot));
+            b
+        };
+        for tear in [false, true] {
+            let mut framed = LsmStore::new_private(LsmConfig::default());
+            framed.put(b"before", b"x").unwrap();
+            let vfs = framed.vfs();
+            vfs.lock().unwrap().set_op_latency_us(3);
+            if tear {
+                let used = vfs.lock().unwrap().disk_usage();
+                vfs.lock().unwrap().set_capacity(Some(used + 20));
+            }
+            let mut shared = framed.clone();
+            let slot = FrameSlot::default();
+            framed.apply_batch(batch(&slot)).unwrap();
+            let frame = slot.get().expect("the store that framed the batch filled the slot");
+            let wal_len = framed.vfs().lock().unwrap().file_size(framed.wal.file()).unwrap();
+            assert_eq!(frame.len(), 13 + 86, "the slot holds the whole frame, torn or not");
+            assert_eq!(wal_len as usize, 20 + if tear { 20 } else { frame.len() }, "tear {tear}");
+            shared.apply_batch(batch(&slot)).unwrap();
+            let disk = |s: &LsmStore| s.vfs().lock().unwrap().clone();
+            assert_eq!(disk(&shared), disk(&framed), "tear {tear}");
+            assert_eq!(disk(&shared).enospc_hits(), tear as u64);
+            assert_eq!(shared.stats(), framed.stats(), "tear {tear}");
+            let replayed = |s: &LsmStore| {
+                let mut v = disk(s);
+                v.set_capacity(None);
+                let vfs = Arc::new(Mutex::new(v));
+                let mut s = LsmStore::open(Arc::clone(&vfs), "lsm", LsmConfig::default()).unwrap();
+                let records = s.wal.replay(&mut vfs.lock().unwrap());
+                (records, s.scan_prefix(b"").unwrap())
+            };
+            let (records, contents) = replayed(&framed);
+            assert_eq!(replayed(&shared), (records.clone(), contents), "tear {tear}");
+            assert_eq!(records.len(), if tear { 1 } else { 2 }, "tear {tear}");
+        }
     }
 
     #[test]

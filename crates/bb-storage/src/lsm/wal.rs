@@ -2,7 +2,7 @@
 //! touches the memtable, so a reopened store recovers exactly the
 //! un-flushed tail.
 
-use crate::kv::{KvOp, KvOps};
+use crate::kv::{FrameSlot, KvOp, KvOps};
 use crate::vfs::Vfs;
 use std::sync::Arc;
 
@@ -62,6 +62,48 @@ fn checksum(parts: &[&[u8]]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
+/// Write one frame — `[tag][key len][key][value len][value][checksum]` —
+/// onto the end of `log`: `key_len` bytes of key that `put_key` appends in
+/// place, then `value`. Every frame is sealed here, and only here.
+fn write_frame(
+    log: &mut Vec<u8>,
+    tag: u8,
+    key_len: usize,
+    put_key: impl FnOnce(&mut Vec<u8>),
+    value: &[u8],
+) {
+    log.push(tag);
+    log.extend_from_slice(&(key_len as u32).to_be_bytes());
+    let key_at = log.len();
+    put_key(log);
+    let sum = checksum(&[&[tag], &log[key_at..], value]);
+    log.extend_from_slice(&(value.len() as u32).to_be_bytes());
+    log.extend_from_slice(value);
+    log.extend_from_slice(&sum.to_be_bytes());
+}
+
+/// Length of `ops` serialised as a batch blob.
+fn batch_blob_len(ops: &[KvOp]) -> usize {
+    4 + ops
+        .iter()
+        .map(|(key, value)| 1 + 4 + key.len() + value.as_ref().map_or(0, |v| 4 + v.len()))
+        .sum::<usize>()
+}
+
+/// Serialise `ops` as a batch blob onto the end of `log`.
+fn put_batch_blob(log: &mut Vec<u8>, ops: &[KvOp]) {
+    log.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+    for (key, value) in ops {
+        log.push(if value.is_some() { BATCH_OP_PUT } else { BATCH_OP_DELETE });
+        log.extend_from_slice(&(key.len() as u32).to_be_bytes());
+        log.extend_from_slice(key);
+        if let Some(v) = value {
+            log.extend_from_slice(&(v.len() as u32).to_be_bytes());
+            log.extend_from_slice(v);
+        }
+    }
+}
+
 /// Append-only log over one VFS file.
 #[derive(Debug, Clone)]
 pub struct Wal {
@@ -77,9 +119,8 @@ impl Wal {
         Wal { file: file.to_string() }
     }
 
-    /// Append one frame — `[tag][key len][key][value len][value][checksum]`
-    /// — straight onto the end of the log: `key_len` bytes of key that
-    /// `put_key` appends in place, then `value`. Nothing is staged.
+    /// Append one frame ([`write_frame`]) straight onto the end of the log;
+    /// nothing is staged. `slot`, if given, receives a copy of the frame.
     fn append_frame(
         &self,
         vfs: &mut Vfs,
@@ -87,52 +128,57 @@ impl Wal {
         key_len: usize,
         put_key: impl FnOnce(&mut Vec<u8>),
         value: &[u8],
+        slot: Option<&FrameSlot>,
     ) {
         vfs.append_with(&self.file, 13 + key_len + value.len(), |log| {
-            log.push(tag);
-            log.extend_from_slice(&(key_len as u32).to_be_bytes());
-            let key_at = log.len();
-            put_key(log);
-            let sum = checksum(&[&[tag], &log[key_at..], value]);
-            log.extend_from_slice(&(value.len() as u32).to_be_bytes());
-            log.extend_from_slice(value);
-            log.extend_from_slice(&sum.to_be_bytes());
+            let at = log.len();
+            write_frame(log, tag, key_len, put_key, value);
+            if let Some(slot) = slot {
+                // Only a store that found the slot empty frames in place.
+                let _ = slot.set(log[at..].into());
+            }
         });
     }
 
     /// Log a put.
     pub fn log_put(&self, vfs: &mut Vfs, key: &[u8], value: &[u8]) {
-        self.append_frame(vfs, TAG_PUT, key.len(), |log| log.extend_from_slice(key), value);
+        self.append_frame(vfs, TAG_PUT, key.len(), |log| log.extend_from_slice(key), value, None);
     }
 
     /// Log a delete.
     pub fn log_delete(&self, vfs: &mut Vfs, key: &[u8]) {
-        self.append_frame(vfs, TAG_DELETE, key.len(), |log| log.extend_from_slice(key), &[]);
+        self.append_frame(vfs, TAG_DELETE, key.len(), |log| log.extend_from_slice(key), &[], None);
     }
 
     /// Log an atomic batch as ONE record: the operations, serialised as a
     /// blob, fill the record's key slot, reusing the standard framing and
-    /// checksum. The blob is written in place at the end of the log, so
-    /// each stored byte is copied once. Recovery applies the whole batch or
-    /// none of it.
-    pub fn log_batch(&self, vfs: &mut Vfs, ops: &[KvOp]) {
-        let blob_len = 4 + ops
-            .iter()
-            .map(|(key, value)| 1 + 4 + key.len() + value.as_ref().map_or(0, |v| 4 + v.len()))
-            .sum::<usize>();
-        let put_blob = |log: &mut Vec<u8>| {
-            log.extend_from_slice(&(ops.len() as u32).to_be_bytes());
-            for (key, value) in ops {
-                log.push(if value.is_some() { BATCH_OP_PUT } else { BATCH_OP_DELETE });
-                log.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                log.extend_from_slice(key);
-                if let Some(v) = value {
-                    log.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                    log.extend_from_slice(v);
-                }
-            }
-        };
-        self.append_frame(vfs, TAG_BATCH, blob_len, put_blob, &[]);
+    /// checksum. Recovery applies the whole batch or none of it.
+    ///
+    /// With no `shared` slot, or an empty one, the blob is written in place
+    /// at the end of the log, so each stored byte is copied once, and an
+    /// empty slot receives a copy of the frame. A filled slot holds the
+    /// frame another store wrote for the same operations: it is appended as
+    /// it is, with no framing and no checksum here.
+    pub fn log_batch(&self, vfs: &mut Vfs, ops: &[KvOp], shared: Option<&FrameSlot>) {
+        if let Some(frame) = shared.and_then(|slot| slot.get()) {
+            return self.append_shared(vfs, ops, frame);
+        }
+        let blob_len = batch_blob_len(ops);
+        self.append_frame(vfs, TAG_BATCH, blob_len, |log| put_batch_blob(log, ops), &[], shared);
+    }
+
+    /// Append `frame`, the batch frame another store wrote for `ops`, as an
+    /// append of its own: the same op charge, byte count, tearing under a
+    /// capacity and last-append marker as framing in place. Debug builds
+    /// frame `ops` afresh and assert that the bytes are equal.
+    fn append_shared(&self, vfs: &mut Vfs, ops: &[KvOp], frame: &[u8]) {
+        if cfg!(debug_assertions) {
+            let blob_len = batch_blob_len(ops);
+            let mut own = Vec::with_capacity(13 + blob_len);
+            write_frame(&mut own, TAG_BATCH, blob_len, |log| put_batch_blob(log, ops), &[]);
+            assert!(own == frame, "a shared WAL frame differs from its batch's own");
+        }
+        vfs.append(&self.file, frame);
     }
 
     /// Truncate after a successful memtable flush. The file keeps its
@@ -326,7 +372,7 @@ mod tests {
             (b"c".to_vec(), Some(Vec::new())),
         ]);
         wal.log_put(&mut vfs, b"before", b"x");
-        wal.log_batch(&mut vfs, &ops);
+        wal.log_batch(&mut vfs, &ops, None);
         wal.log_delete(&mut vfs, b"after");
         assert_eq!(
             wal.replay(&mut vfs),
@@ -342,7 +388,7 @@ mod tests {
     fn corrupt_batch_blob_stops_replay() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_batch(&mut vfs, &shared(vec![(b"k".to_vec(), Some(b"v".to_vec()))]));
+        wal.log_batch(&mut vfs, &shared(vec![(b"k".to_vec(), Some(b"v".to_vec()))]), None);
         let mut data = vfs.read("wal").unwrap();
         // Flip a bit inside the op blob: the frame checksum catches it.
         data[7] ^= 0x01;
@@ -354,7 +400,7 @@ mod tests {
     fn empty_batch_allowed() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_batch(&mut vfs, &[]);
+        wal.log_batch(&mut vfs, &[], None);
         assert_eq!(wal.replay(&mut vfs), vec![WalRecord::Batch(Vec::new())]);
     }
 
@@ -368,7 +414,7 @@ mod tests {
             (b"beta".to_vec(), None),
             (b"gamma-key-longer-than-a-word".to_vec(), Some(vec![7u8; 19])),
         ]);
-        wal.log_batch(vfs, &ops);
+        wal.log_batch(vfs, &ops, None);
         (wal, boundary)
     }
 
@@ -424,6 +470,7 @@ mod tests {
                 (b"deleted-key".to_vec(), None),
                 (b"empty-value-key".to_vec(), Some(Vec::new())),
             ]),
+            None,
         );
         let hex: String = vfs.read("wal").unwrap().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(

@@ -92,7 +92,9 @@ impl KvStore for MemStore {
             return Ok(());
         }
         self.stats.batch_writes += 1;
-        for (key, value) in batch.into_ops() {
+        // A map copies every op: there is no frame to share.
+        let (ops, _frame) = batch.into_parts();
+        for (key, value) in ops {
             match value {
                 Some(v) => self.put(&key, &v)?,
                 None => self.delete(&key)?,

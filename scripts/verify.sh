@@ -283,6 +283,49 @@ if [ -n "$borrowed" ]; then
     exit 1
 fi
 
+echo "==> one frame per world: replicas that install a batch append the first replica's WAL frame and store its block record"
+# DESIGN.md §6 "Storage write path": a `WriteBatch` may share a `FrameSlot`
+# with the byte-equal batches of other replicas. The first LSM store to log
+# one frames it in place and fills the slot; the others append the slot's
+# bytes through `Vfs::append`. Fabric's batch outcome carries the slot and
+# the `!b/` record the first peer built, reused only on an equal header and
+# floor; an Ethereum `TrieDelta` carries the runner's slot. Debug builds
+# re-frame every shared frame and re-encode every shared record. The tests
+# run in both profiles: the release run takes the paths the debug asserts
+# do not watch.
+for t in shared_frame_lands_like_a_framed_one encoded_filter_known_answer; do
+    smoke -p bb-storage "$t"
+    smoke --release -p bb-storage "$t"
+done
+smoke -p bb-merkle seal_shares_its_frame_slot_with_the_installer
+smoke --release -p bb-merkle seal_shares_its_frame_slot_with_the_installer
+smoke -p bb-fabric sealed_block_of_a_batch
+smoke --release -p bb-fabric sealed_block_of_a_batch
+smoke -p bb-ethereum installed_block_appends_the_runners_wal_frame
+smoke --release -p bb-ethereum installed_block_appends_the_runners_wal_frame
+# Lines above FILE's test module that call NAME( outside the functions
+# listed after it (the definition `fn NAME(` aside).
+calls_outside() {
+    local file=$1 name=$2
+    shift 2
+    awk -v name="$name" -v allowed=" $* " '
+        /^#\[cfg\(test\)\]/ { exit }
+        $0 ~ /^[ \t]*(pub[^ ]* )?fn / && match($0, /fn [a-z_0-9]+/) {
+            fn = substr($0, RSTART + 3, RLENGTH - 3)
+        }
+        index($0, name "(") && !index($0, "fn " name "(") && !index(allowed, " " fn " ") {
+            print FILENAME ":" NR ": " $0
+        }' "$file"
+}
+resealed=$(calls_outside crates/bb-fabric/src/chain.rs block_meta_record append_block
+    calls_outside crates/bb-ethereum/src/chain.rs block_meta_record seal
+    calls_outside crates/bb-storage/src/lsm/wal.rs checksum write_frame parse_one)
+if [ -n "$resealed" ]; then
+    echo "$resealed"
+    echo "ERROR: a block record or a WAL checksum is built outside its one sealing site" >&2
+    exit 1
+fi
+
 echo "==> crypto: SHA-256 known answers and scalar-vs-hardware differential, test and release profiles"
 # Every layer's hashes bottom out in one `Sha256` with two compression
 # functions, chosen from CPUID (DESIGN.md §4 "Hash kernel"). The differential
