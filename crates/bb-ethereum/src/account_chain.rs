@@ -41,7 +41,7 @@ pub trait Consensus:
     /// Start block production (once, at the first `submit`/`advance_to`).
     fn start(chain: &mut AccountChain<Self>);
     /// Take `tx` in at live `server`'s RPC; `false` refuses it. A taken
-    /// transaction enters the world's [`crate::txs::TxTable`] here.
+    /// transaction enters the world's [`bb_types::TxTable`] here.
     fn admit(chain: &mut AccountChain<Self>, server: NodeId, tx: Transaction) -> bool;
 
     /// Rebuild a restarting node from what survives a power cut: its

@@ -21,12 +21,11 @@ use crate::account_chain::{AccountChain, Consensus, Setup};
 use crate::config::EthConfig;
 use crate::node::{vm_for, BlockOutcomes, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use crate::state::AccountState;
-use crate::txs::TxTable;
 use bb_consensus::pow::BlockTree;
 use bb_crypto::{DigestMap, Hash256};
 use bb_sim::{Effects, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_storage::{FaultVfs, KvError, KvStore, LsmConfig, LsmStore};
-use bb_types::{Block, NodeId, Transaction};
+use bb_types::{Block, NodeId, Transaction, TxTable};
 use blockbench::connector::Fault;
 use std::sync::Arc;
 

@@ -12,8 +12,8 @@
 //!
 //! [`state`] (accounts, buffered VM host, transaction application),
 //! [`node`] (the fork-choice node: block tree, pool, sync, recovery) and
-//! [`account_chain`] (the one connector over those nodes, with [`txs`], the
-//! world's one transaction table its nodes index by) are generic over
+//! [`account_chain`] (the one connector over those nodes, with the world's
+//! one `bb_types::TxTable` its nodes index by) are generic over
 //! the storage backend and the consensus plug-in, and are reused by
 //! `bb-parity`, which swaps PoW for authority-round and the LSM trie
 //! backend for a capped in-memory store. [`chain`] holds only what is
@@ -24,7 +24,6 @@ pub mod chain;
 pub mod config;
 pub mod node;
 pub mod state;
-pub mod txs;
 
 pub use chain::EthereumChain;
 pub use config::{EthConfig, EvmCosts};

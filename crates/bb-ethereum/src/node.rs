@@ -21,7 +21,6 @@
 
 use crate::config::EvmCosts;
 use crate::state::{AccountState, TxInvalid};
-use crate::txs::{Pooled, TxBits, TxTable};
 use bb_consensus::pow::{BlockTree, InsertOutcome};
 use bb_crypto::{DigestMap, DigestSet, Hash256};
 use bb_merkle::{merkle_root, TrieDelta};
@@ -29,7 +28,7 @@ use bb_sim::{CpuMeter, Effects, RecentOutcomes, SimDuration, SimTime};
 use bb_storage::{chunk_wire_bytes, KvError, KvPairs, KvStore};
 use bb_svm::{Vm, VmConfig};
 use bb_types::{
-    Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId,
+    Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxBits, TxId, TxTable,
 };
 use blockbench::connector::{
     ChainEntry, DirectExec, NodeCounters, PlatformStats, Query, QueryError, QueryResult,
@@ -263,6 +262,55 @@ pub enum SyncMsg {
     },
 }
 
+/// What a node's pool holds, by index in the world's [`TxTable`]: which
+/// indices are pooled, how many, and the head height each was last admitted
+/// at.
+#[derive(Clone, Default)]
+struct Pooled {
+    bits: TxBits,
+    len: usize,
+    admitted_at: Vec<u64>,
+}
+
+impl Pooled {
+    /// Pool `i`, if it is not already, as admitted at head `height`.
+    fn admit(&mut self, i: u32, height: u64) {
+        self.len += usize::from(self.bits.insert(i));
+        let slot = i as usize;
+        if slot >= self.admitted_at.len() {
+            self.admitted_at.resize(slot + 1, 0);
+        }
+        self.admitted_at[slot] = height;
+    }
+
+    /// Unpool `i`.
+    fn remove(&mut self, i: u32) {
+        self.len -= usize::from(self.bits.remove(i));
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        self.bits.contains(i)
+    }
+
+    /// The head height pooled `i` was last admitted at.
+    fn admitted_at(&self, i: u32) -> u64 {
+        debug_assert!(self.contains(i), "index {i} is not pooled");
+        self.admitted_at[i as usize]
+    }
+
+    /// Indices pooled.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Unpool everything.
+    fn clear(&mut self) {
+        self.bits.clear();
+        self.len = 0;
+        self.admitted_at.clear();
+    }
+}
+
 /// One server of an account-model chain.
 ///
 /// `Clone` is a twin: a second node over a second store, equal to the first
@@ -357,10 +405,8 @@ impl<S: KvStore + Send> ChainNode<S> {
         // Receipts are volatile; recovered blocks keep empty ones. (The
         // observer's confirmed log is kept separately.)
         self.receipts = bodies.keys().map(|id| (*id, Vec::new())).collect();
-        self.seen.clear();
-        for tx in bodies.values().flat_map(|b| &b.txs) {
-            self.seen.insert(p.txs().index(&tx.id()));
-        }
+        self.seen =
+            bodies.values().flat_map(|b| &b.txs).map(|tx| p.txs().index(&tx.id())).collect();
         self.state.set_root(roots[&tree.head()]);
         self.tree = tree;
         self.bodies = bodies;
@@ -1352,6 +1398,24 @@ mod tests {
 
     fn pooled(p: &TestCtx, n: &ChainNode<MemStore>, tx: &Arc<Transaction>) -> bool {
         n.pooled.contains(p.2.index(&tx.id()))
+    }
+
+    #[test]
+    fn tx_table_pool_counts_each_index_once_and_keeps_its_latest_admission() {
+        let mut pooled = Pooled::default();
+        pooled.admit(70, 3);
+        pooled.admit(70, 5);
+        pooled.admit(2, 4);
+        assert_eq!(pooled.len(), 2);
+        assert_eq!((pooled.admitted_at(70), pooled.admitted_at(2)), (5, 4));
+        pooled.remove(70);
+        pooled.remove(70);
+        pooled.remove(900);
+        assert_eq!(pooled.len(), 1);
+        assert!(!pooled.contains(70) && pooled.contains(2));
+        pooled.clear();
+        assert_eq!(pooled.len(), 0);
+        assert!(!pooled.contains(2));
     }
 
     const ME: NodeId = NodeId(0);

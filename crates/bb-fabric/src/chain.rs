@@ -21,14 +21,16 @@
 use crate::config::FabricConfig;
 use crate::state::{FabricState, STORE_PREFIX};
 use bb_consensus::pbft::{Action, Batch, PbftConfig, PbftMsg, PbftNode, Request};
-use bb_crypto::{DigestSet, Hash256};
+use bb_crypto::Hash256;
 use bb_merkle::{merkle_root, BlockDelta};
 use bb_net::Network;
 use bb_storage::{chunk_wire_bytes, FaultVfs, FrameSlot, KvStore, LsmStore, Vfs};
 use bb_sim::{
     CpuMeter, Effects, RecentOutcomes, ShardedEngine, ShardedWorld, SimDuration, SimRng, SimTime,
 };
-use bb_types::{Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxId};
+use bb_types::{
+    Address, Block, BlockHeader, BlockSummary, NodeId, Transaction, TxBits, TxId, TxTable,
+};
 use blockbench::connector::{
     BlockchainConnector, ChainEntry, DirectExec, Fault, NodeCounters, PlatformStats, Query,
     QueryError, QueryResult, RecoveryWindow,
@@ -121,8 +123,9 @@ fn decode_block_meta(value: &[u8]) -> Option<(u64, Block)> {
 /// it from the durable `!b/` records.
 #[derive(Clone, Default)]
 struct Ledger {
-    /// Executed transaction ids (dedupe across re-proposals).
-    executed: DigestSet<TxId>,
+    /// Executed transactions by index in the world's [`TxTable`] (dedupe
+    /// across re-proposals).
+    executed: TxBits,
     /// Committed chain.
     blocks: Vec<Block>,
     /// Per-block receipts; recovered blocks carry none.
@@ -133,12 +136,13 @@ impl Ledger {
     /// The ledger `state`'s `!b/` records hold — each rode the same atomic
     /// batch as its block's state flush, so these are exactly the blocks
     /// whose effects survive — and the PBFT sequence floor they reached.
-    fn recover(state: &mut FabricState) -> (Ledger, u64) {
+    /// Every recovered transaction entered the world's `txs`.
+    fn recover(state: &mut FabricState, txs: &TxTable) -> (Ledger, u64) {
         let records = state.scan_meta(BLOCK_META_PREFIX).expect("durable store recoverable");
         let (floors, blocks): (Vec<u64>, Vec<Block>) =
             records.iter().filter_map(|(_, v)| decode_block_meta(v)).unzip();
         let ledger = Ledger {
-            executed: blocks.iter().flat_map(|b| &b.txs).map(|tx| tx.id()).collect(),
+            executed: blocks.iter().flat_map(|b| &b.txs).map(|tx| txs.index(&tx.id())).collect(),
             receipts: vec![Vec::new(); blocks.len()],
             blocks,
         };
@@ -271,7 +275,7 @@ impl FabNode {
     fn reopen(&mut self, ctx: &FabCtx, me: NodeId) -> u64 {
         self.state = ctx.open_state(self.state.vfs());
         let floor;
-        (self.ledger, floor) = Ledger::recover(&mut self.state);
+        (self.ledger, floor) = Ledger::recover(&mut self.state, &ctx.txs);
         self.pbft = PbftNode::resume_at(me, pbft_config(&ctx.config), floor);
         floor
     }
@@ -380,6 +384,9 @@ struct FabCtx {
     blank: Vfs,
     /// Recent batch outcomes. Only [`execute_batch_txs`] reads or fills it.
     outcomes: RecentOutcomes<BatchKey, BatchOutcome>,
+    /// The world's transaction table: a transaction is numbered where it
+    /// enters the world (`submit`, `preload_blocks`); the lanes only read it.
+    txs: TxTable,
     /// Every outcome lookup as `(peer, height, hit)`: tests only, never
     /// stats.
     #[cfg(test)]
@@ -741,7 +748,7 @@ fn commit_batch(
         let Some(tx) = req.transaction() else {
             continue;
         };
-        if !node.ledger.executed.insert(tx.id()) {
+        if !node.ledger.executed.insert(ctx.txs.index(&tx.id())) {
             continue; // re-proposed duplicate
         }
         txs.push(Arc::clone(tx));
@@ -861,6 +868,7 @@ impl FabricChain {
             deploys: Vec::new(),
             blank: Vfs::new(),
             outcomes: RecentOutcomes::default(),
+            txs: TxTable::default(),
             #[cfg(test)]
             lookups: Mutex::default(),
         };
@@ -989,6 +997,9 @@ impl BlockchainConnector for FabricChain {
             // sees the failure and does not burn a nonce on it.
             return false;
         }
+        // The transaction enters the world here: every peer's `commit_batch`
+        // looks its index up.
+        self.engine.with_ctx_mut(|ctx| ctx.txs.intern(tx.id()));
         let now = self.engine.now();
         let rpc_delay = self.config.rpc_delay;
         let ingress_interval = self.config.ingress_interval;
@@ -1132,11 +1143,15 @@ impl BlockchainConnector for FabricChain {
         let before = self.engine.with_node_mut(0, |n| (n.ledger.blocks.len(), n.state.root()));
         for txs in blocks {
             let txs: Vec<Arc<Transaction>> = txs.into_iter().map(Arc::new).collect();
+            // Preloaded transactions enter the world here.
+            let indices: Vec<u32> = self
+                .engine
+                .with_ctx_mut(|ctx| txs.iter().map(|tx| ctx.txs.intern(tx.id())).collect());
             self.engine.with_node_mut(0, |node| {
                 let height = node.ledger.blocks.len() as u64 + 1;
                 let mut receipts = Vec::with_capacity(txs.len());
-                for tx in &txs {
-                    node.ledger.executed.insert(tx.id());
+                for (tx, &i) in txs.iter().zip(&indices) {
+                    node.ledger.executed.insert(i);
                     let res = node.state.invoke(tx, height, true);
                     receipts.push((tx.id(), res.success));
                 }
@@ -1235,10 +1250,13 @@ mod tests {
                 c.engine.with_node(i, |n| n.ledger.blocks.iter().map(|b| b.id()).collect());
             assert_eq!(other, reference, "node {i} diverged");
         }
-        // State roots agree too.
+        // State roots and executed sets agree too.
         let root = c.engine.with_node_mut(0, |n| n.state.root());
+        let executed = c.engine.with_node(0, |n| n.ledger.executed.clone());
+        assert_eq!(executed, (0..50).collect(), "submitted in order, numbered in order");
         for i in 1..4 {
             assert_eq!(c.engine.with_node_mut(i, |n| n.state.root()), root);
+            assert_eq!(c.engine.with_node(i, |n| n.ledger.executed.clone()), executed);
         }
         // And the chains are not four copies: every peer's block holds the
         // one `Arc<Transaction>` its request carried through consensus.
@@ -1255,18 +1273,63 @@ mod tests {
         }
     }
 
+    /// A transaction submitted at two peers, the second time after it
+    /// committed, is one entry in the world's table and executes once on
+    /// every peer.
+    #[test]
+    fn tx_table_enters_a_transaction_submitted_twice_once() {
+        let mut c = chain(4);
+        let addr = c.deploy(&donothing::bundle());
+        let tx = client_tx(1, 0, addr, donothing::call());
+        assert!(c.submit(NodeId(0), tx.clone()));
+        c.advance_to(SimTime::from_secs(3));
+        assert!(c.submit(NodeId(1), tx.clone()));
+        c.advance_to(SimTime::from_secs(6));
+        assert_eq!(c.engine.with_ctx(|ctx| (ctx.txs.len(), ctx.txs.index(&tx.id()))), (1, 0));
+        for i in 0..4 {
+            let (receipts, executed) =
+                c.engine.with_node(i, |n| (n.ledger.receipts.concat(), n.ledger.executed.clone()));
+            assert_eq!(receipts, [(tx.id(), true)], "peer {i} executed it other than once");
+            // PBFT ordered the second copy too: its block is empty.
+            let sizes: Vec<usize> = block_txs(&c, i).iter().map(Vec::len).collect();
+            assert_eq!(sizes, [1, 0], "peer {i}");
+            assert_eq!(executed, [0].into_iter().collect(), "peer {i}");
+        }
+    }
+
+    /// A restarted peer rebuilds its executed set from its durable blocks,
+    /// preloaded ones included, on the world's index space: the same bits
+    /// as a peer that stayed up.
+    #[test]
+    fn tx_table_restarted_peer_recovers_the_executed_bits_of_a_live_one() {
+        let mut c = chain(4);
+        let addr = c.deploy(&ycsb::bundle());
+        let write = |seed, nonce| client_tx(seed, nonce, addr, ycsb::write_call(nonce, b"v"));
+        c.preload_blocks(vec![(0..5).map(|nonce| write(1, nonce)).collect()]);
+        for nonce in 0..20 {
+            assert!(c.submit(NodeId((nonce % 4) as u32), write(2, nonce)));
+        }
+        c.advance_to(SimTime::from_secs(5));
+        let executed = |c: &FabricChain, i| c.engine.with_node(i, |n| n.ledger.executed.clone());
+        let live = executed(&c, 0);
+        assert_eq!(live, (0..25).collect());
+        c.inject(Fault::Crash(NodeId(3)));
+        c.inject(Fault::Restart(NodeId(3)));
+        assert_eq!(c.engine.with_node(3, |n| n.ledger.blocks.len()), 2, "not a restart from disk");
+        assert_eq!(executed(&c, 3), live);
+    }
+
     /// Everything set-up leaves on a peer that a run can later observe, bar
-    /// the observer's log: chain, receipts, executed ids, state root, store
+    /// the observer's log: chain, receipts, executed set, state root, store
     /// and tree counters, the memory meter, and the disk (files, I/O counters,
     /// fault settings).
     fn footprint(c: &mut FabricChain, i: u32) -> impl PartialEq + std::fmt::Debug {
         let entries = c.committed_chain(NodeId(i));
         c.engine.with_node_mut(i, |n| {
             let disk = n.state.vfs().lock().unwrap().clone();
-            let mut executed: Vec<TxId> = n.ledger.executed.iter().copied().collect();
-            executed.sort_unstable();
             let counts = (n.state.store_stats(), n.state.flush_stats(), n.state.mem_peak());
-            (entries, n.ledger.receipts.clone(), executed, n.state.root(), counts, disk)
+            let ledger = (n.ledger.receipts.clone(), n.ledger.executed.clone());
+            (entries, ledger, n.state.root(), counts, disk)
         })
     }
 
@@ -1548,7 +1611,8 @@ mod tests {
         assert!(syncing(&c), "the transfer finished with its first state chunk");
         c.inject(Fault::Crash(NodeId(3)));
         c.advance_to(c.now() + SimDuration::from_secs(2));
-        let torn_floor = c.engine.with_node_mut(3, |n| Ledger::recover(&mut n.state).1);
+        let torn_floor =
+            c.engine.with_ctx_node_mut(3, |ctx, n| Ledger::recover(&mut n.state, &ctx.txs).1);
         let peer_floor = c.engine.with_node(0, |n| n.pbft.last_committed());
         assert!(peer_floor - torn_floor <= sync_blocks, "gap {torn_floor}..{peer_floor} is deep");
         c.inject(Fault::Restart(NodeId(3)));

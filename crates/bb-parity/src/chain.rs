@@ -14,10 +14,9 @@ use bb_crypto::Hash256;
 use bb_ethereum::account_chain::{AccountChain, Consensus, Setup};
 use bb_ethereum::node::{vm_for, ChainNode, ChainParams, ChainPlatform, SyncMsg};
 use bb_ethereum::state::AccountState;
-use bb_ethereum::txs::TxTable;
 use bb_sim::{CpuMeter, Effects, ShardedWorld, SimDuration, SimRng, SimTime};
 use bb_storage::{KvError, MemStore};
-use bb_types::{Block, NodeId, Transaction};
+use bb_types::{Block, NodeId, Transaction, TxTable};
 use std::sync::Arc;
 
 /// Events of the Parity world.

@@ -1,15 +1,16 @@
 //! One transaction table per world (DESIGN.md §4 "What stays per node").
 //!
-//! Gossip hands nearly every transaction to every replica, so a replica
-//! that kept its own digest-keyed tables of the ids it has seen and pooled
-//! would insert each id about twice, into tables that only grow, n times
-//! per world. Instead a transaction gets a dense index once, when it
-//! enters the world — at a server's RPC (`Consensus::admit`) or in a
-//! set-up preload — and a replica keeps bitsets and vectors over those
-//! indices. An index orders nothing a model decision reads.
+//! Gossip and relays hand nearly every transaction to every replica, so a
+//! replica that kept its own digest-keyed tables of the ids it has seen,
+//! pooled or executed would insert each id once or twice per replica, into
+//! tables that only grow. Instead a transaction gets a dense index once,
+//! when it enters the world — at a server's RPC or in a set-up preload —
+//! and a replica keeps bitsets and vectors over those indices. All three
+//! platforms number their transactions here. An index orders nothing a
+//! model decision reads.
 
+use crate::TxId;
 use bb_crypto::DigestMap;
-use bb_types::TxId;
 
 /// The world's transaction ids, numbered densely from 0 in order of first
 /// entry. Written only between `run_until` calls; the lanes only read it.
@@ -28,6 +29,7 @@ impl TxTable {
 
     /// The index of `id`, which entered the world through [`Self::intern`]:
     /// every transaction in a block did.
+    #[inline]
     pub fn index(&self, id: &TxId) -> u32 {
         *self.index.get(id).unwrap_or_else(|| panic!("{id:?} never entered the world"))
     }
@@ -43,13 +45,16 @@ impl TxTable {
     }
 }
 
-/// A set of transaction indices, one bit each, grown on insertion.
-#[derive(Clone, Default)]
-pub(crate) struct TxBits(Vec<u64>);
+/// A set of transaction indices, one bit each, grown on insertion. The
+/// replicas' hot loops test and set bits in other crates, so the bit
+/// operations are `#[inline]`.
+#[derive(Clone, Default, Debug)]
+pub struct TxBits(Vec<u64>);
 
 impl TxBits {
     /// Add `i`; `false` if it was in already.
-    pub(crate) fn insert(&mut self, i: u32) -> bool {
+    #[inline]
+    pub fn insert(&mut self, i: u32) -> bool {
         let (word, bit) = (i as usize / 64, 1 << (i % 64));
         if word >= self.0.len() {
             self.0.resize(word + 1, 0);
@@ -60,7 +65,8 @@ impl TxBits {
     }
 
     /// Take `i` out; `false` if it was not in.
-    pub(crate) fn remove(&mut self, i: u32) -> bool {
+    #[inline]
+    pub fn remove(&mut self, i: u32) -> bool {
         let (word, bit) = (i as usize / 64, 1 << (i % 64));
         match self.0.get_mut(word) {
             Some(w) if *w & bit != 0 => {
@@ -71,63 +77,38 @@ impl TxBits {
         }
     }
 
-    pub(crate) fn contains(&self, i: u32) -> bool {
+    #[inline]
+    pub fn contains(&self, i: u32) -> bool {
         self.0.get(i as usize / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
     /// Empty the set.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.0.clear();
     }
 }
 
-/// What a node's pool holds, by index: which indices are pooled, how many,
-/// and the head height each was last admitted at.
-#[derive(Clone, Default)]
-pub(crate) struct Pooled {
-    bits: TxBits,
-    len: usize,
-    admitted_at: Vec<u64>,
-}
-
-impl Pooled {
-    /// Pool `i`, if it is not already, as admitted at head `height`.
-    pub(crate) fn admit(&mut self, i: u32, height: u64) {
-        self.len += usize::from(self.bits.insert(i));
-        let slot = i as usize;
-        if slot >= self.admitted_at.len() {
-            self.admitted_at.resize(slot + 1, 0);
+impl FromIterator<u32> for TxBits {
+    fn from_iter<I: IntoIterator<Item = u32>>(indices: I) -> TxBits {
+        let mut bits = TxBits::default();
+        for i in indices {
+            bits.insert(i);
         }
-        self.admitted_at[slot] = height;
-    }
-
-    /// Unpool `i`.
-    pub(crate) fn remove(&mut self, i: u32) {
-        self.len -= usize::from(self.bits.remove(i));
-    }
-
-    pub(crate) fn contains(&self, i: u32) -> bool {
-        self.bits.contains(i)
-    }
-
-    /// The head height pooled `i` was last admitted at.
-    pub(crate) fn admitted_at(&self, i: u32) -> u64 {
-        debug_assert!(self.contains(i), "index {i} is not pooled");
-        self.admitted_at[i as usize]
-    }
-
-    /// Indices pooled.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Unpool everything.
-    pub(crate) fn clear(&mut self) {
-        self.bits.clear();
-        self.len = 0;
-        self.admitted_at.clear();
+        bits
     }
 }
+
+/// Two sets are equal when they hold the same indices, however far each
+/// has grown.
+impl PartialEq for TxBits {
+    fn eq(&self, other: &TxBits) -> bool {
+        let (short, long) =
+            if self.0.len() <= other.0.len() { (&self.0, &other.0) } else { (&other.0, &self.0) };
+        long.starts_with(short) && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for TxBits {}
 
 #[cfg(test)]
 mod tests {
@@ -154,27 +135,21 @@ mod tests {
         for i in [63, 64, 127, 128] {
             assert!(bits.insert(i) && bits.contains(i) && bits.remove(i) && !bits.contains(i));
         }
+        // Equality is by members: a set grown further and emptied back
+        // equals one that never grew, either way round.
+        let mut short = TxBits::default();
+        short.insert(200);
+        assert_eq!(bits, short);
+        assert!(bits.insert(300) && bits.remove(300));
+        assert_eq!((bits.0.len(), &bits), (5, &short));
+        assert_eq!(short, bits);
+        short.insert(6);
+        assert_ne!(bits, short);
+        assert_ne!(short, bits);
+        assert_eq!([6, 200, 6].into_iter().collect::<TxBits>(), short);
         bits.clear();
         assert!(!bits.contains(200));
         assert!(bits.insert(200), "a cleared set takes an index afresh");
-    }
-
-    #[test]
-    fn tx_table_pool_counts_each_index_once_and_keeps_its_latest_admission() {
-        let mut pooled = Pooled::default();
-        pooled.admit(70, 3);
-        pooled.admit(70, 5);
-        pooled.admit(2, 4);
-        assert_eq!(pooled.len(), 2);
-        assert_eq!((pooled.admitted_at(70), pooled.admitted_at(2)), (5, 4));
-        pooled.remove(70);
-        pooled.remove(70);
-        pooled.remove(900);
-        assert_eq!(pooled.len(), 1);
-        assert!(!pooled.contains(70) && pooled.contains(2));
-        pooled.clear();
-        assert_eq!(pooled.len(), 0);
-        assert!(!pooled.contains(2));
     }
 
     #[test]

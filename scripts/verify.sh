@@ -30,9 +30,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Run one named `cargo test` selection of a smoke section. A filter that
+# The sections below name the tests that pin each property. A filter that
 # matches no test passes silently (tests move and get renamed with their
-# code), so a selection that runs zero tests is an error.
+# code), so a selection that matches none is an error.
+#
+# `listed` checks a test-profile selection against `cargo test -- --list`
+# without running it again: the suite run below already ran every test of
+# the test profile once.
+listed() {
+    local out
+    out=$(cargo test -q --offline "$@" -- --list 2>&1) || { echo "$out"; return 1; }
+    if ! grep -q ': test$' <<<"$out"; then
+        echo "ERROR: selection matches no test: cargo test $*" >&2
+        return 1
+    fi
+    echo "listed: cargo test $* ($(grep -c ': test$' <<<"$out") tests)"
+}
+
+# `smoke` runs a selection in another profile (`--release`: debug assertions
+# off), which the suite run does not cover; a selection that runs zero tests
+# is an error.
 smoke() {
     local out
     out=$(cargo test -q --offline "$@" 2>&1) || { echo "$out"; return 1; }
@@ -68,24 +85,24 @@ echo "==> identity: transaction ids, request and batch digests are stored, immut
 # else; their values are pinned as literals because `results/` depends on
 # them (DESIGN.md §4 "Identities"). The doc-test is the compile_fail proof
 # that a constructed transaction cannot be assigned to.
-smoke -p bb-types id
-smoke -p bb-types --doc
-smoke -p bb-consensus request
-smoke -p bb-consensus message_sizes
+listed -p bb-types id
+listed -p bb-types --doc
+listed -p bb-consensus request
+listed -p bb-consensus message_sizes
 # One request allocation per transaction: every Fabric peer's block holds the
 # same `Arc<Transaction>` (DESIGN.md §4 "Replicas may share any immutable value").
-smoke -p bb-fabric identical_chains
+listed -p bb-fabric identical_chains
 
 echo "==> twins: set-up runs once per chain, every other node starts as a copy on its own disk"
 # DESIGN.md §4 "Replicas may start as copies": a copied store is a second
 # disk, a trie forked mid-script lands on the unforked known answers, and on
 # each platform the copied nodes are node 0's twins, restart from their own
 # disks, and a preload onto a diverged node is refused.
-smoke -p bb-storage second_disk
-smoke -p bb-merkle fork_in_the_middle
+listed -p bb-storage second_disk
+listed -p bb-merkle fork_in_the_middle
 for platform in bb-ethereum bb-parity bb-fabric; do
-    smoke -p "$platform" twin
-    smoke -p "$platform" preload_refuses
+    listed -p "$platform" twin
+    listed -p "$platform" preload_refuses
 done
 # Sealed files are held once per world (DESIGN.md §4 "Replicas may share any
 # immutable value"): the disks of one lineage share a file written whole
@@ -93,8 +110,8 @@ done
 # copies first, and the pool empties with its last holder. On Fabric every
 # peer's tables are node 0's allocations. The pool is `bb-storage`'s own: no
 # type of it leaves `vfs.rs`.
-smoke -p bb-storage sealed
-smoke -p bb-fabric twin_replicas_hold_each_sealed_table_once
+listed -p bb-storage sealed
+listed -p bb-fabric twin_replicas_hold_each_sealed_table_once
 if git grep -n 'Pool' -- crates/bb-storage/src/lib.rs ||
     git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*Pool' -- crates/bb-storage/src ':!crates/bb-storage/src/vfs.rs' ||
     git grep -nE '^[[:space:]]*pub .*\bPool\b' -- crates/bb-storage/src/vfs.rs; then
@@ -115,16 +132,16 @@ echo "==> once per world: a committed Fabric batch or an Ethereum block runs on 
 # each: Fabric's stays private to `bb-fabric`'s chain.rs and only
 # `execute_batch_txs` reads it; the account chains' is opaque outside
 # `bb-ethereum`'s node.rs and only `execute_and_seal` reads it.
-smoke -p bb-merkle block_delta_installs_like_running_the_block_seeded
+listed -p bb-merkle block_delta_installs_like_running_the_block_seeded
 smoke --release -p bb-merkle block_delta_installs_like_running_the_block_seeded
-smoke -p bb-merkle trie_delta_installs_like_running_the_block_seeded
+listed -p bb-merkle trie_delta_installs_like_running_the_block_seeded
 smoke --release -p bb-merkle trie_delta_installs_like_running_the_block_seeded
-smoke -p bb-fabric outcome_of_a_batch
+listed -p bb-fabric outcome_of_a_batch
 smoke --release -p bb-fabric outcome_of_a_batch
-smoke -p bb-ethereum outcome_of_a_block
+listed -p bb-ethereum outcome_of_a_block
 smoke --release -p bb-ethereum outcome_of_a_block
-smoke -p bb-ethereum events_stay_within_48_bytes
-smoke -p bb-parity events_stay_within_48_bytes
+listed -p bb-ethereum events_stay_within_48_bytes
+listed -p bb-parity events_stay_within_48_bytes
 if git grep -nE '\b(BlockOutcomes|BlockOutcome|OutcomeKey)\b' -- crates/bb-ethereum/src/lib.rs ||
     git grep -nE '^[[:space:]]*pub(\([a-z]+\))? .*\b(BlockOutcome|OutcomeKey|RecentOutcomes)\b' -- crates/bb-ethereum/src crates/bb-parity/src ||
     git grep -nE '^[[:space:]]*pub(\([a-z]+\))? +(recent|fn +(find|keep))\b' -- crates/bb-ethereum/src/node.rs ||
@@ -161,11 +178,11 @@ echo "==> one batch per world: one allocation, one digest and one Merkle root pe
 # outcome's delta carries the bucket-tree levels it rewrote, so an
 # installing peer hashes nothing. The levels install in place in both
 # profiles; the release run is the one where a hit installs the outcome.
-smoke -p bb-consensus lowest_awaiting_walks_in_digest_order_seeded
+listed -p bb-consensus lowest_awaiting_walks_in_digest_order_seeded
 smoke --release -p bb-consensus lowest_awaiting_walks_in_digest_order_seeded
-smoke -p bb-merkle block_delta_carries_the_rewritten_levels_seeded
+listed -p bb-merkle block_delta_carries_the_rewritten_levels_seeded
 smoke --release -p bb-merkle block_delta_carries_the_rewritten_levels_seeded
-smoke -p bb-fabric events_stay_within_72_bytes
+listed -p bb-fabric events_stay_within_72_bytes
 smoke --release -p bb-fabric events_stay_within_72_bytes
 hashers=$(awk '/^#\[cfg\(test\)\]/ { exit }
     /^impl/ { impl = $0 }
@@ -187,20 +204,23 @@ if [ "$walkers" != lowest_awaiting ]; then
     exit 1
 fi
 
-echo "==> one transaction table: account-chain replicas keep bitsets over the world's dense indices"
+echo "==> one transaction table: every platform's replicas keep bitsets over the world's dense indices"
 # DESIGN.md §4 "What stays per node": a transaction gets its index once, in
-# the world's `bb_ethereum::txs::TxTable`, when it enters the world at a
-# server's RPC (`Consensus::admit`) or in a set-up preload; a replica's
-# `seen` and pool are bitsets and vectors over those indices, never
-# digest-keyed tables of ids. The tests: one entry and one pool entry for a
+# the world's `bb_types::TxTable`, when it enters the world at a server's
+# RPC (`Consensus::admit` on Ethereum and Parity, `FabricChain::submit` on
+# Fabric) or in a set-up preload; a replica's `seen`, pool and executed set
+# are bitsets and vectors over those indices, never digest-keyed tables of
+# ids. The tests: one entry (and one pool entry, or one execution) for a
 # transaction submitted twice, a restarted Parity authority on the world's
 # index space, a restarted Ethereum node refusing its recovered (preloaded
-# included) transactions, and the bitset's edges.
-for platform in bb-ethereum bb-parity; do
-    smoke -p "$platform" tx_table
-    smoke --release -p "$platform" tx_table
+# included) transactions, a restarted Fabric peer recovering a live peer's
+# executed bits, and the bitset's edges.
+for crate in bb-types bb-ethereum bb-parity bb-fabric; do
+    listed -p "$crate" tx_table
+    smoke --release -p "$crate" tx_table
 done
-tables=$(for f in crates/bb-ethereum/src/node.rs crates/bb-parity/src/chain.rs; do
+tables=$(for f in $(git ls-files 'crates/bb-ethereum/src/*.rs' 'crates/bb-parity/src/*.rs' \
+    'crates/bb-fabric/src/*.rs'); do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
         /Digest(Set|Map)<([a-z_0-9]+::)*TxId([^A-Za-z_0-9]|$)/ { print f ":" NR ": " $0 }' "$f"
 done)
@@ -214,8 +234,8 @@ interners=$(for f in $(git ls-files 'crates/*.rs'); do
         match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
         /\.intern\(/ { print fn }' "$f"
 done | sort -u | tr '\n' ' ')
-if [ "$interners" != "admit preload_blocks " ]; then
-    echo "ERROR: the transaction table is written outside admit and preload_blocks (in: ${interners:-nothing})" >&2
+if [ "$interners" != "admit preload_blocks submit " ]; then
+    echo "ERROR: the transaction table is written outside admit, submit and preload_blocks (in: ${interners:-nothing})" >&2
     exit 1
 fi
 
@@ -225,13 +245,13 @@ echo "==> one engine queue: 32-byte keys in the heap, events in a slab, a send's
 # builds its event at once and the outbox holds it, no box. The order is
 # the one `merge_order` pins by value. A log reset keeps its buffer: `create`
 # empties an open file in place.
-smoke -p bb-sim merge_order
+listed -p bb-sim merge_order
 smoke --release -p bb-sim merge_order
-smoke -p bb-sim slab_reuses_freed_slots
+listed -p bb-sim slab_reuses_freed_slots
 smoke --release -p bb-sim slab_reuses_freed_slots
-smoke -p bb-sim heap_entries_stay_within_32_bytes
+listed -p bb-sim heap_entries_stay_within_32_bytes
 smoke --release -p bb-sim heap_entries_stay_within_32_bytes
-smoke -p bb-storage create_empties_an_open_file_in_place
+listed -p bb-storage create_empties_an_open_file_in_place
 smoke --release -p bb-storage create_empties_an_open_file_in_place
 boxed=$(awk '/^#\[cfg\(test\)\]/ { exit }
     /Box<dyn FnOnce|Entry</ { print NR ": " $0 }' crates/bb-sim/src/shard.rs)
@@ -252,12 +272,12 @@ echo "==> one copy per stored byte: shared bytes from the trie and bucket overla
 # capacity as a copying one does.
 for t in checksum_known_answer capacity_tears_overflowing_writes \
     apply_batch_moves_shared_bytes_into_the_memtable; do
-    smoke -p bb-storage "$t"
+    listed -p bb-storage "$t"
     smoke --release -p bb-storage "$t"
 done
 for t in seal_shares_each_flushed_node_with_cache_delta_and_installer \
     installed_block_delta_shares_the_runners_values; do
-    smoke -p bb-merkle "$t"
+    listed -p bb-merkle "$t"
     smoke --release -p bb-merkle "$t"
 done
 copied=$(awk '/^#\[cfg\(test\)\]/ { exit } /to_vec\(\)/ { print NR ": " $0 }' \
@@ -294,14 +314,14 @@ echo "==> one frame per world: replicas that install a batch append the first re
 # run in both profiles: the release run takes the paths the debug asserts
 # do not watch.
 for t in shared_frame_lands_like_a_framed_one encoded_filter_known_answer; do
-    smoke -p bb-storage "$t"
+    listed -p bb-storage "$t"
     smoke --release -p bb-storage "$t"
 done
-smoke -p bb-merkle seal_shares_its_frame_slot_with_the_installer
+listed -p bb-merkle seal_shares_its_frame_slot_with_the_installer
 smoke --release -p bb-merkle seal_shares_its_frame_slot_with_the_installer
-smoke -p bb-fabric sealed_block_of_a_batch
+listed -p bb-fabric sealed_block_of_a_batch
 smoke --release -p bb-fabric sealed_block_of_a_batch
-smoke -p bb-ethereum installed_block_appends_the_runners_wal_frame
+listed -p bb-ethereum installed_block_appends_the_runners_wal_frame
 smoke --release -p bb-ethereum installed_block_appends_the_runners_wal_frame
 # Lines above FILE's test module that call NAME( outside the functions
 # listed after it (the definition `fn NAME(` aside).
@@ -337,7 +357,7 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
 else
     echo "crypto: this host has no sha_ni: sha256() takes the scalar path, the hardware halves are skipped"
 fi
-smoke -p bb-crypto sha256
+listed -p bb-crypto sha256
 smoke --release -p bb-crypto sha256
 if grep -rnw --include='*.rs' unsafe crates | grep -v '^crates/bb-crypto/src/sha256\.rs:'; then
     echo "ERROR: \`unsafe\` outside crates/bb-crypto/src/sha256.rs" >&2
@@ -358,18 +378,18 @@ echo "==> state trees: Patricia and Bucket-Merkle known answers, differentials a
 # assertions off. The WAL tests check that every single-bit flip of a 3-op
 # batch frame and every torn prefix of it stop replay at the previous
 # record, and pin the checksum's value.
-smoke -p bb-merkle patricia
+listed -p bb-merkle patricia
 smoke --release -p bb-merkle patricia
 # The dirty/clean split (DESIGN.md §6 "Dirty-node arena, hashed lazily"): a
 # block's uncommitted nodes live in the arena and are never cache traffic,
-# the cache holds committed nodes only and a refused commit adds none. Run
-# by name so that a rename cannot drop it from the selection above
+# the cache holds committed nodes only and a refused commit adds none.
+# Named so that a rename cannot drop it from the selection above
 # unnoticed; so is the seeded run that compares the lazily hashed root with
 # a trie built afresh after every insert, remove, rewind, clone, commit,
 # refused commit and crash.
-smoke -p bb-merkle uncommitted_nodes
+listed -p bb-merkle uncommitted_nodes
 smoke --release -p bb-merkle uncommitted_nodes
-smoke -p bb-merkle lazy_root_matches_a_fresh_build_seeded
+listed -p bb-merkle lazy_root_matches_a_fresh_build_seeded
 smoke --release -p bb-merkle lazy_root_matches_a_fresh_build_seeded
 # A Patricia node is hashed in one function, `hash_filled`, which `root`
 # reaches (and `put`, under debug assertions only, for the eager-hash
@@ -382,31 +402,31 @@ if [ "$hashers" != hash_filled ]; then
     echo "ERROR: Hash256::digest in patricia.rs outside hash_filled (in: ${hashers:-nothing})" >&2
     exit 1
 fi
-smoke -p bb-merkle bucket
+listed -p bb-merkle bucket
 smoke --release -p bb-merkle bucket
-smoke -p bb-storage wal
+listed -p bb-storage wal
 
 echo "==> fault matrix: storage faults + crash-restart recovery smoke"
 # The recovery path cuts across every layer (VFS fault injection, WAL
-# replay, durable-state reopen, consensus resume, peer catch-up): run the
-# fault-focused tests by name so a regression here is called out as such
-# rather than drowned in the full suite's output.
-smoke -p bb-storage fault
-for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" restart; done
-smoke -p bb-bench --test cross_platform restart_recovers
-smoke -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
-smoke -p bb-bench --test cross_platform restart_preserves_every_node_counter
-smoke -p bb-bench --test cross_platform restart_with_no_live_peer_comes_back_at_its_durable_prefix
+# replay, durable-state reopen, consensus resume, peer catch-up): name the
+# fault-focused tests so that a rename cannot drop one from the suite
+# unnoticed.
+listed -p bb-storage fault
+for platform in bb-ethereum bb-parity bb-fabric; do listed -p "$platform" restart; done
+listed -p bb-bench --test cross_platform restart_recovers
+listed -p bb-bench --test cross_platform crash_during_snapshot_transfer_does_not_wedge_the_node
+listed -p bb-bench --test cross_platform restart_preserves_every_node_counter
+listed -p bb-bench --test cross_platform restart_with_no_live_peer_comes_back_at_its_durable_prefix
 # A Fabric peer restarting behind a peer that itself restarted transfers
 # state instead of taking a checkpoint jump over batches it never executed.
-smoke -p bb-bench --test cross_platform fabric_restart_behind_a_restarted_peer_skips_no_batch
-smoke -p bb-bench --test parallel_determinism snapshot_timeline
+listed -p bb-bench --test cross_platform fabric_restart_behind_a_restarted_peer_skips_no_batch
+listed -p bb-bench --test parallel_determinism snapshot_timeline
 # A restart after a crash tore a snapshot transfer transfers afresh, and
 # restarting one miner redraws no other miner's race.
 for platform in bb-ethereum bb-fabric; do
-    smoke -p "$platform" restart_after_a_torn_transfer_transfers_afresh
+    listed -p "$platform" restart_after_a_torn_transfer_transfers_afresh
 done
-smoke -p bb-ethereum restart_reenters_only_the_restarted_node
+listed -p bb-ethereum restart_reenters_only_the_restarted_node
 # One account-chain recovery path: the snapshot transfer is `SyncMsg`
 # traffic handled by `ChainNode::on_sync`, and crash and restart run in
 # `AccountChain::inject`. Neither consensus keeps a copy.
@@ -443,35 +463,35 @@ echo "==> storage matrix: leveled compaction + chunked snapshot sync smoke"
 # reference; the deep-gap restart path must close the block gap with a
 # chunked snapshot transfer on every platform. Named so regressions in the
 # storage write path or the sync protocol are reported as such.
-smoke -p bb-storage compact
-smoke -p bb-storage snapshot
+listed -p bb-storage compact
+listed -p bb-storage snapshot
 # One chunk reader: `KvStore::scan_range_chunk`, implemented by every engine
 # (the LSM's stream equals MemStore's over random ops, cursors and bounds).
 # A consistent view across chunks is a frozen `clone` of the store: no LSM
 # snapshot pins, no deferred deletions, no platform hook that reads chunks.
-smoke -p bb-storage scan_range_chunk_matches_memstore_seeded
-smoke -p bb-storage frozen_copy_streams_a_consistent_snapshot
+listed -p bb-storage scan_range_chunk_matches_memstore_seeded
+listed -p bb-storage frozen_copy_streams_a_consistent_snapshot
 if git grep -nwE 'snapshot_open|snapshot_close|SnapshotPin|deferred_deletes|fn state_chunk' -- crates; then
     echo "ERROR: a second chunk reader is back; read chunks with KvStore::scan_range_chunk, from a frozen clone where the view must hold still" >&2
     exit 1
 fi
-for platform in bb-ethereum bb-parity bb-fabric; do smoke -p "$platform" deep_gap; done
-smoke -p bb-bench --lib fig9_snapshot
+for platform in bb-ethereum bb-parity bb-fabric; do listed -p "$platform" deep_gap; done
+listed -p bb-bench --lib fig9_snapshot
 
 echo "==> load matrix: open-loop engine + saturation-ramp smoke"
 # The open-loop arrival engine (Poisson arrivals, lazy million-account
 # population, CO-free latency, retry queue) and the saturation ramp are the
-# offered-load surface of the harness: run them by name so a load-engine
-# regression is reported as one. The saturation cell asserts the knee and
-# the CO-free tail dominance on all three platforms.
-smoke -p blockbench load
-smoke -p bb-bench --test open_loop
-smoke -p bb-bench --test parallel_determinism open_loop
-smoke -p bb-bench --lib saturation_curves
+# offered-load surface of the harness: name their tests so that a rename
+# cannot drop one unnoticed. The saturation cell asserts the knee and the
+# CO-free tail dominance on all three platforms.
+listed -p blockbench load
+listed -p bb-bench --test open_loop
+listed -p bb-bench --test parallel_determinism open_loop
+listed -p bb-bench --lib saturation_curves
 # One signer: closed-loop clients, open-loop accounts, preload lanes and the
 # analytics history all sign through `bb_workloads::Population`, whose known
 # answers pin the first transaction ids of every signing path.
-smoke -p bb-workloads
+listed -p bb-workloads
 if git grep -n 'KeyPair::from_seed' -- crates/bb-workloads/src | grep -v '^crates/bb-workloads/src/common\.rs:'; then
     echo "ERROR: a workload derives keys outside bb-workloads' Population (common.rs)" >&2
     exit 1
@@ -481,14 +501,14 @@ echo "==> chaos matrix: adversarial scenarios + liveness/safety gates smoke"
 # The chaos matrix (DESIGN.md §10) is the adversarial surface of the
 # harness: byzantine clients, an equivocating PBFT replica, asymmetric and
 # flapping partitions, slow disks and gossip jitter, each cell gated on a
-# liveness floor and the cross-node safety checker. Run the plan/actor/
+# liveness floor and the cross-node safety checker. Name the plan/actor/
 # runner/invariant unit tests, the matrix itself and the pool-pinning
-# regression by name so a chaos regression is reported as one.
-smoke -p blockbench chaos
-smoke -p blockbench timeline
-smoke -p blockbench invariant
-smoke -p bb-bench --lib exp_chaos
-smoke -p bb-bench --test pool_eviction
+# regression so that a rename cannot drop one unnoticed.
+listed -p blockbench chaos
+listed -p blockbench timeline
+listed -p blockbench invariant
+listed -p bb-bench --lib exp_chaos
+listed -p bb-bench --test pool_eviction
 
 echo "==> replay: seeded runs repeat byte for byte, and the event order is pinned"
 # Every world is single-threaded, so a seed is a complete description of a
@@ -497,21 +517,21 @@ echo "==> replay: seeded runs repeat byte for byte, and the event order is pinne
 # what leaks in from outside the seed — `HashMap` order first; the engine's
 # event order (one heap on `EventKey`, each handler's sends made as it
 # returns — DESIGN.md §5) is pinned by known answers.
-smoke -p bb-bench --test parallel_determinism replay
-smoke -p bb-sim merge_order
+listed -p bb-bench --test parallel_determinism replay
+listed -p bb-sim merge_order
 # Known answers: two replay cases also pin the SHA-256 of their run text on
 # every platform, so a refactor that moves one event or one RNG draw fails
 # here by name. And a metamorphic relation: advancing to the same instant in
 # one, two or six steps must leave the same stats, chains and confirmed log.
-smoke -p bb-bench --test parallel_determinism run_stats_replay_byte_identical_across_platforms_and_seeds
-smoke -p bb-bench --test parallel_determinism restart_and_catchup_replay_identically
-smoke -p bb-bench --test cross_platform advancing_in_more_steps_changes_nothing
+listed -p bb-bench --test parallel_determinism run_stats_replay_byte_identical_across_platforms_and_seeds
+listed -p bb-bench --test parallel_determinism restart_and_catchup_replay_identically
+listed -p bb-bench --test cross_platform advancing_in_more_steps_changes_nothing
 # Every platform executes each block serially, as geth, Parity and Fabric
 # v0.6 do: the hot-key run is a known answer on all three, nothing of the
 # optimistic executor's model is back in Fabric's source, and no platform
 # calls `AccountState::execute_block` (it stays only as the subject of the
 # benchmark's `exec.block32_*` kernels).
-smoke -p bb-bench --test cross_platform hot_key_run_is_the_known_answer
+listed -p bb-bench --test cross_platform hot_key_run_is_the_known_answer
 if git grep -nE 'speculate_invoke|SpecInvoke|bb_exec' -- crates/bb-fabric/src; then
     echo "ERROR: bb-fabric speculates again; Fabric executes each batch serially" >&2
     exit 1
@@ -551,8 +571,8 @@ echo "==> claims: the paper's findings are named checks over tables, and hold ov
 # test runs the same claims over `results/*.csv` with no simulation, and the
 # doctored-copy test shows a claim can fail. Tables are read through
 # `Table::cell`/`Table::value`, never by re-parsing rendered text.
-smoke -p bb-bench --test paper_claims claims_hold_over_committed_csvs
-smoke -p bb-bench --test paper_claims a_doctored_csv_fails_its_claim
+listed -p bb-bench --test paper_claims claims_hold_over_committed_csvs
+listed -p bb-bench --test paper_claims a_doctored_csv_fails_its_claim
 if git grep -n split_whitespace -- crates/bb-bench/src; then
     echo "ERROR: crates/bb-bench/src parses text; read tables with Table::cell" >&2
     exit 1
@@ -566,8 +586,8 @@ echo "==> one cell set: every closed-loop figure reads one MacroCells, every abl
 # scalability module stays gone, `MacroCells::run` is the one non-test
 # caller of `run_macro` in bb-bench, and no ablation cell runs (`ycsb_tps`)
 # and no ablation constant is looped over outside a `map_cells_hinted` call.
-smoke -p bb-bench --lib macro_figures_share_their_cells
-smoke -p bb-bench --lib eight_by_eight_views_ignore_other_sizes
+listed -p bb-bench --lib macro_figures_share_their_cells
+listed -p bb-bench --lib eight_by_eight_views_ignore_other_sizes
 if [ -e crates/bb-bench/src/exp_scale.rs ]; then
     echo "ERROR: crates/bb-bench/src/exp_scale.rs is back; scalability figures are views of MacroCells" >&2
     exit 1
@@ -600,8 +620,8 @@ echo "==> books: Smallbank conserves money on both backends and every platform"
 # native builds side by side; the platform test runs the workload on all
 # three platforms and checks that the accounts on every replica hold the
 # opening float plus the net of every committed transaction.
-smoke -p bb-contracts smallbank
-smoke -p bb-bench --test cross_platform smallbank_books
+listed -p bb-contracts smallbank
+listed -p bb-bench --test cross_platform smallbank_books
 
 echo "==> quickstart: README's first command runs, and it is the only example"
 # Experiments run through `figures`; `examples/` holds the one program

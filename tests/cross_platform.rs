@@ -563,3 +563,64 @@ fn hot_key_run_is_the_known_answer() {
         assert_eq!(got, want, "{name}: the hot-key run is not the known answer");
     }
 }
+
+/// Figure 7's 20 × 20 YCSB cell on Fabric, run as `MacroCells` runs it
+/// (`fig7_grid` at quick scale: 20 peers at `FabricConfig` defaults, 20
+/// clients at 200 tx/s each, a 60 s window), keeping the chain to check
+/// that every peer committed the same blocks. The throughput is the one
+/// `results/fig7_scalability_ycsb.csv` reports for the cell. The 16 × 16
+/// cell agrees on all of its heights; at 20 peers some replicas commit a
+/// different batch at the same PBFT sequence, most likely because a view
+/// change re-proposes a delivered sequence without a prepared certificate.
+#[test]
+#[ignore = "FOUND: PBFT replicas of Figure 7's 20 x 20 Fabric cell commit different batches"]
+fn fabric_replicas_of_the_20_by_20_cell_agree() {
+    use bb_bench::exp_macro::fig7_grid;
+    use bb_bench::Scale;
+    use bb_types::NodeId;
+    use blockbench::{check_chains, run_workload, DriverConfig};
+    let key = fig7_grid(&Scale::quick())
+        .into_iter()
+        .find(|&(platform, _, size, ..)| platform == Platform::Hyperledger && size == (20, 20))
+        .expect("fig7 has a 20 x 20 Fabric cell");
+    let (platform, workload, (servers, clients), rate_per_client, duration) = key;
+    let mut chain = platform.build(servers);
+    let driver = DriverConfig {
+        clients,
+        rate_per_client,
+        duration,
+        poll_interval: SimDuration::from_millis(500),
+        drain: SimDuration::from_secs(20),
+    };
+    let stats = run_workload(chain.as_mut(), workload.build(clients).as_mut(), &driver);
+    assert_eq!(format!("{:.2}", stats.throughput_tps()), "862.58", "not fig7's cell");
+    let chains: Vec<_> = (0..servers).map(|i| chain.committed_chain(NodeId(i))).collect();
+    let checked = check_chains(&chains, 0).unwrap_or_else(|v| panic!("{v}"));
+    assert!(checked > 100, "safety check was nearly vacuous: {checked} heights");
+}
+
+/// `parallel_determinism`'s snapshot timeline on Parity (node 3 power-cut
+/// with a torn tail at 3 s, restarted at 12 s past a 4-block replay
+/// threshold, 512-byte chunks), checked for agreement: the restarted
+/// authority must end on its peers' blocks and state roots. Ethereum and
+/// Fabric pass in the same timeline; on Parity node 3 holds every peer's
+/// block id but other state roots.
+#[test]
+#[ignore = "FOUND: a Parity authority restarted by snapshot transfer holds other state roots"]
+fn parity_snapshot_restart_lands_on_its_peers_state() {
+    use bb_parity::{ParityChain, ParityConfig};
+    use bb_types::NodeId;
+    use blockbench::{check_chains, run_timeline, ChaosPlan, Fault};
+    let victim = NodeId(3);
+    let plan = ChaosPlan::new()
+        .at(SimDuration::from_secs(3), Fault::Crash(victim))
+        .at(SimDuration::from_secs(3), Fault::TornTail(victim))
+        .at(SimDuration::from_secs(12), Fault::Restart(victim));
+    let mut config = ParityConfig::with_nodes(4);
+    (config.snapshot_sync_blocks, config.snapshot_chunk_bytes) = (4, 512);
+    let mut chain = ParityChain::new(config);
+    let run = run_timeline(&mut chain, Macro::Ycsb.build(4).as_mut(), 4, 20.0, 25, &plan);
+    assert!(run.series.last().expect("timeline non-empty").2.snapshot_chunks > 0);
+    let checked = check_chains(&run.chains, 2).unwrap_or_else(|v| panic!("{v}"));
+    assert!(checked > 10, "safety check was nearly vacuous: {checked} heights");
+}
