@@ -241,13 +241,21 @@ pub enum SyncMsg {
         entries: Arc<KvPairs>,
         /// Key space exhausted?
         done: bool,
+        /// On the first chunk only: the peer's head height when its scan
+        /// began. The store held every trie node of that head's root then,
+        /// and content-addressed nodes stay, so the chain transfer stops
+        /// there.
+        head: Option<u64>,
     },
-    /// After the state: ask for main-chain bodies from `height` up.
+    /// After the state: ask for main-chain bodies from `height` up to
+    /// `last`, the height the state was served at.
     ChainRequest {
         /// Recovering node.
         from: NodeId,
         /// First wanted height.
         height: u64,
+        /// Last wanted height.
+        last: u64,
     },
     /// A bounded run of main-chain `(block, state root)` pairs. The roots are
     /// trusted: the freshly transferred store already holds every trie node
@@ -257,7 +265,7 @@ pub enum SyncMsg {
         from: NodeId,
         /// Consecutive main-chain blocks with their committed roots.
         blocks: Arc<Vec<(Arc<Block>, Hash256)>>,
-        /// The peer's head was reached?
+        /// The last wanted height, or the peer's head, was reached?
         done: bool,
     },
 }
@@ -348,6 +356,10 @@ pub struct ChainNode<S: KvStore> {
     pub cpu: CpuMeter,
     /// Post-restart catch-up session.
     pub recovery: RecoveryWindow,
+    /// The head height the peer named on the first chunk of the open
+    /// snapshot transfer: the chain transfer stops there, and the blocks
+    /// above it re-execute on the landed state.
+    served_height: u64,
     /// Run counters; they survive a restart.
     pub counters: NodeCounters,
     /// Observer state — populated only on node 0.
@@ -386,6 +398,7 @@ impl<S: KvStore + Send> ChainNode<S> {
             pruned: DigestSet::from_iter([id]),
             cpu,
             recovery: RecoveryWindow::default(),
+            served_height: 0,
             counters: NodeCounters::default(),
             confirmed: Vec::new(),
             confirmed_height: 0,
@@ -576,7 +589,9 @@ impl<S: KvStore + Send> ChainNode<S> {
     /// block and keeps the outcome. A block at a deploy height always runs.
     /// Either way the validator bills its own CPU, writes its own batch and
     /// keeps its own counters. With debug assertions on, a hit runs the
-    /// block too and asserts that it did what the hit says.
+    /// block too and asserts that it did what the hit says, and every
+    /// validator asserts that its post-block root is the header's
+    /// `state_root`, except at a deploy height.
     fn execute_and_seal<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -624,7 +639,14 @@ impl<S: KvStore + Send> ChainNode<S> {
             SimDuration::from_micros(outcome.serial_us)
         };
         self.cpu.charge(now, charge);
-        self.roots.insert(id, self.state.root());
+        let root = self.state.root();
+        // Set-up re-commits state at a deploy height, so only there may a
+        // validator's root differ from its header's.
+        debug_assert!(
+            root == block.header.state_root || deploys.iter().any(|d| d.0 == height),
+            "{me} sealed block {height} on another root than its header's"
+        );
+        self.roots.insert(id, root);
         self.receipts.insert(id, outcome.receipts.clone());
     }
 
@@ -826,11 +848,11 @@ impl<S: KvStore + Send> ChainNode<S> {
             SyncMsg::StateRequest { from, after } => {
                 self.on_state_request(p, me, from, after.as_deref(), fx)
             }
-            SyncMsg::StateChunk { from, entries, done } => {
-                self.on_state_chunk(p, me, from, &entries, done, fx)
+            SyncMsg::StateChunk { from, entries, done, head } => {
+                self.on_state_chunk(p, me, from, &entries, done, head, fx)
             }
-            SyncMsg::ChainRequest { from, height } => {
-                self.on_chain_request(p, me, from, height, fx)
+            SyncMsg::ChainRequest { from, height, last } => {
+                self.on_chain_request(p, me, from, height, last, fx)
             }
             SyncMsg::ChainChunk { from, blocks, done } => {
                 self.on_chain_chunk(p, now, me, from, &blocks, done, fx)
@@ -898,8 +920,9 @@ impl<S: KvStore + Send> ChainNode<S> {
         }
     }
 
-    /// Serve `from` one state chunk after `after`, read from the live store.
-    /// The wire carries a 16-byte header and the pairs.
+    /// Serve `from` one state chunk after `after`, read from the live store;
+    /// the first names this node's head height. The wire carries a 16-byte
+    /// header and the pairs.
     fn on_state_request<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -913,13 +936,16 @@ impl<S: KvStore + Send> ChainNode<S> {
             self.state.store_mut().scan_range_chunk(after, max_bytes).expect("own store readable");
         let bytes = chunk_wire_bytes(&entries);
         let entries = Arc::new(entries);
-        let chunk = P::sync(from, SyncMsg::StateChunk { from: me, entries, done });
+        let head = after.is_none().then(|| self.tree.head_height());
+        let chunk = P::sync(from, SyncMsg::StateChunk { from: me, entries, done, head });
         fx.send(from.0, bytes, move |_at| chunk);
     }
 
     /// Apply a state chunk blind, in one batch, and ask for the next; after
-    /// the last, hand over to [`ChainPlatform::state_landed`]. A chunk that
+    /// the last, hand over to [`ChainPlatform::state_landed`], or ask for
+    /// the chain up to the height the first chunk named. A chunk that
     /// arrives with no transfer open is dropped.
+    #[allow(clippy::too_many_arguments)]
     fn on_state_chunk<P: ChainPlatform<Store = S>>(
         &mut self,
         p: &P,
@@ -927,10 +953,14 @@ impl<S: KvStore + Send> ChainNode<S> {
         from: NodeId,
         entries: &[(Vec<u8>, Vec<u8>)],
         done: bool,
+        head: Option<u64>,
         fx: &mut Effects<P::Event>,
     ) {
         if !self.recovery.snapshot_syncing {
             return;
+        }
+        if let Some(head) = head {
+            self.served_height = head;
         }
         self.counters.snapshot_chunks += 1;
         self.counters.snapshot_bytes += chunk_wire_bytes(entries);
@@ -953,27 +983,28 @@ impl<S: KvStore + Send> ChainNode<S> {
             self.recovery.snapshot_syncing = false;
             SyncMsg::HeadRequest { from: me }
         } else {
-            SyncMsg::ChainRequest { from: me, height: 1 }
+            SyncMsg::ChainRequest { from: me, height: 1, last: self.served_height }
         };
         let ask = P::sync(from, next);
         fx.send(from.0, 64, move |_at| ask);
     }
 
     /// Serve `from` a bounded run of main-chain `(block, root)` pairs from
-    /// `height` up.
+    /// `height` up to `last` (or this node's head, if lower).
     fn on_chain_request<P: ChainPlatform<Store = S>>(
         &self,
         p: &P,
         me: NodeId,
         from: NodeId,
         height: u64,
+        last: u64,
         fx: &mut Effects<P::Event>,
     ) {
-        let head_height = self.tree.head_height();
+        let last = last.min(self.tree.head_height());
         let mut blocks = Vec::new();
         let mut bytes = 16u64;
         let mut h = height;
-        while h <= head_height {
+        while h <= last {
             let Some(id) = self.tree.main_chain_at(h) else { break };
             let (Some(body), Some(&root)) = (self.bodies.get(&id), self.roots.get(&id)) else {
                 break;
@@ -985,7 +1016,7 @@ impl<S: KvStore + Send> ChainNode<S> {
                 break;
             }
         }
-        let done = h > head_height;
+        let done = h > last;
         let blocks = Arc::new(blocks);
         let chunk = P::sync(from, SyncMsg::ChainChunk { from: me, blocks, done });
         fx.send(from.0, bytes, move |_at| chunk);
@@ -1023,7 +1054,8 @@ impl<S: KvStore + Send> ChainNode<S> {
             }
         }
         if !done {
-            let next = SyncMsg::ChainRequest { from: me, height: self.tree.head_height() + 1 };
+            let height = self.tree.head_height() + 1;
+            let next = SyncMsg::ChainRequest { from: me, height, last: self.served_height };
             let ask = P::sync(from, next);
             fx.send(from.0, 64, move |_at| ask);
             return;

@@ -1828,7 +1828,7 @@ mod tests {
                 bb_storage::Wal::open(&mut disk, &format!("{STORE_PREFIX}/wal")).replay(&mut disk)
             });
             let meta = (Arc::from(&block_meta_key(1)[..]), Some(own));
-            assert_eq!(wal.last(), Some(&bb_storage::WalRecord::Batch(vec![meta])), "peer {peer}");
+            assert_eq!(wal.last(), Some(&vec![meta]), "peer {peer}");
         }
     }
 

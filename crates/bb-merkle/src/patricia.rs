@@ -1850,7 +1850,9 @@ mod tests {
                 }
                 let mut bytes = stored(&mut t, victim);
                 damage(&mut bytes);
-                t.store_mut().put(&victim.0, &bytes).unwrap();
+                let mut batch = WriteBatch::new();
+                batch.put(&victim.0, &bytes);
+                t.store_mut().apply_batch(batch).unwrap();
                 t.cache.clear();
 
                 let root = t.root();
@@ -1946,12 +1948,6 @@ mod tests {
     impl KvStore for SlotLog {
         fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
             self.inner.get(key)
-        }
-        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-            self.inner.put(key, value)
-        }
-        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-            self.inner.delete(key)
         }
         fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
             let (ops, slot) = batch.into_parts();
@@ -2213,12 +2209,6 @@ mod seeded_props {
         fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
             self.inner.get(key)
         }
-        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-            self.inner.put(key, value)
-        }
-        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-            self.inner.delete(key)
-        }
         fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
             if self.refuse {
                 return Err(KvError::OutOfSpace { used: 0, cap: 0 });
@@ -2371,12 +2361,6 @@ mod known_answers {
     impl KvStore for TapeStore {
         fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
             self.inner.get(key)
-        }
-        fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-            self.inner.put(key, value)
-        }
-        fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-            self.inner.delete(key)
         }
         fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
             for (key, value) in batch.ops() {

@@ -360,7 +360,7 @@ fn state_cap(config: &ParityConfig) -> u64 {
 mod tests {
     use super::*;
     use bb_contracts::testing::ycsb_and_smallbank_setup;
-    use bb_storage::KvStore;
+    use bb_storage::{KvStore, WriteBatch};
     use bb_types::Address;
     use blockbench::connector::{BlockchainConnector, Fault, Query};
     use bb_contracts::{donothing, ycsb};
@@ -536,7 +536,9 @@ mod tests {
         }
         assert_eq!(c.engine.with_node(0, |n| n.chain.observer_totals()), (9, 200));
         // The stores are separate: a write on node 2 stays on node 2.
-        c.engine.with_node_mut(2, |n| n.chain.state.store_mut().put(b"!probe", b"x").unwrap());
+        let mut probe = WriteBatch::new();
+        probe.put(b"!probe", b"x");
+        c.engine.with_node_mut(2, |n| n.chain.state.store_mut().apply_batch(probe).unwrap());
         assert_eq!(footprint(&c, 1), want);
         assert_ne!(footprint(&c, 2), want);
 

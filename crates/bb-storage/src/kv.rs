@@ -2,7 +2,9 @@
 //!
 //! Hyperledger's chaincode environment exposes exactly `putState` /
 //! `getState` (Section 3.1.3); Ethereum's trie sits on the same interface
-//! one level down. Keys and values are arbitrary byte strings.
+//! one level down. Keys and values are arbitrary byte strings. Every write
+//! reaches a store as a [`WriteBatch`] (a sealed block, a snapshot chunk),
+//! and both scans of an engine read through its one range read.
 
 use crate::stats::StorageStats;
 use std::sync::{Arc, OnceLock};
@@ -114,12 +116,12 @@ pub fn chunk_wire_bytes(entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
     16 + entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>()
 }
 
-/// A buffered set of writes applied atomically by [`KvStore::apply_batch`].
+/// A buffered set of writes applied atomically by [`KvStore::apply_batch`],
+/// the one write path of every store.
 ///
-/// Engines that implement batching natively (the LSM store) turn one batch
-/// into one WAL record, one memtable pass and one flush check — instead of
-/// per-operation overhead. Operations apply in insertion order, so a later
-/// op on the same key wins. Keys and values are shared bytes
+/// The LSM store turns one batch into one WAL record, one memtable pass and
+/// one flush check. Operations apply in insertion order, so a later op on
+/// the same key wins. Keys and values are shared bytes
 /// ([`IntoShared`]): the LSM store writes them once into its WAL and moves
 /// the allocations themselves into its memtable. A batch may carry a
 /// [`FrameSlot`] it shares with byte-equal batches on other replicas; only
@@ -176,33 +178,21 @@ impl WriteBatch {
     }
 }
 
-/// An ordered key-value store.
+/// An ordered key-value store. A [`WriteBatch`] is the only way to write
+/// one: every platform writes a sealed block as one batch, and a single
+/// write is a one-op batch.
 pub trait KvStore {
     /// Fetch the value for `key`, if present.
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError>;
 
-    /// Insert or overwrite `key`.
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError>;
-
-    /// Remove `key`; removing an absent key is a no-op.
-    fn delete(&mut self, key: &[u8]) -> Result<(), KvError>;
-
-    /// Apply a [`WriteBatch`] in insertion order. The default implementation
-    /// loops over `put`/`delete`; engines override it to amortise per-write
-    /// overhead (one WAL record per batch on the LSM store).
-    fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
-        let (ops, _frame) = batch.into_parts();
-        for (key, value) in ops {
-            match value {
-                Some(v) => self.put(&key, &v)?,
-                None => self.delete(&key)?,
-            }
-        }
-        Ok(())
-    }
+    /// Apply a [`WriteBatch`] in insertion order: a put inserts or
+    /// overwrites its key, a delete of an absent key is a no-op. The LSM
+    /// store logs the whole batch as one WAL record.
+    fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError>;
 
     /// All live `(key, value)` pairs whose key starts with `prefix`, in key
-    /// order. Used by analytics scans and the bucket tree rebuild.
+    /// order: the engine's range read from `prefix`, up to the first key
+    /// past it. Used by analytics scans and the bucket tree rebuild.
     fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError>;
 
     /// A bounded run of live pairs with key strictly greater than `after`,
@@ -210,7 +200,10 @@ pub trait KvStore {
     /// accumulated. Returns `(entries, done)`; `done` means the key space
     /// is exhausted. The one chunk reader, with no default that scans the
     /// whole store: every snapshot transfer serves through it, from the
-    /// live store (Ethereum, Parity) or a frozen `clone` of it (Fabric).
+    /// live store (Ethereum, Parity) or a frozen `clone` of it (Fabric). A
+    /// live store's chunks are read at different heights; an account
+    /// chain's first chunk names the server's head height when its scan
+    /// began, and Parity's chain transfer stops at that height.
     fn scan_range_chunk(
         &mut self,
         after: Option<&[u8]>,
@@ -220,6 +213,26 @@ pub trait KvStore {
     /// Engine statistics snapshot.
     fn stats(&self) -> StorageStats;
 }
+
+/// One-op writes for this crate's tests: each is a one-op [`WriteBatch`]
+/// through [`KvStore::apply_batch`], the one write path.
+#[cfg(test)]
+pub(crate) trait OneOp: KvStore {
+    fn put_one(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
+        let mut batch = WriteBatch::new();
+        batch.put(key, value);
+        self.apply_batch(batch)
+    }
+
+    fn delete_one(&mut self, key: &[u8]) -> Result<(), KvError> {
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.apply_batch(batch)
+    }
+}
+
+#[cfg(test)]
+impl<S: KvStore> OneOp for S {}
 
 #[cfg(test)]
 mod tests {

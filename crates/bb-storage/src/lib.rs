@@ -30,7 +30,7 @@ pub use kv::{
 pub use lsm::merge::KWayMerge;
 pub use lsm::sstable::{SsTable, TableBuilder};
 pub use lsm::store::{LsmConfig, LsmStore};
-pub use lsm::wal::{Wal, WalRecord, WalReplay};
+pub use lsm::wal::{Wal, WalReplay};
 pub use memstore::MemStore;
 pub use stats::StorageStats;
 pub use vfs::Vfs;

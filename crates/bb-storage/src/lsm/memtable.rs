@@ -3,7 +3,7 @@
 //! drops them. Keys and values are shared bytes: a batch's allocations are
 //! moved in, not copied.
 
-use crate::kv::{IntoShared, KvOps};
+use crate::kv::KvOps;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -28,24 +28,17 @@ impl MemTable {
         key_len as u64 + value.as_ref().map_or(0, |v| v.len() as u64) + NODE_OVERHEAD
     }
 
-    /// Insert a live value: an `Arc` is held as it is, borrowed bytes are
-    /// copied once.
-    pub fn put(&mut self, key: impl IntoShared, value: impl IntoShared) {
-        self.insert(key.into_shared(), Some(value.into_shared()));
-    }
-
-    /// Insert a tombstone.
-    pub fn delete(&mut self, key: impl IntoShared) {
-        self.insert(key.into_shared(), None);
-    }
-
-    fn insert(&mut self, key: Arc<[u8]>, value: Option<Arc<[u8]>>) {
-        let key_len = key.len();
-        let add = Self::cost(key_len, &value);
-        if let Some(old) = self.entries.insert(key, value) {
-            self.approx_bytes -= Self::cost(key_len, &old);
+    /// Apply a batch's operations in order: each key and value allocation
+    /// is moved in as it is; a `None` value is a tombstone.
+    pub fn apply(&mut self, ops: KvOps) {
+        for (key, value) in ops {
+            let key_len = key.len();
+            let add = Self::cost(key_len, &value);
+            if let Some(old) = self.entries.insert(key, value) {
+                self.approx_bytes -= Self::cost(key_len, &old);
+            }
+            self.approx_bytes += add;
         }
-        self.approx_bytes += add;
     }
 
     /// Look up a key. `Some(None)` means "deleted here" — the caller must
@@ -54,27 +47,13 @@ impl MemTable {
         self.entries.get(key).map(|v| v.as_deref())
     }
 
-    /// Entries (including tombstones) with the given prefix, in key order.
-    pub fn scan_prefix<'a>(
+    /// Entries (including tombstones) from `start` on, in key order: the
+    /// memtable's part of every range read.
+    pub fn range_from<'a>(
         &'a self,
-        prefix: &'a [u8],
+        start: Bound<&'a [u8]>,
     ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a {
-        self.entries
-            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (&**k, v.as_deref()))
-    }
-
-    /// Entries (including tombstones) with key strictly after `after`, or
-    /// all of them for `None`, in key order.
-    pub fn range_after<'a>(
-        &'a self,
-        after: Option<&'a [u8]>,
-    ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a {
-        let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
-        self.entries
-            .range::<[u8], _>((lo, Bound::Unbounded))
-            .map(|(k, v)| (&**k, v.as_deref()))
+        self.entries.range::<[u8], _>((start, Bound::Unbounded)).map(|(k, v)| (&**k, v.as_deref()))
     }
 
     /// Drain all entries in key order for an SSTable flush.
@@ -107,6 +86,17 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-op writes for the cases below.
+    impl MemTable {
+        fn put(&mut self, key: &[u8], value: &[u8]) {
+            self.apply(vec![(key.into(), Some(value.into()))]);
+        }
+
+        fn delete(&mut self, key: &[u8]) {
+            self.apply(vec![(key.into(), None)]);
+        }
+    }
 
     #[test]
     fn put_get_overwrite() {
@@ -168,20 +158,24 @@ mod tests {
         m.put(b"a:1", b"x");
         m.delete(b"a:2");
         m.put(b"b:1", b"y");
-        let hits: Vec<_> = m.scan_prefix(b"a:").collect();
+        let hits: Vec<_> = m
+            .range_from(Bound::Included(b"a:"))
+            .take_while(|(k, _)| k.starts_with(b"a:"))
+            .collect();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0], (b"a:1".as_slice(), Some(b"x".as_slice())));
         assert_eq!(hits[1], (b"a:2".as_slice(), None));
     }
 
     #[test]
-    fn range_after_excludes_the_cursor_and_keeps_tombstones() {
+    fn range_from_an_excluded_cursor_keeps_tombstones() {
         let mut m = MemTable::new();
         m.put(b"a", b"1");
         m.delete(b"b");
         m.put(b"c", b"3");
         let keys = |after: Option<&[u8]>| -> Vec<(Vec<u8>, bool)> {
-            m.range_after(after).map(|(k, v)| (k.to_vec(), v.is_some())).collect()
+            let start = after.map_or(Bound::Unbounded, Bound::Excluded);
+            m.range_from(start).map(|(k, v)| (k.to_vec(), v.is_some())).collect()
         };
         assert_eq!(keys(None).len(), 3);
         assert_eq!(keys(Some(b"a")), vec![(b"b".to_vec(), false), (b"c".to_vec(), true)]);

@@ -17,9 +17,6 @@ use super::bloom::{Bloom, KeyHash};
 use crate::kv::KvError;
 use crate::vfs::Vfs;
 
-/// A table's `(key, value)` entries in key order, tombstones as `None`.
-pub type Entries = Vec<(Vec<u8>, Option<Vec<u8>>)>;
-
 const MAGIC: u32 = 0x5354_424c; // "STBL"
 
 /// Handle to one on-"disk" table, with its bloom filter and sparse index
@@ -245,24 +242,10 @@ impl SsTable {
             .map_err(|e| KvError::Corrupt(e.to_string()))
     }
 
-    /// All entries (including tombstones) in key order — compaction and
-    /// prefix scans read whole tables.
-    pub fn all_entries(&self, vfs: &mut Vfs) -> Result<Entries, KvError> {
-        let data = vfs
-            .read_at(&self.file, 0, self.data_end as usize)
-            .map_err(|e| KvError::Corrupt(e.to_string()))?;
-        Ok(EntryIter::new(&data).map(|(k, v)| (k.to_vec(), v.map(|v| v.to_vec()))).collect())
-    }
-
-    /// Raw entry-region bytes, for the streaming k-way merge.
-    pub fn entry_region(&self, vfs: &mut Vfs) -> Result<Vec<u8>, KvError> {
-        vfs.read_at(&self.file, 0, self.data_end as usize)
-            .map_err(|e| KvError::Corrupt(e.to_string()))
-    }
-
-    /// Entry-region suffix starting at the sparse-index interval that may
-    /// contain `from` — snapshot chunking resumes a table scan without
-    /// re-reading bytes already shipped. `from = None` reads everything.
+    /// Raw entry-region bytes for the streaming k-way merge, from the
+    /// sparse-index interval that may contain `from` on: a range read skips
+    /// the intervals before its start. `from = None` reads the whole region,
+    /// as compaction does.
     pub fn entry_region_from(&self, vfs: &mut Vfs, from: Option<&[u8]>) -> Result<Vec<u8>, KvError> {
         let start = match from {
             None => 0,
@@ -365,6 +348,15 @@ impl<'a> Iterator for EntryIter<'a> {
 mod tests {
     use super::*;
 
+    /// A table's `(key, value)` entries in key order, tombstones as `None`.
+    type Entries = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// Every entry of `t`, parsed from its whole entry region.
+    fn entries_of(t: &SsTable, vfs: &mut Vfs) -> Entries {
+        let region = t.entry_region_from(vfs, None).unwrap();
+        EntryIter::new(&region).map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec))).collect()
+    }
+
     fn entries(n: u32) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
         (0..n)
             .map(|i| {
@@ -408,7 +400,7 @@ mod tests {
         for (k, v) in &es {
             assert_eq!(t.get(&mut vfs, k, KeyHash::of(k)).unwrap(), Some(v.clone()));
         }
-        assert_eq!(t.all_entries(&mut vfs).unwrap(), es);
+        assert_eq!(entries_of(&t, &mut vfs), es);
     }
 
     #[test]
@@ -432,7 +424,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.get(&mut vfs, b"x", KeyHash::of(b"x")).unwrap(), None);
         let reopened = SsTable::open(&mut vfs, "sst/e").unwrap();
-        assert!(reopened.all_entries(&mut vfs).unwrap().is_empty());
+        assert!(entries_of(&reopened, &mut vfs).is_empty());
     }
 
     #[test]
@@ -470,7 +462,7 @@ mod tests {
         let t = SsTable::build(&mut vfs, "sst/1", &es, 10, 8);
         // Full region parses back to every entry.
         let full = t.entry_region_from(&mut vfs, None).unwrap();
-        assert_eq!(full, t.entry_region(&mut vfs).unwrap());
+        assert_eq!(full.len() as u64, t.data_bytes());
         let all: Vec<_> = EntryIter::new(&full).map(|(k, _)| k.to_vec()).collect();
         assert_eq!(all.len(), 100);
         // Resuming after key 57 must include key 57's interval (caller

@@ -18,11 +18,12 @@ use super::bloom::KeyHash;
 use super::memtable::MemTable;
 use super::merge::KWayMerge;
 use super::sstable::{SsTable, TableBuilder};
-use super::wal::{Wal, WalRecord};
+use super::wal::Wal;
 use crate::kv::{take_chunk, KvError, KvPairs, KvStore, WriteBatch};
 use crate::stats::StorageStats;
 use crate::vfs::Vfs;
 use std::collections::HashSet;
+use std::ops::Bound;
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -150,24 +151,13 @@ impl LsmStore {
         // continue — the checksummed frames before it are intact, and
         // everything after would have failed its fsync anyway.
         let replay = store.wal.replay_with_stats(&mut store.vfs.lock().unwrap());
-        store.stats.wal_records_replayed = replay.records.len() as u64;
+        store.stats.wal_records_replayed = replay.batches.len() as u64;
         if replay.torn {
             store.stats.wal_tail_truncated = 1;
             store.vfs.lock().unwrap().truncate(&wal_file, replay.valid_len);
         }
-        for rec in replay.records {
-            match rec {
-                WalRecord::Put(k, v) => store.memtable.put(&k, &v),
-                WalRecord::Delete(k) => store.memtable.delete(&k),
-                WalRecord::Batch(ops) => {
-                    for (k, v) in ops {
-                        match v {
-                            Some(v) => store.memtable.put(k, v),
-                            None => store.memtable.delete(k),
-                        }
-                    }
-                }
-            }
+        for ops in replay.batches {
+            store.memtable.apply(ops);
         }
         store.refresh_debt();
         Ok(store)
@@ -343,11 +333,11 @@ impl LsmStore {
             let mut v = self.vfs.lock().unwrap();
             // Newest source first: the victim came from above, so it
             // shadows everything it meets in the output level.
-            sources.push(victim.table.entry_region(&mut v).expect("own table readable"));
+            sources.push(victim.table.entry_region_from(&mut v, None).expect("own table readable"));
             for t in &overlaps {
                 input_bytes += t.table.data_bytes();
                 expected += t.table.len();
-                sources.push(t.table.entry_region(&mut v).expect("own table readable"));
+                sources.push(t.table.entry_region_from(&mut v, None).expect("own table readable"));
             }
         }
         // Tombstones exist to shadow older versions; once nothing lives
@@ -428,6 +418,37 @@ impl LsmStore {
         Arc::clone(&self.vfs)
     }
 
+    /// The one range read of both scans: the live pairs from `start` on,
+    /// in key order, from one streaming merge, newest source first — the
+    /// memtable's entries from `start`, then every live table that does not
+    /// end before it (L0 newest→oldest, then the deeper levels), each read
+    /// from its sparse-index seek point. A call copies the suffix of every
+    /// such table, however few pairs the caller takes, so a whole transfer
+    /// copies each table once per chunk that reaches into it.
+    fn live_from<'a>(
+        &self,
+        start: Bound<&'a [u8]>,
+    ) -> Result<impl Iterator<Item = (Vec<u8>, Vec<u8>)> + 'a, KvError> {
+        let from = match start {
+            Bound::Included(key) | Bound::Excluded(key) => Some(key),
+            Bound::Unbounded => None,
+        };
+        let mut sources = vec![Self::encode_region(self.memtable.range_from(start))];
+        let mut v = self.vfs.lock().unwrap();
+        let tables = self.levels[0].iter().rev().chain(self.levels[1..].iter().flatten());
+        for t in tables {
+            if t.table.last_key().is_some_and(|last| precedes(last, start)) {
+                continue; // wholly before the start
+            }
+            sources.push(t.table.entry_region_from(&mut v, from)?);
+        }
+        // A sparse-index seek lands at or before the start, and tombstones
+        // only shadow: keep the live pairs from it on.
+        Ok(KWayMerge::new(sources)
+            .skip_while(move |(key, _)| precedes(key, start))
+            .filter_map(|(key, value)| Some((key, value?))))
+    }
+
     /// Encode sorted entries in the SSTable entry-region format so the
     /// memtable can join a [`KWayMerge`] as the newest source.
     fn encode_region<'a>(entries: impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)>) -> Vec<u8> {
@@ -448,6 +469,15 @@ impl LsmStore {
             }
         }
         out
+    }
+}
+
+/// Does `key` sort before the range that starts at `start`?
+fn precedes(key: &[u8], start: Bound<&[u8]>) -> bool {
+    match start {
+        Bound::Included(s) => key < s,
+        Bound::Excluded(s) => key <= s,
+        Bound::Unbounded => false,
     }
 }
 
@@ -522,32 +552,9 @@ impl KvStore for LsmStore {
         Ok(None)
     }
 
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        self.stats.writes += 1;
-        self.stats.logical_bytes += (key.len() + value.len()) as u64;
-        self.wal.log_put(&mut self.vfs.lock().unwrap(), key, value);
-        self.memtable.put(key, value);
-        if self.memtable.approx_bytes() >= self.config.memtable_flush_bytes {
-            self.flush_memtable();
-        }
-        Ok(())
-    }
-
-    fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        self.stats.writes += 1;
-        self.stats.logical_bytes += key.len() as u64;
-        self.wal.log_delete(&mut self.vfs.lock().unwrap(), key);
-        self.memtable.delete(key);
-        if self.memtable.approx_bytes() >= self.config.memtable_flush_bytes {
-            self.flush_memtable();
-        }
-        Ok(())
-    }
-
-    /// One WAL record, one memtable pass, one flush check — the whole point
-    /// of batching over per-node `put` calls. The WAL copies each byte once,
-    /// or appends the frame a byte-equal batch's slot already holds; the
-    /// memtable takes the batch's allocations themselves.
+    /// One WAL record, one memtable pass, one flush check. The WAL copies
+    /// each byte once, or appends the frame a byte-equal batch's slot
+    /// already holds; the memtable takes the batch's allocations themselves.
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
         if batch.is_empty() {
             return Ok(());
@@ -560,73 +567,29 @@ impl KvStore for LsmStore {
             .map(|(k, v)| (k.len() + v.as_ref().map_or(0, |v| v.len())) as u64)
             .sum::<u64>();
         self.wal.log_batch(&mut self.vfs.lock().unwrap(), &ops, frame.as_ref());
-        for (key, value) in ops {
-            match value {
-                Some(v) => self.memtable.put(key, v),
-                None => self.memtable.delete(key),
-            }
-        }
+        self.memtable.apply(ops);
         if self.memtable.approx_bytes() >= self.config.memtable_flush_bytes {
             self.flush_memtable();
         }
         Ok(())
     }
 
-    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        // One streaming merge, newest source first: memtable, L0 tables
-        // newest→oldest, then each deeper level as a single source (its
-        // disjoint sorted tables concatenate into one sorted region).
-        let mut sources = Vec::new();
-        sources.push(Self::encode_region(self.memtable.scan_prefix(prefix)));
-        {
-            let mut v = self.vfs.lock().unwrap();
-            for t in self.levels[0].iter().rev() {
-                sources.push(t.table.entry_region(&mut v)?);
-            }
-            for lvl in self.levels.iter().skip(1) {
-                let mut region = Vec::new();
-                for t in lvl {
-                    region.extend_from_slice(&t.table.entry_region(&mut v)?);
-                }
-                sources.push(region);
-            }
-        }
-        let out: Vec<(Vec<u8>, Vec<u8>)> = KWayMerge::new(sources)
-            .filter(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
+    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
+        let out: KvPairs = self
+            .live_from(Bound::Included(prefix))?
+            .take_while(|(key, _)| key.starts_with(prefix))
             .collect();
         self.stats.reads += out.len() as u64;
         Ok(out)
     }
 
-    /// One streaming merge, newest source first: the memtable's entries
-    /// past `after`, then every live table that reaches past it (L0
-    /// newest→oldest, then the deeper levels), each read from its
-    /// sparse-index seek point. A call copies the suffix of every such
-    /// table, however small the chunk, so a whole transfer copies each
-    /// table once per chunk that reaches into it.
     fn scan_range_chunk(
         &mut self,
         after: Option<&[u8]>,
         max_bytes: usize,
     ) -> Result<(KvPairs, bool), KvError> {
-        let mut sources = vec![Self::encode_region(self.memtable.range_after(after))];
-        {
-            let mut v = self.vfs.lock().unwrap();
-            let tables = self.levels[0].iter().rev().chain(self.levels[1..].iter().flatten());
-            for t in tables {
-                if after.is_some_and(|a| t.table.last_key().is_some_and(|l| l <= a)) {
-                    continue; // wholly at or before the cursor
-                }
-                sources.push(t.table.entry_region_from(&mut v, after)?);
-            }
-        }
-        // A sparse-index seek lands at or before the cursor, and tombstones
-        // only shadow: keep the live pairs past it.
-        let live = KWayMerge::new(sources)
-            .filter(|(key, _)| after.is_none_or(|a| key.as_slice() > a))
-            .filter_map(|(key, value)| Some((key, value?)));
-        let (out, done) = take_chunk(live, max_bytes);
+        let start = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let (out, done) = take_chunk(self.live_from(start)?, max_bytes);
         self.stats.reads += out.len() as u64;
         Ok((out, done))
     }
@@ -681,7 +644,7 @@ impl std::fmt::Debug for LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{FrameSlot, KvOps};
+    use crate::kv::{FrameSlot, KvOps, OneOp};
 
     fn small_config() -> LsmConfig {
         LsmConfig { memtable_flush_bytes: 2048, max_tables: 3, ..LsmConfig::default() }
@@ -691,7 +654,7 @@ mod tests {
     fn put_get_delete_across_flushes() {
         let mut s = LsmStore::new_private(small_config());
         for i in 0..500u32 {
-            s.put(format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            s.put_one(format!("k{i:05}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         assert!(s.table_count() >= 1, "flushes should have happened");
         for i in 0..500u32 {
@@ -700,7 +663,7 @@ mod tests {
                 Some(format!("v{i}").into_bytes())
             );
         }
-        s.delete(b"k00042").unwrap();
+        s.delete_one(b"k00042").unwrap();
         assert_eq!(s.get(b"k00042").unwrap(), None);
         assert_eq!(s.get(b"k00043").unwrap(), Some(b"v43".to_vec()));
     }
@@ -710,7 +673,7 @@ mod tests {
         let mut s = LsmStore::new_private(small_config());
         for round in 0..5u32 {
             for i in 0..100u32 {
-                s.put(format!("k{i:03}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
+                s.put_one(format!("k{i:03}").as_bytes(), format!("r{round}").as_bytes()).unwrap();
             }
             s.flush();
         }
@@ -728,7 +691,7 @@ mod tests {
         });
         for round in 0..20u32 {
             for i in 0..20u32 {
-                s.put(format!("k{i:02}").as_bytes(), format!("round{round}data").as_bytes())
+                s.put_one(format!("k{i:02}").as_bytes(), format!("round{round}data").as_bytes())
                     .unwrap();
             }
         }
@@ -754,13 +717,13 @@ mod tests {
             max_tables: 2,
             ..LsmConfig::default()
         });
-        s.put(b"doomed", b"v").unwrap();
+        s.put_one(b"doomed", b"v").unwrap();
         s.flush();
-        s.delete(b"doomed").unwrap();
+        s.delete_one(b"doomed").unwrap();
         s.flush();
         // Force compactions with filler.
         for i in 0..200u32 {
-            s.put(format!("fill{i:04}").as_bytes(), b"x").unwrap();
+            s.put_one(format!("fill{i:04}").as_bytes(), b"x").unwrap();
         }
         s.flush();
         assert_eq!(s.get(b"doomed").unwrap(), None);
@@ -772,10 +735,10 @@ mod tests {
         {
             let mut s = LsmStore::open(Arc::clone(&vfs), "db", small_config()).unwrap();
             for i in 0..300u32 {
-                s.put(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+                s.put_one(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
             }
             // Some entries flushed to SSTables, the tail only in the WAL.
-            s.put(b"tail", b"unflushed").unwrap();
+            s.put_one(b"tail", b"unflushed").unwrap();
             // Store dropped without a final flush: simulated crash.
         }
         let mut s = LsmStore::open(vfs, "db", small_config()).unwrap();
@@ -802,7 +765,7 @@ mod tests {
         {
             let mut s = LsmStore::open(Arc::clone(&vfs), "db", LsmConfig::default()).unwrap();
             for (k, v) in &entries {
-                s.put(k, v.as_deref().unwrap()).unwrap();
+                s.put_one(k, v.as_deref().unwrap()).unwrap();
             }
             assert_eq!(s.table_count(), 0, "the entries must still be in the memtable");
             SsTable::build(&mut vfs.lock().unwrap(), "db/sst/000000000000", &entries, 10, 16);
@@ -825,13 +788,13 @@ mod tests {
     #[test]
     fn scan_prefix_merges_all_tiers() {
         let mut s = LsmStore::new_private(small_config());
-        s.put(b"acct:1", b"old").unwrap();
-        s.put(b"acct:2", b"two").unwrap();
+        s.put_one(b"acct:1", b"old").unwrap();
+        s.put_one(b"acct:2", b"two").unwrap();
         s.flush();
-        s.put(b"acct:1", b"new").unwrap(); // shadow in memtable
-        s.put(b"acct:3", b"three").unwrap();
-        s.delete(b"acct:2").unwrap(); // tombstone in memtable
-        s.put(b"other:9", b"no").unwrap();
+        s.put_one(b"acct:1", b"new").unwrap(); // shadow in memtable
+        s.put_one(b"acct:3", b"three").unwrap();
+        s.delete_one(b"acct:2").unwrap(); // tombstone in memtable
+        s.put_one(b"other:9", b"no").unwrap();
         let hits = s.scan_prefix(b"acct:").unwrap();
         assert_eq!(
             hits,
@@ -846,7 +809,7 @@ mod tests {
     fn stats_reflect_disk_and_memory() {
         let mut s = LsmStore::new_private(small_config());
         for i in 0..100u32 {
-            s.put(format!("key{i:08}").as_bytes(), &[0u8; 100]).unwrap();
+            s.put_one(format!("key{i:08}").as_bytes(), &[0u8; 100]).unwrap();
         }
         let st = s.stats();
         assert_eq!(st.writes, 100);
@@ -862,7 +825,7 @@ mod tests {
         let vfs = Arc::new(Mutex::new(Vfs::new()));
         {
             let mut s = LsmStore::open(Arc::clone(&vfs), "db", small_config()).unwrap();
-            s.put(b"stale", b"old").unwrap();
+            s.put_one(b"stale", b"old").unwrap();
             let mut b = WriteBatch::new();
             b.put(b"a", b"1");
             b.put(b"stale", b"new");
@@ -873,7 +836,7 @@ mod tests {
             assert_eq!(s.get(b"stale").unwrap(), Some(b"new".to_vec()));
             let st = s.stats();
             assert_eq!(st.writes, 5, "batch ops count as writes");
-            assert_eq!(st.batch_writes, 1);
+            assert_eq!(st.batch_writes, 2, "the one-op write and the batch");
             // Dropped without flush: the batch must recover from its single
             // WAL record.
         }
@@ -891,7 +854,7 @@ mod tests {
             .collect();
         let mut single = LsmStore::new_private(LsmConfig::default());
         for (k, v) in &payload {
-            single.put(k, v.as_ref().unwrap()).unwrap();
+            single.put_one(k, v.as_ref().unwrap()).unwrap();
         }
         let mut batched = LsmStore::new_private(LsmConfig::default());
         let mut b = WriteBatch::new();
@@ -957,7 +920,7 @@ mod tests {
         };
         for tear in [false, true] {
             let mut framed = LsmStore::new_private(LsmConfig::default());
-            framed.put(b"before", b"x").unwrap();
+            framed.put_one(b"before", b"x").unwrap();
             let vfs = framed.vfs();
             vfs.lock().unwrap().set_op_latency_us(3);
             if tear {
@@ -970,7 +933,8 @@ mod tests {
             let frame = slot.get().expect("the store that framed the batch filled the slot");
             let wal_len = framed.vfs().lock().unwrap().file_size(framed.wal.file()).unwrap();
             assert_eq!(frame.len(), 13 + 86, "the slot holds the whole frame, torn or not");
-            assert_eq!(wal_len as usize, 20 + if tear { 20 } else { frame.len() }, "tear {tear}");
+            // The one-op "before" batch's frame is 33 bytes.
+            assert_eq!(wal_len as usize, 33 + if tear { 20 } else { frame.len() }, "tear {tear}");
             shared.apply_batch(batch(&slot)).unwrap();
             let disk = |s: &LsmStore| s.vfs().lock().unwrap().clone();
             assert_eq!(disk(&shared), disk(&framed), "tear {tear}");
@@ -995,7 +959,7 @@ mod tests {
         let vfs = Arc::new(Mutex::new(Vfs::new()));
         {
             let mut s = LsmStore::open(Arc::clone(&vfs), "db", LsmConfig::default()).unwrap();
-            s.put(b"durable", b"yes").unwrap();
+            s.put_one(b"durable", b"yes").unwrap();
         }
         // Crash mid-append: a frame header with no body.
         vfs.lock().unwrap().append("db/wal", &[1, 0, 0, 0, 99]);
@@ -1008,7 +972,7 @@ mod tests {
         // Truncate-and-continue: the torn suffix is physically gone, so the
         // store can keep appending and a third open replays cleanly.
         assert!(vfs.lock().unwrap().file_size("db/wal").unwrap() < wal_len_before);
-        s.put(b"after", b"recovery").unwrap();
+        s.put_one(b"after", b"recovery").unwrap();
         drop(s);
         let mut s = LsmStore::open(vfs, "db", LsmConfig::default()).unwrap();
         assert_eq!(s.get(b"after").unwrap(), Some(b"recovery".to_vec()));
@@ -1039,6 +1003,7 @@ mod tests {
 #[cfg(test)]
 mod leveled_tests {
     use super::*;
+    use crate::kv::OneOp;
     use bb_sim::SimRng;
 
     fn leveled_config() -> LsmConfig {
@@ -1062,7 +1027,7 @@ mod leveled_tests {
         let write = |s: &mut LsmStore, n: usize, rng: &mut SimRng| {
             for _ in 0..n {
                 let key = rng.below(u64::MAX).to_be_bytes();
-                s.put(&key, &[0xAB; 16]).unwrap();
+                s.put_one(&key, &[0xAB; 16]).unwrap();
             }
         };
         write(&mut s, 400, &mut rng);
@@ -1096,7 +1061,7 @@ mod leveled_tests {
         let mut s = LsmStore::new_private(leveled_config());
         for _ in 0..3000 {
             let key = rng.below(1 << 32).to_be_bytes();
-            s.put(&key, &[1; 24]).unwrap();
+            s.put_one(&key, &[1; 24]).unwrap();
         }
         s.flush();
         assert!(s.levels.len() > 1, "load should have spilled past L0");
@@ -1122,7 +1087,7 @@ mod leveled_tests {
         // proportion to the data.
         let mut s = LsmStore::new_private(leveled_config());
         for i in 0..6000u64 {
-            s.put(&i.to_be_bytes(), &[7; 32]).unwrap();
+            s.put_one(&i.to_be_bytes(), &[7; 32]).unwrap();
         }
         s.flush();
         let st = s.stats();
@@ -1140,7 +1105,7 @@ mod leveled_tests {
         let mut s = LsmStore::new_private(leveled_config());
         // Build a bottom level holding the key.
         for i in 0..400u32 {
-            s.put(format!("k{i:04}").as_bytes(), &[9; 16]).unwrap();
+            s.put_one(format!("k{i:04}").as_bytes(), &[9; 16]).unwrap();
         }
         s.flush();
         while s.compact_step() {}
@@ -1148,7 +1113,7 @@ mod leveled_tests {
         assert!(depth > 1);
         // Delete half the keys and drive the tombstones down.
         for i in (0..400u32).step_by(2) {
-            s.delete(format!("k{i:04}").as_bytes()).unwrap();
+            s.delete_one(format!("k{i:04}").as_bytes()).unwrap();
         }
         s.flush();
         while s.compact_step() {}
@@ -1163,12 +1128,8 @@ mod leveled_tests {
         let bottom_tombstones: usize = s.levels[bottom]
             .iter()
             .map(|t| {
-                t.table
-                    .all_entries(&mut v)
-                    .unwrap()
-                    .iter()
-                    .filter(|(_, val)| val.is_none())
-                    .count()
+                let region = t.table.entry_region_from(&mut v, None).unwrap();
+                KWayMerge::new(vec![region]).filter(|(_, val)| val.is_none()).count()
             })
             .sum();
         assert_eq!(bottom_tombstones, 0, "bottom level retains tombstones");
@@ -1182,9 +1143,9 @@ mod leveled_tests {
     fn frozen_copy_streams_a_consistent_snapshot() {
         let mut s = LsmStore::new_private(leveled_config());
         for i in 0..500u32 {
-            s.put(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            s.put_one(format!("k{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
-        s.delete(b"k0007").unwrap();
+        s.delete_one(b"k0007").unwrap();
         assert!(!s.memtable.is_empty(), "the copy should carry a memtable");
         let mut frozen = s.clone();
         let compactions = s.stats().compactions;
@@ -1192,7 +1153,7 @@ mod leveled_tests {
         let mut after: Option<Vec<u8>> = None;
         loop {
             for i in 0..40u32 {
-                s.put(format!("k{i:04}").as_bytes(), b"overwritten-mid-transfer").unwrap();
+                s.put_one(format!("k{i:04}").as_bytes(), b"overwritten-mid-transfer").unwrap();
             }
             s.flush();
             let files = s.vfs().lock().unwrap().list("lsm/sst/").len();
@@ -1221,6 +1182,7 @@ mod leveled_tests {
 #[cfg(test)]
 mod second_disk {
     use super::*;
+    use crate::kv::OneOp;
     use crate::fault::FaultVfs;
 
     fn config() -> LsmConfig {
@@ -1237,10 +1199,10 @@ mod second_disk {
         let mut s = LsmStore::new_private(config());
         for round in 0..6u32 {
             for i in 0..40 {
-                s.put(&key(i), format!("round{round}").as_bytes()).unwrap();
+                s.put_one(&key(i), format!("round{round}").as_bytes()).unwrap();
             }
         }
-        s.delete(&key(7)).unwrap();
+        s.delete_one(&key(7)).unwrap();
         assert!(s.stats().compactions > 0 && s.level_table_counts().len() > 1);
         assert!(s.stats().mem_bytes > 0, "nothing left in the memtable");
         s
@@ -1282,12 +1244,12 @@ mod second_disk {
         let (b_disk, b_stats) = (disk(&b), b.stats());
         // A put, flushes and compactions...
         for i in 0..40 {
-            a.put(&key(i), b"after-the-copy").unwrap();
+            a.put_one(&key(i), b"after-the-copy").unwrap();
         }
         a.flush();
         assert!(a.stats().compactions > b_stats.compactions);
         // ...a torn WAL tail...
-        a.put(b"tail", b"unflushed").unwrap();
+        a.put_one(b"tail", b"unflushed").unwrap();
         assert!(FaultVfs::new(a.vfs(), 7).tear_tail("lsm/wal"));
         // ...and a slow disk, all on the original.
         a.vfs().lock().unwrap().set_op_latency_us(50);
@@ -1299,7 +1261,7 @@ mod second_disk {
         assert_eq!(b.get(&key(1)).unwrap(), Some(b"round5".to_vec()));
         // And the other way round.
         let a_disk = disk(&a);
-        b.put(&key(1), b"on-the-copy").unwrap();
+        b.put_one(&key(1), b"on-the-copy").unwrap();
         b.flush();
         assert_eq!(disk(&a), a_disk);
         assert_eq!(a.get(&key(1)).unwrap(), Some(b"after-the-copy".to_vec()));
@@ -1316,10 +1278,10 @@ mod second_disk {
         let mut b = a.clone();
         for s in [&mut a, &mut b] {
             for i in 0..40 {
-                s.put(&key(i), b"after-the-copy").unwrap();
+                s.put_one(&key(i), b"after-the-copy").unwrap();
             }
             s.flush();
-            s.put(b"tail", b"unflushed").unwrap();
+            s.put_one(b"tail", b"unflushed").unwrap();
         }
         let (da, db) = (disk(&a), disk(&b));
         assert_eq!(da, db);
@@ -1404,6 +1366,7 @@ mod second_disk {
 #[cfg(test)]
 mod fault_props {
     use super::*;
+    use crate::kv::OneOp;
     use crate::fault::FaultVfs;
 
     const KEYS_PER_BATCH: u32 = 10;
@@ -1513,7 +1476,7 @@ mod fault_props {
         {
             let mut s = LsmStore::open(Arc::clone(&vfs), "db", cfg.clone()).unwrap();
             for i in 0..100u32 {
-                s.put(format!("k{i:03}").as_bytes(), format!("durable{i}").as_bytes()).unwrap();
+                s.put_one(format!("k{i:03}").as_bytes(), format!("durable{i}").as_bytes()).unwrap();
             }
             s.flush();
         }
@@ -1551,6 +1514,7 @@ mod fault_props {
 #[cfg(test)]
 mod seeded_props {
     use super::*;
+    use crate::kv::OneOp;
     use bb_sim::SimRng;
 
     #[test]
@@ -1571,12 +1535,12 @@ mod seeded_props {
                         let mut value = vec![0u8; rng.below(32) as usize];
                         rng.fill_bytes(&mut value);
                         model.insert(key.clone(), value.clone());
-                        store.put(&key, &value).unwrap();
+                        store.put_one(&key, &value).unwrap();
                     }
                     3 => {
                         let key = vec![b'k', rng.below(256) as u8];
                         model.remove(&key);
-                        store.delete(&key).unwrap();
+                        store.delete_one(&key).unwrap();
                     }
                     _ => store.flush(),
                 }
@@ -1663,12 +1627,12 @@ mod seeded_props {
                         let mut value = vec![0u8; 1 + rng.below(24) as usize];
                         rng.fill_bytes(&mut value);
                         reference.memtable.insert(key.clone(), Some(value.clone()));
-                        store.put(&key, &value).unwrap();
+                        store.put_one(&key, &value).unwrap();
                     }
                     5 => {
                         let key = vec![b'a' + (rng.below(4) as u8), rng.below(64) as u8];
                         reference.memtable.insert(key.clone(), None);
-                        store.delete(&key).unwrap();
+                        store.delete_one(&key).unwrap();
                     }
                     6 => {
                         reference.flush();
@@ -1697,7 +1661,9 @@ mod seeded_props {
     /// One random op stream into an LSM store — a tiny memtable, so the
     /// reads merge L0, deeper levels, tombstones and a live memtable — and
     /// into a `MemStore`: chunk by chunk, from random cursors and under
-    /// random byte bounds, both stream the same pairs.
+    /// random byte bounds, both stream the same pairs, and every round both
+    /// scan the same pairs under seeded prefixes, the empty prefix and
+    /// prefixes that sort before and after every key.
     #[test]
     fn scan_range_chunk_matches_memstore_seeded() {
         let mut rng = SimRng::seed_from_u64(0x5EED_0044);
@@ -1719,25 +1685,30 @@ mod seeded_props {
                 for _ in 0..rng.range(50, 150) {
                     let key = vec![b'a' + rng.below(4) as u8, rng.below(64) as u8];
                     if rng.below(4) == 0 {
-                        lsm.delete(&key).unwrap();
-                        mem.delete(&key).unwrap();
+                        lsm.delete_one(&key).unwrap();
+                        mem.delete_one(&key).unwrap();
                     } else {
                         let mut value = vec![0u8; 1 + rng.below(24) as usize];
                         rng.fill_bytes(&mut value);
-                        lsm.put(&key, &value).unwrap();
-                        mem.put(&key, &value).unwrap();
+                        lsm.put_one(&key, &value).unwrap();
+                        mem.put_one(&key, &value).unwrap();
                     }
                 }
                 if lsm.memtable.is_empty() {
                     // A lone tombstone never fills a memtable: the reads
                     // below always merge one.
                     let key = vec![b'a', rng.below(64) as u8];
-                    lsm.delete(&key).unwrap();
-                    mem.delete(&key).unwrap();
+                    lsm.delete_one(&key).unwrap();
+                    mem.delete_one(&key).unwrap();
                 }
                 if round == 3 {
                     let levels = lsm.level_table_counts();
                     assert!(levels.len() > 2 && levels[1..].iter().any(|&n| n > 0), "{levels:?}");
+                }
+                let seeded = (0..6).map(|_| random_key(&mut rng));
+                for prefix in [vec![], b"0".to_vec(), b"z".to_vec()].into_iter().chain(seeded) {
+                    let got = lsm.scan_prefix(&prefix).unwrap();
+                    assert_eq!(got, mem.scan_prefix(&prefix).unwrap(), "case {case}, {prefix:?}");
                 }
                 for _ in 0..6 {
                     let mut after = rng.chance(0.7).then(|| random_key(&mut rng));

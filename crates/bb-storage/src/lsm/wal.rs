@@ -1,35 +1,23 @@
-//! Write-ahead log: every mutation is appended (checksummed) before it
-//! touches the memtable, so a reopened store recovers exactly the
-//! un-flushed tail.
+//! Write-ahead log: every batch is appended as one checksummed record
+//! before it touches the memtable, so a reopened store recovers exactly the
+//! un-flushed tail. A batch is the only record kind, as it is the only
+//! store write.
 
 use crate::kv::{FrameSlot, KvOp, KvOps};
 use crate::vfs::Vfs;
 use std::sync::Arc;
 
-const TAG_PUT: u8 = 1;
-const TAG_DELETE: u8 = 2;
 const TAG_BATCH: u8 = 3;
 const BATCH_OP_PUT: u8 = 1;
 const BATCH_OP_DELETE: u8 = 2;
 
-/// One recovered WAL record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
-    /// A put of `key` to `value`.
-    Put(Vec<u8>, Vec<u8>),
-    /// A deletion of `key`.
-    Delete(Vec<u8>),
-    /// An atomic batch: `(key, Some(value))` puts and `(key, None)` deletes,
-    /// in application order, as shared bytes a reopened store moves into
-    /// its memtable.
-    Batch(KvOps),
-}
-
 /// Outcome of a [`Wal::replay_with_stats`] pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalReplay {
-    /// Every intact record, in append order.
-    pub records: Vec<WalRecord>,
+    /// Every intact batch, in append order: `(key, Some(value))` puts and
+    /// `(key, None)` deletes, as shared bytes a reopened store moves into
+    /// its memtable.
+    pub batches: Vec<KvOps>,
     /// Byte length of the valid prefix; anything past it is torn or corrupt
     /// and safe to truncate away.
     pub valid_len: u64,
@@ -37,11 +25,12 @@ pub struct WalReplay {
     pub torn: bool,
 }
 
-/// Frame checksum over `[tag]`, key and value. Each part is folded as
-/// little-endian 8-byte words (its tail a byte at a time, then its length)
-/// through a multiply-xorshift step; every step is a bijection of the state
-/// for a fixed input word, so two inputs that differ in one word — a single
-/// flipped bit — leave different 64-bit states, folded to 32 bits.
+/// Frame checksum over `[tag]`, the blob and the (empty) value slot. Each
+/// part is folded as little-endian 8-byte words (its tail a byte at a time,
+/// then its length) through a multiply-xorshift step; every step is a
+/// bijection of the state for a fixed input word, so two inputs that differ
+/// in one word — a single flipped bit — leave different 64-bit states,
+/// folded to 32 bits.
 fn checksum(parts: &[&[u8]]) -> u32 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15; // odd: the multiply is invertible
     fn mix(h: u64, w: u64) -> u64 {
@@ -62,26 +51,6 @@ fn checksum(parts: &[&[u8]]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Write one frame — `[tag][key len][key][value len][value][checksum]` —
-/// onto the end of `log`: `key_len` bytes of key that `put_key` appends in
-/// place, then `value`. Every frame is sealed here, and only here.
-fn write_frame(
-    log: &mut Vec<u8>,
-    tag: u8,
-    key_len: usize,
-    put_key: impl FnOnce(&mut Vec<u8>),
-    value: &[u8],
-) {
-    log.push(tag);
-    log.extend_from_slice(&(key_len as u32).to_be_bytes());
-    let key_at = log.len();
-    put_key(log);
-    let sum = checksum(&[&[tag], &log[key_at..], value]);
-    log.extend_from_slice(&(value.len() as u32).to_be_bytes());
-    log.extend_from_slice(value);
-    log.extend_from_slice(&sum.to_be_bytes());
-}
-
 /// Length of `ops` serialised as a batch blob.
 fn batch_blob_len(ops: &[KvOp]) -> usize {
     4 + ops
@@ -90,8 +59,19 @@ fn batch_blob_len(ops: &[KvOp]) -> usize {
         .sum::<usize>()
 }
 
-/// Serialise `ops` as a batch blob onto the end of `log`.
-fn put_batch_blob(log: &mut Vec<u8>, ops: &[KvOp]) {
+/// Length of the frame of a batch blob of `blob_len` bytes.
+fn frame_len(blob_len: usize) -> usize {
+    13 + blob_len
+}
+
+/// Write `ops`'s frame — `[TAG_BATCH][blob len][blob][value len 0]
+/// [checksum]` — onto the end of `log`, the blob serialised in place. The
+/// empty value slot keeps every WAL file's bytes as `checksum_known_answer`
+/// pins them. Every frame is sealed here, and only here.
+fn write_frame(log: &mut Vec<u8>, ops: &[KvOp], blob_len: usize) {
+    log.push(TAG_BATCH);
+    log.extend_from_slice(&(blob_len as u32).to_be_bytes());
+    let blob_at = log.len();
     log.extend_from_slice(&(ops.len() as u32).to_be_bytes());
     for (key, value) in ops {
         log.push(if value.is_some() { BATCH_OP_PUT } else { BATCH_OP_DELETE });
@@ -102,6 +82,9 @@ fn put_batch_blob(log: &mut Vec<u8>, ops: &[KvOp]) {
             log.extend_from_slice(v);
         }
     }
+    let sum = checksum(&[&[TAG_BATCH], &log[blob_at..], &[]]);
+    log.extend_from_slice(&0u32.to_be_bytes());
+    log.extend_from_slice(&sum.to_be_bytes());
 }
 
 /// Append-only log over one VFS file.
@@ -119,44 +102,13 @@ impl Wal {
         Wal { file: file.to_string() }
     }
 
-    /// Append one frame ([`write_frame`]) straight onto the end of the log;
-    /// nothing is staged. `slot`, if given, receives a copy of the frame.
-    fn append_frame(
-        &self,
-        vfs: &mut Vfs,
-        tag: u8,
-        key_len: usize,
-        put_key: impl FnOnce(&mut Vec<u8>),
-        value: &[u8],
-        slot: Option<&FrameSlot>,
-    ) {
-        vfs.append_with(&self.file, 13 + key_len + value.len(), |log| {
-            let at = log.len();
-            write_frame(log, tag, key_len, put_key, value);
-            if let Some(slot) = slot {
-                // Only a store that found the slot empty frames in place.
-                let _ = slot.set(log[at..].into());
-            }
-        });
-    }
-
-    /// Log a put.
-    pub fn log_put(&self, vfs: &mut Vfs, key: &[u8], value: &[u8]) {
-        self.append_frame(vfs, TAG_PUT, key.len(), |log| log.extend_from_slice(key), value, None);
-    }
-
-    /// Log a delete.
-    pub fn log_delete(&self, vfs: &mut Vfs, key: &[u8]) {
-        self.append_frame(vfs, TAG_DELETE, key.len(), |log| log.extend_from_slice(key), &[], None);
-    }
-
     /// Log an atomic batch as ONE record: the operations, serialised as a
-    /// blob, fill the record's key slot, reusing the standard framing and
-    /// checksum. Recovery applies the whole batch or none of it.
+    /// blob, fill the frame's key slot. Recovery applies the whole batch or
+    /// none of it.
     ///
-    /// With no `shared` slot, or an empty one, the blob is written in place
-    /// at the end of the log, so each stored byte is copied once, and an
-    /// empty slot receives a copy of the frame. A filled slot holds the
+    /// With no `shared` slot, or an empty one, the frame is written in
+    /// place at the end of the log, so each stored byte is copied once, and
+    /// an empty slot receives a copy of the frame. A filled slot holds the
     /// frame another store wrote for the same operations: it is appended as
     /// it is, with no framing and no checksum here.
     pub fn log_batch(&self, vfs: &mut Vfs, ops: &[KvOp], shared: Option<&FrameSlot>) {
@@ -164,7 +116,14 @@ impl Wal {
             return self.append_shared(vfs, ops, frame);
         }
         let blob_len = batch_blob_len(ops);
-        self.append_frame(vfs, TAG_BATCH, blob_len, |log| put_batch_blob(log, ops), &[], shared);
+        vfs.append_with(&self.file, frame_len(blob_len), |log| {
+            let at = log.len();
+            write_frame(log, ops, blob_len);
+            if let Some(slot) = shared {
+                // Only a store that found the slot empty frames in place.
+                let _ = slot.set(log[at..].into());
+            }
+        });
     }
 
     /// Append `frame`, the batch frame another store wrote for `ops`, as an
@@ -174,8 +133,8 @@ impl Wal {
     fn append_shared(&self, vfs: &mut Vfs, ops: &[KvOp], frame: &[u8]) {
         if cfg!(debug_assertions) {
             let blob_len = batch_blob_len(ops);
-            let mut own = Vec::with_capacity(13 + blob_len);
-            write_frame(&mut own, TAG_BATCH, blob_len, |log| put_batch_blob(log, ops), &[]);
+            let mut own = Vec::with_capacity(frame_len(blob_len));
+            write_frame(&mut own, ops, blob_len);
             assert!(own == frame, "a shared WAL frame differs from its batch's own");
         }
         vfs.append(&self.file, frame);
@@ -192,40 +151,39 @@ impl Wal {
         &self.file
     }
 
-    /// Replay all intact records. A torn or corrupt tail (crash mid-append)
+    /// Replay all intact batches. A torn or corrupt tail (crash mid-append)
     /// ends replay at the last good record, like production WALs.
-    pub fn replay(&self, vfs: &mut Vfs) -> Vec<WalRecord> {
-        self.replay_with_stats(vfs).records
+    pub fn replay(&self, vfs: &mut Vfs) -> Vec<KvOps> {
+        self.replay_with_stats(vfs).batches
     }
 
-    /// Replay all intact records, reporting where the valid prefix ends.
+    /// Replay all intact batches, reporting where the valid prefix ends.
     /// Runs over the borrowed-read path: the log is parsed in place, no
     /// whole-file copy.
     pub fn replay_with_stats(&self, vfs: &mut Vfs) -> WalReplay {
         vfs.read_with(&self.file, 0, usize::MAX, |data| {
-            let mut records = Vec::new();
+            let mut batches = Vec::new();
             let mut pos = 0usize;
-            while let Some((record, consumed)) = Self::parse_one(&data[pos..]) {
-                records.push(record);
+            while let Some((ops, consumed)) = Self::parse_one(&data[pos..]) {
+                batches.push(ops);
                 pos += consumed;
             }
             let torn = pos < data.len();
-            WalReplay { records, valid_len: pos as u64, torn }
+            WalReplay { batches, valid_len: pos as u64, torn }
         })
         .unwrap_or_default()
     }
 
-    fn parse_one(data: &[u8]) -> Option<(WalRecord, usize)> {
-        if data.len() < 9 {
+    fn parse_one(data: &[u8]) -> Option<(KvOps, usize)> {
+        if data.len() < 9 || data[0] != TAG_BATCH {
             return None;
         }
-        let tag = data[0];
-        let klen = u32::from_be_bytes(data[1..5].try_into().ok()?) as usize;
-        if data.len() < 5 + klen + 4 {
+        let blen = u32::from_be_bytes(data[1..5].try_into().ok()?) as usize;
+        if data.len() < 5 + blen + 4 {
             return None;
         }
-        let key = &data[5..5 + klen];
-        let vstart = 5 + klen;
+        let blob = &data[5..5 + blen];
+        let vstart = 5 + blen;
         let vlen = u32::from_be_bytes(data[vstart..vstart + 4].try_into().ok()?) as usize;
         let vend = vstart + 4 + vlen;
         if data.len() < vend + 4 {
@@ -233,16 +191,10 @@ impl Wal {
         }
         let value = &data[vstart + 4..vend];
         let stored = u32::from_be_bytes(data[vend..vend + 4].try_into().ok()?);
-        if stored != checksum(&[&[tag], key, value]) {
+        if stored != checksum(&[&[TAG_BATCH], blob, value]) {
             return None;
         }
-        let record = match tag {
-            TAG_PUT => WalRecord::Put(key.to_vec(), value.to_vec()),
-            TAG_DELETE => WalRecord::Delete(key.to_vec()),
-            TAG_BATCH => WalRecord::Batch(Self::parse_batch_blob(key)?),
-            _ => return None,
-        };
-        Some((record, vend + 4))
+        Some((Self::parse_batch_blob(blob)?, vend + 4))
     }
 
     fn parse_batch_blob(blob: &[u8]) -> Option<KvOps> {
@@ -286,20 +238,21 @@ mod tests {
         ops.into_iter().map(|(k, v)| (k.into(), v.map(Into::into))).collect()
     }
 
+    /// A one-op batch: a put of `key` to `value`, or a delete for `None`.
+    fn one(key: &[u8], value: Option<&[u8]>) -> KvOps {
+        vec![(key.into(), value.map(Into::into))]
+    }
+
     #[test]
     fn replay_round_trips() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"a", b"1");
-        wal.log_delete(&mut vfs, b"b");
-        wal.log_put(&mut vfs, b"c", b"3");
+        wal.log_batch(&mut vfs, &one(b"a", Some(b"1")), None);
+        wal.log_batch(&mut vfs, &one(b"b", None), None);
+        wal.log_batch(&mut vfs, &one(b"c", Some(b"3")), None);
         assert_eq!(
             wal.replay(&mut vfs),
-            vec![
-                WalRecord::Put(b"a".to_vec(), b"1".to_vec()),
-                WalRecord::Delete(b"b".to_vec()),
-                WalRecord::Put(b"c".to_vec(), b"3".to_vec()),
-            ]
+            vec![one(b"a", Some(b"1")), one(b"b", None), one(b"c", Some(b"3"))]
         );
     }
 
@@ -307,7 +260,7 @@ mod tests {
     fn reset_clears_log() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"a", b"1");
+        wal.log_batch(&mut vfs, &one(b"a", Some(b"1")), None);
         wal.reset(&mut vfs);
         assert!(wal.replay(&mut vfs).is_empty());
     }
@@ -316,15 +269,12 @@ mod tests {
     fn torn_tail_is_dropped() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"good", b"record");
+        wal.log_batch(&mut vfs, &one(b"good", Some(b"record")), None);
         let good_len = vfs.file_size("wal").unwrap();
         // Simulate a crash mid-append: write a partial record by hand.
-        vfs.append("wal", &[TAG_PUT, 0, 0, 0, 10, b'x']);
+        vfs.append("wal", &[TAG_BATCH, 0, 0, 0, 10, b'x']);
         let replay = wal.replay_with_stats(&mut vfs);
-        assert_eq!(
-            replay.records,
-            vec![WalRecord::Put(b"good".to_vec(), b"record".to_vec())]
-        );
+        assert_eq!(replay.batches, vec![one(b"good", Some(b"record"))]);
         assert!(replay.torn);
         assert_eq!(replay.valid_len, good_len);
     }
@@ -333,26 +283,27 @@ mod tests {
     fn intact_log_reports_not_torn() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"a", b"1");
+        wal.log_batch(&mut vfs, &one(b"a", Some(b"1")), None);
         let replay = wal.replay_with_stats(&mut vfs);
         assert!(!replay.torn);
         assert_eq!(replay.valid_len, vfs.file_size("wal").unwrap());
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.batches.len(), 1);
     }
 
     #[test]
     fn corrupt_checksum_stops_replay() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"a", b"1");
-        wal.log_put(&mut vfs, b"b", b"2");
+        wal.log_batch(&mut vfs, &one(b"a", Some(b"1")), None);
+        wal.log_batch(&mut vfs, &one(b"b", Some(b"2")), None);
         let mut data = vfs.read("wal").unwrap();
-        // Flip a bit in the second record's value region.
+        // Flip the second batch's value byte, just before the frame's empty
+        // value slot and checksum.
         let n = data.len();
-        data[n - 6] ^= 0xff;
+        assert_eq!(data[n - 9], b'2');
+        data[n - 9] ^= 0xff;
         vfs.write("wal", &data);
-        let recs = wal.replay(&mut vfs);
-        assert_eq!(recs, vec![WalRecord::Put(b"a".to_vec(), b"1".to_vec())]);
+        assert_eq!(wal.replay(&mut vfs), vec![one(b"a", Some(b"1"))]);
     }
 
     #[test]
@@ -371,16 +322,12 @@ mod tests {
             (b"b".to_vec(), None),
             (b"c".to_vec(), Some(Vec::new())),
         ]);
-        wal.log_put(&mut vfs, b"before", b"x");
+        wal.log_batch(&mut vfs, &one(b"before", Some(b"x")), None);
         wal.log_batch(&mut vfs, &ops, None);
-        wal.log_delete(&mut vfs, b"after");
+        wal.log_batch(&mut vfs, &one(b"after", None), None);
         assert_eq!(
             wal.replay(&mut vfs),
-            vec![
-                WalRecord::Put(b"before".to_vec(), b"x".to_vec()),
-                WalRecord::Batch(ops),
-                WalRecord::Delete(b"after".to_vec()),
-            ]
+            vec![one(b"before", Some(b"x")), ops, one(b"after", None)]
         );
     }
 
@@ -401,13 +348,14 @@ mod tests {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
         wal.log_batch(&mut vfs, &[], None);
-        assert_eq!(wal.replay(&mut vfs), vec![WalRecord::Batch(Vec::new())]);
+        assert_eq!(wal.replay(&mut vfs), vec![KvOps::new()]);
     }
 
-    /// A put, then a 3-op batch frame, and the boundary between them.
+    /// A one-op batch, then a 3-op batch frame, and the boundary between
+    /// them.
     fn put_then_batch(vfs: &mut Vfs) -> (Wal, u64) {
         let wal = Wal::open(vfs, "wal");
-        wal.log_put(vfs, b"before", b"x");
+        wal.log_batch(vfs, &one(b"before", Some(b"x")), None);
         let boundary = vfs.file_size("wal").unwrap();
         let ops = shared(vec![
             (b"alpha".to_vec(), Some(b"one".to_vec())),
@@ -423,14 +371,14 @@ mod tests {
         let mut vfs = Vfs::new();
         let (wal, boundary) = put_then_batch(&mut vfs);
         let intact = vfs.read("wal").unwrap();
-        let before = vec![WalRecord::Put(b"before".to_vec(), b"x".to_vec())];
+        let before = vec![one(b"before", Some(b"x"))];
         for byte in boundary as usize..intact.len() {
             for bit in 0..8 {
                 let mut data = intact.clone();
                 data[byte] ^= 1 << bit;
                 vfs.write("wal", &data);
                 let replay = wal.replay_with_stats(&mut vfs);
-                assert_eq!(replay.records, before, "byte {byte} bit {bit}");
+                assert_eq!(replay.batches, before, "byte {byte} bit {bit}");
                 assert_eq!(replay.valid_len, boundary, "byte {byte} bit {bit}");
             }
         }
@@ -444,21 +392,17 @@ mod tests {
         for cut in boundary as usize + 1..intact.len() {
             vfs.write("wal", &intact[..cut]);
             let replay = wal.replay_with_stats(&mut vfs);
-            assert_eq!(replay.records.len(), 1, "cut {cut}");
+            assert_eq!(replay.batches.len(), 1, "cut {cut}");
             assert!(replay.torn, "cut {cut}");
             assert_eq!(replay.valid_len, boundary, "cut {cut}");
         }
     }
 
-    /// The checksum is part of every WAL file's bytes: pinned in a put
-    /// frame whose key and value end mid-word.
+    /// The checksum is part of every WAL file's bytes: pinned over a tag,
+    /// key and value that end mid-word.
     #[test]
     fn checksum_known_answer() {
-        let mut vfs = Vfs::new();
-        let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"blockbench-wal", b"frame-value");
-        let frame = vfs.read("wal").unwrap();
-        assert_eq!(frame[frame.len() - 4..], 0xa6cc_7e4cu32.to_be_bytes());
+        assert_eq!(checksum(&[&[1], b"blockbench-wal", b"frame-value"]), 0xa6cc_7e4c);
         // And a whole batch frame — a put, a delete and an empty value under
         // keys that end mid-word — byte for byte.
         let mut vfs = Vfs::new();
@@ -487,7 +431,7 @@ mod tests {
     fn empty_values_allowed() {
         let mut vfs = Vfs::new();
         let wal = Wal::open(&mut vfs, "wal");
-        wal.log_put(&mut vfs, b"empty", b"");
-        assert_eq!(wal.replay(&mut vfs), vec![WalRecord::Put(b"empty".to_vec(), vec![])]);
+        wal.log_batch(&mut vfs, &one(b"empty", Some(b"")), None);
+        assert_eq!(wal.replay(&mut vfs), vec![one(b"empty", Some(b""))]);
     }
 }

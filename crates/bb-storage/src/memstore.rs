@@ -4,7 +4,8 @@
 //! performance but fails to handle large data" (Section 4.2.2). The optional
 //! byte cap reproduces that failure: IOHeavy runs that exceed it get
 //! [`KvError::OutOfSpace`], our analogue of the paper's 'X' (out-of-memory)
-//! data points.
+//! data points. A store is written only through `apply_batch`, which checks
+//! the cap op by op, and both scans read one `BTreeMap::range`.
 
 use crate::kv::{take_chunk, KvError, KvPairs, KvStore, WriteBatch};
 use crate::stats::StorageStats;
@@ -51,6 +52,15 @@ impl MemStore {
     fn entry_bytes(key: &[u8], value: &[u8]) -> u64 {
         key.len() as u64 + value.len() as u64 + ENTRY_OVERHEAD
     }
+
+    /// The one range read of both scans: the pairs from `start` on, in key
+    /// order.
+    fn live_from<'a>(
+        &'a self,
+        start: Bound<&'a [u8]>,
+    ) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> + 'a {
+        self.map.range::<[u8], _>((start, Bound::Unbounded)).map(|(k, v)| (k.clone(), v.clone()))
+    }
 }
 
 impl KvStore for MemStore {
@@ -59,56 +69,39 @@ impl KvStore for MemStore {
         Ok(self.map.get(key).cloned())
     }
 
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let new_bytes = Self::entry_bytes(key, value);
-        let old_bytes = self.map.get(key).map(|v| Self::entry_bytes(key, v)).unwrap_or(0);
-        let projected = self.mem_bytes - old_bytes + new_bytes;
-        if let Some(cap) = self.cap {
-            if projected > cap {
-                return Err(KvError::OutOfSpace { used: projected, cap });
-            }
-        }
-        self.stats.writes += 1;
-        self.map.insert(key.to_vec(), value.to_vec());
-        self.mem_bytes = projected;
-        self.stats.mem_bytes = self.mem_bytes;
-        Ok(())
-    }
-
-    fn delete(&mut self, key: &[u8]) -> Result<(), KvError> {
-        self.stats.writes += 1;
-        if let Some(old) = self.map.remove(key) {
-            self.mem_bytes -= Self::entry_bytes(key, &old);
-            self.stats.mem_bytes = self.mem_bytes;
-        }
-        Ok(())
-    }
-
     /// Cap-respecting batch: operations apply in order until the cap trips,
     /// at which point the error surfaces (the partially applied prefix
-    /// stays, matching the per-put failure mode of a real OOM).
+    /// stays, matching the per-put failure mode of a real OOM). A map
+    /// copies every op: there is no frame to share.
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<(), KvError> {
         if batch.is_empty() {
             return Ok(());
         }
         self.stats.batch_writes += 1;
-        // A map copies every op: there is no frame to share.
         let (ops, _frame) = batch.into_parts();
         for (key, value) in ops {
-            match value {
-                Some(v) => self.put(&key, &v)?,
-                None => self.delete(&key)?,
+            let old = self.map.get(&*key).map_or(0, |v| Self::entry_bytes(&key, v));
+            let new = value.as_ref().map_or(0, |v| Self::entry_bytes(&key, v));
+            // A delete only shrinks the map, so only a put can trip the cap.
+            let projected = self.mem_bytes - old + new;
+            if let Some(cap) = self.cap.filter(|&cap| projected > cap) {
+                return Err(KvError::OutOfSpace { used: projected, cap });
             }
+            self.stats.writes += 1;
+            match value {
+                Some(v) => self.map.insert(key.to_vec(), v.to_vec()),
+                None => self.map.remove(&*key),
+            };
+            self.mem_bytes = projected;
+            self.stats.mem_bytes = projected;
         }
         Ok(())
     }
 
-    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
-        let out: Vec<_> = self
-            .map
-            .range(prefix.to_vec()..)
+    fn scan_prefix(&mut self, prefix: &[u8]) -> Result<KvPairs, KvError> {
+        let out: KvPairs = self
+            .live_from(Bound::Included(prefix))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         self.stats.reads += out.len() as u64;
         Ok(out)
@@ -119,9 +112,8 @@ impl KvStore for MemStore {
         after: Option<&[u8]>,
         max_bytes: usize,
     ) -> Result<(KvPairs, bool), KvError> {
-        let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
-        let pairs = self.map.range::<[u8], _>((lo, Bound::Unbounded));
-        let (out, done) = take_chunk(pairs.map(|(k, v)| (k.clone(), v.clone())), max_bytes);
+        let start = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let (out, done) = take_chunk(self.live_from(start), max_bytes);
         self.stats.reads += out.len() as u64;
         Ok((out, done))
     }
@@ -134,16 +126,17 @@ impl KvStore for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::OneOp;
 
     #[test]
     fn basic_crud() {
         let mut s = MemStore::new();
         assert_eq!(s.get(b"k").unwrap(), None);
-        s.put(b"k", b"v1").unwrap();
+        s.put_one(b"k", b"v1").unwrap();
         assert_eq!(s.get(b"k").unwrap(), Some(b"v1".to_vec()));
-        s.put(b"k", b"v2").unwrap();
+        s.put_one(b"k", b"v2").unwrap();
         assert_eq!(s.get(b"k").unwrap(), Some(b"v2".to_vec()));
-        s.delete(b"k").unwrap();
+        s.delete_one(b"k").unwrap();
         assert_eq!(s.get(b"k").unwrap(), None);
         assert!(s.is_empty());
     }
@@ -152,7 +145,7 @@ mod tests {
     fn scan_prefix_in_order() {
         let mut s = MemStore::new();
         for k in ["a:2", "a:1", "b:1", "a:3"] {
-            s.put(k.as_bytes(), b"x").unwrap();
+            s.put_one(k.as_bytes(), b"x").unwrap();
         }
         let hits = s.scan_prefix(b"a:").unwrap();
         let keys: Vec<_> = hits.iter().map(|(k, _)| String::from_utf8_lossy(k).into_owned()).collect();
@@ -163,24 +156,24 @@ mod tests {
     fn capacity_cap_models_parity_oom() {
         // Each entry costs key + value + 64 overhead = 70 bytes here.
         let mut s = MemStore::with_capacity_cap(200);
-        s.put(b"k1", b"vvvv", ).unwrap();
-        s.put(b"k2", b"vvvv").unwrap();
-        let err = s.put(b"k3", b"vvvv").unwrap_err();
+        s.put_one(b"k1", b"vvvv").unwrap();
+        s.put_one(b"k2", b"vvvv").unwrap();
+        let err = s.put_one(b"k3", b"vvvv").unwrap_err();
         assert!(matches!(err, KvError::OutOfSpace { .. }));
         // Failed put leaves the store intact.
         assert_eq!(s.len(), 2);
         // Overwriting an existing key must not double-count.
-        s.put(b"k1", b"wwww").unwrap();
+        s.put_one(b"k1", b"wwww").unwrap();
         assert_eq!(s.get(b"k1").unwrap(), Some(b"wwww".to_vec()));
     }
 
     #[test]
     fn delete_releases_capacity() {
         let mut s = MemStore::with_capacity_cap(200);
-        s.put(b"k1", b"vvvv").unwrap();
-        s.put(b"k2", b"vvvv").unwrap();
-        s.delete(b"k1").unwrap();
-        s.put(b"k3", b"vvvv").unwrap();
+        s.put_one(b"k1", b"vvvv").unwrap();
+        s.put_one(b"k2", b"vvvv").unwrap();
+        s.delete_one(b"k1").unwrap();
+        s.put_one(b"k3", b"vvvv").unwrap();
         assert_eq!(s.len(), 2);
     }
 
@@ -201,8 +194,8 @@ mod tests {
     #[test]
     fn clone_is_a_second_disk() {
         let mut a = MemStore::with_capacity_cap(450);
-        a.put(b"k1", b"one").unwrap();
-        a.put(b"k2", b"two").unwrap();
+        a.put_one(b"k1", b"one").unwrap();
+        a.put_one(b"k2", b"two").unwrap();
         let mut b = a.clone();
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.scan_prefix(b"").unwrap(), b.scan_prefix(b"").unwrap());
@@ -210,22 +203,22 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         // Writes stay on their side, and each side fills its own cap.
         let b_stats = b.stats();
-        a.put(b"k1", b"changed").unwrap();
-        a.delete(b"k2").unwrap();
-        a.put(b"big", &[0u8; 200]).unwrap();
+        a.put_one(b"k1", b"changed").unwrap();
+        a.delete_one(b"k2").unwrap();
+        a.put_one(b"big", &[0u8; 200]).unwrap();
         assert_eq!(b.stats(), b_stats);
         assert_eq!(b.get(b"k1").unwrap(), Some(b"one".to_vec()));
         assert_eq!(b.get(b"k2").unwrap(), Some(b"two".to_vec()));
         assert_eq!(b.get(b"big").unwrap(), None);
-        b.put(b"big", &[1u8; 200]).unwrap();
-        assert!(matches!(b.put(b"more", &[1u8; 200]), Err(KvError::OutOfSpace { .. })));
+        b.put_one(b"big", &[1u8; 200]).unwrap();
+        assert!(matches!(b.put_one(b"more", &[1u8; 200]), Err(KvError::OutOfSpace { .. })));
     }
 
     #[test]
     fn stats_count_operations() {
         let mut s = MemStore::new();
-        s.put(b"a", b"1").unwrap();
-        s.put(b"b", b"2").unwrap();
+        s.put_one(b"a", b"1").unwrap();
+        s.put_one(b"b", b"2").unwrap();
         let _ = s.get(b"a").unwrap();
         let _ = s.scan_prefix(b"").unwrap();
         let st = s.stats();

@@ -475,6 +475,26 @@ if git grep -nwE 'snapshot_open|snapshot_close|SnapshotPin|deferred_deletes|fn s
     echo "ERROR: a second chunk reader is back; read chunks with KvStore::scan_range_chunk, from a frozen clone where the view must hold still" >&2
     exit 1
 fi
+# A Parity transfer serves and lands one height: the first state chunk
+# names the peer's head, and the chain transfer stops there.
+listed -p bb-bench --test cross_platform parity_snapshot_restart_lands_on_its_peers_state
+
+echo "==> one write path: a batch is the only store write and the only WAL record"
+# DESIGN.md §6 "Storage write path": `KvStore::apply_batch` is the only
+# write (a single write is a one-op `WriteBatch`), the WAL's one record is
+# the batch frame, and both scans of a store read through its one range
+# routine (the LSM's prefix scans equal MemStore's in the seeded test above).
+listed -p bb-storage behaves_like_btreemap_seeded
+listed -p bb-storage batch_wal_overhead_is_one_record
+single=$(awk '/^pub trait KvStore/ { body = 1 } body && /fn (put|delete)[ (<]/ { print FILENAME ":" NR ": " $0 }
+    body && /^}/ { exit }' crates/bb-storage/src/kv.rs)
+tags=$(grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?const TAG_' crates/bb-storage/src/lsm/wal.rs | grep -v 'const TAG_BATCH:' || true)
+if [ -n "$single$tags" ] || ! grep -q '^pub trait KvStore' crates/bb-storage/src/kv.rs ||
+    ! grep -q '^const TAG_BATCH:' crates/bb-storage/src/lsm/wal.rs; then
+    echo "$single$tags"
+    echo "ERROR: a single-op store write or a second WAL record kind is back; write a one-op WriteBatch" >&2
+    exit 1
+fi
 for platform in bb-ethereum bb-parity bb-fabric; do listed -p "$platform" deep_gap; done
 listed -p bb-bench --lib fig9_snapshot
 

@@ -602,11 +602,11 @@ fn fabric_replicas_of_the_20_by_20_cell_agree() {
 /// `parallel_determinism`'s snapshot timeline on Parity (node 3 power-cut
 /// with a torn tail at 3 s, restarted at 12 s past a 4-block replay
 /// threshold, 512-byte chunks), checked for agreement: the restarted
-/// authority must end on its peers' blocks and state roots. Ethereum and
-/// Fabric pass in the same timeline; on Parity node 3 holds every peer's
-/// block id but other state roots.
+/// authority must end on its peers' blocks and state roots. Its chain
+/// transfer stops at the height the peer named when it began serving the
+/// state; a transfer that ran on to the peer's later head left node 3 with
+/// every peer's block id but other state roots.
 #[test]
-#[ignore = "FOUND: a Parity authority restarted by snapshot transfer holds other state roots"]
 fn parity_snapshot_restart_lands_on_its_peers_state() {
     use bb_parity::{ParityChain, ParityConfig};
     use bb_types::NodeId;

@@ -335,7 +335,7 @@ fn snapshot_timeline(platform: Platform) -> String {
 fn snapshot_timeline_replays_identically() {
     let known = [
         (Platform::Ethereum, "1b86f65b35cdbf129df8de3bf5cccaf356e1fb85b48a400966d57a2713ef0dea"),
-        (Platform::Parity, "9befdc149817974e16caadf9bd1895c1a86aaf6b4a37de36ed8f93d66abba9c1"),
+        (Platform::Parity, "1783e7a26288658d57383a3b781fec5683c57450a44b62604c0b3b6559828cdf"),
         (Platform::Hyperledger, "052284733d516243f8b2aa78658ad67cdc6b77d609bbe5b9ea50b7906e36a953"),
     ];
     for (platform, want) in known {
